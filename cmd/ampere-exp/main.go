@@ -3,10 +3,10 @@
 //
 // Usage:
 //
-//	ampere-exp -exp fig1|fig2|fig4|fig5|fig7|fig8|fig9|fig10|fig11|fig12|
-//	                table2|table3|spread|outage|chaos|ablations|scale|
+//	ampere-exp -exp fig1|fig2|fig4|fig5|fig7|fig8|fig9|fig10|fig11|fig11scale|
+//	                fig12|table2|table3|spread|outage|chaos|ablations|scale|
 //	                gridstorm|whatif|tournament|all
-//	           [-quick] [-seed N] [-out dir] [-parallel N] [-ctl-parallel N]
+//	           [-quick] [-seed N] [-out dir] [-parallel N]
 //
 // -quick shrinks cluster sizes and time spans for a fast pass (the same
 // configurations the test suite and benchmarks use); the default sizes
@@ -21,10 +21,6 @@
 // from its own seed and its report is buffered and printed in the fixed
 // experiment order, so stdout is byte-identical at any -parallel value;
 // per-experiment timing goes to stderr as runs complete.
-//
-// -ctl-parallel N additionally fans each controller's per-domain plan phase
-// across N workers (0/1 = serial, -1 = all CPUs). Side effects are always
-// applied serially in domain order, so this too never changes output.
 package main
 
 import (
@@ -35,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 
 	"repro/internal/experiment"
 	"repro/internal/runner"
@@ -43,49 +40,51 @@ import (
 
 // runCtx carries the shared CLI knobs into each experiment runner.
 type runCtx struct {
-	quick       bool
-	seed        uint64
-	outDir      string
-	parallel    int
-	ctlParallel int
+	quick    bool
+	seed     uint64
+	outDir   string
+	parallel int
 }
 
+// runners maps every -exp id to its experiment; fig10 is an alias of table2
+// (one run produces both).
+var runners = map[string]func(io.Writer, runCtx) error{
+	"fig1":       runFig1,
+	"fig2":       runFig2,
+	"fig4":       runFig4,
+	"fig5":       runFig5,
+	"fig7":       runFig7,
+	"fig8":       runFig8,
+	"fig9":       runFig9,
+	"fig10":      runFig10Table2,
+	"table2":     runFig10Table2,
+	"fig11":      runFig11,
+	"fig11scale": runFig11Scale,
+	"fig12":      runFig12,
+	"table3":     runTable3,
+	"spread":     runSpread,
+	"outage":     runOutage,
+	"chaos":      runChaos,
+	"ablations":  runAblations,
+	"scale":      runScale,
+	"gridstorm":  runGridstorm,
+	"whatif":     runWhatif,
+	"tournament": runTournament,
+}
+
+// order is what -exp all runs, and the order reports print in.
+var order = []string{"fig1", "fig2", "fig4", "fig5", "fig7", "fig8", "fig9",
+	"table2", "fig11", "fig11scale", "fig12", "table3", "spread", "outage", "chaos",
+	"ablations", "scale", "gridstorm", "whatif", "tournament"}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment id (fig1..fig12, table2, table3, all)")
+	expIDs := strings.Join(order, ", ") + ", all"
+	exp := flag.String("exp", "all", "experiment id ("+expIDs+")")
 	quick := flag.Bool("quick", false, "shrunken fast configuration")
 	seed := flag.Uint64("seed", 0, "override the experiment seed (0 = per-experiment default)")
 	out := flag.String("out", "", "directory to also write plot-ready CSV series into")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker count for independent runs (1 = serial)")
-	ctlParallel := flag.Int("ctl-parallel", 0,
-		"controller plan-phase workers per domain set (0/1 = serial, -1 = all CPUs); output is identical at any value")
 	flag.Parse()
-
-	runners := map[string]func(io.Writer, runCtx) error{
-		"fig1":       runFig1,
-		"fig2":       runFig2,
-		"fig4":       runFig4,
-		"fig5":       runFig5,
-		"fig7":       runFig7,
-		"fig8":       runFig8,
-		"fig9":       runFig9,
-		"fig10":      runFig10Table2,
-		"table2":     runFig10Table2,
-		"fig11":      runFig11,
-		"fig11scale": runFig11Scale,
-		"fig12":      runFig12,
-		"table3":     runTable3,
-		"spread":     runSpread,
-		"outage":     runOutage,
-		"chaos":      runChaos,
-		"ablations":  runAblations,
-		"scale":      runScale,
-		"gridstorm":  runGridstorm,
-		"whatif":     runWhatif,
-		"tournament": runTournament,
-	}
-	order := []string{"fig1", "fig2", "fig4", "fig5", "fig7", "fig8", "fig9",
-		"table2", "fig11", "fig11scale", "fig12", "table3", "spread", "outage", "chaos",
-		"ablations", "scale", "gridstorm", "whatif", "tournament"}
 
 	var ids []string
 	if *exp == "all" {
@@ -93,14 +92,14 @@ func main() {
 	} else if _, ok := runners[*exp]; ok {
 		ids = []string{*exp}
 	} else {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want one of %s)\n", *exp, expIDs)
 		flag.Usage()
 		os.Exit(2)
 	}
-	rc := runCtx{quick: *quick, seed: *seed, outDir: *out, parallel: *parallel, ctlParallel: *ctlParallel}
+	rc := runCtx{quick: *quick, seed: *seed, outDir: *out, parallel: *parallel}
 
 	// Each experiment renders into its own buffer; buffers are printed in
-	// the fixed order above, so stdout does not depend on completion order.
+	// the fixed order, so stdout does not depend on completion order.
 	units := make([]runner.Unit[[]byte], len(ids))
 	for i, id := range ids {
 		id := id
@@ -267,7 +266,6 @@ func runFig10Table2(w io.Writer, rc runCtx) error {
 	}
 	cfg.Seed = pick(rc.seed, cfg.Seed)
 	cfg.Parallel = rc.parallel
-	cfg.CtlParallel = rc.ctlParallel
 	res, err := experiment.RunTable2(cfg)
 	if err != nil {
 		return err
@@ -301,7 +299,7 @@ func runFig11(w io.Writer, rc runCtx) error {
 // 100k-server fleet whose hot rows host a 3-million-user service, scored as
 // per-op/per-class p999 and SLO-miss under row capping vs the Ampere
 // controller. Regimes fan across two workers; output is byte-identical at
-// any -parallel / -ctl-parallel value.
+// any -parallel value.
 func runFig11Scale(w io.Writer, rc runCtx) error {
 	cfg := experiment.DefaultFig11Scale()
 	if rc.quick {
@@ -309,7 +307,6 @@ func runFig11Scale(w io.Writer, rc runCtx) error {
 	}
 	cfg.Seed = pick(rc.seed, cfg.Seed)
 	cfg.Parallel = rc.parallel
-	cfg.CtlParallel = rc.ctlParallel
 	res, err := experiment.RunFig11Scale(cfg)
 	if err != nil {
 		return err
@@ -372,7 +369,6 @@ func runChaos(w io.Writer, rc runCtx) error {
 	}
 	cfg.Seed = pick(rc.seed, cfg.Seed)
 	cfg.Parallel = rc.parallel
-	cfg.CtlParallel = rc.ctlParallel
 	res, err := experiment.RunChaos(cfg)
 	if err != nil {
 		return err
@@ -426,8 +422,7 @@ func runAblations(w io.Writer, rc runCtx) error {
 // million servers across 8 DCs; quick: 1,600 across 4). The single-DC sizes
 // run serially regardless of -parallel (each size's wall-clock measurement
 // needs the machine to itself); the federated half honors -parallel as its
-// shard worker count and -ctl-parallel for each DC controller's plan phase,
-// neither of which changes stdout. Wall timings go to stderr.
+// shard worker count, which does not change stdout. Wall timings go to stderr.
 func runScale(w io.Writer, rc runCtx) error {
 	cfg := experiment.DefaultScale()
 	if rc.quick {
@@ -448,7 +443,6 @@ func runScale(w io.Writer, rc runCtx) error {
 	}
 	fcfg.Seed = pick(rc.seed, fcfg.Seed)
 	fcfg.Workers = rc.parallel
-	fcfg.CtlParallel = rc.ctlParallel
 	fres, err := experiment.RunFedScale(fcfg)
 	if err != nil {
 		return err
@@ -469,7 +463,6 @@ func runGridstorm(w io.Writer, rc runCtx) error {
 	}
 	cfg.Seed = pick(rc.seed, cfg.Seed)
 	cfg.Parallel = rc.parallel
-	cfg.CtlParallel = rc.ctlParallel
 	runs, err := experiment.RunGridstorm(cfg)
 	if err != nil {
 		return err
@@ -489,7 +482,6 @@ func runWhatif(w io.Writer, rc runCtx) error {
 		cfg = experiment.QuickGridstorm()
 	}
 	cfg.Seed = pick(rc.seed, cfg.Seed)
-	cfg.CtlParallel = rc.ctlParallel
 	res, err := experiment.RunWhatif(cfg)
 	if err != nil {
 		return err
@@ -510,7 +502,6 @@ func runTournament(w io.Writer, rc runCtx) error {
 		cfg = experiment.QuickTournament()
 	}
 	cfg.Grid.Seed = pick(rc.seed, cfg.Grid.Seed)
-	cfg.Grid.CtlParallel = rc.ctlParallel
 	cfg.Parallel = rc.parallel
 	res, err := experiment.RunTournament(cfg)
 	if err != nil {

@@ -25,7 +25,6 @@ func why(args []string) error {
 	regime := fs.String("regime", "cliff", "factual gridstorm regime: cliff|ramp")
 	full := fs.Bool("full", false, "paper-scale gridstorm (100k servers); default is the quick 320-server configuration")
 	seed := fs.Uint64("seed", 0, "override the scenario seed (0 = scenario default)")
-	ctlParallel := fs.Int("ctl-parallel", 0, "controller plan-phase workers (0/1 = serial; output is identical at any value)")
 	jsonOut := fs.Bool("json", false, "emit the diff report as JSON instead of text")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -38,7 +37,6 @@ func why(args []string) error {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	cfg.CtlParallel = *ctlParallel
 	var ramped bool
 	switch *regime {
 	case "cliff":

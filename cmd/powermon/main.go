@@ -70,13 +70,11 @@ func main() {
 		pprofOn    = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 		journalCap = flag.Int("journal-cap", obs.DefaultJournalCap, "control-decision journal capacity (events)")
 		journalOut = flag.String("journal-out", "", "flush the journal to this JSONL file on shutdown")
-		ctlPar     = flag.Int("ctl-parallel", 0,
-			"controller plan-phase workers (0/1 = serial, -1 = all CPUs); decisions are identical at any value")
-		drAt     = flag.Float64("dr-at", 0, "demand-response event start, simulated minutes (0 = none)")
-		drDepth  = flag.Float64("dr-depth", 0.2, "demand-response curtailment depth, fraction of budget")
-		drDwell  = flag.Float64("dr-dwell", 60, "demand-response dwell, simulated minutes")
-		drRamp   = flag.Float64("dr-ramp", 0.02, "budget ramp limit per tick as fraction of base (0 = cliff)")
-		svcUsers = flag.Int("service-users", 0,
+		drAt       = flag.Float64("dr-at", 0, "demand-response event start, simulated minutes (0 = none)")
+		drDepth    = flag.Float64("dr-depth", 0.2, "demand-response curtailment depth, fraction of budget")
+		drDwell    = flag.Float64("dr-dwell", 60, "demand-response dwell, simulated minutes")
+		drRamp     = flag.Float64("dr-ramp", 0.02, "budget ramp limit per tick as fraction of base (0 = cliff)")
+		svcUsers   = flag.Int("service-users", 0,
 			"simulated users of a pinned interactive service (0 = none); adds service_* metric families")
 		svcRPS       = flag.Float64("service-rps-per-user", 0.05, "per-user request rate (req/s)")
 		svcInstances = flag.Int("service-instances", 4, "service instances pinned across the fleet")
@@ -87,8 +85,7 @@ func main() {
 		addr: *addr, tick: *tick, rows: *rows, rowServers: *rowServers,
 		target: *target, ro: *ro, ampere: *ampere, seed: *seed,
 		obs: *obsOn, pprof: *pprofOn, journalCap: *journalCap, journalOut: *journalOut,
-		ctlParallel: *ctlPar,
-		drAt:        *drAt, drDepth: *drDepth, drDwell: *drDwell, drRamp: *drRamp,
+		drAt: *drAt, drDepth: *drDepth, drDwell: *drDwell, drRamp: *drRamp,
 		svcUsers: *svcUsers, svcRPSPerUser: *svcRPS,
 		svcInstances: *svcInstances, svcContainers: *svcCtrs,
 	}
@@ -99,23 +96,22 @@ func main() {
 }
 
 type runConfig struct {
-	addr        string
-	tick        time.Duration
-	rows        int
-	rowServers  int
-	target      float64
-	ro          float64
-	ampere      bool
-	seed        uint64
-	obs         bool
-	pprof       bool
-	journalCap  int
-	journalOut  string
-	ctlParallel int
-	drAt        float64
-	drDepth     float64
-	drDwell     float64
-	drRamp      float64
+	addr       string
+	tick       time.Duration
+	rows       int
+	rowServers int
+	target     float64
+	ro         float64
+	ampere     bool
+	seed       uint64
+	obs        bool
+	pprof      bool
+	journalCap int
+	journalOut string
+	drAt       float64
+	drDepth    float64
+	drDwell    float64
+	drRamp     float64
 	// svcUsers > 0 pins an interactive service across the fleet (see the
 	// -service-users flag); all four knobs are part of the stack identity
 	// the /whatif offline rebuild reproduces.
@@ -274,9 +270,7 @@ func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*stack,
 				Kr: experiment.DefaultKr, Schedule: sched,
 			}
 		}
-		ccfg := core.DefaultConfig()
-		ccfg.Parallel = cfg.ctlParallel
-		controller, err = core.New(rig.Eng, reader, api, ccfg, domains)
+		controller, err = core.New(rig.Eng, reader, api, core.DefaultConfig(), domains)
 		if err != nil {
 			return nil, err
 		}

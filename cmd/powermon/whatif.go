@@ -61,9 +61,9 @@ func (ws *whatifServer) builder(end sim.Time) whatif.Builder {
 			End:      end,
 			Interval: sim.Minute,
 			Seed:     cfg.seed,
-			ConfigTag: fmt.Sprintf("powermon seed=%d rows=%dx%d target=%g ro=%g dr=%g/%g/%g/%g ctlpar=%d",
+			ConfigTag: fmt.Sprintf("powermon seed=%d rows=%dx%d target=%g ro=%g dr=%g/%g/%g/%g",
 				cfg.seed, cfg.rows, cfg.rowServers, cfg.target, cfg.ro,
-				cfg.drAt, cfg.drDepth, cfg.drDwell, cfg.drRamp, cfg.ctlParallel),
+				cfg.drAt, cfg.drDepth, cfg.drDwell, cfg.drRamp),
 			RunUntil: sk.rig.Run,
 			KPIs: func() map[string]float64 {
 				s := sk.rig.Sched.Stats()

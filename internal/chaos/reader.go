@@ -14,10 +14,9 @@ import (
 // through sample timestamps while a naive one silently consumes the frozen
 // snapshot — the same asymmetry a real monitor outage produces.
 //
-// The controller's parallel plan phase calls the read methods from multiple
-// goroutines, so the snapshot caches and injector counters are guarded by
-// mu. Fault decisions themselves are pure hashes of (seed, time, salt) —
-// they stay deterministic whatever the interleaving.
+// mu guards the snapshot caches and injector counters, so a Reader is safe
+// to share across goroutines. Fault decisions themselves are pure hashes of
+// (seed, time, salt) — they stay deterministic whatever the interleaving.
 type Reader struct {
 	in    *Injector
 	inner core.PowerReader

@@ -75,9 +75,8 @@ func (s *BudgetSchedule) TargetAt(now sim.Time, base float64) float64 {
 }
 
 // BudgetChange describes one movement of a domain's effective budget,
-// delivered to the OnBudgetChange callback during the serial apply phase —
-// in domain-index order, whatever the plan-phase worker count, preserving
-// the DESIGN.md §7 determinism contract.
+// delivered to the OnBudgetChange callback during the apply phase, in
+// domain-index order.
 type BudgetChange struct {
 	// Domain is the domain's index in the controller's domain list; Name is
 	// its configured name.
@@ -90,7 +89,7 @@ type BudgetChange struct {
 }
 
 // OnBudgetChange registers fn to be called on every effective-budget
-// movement, from the serial apply phase of the tick that applied it. Use it
+// movement, from the apply phase of the tick that applied it. Use it
 // to keep co-located protection (breakers) and measurement (trackers) in
 // agreement with the enforced budget. Call before Start; only one callback
 // is supported.
@@ -167,9 +166,8 @@ func (c *Controller) budgetTarget(ds *domainState, now sim.Time) float64 {
 
 // planBudget re-resolves the domain's effective budget for this tick,
 // moving it toward the current target under the schedule's ramp limit. It
-// runs at the top of the plan phase — it touches only the domain's own
-// state, so it is parallel-safe — and stages the old value in budgetPrev
-// for the serial apply phase to journal and announce.
+// runs at the top of the plan phase and stages the old value in budgetPrev
+// for the apply phase to journal and announce.
 func (c *Controller) planBudget(ds *domainState, now sim.Time) {
 	ds.budgetPrev = ds.budget
 	target := c.budgetTarget(ds, now)
@@ -208,8 +206,7 @@ func (c *Controller) planBudget(ds *domainState, now sim.Time) {
 }
 
 // applyBudgetChange announces and journals a staged effective-budget
-// movement. Runs in the serial apply phase, before the tick's decision
-// event, so journal order is deterministic at any plan worker count.
+// movement. Runs in the apply phase, before the tick's decision event.
 func (c *Controller) applyBudgetChange(ds *domainState, now sim.Time) {
 	if ds.budget == ds.budgetPrev {
 		return

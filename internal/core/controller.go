@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/runner"
 	"repro/internal/sim"
 )
 
@@ -112,16 +110,6 @@ type Config struct {
 	// select safe defaults; Resilience.Disabled restores the naive
 	// controller.
 	Resilience ResilienceConfig
-	// Parallel fans the read-and-decide phase of Step across that many
-	// worker goroutines, one domain at a time. 0 or 1 keeps the serial
-	// path; negative selects GOMAXPROCS; the count is capped at the domain
-	// count. Side effects — freeze/unfreeze API calls, journal events,
-	// frozen-set and counter updates that other domains could observe — are
-	// always applied serially in domain-index order, so results are
-	// byte-identical at any setting (the DESIGN.md §7 contract).
-	// SelectRandom forces the serial path: its shuffle consumes one shared
-	// random stream in domain order.
-	Parallel int
 	// EtWindow bounds each online HourlyEt hour bin to its most recent
 	// EtWindow observations (0 = unbounded, the paper's behavior). A
 	// one-minute interval adds 60 observations per bin per simulated day;
@@ -350,9 +338,8 @@ type domainState struct {
 	apiWall time.Duration
 
 	// Per-tick plan/apply staging, reused across ticks so the steady-state
-	// control path allocates nothing. The plan phase (parallel-safe, reads
-	// only this domain's state) fills rank and the candidate lists; the
-	// apply phase (serial, domain-index order) executes them.
+	// control path allocates nothing. The plan phase fills rank and the
+	// candidate lists; the apply phase executes them.
 	plan      tickPlan
 	rank      []serverPower // per-server power scratch for selection
 	unfCands  []serverPower // frozen ∉ S, in freeze-preference order
@@ -419,7 +406,7 @@ type Controller struct {
 	sel    Selector
 	solver Solver
 	unf    UnfreezePolicy
-	// onBudget, when set, is called from the serial apply phase on every
+	// onBudget, when set, is called from the apply phase on every
 	// effective-budget movement (see OnBudgetChange in budget.go).
 	onBudget func(BudgetChange)
 	// rampOverride, when haveRampOverride, bounds per-tick effective-budget
@@ -428,12 +415,6 @@ type Controller struct {
 	// counterfactual replay path — never by the normal construction path.
 	rampOverride     float64
 	haveRampOverride bool
-
-	// loop fans the plan phase across domains when cfg.Parallel asks for
-	// it; planNow carries Step's tick time to the loop body (the body is a
-	// single closure built once in New, so ticking allocates nothing).
-	loop    *runner.Loop
-	planNow sim.Time
 
 	// mu guards the domain state so the operator HTTP API (Status, Healthz)
 	// can be served live while the event loop mutates counters. The control
@@ -529,7 +510,6 @@ func New(eng *sim.Engine, reader PowerReader, api FreezeAPI, cfg Config, domains
 		}
 		ctl.domains = append(ctl.domains, ds)
 	}
-	ctl.loop = runner.NewLoop(func(i int) { ctl.tickPlan(ctl.domains[i], ctl.planNow) })
 	return ctl, nil
 }
 
@@ -603,13 +583,8 @@ func (c *Controller) Resync(isFrozen func(id cluster.ServerID) bool) {
 // Each domain's tick is split into a plan phase — read power, classify the
 // sample, run the control law, stage the freeze/unfreeze candidates — and an
 // apply phase that executes the staged API calls, commits frozen-set and op
-// counters, and emits the journal event. The plan phase touches only its own
-// domain's state plus concurrency-safe readers, so with cfg.Parallel > 1 it
-// fans out across a worker pool; apply always runs serially in domain-index
-// order. Because a tick's reads do not depend on its own API calls (the
-// monitor snapshot only changes on a sweep), plan-all-then-apply-all is
-// decision-identical to the serial interleave — the parallel_test.go
-// byte-identity suite pins that equivalence.
+// counters, and emits the journal event. Domains tick in domain-index order,
+// so the API call stream and the journal are deterministic.
 func (c *Controller) Step(now sim.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -617,56 +592,20 @@ func (c *Controller) Step(now sim.Time) {
 	if c.ins != nil && c.ins.tickDur != nil {
 		start = time.Now()
 	}
-	if w := c.planWorkers(); w > 1 {
-		c.planNow = now
-		// Cap the fan-out at the machine: goroutines beyond GOMAXPROCS only
-		// add dispatch and switch overhead without any extra compute (the
-		// negative parallel scaling BENCH_scale.json used to show on
-		// single-core runners). The plan/apply two-phase structure — and with
-		// it byte-identity — is decided by the configured worker count, not
-		// the capped one, so results are unchanged.
-		if m := runtime.GOMAXPROCS(0); w > m {
-			w = m
-		}
-		c.loop.Run(w, len(c.domains))
-		for _, ds := range c.domains {
-			c.tickApply(ds, now)
-		}
-	} else {
-		for _, ds := range c.domains {
-			c.tickPlan(ds, now)
-			c.tickApply(ds, now)
-		}
+	for _, ds := range c.domains {
+		c.tickPlan(ds, now)
+		c.tickApply(ds, now)
 	}
 	if c.ins != nil && c.ins.tickDur != nil {
 		c.ins.tickDur.Observe(time.Since(start).Seconds())
 	}
 }
 
-// planWorkers resolves cfg.Parallel for this Step. A serial-only selector
-// (SelectRandom) always plans serially: its shuffle draws from one shared
-// stream in domain order.
-func (c *Controller) planWorkers() int {
-	w := c.cfg.Parallel
-	if w == 0 || w == 1 || c.sel.SerialOnly() {
-		return 1
-	}
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(c.domains) {
-		w = len(c.domains)
-	}
-	return w
-}
-
 // planDomain classifies this tick's reading — fresh, stale, or corrupt —
 // and dispatches to the control law, the degraded fallback, or fail-safe
 // hold, staging the outcome in ds.plan. With resilience disabled it is
 // exactly the original Algorithm 1 front end: trust anything the reader
-// returns. It runs on a pool worker when the plan phase is parallel, so it
-// must only mutate ds and concurrency-safe shared state (the reader and the
-// Et estimator guard themselves).
+// returns.
 func (c *Controller) planDomain(ds *domainState, now sim.Time) {
 	ds.plan = tickPlan{kind: planIdle}
 	c.planBudget(ds, now)
@@ -871,9 +810,7 @@ func (c *Controller) powerSnapshot() ([]float64, bool) {
 }
 
 // applyDomain executes the staged plan: scheduler API calls, frozen-set
-// commits, op counters, retry scheduling. Always called serially in
-// domain-index order, whatever the plan-phase worker count, so the API call
-// stream and the journal are deterministic.
+// commits, op counters, retry scheduling.
 func (c *Controller) applyDomain(ds *domainState, now sim.Time) {
 	switch ds.plan.kind {
 	case planIdle:

@@ -17,7 +17,7 @@ import (
 // TrainableEt is an Et estimator the controller trains online from its own
 // observations: Add records the normalized power increase observed over the
 // interval that started at t. Implementations must be safe for concurrent
-// use — Estimate is called from plan-pool workers.
+// use: callers outside the control loop read an estimator while it trains.
 type TrainableEt interface {
 	EtEstimator
 	Add(t sim.Time, delta float64)

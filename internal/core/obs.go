@@ -174,8 +174,7 @@ func sanitize(v float64) float64 {
 }
 
 // tickPlan runs one domain's plan phase, snapshotting the pre-tick state the
-// journal event needs. Safe to run on a plan-pool worker: it writes only the
-// domain's own fields.
+// journal event needs.
 func (c *Controller) tickPlan(ds *domainState, now sim.Time) {
 	if c.ins == nil || c.ins.journal == nil {
 		c.planDomain(ds, now)
@@ -190,8 +189,6 @@ func (c *Controller) tickPlan(ds *domainState, now sim.Time) {
 }
 
 // tickApply runs one domain's apply phase and emits the decision event.
-// Always called serially in domain-index order, so journal entries land in
-// the same order as the old single-phase tick.
 func (c *Controller) tickApply(ds *domainState, now sim.Time) {
 	c.applyBudgetChange(ds, now)
 	if c.ins == nil || c.ins.journal == nil {
@@ -253,7 +250,7 @@ func (c *Controller) decisionEvent(ds *domainState, now sim.Time, before DomainS
 }
 
 // obsBudgetEvent records one effective-budget movement. Emitted from the
-// serial apply phase immediately before the tick's decision event, so a
+// apply phase immediately before the tick's decision event, so a
 // curtailment and the controller's response to it sit adjacent in the
 // journal (the OPERATIONS.md §12 bisection workflow depends on that order).
 func obsBudgetEvent(ds *domainState, now sim.Time) obs.Event {

@@ -21,7 +21,7 @@ type PolicyPatch struct {
 	// estimator. The new estimators start cold and retrain from the fork
 	// point onward ("what if Et had been forecast differently"); replay
 	// determinism is preserved because counterfactual runs rebuild from
-	// genesis, so the retraining history is identical at any worker count.
+	// genesis, so the retraining history is identical on every run.
 	EtMode *EtMode
 	// EtPercentile retargets every online HourlyEt estimator's percentile;
 	// accumulated observations are kept.
@@ -206,7 +206,7 @@ func (c *Controller) Reconfigure(p PolicyPatch) error {
 	if p.RampFrac != nil {
 		c.rampOverride, c.haveRampOverride = *p.RampFrac, true
 	}
-	if sel.SerialOnly() && c.selRNG == nil {
+	if cfg.Selection == SelectRandom && c.selRNG == nil {
 		c.selRNG = sim.SubRNG(cfg.SelectionSeed, "controller-random-selection")
 	}
 	c.cfg = cfg

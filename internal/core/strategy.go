@@ -11,11 +11,10 @@ package core
 //
 // Strategies are sealed: the Selector and UnfreezePolicy interfaces carry an
 // unexported method, so every implementation lives in this package where the
-// DESIGN.md §7 byte-identity contract is enforced. A strategy invoked from
-// the plan phase may read and mutate only its own domain's state plus
-// concurrency-safe shared readers; anything with cross-domain shared state
-// (the random selector's one shuffle stream) must report SerialOnly and is
-// pinned to the serial plan path. See DESIGN.md §10 for the full contract.
+// DESIGN.md §7 byte-identity contract is enforced. Strategies run on the
+// controller goroutine under c.mu, one domain at a time in domain-index
+// order, so one with cross-domain state (the random selector's one shuffle
+// stream) consumes it in that order. See DESIGN.md §10 for the full contract.
 
 import (
 	"fmt"
@@ -25,17 +24,12 @@ import (
 
 // Selector is the freeze-candidate selection strategy: given a domain's
 // refreshed power ranking and the tick's freeze target, it stages the
-// unfreeze/release/freeze candidate lists the serial apply phase executes.
+// unfreeze/release/freeze candidate lists the apply phase executes.
 type Selector interface {
 	// Name is the canonical policy name used in specs and patches.
 	Name() string
-	// SerialOnly reports whether the plan phase must run serially because
-	// stage consumes shared mutable state in domain order.
-	SerialOnly() bool
 	// stage fills ds.unfCands/relCands/frzCands from the ds.rank scratch.
-	// It runs in the plan phase: only ds and concurrency-safe shared state
-	// may be touched (SerialOnly strategies run under the serial plan path
-	// and may additionally consume controller-owned serial state).
+	// It runs in the plan phase, on the controller goroutine under c.mu.
 	stage(c *Controller, ds *domainState, nfreeze int, degraded bool)
 }
 
@@ -54,8 +48,7 @@ type rankedSelector struct {
 	stability bool
 }
 
-func (s *rankedSelector) Name() string     { return s.name }
-func (s *rankedSelector) SerialOnly() bool { return false }
+func (s *rankedSelector) Name() string { return s.name }
 
 // stage reproduces the fully-sorted walk of the original algorithm without
 // sorting the whole domain: quickselect partitions the scratch around the
@@ -119,12 +112,11 @@ func (s *rankedSelector) stage(c *Controller, ds *domainState, nfreeze int, degr
 }
 
 // randomSelector freezes uniformly random servers (the ablation quantifying
-// the paper's hottest-first choice). Serial-only: the shuffle consumes the
-// controller's one selection stream in domain order.
+// the paper's hottest-first choice). The shuffle consumes the controller's
+// one selection stream (c.selRNG) in domain order.
 type randomSelector struct{}
 
-func (randomSelector) Name() string     { return "random" }
-func (randomSelector) SerialOnly() bool { return true }
+func (randomSelector) Name() string { return "random" }
 
 // stage shuffles the rank scratch and stages candidates by shuffled position:
 // S is the first nfreeze entries and there is no stability augmentation.
@@ -193,7 +185,7 @@ func ParseSelectionPolicy(s string) (SelectionPolicy, error) {
 
 // Solver computes the freezing ratio from the control inputs — the axis that
 // was the hardcoded Horizon branch in planControl. Implementations must be
-// stateless: Solve runs on plan-pool workers.
+// stateless: one instance serves every domain.
 type Solver interface {
 	// Name identifies the solver in reports.
 	Name() string

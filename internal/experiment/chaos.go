@@ -48,10 +48,6 @@ type ChaosConfig struct {
 	// serial); the injector's fault decisions are pure functions of time, so
 	// both regimes face the same storm regardless of execution order.
 	Parallel int
-	// CtlParallel is passed through to core.Config.Parallel: the controller's
-	// plan-phase worker count (0 or 1 = serial, negative = GOMAXPROCS).
-	// Output is byte-identical at any value per the §8 determinism contract.
-	CtlParallel int
 }
 
 // DefaultChaos is a 160-server row under a day-long storm with a five-hour
@@ -236,7 +232,6 @@ func runChaosOnce(cfg ChaosConfig, naive bool) (*ChaosOutcome, chaos.Plan, error
 	// sized for the peak, not for the last healthy minute.
 	ccfg.Resilience.EtInflation = 4
 	ccfg.Resilience.FailSafeAfter = 10
-	ccfg.Parallel = cfg.CtlParallel
 	newController := func() (*core.Controller, error) {
 		return core.New(rig.Eng, reader, api, ccfg,
 			[]core.Domain{{Name: "exp-group", Servers: ctrl.Groups.Exp, BudgetW: ctlBudget, Kr: kr, Et: et}})

@@ -29,10 +29,8 @@ type FedScaleConfig struct {
 	Warmup  sim.Duration
 	Measure sim.Duration
 	// Workers fans shard advances and federated ticks (0/1 serial, -1 all
-	// CPUs); CtlParallel fans each DC controller's plan phase. Neither
-	// changes output.
-	Workers     int
-	CtlParallel int
+	// CPUs); it does not change output.
+	Workers int
 }
 
 // DefaultFedScale is the acceptance configuration: 8 DCs × 313 rows =
@@ -88,7 +86,7 @@ func RunFedScale(cfg FedScaleConfig) (*FedScaleResult, error) {
 	}
 	fed, err := federate.New(federate.Config{
 		Seed: cfg.Seed, DCs: dcs,
-		Workers: cfg.Workers, CtlParallel: cfg.CtlParallel,
+		Workers:   cfg.Workers,
 		Retention: 64,
 	})
 	if err != nil {

@@ -9,10 +9,9 @@ import (
 // 400 servers) end to end and pins the worker-count independence of its
 // formatted output — the tier-1 gate for the two-level substrate.
 func TestFedScaleSmoke(t *testing.T) {
-	render := func(workers, ctlParallel int) string {
+	render := func(workers int) string {
 		cfg := QuickFedScale()
 		cfg.Workers = workers
-		cfg.CtlParallel = ctlParallel
 		res, err := RunFedScale(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -38,8 +37,8 @@ func TestFedScaleSmoke(t *testing.T) {
 		FormatFedScale(&buf, res)
 		return buf.String()
 	}
-	ref := render(1, 1)
-	if got := render(4, 2); got != ref {
-		t.Errorf("output diverges at workers=4/ctl=2:\nserial:\n%s\nparallel:\n%s", ref, got)
+	ref := render(1)
+	if got := render(4); got != ref {
+		t.Errorf("output diverges at workers=4:\nserial:\n%s\nparallel:\n%s", ref, got)
 	}
 }

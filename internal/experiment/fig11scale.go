@@ -69,10 +69,9 @@ type Fig11ScaleConfig struct {
 	CapperInterval sim.Duration
 	Warmup         sim.Duration
 	Measure        sim.Duration
-	// Parallel fans the two regimes; CtlParallel fans each controller's plan
-	// phase. Neither changes output (DESIGN.md §7).
-	Parallel    int
-	CtlParallel int
+	// Parallel fans the two regimes across workers; it does not change
+	// output (DESIGN.md §7).
+	Parallel int
 }
 
 // DefaultFig11Scale is the full-scale configuration: 250 rows × 400 servers
@@ -362,7 +361,6 @@ func runFig11ScaleScenario(cfg Fig11ScaleConfig, ampere bool) (*fig11ScaleScenar
 			}
 		}
 		ccfg := core.DefaultConfig()
-		ccfg.Parallel = cfg.CtlParallel
 		if cfg.MaxFreezeRatio > 0 {
 			ccfg.MaxFreezeRatio = cfg.MaxFreezeRatio
 		}
@@ -471,8 +469,7 @@ func (res *Fig11ScaleResult) WriteCSV(w io.Writer) error {
 }
 
 // FormatFig11Scale renders the scaled comparison with SLO-miss columns; all
-// output is deterministic at a fixed seed and independent of
-// Parallel/CtlParallel.
+// output is deterministic at a fixed seed and independent of Parallel.
 func FormatFig11Scale(w io.Writer, cfg Fig11ScaleConfig, res *Fig11ScaleResult) {
 	fmt.Fprintf(w, "Fig 11 at scale: %d servers (%d hot rows of %d), %d instances, %d users\n",
 		cfg.Rows*cfg.RowServers, cfg.ServiceRows, cfg.Rows, cfg.ServiceRows*cfg.ServicePerRow,

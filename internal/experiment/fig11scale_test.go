@@ -49,12 +49,12 @@ func TestFig11ScaleSmoke400(t *testing.T) {
 }
 
 // TestFig11ScaleByteIdentity is the DESIGN.md §7 check: the formatted report
-// is byte-identical whatever the regime fan-out and controller plan-phase
-// worker counts (satellite: runs under -race via race-shuffle).
+// is byte-identical whatever the regime fan-out (runs under -race via
+// race-shuffle).
 func TestFig11ScaleByteIdentity(t *testing.T) {
-	render := func(parallel, ctlParallel int) []byte {
+	render := func(parallel int) []byte {
 		cfg := QuickFig11Scale()
-		cfg.Parallel, cfg.CtlParallel = parallel, ctlParallel
+		cfg.Parallel = parallel
 		res, err := RunFig11Scale(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -63,8 +63,8 @@ func TestFig11ScaleByteIdentity(t *testing.T) {
 		FormatFig11Scale(&buf, cfg, res)
 		return buf.Bytes()
 	}
-	serial := render(1, 1)
-	fanned := render(4, 4)
+	serial := render(1)
+	fanned := render(4)
 	if !bytes.Equal(serial, fanned) {
 		t.Errorf("fig11scale output differs across worker counts:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, fanned)

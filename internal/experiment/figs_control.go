@@ -25,10 +25,6 @@ type AmpereRunConfig struct {
 	RStable   float64
 	Selection core.SelectionPolicy
 	Horizon   int
-	// CtlParallel is passed through to core.Config.Parallel: the controller's
-	// plan-phase worker count (0 or 1 = serial, negative = GOMAXPROCS).
-	// Output is byte-identical at any value per the §8 determinism contract.
-	CtlParallel int
 }
 
 func (c *AmpereRunConfig) setDefaults() {
@@ -103,7 +99,6 @@ func RunAmpere(cfg AmpereRunConfig) (*AmpereRun, error) {
 	ccfg.EtPercentile = cfg.EtPercentile
 	ccfg.Selection = cfg.Selection
 	ccfg.SelectionSeed = cfg.Controlled.Seed
-	ccfg.Parallel = cfg.CtlParallel
 	if cfg.RStable > 0 {
 		ccfg.RStable = cfg.RStable
 	}
@@ -212,9 +207,6 @@ type Table2Config struct {
 	// Parallel fans the two day scenarios out on that many workers (0 or 1
 	// = serial); each builds its own rig, so results are order-independent.
 	Parallel int
-	// CtlParallel is each scenario's controller plan-phase worker count
-	// (core.Config.Parallel); output is identical at any value.
-	CtlParallel int
 }
 
 // DefaultTable2 reproduces the paper's setup: 400 servers, rO = 0.25, 24 h
@@ -248,11 +240,10 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 				ScaleCtrlBudget:  true,
 				DiurnalAmplitude: 0.35,
 			},
-			Kr:          cfg.Kr,
-			Warmup:      cfg.Warmup,
-			Pretrain:    cfg.Pretrain,
-			Measure:     cfg.Measure,
-			CtlParallel: cfg.CtlParallel,
+			Kr:       cfg.Kr,
+			Warmup:   cfg.Warmup,
+			Pretrain: cfg.Pretrain,
+			Measure:  cfg.Measure,
 		})
 	}
 	fracs := []float64{cfg.LightFrac, cfg.HeavyFrac}

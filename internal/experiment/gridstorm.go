@@ -106,10 +106,9 @@ type GridstormConfig struct {
 	ServicePerRow     int
 	ServiceContainers int
 	ServiceRPSPerUser float64
-	// Parallel fans the two regimes across workers; CtlParallel fans each
-	// controller's plan phase. Neither changes output (DESIGN.md §7).
-	Parallel    int
-	CtlParallel int
+	// Parallel fans the two regimes across workers; it does not change
+	// output (DESIGN.md §7).
+	Parallel int
 }
 
 // DefaultGridstorm is the full-scale configuration: 100k servers, a 20 %
@@ -152,7 +151,7 @@ func QuickGridstorm() GridstormConfig {
 }
 
 // GridstormRun is one regime's outcome. Every field is deterministic at a
-// fixed seed and independent of Parallel/CtlParallel.
+// fixed seed and independent of Parallel.
 type GridstormRun struct {
 	Regime        string
 	Rows          int
@@ -353,9 +352,7 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 			Et: core.ConstantEt(0.03), Schedule: sched,
 		}
 	}
-	ccfg := core.DefaultConfig()
-	ccfg.Parallel = cfg.CtlParallel
-	ctl, err := core.New(rig.Eng, rig.Mon, rig.Sched, ccfg, domains)
+	ctl, err := core.New(rig.Eng, rig.Mon, rig.Sched, core.DefaultConfig(), domains)
 	if err != nil {
 		return nil, err
 	}

@@ -55,11 +55,11 @@ func TestGridstormQuick(t *testing.T) {
 
 // TestGridstormByteIdentity is the DESIGN.md §7 check for the new
 // experiment: the formatted report is byte-identical whatever the regime
-// fan-out and controller plan-phase worker counts.
+// fan-out.
 func TestGridstormByteIdentity(t *testing.T) {
-	render := func(parallel, ctlParallel int) []byte {
+	render := func(parallel int) []byte {
 		cfg := QuickGridstorm()
-		cfg.Parallel, cfg.CtlParallel = parallel, ctlParallel
+		cfg.Parallel = parallel
 		runs, err := RunGridstorm(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -68,8 +68,8 @@ func TestGridstormByteIdentity(t *testing.T) {
 		FormatGridstorm(&buf, cfg, runs)
 		return buf.Bytes()
 	}
-	serial := render(1, 1)
-	fanned := render(2, 4)
+	serial := render(1)
+	fanned := render(2)
 	if !bytes.Equal(serial, fanned) {
 		t.Errorf("gridstorm output differs across worker counts:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, fanned)

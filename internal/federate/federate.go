@@ -10,9 +10,8 @@
 // whole shards across workers — a worker only ever touches the state of the
 // shard it was handed. Coordinator logic (telemetry collection, headroom
 // reallocation, command delivery) runs serially between the barriers in
-// DC-index order. Output is therefore byte-identical at any worker count,
-// the same DESIGN.md §7 contract the controller's plan phase obeys, without
-// any cross-shard locking.
+// DC-index order. Output is therefore byte-identical at any worker count
+// (the DESIGN.md §7 contract), without any cross-shard locking.
 //
 // WAN delay is modeled on both directions of the coordinator link: the
 // coordinator reads each DC's telemetry DelayEpochs epochs late, and its
@@ -83,8 +82,6 @@ type Config struct {
 	// Workers fans the parallel phases across that many shard workers
 	// (0/1 = serial, -1 = GOMAXPROCS). Output is identical at any value.
 	Workers int
-	// CtlParallel is passed to each DC controller's plan-phase fan-out.
-	CtlParallel int
 	// Margin is the demand headroom the coordinator grants above observed
 	// power when computing a DC's wanted budget (default 0.08).
 	Margin float64
@@ -308,7 +305,6 @@ func New(cfg Config) (*Federation, error) {
 
 		baseDC := d.BudgetFrac * spec.RowRatedPowerW() * float64(d.Rows)
 		ccfg := core.DefaultConfig()
-		ccfg.Parallel = cfg.CtlParallel
 		ccfg.EtWindow = 60
 		domains := make([]core.Domain, d.Rows)
 		for r := 0; r < d.Rows; r++ {
@@ -360,12 +356,11 @@ func New(cfg Config) (*Federation, error) {
 	if pinned {
 		f.phase = phasePin
 		f.loop.Run(f.workers(), len(f.DCs))
-		for i, dc := range f.DCs {
+		for _, dc := range f.DCs {
 			if len(dc.batchErrs) > 0 {
 				return nil, fmt.Errorf("federate: DC %q pin op %d: %w",
 					dc.Name, dc.batchErrs[0].Index, dc.batchErrs[0].Err)
 			}
-			_ = i
 		}
 	}
 	return f, nil
@@ -627,8 +622,8 @@ func (f *Federation) Servers() int {
 
 // Fingerprint renders every deterministic observable — per-DC telemetry
 // series and final allocations — into one string. Two runs of the same
-// configuration must produce identical fingerprints at any Workers /
-// CtlParallel setting; the byte-identity tests diff them.
+// configuration must produce identical fingerprints at any Workers setting;
+// the byte-identity tests diff them.
 func (f *Federation) Fingerprint() string {
 	var b strings.Builder
 	for i, dc := range f.DCs {

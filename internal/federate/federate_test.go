@@ -8,7 +8,7 @@ import (
 // testConfig is a small heterogeneous federation: four 80-server-row DCs
 // with staggered peaks and loads so the coordinator has real headroom to
 // move, at a size tier-1 can afford under -race.
-func testConfig(workers, ctlParallel int) Config {
+func testConfig(workers int) Config {
 	return Config{
 		Seed: 42,
 		DCs: []DCSpec{
@@ -20,15 +20,14 @@ func testConfig(workers, ctlParallel int) Config {
 		CadenceEpochs: 5,
 		DelayEpochs:   1,
 		Workers:       workers,
-		CtlParallel:   ctlParallel,
 	}
 }
 
 // run advances a federation through two phases with a mid-run operator
 // headroom shift between them, returning the deterministic fingerprint.
-func run(t *testing.T, workers, ctlParallel int) string {
+func run(t *testing.T, workers int) string {
 	t.Helper()
-	f, err := New(testConfig(workers, ctlParallel))
+	f, err := New(testConfig(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,25 +50,25 @@ func run(t *testing.T, workers, ctlParallel int) string {
 // TestFederatedTickByteIdentity is the §7/§11 contract at the federation
 // level: the full observable history — telemetry of every epoch, the
 // coordinator's reallocations, and a mid-run operator shift — is
-// byte-identical at shard worker counts {1, 2, 4, ncpu} and controller
-// plan-phase fan-outs {1, 2, 4, all}. Run under -race this also proves the
-// shard-ownership rule: workers never touch another shard's state.
+// byte-identical at shard worker counts {1, 2, 4, ncpu}. Run under -race
+// this also proves the shard-ownership rule: workers never touch another
+// shard's state.
 func TestFederatedTickByteIdentity(t *testing.T) {
-	ref := run(t, 1, 1)
+	ref := run(t, 1)
 	if ref == "" {
 		t.Fatal("empty fingerprint")
 	}
 	cases := []struct {
-		name                 string
-		workers, ctlParallel int
+		name    string
+		workers int
 	}{
-		{"workers=2/ctl=2", 2, 2},
-		{"workers=4/ctl=4", 4, 4},
-		{"workers=ncpu/ctl=all", runtime.GOMAXPROCS(0), -1},
+		{"workers=2", 2},
+		{"workers=4", 4},
+		{"workers=ncpu", runtime.GOMAXPROCS(0)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := run(t, tc.workers, tc.ctlParallel); got != ref {
+			if got := run(t, tc.workers); got != ref {
 				t.Errorf("fingerprint diverges from serial reference:\nserial:\n%s\ngot:\n%s", ref, got)
 			}
 		})
@@ -114,7 +113,7 @@ func TestReallocationShiftsHeadroom(t *testing.T) {
 // TestShiftBudgetWANDelay pins command delivery: an operator shift issued at
 // epoch E lands at the start of epoch E+DelayEpochs, not before.
 func TestShiftBudgetWANDelay(t *testing.T) {
-	cfg := testConfig(1, 0)
+	cfg := testConfig(1)
 	cfg.DelayEpochs = 2
 	cfg.CadenceEpochs = 1000 // keep the coordinator quiet
 	f, err := New(cfg)
@@ -150,7 +149,7 @@ func TestShiftBudgetWANDelay(t *testing.T) {
 // TestPinnedServiceLoad checks the batched build-time seeding: every server
 // in a ReservePerServer DC holds its pinned containers after New.
 func TestPinnedServiceLoad(t *testing.T) {
-	f, err := New(testConfig(2, 0))
+	f, err := New(testConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,13 +20,12 @@ import (
 // order afterwards, the same discipline as Run's index-ordered collection).
 //
 // A Loop parks its helper goroutines for its own lifetime; create one per
-// long-lived consumer (the controller owns one), not per call. Run must not
+// long-lived consumer (a federation owns one), not per call. Run must not
 // be called concurrently with itself.
 type Loop struct {
 	body    func(int)
 	next    atomic.Int64
 	n       int64
-	chunk   int64
 	wg      sync.WaitGroup
 	pan     atomic.Pointer[loopPanic]
 	wake    chan struct{}
@@ -58,25 +57,9 @@ func (l *Loop) Run(workers, n int) {
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			l.body(i)
-		}
-		return
-	}
 	l.n = int64(n)
-	// Claim indices in chunks: one atomic add per chunk instead of per index
-	// amortizes the cross-core cacheline contention on the cursor, which
-	// dominated dispatch cost for cheap bodies at large n (the controller
-	// fans one plan call per domain — thousands at data-center scale). Eight
-	// chunks per worker keeps the tail imbalance under ~1/8 of a worker's
-	// share while cutting cursor traffic by the chunk factor.
-	l.chunk = int64(n / (workers * 8))
-	if l.chunk < 1 {
-		l.chunk = 1
-	}
 	l.next.Store(0)
-	helpers := workers - 1
+	helpers := max(workers-1, 0)
 	for l.spawned < helpers {
 		go l.idleWorker()
 		l.spawned++
@@ -100,21 +83,15 @@ func (l *Loop) idleWorker() {
 	}
 }
 
-// stride claims chunks of indices until the range (or the loop, after a
-// panic) is exhausted.
+// stride claims indices until the range (or the loop, after a panic) is
+// exhausted.
 func (l *Loop) stride() {
 	for l.pan.Load() == nil {
-		i := l.next.Add(l.chunk) - l.chunk
+		i := l.next.Add(1) - 1
 		if i >= l.n {
 			return
 		}
-		end := i + l.chunk
-		if end > l.n {
-			end = l.n
-		}
-		for ; i < end && l.pan.Load() == nil; i++ {
-			l.call(int(i))
-		}
+		l.call(int(i))
 	}
 }
 

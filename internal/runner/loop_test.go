@@ -35,8 +35,8 @@ func TestLoopVisitsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-// The steady-state Run call must not allocate: the controller issues one per
-// tick. Worker goroutines are recycled by the runtime, so after a warmup
+// The steady-state Run call must not allocate: a federation issues several
+// per epoch. Worker goroutines are recycled by the runtime, so after a warmup
 // the per-call allocation count settles at zero.
 func TestLoopRunDoesNotAllocate(t *testing.T) {
 	var sink atomic.Int64
@@ -60,19 +60,21 @@ func TestLoopPanicPropagates(t *testing.T) {
 			panic("boom")
 		}
 	})
-	func() {
-		defer func() {
-			r := recover()
-			pe, ok := r.(*PanicError)
-			if !ok {
-				t.Fatalf("recovered %T (%v), want *PanicError", r, r)
-			}
-			if pe.Index != 13 || pe.Value != "boom" {
-				t.Fatalf("panic attributed to index %d value %v", pe.Index, pe.Value)
-			}
+	for _, workers := range []int{4, 1} {
+		func() {
+			defer func() {
+				r := recover()
+				pe, ok := r.(*PanicError)
+				if !ok {
+					t.Fatalf("workers=%d: recovered %T (%v), want *PanicError", workers, r, r)
+				}
+				if pe.Index != 13 || pe.Value != "boom" {
+					t.Fatalf("workers=%d: panic attributed to index %d value %v", workers, pe.Index, pe.Value)
+				}
+			}()
+			l.Run(workers, 64)
 		}()
-		l.Run(4, 64)
-	}()
+	}
 	var count atomic.Int32
 	l2 := NewLoop(func(int) { count.Add(1) })
 	l2.Run(3, 30)

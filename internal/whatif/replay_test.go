@@ -27,47 +27,38 @@ func firstBudgetChange(t *testing.T, events []obs.Event) obs.Event {
 
 // TestReplayIdentityMidStorm pins the DESIGN.md §9 restore contract at the
 // hardest instant — mid-storm, two ticks after the dip lands, frozen sets and
-// breaker heat nonzero — and at serial vs parallel controller plan phases.
-// The journal suffix of a self-replay must be byte-identical to the factual
-// run's, and identical across CtlParallel values.
+// breaker heat nonzero. The journal suffix of a self-replay must be
+// byte-identical to the factual run's.
 func TestReplayIdentityMidStorm(t *testing.T) {
-	var suffixes []string
-	for _, ctlPar := range []int{1, 4} {
-		cfg := experiment.QuickGridstorm()
-		cfg.CtlParallel = ctlPar
-		eng := &whatif.Engine{Build: experiment.GridstormBuilder(cfg, false)}
+	cfg := experiment.QuickGridstorm()
+	eng := &whatif.Engine{Build: experiment.GridstormBuilder(cfg, false)}
 
-		scout, err := eng.Baseline(0)
-		if err != nil {
-			t.Fatalf("ctlPar=%d: baseline: %v", ctlPar, err)
-		}
-		if scout.Evicted != 0 {
-			t.Fatalf("ctlPar=%d: journal evicted %d events; builder cap too small", ctlPar, scout.Evicted)
-		}
-		dip := firstBudgetChange(t, scout.Events)
-		forkT := sim.Time(dip.SimMS).Add(2 * sim.Minute)
-
-		fact, err := eng.Baseline(forkT)
-		if err != nil {
-			t.Fatalf("ctlPar=%d: baseline(fork): %v", ctlPar, err)
-		}
-		self, err := eng.Replay(fact.Snap, whatif.MustParsePatch(""))
-		if err != nil {
-			t.Fatalf("ctlPar=%d: self-replay: %v", ctlPar, err)
-		}
-		fs, ss := whatif.CanonicalJSONL(fact.Events), whatif.CanonicalJSONL(self.Events)
-		if string(fs) != string(ss) {
-			t.Fatalf("ctlPar=%d: self-replay journal suffix diverged (%d vs %d events)",
-				ctlPar, len(fact.Events), len(self.Events))
-		}
-		rep := whatif.Diff(fact.View(sim.Minute), self.View(sim.Minute), dip.SimMS, "")
-		if !rep.Identical {
-			t.Fatalf("ctlPar=%d: self-diff not identical:\n%s", ctlPar, rep.Format())
-		}
-		suffixes = append(suffixes, string(fs))
+	scout, err := eng.Baseline(0)
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
 	}
-	if suffixes[0] != suffixes[1] {
-		t.Fatal("journal suffix differs between CtlParallel=1 and CtlParallel=4")
+	if scout.Evicted != 0 {
+		t.Fatalf("journal evicted %d events; builder cap too small", scout.Evicted)
+	}
+	dip := firstBudgetChange(t, scout.Events)
+	forkT := sim.Time(dip.SimMS).Add(2 * sim.Minute)
+
+	fact, err := eng.Baseline(forkT)
+	if err != nil {
+		t.Fatalf("baseline(fork): %v", err)
+	}
+	self, err := eng.Replay(fact.Snap, whatif.MustParsePatch(""))
+	if err != nil {
+		t.Fatalf("self-replay: %v", err)
+	}
+	fs, ss := whatif.CanonicalJSONL(fact.Events), whatif.CanonicalJSONL(self.Events)
+	if string(fs) != string(ss) {
+		t.Fatalf("self-replay journal suffix diverged (%d vs %d events)",
+			len(fact.Events), len(self.Events))
+	}
+	rep := whatif.Diff(fact.View(sim.Minute), self.View(sim.Minute), dip.SimMS, "")
+	if !rep.Identical {
+		t.Fatalf("self-diff not identical:\n%s", rep.Format())
 	}
 }
 

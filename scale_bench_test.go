@@ -149,18 +149,16 @@ func BenchmarkScalePlacement(b *testing.B) {
 	}
 }
 
-// benchControllerTick measures one control step across per-row domains with
-// the given plan-phase worker count (core.Config.Parallel). A tick reads
-// every server's latest sample through the power reader, so ns/server is the
-// weak-scaling figure of merit. Each domain's online Et estimator is
-// pre-trained to its steady state — every hour-of-day bin filled to the
-// window with the zero deltas the bench's static load produces — which
-// replaces the old one-simulated-day live warmup (1500 ticks: prohibitive at
-// 1M servers, where warmup alone would run ~45 s per variant). A short live
-// warmup then grows the per-domain ranking and candidate scratch, after
-// which a steady-state tick must stay under the allocation ceiling — the
-// contract behind the §8 rewrite.
-func benchControllerTick(b *testing.B, rows, workers int) {
+// benchControllerTick measures one control step across per-row domains. A
+// tick reads every server's latest sample through the power reader, so
+// ns/server is the weak-scaling figure of merit. Each domain's online Et
+// estimator is pre-trained to its steady state — every hour-of-day bin filled
+// to the window with the zero deltas the bench's static load produces; a
+// simulated day of live warmup (1500 ticks) would run ~45 s at 1M servers. A
+// short live warmup then grows the per-domain ranking and candidate scratch,
+// after which a steady-state tick must stay under the allocation ceiling
+// (DESIGN.md §8).
+func benchControllerTick(b *testing.B, rows int) {
 	const steadyAllocCeiling = 10
 	eng := sim.NewEngine()
 	sp := scaleSpec(rows)
@@ -172,7 +170,6 @@ func benchControllerTick(b *testing.B, rows, workers int) {
 	mon := newBenchMonitor(eng, c)
 	budget := sp.RowRatedPowerW() / 1.25
 	cfg := core.DefaultConfig()
-	cfg.Parallel = workers
 	cfg.EtWindow = 60 // one hour of 1-minute samples per hour-of-day bin
 	domains := make([]core.Domain, sp.Rows)
 	for r := 0; r < sp.Rows; r++ {
@@ -218,15 +215,12 @@ func benchControllerTick(b *testing.B, rows, workers int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(c.Servers)), "ns/server")
 }
 
-// BenchmarkScaleControllerTick runs each fleet size serially (sub-benchmark
-// names unchanged so bench_compare can join against the recorded baseline)
-// and with the plan phase fanned across 2 and all-CPU workers.
+// BenchmarkScaleControllerTick runs each fleet size; the sub-benchmark names
+// are the keys bench_compare joins against the recorded baseline.
 func BenchmarkScaleControllerTick(b *testing.B) {
 	for _, pt := range scalePoints {
 		pt := pt
-		b.Run(pt.name, func(b *testing.B) { benchControllerTick(b, pt.rows, 0) })
-		b.Run(pt.name+"/parallel=2", func(b *testing.B) { benchControllerTick(b, pt.rows, 2) })
-		b.Run(pt.name+"/parallel=ncpu", func(b *testing.B) { benchControllerTick(b, pt.rows, -1) })
+		b.Run(pt.name, func(b *testing.B) { benchControllerTick(b, pt.rows) })
 	}
 }
 
