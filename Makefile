@@ -5,10 +5,10 @@
 .PHONY: tier1 build lint vet test race race-shuffle fuzz fuzz-smoke chaos \
 	bench-runner bench-scale bench-scale-quick bench-check gridstorm \
 	whatif whatif-smoke tournament tournament-smoke fig11scale fig11-smoke \
-	fed-smoke
+	fed-smoke golden-quick
 
 tier1: build lint race race-shuffle bench-scale-quick fuzz-smoke whatif-smoke \
-	tournament-smoke fig11-smoke fed-smoke
+	tournament-smoke fig11-smoke fed-smoke golden-quick
 
 build:
 	go build ./...
@@ -26,8 +26,12 @@ vet:
 test:
 	go test ./...
 
+# cmd/ampere-exp runs -short here: its TestQuickAllGolden replays every quick
+# experiment (~16 s plain, minutes under the race detector) and rides tier1
+# un-raced as golden-quick instead.
 race:
-	go test -race ./...
+	go test -race $$(go list ./... | grep -v /cmd/ampere-exp$$)
+	go test -race -short ./cmd/ampere-exp
 
 # The parallel fan-out suites, shuffled: any cross-unit state dependence
 # fails here before it can corrupt merged experiment output.
@@ -93,6 +97,11 @@ fig11scale:
 # capping-vs-freezing tail gap and live SLO-miss accounting.
 fig11-smoke:
 	go test ./internal/experiment/ -run TestFig11ScaleSmoke400 -count=1
+
+# Tier-1's behaviour pin: stdout of `ampere-exp -quick -exp all`, every table
+# of every experiment, diffed against results/exp_quick_output.txt.
+golden-quick:
+	go test ./cmd/ampere-exp -run TestQuickAllGolden -count=1
 
 # Fault-injection drill: naive vs resilient controller under the same storm.
 chaos:

@@ -1,6 +1,8 @@
 package federate
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -72,6 +74,21 @@ func TestFederatedTickByteIdentity(t *testing.T) {
 				t.Errorf("fingerprint diverges from serial reference:\nserial:\n%s\ngot:\n%s", ref, got)
 			}
 		})
+	}
+}
+
+// TestFingerprintPinned pins the two-phase run's fingerprint to its SHA-256:
+// the byte-identity test above only compares runs of the same build, so a
+// change to how a shard is wired would move every run together and pass it.
+// Re-pin only when a behaviour change is intended.
+func TestFingerprintPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest recorded on amd64; FMA fusing changes float bytes elsewhere")
+	}
+	const want = "fc49259fac1e2abf7d8d5169713fe1d4607f517e64375ed3183ecf252945db34"
+	fp := run(t, 2)
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp))); got != want {
+		t.Errorf("fingerprint digest %s (%d bytes), pinned %s (3985 bytes)", got, len(fp), want)
 	}
 }
 
