@@ -38,23 +38,17 @@ race:
 race-shuffle:
 	go test -race -shuffle=on ./internal/experiment/... ./internal/runner/...
 
-# Short live-fuzz pass over every fuzz target (the committed seed corpus
-# already replays in `make test`).
-fuzz:
-	go test ./internal/scenario/ -fuzz FuzzLoad -fuzztime 30s
-	go test ./internal/scenario/ -fuzz FuzzBudgetSchedule -fuzztime 30s
-	go test ./internal/scenario/ -fuzz FuzzPolicySpec -fuzztime 30s
-	go test ./internal/tsdb/ -fuzz FuzzQueryAPI -fuzztime 30s
-	go test ./internal/whatif/ -run '^$$' -fuzz FuzzSnapshotCodec -fuzztime 30s
-
-# Tier-1's fuzz gate: a quick live pass over each target on top of the
-# committed-corpus replay, short enough to keep the merge gate fast.
-fuzz-smoke:
-	go test ./internal/scenario/ -fuzz FuzzLoad -fuzztime 30s
-	go test ./internal/scenario/ -fuzz FuzzBudgetSchedule -fuzztime 30s
-	go test ./internal/scenario/ -fuzz FuzzPolicySpec -fuzztime 30s
-	go test ./internal/tsdb/ -fuzz FuzzQueryAPI -fuzztime 30s
-	go test ./internal/whatif/ -run '^$$' -fuzz FuzzSnapshotCodec -fuzztime 30s
+# Live-fuzz pass over every fuzz target (the committed seed corpus already
+# replays in `make test`): 30 s each for `fuzz`, 5 s each for tier-1's
+# `fuzz-smoke`, short enough to keep the merge gate fast.
+fuzz: FUZZTIME = 30s
+fuzz-smoke: FUZZTIME = 5s
+fuzz fuzz-smoke:
+	go test ./internal/scenario/ -fuzz FuzzLoad -fuzztime $(FUZZTIME)
+	go test ./internal/scenario/ -fuzz FuzzBudgetSchedule -fuzztime $(FUZZTIME)
+	go test ./internal/scenario/ -fuzz FuzzPolicySpec -fuzztime $(FUZZTIME)
+	go test ./internal/tsdb/ -fuzz FuzzQueryAPI -fuzztime $(FUZZTIME)
+	go test ./internal/whatif/ -run '^$$' -fuzz FuzzSnapshotCodec -fuzztime $(FUZZTIME)
 
 # The grid-event resilience experiment: the same 20% curtailment as a cliff
 # and ramp-limited, quick scale (full 100k: `go run ./cmd/ampere-exp -exp

@@ -24,6 +24,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/tsdb"
 	"repro/internal/workload"
 )
@@ -464,19 +465,12 @@ func BenchmarkWorkloadGeneratorDay(b *testing.B) {
 // TSDB, scheduler, breakers, chaos injector). The ISSUE acceptance bound is
 // < 1 ms per scrape.
 func BenchmarkMetricsScrape(b *testing.B) {
-	spec := cluster.DefaultSpec()
-	spec.Rows = 2
-	spec.RacksPerRow = 10
-	spec.ServersPerRack = 20
-
-	dd := workload.DefaultDurations()
-	perServer := workload.RateForPowerFraction(0.75, spec.IdlePowerW, spec.RatedPowerW,
-		spec.Containers, dd.Mean()*0.95, 1.0)
-	rig, err := experiment.NewRig(experiment.RigConfig{
+	spec := stack.RowSpec(2, 200)
+	rig, err := stack.New(stack.Config{
 		Seed:    1,
 		Cluster: spec,
 		Products: []workload.Product{
-			workload.DefaultProduct("mixed", perServer*float64(spec.TotalServers()))},
+			workload.DefaultProduct("mixed", stack.JobsPerMinute(spec, 0.75, spec.TotalServers()))},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -490,12 +484,8 @@ func BenchmarkMetricsScrape(b *testing.B) {
 	budget := spec.RowRatedPowerW() / 1.25
 	domains := make([]core.Domain, spec.Rows)
 	for r := 0; r < spec.Rows; r++ {
-		var ids []cluster.ServerID
-		for _, sv := range rig.Cluster.Row(r) {
-			ids = append(ids, sv.ID)
-		}
-		domains[r] = core.Domain{Name: fmt.Sprintf("row/%d", r), Servers: ids,
-			BudgetW: budget, Kr: experiment.DefaultKr}
+		domains[r] = core.Domain{Name: fmt.Sprintf("row/%d", r), Servers: rig.Cluster.RowIDs(r),
+			BudgetW: budget, Kr: stack.DefaultKr}
 	}
 	ctl, err := core.New(rig.Eng, rig.Mon, rig.Sched, core.DefaultConfig(), domains)
 	if err != nil {

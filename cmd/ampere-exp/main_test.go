@@ -62,17 +62,16 @@ func TestQuickAllGolden(t *testing.T) {
 		return
 	}
 	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Fatalf("output diverges from results/exp_quick_output.txt at line %d (%d lines vs %d):\n got: %s\nwant: %s",
-				i+1, len(gl), len(wl), g, w)
-		}
+	i := 0
+	for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
+		i++
 	}
+	at := func(ls []string) string {
+		if i < len(ls) {
+			return ls[i]
+		}
+		return "<end of output>"
+	}
+	t.Fatalf("output diverges from results/exp_quick_output.txt at line %d (%d lines vs %d):\n got: %s\nwant: %s",
+		i+1, len(gl), len(wl), at(gl), at(wl))
 }

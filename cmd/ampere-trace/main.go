@@ -23,11 +23,10 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/experiment"
 	"repro/internal/monitor"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -64,15 +63,6 @@ const (
 	warmup     = sim.Hour
 )
 
-func rowSpec() cluster.Spec {
-	spec := cluster.DefaultSpec()
-	spec.ServersPerRack = 20
-	spec.RacksPerRow = rowServers / spec.ServersPerRack
-	return spec
-}
-
-func meanDur() float64 { return workload.DefaultDurations().Mean() * 0.95 }
-
 func record(args []string) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	out := fs.String("out", "trace.csv", "output CSV path")
@@ -84,13 +74,11 @@ func record(args []string) error {
 		return err
 	}
 
-	spec := rowSpec()
-	perServer := workload.RateForPowerFraction(*target, spec.IdlePowerW, spec.RatedPowerW,
-		spec.Containers, meanDur(), 1.0)
-	prod := workload.DefaultProduct("recorded", perServer*float64(spec.TotalServers()))
+	spec := stack.RowSpec(1, rowServers)
+	prod := workload.DefaultProduct("recorded", stack.JobsPerMinute(spec, *target, spec.TotalServers()))
 	prod.DiurnalAmplitude = *amplitude
 
-	rig, err := experiment.NewRig(experiment.RigConfig{
+	rig, err := stack.New(stack.Config{
 		Seed: *seed, Cluster: spec, Products: []workload.Product{prod},
 	})
 	if err != nil {
@@ -122,7 +110,7 @@ func replay(args []string) error {
 	in := fs.String("in", "trace.csv", "input CSV path")
 	ampere := fs.Bool("ampere", false, "control the row with Ampere")
 	ro := fs.Float64("ro", 0.25, "over-provisioning ratio for the budget")
-	kr := fs.Float64("kr", experiment.DefaultKr, "control model gradient")
+	kr := fs.Float64("kr", stack.DefaultKr, "control model gradient")
 	seed := fs.Uint64("seed", 2, "simulation seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -137,13 +125,13 @@ func replay(args []string) error {
 	if err != nil {
 		return err
 	}
-	spec := rowSpec()
-	sched, err := trace.RateSchedule(tr.Series(0), spec.TotalServers(), spec, meanDur(), 1.0)
+	spec := stack.RowSpec(1, rowServers)
+	sched, err := trace.RateSchedule(tr.Series(0), spec.TotalServers(), spec, stack.MeanJobMinutes(), 1.0)
 	if err != nil {
 		return err
 	}
 	prod := workload.Product{Name: "replay", Schedule: sched, ScheduleStart: sim.Time(warmup)}
-	rig, err := experiment.NewRig(experiment.RigConfig{
+	rig, err := stack.New(stack.Config{
 		Seed: *seed, Cluster: spec, Products: []workload.Product{prod},
 	})
 	if err != nil {
@@ -154,12 +142,8 @@ func replay(args []string) error {
 	budget := spec.RowRatedPowerW() / (1 + *ro)
 	var controller *core.Controller
 	if *ampere {
-		ids := make([]cluster.ServerID, spec.TotalServers())
-		for i := range ids {
-			ids[i] = cluster.ServerID(i)
-		}
 		controller, err = core.New(rig.Eng, rig.Mon, rig.Sched, core.DefaultConfig(),
-			[]core.Domain{{Name: "row/0", Servers: ids, BudgetW: budget, Kr: *kr}})
+			[]core.Domain{{Name: "row/0", Servers: rig.Cluster.RowIDs(0), BudgetW: budget, Kr: *kr}})
 		if err != nil {
 			return err
 		}

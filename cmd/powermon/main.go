@@ -48,10 +48,10 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/whatif"
 	"repro/internal/workload"
 )
@@ -134,13 +134,13 @@ type status struct {
 	Violations []int64   `json:"violations_per_row"`
 }
 
-// stack is one fully wired powermon simulation: rig, optional controller,
+// simStack is one fully wired powermon simulation: stack, optional controller,
 // observational breakers. buildStack produces it for both the live server and
 // the /whatif offline replays — identical construction and start order is
 // what makes an offline rebuild reproduce the live journal byte-for-byte
 // (the whatif witness-verification contract).
-type stack struct {
-	rig      *experiment.Rig
+type simStack struct {
+	rig      *stack.Stack
 	ctl      *core.Controller
 	breakers []*breaker.Breaker
 	budget   float64
@@ -150,21 +150,15 @@ type stack struct {
 // buildStack wires the whole simulation up to (and including) controller
 // start. reg may be nil (the offline-replay case: metrics unregistered but
 // journal still fed); journal may be nil only when cfg.obs is false.
-func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*stack, error) {
-	spec := cluster.DefaultSpec()
-	spec.Rows = cfg.rows
-	spec.ServersPerRack = 20
-	spec.RacksPerRow = cfg.rowServers / spec.ServersPerRack
+func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*simStack, error) {
+	spec := stack.RowSpec(cfg.rows, cfg.rowServers)
 	if spec.RacksPerRow < 1 {
 		return nil, fmt.Errorf("row-servers %d too small", cfg.rowServers)
 	}
 
-	dd := workload.DefaultDurations()
-	perServer := workload.RateForPowerFraction(cfg.target, spec.IdlePowerW, spec.RatedPowerW,
-		spec.Containers, dd.Mean()*0.95, 1.0)
-	product := workload.DefaultProduct("mixed", perServer*float64(spec.TotalServers()))
+	product := workload.DefaultProduct("mixed", stack.JobsPerMinute(spec, cfg.target, spec.TotalServers()))
 
-	rig, err := experiment.NewRig(experiment.RigConfig{
+	rig, err := stack.New(stack.Config{
 		Seed:      cfg.seed,
 		Cluster:   spec,
 		Products:  []workload.Product{product},
@@ -261,13 +255,9 @@ func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*stack,
 	if cfg.ampere {
 		domains := make([]core.Domain, cfg.rows)
 		for r := 0; r < cfg.rows; r++ {
-			ids := make([]cluster.ServerID, 0, cfg.rowServers)
-			for _, sv := range rig.Cluster.Row(r) {
-				ids = append(ids, sv.ID)
-			}
 			domains[r] = core.Domain{
-				Name: fmt.Sprintf("row/%d", r), Servers: ids, BudgetW: budget,
-				Kr: experiment.DefaultKr, Schedule: sched,
+				Name: fmt.Sprintf("row/%d", r), Servers: rig.Cluster.RowIDs(r), BudgetW: budget,
+				Kr: stack.DefaultKr, Schedule: sched,
 			}
 		}
 		controller, err = core.New(rig.Eng, reader, api, core.DefaultConfig(), domains)
@@ -304,7 +294,7 @@ func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*stack,
 		})
 		controller.Start()
 	}
-	return &stack{rig: rig, ctl: controller, breakers: breakers, budget: budget, svc: svc}, nil
+	return &simStack{rig: rig, ctl: controller, breakers: breakers, budget: budget, svc: svc}, nil
 }
 
 func run(cfg runConfig) error {

@@ -357,6 +357,16 @@ func New(spec Spec, seed uint64) (*Cluster, error) {
 // Row returns the servers on row r.
 func (c *Cluster) Row(r int) []*Server { return c.rows[r] }
 
+// RowIDs returns the IDs of row r's servers, in ID order, in a fresh slice
+// the caller owns (controller domains and tracker groups keep it).
+func (c *Cluster) RowIDs(r int) []ServerID {
+	ids := make([]ServerID, len(c.rows[r]))
+	for i, sv := range c.rows[r] {
+		ids[i] = sv.ID
+	}
+	return ids
+}
+
 // Rack returns the servers of rack k on row r, in ID order.
 func (c *Cluster) Rack(r, k int) []*Server { return c.racks[r*c.Spec.RacksPerRow+k] }
 

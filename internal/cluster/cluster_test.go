@@ -73,6 +73,33 @@ func TestTopology(t *testing.T) {
 	}
 }
 
+// RowIDs mirrors Row, in order, and hands out a slice the caller may keep
+// and modify without disturbing the cluster or a later caller.
+func TestRowIDs(t *testing.T) {
+	sp := testSpec()
+	sp.Rows, sp.RacksPerRow, sp.ServersPerRack = 3, 2, 5
+	c, err := New(sp, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < c.Rows(); r++ {
+		ids, row := c.RowIDs(r), c.Row(r)
+		if len(ids) != len(row) {
+			t.Fatalf("row %d: %d ids for %d servers", r, len(ids), len(row))
+		}
+		for i, sv := range row {
+			if ids[i] != sv.ID {
+				t.Errorf("row %d position %d: id %d, server %d", r, i, ids[i], sv.ID)
+			}
+		}
+	}
+	a := c.RowIDs(1)
+	a[0] = 999
+	if b := c.RowIDs(1); b[0] != c.Row(1)[0].ID {
+		t.Errorf("RowIDs shares its backing array: second call starts with %d", b[0])
+	}
+}
+
 func TestPowerModel(t *testing.T) {
 	sp := testSpec()
 	c, err := New(sp, 1)

@@ -6,14 +6,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/stats"
 )
 
-// DefaultKr is the control-effect gradient measured by RunFig5 on the
-// default rig (see EXPERIMENTS.md). Experiments use it when no freshly
-// calibrated value is supplied; production deployments should calibrate
-// with RunFig5 against their own workload, exactly as the paper does.
-const DefaultKr = 0.012
+// DefaultKr re-exports stack.DefaultKr, the gradient RunFig5 measures on the
+// default stack, for the experiment configs that default to it.
+const DefaultKr = stack.DefaultKr
 
 // Fig5Config parameterizes the f(u) identification experiment of §3.4.
 type Fig5Config struct {

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
 
@@ -48,7 +48,7 @@ type ControlledConfig struct {
 
 // Controlled is an assembled controlled experiment.
 type Controlled struct {
-	Rig     *Rig
+	Rig     *stack.Stack
 	Groups  Groups
 	Tracker *Tracker
 	// ExpBudgetW and CtrlBudgetW are the (possibly scaled) group budgets.
@@ -82,19 +82,11 @@ func NewControlled(cfg ControlledConfig) (*Controlled, error) {
 		cfg.RestRows = 2
 	}
 
-	spec := cluster.DefaultSpec()
-	spec.Rows = 1 + cfg.RestRows
-	spec.ServersPerRack = 20
-	spec.RacksPerRow = cfg.RowServers / spec.ServersPerRack
+	spec := stack.RowSpec(1+cfg.RestRows, cfg.RowServers)
 	spec.RatedJitterFrac = cfg.RatedJitter
 
-	dd := workload.DefaultDurations()
-	perServer := workload.RateForPowerFraction(
-		cfg.TargetPowerFrac, spec.IdlePowerW, spec.RatedPowerW,
-		spec.Containers, truncatedMeanMinutes(dd), 1.0)
-	total := perServer * float64(spec.TotalServers())
-
-	product := workload.DefaultProduct("mixed", total)
+	product := workload.DefaultProduct("mixed",
+		stack.JobsPerMinute(spec, cfg.TargetPowerFrac, spec.TotalServers()))
 	// Milder surges than the generator default: the paper's controlled row
 	// sees 1-minute power changes within ±2.5 % for 99 % of minutes
 	// (Fig 9); violent surges would not be preventable by any controller
@@ -117,7 +109,7 @@ func NewControlled(cfg ControlledConfig) (*Controlled, error) {
 		product.PeriodHours = cfg.DiurnalPeriodHours
 	}
 
-	rig, err := NewRig(RigConfig{
+	rig, err := stack.New(stack.Config{
 		Seed:            cfg.Seed,
 		Cluster:         spec,
 		Products:        []workload.Product{product},
@@ -150,19 +142,6 @@ func NewControlled(cfg ControlledConfig) (*Controlled, error) {
 		CtrlBudgetW: ctrlBudget,
 		GroupRatedW: groupRated,
 	}, nil
-}
-
-// truncatedMeanMinutes estimates the truncated duration mean by fixed-seed
-// Monte Carlo — deterministic, and accurate to well under a percent with
-// 200k samples.
-func truncatedMeanMinutes(dd workload.DurationDist) float64 {
-	r := sim.NewRNG(0x7ca11b)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += dd.Sample(r).Minutes()
-	}
-	return sum / n
 }
 
 // AmpereDomain builds the controller domain for the experiment group.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
 
@@ -260,17 +261,14 @@ func runFig11ScaleScenario(cfg Fig11ScaleConfig, ampere bool) (*fig11ScaleScenar
 		peak -= 24
 	}
 
-	spec := quickRowSpec(cfg.Rows, cfg.RowServers)
-	meanDur := truncatedMeanMinutes(workload.DefaultDurations())
-	hotServers := cfg.ServiceRows * cfg.RowServers
-	baseServers := (cfg.Rows - cfg.ServiceRows) * cfg.RowServers
-	hot := workload.DefaultProduct("svc-batch", workload.RateForPowerFraction(
-		cfg.HotBatchFrac, spec.IdlePowerW, spec.RatedPowerW, spec.Containers, meanDur, 1.0)*float64(hotServers))
+	spec := stack.RowSpec(cfg.Rows, cfg.RowServers)
+	hot := workload.DefaultProduct("svc-batch",
+		stack.JobsPerMinute(spec, cfg.HotBatchFrac, cfg.ServiceRows*cfg.RowServers))
 	hot.DiurnalAmplitude = cfg.DiurnalAmplitude
 	hot.PeakHour = peak
 	hot.SurgeProb = 0
-	base := workload.DefaultProduct("base", workload.RateForPowerFraction(
-		cfg.BaseBatchFrac, spec.IdlePowerW, spec.RatedPowerW, spec.Containers, meanDur, 1.0)*float64(baseServers))
+	base := workload.DefaultProduct("base",
+		stack.JobsPerMinute(spec, cfg.BaseBatchFrac, (cfg.Rows-cfg.ServiceRows)*cfg.RowServers))
 	// Hold the absorbers steady: their role is guaranteed headroom.
 	base.DiurnalAmplitude = 0
 	base.SurgeProb = 0
@@ -288,7 +286,7 @@ func runFig11ScaleScenario(cfg Fig11ScaleConfig, ampere bool) (*fig11ScaleScenar
 		}
 	}
 
-	rig, err := NewRig(RigConfig{
+	rig, err := stack.New(stack.Config{
 		Seed:           cfg.Seed,
 		Cluster:        spec,
 		Products:       []workload.Product{hot, base},
@@ -329,15 +327,12 @@ func runFig11ScaleScenario(cfg Fig11ScaleConfig, ampere bool) (*fig11ScaleScenar
 
 	// The capper guards every hot row in both regimes: the baseline in the
 	// capping regime, the safety net in the Ampere one.
-	domains := make([]capping.Domain, cfg.ServiceRows)
-	for r := 0; r < cfg.ServiceRows; r++ {
-		domains[r] = capping.Domain{
-			Name:    fmt.Sprintf("row/%d", r),
-			Servers: rig.Cluster.Row(r),
-			BudgetW: rowBudget,
-		}
+	capBudgets := make([]float64, cfg.ServiceRows)
+	for r := range capBudgets {
+		capBudgets[r] = rowBudget
 	}
-	capper, err := capping.New(rig.Eng, capping.Config{Interval: capInterval}, domains)
+	capper, err := capping.New(rig.Eng, capping.Config{Interval: capInterval},
+		capping.RowDomains(rig.Cluster, capBudgets))
 	if err != nil {
 		return nil, err
 	}
@@ -350,12 +345,8 @@ func runFig11ScaleScenario(cfg Fig11ScaleConfig, ampere bool) (*fig11ScaleScenar
 		}
 		cdom := make([]core.Domain, cfg.ServiceRows)
 		for r := 0; r < cfg.ServiceRows; r++ {
-			ids := make([]cluster.ServerID, 0, cfg.RowServers)
-			for _, sv := range rig.Cluster.Row(r) {
-				ids = append(ids, sv.ID)
-			}
 			cdom[r] = core.Domain{
-				Name: fmt.Sprintf("row%d", r), Servers: ids,
+				Name: fmt.Sprintf("row%d", r), Servers: rig.Cluster.RowIDs(r),
 				BudgetW: rowBudget * gridMargin, Kr: kr,
 				Et: core.ConstantEt(0.03),
 			}

@@ -3,9 +3,9 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/monitor"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -14,26 +14,18 @@ import (
 // home row with its own diurnal phase and noise stream — the heterogeneous
 // per-row product mix behind the spatial imbalance of Figs 1 and 2.
 // targets[r] is row r's steady power as a fraction of rated.
-func newMultiRowRig(seed uint64, rows, rowServers int, targets []float64) (*Rig, error) {
+func newMultiRowRig(seed uint64, rows, rowServers int, targets []float64) (*stack.Stack, error) {
 	if len(targets) != rows {
 		return nil, fmt.Errorf("experiment: %d targets for %d rows", len(targets), rows)
 	}
-	spec := cluster.DefaultSpec()
-	spec.Rows = rows
-	spec.ServersPerRack = 20
+	spec := stack.RowSpec(rows, rowServers)
 	if rowServers%spec.ServersPerRack != 0 {
 		return nil, fmt.Errorf("experiment: rowServers %d not a multiple of %d", rowServers, spec.ServersPerRack)
 	}
-	spec.RacksPerRow = rowServers / spec.ServersPerRack
-
-	dd := workload.DefaultDurations()
-	meanDur := truncatedMeanMinutes(dd)
 	products := make([]workload.Product, rows)
 	weights := make([][]float64, rows)
 	for r := 0; r < rows; r++ {
-		perServer := workload.RateForPowerFraction(
-			targets[r], spec.IdlePowerW, spec.RatedPowerW, spec.Containers, meanDur, 1.0)
-		p := workload.DefaultProduct(fmt.Sprintf("row-%d", r), perServer*float64(rowServers))
+		p := workload.DefaultProduct(fmt.Sprintf("row-%d", r), stack.JobsPerMinute(spec, targets[r], rowServers))
 		// Distinct phases decorrelate the rows' diurnal components.
 		p.PeakHour = float64((r*7)%24) + 0.5
 		p.DiurnalAmplitude = 0.08 + 0.04*float64(r%3)
@@ -42,7 +34,7 @@ func newMultiRowRig(seed uint64, rows, rowServers int, targets []float64) (*Rig,
 		w[r] = 1
 		weights[r] = w
 	}
-	return NewRig(RigConfig{
+	return stack.New(stack.Config{
 		Seed:           seed,
 		Cluster:        spec,
 		Products:       products,

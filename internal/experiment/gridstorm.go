@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
 
@@ -223,7 +224,7 @@ type gridstormStack struct {
 	curtailed int
 	rowBudget float64
 
-	rig      *Rig
+	rig      *stack.Stack
 	tracker  *Tracker
 	ctl      *core.Controller
 	breakers []*breaker.Breaker
@@ -255,15 +256,13 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 	}
 	curtailed := st.curtailed
 
-	spec := quickRowSpec(cfg.Rows, cfg.RowServers)
-	perServer := workload.RateForPowerFraction(cfg.TargetFrac, spec.IdlePowerW, spec.RatedPowerW,
-		spec.Containers, truncatedMeanMinutes(workload.DefaultDurations()), 1.0)
-	prod := workload.DefaultProduct("grid", perServer*float64(spec.TotalServers()))
+	spec := stack.RowSpec(cfg.Rows, cfg.RowServers)
+	prod := workload.DefaultProduct("grid", stack.JobsPerMinute(spec, cfg.TargetFrac, spec.TotalServers()))
 	// A grid event is the variable under test; hold the demand side steady.
 	prod.DiurnalAmplitude = 0
 	prod.SurgeProb = 0
 
-	rig, err := NewRig(RigConfig{Seed: cfg.Seed, Cluster: spec, Products: []workload.Product{prod}})
+	rig, err := stack.New(stack.Config{Seed: cfg.Seed, Cluster: spec, Products: []workload.Product{prod}})
 	if err != nil {
 		return nil, err
 	}
@@ -276,11 +275,7 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 
 	groups := make([]Group, cfg.Rows)
 	for r := 0; r < cfg.Rows; r++ {
-		ids := make([]cluster.ServerID, 0, cfg.RowServers)
-		for _, sv := range rig.Cluster.Row(r) {
-			ids = append(ids, sv.ID)
-		}
-		groups[r] = Group{Name: fmt.Sprintf("row%d", r), IDs: ids, BudgetW: rowBudget}
+		groups[r] = Group{Name: fmt.Sprintf("row%d", r), IDs: rig.Cluster.RowIDs(r), BudgetW: rowBudget}
 	}
 	tracker, err := NewTracker(rig, groups)
 	if err != nil {
@@ -319,15 +314,12 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 		st.svc = svc
 		// Traffic starts once the fleet is warm, so KPIs cover the storm.
 		rig.Eng.At(sim.Time(cfg.Warmup), "gridstorm-svc-start", func(sim.Time) { svc.Start() })
-		capDomains := make([]capping.Domain, curtailed)
-		for r := 0; r < curtailed; r++ {
-			capDomains[r] = capping.Domain{
-				Name:    fmt.Sprintf("row/%d", r),
-				Servers: rig.Cluster.Row(r),
-				BudgetW: rowBudget,
-			}
+		capBudgets := make([]float64, curtailed)
+		for r := range capBudgets {
+			capBudgets[r] = rowBudget
 		}
-		st.capper, err = capping.New(rig.Eng, capping.Config{Interval: 5 * sim.Second}, capDomains)
+		st.capper, err = capping.New(rig.Eng, capping.Config{Interval: 5 * sim.Second},
+			capping.RowDomains(rig.Cluster, capBudgets))
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 func TestSplitByParity(t *testing.T) {
@@ -40,20 +39,6 @@ func TestSplitByParity(t *testing.T) {
 	}
 	if len(seen) != 10 {
 		t.Errorf("split covers %d of 10", len(seen))
-	}
-}
-
-func TestTruncatedMeanMinutes(t *testing.T) {
-	dd := workload.DefaultDurations()
-	m := truncatedMeanMinutes(dd)
-	// Slightly below the analytic untruncated mean of 9, well above the
-	// median.
-	if m < 7.5 || m > 9.0 {
-		t.Errorf("truncated mean %.2f, want in [7.5, 9.0]", m)
-	}
-	// Deterministic: the fixed-seed Monte Carlo always agrees with itself.
-	if m2 := truncatedMeanMinutes(dd); m2 != m {
-		t.Errorf("not deterministic: %v vs %v", m, m2)
 	}
 }
 

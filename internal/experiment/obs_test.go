@@ -12,25 +12,23 @@ import (
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
 
 // newObservedRig assembles a small fully instrumented deployment the way
 // cmd/powermon does: monitor, TSDB, scheduler, controller, observational
 // breakers, and an empty-plan chaos injector all registered on one registry.
-func newObservedRig(t *testing.T) (*Rig, *obs.Registry, *obs.Journal) {
+func newObservedRig(t *testing.T) (*stack.Stack, *obs.Registry, *obs.Journal) {
 	t.Helper()
 	spec := cluster.DefaultSpec()
 	spec.Rows = 2
 	spec.RacksPerRow = 2
 	spec.ServersPerRack = 10
 
-	dd := workload.DefaultDurations()
-	perServer := workload.RateForPowerFraction(0.8, spec.IdlePowerW, spec.RatedPowerW,
-		spec.Containers, dd.Mean()*0.95, 1.0)
-	product := workload.DefaultProduct("mixed", perServer*float64(spec.TotalServers()))
+	product := workload.DefaultProduct("mixed", stack.JobsPerMinute(spec, 0.8, spec.TotalServers()))
 
-	rig, err := NewRig(RigConfig{
+	rig, err := stack.New(stack.Config{
 		Seed:     7,
 		Cluster:  spec,
 		Products: []workload.Product{product},
@@ -70,12 +68,8 @@ func newObservedRig(t *testing.T) (*Rig, *obs.Registry, *obs.Journal) {
 	budget := spec.RowRatedPowerW() / 1.25
 	domains := make([]core.Domain, spec.Rows)
 	for r := 0; r < spec.Rows; r++ {
-		ids := make([]cluster.ServerID, 0, 20)
-		for _, sv := range rig.Cluster.Row(r) {
-			ids = append(ids, sv.ID)
-		}
 		domains[r] = core.Domain{
-			Name: fmt.Sprintf("row/%d", r), Servers: ids, BudgetW: budget,
+			Name: fmt.Sprintf("row/%d", r), Servers: rig.Cluster.RowIDs(r), BudgetW: budget,
 			Kr: DefaultKr,
 		}
 	}
@@ -159,13 +153,12 @@ func TestFullRigMetricsCoverage(t *testing.T) {
 
 	// The empty-plan injector must be a pure pass-through: identical rig,
 	// no wrappers, same seed → identical controller decisions.
-	plain, err := NewRig(RigConfig{
+	spec := rig.Cluster.Spec
+	plain, err := stack.New(stack.Config{
 		Seed:    7,
-		Cluster: rig.Cluster.Spec,
+		Cluster: spec,
 		Products: []workload.Product{workload.DefaultProduct("mixed",
-			workload.RateForPowerFraction(0.8, rig.Cluster.Spec.IdlePowerW, rig.Cluster.Spec.RatedPowerW,
-				rig.Cluster.Spec.Containers, workload.DefaultDurations().Mean()*0.95, 1.0)*
-				float64(rig.Cluster.Spec.TotalServers()))},
+			stack.JobsPerMinute(spec, 0.8, spec.TotalServers()))},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,11 +167,7 @@ func TestFullRigMetricsCoverage(t *testing.T) {
 	budget := rig.Cluster.Spec.RowRatedPowerW() / 1.25
 	domains := make([]core.Domain, 2)
 	for r := 0; r < 2; r++ {
-		ids := make([]cluster.ServerID, 0, 20)
-		for _, sv := range plain.Cluster.Row(r) {
-			ids = append(ids, sv.ID)
-		}
-		domains[r] = core.Domain{Name: fmt.Sprintf("row/%d", r), Servers: ids,
+		domains[r] = core.Domain{Name: fmt.Sprintf("row/%d", r), Servers: plain.Cluster.RowIDs(r),
 			BudgetW: budget, Kr: DefaultKr}
 	}
 	pctl, err := core.New(plain.Eng, plain.Mon, plain.Sched, core.DefaultConfig(), domains)

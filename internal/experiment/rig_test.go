@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -194,7 +195,7 @@ func TestTrackerProbe(t *testing.T) {
 }
 
 func TestTrackerValidation(t *testing.T) {
-	rig, err := NewRig(RigConfig{
+	rig, err := stack.New(stack.Config{
 		Seed:     1,
 		Cluster:  quickSpec(),
 		Products: []workload.Product{workload.DefaultProduct("a", 10)},

@@ -5,10 +5,10 @@ import (
 	"io"
 	"math"
 
-	"repro/internal/cluster"
 	"repro/internal/monitor"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -94,12 +94,10 @@ func runSpreadOnce(cfg SpreadConfig, name string, rc scheduler.RowChooser) (*Spr
 	if cfg.Rows < 2 {
 		return nil, fmt.Errorf("experiment: spreading needs ≥2 rows")
 	}
-	spec := quickRowSpec(cfg.Rows, cfg.RowServers)
-	perServer := workload.RateForPowerFraction(cfg.TargetFrac, spec.IdlePowerW, spec.RatedPowerW,
-		spec.Containers, truncatedMeanMinutes(workload.DefaultDurations()), 1.0)
-	prod := workload.DefaultProduct("shared", perServer*float64(spec.TotalServers()))
+	spec := stack.RowSpec(cfg.Rows, cfg.RowServers)
+	prod := workload.DefaultProduct("shared", stack.JobsPerMinute(spec, cfg.TargetFrac, spec.TotalServers()))
 
-	rig, err := NewRig(RigConfig{Seed: cfg.Seed, Cluster: spec, Products: []workload.Product{prod}})
+	rig, err := stack.New(stack.Config{Seed: cfg.Seed, Cluster: spec, Products: []workload.Product{prod}})
 	if err != nil {
 		return nil, err
 	}
@@ -147,14 +145,6 @@ func runSpreadOnce(cfg SpreadConfig, name string, rc scheduler.RowChooser) (*Spr
 		IdleRows:     idleRows,
 		Throughput:   rig.Sched.Stats().Completed,
 	}, nil
-}
-
-func quickRowSpec(rows, rowServers int) cluster.Spec {
-	spec := cluster.DefaultSpec()
-	spec.ServersPerRack = 20
-	spec.Rows = rows
-	spec.RacksPerRow = rowServers / spec.ServersPerRack
-	return spec
 }
 
 // FormatSpread renders the comparison.

@@ -4,9 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/monitor"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -17,17 +17,14 @@ import (
 // the recorded trace — the workflow for driving experiments from captured
 // (or external) power traces.
 func TestTraceRecordReplay(t *testing.T) {
-	spec := cluster.DefaultSpec()
-	spec.RacksPerRow = 8 // 160 servers
+	spec := stack.RowSpec(1, 160)
 	servers := spec.TotalServers()
 
 	// --- Record: a diurnal day on a single row.
-	perServer := workload.RateForPowerFraction(0.78, spec.IdlePowerW, spec.RatedPowerW,
-		spec.Containers, truncatedMeanMinutes(workload.DefaultDurations()), 1.0)
-	prod := workload.DefaultProduct("source", perServer*float64(servers))
+	prod := workload.DefaultProduct("source", stack.JobsPerMinute(spec, 0.78, servers))
 	prod.DiurnalAmplitude = 0.35
 	prod.SurgeProb = 0 // keep the source smooth so the comparison is crisp
-	src, err := NewRig(RigConfig{Seed: 1, Cluster: spec, Products: []workload.Product{prod}})
+	src, err := stack.New(stack.Config{Seed: 1, Cluster: spec, Products: []workload.Product{prod}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +40,12 @@ func TestTraceRecordReplay(t *testing.T) {
 
 	// --- Convert to a rate schedule and replay in a fresh rig with a
 	// different seed (different jobs, same demand trajectory).
-	sched, err := trace.RateSchedule(tr.Series(0), servers, spec,
-		truncatedMeanMinutes(workload.DefaultDurations()), 1.0)
+	sched, err := trace.RateSchedule(tr.Series(0), servers, spec, stack.MeanJobMinutes(), 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replayProd := workload.Product{Name: "replay", Schedule: sched, ScheduleStart: warmup}
-	dst, err := NewRig(RigConfig{Seed: 2, Cluster: spec, Products: []workload.Product{replayProd}})
+	dst, err := stack.New(stack.Config{Seed: 2, Cluster: spec, Products: []workload.Product{replayProd}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package federate scales the substrate past one data center: N fully
-// isolated per-DC simulation stacks (cluster, scheduler, monitor, workload,
-// and an unmodified core.Controller each) advance in lockstep epochs under a
-// global coordinator that reallocates budget headroom between DCs through
-// the controllers' validated SetBudget path.
+// isolated DCs — each a stack.Stack plus an unmodified core.Controller —
+// advance in lockstep epochs under a global coordinator that reallocates
+// budget headroom between DCs through the controllers' validated SetBudget
+// path.
 //
 // The sharding rule is the whole concurrency story: a DC is a shard, every
 // mutable object belongs to exactly one shard, and the parallel phases
@@ -24,7 +24,6 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -33,14 +32,9 @@ import (
 	"repro/internal/runner"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
-	"repro/internal/tsdb"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
-
-// calibratedKr mirrors experiment.DefaultKr — the control-effect gradient
-// measured by the Fig 5 calibration — without importing the experiment
-// package (which imports this one for the federated scale run).
-const calibratedKr = 0.012
 
 // DCSpec describes one data center shard.
 type DCSpec struct {
@@ -177,19 +171,14 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// DC is one assembled shard. Everything reachable from a DC is owned by that
-// shard; only the worker currently holding the shard (or the coordinator,
-// between barriers) may touch it.
+// DC is one assembled shard: a stack plus its controller. Everything
+// reachable from a DC is owned by that shard; only the worker currently
+// holding the shard (or the coordinator, between barriers) may touch it.
 type DC struct {
-	Name    string
-	Spec    cluster.Spec
-	Eng     *sim.Engine
-	Cluster *cluster.Cluster
-	Sched   *scheduler.Scheduler
-	DB      *tsdb.DB
-	Mon     *monitor.Monitor
-	Gen     *workload.Generator
-	Ctl     *core.Controller
+	*stack.Stack
+	Name string
+	Spec cluster.Spec
+	Ctl  *core.Controller
 
 	batch      *scheduler.Batch
 	errScratch []scheduler.BatchError
@@ -272,33 +261,16 @@ func New(cfg Config) (*Federation, error) {
 	}
 	for i, d := range cfg.DCs {
 		dcSeed := sim.SubSeed(cfg.Seed, "dc/"+d.Name)
-		spec := cluster.DefaultSpec()
-		spec.ServersPerRack = 20
-		spec.RacksPerRow = d.RowServers / spec.ServersPerRack
-		spec.Rows = d.Rows
-
-		eng := sim.NewEngine()
-		c, err := cluster.New(spec, dcSeed)
-		if err != nil {
-			return nil, fmt.Errorf("federate: DC %q: %w", d.Name, err)
-		}
-		sched := scheduler.New(eng, c, dcSeed, nil)
-		db := tsdb.New(cfg.Retention)
-		mon, err := monitor.New(eng, c, db, monitor.DefaultConfig())
-		if err != nil {
-			return nil, fmt.Errorf("federate: DC %q: %w", d.Name, err)
-		}
-		perServer := workload.RateForPowerFraction(d.TargetFrac, spec.IdlePowerW, spec.RatedPowerW,
-			spec.Containers, truncatedMeanMinutes(), 1.0)
-		product := workload.DefaultProduct(d.Name, perServer*float64(spec.TotalServers()))
+		spec := stack.RowSpec(d.Rows, d.RowServers)
+		product := workload.DefaultProduct(d.Name, stack.JobsPerMinute(spec, d.TargetFrac, spec.TotalServers()))
 		if d.PeakHour > 0 {
 			product.PeakHour = d.PeakHour
 		}
 		if d.DiurnalAmplitude > 0 {
 			product.DiurnalAmplitude = d.DiurnalAmplitude
 		}
-		gen, err := workload.NewGenerator(eng, dcSeed, []workload.Product{product},
-			workload.DefaultDurations(), sched.Submit)
+		st, err := stack.New(stack.Config{Seed: dcSeed, Cluster: spec,
+			Products: []workload.Product{product}, Retention: cfg.Retention})
 		if err != nil {
 			return nil, fmt.Errorf("federate: DC %q: %w", d.Name, err)
 		}
@@ -308,16 +280,12 @@ func New(cfg Config) (*Federation, error) {
 		ccfg.EtWindow = 60
 		domains := make([]core.Domain, d.Rows)
 		for r := 0; r < d.Rows; r++ {
-			ids := make([]cluster.ServerID, 0, spec.ServersPerRow())
-			for _, sv := range c.Row(r) {
-				ids = append(ids, sv.ID)
-			}
 			domains[r] = core.Domain{
-				Name: monitor.SeriesRow(r), Servers: ids,
-				BudgetW: baseDC / float64(d.Rows), Kr: calibratedKr,
+				Name: monitor.SeriesRow(r), Servers: st.Cluster.RowIDs(r),
+				BudgetW: baseDC / float64(d.Rows), Kr: stack.DefaultKr,
 			}
 		}
-		ctl, err := core.New(eng, mon, sched, ccfg, domains)
+		ctl, err := core.New(st.Eng, st.Mon, st.Sched, ccfg, domains)
 		if err != nil {
 			return nil, fmt.Errorf("federate: DC %q: %w", d.Name, err)
 		}
@@ -325,12 +293,10 @@ func New(cfg Config) (*Federation, error) {
 		// is stepped by the coordinator at each epoch barrier (the federated
 		// tick), which reproduces the monitor-before-controller ordering a
 		// same-engine Start() would give.
-		mon.Start()
-		gen.Start()
+		st.StartBase()
 
-		dc := &DC{Name: d.Name, Spec: spec, Eng: eng, Cluster: c, Sched: sched,
-			DB: db, Mon: mon, Gen: gen, Ctl: ctl, rows: d.Rows}
-		dc.batch = sched.NewBatch()
+		dc := &DC{Stack: st, Name: d.Name, Spec: spec, Ctl: ctl, rows: d.Rows}
+		dc.batch = st.Sched.NewBatch()
 		f.DCs = append(f.DCs, dc)
 		f.base[i], f.alloc[i], f.target[i] = baseDC, baseDC, baseDC
 	}
@@ -636,18 +602,3 @@ func (f *Federation) Fingerprint() string {
 	}
 	return b.String()
 }
-
-// truncatedMeanMinutes estimates the default duration distribution's
-// truncated mean by fixed-seed Monte Carlo, memoized — the same calibration
-// the experiment package uses, reproduced here to keep the import direction
-// experiment→federate.
-var truncatedMeanMinutes = sync.OnceValue(func() float64 {
-	r := sim.NewRNG(0x7ca11b)
-	const n = 200000
-	dd := workload.DefaultDurations()
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += dd.Sample(r).Minutes()
-	}
-	return sum / n
-})

@@ -5,6 +5,10 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/stack"
+	"repro/internal/workload"
 )
 
 // testConfig is a small heterogeneous federation: four 80-server-row DCs
@@ -89,6 +93,57 @@ func TestFingerprintPinned(t *testing.T) {
 	fp := run(t, 2)
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp))); got != want {
 		t.Errorf("fingerprint digest %s (%d bytes), pinned %s (3985 bytes)", got, len(fp), want)
+	}
+}
+
+// TestShardIsAStack checks that a DC adds nothing to its stack but the
+// controller: a bare stack.New from the DC's sub-seed, layout and product,
+// advanced minute by minute, reports exactly the scheduler counters and row
+// power of a one-DC federation whose budget (rated power) never forces a
+// freeze.
+func TestShardIsAStack(t *testing.T) {
+	const seed, name, rowServers, target = 11, "solo", 80, 0.75
+	f, err := New(Config{Seed: seed, DCs: []DCSpec{
+		{Name: name, Rows: 1, RowServers: rowServers, TargetFrac: target, BudgetFrac: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := stack.RowSpec(1, rowServers)
+	st, err := stack.New(stack.Config{
+		Seed:    sim.SubSeed(seed, "dc/"+name),
+		Cluster: spec,
+		Products: []workload.Product{
+			workload.DefaultProduct(name, stack.JobsPerMinute(spec, target, spec.TotalServers()))},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.StartBase()
+	dc := f.DCs[0]
+	for e := 1; e <= 45; e++ {
+		if errs, err := f.Advance(1); err != nil || len(errs) != 0 {
+			t.Fatalf("advance: errs=%v err=%v", errs, err)
+		}
+		if err := st.Run(sim.Time(e) * sim.Time(sim.Minute)); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := dc.Sched.Stats(), st.Sched.Stats(); got != want {
+			t.Fatalf("epoch %d: shard scheduler %+v, bare stack %+v", e, got, want)
+		}
+		gotP, gotOK := dc.Mon.RowPower(0)
+		wantP, wantOK := st.Mon.RowPower(0)
+		if gotP != wantP || gotOK != wantOK {
+			t.Fatalf("epoch %d: shard row power %v (%v), bare stack %v (%v)", e, gotP, gotOK, wantP, wantOK)
+		}
+	}
+	if st.Sched.Stats().Completed == 0 {
+		t.Error("no job completed; the comparison covered nothing")
+	}
+	for e, tm := range f.Telemetry(0) {
+		if tm.Frozen != 0 {
+			t.Fatalf("epoch %d froze %d servers; the run no longer isolates the stack", e, tm.Frozen)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -170,7 +171,7 @@ func pickRowChooser(name string) (scheduler.RowChooser, error) {
 // Built is an assembled, not-yet-run scenario.
 type Built struct {
 	Spec       *Spec
-	Rig        *experiment.Rig
+	Rig        *stack.Stack
 	Tracker    *experiment.Tracker
 	Controller *core.Controller
 	Capper     *capping.Capper
@@ -190,12 +191,8 @@ func (s *Spec) Build() (*Built, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	spec := cluster.DefaultSpec()
-	spec.Rows = s.Rows
-	spec.ServersPerRack = 20
-	spec.RacksPerRow = s.RowServers / spec.ServersPerRack
+	spec := stack.RowSpec(s.Rows, s.RowServers)
 
-	meanDur := workload.DefaultDurations().Mean() * 0.95
 	var products []workload.Product
 	var weights [][]float64
 	specs := s.Products
@@ -214,9 +211,7 @@ func (s *Spec) Build() (*Built, error) {
 					}
 				}
 			}
-			perServer := workload.RateForPowerFraction(ps.TargetFrac, spec.IdlePowerW,
-				spec.RatedPowerW, spec.Containers, meanDur, 1.0)
-			rate = perServer * float64(rows*s.RowServers)
+			rate = stack.JobsPerMinute(spec, ps.TargetFrac, rows*s.RowServers)
 		}
 		p := workload.DefaultProduct(ps.Name, rate)
 		if ps.Amplitude > 0 {
@@ -233,7 +228,7 @@ func (s *Spec) Build() (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	rig, err := experiment.NewRig(experiment.RigConfig{
+	rig, err := stack.New(stack.Config{
 		Seed:           s.Seed,
 		Cluster:        spec,
 		Products:       products,
@@ -255,12 +250,8 @@ func (s *Spec) Build() (*Built, error) {
 	groups := make([]experiment.Group, s.Rows)
 	rowIDs := make([][]cluster.ServerID, s.Rows)
 	for r := 0; r < s.Rows; r++ {
-		ids := make([]cluster.ServerID, 0, s.RowServers)
-		for _, sv := range rig.Cluster.Row(r) {
-			ids = append(ids, sv.ID)
-		}
-		rowIDs[r] = ids
-		groups[r] = experiment.Group{Name: fmt.Sprintf("row/%d", r), IDs: ids, BudgetW: budget}
+		rowIDs[r] = rig.Cluster.RowIDs(r)
+		groups[r] = experiment.Group{Name: fmt.Sprintf("row/%d", r), IDs: rowIDs[r], BudgetW: budget}
 	}
 	tracker, err := experiment.NewTracker(rig, groups)
 	if err != nil {
@@ -276,7 +267,7 @@ func (s *Spec) Build() (*Built, error) {
 	if s.Ampere {
 		kr := s.Kr
 		if kr == 0 {
-			kr = experiment.DefaultKr
+			kr = stack.DefaultKr
 		}
 		domains := make([]core.Domain, s.Rows)
 		for r := 0; r < s.Rows; r++ {

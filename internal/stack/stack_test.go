@@ -1,0 +1,135 @@
+package stack
+
+import (
+	"go/build"
+	"strings"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/monitor"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// The package must stay a leaf: federate once carried private copies of the
+// calibration because the only assembled stack lived in a package that
+// imported it. Anything beyond the six wired layers would let that cycle
+// come back.
+func TestLeafImports(t *testing.T) {
+	allowed := map[string]bool{
+		"repro/internal/sim":       true,
+		"repro/internal/cluster":   true,
+		"repro/internal/scheduler": true,
+		"repro/internal/tsdb":      true,
+		"repro/internal/monitor":   true,
+		"repro/internal/workload":  true,
+	}
+	pkg, err := build.ImportDir(".", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, imp := range pkg.Imports {
+		if strings.HasPrefix(imp, "repro/") && !allowed[imp] {
+			t.Errorf("internal/stack imports %s; it may import only the six layers it wires", imp)
+		}
+	}
+}
+
+func TestNewWiresThePipeline(t *testing.T) {
+	spec := RowSpec(2, 40)
+	prod := workload.DefaultProduct("a", JobsPerMinute(spec, 0.7, spec.TotalServers()))
+	weights := [][]float64{{1, 0}}
+	st, err := New(Config{Seed: 3, Cluster: spec, Products: []workload.Product{prod}, ProductWeights: weights})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Seed != 3 || st.Cluster.Spec != spec {
+		t.Errorf("seed %d spec %+v not carried through", st.Seed, st.Cluster.Spec)
+	}
+	// Nothing runs until StartBase.
+	if err := st.Run(sim.Time(5 * sim.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if st.Gen.Generated() != 0 || st.DB.PointCount() != 0 {
+		t.Fatalf("unstarted stack generated %d jobs, %d points", st.Gen.Generated(), st.DB.PointCount())
+	}
+	st.StartBase()
+	if err := st.Run(sim.Time(30 * sim.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	// Generator → scheduler → servers.
+	stats := st.Sched.Stats()
+	if st.Gen.Generated() == 0 || stats.Placed == 0 {
+		t.Fatalf("generated %d placed %d", st.Gen.Generated(), stats.Placed)
+	}
+	// The row-affinity vector reached the scheduler: row 1 stays idle.
+	for _, sv := range st.Cluster.Row(1) {
+		if sv.Busy() != 0 {
+			t.Fatalf("server %d on the zero-weight row is busy", sv.ID)
+		}
+	}
+	// Servers → monitor → TSDB: one sample per minute per row.
+	if _, ok := st.Mon.RowPower(0); !ok {
+		t.Error("monitor has no row/0 sample")
+	}
+	if n := len(st.DB.Values(monitor.SeriesRow(0), 0, st.Eng.Now())); n < 25 {
+		t.Errorf("TSDB holds %d row/0 samples after 25 minutes", n)
+	}
+}
+
+func TestNewRejectsBadConfig(t *testing.T) {
+	bad := cluster.DefaultSpec()
+	bad.Rows = 0
+	if _, err := New(Config{Cluster: bad, Products: []workload.Product{workload.DefaultProduct("a", 1)}}); err == nil {
+		t.Error("zero-row cluster accepted")
+	}
+	if _, err := New(Config{Cluster: RowSpec(1, 20)}); err == nil {
+		t.Error("stack without products accepted")
+	}
+	if _, err := New(Config{Cluster: RowSpec(1, 20), MonitorDropRate: 2,
+		Products: []workload.Product{workload.DefaultProduct("a", 1)}}); err == nil {
+		t.Error("drop rate 2 accepted")
+	}
+}
+
+func TestRowSpec(t *testing.T) {
+	spec := RowSpec(3, 160)
+	if spec.Rows != 3 || spec.ServersPerRow() != 160 || spec.TotalServers() != 480 {
+		t.Errorf("RowSpec(3,160) = %d rows × %d", spec.Rows, spec.ServersPerRow())
+	}
+	def := cluster.DefaultSpec()
+	def.Rows, def.RacksPerRow = 3, 8
+	if spec != def {
+		t.Errorf("RowSpec departs from DefaultSpec beyond the layout: %+v", spec)
+	}
+}
+
+func TestMeanJobMinutes(t *testing.T) {
+	m := MeanJobMinutes()
+	// Below the analytic untruncated mean of 9, well above the median.
+	if m < 7.5 || m > 9.0 {
+		t.Errorf("truncated mean %.2f, want in [7.5, 9.0]", m)
+	}
+	if m >= workload.DefaultDurations().Mean() {
+		t.Errorf("truncated mean %.3f not below the untruncated %.3f", m, workload.DefaultDurations().Mean())
+	}
+	// Deterministic: fixed seed, computed once.
+	if m2 := MeanJobMinutes(); m2 != m {
+		t.Errorf("not deterministic: %v vs %v", m, m2)
+	}
+}
+
+func TestJobsPerMinute(t *testing.T) {
+	spec := RowSpec(1, 400)
+	want := workload.RateForPowerFraction(0.75, spec.IdlePowerW, spec.RatedPowerW,
+		spec.Containers, MeanJobMinutes(), 1.0) * 400
+	if got := JobsPerMinute(spec, 0.75, 400); got != want {
+		t.Errorf("JobsPerMinute = %v, want %v", got, want)
+	}
+	if got := JobsPerMinute(spec, spec.IdlePowerW/spec.RatedPowerW-0.01, 400); got != 0 {
+		t.Errorf("target below idle gives %v jobs/min, want 0", got)
+	}
+	if a, b := JobsPerMinute(spec, 0.75, 400), JobsPerMinute(spec, 0.75, 800); b != 2*a {
+		t.Errorf("rate not linear in servers: %v vs %v", a, b)
+	}
+}

@@ -85,7 +85,8 @@ func (d DurationDist) Sample(r *rand.Rand) sim.Duration {
 }
 
 // Mean returns the analytic mean of the untruncated lognormal, in minutes.
-// Truncation at the default Max shaves only ≈ 5 % off; tests use wide bands.
+// Truncation at the default Max shaves 9.7 % off (9.01 → 8.13 minutes), so
+// load calibration uses the sampled mean, stack.MeanJobMinutes, instead.
 func (d DurationDist) Mean() float64 {
 	return math.Exp(d.Mu + d.Sigma*d.Sigma/2)
 }

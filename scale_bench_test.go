@@ -13,11 +13,11 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/experiment"
 	"repro/internal/federate"
 	"repro/internal/monitor"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/tsdb"
 	"repro/internal/workload"
 )
@@ -173,9 +173,7 @@ func benchControllerTick(b *testing.B, rows int) {
 	cfg.EtWindow = 60 // one hour of 1-minute samples per hour-of-day bin
 	domains := make([]core.Domain, sp.Rows)
 	for r := 0; r < sp.Rows; r++ {
-		ids := make([]cluster.ServerID, 0, sp.ServersPerRow())
 		for _, sv := range c.Row(r) {
-			ids = append(ids, sv.ID)
 			sv.Allocate(8+int(sv.ID)%8, float64(8+int(sv.ID)%8))
 		}
 		et, err := core.NewWindowedHourlyEt(cfg.EtPercentile, cfg.EtDefault, cfg.EtMinSamples, cfg.EtWindow)
@@ -186,8 +184,8 @@ func benchControllerTick(b *testing.B, rows int) {
 			et.Add(sim.Time(t)*sim.Time(sim.Minute), 0)
 		}
 		domains[r] = core.Domain{
-			Name: monitor.SeriesRow(r), Servers: ids,
-			BudgetW: budget, Kr: experiment.DefaultKr, Et: et,
+			Name: monitor.SeriesRow(r), Servers: c.RowIDs(r),
+			BudgetW: budget, Kr: stack.DefaultKr, Et: et,
 		}
 	}
 	ctl, err := core.New(eng, mon, s, cfg, domains)
