@@ -5,7 +5,7 @@
 .PHONY: tier1 build lint vet test race race-shuffle fuzz fuzz-smoke chaos \
 	bench-runner bench-scale bench-scale-quick bench-check gridstorm \
 	whatif whatif-smoke tournament tournament-smoke fig11scale fig11-smoke \
-	fed-smoke golden-quick
+	fed-smoke golden-quick bench-pair
 
 tier1: build lint race race-shuffle bench-scale-quick fuzz-smoke whatif-smoke \
 	tournament-smoke fig11-smoke fed-smoke golden-quick
@@ -142,3 +142,15 @@ bench-check:
 # results (parallel_test.go checks the identity half).
 bench-runner:
 	go test -run '^$$' -bench 'BenchmarkFigureSuite' -benchtime 1x ./internal/experiment/
+
+# The paired measurement a performance claim rests on: ./bench built from
+# PARENT's committed files and from the working tree, WORKLOAD run on both
+# PAIRS times with the first mover alternating, then per end-to-end metric
+# each side's median and quartiles, the pairs won, and the verdict by the
+# nine-in-ten and beyond-the-parent's-quartiles rule.
+#   make bench-pair PARENT=HEAD~1 WORKLOAD=rows4_week PAIRS=10
+PARENT ?= HEAD
+WORKLOAD ?= rows4_week
+PAIRS ?= 10
+bench-pair:
+	sh scripts/bench_pair $(PARENT) $(WORKLOAD) $(PAIRS)

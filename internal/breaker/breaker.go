@@ -56,7 +56,7 @@ type Breaker struct {
 	tripped   bool
 	tripTime  sim.Time
 	onTrip    func(now sim.Time)
-	handle    *sim.Handle
+	handle    sim.Handle
 	evaluated int64
 	met       *metrics
 }
@@ -126,7 +126,7 @@ func (b *Breaker) OnTrip(fn func(now sim.Time)) { b.onTrip = fn }
 
 // Start begins evaluating the draw every interval.
 func (b *Breaker) Start() {
-	if b.handle != nil {
+	if b.handle != (sim.Handle{}) {
 		return
 	}
 	b.handle = b.eng.Every(b.eng.Now(), b.cfg.Interval, "pdu-breaker", b.step)
@@ -134,10 +134,8 @@ func (b *Breaker) Start() {
 
 // Stop halts evaluation (the breaker state is preserved).
 func (b *Breaker) Stop() {
-	if b.handle != nil {
-		b.handle.Cancel()
-		b.handle = nil
-	}
+	b.eng.Cancel(b.handle)
+	b.handle = sim.Handle{}
 }
 
 // Tripped reports whether the breaker has opened, and when.

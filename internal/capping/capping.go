@@ -84,7 +84,7 @@ type Capper struct {
 	cfg     Config
 	domains []Domain
 	stats   []Stats
-	handle  *sim.Handle
+	handle  sim.Handle
 	enabled bool
 }
 
@@ -123,7 +123,7 @@ func RowDomains(c *cluster.Cluster, budgets []float64) []Domain {
 
 // Start begins the reaction loop.
 func (cp *Capper) Start() {
-	if cp.handle != nil {
+	if cp.handle != (sim.Handle{}) {
 		return
 	}
 	cp.handle = cp.eng.Every(cp.eng.Now(), cp.cfg.Interval, "power-capper", cp.step)
@@ -131,10 +131,8 @@ func (cp *Capper) Start() {
 
 // Stop halts the loop, leaving current caps in place.
 func (cp *Capper) Stop() {
-	if cp.handle != nil {
-		cp.handle.Cancel()
-		cp.handle = nil
-	}
+	cp.eng.Cancel(cp.handle)
+	cp.handle = sim.Handle{}
 }
 
 // SetEnabled toggles enforcement. While disabled the loop still runs but

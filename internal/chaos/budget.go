@@ -50,7 +50,7 @@ func (in *Injector) BudgetMultiplier(now sim.Time) float64 {
 // SetBudget path. Schedule the driver before starting the controller so a
 // same-timestamp curtailment is visible to that tick's control decision
 // (same-timestamp events run in insertion order).
-func (in *Injector) DriveBudget(start sim.Time, interval sim.Duration, apply func(now sim.Time, mult float64)) *sim.Handle {
+func (in *Injector) DriveBudget(start sim.Time, interval sim.Duration, apply func(now sim.Time, mult float64)) sim.Handle {
 	last := 1.0
 	return in.eng.Every(start, interval, "chaos-budget-driver", func(now sim.Time) {
 		mult := in.BudgetMultiplier(now)

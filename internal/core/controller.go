@@ -397,7 +397,7 @@ type Controller struct {
 	cfg     Config
 	res     ResilienceConfig // cfg.Resilience with defaults resolved
 	domains []*domainState
-	handle  *sim.Handle
+	handle  sim.Handle
 	selRNG  *rand.Rand // only used by SelectRandom
 	ins     *instrumentation
 	// Strategy axes resolved from cfg by Config.policies (strategy.go):
@@ -517,7 +517,7 @@ func New(eng *sim.Engine, reader PowerReader, api FreezeAPI, cfg Config, domains
 // (the first monitor sample must exist first; start the monitor at time
 // zero and the controller immediately after).
 func (c *Controller) Start() {
-	if c.handle != nil {
+	if c.handle != (sim.Handle{}) {
 		return
 	}
 	c.handle = c.eng.Every(c.eng.Now(), c.cfg.Interval, "ampere-controller", c.Step)
@@ -525,10 +525,8 @@ func (c *Controller) Start() {
 
 // Stop halts the loop, leaving the current frozen set in place.
 func (c *Controller) Stop() {
-	if c.handle != nil {
-		c.handle.Cancel()
-		c.handle = nil
-	}
+	c.eng.Cancel(c.handle)
+	c.handle = sim.Handle{}
 }
 
 // Stats returns a copy of domain i's counters.

@@ -86,7 +86,7 @@ func runChaosSoak(t *testing.T, seed uint64) {
 		t.Fatal(err)
 	}
 	// Stop disruptions and generation; let everything drain.
-	chaos.Cancel()
+	rig.Eng.Cancel(chaos)
 	rig.Gen.Stop()
 	capper.Stop()
 	for id := range frozen {

@@ -60,6 +60,14 @@ type Store interface {
 	Append(name string, t sim.Time, v float64) error
 }
 
+// seriesStore is the optional fast path of a Store: series resolved once,
+// then appended to without a name lookup. tsdb.DB offers it; wrappers that
+// must see every write by name (fault injectors, timers) do not, and the
+// monitor falls back to Store.Append.
+type seriesStore interface {
+	Series(name string) *tsdb.Series
+}
+
 // Monitor samples a cluster into a TSDB and keeps a latest-value snapshot.
 type Monitor struct {
 	eng *sim.Engine
@@ -87,8 +95,15 @@ type Monitor struct {
 	rowNames    []string
 	rackNames   []string
 	serverNames []string
+	// dcSeries/rowSeries/rackSeries/serverSeries are the same series resolved
+	// to handles, index for index; entries are nil when the store is not a
+	// seriesStore.
+	dcSeries     *tsdb.Series
+	rowSeries    []*tsdb.Series
+	rackSeries   []*tsdb.Series
+	serverSeries []*tsdb.Series
 
-	handle   *sim.Handle
+	handle   sim.Handle
 	onSample []func(now sim.Time)
 	met      *metrics
 }
@@ -158,8 +173,11 @@ func New(eng *sim.Engine, c *cluster.Cluster, db *tsdb.DB, cfg Config) (*Monitor
 			m.serverNames[i] = SeriesServer(cluster.ServerID(i))
 		}
 	}
+	m.rowSeries = make([]*tsdb.Series, len(m.rowNames))
+	m.rackSeries = make([]*tsdb.Series, len(m.rackNames))
+	m.serverSeries = make([]*tsdb.Series, len(m.serverNames))
 	if db != nil {
-		m.store = db
+		m.SetStore(db)
 	}
 	if cfg.SweepDropRate > 0 {
 		m.dropRNG = sim.SubRNG(cfg.DropSeed, "monitor-drops")
@@ -170,13 +188,32 @@ func New(eng *sim.Engine, c *cluster.Cluster, db *tsdb.DB, cfg Config) (*Monitor
 // SetStore replaces the monitor's TSDB sink. Chaos tests interpose a
 // failing store here; passing nil disables history entirely. Call before
 // Start.
-func (m *Monitor) SetStore(s Store) { m.store = s }
+func (m *Monitor) SetStore(s Store) {
+	m.store = s
+	ss, _ := s.(seriesStore)
+	resolve := func(name string) *tsdb.Series {
+		if ss == nil {
+			return nil
+		}
+		return ss.Series(name)
+	}
+	m.dcSeries = resolve(SeriesDC)
+	for i, name := range m.rowNames {
+		m.rowSeries[i] = resolve(name)
+	}
+	for i, name := range m.rackNames {
+		m.rackSeries[i] = resolve(name)
+	}
+	for i, name := range m.serverNames {
+		m.serverSeries[i] = resolve(name)
+	}
+}
 
 // Start begins periodic sampling, with the first sweep at the current time.
 // Start the monitor before any component that consumes its samples in the
 // same interval, so sweeps always precede consumers deterministically.
 func (m *Monitor) Start() {
-	if m.handle != nil {
+	if m.handle != (sim.Handle{}) {
 		return
 	}
 	m.handle = m.eng.Every(m.eng.Now(), m.cfg.Interval, "power-monitor", m.Sweep)
@@ -184,10 +221,8 @@ func (m *Monitor) Start() {
 
 // Stop halts sampling.
 func (m *Monitor) Stop() {
-	if m.handle != nil {
-		m.handle.Cancel()
-		m.handle = nil
-	}
+	m.eng.Cancel(m.handle)
+	m.handle = sim.Handle{}
 }
 
 // OnSample registers a callback invoked after every sweep. Experiment
@@ -225,20 +260,21 @@ func (m *Monitor) Sweep(now sim.Time) {
 			rowTotal += p
 			rackTotals[sv.Rack] += p
 			if m.store != nil && m.cfg.StoreServerSeries {
-				m.append(m.serverNames[sv.ID], now, p)
+				m.append(m.serverSeries[sv.ID], m.serverNames[sv.ID], now, p)
 			}
 		}
 		m.lastRow[r] = rowTotal
 		dcTotal += rowTotal
 		if m.store != nil {
-			m.append(m.rowNames[r], now, rowTotal)
+			m.append(m.rowSeries[r], m.rowNames[r], now, rowTotal)
 			for k, v := range rackTotals {
-				m.append(m.rackNames[r*spec.RacksPerRow+k], now, v)
+				i := r*spec.RacksPerRow + k
+				m.append(m.rackSeries[i], m.rackNames[i], now, v)
 			}
 		}
 	}
 	if m.store != nil {
-		m.append(SeriesDC, now, dcTotal)
+		m.append(m.dcSeries, SeriesDC, now, dcTotal)
 	}
 	m.lastTime = now
 	m.haveSample = true
@@ -256,8 +292,14 @@ func (m *Monitor) Sweep(now sim.Time) {
 // append writes one sample to the store. History is best-effort: a
 // rejected write loses that point but must not take down sampling — the
 // controller consumes the in-memory snapshot, which is already updated.
-func (m *Monitor) append(name string, t sim.Time, v float64) {
-	if err := m.store.Append(name, t, v); err != nil {
+func (m *Monitor) append(h *tsdb.Series, name string, t sim.Time, v float64) {
+	var err error
+	if h != nil {
+		err = h.Append(t, v)
+	} else {
+		err = m.store.Append(name, t, v)
+	}
+	if err != nil {
 		m.writeErrors++
 		if m.met != nil {
 			m.met.writeErrors.Inc()

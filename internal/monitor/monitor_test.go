@@ -221,3 +221,60 @@ func TestSweepDropInjection(t *testing.T) {
 		t.Error("negative drop rate accepted")
 	}
 }
+
+// byNameStore hides tsdb.DB's Series method, the way a fault injector or a
+// timing wrapper does, so the monitor must append by name.
+type byNameStore struct {
+	db     *tsdb.DB
+	writes int
+}
+
+func (s *byNameStore) Append(name string, t sim.Time, v float64) error {
+	s.writes++
+	return s.db.Append(name, t, v)
+}
+
+// Resolved handles are a shortcut, not a second history: a store that offers
+// Series and one that only takes names end up holding the same points, and a
+// wrapper still sees every write.
+func TestHandleAndNamePathsWriteTheSameHistory(t *testing.T) {
+	build := func(wrap bool) (*tsdb.DB, *byNameStore) {
+		eng := sim.NewEngine()
+		c := newCluster(t, 2, 2, 3)
+		db := tsdb.New(0)
+		cfg := DefaultConfig()
+		cfg.StoreServerSeries = true
+		m, err := New(eng, c, db, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := &byNameStore{db: db}
+		if wrap {
+			m.SetStore(st)
+		}
+		for i := 1; i <= 3; i++ {
+			m.Sweep(sim.Time(i) * sim.Time(sim.Minute))
+		}
+		return db, st
+	}
+	direct, _ := build(false)
+	wrapped, st := build(true)
+	names := direct.Names()
+	if want := 1 + 2 + 4 + 12; len(names) != want || len(wrapped.Names()) != want {
+		t.Fatalf("%d series direct, %d wrapped, want %d", len(names), len(wrapped.Names()), want)
+	}
+	if st.writes != 3*len(names) {
+		t.Errorf("wrapper saw %d writes, want %d", st.writes, 3*len(names))
+	}
+	for _, name := range names {
+		a, b := direct.Query(name, 0, sim.Time(sim.Hour)), wrapped.Query(name, 0, sim.Time(sim.Hour))
+		if len(a) != 3 || len(b) != 3 {
+			t.Fatalf("%s: %d and %d points, want 3", name, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Errorf("%s[%d]: %+v by handle, %+v by name", name, i, a[i], b[i])
+			}
+		}
+	}
+}

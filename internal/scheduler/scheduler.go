@@ -31,7 +31,8 @@ type FreezeAPI interface {
 
 // Policy is the upper-level, application-specific placement logic. Pick
 // selects one server from a non-empty candidate slice of schedulable servers
-// that fit the job. Implementations must not retain the slice.
+// that fit the job. Implementations must not retain the slice, and must not
+// retain job past the call: it points into storage the scheduler recycles.
 type Policy interface {
 	Name() string
 	Pick(r *rand.Rand, job *workload.Job, candidates []*cluster.Server) *cluster.Server
@@ -44,9 +45,9 @@ type Policy interface {
 // power variance. eligible is non-empty and lists the rows the job may go
 // to; fit(r) is the number of schedulable fitting servers on row r and
 // util(r) the row's container utilization in [0, 1]. Return value must be
-// one of eligible. Implementations must not retain the eligible slice or the
-// callbacks beyond the call: both are backed by per-scheduler scratch reused
-// on the next pick.
+// one of eligible. Implementations must not retain the eligible slice, the
+// callbacks or job beyond the call: all are backed by storage reused on the
+// next pick.
 type RowChooser interface {
 	Name() string
 	ChooseRow(r *rand.Rand, job *workload.Job, eligible []int,
@@ -84,11 +85,11 @@ type Scheduler struct {
 	avail [][]*cluster.Server
 	pos   []int // −1 when not in avail
 
-	queue     []*workload.Job
+	// queue is the FIFO of jobs waiting for capacity, held by value with
+	// their enqueue time: job IDs are the submitters' and may collide, so
+	// the wait cannot be looked up by ID.
+	queue     []queuedJob
 	queueHead int
-	// enqueuedAt[jobID] is the submit time of a currently queued job, for
-	// wait-time accounting.
-	enqueuedAt map[int64]sim.Time
 	// waitHist accumulates queue wait times (ms) of jobs that had to wait.
 	waitHist *stats.LogHistogram
 	// stretchHist accumulates completed jobs' slowdown factors
@@ -124,7 +125,14 @@ type Scheduler struct {
 	fitFn         func(r int) int
 	utilFn        func(r int) float64
 
-	running map[cluster.ServerID][]*runningJob
+	// run is the slab of running jobs and runFree the head of its free-slot
+	// list (-1 when empty); a slot is what a completion event carries.
+	// runs[r] holds row r's per-server run lists (see runPage). completeFn is
+	// s.complete, bound once.
+	run        sim.Slab[runningJob]
+	runFree    int32
+	runs       []runPage
+	completeFn sim.ArgEvent
 
 	stats   Stats
 	met     *metrics
@@ -134,15 +142,39 @@ type Scheduler struct {
 	onComplete func(j *workload.Job, s *cluster.Server)
 }
 
+// queuedJob is one FIFO entry.
+type queuedJob struct {
+	job workload.Job
+	at  sim.Time // when it was enqueued
+}
+
+// runningJob is one slab record. It holds no pointer (the server by ID, the
+// completion by value handle), so the collector never scans the slab.
 type runningJob struct {
-	job    *workload.Job
-	server *cluster.Server
+	job workload.Job
 	// remainingMS is full-speed work left, in (fractional) milliseconds.
 	remainingMS float64
 	startedAt   sim.Time
 	lastUpdate  sim.Time
-	handle      *sim.Handle
-	idx         int // index in running[server]
+	handle      sim.Handle
+	server      int32 // cluster.ServerID
+	// idx is the job's index in the server's run list; while the slot is
+	// free it links the free list.
+	idx int32
+}
+
+// runPage holds one row's run lists, allocated on the row's first placement
+// so a fleet that runs no jobs pays nothing per server. Server i of the row
+// (in ID order) owns slots[i*stride : i*stride+n[i]], stride being
+// Spec.Containers: a job holds at least one container. A list is appended to
+// on placement and swap-removed from on completion, and that order is
+// load-bearing: speedChanged reschedules completions in list order, which
+// assigns their engine sequence numbers, which orders completions landing on
+// the same millisecond, which orders the float subtractions from the
+// server's CPU load.
+type runPage struct {
+	n     []int32 // jobs running on each server
+	slots []int32 // their slab slots
 }
 
 // New builds a scheduler over c using the given placement policy (RandomFit
@@ -156,16 +188,17 @@ func New(eng *sim.Engine, c *cluster.Cluster, seed uint64, policy Policy) *Sched
 		panic(err) // constants are valid; unreachable
 	}
 	s := &Scheduler{
-		eng:        eng,
-		c:          c,
-		rng:        sim.SubRNG(seed, "scheduler"),
-		policy:     policy,
-		avail:      make([][]*cluster.Server, c.Rows()),
-		pos:        make([]int, len(c.Servers)),
-		running:    make(map[cluster.ServerID][]*runningJob),
-		enqueuedAt: make(map[int64]sim.Time),
-		waitHist:   waitHist,
+		eng:      eng,
+		c:        c,
+		rng:      sim.SubRNG(seed, "scheduler"),
+		policy:   policy,
+		avail:    make([][]*cluster.Server, c.Rows()),
+		pos:      make([]int, len(c.Servers)),
+		runs:     make([]runPage, c.Rows()),
+		runFree:  -1,
+		waitHist: waitHist,
 	}
+	s.completeFn = s.complete
 	s.ResetStretchStats()
 	for i := range s.pos {
 		s.pos[i] = -1
@@ -313,10 +346,12 @@ func (s *Scheduler) ResetStretchStats() {
 	s.stretchHist = h
 }
 
-// OnPlace registers a callback invoked after each successful placement.
+// OnPlace registers a callback invoked after each successful placement. j is
+// valid for the call only; do not retain *Job past the call.
 func (s *Scheduler) OnPlace(fn func(j *workload.Job, sv *cluster.Server)) { s.onPlace = fn }
 
-// OnComplete registers a callback invoked after each job completion.
+// OnComplete registers a callback invoked after each job completion. j is
+// valid for the call only; do not retain *Job past the call.
 func (s *Scheduler) OnComplete(fn func(j *workload.Job, sv *cluster.Server)) { s.onComplete = fn }
 
 // availability index maintenance
@@ -419,7 +454,8 @@ var _ FreezeAPI = (*Scheduler)(nil)
 // Submit accepts a job for placement, queueing it when no capacity fits.
 // It is the workload generator's sink. Jobs larger than any server's
 // container capacity are rejected outright: waiting could never help and
-// would block every job behind them in the FIFO queue.
+// would block every job behind them in the FIFO queue. The scheduler copies
+// what it keeps of j, so the caller may reuse it once Submit returns.
 func (s *Scheduler) Submit(j *workload.Job) {
 	s.stats.Submitted++
 	if s.met != nil {
@@ -444,31 +480,37 @@ func (s *Scheduler) Submit(j *workload.Job) {
 
 func (s *Scheduler) enqueue(j *workload.Job) {
 	s.stats.Queued++
-	s.enqueuedAt[j.ID] = s.eng.Now()
-	s.queue = append(s.queue, j)
+	s.queue = append(s.queue, queuedJob{job: *j, at: s.eng.Now()})
 	if s.met != nil {
 		s.met.queued.Inc()
 		s.met.queueLen.Set(float64(s.QueueLen()))
 	}
 }
 
+// queueSlack is how many dead or spare queue entries drainQueue tolerates
+// before it compacts or releases the array.
+const queueSlack = 1024
+
 func (s *Scheduler) drainQueue() {
 	for s.queueHead < len(s.queue) {
-		j := s.queue[s.queueHead]
-		if !s.tryPlace(j) {
+		q := &s.queue[s.queueHead]
+		at := q.at
+		if !s.tryPlace(&q.job) {
 			break
 		}
-		if at, ok := s.enqueuedAt[j.ID]; ok {
-			s.waitHist.Add(float64(s.eng.Now().Sub(at)))
-			delete(s.enqueuedAt, j.ID)
-		}
-		s.queue[s.queueHead] = nil
+		s.waitHist.Add(float64(s.eng.Now().Sub(at)))
 		s.queueHead++
 	}
 	if s.queueHead == len(s.queue) {
-		s.queue = s.queue[:0]
+		// Empty: rewind, and let go of an array a surge's backlog grew — the
+		// entries are jobs by value, and surges are rare.
+		if cap(s.queue) > queueSlack {
+			s.queue = nil
+		} else {
+			s.queue = s.queue[:0]
+		}
 		s.queueHead = 0
-	} else if s.queueHead > 4096 && s.queueHead*2 > len(s.queue) {
+	} else if s.queueHead > queueSlack && s.queueHead*2 > len(s.queue) {
 		n := copy(s.queue, s.queue[s.queueHead:])
 		s.queue = s.queue[:n]
 		s.queueHead = 0
@@ -668,44 +710,84 @@ func (s *Scheduler) place(j *workload.Job, sv *cluster.Server) {
 		s.met.placed.Inc()
 	}
 
-	rj := &runningJob{
-		job:         j,
-		server:      sv,
+	slot := s.holdRunning(runningJob{
+		job:         *j,
+		server:      int32(sv.ID),
 		remainingMS: float64(j.Work),
 		startedAt:   s.eng.Now(),
 		lastUpdate:  s.eng.Now(),
-	}
-	list := s.running[sv.ID]
-	rj.idx = len(list)
-	s.running[sv.ID] = append(list, rj)
-	s.scheduleCompletion(rj)
+	})
+	s.scheduleCompletion(slot)
 
 	if s.onPlace != nil {
 		s.onPlace(j, sv)
 	}
 }
 
-func (s *Scheduler) scheduleCompletion(rj *runningJob) {
-	speed := rj.server.Speed()
+// holdRunning stores rj in the slab, appends it to its server's run list and
+// returns its slot.
+func (s *Scheduler) holdRunning(rj runningJob) int32 {
+	sv := s.c.Servers[rj.server]
+	stride := s.c.Spec.Containers
+	pg := &s.runs[sv.Row]
+	if pg.n == nil {
+		perRow := s.c.Spec.ServersPerRow()
+		pg.n = make([]int32, perRow)
+		pg.slots = make([]int32, perRow*stride)
+	}
+	i := s.rowIndex(sv)
+	rj.idx = pg.n[i]
+
+	slot := s.runFree
+	if slot >= 0 {
+		s.runFree = s.run.At(slot).idx
+	} else {
+		slot = s.run.Add()
+	}
+	*s.run.At(slot) = rj
+	pg.slots[i*stride+int(rj.idx)] = slot
+	pg.n[i]++
+	return slot
+}
+
+// rowIndex returns sv's position on its row: cluster.New numbers servers row
+// by row, so a row is a contiguous ID range.
+func (s *Scheduler) rowIndex(sv *cluster.Server) int {
+	return int(sv.ID) - sv.Row*s.c.Spec.ServersPerRow()
+}
+
+// runList returns the slab slots of the jobs running on sv, in run-list
+// order.
+func (s *Scheduler) runList(sv *cluster.Server) []int32 {
+	pg := &s.runs[sv.Row]
+	if pg.n == nil {
+		return nil
+	}
+	i, stride := s.rowIndex(sv), s.c.Spec.Containers
+	return pg.slots[i*stride : i*stride+int(pg.n[i])]
+}
+
+func (s *Scheduler) scheduleCompletion(slot int32) {
+	rj := s.run.At(slot)
+	speed := s.c.Servers[rj.server].Speed()
 	wall := sim.Duration(rj.remainingMS/speed + 0.5)
 	if wall < 0 {
 		wall = 0
 	}
-	rj.handle = s.eng.After(wall, "job-complete", func(now sim.Time) { s.complete(rj, now) })
+	rj.handle = s.eng.AfterArg(wall, "job-complete", s.completeFn, int64(slot))
 }
 
-func (s *Scheduler) complete(rj *runningJob, now sim.Time) {
-	sv := rj.server
+func (s *Scheduler) complete(now sim.Time, arg int64) {
+	slot := int32(arg)
+	rj := s.run.At(slot)
+	sv := s.c.Servers[rj.server]
 	// Remove from the per-server list (swap-remove, index-tracked).
-	list := s.running[sv.ID]
+	list := s.runList(sv)
 	last := len(list) - 1
 	moved := list[last]
 	list[rj.idx] = moved
-	moved.idx = rj.idx
-	s.running[sv.ID] = list[:last]
-	if last == 0 {
-		delete(s.running, sv.ID)
-	}
+	s.run.At(moved).idx = rj.idx
+	s.runs[sv.Row].n[s.rowIndex(sv)]--
 
 	sv.Release(rj.job.Containers, rj.job.CPU)
 	s.busyRow[sv.Row] -= rj.job.Containers
@@ -718,9 +800,18 @@ func (s *Scheduler) complete(rj *runningJob, now sim.Time) {
 		s.stretchHist.Add(float64(now.Sub(rj.startedAt)) / float64(rj.job.Work))
 	}
 	if s.onComplete != nil {
-		s.onComplete(rj.job, sv)
+		s.onComplete(&rj.job, sv)
 	}
+	// Recycle only now: the callback read the job in place, and the drain
+	// below may take the slot for the next placement.
+	s.freeRunning(slot)
 	s.drainQueue()
+}
+
+// freeRunning returns a slab slot to the free list.
+func (s *Scheduler) freeRunning(slot int32) {
+	s.run.At(slot).idx = s.runFree
+	s.runFree = slot
 }
 
 // speedChanged reschedules the completions of every job running on sv after
@@ -728,20 +819,21 @@ func (s *Scheduler) complete(rj *runningJob, now sim.Time) {
 // work at the old speed, and the remainder is replayed at the new speed.
 func (s *Scheduler) speedChanged(sv *cluster.Server, oldSpeed float64) {
 	now := s.eng.Now()
-	for _, rj := range s.running[sv.ID] {
+	for _, slot := range s.runList(sv) {
+		rj := s.run.At(slot)
 		elapsed := float64(now.Sub(rj.lastUpdate))
 		rj.remainingMS -= elapsed * oldSpeed
 		if rj.remainingMS < 0 {
 			rj.remainingMS = 0
 		}
 		rj.lastUpdate = now
-		rj.handle.Cancel()
-		s.scheduleCompletion(rj)
+		s.eng.Cancel(rj.handle)
+		s.scheduleCompletion(slot)
 	}
 }
 
 // RunningJobs returns the number of jobs currently executing on sv.
-func (s *Scheduler) RunningJobs(id cluster.ServerID) int { return len(s.running[id]) }
+func (s *Scheduler) RunningJobs(id cluster.ServerID) int { return len(s.runList(s.c.Server(id))) }
 
 // Reserve permanently allocates containers on a specific server, bypassing
 // placement. The service substrate uses it to pin long-running
@@ -780,16 +872,20 @@ func (s *Scheduler) FailServer(id cluster.ServerID) error {
 	if sv.Failed() {
 		return fmt.Errorf("scheduler: server %d already failed", id)
 	}
-	for _, rj := range s.running[sv.ID] {
-		rj.handle.Cancel()
-		sv.Release(rj.job.Containers, rj.job.CPU)
-		s.busyRow[sv.Row] -= rj.job.Containers
-		s.stats.Killed++
-		if s.met != nil {
-			s.met.killed.Inc()
+	if list := s.runList(sv); len(list) > 0 {
+		for _, slot := range list {
+			rj := s.run.At(slot)
+			s.eng.Cancel(rj.handle)
+			sv.Release(rj.job.Containers, rj.job.CPU)
+			s.busyRow[sv.Row] -= rj.job.Containers
+			s.stats.Killed++
+			if s.met != nil {
+				s.met.killed.Inc()
+			}
+			s.freeRunning(slot)
 		}
+		s.runs[sv.Row].n[s.rowIndex(sv)] = 0
 	}
-	delete(s.running, sv.ID)
 	sv.SetFailed(true)
 	s.refreshAvail(sv)
 	return nil

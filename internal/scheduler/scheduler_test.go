@@ -484,6 +484,42 @@ func TestQueueWaitAccounting(t *testing.T) {
 	}
 }
 
+// Job IDs belong to the submitters, and two of them (two generators, a
+// replayed trace) may both count from zero: a queued job's wait must not be
+// looked up by ID. The old enqueuedAt map timed the first of two colliding
+// jobs from the second's submission and dropped the second's wait.
+func TestQueueWaitSurvivesCollidingIDs(t *testing.T) {
+	eng := sim.NewEngine()
+	c := newTestCluster(t, 1, 1, 2)
+	s := New(eng, c, 1, nil)
+	for _, sv := range c.Servers {
+		if err := s.Freeze(sv.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Submit(batchJob(0, sim.Minute, 1))
+	if err := eng.RunUntil(sim.Time(10 * sim.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	s.Submit(batchJob(0, sim.Minute, 1)) // another submitter's job 0
+	if err := eng.RunUntil(sim.Time(30 * sim.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if s.QueueLen() != 2 {
+		t.Fatalf("%d jobs queued behind the frozen row, want 2", s.QueueLen())
+	}
+	if err := s.Unfreeze(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.QueueWaits(); got != 2 {
+		t.Fatalf("recorded %d waits, want 2", got)
+	}
+	near := func(got, want sim.Duration) bool { return got > want-want/50 && got < want+want/50 }
+	if lo, hi := s.QueueWaitQuantile(0), s.QueueWaitQuantile(1); !near(lo, 20*sim.Minute) || !near(hi, 30*sim.Minute) {
+		t.Errorf("waits %v and %v, want ≈20m and ≈30m", lo, hi)
+	}
+}
+
 func TestOversizedJobRejected(t *testing.T) {
 	eng := sim.NewEngine()
 	c := newTestCluster(t, 1, 1, 2)

@@ -1,0 +1,129 @@
+package scheduler
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// stormTwinSHA is the digest of stormDigest taken on the tree before the
+// event core and the scheduler's job storage were rebuilt (container/heap
+// engine, map-backed run lists, pointer jobs). The rebuilt scheduler is that
+// tree's twin: same completion order, same float rounding.
+const stormTwinSHA = "3703b8d25913022b73f5be332446f471a9452a93533388ddf223c8497fe19bf6"
+
+// stormDigest runs a DVFS-cap and server-failure storm on one 80-server row
+// under generated load (a third of it gang jobs) and hashes everything the
+// order of the per-server run lists decides: each completion as (time, job,
+// server), then every server's busy count and utilization bits, then the
+// counters and the queue-wait tail.
+//
+// Run-list order is load-bearing: speedChanged walks a server's list and
+// reschedules each completion, so list order assigns the engine's seq
+// numbers, which order completions that land on the same millisecond, which
+// order the float subtractions from the server's CPU load.
+func stormDigest(t *testing.T) string {
+	t.Helper()
+	eng := sim.NewEngine()
+	sp := cluster.DefaultSpec()
+	sp.Rows, sp.RacksPerRow, sp.ServersPerRack = 1, 4, 20
+	c, err := cluster.New(sp, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(eng, c, 7, nil)
+
+	h := sha256.New()
+	var buf [24]byte
+	put := func(a, b, c uint64) {
+		binary.LittleEndian.PutUint64(buf[0:], a)
+		binary.LittleEndian.PutUint64(buf[8:], b)
+		binary.LittleEndian.PutUint64(buf[16:], c)
+		h.Write(buf[:])
+	}
+	s.OnComplete(func(j *workload.Job, sv *cluster.Server) {
+		put(uint64(eng.Now()), uint64(j.ID), uint64(sv.ID))
+	})
+
+	n := float64(len(c.Servers))
+	rate := workload.RateForPowerFraction(0.85, sp.IdlePowerW, sp.RatedPowerW, sp.Containers, 8.13, 1.0)
+	single := workload.DefaultProduct("single", rate*n*2/3)
+	gang := workload.DefaultProduct("gang", rate*n/3)
+	gang.MaxContainers = 3
+	gen, err := workload.NewGenerator(eng, 7, []workload.Product{single, gang}, workload.DefaultDurations(), s.Submit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen.Start()
+
+	r := sim.SubRNG(7, "storm")
+	pick := func() *cluster.Server { return c.Servers[r.Intn(len(c.Servers))] }
+	eng.Every(sim.Time(5*sim.Minute), 7*sim.Second, "storm", func(sim.Time) {
+		sv := pick()
+		switch x := r.Float64(); {
+		case x < 0.45:
+			// Anywhere from below idle (the 10 % frequency floor) to rated.
+			sv.ApplyCap(sv.IdleW()*0.9 + r.Float64()*(sv.RatedW()-sv.IdleW()*0.9))
+		case x < 0.75:
+			sv.RemoveCap()
+		case x < 0.85:
+			if !sv.Failed() {
+				if err := s.FailServer(sv.ID); err != nil {
+					t.Error(err)
+				}
+			}
+		case x < 0.95:
+			if sv.Failed() {
+				if err := s.RepairServer(sv.ID); err != nil {
+					t.Error(err)
+				}
+			}
+		default:
+			// Freeze half the row for a while so the FIFO queue fills and
+			// drains through completions.
+			var frozen []cluster.ServerID
+			for _, v := range c.Servers[:len(c.Servers)/2] {
+				if !v.Frozen() && s.Freeze(v.ID) == nil {
+					frozen = append(frozen, v.ID)
+				}
+			}
+			eng.After(3*sim.Minute, "thaw", func(sim.Time) {
+				for _, id := range frozen {
+					if err := s.Unfreeze(id); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+		}
+	})
+	if err := eng.RunUntil(sim.Time(3 * sim.Hour)); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, sv := range c.Servers {
+		put(uint64(sv.ID), uint64(sv.Busy()), math.Float64bits(sv.Utilization()))
+		put(uint64(s.RunningJobs(sv.ID)), math.Float64bits(sv.Speed()), 0)
+	}
+	st := s.Stats()
+	put(uint64(st.Submitted), uint64(st.Placed), uint64(st.Completed))
+	put(uint64(st.Queued), uint64(st.Killed), uint64(st.Overflowed))
+	put(uint64(s.QueueLen()), uint64(s.QueueWaits()), uint64(s.QueueWaitQuantile(0.99)))
+	put(math.Float64bits(s.StretchQuantile(0.5)), math.Float64bits(s.StretchQuantile(0.99)), eng.Steps())
+	if st.Completed < 10000 || st.Killed == 0 || s.QueueWaits() == 0 || s.StretchQuantile(0.99) <= 1 {
+		t.Fatalf("storm too tame to pin anything: %+v, %d waits, p99 stretch %v",
+			st, s.QueueWaits(), s.StretchQuantile(0.99))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestStormTwinPinned(t *testing.T) {
+	if got := stormDigest(t); got != stormTwinSHA {
+		t.Errorf("storm digest %s, pinned %s: completion order or CPU-load rounding moved", got, stormTwinSHA)
+	}
+}

@@ -123,7 +123,7 @@ type Service struct {
 	ops       []Op
 	classes   []*classState
 	instances []*instance
-	handle    *sim.Handle
+	handle    sim.Handle
 	running   bool
 	closed    bool
 	winStart  sim.Time
@@ -311,7 +311,7 @@ func (s *Service) Start() {
 	if s.closed {
 		panic("service: Start after Close")
 	}
-	if s.handle != nil {
+	if s.handle != (sim.Handle{}) {
 		return
 	}
 	now := s.eng.Now()
@@ -330,10 +330,8 @@ func (s *Service) Start() {
 // Stop halts request generation. Arrivals in the partially elapsed window
 // are discarded; a later Start resets the window state coherently.
 func (s *Service) Stop() {
-	if s.handle != nil {
-		s.handle.Cancel()
-		s.handle = nil
-	}
+	s.eng.Cancel(s.handle)
+	s.handle = sim.Handle{}
 	s.running = false
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 )
@@ -9,66 +8,70 @@ import (
 // Event is a callback executed at its scheduled virtual time.
 type Event func(now Time)
 
-// Handle identifies a scheduled event so it can be cancelled. Cancelling an
-// already-fired or already-cancelled event is a no-op.
+// ArgEvent is the closure-free form of Event: the callback is a function or
+// a method value bound once, and what would have been captured travels as
+// arg (typically a slot in the caller's own slab). Scheduling one allocates
+// nothing.
+type ArgEvent func(now Time, arg int64)
+
+// Handle identifies a scheduled event so Engine.Cancel can cancel it. It is a
+// plain value: the zero Handle identifies nothing, and so does the handle of
+// an event that has fired or whose cancellation has been collected, even
+// after its slot has a new tenant.
 type Handle struct {
-	item *eventItem
+	slot int32
+	gen  uint32
 }
 
-// Cancel removes the event from the queue if it has not fired yet. For
-// periodic events it stops all future firings.
-func (h *Handle) Cancel() {
-	if h != nil && h.item != nil {
-		h.item.cancelled = true
-	}
+// entry is one queue element. The ordering key lives in the array, so a
+// comparison never leaves the heap's own cache lines.
+type entry struct {
+	at   Time
+	seq  uint64 // tiebreaker: FIFO among events at the same time
+	slot int32  // index into Engine.events
 }
 
-type eventItem struct {
-	at        Time
-	seq       uint64 // tiebreaker: FIFO among events at the same time
-	name      string
-	fn        Event
-	interval  Duration // > 0 for periodic events
+func (a entry) before(b entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// event is one slab record: what to run when the entry naming it is popped.
+// It is 32 bytes, two to a cache line, which is why arg does triple duty.
+type event struct {
+	fn    Event
+	argFn ArgEvent // set instead of fn by AtArg/AfterArg
+	// arg is argFn's argument. An fn event has none and keeps its period
+	// here (0 for a one-shot); a free slot keeps the free-list link.
+	arg       int64
+	gen       uint32 // bumped on release, so stale handles match nothing
 	cancelled bool
-	index     int // heap index
 }
 
-type eventHeap []*eventItem
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// period returns the re-arm interval of a periodic event, 0 for a one-shot.
+func (ev *event) period() Duration {
+	if ev.argFn != nil {
+		return 0
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	it := x.(*eventItem)
-	it.index = len(*h)
-	*h = append(*h, it)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	it.index = -1
-	*h = old[:n-1]
-	return it
+	return Duration(ev.arg)
 }
 
 // Engine is a single-threaded discrete-event simulator. Events scheduled for
 // the same timestamp fire in scheduling order, making runs fully
 // deterministic. Engine is not safe for concurrent use; all simulated
 // components run inside event callbacks on one goroutine.
+//
+// The queue is an implicit 4-ary min-heap of entries ordered by (at, seq);
+// seq is unique, so dispatch order does not depend on the heap's shape. The
+// callbacks live apart, in a slab whose slots are recycled through a free
+// list: in steady state scheduling and dispatching allocate nothing.
+// Cancellation is lazy — it marks the slab record and the entry is dropped
+// when it surfaces — because removing from the middle would need every sift
+// to write each moved entry's position back into the slab.
 type Engine struct {
 	now     Time
-	queue   eventHeap
+	queue   []entry
+	events  Slab[event]
+	free    int32 // head of the free-slot list, -1 when empty
 	seq     uint64
 	stopped bool
 	stepLim uint64 // safety valve against runaway event loops; 0 = unlimited
@@ -77,7 +80,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at time zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{free: -1}
 }
 
 // Now returns the current virtual time.
@@ -92,37 +95,131 @@ func (e *Engine) SetStepLimit(n uint64) { e.stepLim = n }
 // at the current time.
 var ErrStepLimit = errors.New("sim: step limit exceeded")
 
-// At schedules fn to run at virtual time t. Scheduling in the past (before
-// Now) panics: it would silently reorder causality.
-func (e *Engine) At(t Time, name string, fn Event) *Handle {
+// schedule queues ev to fire at t and returns its handle. Scheduling in the
+// past (before Now) panics: it would silently reorder causality.
+func (e *Engine) schedule(t Time, name string, ev event) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", name, t, e.now))
 	}
-	it := &eventItem{at: t, seq: e.seq, name: name, fn: fn}
+	slot := e.free
+	var rec *event
+	if slot >= 0 {
+		rec = e.events.At(slot)
+		e.free = int32(rec.arg)
+		ev.gen = rec.gen
+	} else {
+		slot = e.events.Add()
+		rec = e.events.At(slot)
+		ev.gen = 1
+	}
+	*rec = ev
+	e.push(entry{at: t, seq: e.seq, slot: slot})
 	e.seq++
-	heap.Push(&e.queue, it)
-	return &Handle{item: it}
+	return Handle{slot: slot, gen: ev.gen}
+}
+
+// release returns a slot to the free list. Dropping the callbacks lets the
+// collector have whatever a closure captured.
+func (e *Engine) release(slot int32) {
+	ev := e.events.At(slot)
+	gen := ev.gen + 1
+	if gen == 0 {
+		gen = 1 // the zero Handle must stay invalid
+	}
+	*ev = event{gen: gen, arg: int64(e.free)}
+	e.free = slot
+}
+
+// At schedules fn to run at virtual time t. Scheduling in the past (before
+// Now) panics.
+func (e *Engine) At(t Time, name string, fn Event) Handle {
+	return e.schedule(t, name, event{fn: fn})
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
-func (e *Engine) After(d Duration, name string, fn Event) *Handle {
+func (e *Engine) After(d Duration, name string, fn Event) Handle {
 	return e.At(e.now.Add(d), name, fn)
+}
+
+// AtArg schedules fn(t, arg) at virtual time t without allocating: bind fn
+// once (a method value stored in a field) and pass per-event state as arg.
+func (e *Engine) AtArg(t Time, name string, fn ArgEvent, arg int64) Handle {
+	return e.schedule(t, name, event{argFn: fn, arg: arg})
+}
+
+// AfterArg is AtArg at d after the current time. Negative d panics.
+func (e *Engine) AfterArg(d Duration, name string, fn ArgEvent, arg int64) Handle {
+	return e.AtArg(e.now.Add(d), name, fn, arg)
 }
 
 // Every schedules fn to run first at time start and then every interval
 // thereafter, until the returned handle is cancelled. interval must be
 // positive.
-func (e *Engine) Every(start Time, interval Duration, name string, fn Event) *Handle {
+func (e *Engine) Every(start Time, interval Duration, name string, fn Event) Handle {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: non-positive interval %v for periodic event %q", interval, name))
 	}
-	if start < e.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", name, start, e.now))
+	return e.schedule(start, name, event{fn: fn, arg: int64(interval)})
+}
+
+// Cancel stops h's event from firing; for a periodic event it stops all
+// future firings. The zero Handle, an event that already fired and an event
+// already cancelled are all no-ops.
+func (e *Engine) Cancel(h Handle) {
+	if int(h.slot) < e.events.Len() {
+		if ev := e.events.At(h.slot); ev.gen == h.gen {
+			ev.cancelled = true
+		}
 	}
-	it := &eventItem{at: start, seq: e.seq, name: name, fn: fn, interval: interval}
-	e.seq++
-	heap.Push(&e.queue, it)
-	return &Handle{item: it}
+}
+
+// push adds x to the heap.
+func (e *Engine) push(x entry) {
+	q := append(e.queue, x)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = x
+	e.queue = q
+}
+
+// pop removes and returns the earliest entry; the heap must be non-empty.
+func (e *Engine) pop() entry {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	x := q[n]
+	q = q[:n]
+	e.queue = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for k, end := c+1, min(c+4, n); k < end; k++ {
+			if q[k].before(q[m]) {
+				m = k
+			}
+		}
+		if !q[m].before(x) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = x
+	return top
 }
 
 // Step executes the next pending event, advancing the clock to its timestamp.
@@ -130,20 +227,28 @@ func (e *Engine) Every(start Time, interval Duration, name string, fn Event) *Ha
 // the engine was stopped).
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 && !e.stopped {
-		it := heap.Pop(&e.queue).(*eventItem)
-		if it.cancelled {
+		top := e.pop()
+		ev := *e.events.At(top.slot)
+		if ev.cancelled {
+			e.release(top.slot)
 			continue
 		}
-		e.now = it.at
+		e.now = top.at
 		e.steps++
-		if it.interval > 0 {
+		if period := ev.period(); period > 0 {
 			// Re-arm before running so the callback can cancel via its handle.
-			it.at = it.at.Add(it.interval)
-			it.seq = e.seq
+			e.push(entry{at: top.at.Add(period), seq: e.seq, slot: top.slot})
 			e.seq++
-			heap.Push(&e.queue, it)
+		} else {
+			// Release before running so the callback's own scheduling reuses
+			// the slot while it is still in cache.
+			e.release(top.slot)
 		}
-		it.fn(e.now)
+		if ev.argFn != nil {
+			ev.argFn(e.now, ev.arg)
+		} else {
+			ev.fn(e.now)
+		}
 		return true
 	}
 	return false
@@ -164,9 +269,11 @@ func (e *Engine) Run() error {
 // Events scheduled after end remain queued, so the simulation can be resumed.
 func (e *Engine) RunUntil(end Time) error {
 	for len(e.queue) > 0 && !e.stopped {
-		next := e.peek()
-		if next == nil {
-			break
+		next := e.queue[0]
+		if e.events.At(next.slot).cancelled {
+			e.pop()
+			e.release(next.slot)
+			continue
 		}
 		if next.at > end {
 			break
@@ -178,19 +285,6 @@ func (e *Engine) RunUntil(end Time) error {
 	}
 	if !e.stopped && e.now < end {
 		e.now = end
-	}
-	return nil
-}
-
-// peek returns the next non-cancelled event without executing it, discarding
-// cancelled entries along the way.
-func (e *Engine) peek() *eventItem {
-	for len(e.queue) > 0 {
-		if e.queue[0].cancelled {
-			heap.Pop(&e.queue)
-			continue
-		}
-		return e.queue[0]
 	}
 	return nil
 }

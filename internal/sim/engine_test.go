@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"container/heap"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -61,8 +64,8 @@ func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
 	h := e.At(Time(Second), "x", func(Time) { fired = true })
-	h.Cancel()
-	h.Cancel() // double-cancel is a no-op
+	e.Cancel(h)
+	e.Cancel(h) // double-cancel is a no-op
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +77,11 @@ func TestEngineCancel(t *testing.T) {
 func TestEnginePeriodic(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var h *Handle
+	var h Handle
 	h = e.Every(Time(Minute), Minute, "tick", func(now Time) {
 		count++
 		if count == 5 {
-			h.Cancel()
+			e.Cancel(h)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -298,5 +301,331 @@ func TestRunUntilMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refEngine is the engine this package shipped before the 4-ary heap and the
+// event slab: container/heap over pointers to heap-allocated items, handles
+// that point at their item. It is the oracle for TestEngineMatchesReference.
+type refEngine struct {
+	now     Time
+	queue   refHeap
+	seq     uint64
+	stopped bool
+	steps   uint64
+}
+
+type refItem struct {
+	at        Time
+	seq       uint64
+	fn        Event
+	interval  Duration
+	cancelled bool
+	index     int
+}
+
+type refHandle struct{ item *refItem }
+
+func (h *refHandle) Cancel() { h.item.cancelled = true }
+
+type refHeap []*refItem
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *refHeap) Push(x any) {
+	it := x.(*refItem)
+	it.index = len(*h)
+	*h = append(*h, it)
+}
+func (h *refHeap) Pop() any {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	old[n-1] = nil
+	it.index = -1
+	*h = old[:n-1]
+	return it
+}
+
+func (e *refEngine) schedule(t Time, interval Duration, fn Event) *refHandle {
+	if t < e.now {
+		panic(fmt.Sprintf("ref: scheduling at %v, before now %v", t, e.now))
+	}
+	it := &refItem{at: t, seq: e.seq, fn: fn, interval: interval}
+	e.seq++
+	heap.Push(&e.queue, it)
+	return &refHandle{item: it}
+}
+
+func (e *refEngine) Step() bool {
+	for len(e.queue) > 0 && !e.stopped {
+		it := heap.Pop(&e.queue).(*refItem)
+		if it.cancelled {
+			continue
+		}
+		e.now = it.at
+		e.steps++
+		if it.interval > 0 {
+			it.at = it.at.Add(it.interval)
+			it.seq = e.seq
+			e.seq++
+			heap.Push(&e.queue, it)
+		}
+		it.fn(e.now)
+		return true
+	}
+	return false
+}
+
+func (e *refEngine) RunUntil(end Time) error {
+	for len(e.queue) > 0 && !e.stopped {
+		next := e.peek()
+		if next == nil {
+			break
+		}
+		if next.at > end {
+			break
+		}
+		e.Step()
+	}
+	if !e.stopped && e.now < end {
+		e.now = end
+	}
+	return nil
+}
+
+func (e *refEngine) peek() *refItem {
+	for len(e.queue) > 0 {
+		if e.queue[0].cancelled {
+			heap.Pop(&e.queue)
+			continue
+		}
+		return e.queue[0]
+	}
+	return nil
+}
+
+// scriptedEngine is what the random script needs of either engine; cancel
+// functions stand in for the two handle types.
+type scriptedEngine struct {
+	now      func() Time
+	at       func(t Time, fn Event) (cancel func())
+	after    func(d Duration, fn Event) (cancel func())
+	every    func(start Time, interval Duration, fn Event) (cancel func())
+	atArg    func(t Time, fn ArgEvent, arg int64) (cancel func())
+	runUntil func(end Time) error
+	steps    func() uint64
+	pending  func() int
+}
+
+func scriptNew() scriptedEngine {
+	e := NewEngine()
+	canceller := func(h Handle) func() { return func() { e.Cancel(h) } }
+	return scriptedEngine{
+		now:   e.Now,
+		at:    func(t Time, fn Event) func() { return canceller(e.At(t, "at", fn)) },
+		after: func(d Duration, fn Event) func() { return canceller(e.After(d, "after", fn)) },
+		every: func(start Time, iv Duration, fn Event) func() { return canceller(e.Every(start, iv, "every", fn)) },
+		atArg: func(t Time, fn ArgEvent, arg int64) func() {
+			return canceller(e.AtArg(t, "at-arg", fn, arg))
+		},
+		runUntil: e.RunUntil, steps: e.Steps, pending: e.Pending,
+	}
+}
+
+func scriptRef() scriptedEngine {
+	e := &refEngine{}
+	return scriptedEngine{
+		now:   func() Time { return e.now },
+		at:    func(t Time, fn Event) func() { return e.schedule(t, 0, fn).Cancel },
+		after: func(d Duration, fn Event) func() { return e.schedule(e.now.Add(d), 0, fn).Cancel },
+		every: func(start Time, iv Duration, fn Event) func() { return e.schedule(start, iv, fn).Cancel },
+		// The old engine had no closure-free form; a closure is its meaning.
+		atArg: func(t Time, fn ArgEvent, arg int64) func() {
+			return e.schedule(t, 0, func(now Time) { fn(now, arg) }).Cancel
+		},
+		runUntil: e.RunUntil,
+		steps:    func() uint64 { return e.steps },
+		pending:  func() int { return len(e.queue) },
+	}
+}
+
+type dispatch struct {
+	at Time
+	id int64
+}
+
+// checkpoint is what the engines must agree on after every RunUntil.
+type checkpoint struct {
+	now      Time
+	steps    uint64
+	pending  int
+	dispatch int // trace length
+}
+
+// runScript drives e with a seeded random script and returns every dispatch
+// as (time, id) and a checkpoint per RunUntil. Each callback draws from the
+// script's one random stream, so two engines stay in step only for as long
+// as they dispatch in the same order. The script covers one-shots at, after
+// and closure-free; schedule-at-now from inside a callback; periodics that
+// cancel themselves from inside their own callback; cancels of live, fired
+// and already-cancelled events, long after the slot has a new tenant; and
+// bursts of thousands of events on one timestamp.
+func runScript(e scriptedEngine, seed int64) ([]dispatch, []checkpoint) {
+	r := rand.New(rand.NewSource(seed))
+	var trace []dispatch
+	var marks []checkpoint
+	var cancels []func() // every handle ever issued, never pruned
+	nextID := int64(0)
+
+	var spawn func(depth int)
+	record := func(now Time, id int64, depth int) {
+		trace = append(trace, dispatch{now, id})
+		if depth < 3 && r.Intn(3) == 0 {
+			for k := r.Intn(3); k >= 0; k-- {
+				spawn(depth + 1)
+			}
+		}
+		if len(cancels) > 0 && r.Intn(4) == 0 {
+			cancels[r.Intn(len(cancels))]()
+		}
+	}
+	argFn := func(now Time, arg int64) { record(now, arg>>2, int(arg&3)) }
+	spawn = func(depth int) {
+		id := nextID
+		nextID++
+		// Coarse delays, zero included: ties and schedule-at-now are common.
+		delay := Duration(r.Intn(12))
+		switch r.Intn(10) {
+		case 0, 1, 2:
+			cancels = append(cancels, e.at(e.now().Add(delay), func(now Time) { record(now, id, depth) }))
+		case 3, 4:
+			cancels = append(cancels, e.after(delay, func(now Time) { record(now, id, depth) }))
+		case 5, 6, 7:
+			cancels = append(cancels, e.atArg(e.now().Add(delay), argFn, id<<2|int64(depth)))
+		case 8:
+			left := 1 + r.Intn(6)
+			var cancel func()
+			cancel = e.every(e.now().Add(delay), Duration(1+r.Intn(9)), func(now Time) {
+				record(now, id, depth)
+				if left--; left == 0 {
+					cancel()
+				}
+			})
+			cancels = append(cancels, cancel)
+		case 9:
+			if len(cancels) > 0 {
+				cancels[r.Intn(len(cancels))]()
+			}
+		}
+	}
+
+	end := Time(0)
+	for round := 0; round < 60; round++ {
+		for k := 20 + r.Intn(60); k > 0; k-- {
+			spawn(0)
+		}
+		if round%20 == 7 {
+			// Thousands of equal timestamps, a third of them cancelled.
+			at := e.now().Add(Duration(r.Intn(5)))
+			for k := 0; k < 3000; k++ {
+				id := nextID
+				nextID++
+				var cancel func()
+				if k%2 == 0 {
+					cancel = e.at(at, func(now Time) { record(now, id, 3) })
+				} else {
+					cancel = e.atArg(at, argFn, id<<2|3)
+				}
+				cancels = append(cancels, cancel)
+				if k%3 == 0 {
+					cancel()
+				}
+			}
+		}
+		// Some horizons fall short of the next event, some leave work queued.
+		end = end.Add(Duration(r.Intn(25)))
+		if err := e.runUntil(end); err != nil {
+			panic(err)
+		}
+		marks = append(marks, checkpoint{e.now(), e.steps(), e.pending(), len(trace)})
+	}
+	return trace, marks
+}
+
+func TestEngineMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		got, gotMarks := runScript(scriptNew(), seed)
+		want, wantMarks := runScript(scriptRef(), seed)
+		for i := range wantMarks {
+			if gotMarks[i] != wantMarks[i] {
+				t.Fatalf("seed %d: after RunUntil #%d engine at %+v, reference at %+v", seed, i, gotMarks[i], wantMarks[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d dispatches, reference %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: dispatch %d is %+v, reference %+v", seed, i, got[i], want[i])
+			}
+		}
+		if len(want) < 5000 {
+			t.Fatalf("seed %d: script dispatched only %d events", seed, len(want))
+		}
+	}
+}
+
+// A handle outlives its event: once the slot has a new tenant, cancelling
+// through the old handle must not touch the tenant.
+func TestStaleHandleSparesNewTenant(t *testing.T) {
+	e := NewEngine()
+	old := e.At(Time(Second), "old", func(Time) {})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	fired := false
+	tenant := e.At(Time(2*Second), "tenant", func(Time) { fired = true })
+	if tenant.slot != old.slot {
+		t.Fatalf("slot %d not recycled (tenant in %d): the test no longer tests anything", old.slot, tenant.slot)
+	}
+	e.Cancel(old)
+	e.Cancel(Handle{})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !fired {
+		t.Error("cancelling a stale handle cancelled the slot's new tenant")
+	}
+}
+
+// Scheduling and dispatching on a warmed engine allocate nothing.
+func TestAtArgStepDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	var sum int64
+	fn := ArgEvent(func(_ Time, arg int64) { sum += arg })
+	for i := 0; i < 1000; i++ {
+		e.AtArg(Time(i%7), "warm", fn, 1)
+	}
+	for e.Step() {
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.AfterArg(Second, "arg", fn, 2)
+		e.AfterArg(Millisecond, "arg", fn, 3)
+		e.Step()
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("AtArg+Step allocates %.1f objects per run, want 0", allocs)
 	}
 }

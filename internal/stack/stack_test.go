@@ -133,3 +133,38 @@ func TestJobsPerMinute(t *testing.T) {
 		t.Errorf("rate not linear in servers: %v vs %v", a, b)
 	}
 }
+
+// The per-job path — generator tick, arrival event, placement, completion
+// event, completion — allocates nothing once the slabs have reached their
+// high-water mark. The allowance is for a slab growing by a page when a
+// minute sets a new mark.
+func TestWarmStackDoesNotAllocatePerJob(t *testing.T) {
+	spec := RowSpec(1, 400)
+	prod := workload.DefaultProduct("batch", JobsPerMinute(spec, 0.74, spec.TotalServers()))
+	prod.SurgeProb = 0 // a surge is a new high-water mark by design
+	st, err := New(Config{Seed: 1, Cluster: spec, Products: []workload.Product{prod}, Retention: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.StartBase()
+	now := sim.Time(4 * sim.Hour) // twice the longest job, and the TSDB rings have wrapped
+	if err := st.Run(now); err != nil {
+		t.Fatal(err)
+	}
+	const minutes = 20
+	submitted := st.Sched.Stats().Submitted
+	perMinute := testing.AllocsPerRun(minutes, func() {
+		now = now.Add(sim.Minute)
+		if err := st.Run(now); err != nil {
+			t.Fatal(err)
+		}
+	})
+	jobs := float64(st.Sched.Stats().Submitted-submitted) / (minutes + 1) // AllocsPerRun warms up with one run
+	if jobs < 200 {
+		t.Fatalf("only %.0f jobs a minute: the stack is not at target load", jobs)
+	}
+	if perMinute > 0.02*jobs {
+		t.Errorf("%.1f allocations per simulated minute of %.0f jobs (%.3f per job), want at most 0.02 per job",
+			perMinute, jobs, perMinute/jobs)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -25,16 +26,14 @@ type Point struct {
 // shardCount is the number of independently locked series-map shards. A
 // power of two so the hash can be masked. 64 comfortably exceeds the core
 // count of the machines the -parallel experiment runs target, so concurrent
-// HTTP queries of different series virtually never contend with the
-// monitor's append path.
+// HTTP queries virtually never contend when they resolve names.
 const shardCount = 64
 
-// shard is one lock + series-map pair. Each series lives in exactly one
-// shard (by name hash), so per-series timestamp ordering is still enforced
-// under a single lock.
+// shard is one lock + series-map pair. The lock guards the map only; each
+// series guards its own points.
 type shard struct {
 	mu     sync.RWMutex
-	series map[string]*series
+	series map[string]*Series
 }
 
 // defaultBlockCap is the fixed capacity of one storage block. Small enough
@@ -42,42 +41,57 @@ type shard struct {
 // blocks slice stay cheap at millions of points.
 const defaultBlockCap = 512
 
-// series is one named series stored as fixed-capacity blocks instead of a
-// single append-grown slice. Every block except the last is full, and start
-// (always < bc) counts points of blocks[0] already dropped by retention, so
-// retained point i lives at the globally computable position start+i. With
-// retention enabled the head block is recycled as the next tail block the
-// moment retention consumes it, so steady-state appends allocate nothing —
-// the old single-slice layout re-copied up to 2× retention points and showed
-// up as 256 allocs / 175 KB per 100k-server sweep.
-type series struct {
-	bc     int
+// Series is one named series, resolved once with DB.Series so that appending
+// to it costs no name hash, shard lock or map lookup — the monitor appends
+// to the same tens of thousands of series every minute. A resolved series
+// that holds no point yet does not exist as far as Names, SeriesCount and
+// the HTTP API are concerned.
+//
+// Points are stored in fixed-capacity blocks instead of a single
+// append-grown slice. blocks are the full ones, oldest first, and tail is the
+// one being filled; start (always < the block capacity) counts points of the
+// oldest block already dropped by retention, so retained point i lives at
+// the globally computable position start+i. With retention enabled the
+// oldest block is recycled as the next tail the moment retention consumes
+// it, so steady-state appends allocate nothing. What an append reads — the
+// lock, the last timestamp, the tail's slice header — sits together at the
+// top of the struct: at fleet scale every series is a cache miss, and it
+// should be one miss, not a chase through blocks.
+type Series struct {
+	mu    sync.Mutex
+	lastT sim.Time // timestamp of the newest point; meaningful when n > 0
+	tail  []Point
+	n     int // retained point count
+	start int // points of the oldest block consumed by retention
+
 	blocks [][]Point
-	start  int     // points of blocks[0] consumed by retention
-	n      int     // retained point count
 	spare  []Point // one empty full-capacity block awaiting reuse
+	db     *DB
+	name   string
 }
 
 // at returns retained point i (0 ≤ i < n).
-func (s *series) at(i int) Point {
+func (s *Series) at(i int) Point {
 	a := s.start + i
-	return s.blocks[a/s.bc][a%s.bc]
-}
-
-// last returns the most recently appended point; the series must be non-empty.
-func (s *series) last() Point {
-	blk := s.blocks[len(s.blocks)-1]
-	return blk[len(blk)-1]
+	if b := a / s.db.blockCap; b < len(s.blocks) {
+		return s.blocks[b][a%s.db.blockCap]
+	}
+	return s.tail[a%s.db.blockCap]
 }
 
 // DB stores named series of time-ordered points. It is safe for concurrent
-// use: the simulation appends while HTTP queries read. The lock is sharded
-// by series name so readers of one series never serialize against appends
-// to another.
+// use: the simulation appends while HTTP queries read. Every series has its
+// own lock, so readers of one series never serialize against appends to
+// another.
 type DB struct {
 	shards    [shardCount]shard
 	retention int // max points kept per series; 0 = unlimited
-	met       *metrics
+	// blockCap is every series' block capacity: never larger than the
+	// retention limit, so a short-retention series does not hold a mostly
+	// empty block.
+	blockCap int
+	nonEmpty atomic.Int64 // series holding at least one point
+	met      *metrics
 }
 
 // metrics is the DB's optional observability wiring.
@@ -115,21 +129,14 @@ func (db *DB) Instrument(reg *obs.Registry) {
 // New returns a DB that retains at most retentionPoints per series
 // (0 = unlimited).
 func New(retentionPoints int) *DB {
-	db := &DB{retention: retentionPoints}
+	db := &DB{retention: retentionPoints, blockCap: defaultBlockCap}
+	if db.retention > 0 && db.retention < db.blockCap {
+		db.blockCap = db.retention
+	}
 	for i := range db.shards {
-		db.shards[i].series = make(map[string]*series)
+		db.shards[i].series = make(map[string]*Series)
 	}
 	return db
-}
-
-// newSeries sizes a fresh series' blocks: never larger than the retention
-// limit, so a short-retention series does not hold a mostly empty block.
-func (db *DB) newSeries() *series {
-	bc := defaultBlockCap
-	if db.retention > 0 && db.retention < bc {
-		bc = db.retention
-	}
-	return &series{bc: bc}
 }
 
 // shardOf returns the shard owning the named series (FNV-1a over the name).
@@ -142,59 +149,88 @@ func (db *DB) shardOf(name string) *shard {
 	return &db.shards[h&(shardCount-1)]
 }
 
-// Append adds a sample to the named series. Timestamps must be
-// non-decreasing per series; out-of-order appends return an error (the
-// monitor never produces them, so an error indicates a wiring bug).
-// Non-finite values (NaN, ±Inf) are rejected: encoding/json cannot marshal
-// them, so a single poisoned sample would turn every later /query and
-// /latest on the series into a 500.
-func (db *DB) Append(name string, t sim.Time, v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		if db.met != nil {
-			db.met.appendErrors.Inc()
-		}
-		return fmt.Errorf("tsdb: non-finite value %v appended to %q at %v", v, name, t)
+// lookup returns the named series, or nil when nothing ever resolved it.
+func (db *DB) lookup(name string) *Series {
+	sh := db.shardOf(name)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.series[name]
+}
+
+// Series resolves name to its series, creating an empty one the first time.
+// Resolve once and keep the result: the handle stays valid for the DB's
+// lifetime.
+func (db *DB) Series(name string) *Series {
+	if s := db.lookup(name); s != nil {
+		return s
 	}
 	sh := db.shardOf(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s := sh.series[name]
 	if s == nil {
-		s = db.newSeries()
+		s = &Series{db: db, name: name}
 		sh.series[name] = s
 	}
-	if s.n > 0 && s.last().T > t {
+	return s
+}
+
+// Append adds a sample to the named series; it is Series(name).Append.
+func (db *DB) Append(name string, t sim.Time, v float64) error {
+	return db.Series(name).Append(t, v)
+}
+
+// Append adds a sample to the series. Timestamps must be non-decreasing;
+// out-of-order appends return an error (the monitor never produces them, so
+// an error indicates a wiring bug). Non-finite values (NaN, ±Inf) are
+// rejected: encoding/json cannot marshal them, so a single poisoned sample
+// would turn every later /query and /latest on the series into a 500.
+func (s *Series) Append(t sim.Time, v float64) error {
+	db := s.db
+	if math.IsNaN(v) || math.IsInf(v, 0) {
 		if db.met != nil {
 			db.met.appendErrors.Inc()
 		}
-		return fmt.Errorf("tsdb: out-of-order append to %q: %v after %v", name, t, s.last().T)
+		return fmt.Errorf("tsdb: non-finite value %v appended to %q at %v", v, s.name, t)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n > 0 && s.lastT > t {
+		if db.met != nil {
+			db.met.appendErrors.Inc()
+		}
+		return fmt.Errorf("tsdb: out-of-order append to %q: %v after %v", s.name, t, s.lastT)
 	}
 	if db.met != nil {
 		db.met.appends.Inc()
 	}
-	tail := len(s.blocks) - 1
-	if tail < 0 || len(s.blocks[tail]) == s.bc {
-		blk := s.spare
-		s.spare = nil
-		if blk == nil {
-			blk = make([]Point, 0, s.bc)
+	if len(s.tail) == cap(s.tail) {
+		if s.tail != nil {
+			s.blocks = append(s.blocks, s.tail)
 		}
-		s.blocks = append(s.blocks, blk)
-		tail++
+		s.tail = s.spare
+		s.spare = nil
+		if s.tail == nil {
+			s.tail = make([]Point, 0, db.blockCap)
+		}
 	}
-	s.blocks[tail] = append(s.blocks[tail], Point{T: t, V: v})
-	s.n++
+	s.tail = append(s.tail, Point{T: t, V: v})
+	s.lastT = t
+	if s.n++; s.n == 1 {
+		db.nonEmpty.Add(1)
+	}
 	if db.retention > 0 && s.n > db.retention {
-		// Drop the oldest point; when that empties the head block, recycle
-		// it as the next tail block instead of allocating.
+		// Drop the oldest point; when that empties the oldest block, recycle
+		// it as the next tail instead of allocating. The tail cannot be the
+		// block that empties: the point just appended is retained.
 		s.n--
 		s.start++
-		if s.start == s.bc {
-			head := s.blocks[0]
-			copy(s.blocks, s.blocks[1:])
-			s.blocks[len(s.blocks)-1] = nil
-			s.blocks = s.blocks[:len(s.blocks)-1]
-			s.spare = head[:0]
+		if s.start == db.blockCap {
+			oldest := s.blocks[0]
+			last := copy(s.blocks, s.blocks[1:])
+			s.blocks[last] = nil
+			s.blocks = s.blocks[:last]
+			s.spare = oldest[:0]
 			s.start = 0
 		}
 	}
@@ -209,13 +245,12 @@ func (db *DB) Query(name string, from, to sim.Time) []Point {
 			db.met.queryDur.Observe(time.Since(start).Seconds())
 		}(time.Now())
 	}
-	sh := db.shardOf(name)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[name]
-	if s == nil || s.n == 0 {
+	s := db.lookup(name)
+	if s == nil {
 		return nil
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	lo := sort.Search(s.n, func(i int) bool { return s.at(i).T >= from })
 	hi := sort.Search(s.n, func(i int) bool { return s.at(i).T > to })
 	if lo >= hi {
@@ -224,7 +259,11 @@ func (db *DB) Query(name string, from, to sim.Time) []Point {
 	out := make([]Point, hi-lo)
 	for k := lo; k < hi; {
 		a := s.start + k
-		k += copy(out[k-lo:], s.blocks[a/s.bc][a%s.bc:])
+		blk := s.tail
+		if b := a / db.blockCap; b < len(s.blocks) {
+			blk = s.blocks[b]
+		}
+		k += copy(out[k-lo:], blk[a%db.blockCap:])
 	}
 	return out
 }
@@ -241,64 +280,62 @@ func (db *DB) Values(name string, from, to sim.Time) []float64 {
 
 // Latest returns the most recent point of the named series.
 func (db *DB) Latest(name string) (Point, bool) {
-	sh := db.shardOf(name)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[name]
-	if s == nil || s.n == 0 {
+	s := db.lookup(name)
+	if s == nil {
 		return Point{}, false
 	}
-	return s.last(), true
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n == 0 {
+		return Point{}, false
+	}
+	return s.tail[len(s.tail)-1], true
 }
 
 // Len returns the number of retained points in the named series.
 func (db *DB) Len(name string) int {
-	sh := db.shardOf(name)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if s := sh.series[name]; s != nil {
-		return s.n
+	s := db.lookup(name)
+	if s == nil {
+		return 0
 	}
-	return 0
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n
 }
 
-// SeriesCount returns the number of retained series.
-func (db *DB) SeriesCount() int {
-	n := 0
+// SeriesCount returns the number of retained series: those holding a point.
+func (db *DB) SeriesCount() int { return int(db.nonEmpty.Load()) }
+
+// each calls fn with every resolved series' name and retained point count.
+func (db *DB) each(fn func(name string, points int)) {
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
-		n += len(sh.series)
+		for name, s := range sh.series {
+			s.mu.Lock()
+			n := s.n
+			s.mu.Unlock()
+			fn(name, n)
+		}
 		sh.mu.RUnlock()
 	}
-	return n
 }
 
 // PointCount returns the total number of retained points across series.
 func (db *DB) PointCount() int {
-	n := 0
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.series {
-			n += s.n
-		}
-		sh.mu.RUnlock()
-	}
-	return n
+	total := 0
+	db.each(func(_ string, points int) { total += points })
+	return total
 }
 
-// Names returns all series names, sorted.
+// Names returns the names of all retained series, sorted.
 func (db *DB) Names() []string {
 	var names []string
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for n := range sh.series {
-			names = append(names, n)
+	db.each(func(name string, points int) {
+		if points > 0 {
+			names = append(names, name)
 		}
-		sh.mu.RUnlock()
-	}
+	})
 	sort.Strings(names)
 	return names
 }

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -243,5 +244,64 @@ func TestQueryMatchesReferenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A resolved series is a handle, not a fact: it exists (Names, SeriesCount,
+// /series, Latest) only once it holds a point, however it got there.
+func TestSeriesExistsOnceItHoldsAPoint(t *testing.T) {
+	db := New(0)
+	h := db.Series("row/0")
+	if db.Series("row/0") != h {
+		t.Fatal("Series resolved the same name to two handles")
+	}
+	if err := h.Append(0, math.NaN()); err == nil {
+		t.Fatal("NaN accepted through a handle")
+	}
+	srv := httptest.NewServer(db.Handler())
+	defer srv.Close()
+	var names []string
+	getJSON(t, srv.URL+"/series", &names)
+	if _, ok := db.Latest("row/0"); ok || db.SeriesCount() != 0 || db.Len("row/0") != 0 ||
+		len(db.Names()) != 0 || len(names) != 0 {
+		t.Fatalf("empty resolved series exists: count %d, names %v, /series %v", db.SeriesCount(), db.Names(), names)
+	}
+
+	// The handle and the name are one series with one ordering rule.
+	if err := h.Append(sim.Time(sim.Minute), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Append("row/0", sim.Time(2*sim.Minute), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Append(sim.Time(sim.Minute), 3); err == nil {
+		t.Error("out-of-order append accepted through a handle")
+	}
+	if got := db.Values("row/0", 0, sim.Time(sim.Hour)); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("values %v, want [1 2]", got)
+	}
+	if db.SeriesCount() != 1 || len(db.Names()) != 1 || db.PointCount() != 2 {
+		t.Errorf("count %d, names %v, points %d", db.SeriesCount(), db.Names(), db.PointCount())
+	}
+}
+
+func TestSeriesAppendDoesNotAllocate(t *testing.T) {
+	db := New(64)
+	h := db.Series("rack/0/0")
+	tm := sim.Time(0)
+	next := func() {
+		tm += sim.Time(sim.Minute)
+		if err := h.Append(tm, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3*64; i++ { // wrap the ring: every block exists
+		next()
+	}
+	if allocs := testing.AllocsPerRun(1000, next); allocs != 0 {
+		t.Errorf("Series.Append at retention 64 allocates %.2f objects, want 0", allocs)
+	}
+	if db.Len("rack/0/0") != 64 {
+		t.Errorf("retained %d points, want 64", db.Len("rack/0/0"))
 	}
 }

@@ -156,7 +156,10 @@ func DefaultProduct(name string, baseJobsPerMinute float64) Product {
 	}
 }
 
-// Sink receives generated jobs (normally the scheduler's Submit).
+// Sink receives generated jobs (normally the scheduler's Submit). j is valid
+// for the call only: the generator recycles its storage as soon as the sink
+// returns, so a sink that needs the job later must copy it (do not retain
+// *Job past the call).
 type Sink func(j *Job)
 
 // Generator emits batch jobs minute by minute according to its products'
@@ -170,8 +173,15 @@ type Generator struct {
 	rngs      []*rand.Rand // one per product
 	wobble    []*wobbleState
 	nextID    int64
-	handle    *sim.Handle
+	handle    sim.Handle
 	generated int64
+
+	// pending is the slab of jobs generated for the current minute and not
+	// yet arrived; free stacks its recycled slots. An arrival event carries a
+	// slot, not a closure, so a job costs no allocation between tick and sink.
+	pending  sim.Slab[Job]
+	free     []int32
+	arriveFn sim.ArgEvent // g.arrive, bound once
 }
 
 type wobbleState struct {
@@ -194,6 +204,7 @@ func NewGenerator(eng *sim.Engine, seed uint64, products []Product, dd DurationD
 		}
 	}
 	g := &Generator{eng: eng, products: products, dd: dd, sink: sink}
+	g.arriveFn = g.arrive
 	g.rngs = make([]*rand.Rand, len(products))
 	g.wobble = make([]*wobbleState, len(products))
 	for i := range products {
@@ -205,7 +216,7 @@ func NewGenerator(eng *sim.Engine, seed uint64, products []Product, dd DurationD
 
 // Start begins emitting jobs every minute, beginning immediately.
 func (g *Generator) Start() {
-	if g.handle != nil {
+	if g.handle != (sim.Handle{}) {
 		return
 	}
 	g.handle = g.eng.Every(g.eng.Now(), sim.Minute, "workload-tick", g.tick)
@@ -214,10 +225,8 @@ func (g *Generator) Start() {
 // Stop halts emission. Already-scheduled arrivals within the current minute
 // still fire.
 func (g *Generator) Stop() {
-	if g.handle != nil {
-		g.handle.Cancel()
-		g.handle = nil
-	}
+	g.eng.Cancel(g.handle)
+	g.handle = sim.Handle{}
 }
 
 // Generated returns the number of jobs emitted so far.
@@ -292,7 +301,7 @@ func (g *Generator) tick(now sim.Time) {
 					containers = left
 				}
 			}
-			job := &Job{
+			job := Job{
 				ID:         g.nextID,
 				Kind:       Batch,
 				Product:    i,
@@ -303,12 +312,29 @@ func (g *Generator) tick(now sim.Time) {
 			units += containers
 			g.nextID++
 			g.generated++
-			at := now.Add(sim.Duration(r.Int63n(int64(sim.Minute))))
-			job.Arrival = at
-			jb := job
-			g.eng.At(at, "job-arrival", func(sim.Time) { g.sink(jb) })
+			job.Arrival = now.Add(sim.Duration(r.Int63n(int64(sim.Minute))))
+			g.eng.AtArg(job.Arrival, "job-arrival", g.arriveFn, int64(g.hold(job)))
 		}
 	}
+}
+
+// hold stores job in the pending slab until its arrival and returns its slot.
+func (g *Generator) hold(job Job) int32 {
+	var slot int32
+	if n := len(g.free); n > 0 {
+		slot = g.free[n-1]
+		g.free = g.free[:n-1]
+	} else {
+		slot = g.pending.Add()
+	}
+	*g.pending.At(slot) = job
+	return slot
+}
+
+// arrive hands a pending job to the sink and recycles its slot.
+func (g *Generator) arrive(_ sim.Time, slot int64) {
+	g.sink(g.pending.At(int32(slot)))
+	g.free = append(g.free, int32(slot))
 }
 
 // RateForPowerFraction computes the per-server arrival rate (jobs per minute

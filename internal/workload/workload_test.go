@@ -76,8 +76,8 @@ func TestGeneratorMeanRate(t *testing.T) {
 	p.DiurnalAmplitude = 0
 	p.NoiseSigma = 0
 	p.SurgeProb = 0
-	var jobs []*Job
-	g, err := NewGenerator(eng, 7, []Product{p}, DefaultDurations(), func(j *Job) { jobs = append(jobs, j) })
+	var jobs []Job // copies: *Job is the sink's for the call only
+	g, err := NewGenerator(eng, 7, []Product{p}, DefaultDurations(), func(j *Job) { jobs = append(jobs, *j) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +362,8 @@ func TestGangJobs(t *testing.T) {
 	p.NoiseSigma = 0
 	p.SurgeProb = 0
 	p.MaxContainers = 4
-	var jobs []*Job
-	g, err := NewGenerator(eng, 9, []Product{p}, DefaultDurations(), func(j *Job) { jobs = append(jobs, j) })
+	var jobs []Job // copies: *Job is the sink's for the call only
+	g, err := NewGenerator(eng, 9, []Product{p}, DefaultDurations(), func(j *Job) { jobs = append(jobs, *j) })
 	if err != nil {
 		t.Fatal(err)
 	}
