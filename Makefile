@@ -5,7 +5,7 @@
 .PHONY: tier1 build lint vet test race race-shuffle fuzz fuzz-smoke chaos \
 	bench-runner bench-scale bench-scale-quick bench-check gridstorm \
 	whatif whatif-smoke tournament tournament-smoke fig11scale fig11-smoke \
-	fed-smoke golden-quick bench-pair
+	fed-smoke golden-quick bench-pair bench-pair-all
 
 tier1: build lint race race-shuffle bench-scale-quick fuzz-smoke whatif-smoke \
 	tournament-smoke fig11-smoke fed-smoke golden-quick
@@ -149,8 +149,18 @@ bench-runner:
 # each side's median and quartiles, the pairs won, and the verdict by the
 # nine-in-ten and beyond-the-parent's-quartiles rule.
 #   make bench-pair PARENT=HEAD~1 WORKLOAD=rows4_week PAIRS=10
+# A claim must also hold on a seed not used while the change was written:
+# repeat with SEED=2.
 PARENT ?= HEAD
 WORKLOAD ?= rows4_week
 PAIRS ?= 10
+SEED ?= 1
 bench-pair:
-	sh scripts/bench_pair $(PARENT) $(WORKLOAD) $(PAIRS)
+	sh scripts/bench_pair $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED)
+
+# bench-pair on every workload BENCHMARK.json names, one table each:
+# acceptance is "no end-to-end metric worse on any workload".
+#   make bench-pair-all PARENT=HEAD~1 PAIRS=10
+bench-pair-all:
+	@sed -n '/"workloads"/,/]/s/.*"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json | while read -r w; do \
+		sh scripts/bench_pair $(PARENT) "$$w" $(PAIRS) $(SEED) || exit 1; echo; done

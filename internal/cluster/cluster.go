@@ -8,9 +8,10 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // ServerID identifies a server within a Cluster. IDs are dense, starting at
@@ -79,6 +80,10 @@ func (sp Spec) Validate() error {
 		return fmt.Errorf("cluster: containers %d must be positive", sp.Containers)
 	case sp.NoiseSigmaW < 0:
 		return fmt.Errorf("cluster: noise sigma %v must be non-negative", sp.NoiseSigmaW)
+	case !(sp.NoisePhi > -1 && sp.NoisePhi < 1):
+		// Outside (−1, 1) the AR(1) process has no stationary variance:
+		// √(1−φ²) is NaN and every sampled watt with it.
+		return fmt.Errorf("cluster: noise phi %v outside (-1, 1)", sp.NoisePhi)
 	case sp.RatedJitterFrac < 0 || sp.RatedJitterFrac >= 0.5:
 		return fmt.Errorf("cluster: rated jitter %v outside [0, 0.5)", sp.RatedJitterFrac)
 	}
@@ -100,12 +105,18 @@ func (sp Spec) RowRatedPowerW() float64 {
 // Server is one machine. Its fields are managed by the scheduler (busy,
 // frozen), the capping subsystem (speed, cap), and the workload executor;
 // the power monitor reads it.
+//
+// A Server is one 104-byte record of the cluster's slab and owns no heap
+// object: what is the same for every server (the spec, the noise
+// parameters, the generator that turns noise state into draws, the speed
+// listeners) lives once on the Cluster it points at. At a million servers a
+// word here is 8 MB and a pointer is also a word the collector must trace.
 type Server struct {
 	ID   ServerID
 	Row  int
 	Rack int // rack index within the row
 
-	spec *Spec
+	c *Cluster
 	// ratedW and idleW are this server's measured power parameters (equal
 	// to the spec values unless RatedJitterFrac is set).
 	ratedW, idleW float64
@@ -118,25 +129,20 @@ type Server struct {
 	speed     float64 // DVFS frequency factor in (0, 1]; 1 = full speed
 	capLevelW float64 // 0 means uncapped
 
-	noise *stats.AR1
-
-	speedListeners []*speedListener
-}
-
-// speedListener wraps a speed-change callback so detaching can find its own
-// registration by identity (func values are not comparable).
-type speedListener struct {
-	fn func(s *Server, oldSpeed float64)
+	// The AR(1) measurement-noise process, inline: its current value and
+	// the SplitMix64 state of its own random stream (see SamplePower).
+	noiseX   float64
+	noiseRNG uint64
 }
 
 // Spec returns the cluster spec the server was built with.
-func (s *Server) Spec() *Spec { return s.spec }
+func (s *Server) Spec() *Spec { return &s.c.Spec }
 
 // Busy returns the number of allocated containers.
 func (s *Server) Busy() int { return s.busy }
 
 // FreeContainers returns the number of unallocated containers.
-func (s *Server) FreeContainers() int { return s.spec.Containers - s.busy }
+func (s *Server) FreeContainers() int { return s.c.Spec.Containers - s.busy }
 
 // Frozen reports whether the server is advised out of the candidate list.
 func (s *Server) Frozen() bool { return s.frozen }
@@ -158,9 +164,9 @@ func (s *Server) SetFailed(f bool) { s.failed = f }
 // (in container units). It panics when over-allocated: placement above
 // capacity is a scheduler bug, not a runtime condition.
 func (s *Server) Allocate(n int, cpu float64) {
-	if n < 0 || s.busy+n > s.spec.Containers {
+	if n < 0 || s.busy+n > s.c.Spec.Containers {
 		panic(fmt.Sprintf("cluster: allocating %d containers on server %d with %d busy of %d",
-			n, s.ID, s.busy, s.spec.Containers))
+			n, s.ID, s.busy, s.c.Spec.Containers))
 	}
 	s.busy += n
 	s.cpuLoad += cpu
@@ -180,7 +186,7 @@ func (s *Server) Release(n int, cpu float64) {
 
 // Utilization returns the CPU utilization in [0, 1].
 func (s *Server) Utilization() float64 {
-	u := s.cpuLoad / float64(s.spec.Containers)
+	u := s.cpuLoad / float64(s.c.Spec.Containers)
 	if u > 1 {
 		u = 1
 	}
@@ -218,10 +224,21 @@ func (s *Server) DrawW() float64 {
 // SamplePower returns one monitor measurement: the draw plus one step of the
 // AR(1) measurement-noise process, floored at zero. Call once per sampling
 // interval; repeated calls advance the noise process.
+//
+// The step is x ← φ·x + σ·√(1−φ²)·N(0,1), scaled so the stationary standard
+// deviation is σ. The normal comes from the cluster's one rand.Rand, whose
+// source is pointed at this server's stream state first, so every server
+// keeps the independent stream a generator of its own would draw. That
+// shared cursor makes SamplePower non-reentrant per cluster: servers of one
+// cluster must not be sampled concurrently. The monitor's Sweep, on the
+// simulation goroutine, is the only caller.
 func (s *Server) SamplePower() float64 {
 	p := s.DrawW()
-	if s.noise != nil {
-		p += s.noise.Next()
+	if c := s.c; c.noiseInnovW > 0 {
+		c.cursor.At = &s.noiseRNG
+		innov := c.noiseInnovW * c.rand.NormFloat64()
+		s.noiseX = c.Spec.NoisePhi*s.noiseX + innov
+		p += s.noiseX
 	}
 	if p < 0 {
 		p = 0
@@ -271,107 +288,145 @@ func (s *Server) RemoveCap() {
 	s.notifySpeed(old)
 }
 
-// OnSpeedChange registers a listener notified whenever the DVFS frequency
-// factor changes. The job executor uses it to reschedule in-flight
-// completions; the interactive-service substrate uses it to stretch request
-// service times. Listeners run in registration order. The returned detach
-// func removes the listener (idempotent); a discarded subscriber must call
-// it, or the server keeps invoking the stale callback forever. Detaching
-// from within a speed notification is not supported.
+// OnSpeedChange registers a listener notified whenever this server's DVFS
+// frequency factor changes; the interactive-service substrate uses it to
+// stretch request service times on the servers it occupies. Listeners run
+// after the fleet-wide ones (Cluster.OnSpeedChange), in registration order.
+// The returned detach func removes the listener (idempotent); a discarded
+// subscriber must call it, or the server keeps invoking the stale callback
+// forever. Detaching from within a speed notification is not supported.
 func (s *Server) OnSpeedChange(fn func(s *Server, oldSpeed float64)) (detach func()) {
-	l := &speedListener{fn: fn}
-	s.speedListeners = append(s.speedListeners, l)
+	c, l := s.c, &speedListener{fn: fn}
+	if c.serverListeners == nil {
+		c.serverListeners = make(map[ServerID][]*speedListener)
+	}
+	c.serverListeners[s.ID] = append(c.serverListeners[s.ID], l)
 	return func() {
-		for i, x := range s.speedListeners {
-			if x == l {
-				s.speedListeners = append(s.speedListeners[:i], s.speedListeners[i+1:]...)
-				return
+		ls := c.serverListeners[s.ID]
+		for i, x := range ls {
+			if x != l {
+				continue
 			}
+			if len(ls) == 1 {
+				delete(c.serverListeners, s.ID)
+			} else {
+				c.serverListeners[s.ID] = append(ls[:i], ls[i+1:]...)
+			}
+			return
 		}
 	}
+}
+
+// speedListener wraps a per-server callback so detaching can find its own
+// registration by identity (func values are not comparable).
+type speedListener struct {
+	fn func(s *Server, oldSpeed float64)
 }
 
 func (s *Server) notifySpeed(old float64) {
 	if s.speed == old {
 		return
 	}
-	for _, l := range s.speedListeners {
+	for _, fn := range s.c.fleetListeners {
+		fn(s, old)
+	}
+	for _, l := range s.c.serverListeners[s.ID] {
 		l.fn(s, old)
 	}
 }
 
 // Cluster is the full topology.
 type Cluster struct {
-	Spec    Spec
+	Spec Spec
+	// Servers[id] points into one slab of Server records allocated by New
+	// and never grown, so a *Server is stable for the cluster's lifetime.
+	// IDs are row-major and rack-contiguous: a row and a rack are subslices.
 	Servers []*Server
-	rows    [][]*Server // rows[r] = servers on row r
-	// racks[r*RacksPerRow+k] = servers of rack k on row r. Each entry is a
-	// subslice of rows[r] (construction is rack-contiguous), so the rack-major
-	// index costs no extra storage and preserves ID iteration order.
-	racks [][]*Server
+
+	// One generator for every server's noise stream: rand draws from cursor,
+	// and SamplePower points cursor at the sampled server's state first.
+	// noiseInnovW is σ·√(1−φ²), the innovation scale; 0 turns noise off.
+	rand        *rand.Rand
+	cursor      sim.CursorSource
+	noiseInnovW float64
+
+	// fleetListeners hear every server's speed changes; serverListeners[id]
+	// only server id's, and has entries only for servers someone subscribed
+	// to (the few a service instance sits on), so the fleet pays nothing.
+	fleetListeners  []func(s *Server, oldSpeed float64)
+	serverListeners map[ServerID][]*speedListener
 }
 
 // New builds a cluster from spec, seeding each server's measurement-noise
-// stream from the master seed.
+// stream from the master seed: server id's stream is the one
+// sim.SubRNG(seed, "server-noise-<id>") generates, its jitter factor the
+// first Float64 of sim.SubRNG(seed, "server-jitter-<id>").
 func New(spec Spec, seed uint64) (*Cluster, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	c := &Cluster{Spec: spec}
-	c.Servers = make([]*Server, 0, spec.TotalServers())
-	c.rows = make([][]*Server, spec.Rows)
-	c.racks = make([][]*Server, spec.Rows*spec.RacksPerRow)
-	id := ServerID(0)
-	for r := 0; r < spec.Rows; r++ {
-		row := make([]*Server, 0, spec.ServersPerRow())
-		for k := 0; k < spec.RacksPerRow; k++ {
-			for j := 0; j < spec.ServersPerRack; j++ {
-				var noise *stats.AR1
-				if spec.NoiseSigmaW > 0 {
-					rng := sim.SubRNG(seed, fmt.Sprintf("server-noise-%d", id))
-					noise = stats.NewAR1(spec.NoisePhi, spec.NoiseSigmaW, rng)
-				}
-				jitter := 1.0
-				if spec.RatedJitterFrac > 0 {
-					jrng := sim.SubRNG(seed, fmt.Sprintf("server-jitter-%d", id))
-					jitter = 1 + (jrng.Float64()*2-1)*spec.RatedJitterFrac
-				}
-				s := &Server{
-					ID: id, Row: r, Rack: k, spec: &c.Spec, speed: 1, noise: noise,
-					ratedW: spec.RatedPowerW * jitter,
-					idleW:  spec.IdlePowerW * jitter,
-				}
-				c.Servers = append(c.Servers, s)
-				row = append(row, s)
-				id++
-			}
+	c.rand = rand.New(&c.cursor)
+	c.noiseInnovW = spec.NoiseSigmaW * math.Sqrt(1-spec.NoisePhi*spec.NoisePhi)
+	slab := make([]Server, spec.TotalServers())
+	c.Servers = make([]*Server, len(slab))
+	perRow := spec.ServersPerRow()
+	var jitterRNG uint64
+	for i := range slab {
+		jitter := 1.0
+		if spec.RatedJitterFrac > 0 {
+			jitterRNG = sim.RNGState(sim.SubSeedN(seed, "server-jitter-", i))
+			c.cursor.At = &jitterRNG
+			jitter = 1 + (c.rand.Float64()*2-1)*spec.RatedJitterFrac
 		}
-		c.rows[r] = row
-		for k := 0; k < spec.RacksPerRow; k++ {
-			c.racks[r*spec.RacksPerRow+k] = row[k*spec.ServersPerRack : (k+1)*spec.ServersPerRack]
+		slab[i] = Server{
+			ID: ServerID(i), Row: i / perRow, Rack: i % perRow / spec.ServersPerRack,
+			c: c, speed: 1,
+			ratedW:   spec.RatedPowerW * jitter,
+			idleW:    spec.IdlePowerW * jitter,
+			noiseRNG: sim.RNGState(sim.SubSeedN(seed, "server-noise-", i)),
 		}
+		c.Servers[i] = &slab[i]
 	}
 	return c, nil
 }
 
-// Row returns the servers on row r.
-func (c *Cluster) Row(r int) []*Server { return c.rows[r] }
+// OnSpeedChange registers a listener notified whenever any server's DVFS
+// frequency factor changes. The job executor uses it to reschedule in-flight
+// completions: one registration for the fleet, where a listener per server
+// would be a million copies of the same method value. Fleet-wide listeners
+// run before a server's own, in registration order, and stay for the
+// cluster's lifetime.
+func (c *Cluster) OnSpeedChange(fn func(s *Server, oldSpeed float64)) {
+	c.fleetListeners = append(c.fleetListeners, fn)
+}
+
+// Row returns the servers on row r, in ID order.
+func (c *Cluster) Row(r int) []*Server {
+	n := c.Spec.ServersPerRow()
+	return c.Servers[r*n : (r+1)*n : (r+1)*n]
+}
 
 // RowIDs returns the IDs of row r's servers, in ID order, in a fresh slice
 // the caller owns (controller domains and tracker groups keep it).
 func (c *Cluster) RowIDs(r int) []ServerID {
-	ids := make([]ServerID, len(c.rows[r]))
-	for i, sv := range c.rows[r] {
+	row := c.Row(r)
+	ids := make([]ServerID, len(row))
+	for i, sv := range row {
 		ids[i] = sv.ID
 	}
 	return ids
 }
 
 // Rack returns the servers of rack k on row r, in ID order.
-func (c *Cluster) Rack(r, k int) []*Server { return c.racks[r*c.Spec.RacksPerRow+k] }
+func (c *Cluster) Rack(r, k int) []*Server {
+	n := c.Spec.ServersPerRack
+	lo := (r*c.Spec.RacksPerRow + k) * n
+	return c.Servers[lo : lo+n : lo+n]
+}
 
 // Rows returns the number of rows.
-func (c *Cluster) Rows() int { return len(c.rows) }
+func (c *Cluster) Rows() int { return c.Spec.Rows }
 
 // Server returns the server with the given ID.
 func (c *Cluster) Server(id ServerID) *Server { return c.Servers[id] }
@@ -381,7 +436,7 @@ func (c *Cluster) Server(id ServerID) *Server { return c.Servers[id] }
 // fleet (equals Spec.RowRatedPowerW with zero jitter).
 func (c *Cluster) MeasuredRowRatedW(r int) float64 {
 	var sum float64
-	for _, s := range c.rows[r] {
+	for _, s := range c.Row(r) {
 		sum += s.ratedW
 	}
 	return sum
@@ -392,7 +447,7 @@ func (c *Cluster) MeasuredRowRatedW(r int) float64 {
 // net act on this quantity.
 func (c *Cluster) RowDrawW(r int) float64 {
 	var sum float64
-	for _, s := range c.rows[r] {
+	for _, s := range c.Row(r) {
 		sum += s.DrawW()
 	}
 	return sum
@@ -413,7 +468,7 @@ func (c *Cluster) RackDrawW(r, k int) float64 {
 // TotalDrawW returns the true draw of the whole data center.
 func (c *Cluster) TotalDrawW() float64 {
 	var sum float64
-	for r := range c.rows {
+	for r := 0; r < c.Rows(); r++ {
 		sum += c.RowDrawW(r)
 	}
 	return sum

@@ -1,0 +1,146 @@
+package cluster
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/stats"
+)
+
+// The per-server objects New used to build — a stats.AR1 over its own
+// sim.SubRNG, a second SubRNG for the jitter factor — are the oracle for the
+// inline noise state and the shared cursor: every sample must equal theirs
+// bit for bit. 2,000 draws per server cross the ziggurat's slow paths
+// (about 1 normal in 100), and sampling server by server within each round
+// moves the cursor between any two draws of one stream.
+func TestSamplePowerMatchesPerServerAR1(t *testing.T) {
+	const draws = 2000
+	for _, jitter := range []float64{0, 0.05} {
+		for _, seed := range []uint64{1, 2, 0xfeedface} {
+			sp := DefaultSpec()
+			sp.Rows, sp.RacksPerRow, sp.ServersPerRack = 2, 4, 10
+			sp.NoisePhi, sp.NoiseSigmaW = 0.7, 3.5
+			sp.RatedJitterFrac = jitter
+			c, err := New(sp, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := make([]*stats.AR1, len(c.Servers))
+			for id, sv := range c.Servers {
+				oracle[id] = stats.NewAR1(sp.NoisePhi, sp.NoiseSigmaW,
+					sim.SubRNG(seed, fmt.Sprintf("server-noise-%d", id)))
+				want := sp.RatedPowerW
+				if jitter > 0 {
+					jrng := sim.SubRNG(seed, fmt.Sprintf("server-jitter-%d", id))
+					want *= 1 + (jrng.Float64()*2-1)*jitter
+				}
+				if sv.RatedW() != want {
+					t.Fatalf("jitter %v seed %d server %d: rated %v, per-server RNG gives %v",
+						jitter, seed, id, sv.RatedW(), want)
+				}
+				sv.Allocate(id%sp.Containers, float64(id%sp.Containers)/2)
+			}
+			for i := 0; i < draws; i++ {
+				for id, sv := range c.Servers {
+					got, want := sv.SamplePower(), sv.DrawW()+oracle[id].Next()
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("jitter %v seed %d server %d draw %d: sampled %v, per-server AR1 gives %v",
+							jitter, seed, id, i, got, want)
+					}
+				}
+			}
+			for id, st := range c.ExportState() {
+				if st.NoiseW != oracle[id].Value() {
+					t.Fatalf("server %d exports noise %v, AR1 holds %v", id, st.NoiseW, oracle[id].Value())
+				}
+			}
+		}
+	}
+}
+
+// Fleet-wide listeners hear every server and fire before the server's own;
+// each group fires in registration order; detach removes its registration
+// only, once; servers nobody subscribed to cost the table nothing.
+func TestSpeedListenerOrder(t *testing.T) {
+	sp := testSpec()
+	c, _ := New(sp, 1)
+	var got []string
+	note := func(tag string) func(*Server, float64) {
+		return func(sv *Server, _ float64) { got = append(got, fmt.Sprintf("%s@%d", tag, sv.ID)) }
+	}
+	s3, s5 := c.Server(3), c.Server(5)
+	detachA := s3.OnSpeedChange(note("a"))
+	c.OnSpeedChange(note("fleet1"))
+	detachB := s3.OnSpeedChange(note("b"))
+	c.OnSpeedChange(note("fleet2"))
+	detachC := s3.OnSpeedChange(note("c"))
+	if n := len(c.serverListeners); n != 1 {
+		t.Fatalf("listener table has %d entries after subscribing to one server, want 1", n)
+	}
+
+	toggle := func(sv *Server) {
+		sv.Allocate(sp.Containers, float64(sp.Containers))
+		sv.ApplyCap(200)
+		sv.RemoveCap()
+		sv.Release(sp.Containers, float64(sp.Containers))
+	}
+	expect := func(step string, want ...string) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: fired %v, want %v", step, got, want)
+		}
+		got = got[:0]
+	}
+	toggle(s3)
+	both := []string{"fleet1@3", "fleet2@3", "a@3", "b@3", "c@3"}
+	expect("subscribed server", append(both, both...)...)
+	toggle(s5)
+	expect("unsubscribed server", "fleet1@5", "fleet2@5", "fleet1@5", "fleet2@5")
+
+	detachB()
+	detachB() // idempotent: must not take a or c with it
+	s3.Allocate(sp.Containers, float64(sp.Containers))
+	s3.ApplyCap(200)
+	expect("after detaching b", "fleet1@3", "fleet2@3", "a@3", "c@3")
+	detachA()
+	detachC()
+	detachA()
+	s3.RemoveCap()
+	expect("after detaching all", "fleet1@3", "fleet2@3")
+	if n := len(c.serverListeners); n != 0 {
+		t.Errorf("listener table keeps %d entries after every detach, want 0", n)
+	}
+}
+
+// New allocates the fleet, not the servers: the slab, the pointer index and a
+// handful of fixed objects (6 when measured), nothing per row or rack. It
+// used to be about 7 allocations per server (Server, AR1, rand.Rand, source,
+// the seed label and its byte copy).
+func TestNewAllocatesPerFleetNotPerServer(t *testing.T) {
+	sp := DefaultSpec()
+	sp.Rows, sp.RatedJitterFrac = 10, 0.05 // 4,000 servers, both RNG paths
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := New(sp, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("New of %d servers made %v allocations, want at most 8", sp.TotalServers(), allocs)
+	}
+}
+
+// A phi outside (−1, 1) is New's error, not a panic from the noise process
+// and not NaN watts in every row total.
+func TestNewRejectsNonStationaryNoise(t *testing.T) {
+	for _, phi := range []float64{1, -1, 1.5, -3, math.NaN(), math.Inf(1)} {
+		for _, sigma := range []float64{0, 2} {
+			sp := DefaultSpec()
+			sp.NoisePhi, sp.NoiseSigmaW = phi, sigma
+			if c, err := New(sp, 1); err == nil {
+				t.Errorf("phi %v sigma %v accepted; first sample %v", phi, sigma, c.Server(0).SamplePower())
+			}
+		}
+	}
+}

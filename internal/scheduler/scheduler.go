@@ -84,6 +84,8 @@ type Scheduler struct {
 	// one free container; pos maps server ID to its index there.
 	avail [][]*cluster.Server
 	pos   []int // −1 when not in avail
+	// availTree holds len(avail[r]) per row for chooseRow's O(log rows) draw.
+	availTree rowTree
 
 	// queue is the FIFO of jobs waiting for capacity, held by value with
 	// their enqueue time: job IDs are the submitters' and may collide, so
@@ -188,15 +190,16 @@ func New(eng *sim.Engine, c *cluster.Cluster, seed uint64, policy Policy) *Sched
 		panic(err) // constants are valid; unreachable
 	}
 	s := &Scheduler{
-		eng:      eng,
-		c:        c,
-		rng:      sim.SubRNG(seed, "scheduler"),
-		policy:   policy,
-		avail:    make([][]*cluster.Server, c.Rows()),
-		pos:      make([]int, len(c.Servers)),
-		runs:     make([]runPage, c.Rows()),
-		runFree:  -1,
-		waitHist: waitHist,
+		eng:       eng,
+		c:         c,
+		rng:       sim.SubRNG(seed, "scheduler"),
+		policy:    policy,
+		avail:     make([][]*cluster.Server, c.Rows()),
+		pos:       make([]int, len(c.Servers)),
+		availTree: newRowTree(c.Rows()),
+		runs:      make([]runPage, c.Rows()),
+		runFree:   -1,
+		waitHist:  waitHist,
 	}
 	s.completeFn = s.complete
 	s.ResetStretchStats()
@@ -212,8 +215,8 @@ func New(eng *sim.Engine, c *cluster.Cluster, seed uint64, policy Policy) *Sched
 	for _, sv := range c.Servers {
 		s.addAvail(sv)
 		s.capRow[sv.Row] += c.Spec.Containers
-		sv.OnSpeedChange(s.speedChanged)
 	}
+	c.OnSpeedChange(s.speedChanged)
 	return s
 }
 
@@ -367,6 +370,7 @@ func (s *Scheduler) addAvail(sv *cluster.Server) {
 	row := s.avail[sv.Row]
 	s.pos[sv.ID] = len(row)
 	s.avail[sv.Row] = append(row, sv)
+	s.availTree.add(sv.Row, 1)
 	if s.met != nil {
 		s.met.churn.Inc()
 	}
@@ -384,6 +388,7 @@ func (s *Scheduler) removeAvail(sv *cluster.Server) {
 	s.pos[moved.ID] = i
 	s.avail[sv.Row] = row[:last]
 	s.pos[sv.ID] = -1
+	s.availTree.add(sv.Row, -1)
 	if s.met != nil {
 		s.met.churn.Inc()
 	}
@@ -546,6 +551,13 @@ func (s *Scheduler) tryPlace(j *workload.Job) bool {
 // return value reports that the job's preferred rows were all full and the
 // choice fell back to unweighted rows.
 func (s *Scheduler) chooseRow(j *workload.Job) (int, bool) {
+	weights := s.productWeights(j)
+	if j.Containers <= 1 && s.rowChooser == nil && weights.w == nil {
+		// The batch workload's case: every schedulable server fits and every
+		// row weighs 1, so the draw is over len(avail[r]), which availTree
+		// already sums. It is the scan of pickWeightedRow, draw for draw.
+		return s.pickRowByTree(), false
+	}
 	// Fill the per-placement fit cache exactly once. Nothing mutates server
 	// state between here and the pick, so both weighted passes (and the
 	// RowChooser callback) read the cache instead of recomputing the count —
@@ -553,7 +565,6 @@ func (s *Scheduler) chooseRow(j *workload.Job) (int, bool) {
 	for r := range s.avail {
 		s.fitScratch[r] = s.fitCount(j, r)
 	}
-	weights := s.productWeights(j)
 	if row := s.pickWeightedRow(j, weights); row >= 0 {
 		return row, false
 	}
@@ -611,6 +622,26 @@ func (s *Scheduler) pickWeightedRow(j *workload.Job, weights rowWeights) int {
 		}
 	}
 	return -1
+}
+
+// pickRowByTree is pickWeightedRow for unit weights and fit counts equal to
+// len(avail[r]): the same single draw x = U·total (none when no server is
+// schedulable), then the first row whose prefix sum of counts exceeds x. The
+// scan finds that row by subtracting counts from x until it goes negative;
+// x is below 2⁵³ and the counts are integers, so every subtraction that
+// stays non-negative is exact and the scan's answer is the exact one — the
+// tree's. When x rounds up to total both take the last row with a server.
+func (s *Scheduler) pickRowByTree() int {
+	t := &s.availTree
+	if t.total <= 0 {
+		return -1
+	}
+	row := t.find(s.rng.Float64() * float64(t.total))
+	if row == len(s.avail) {
+		for row--; len(s.avail[row]) == 0; row-- {
+		}
+	}
+	return row
 }
 
 // chooserDegraded records a RowChooser returning an ineligible row: every

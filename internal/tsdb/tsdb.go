@@ -86,9 +86,10 @@ func (s *Series) at(i int) Point {
 type DB struct {
 	shards    [shardCount]shard
 	retention int // max points kept per series; 0 = unlimited
-	// blockCap is every series' block capacity: never larger than the
-	// retention limit, so a short-retention series does not hold a mostly
-	// empty block.
+	// blockCap is every series' block capacity. Blocks are dropped whole, so
+	// a series can hold up to retention + blockCap points' worth of them: a
+	// short retention takes a quarter-size block (at most 25 % over), an
+	// unlimited or long one the default.
 	blockCap int
 	nonEmpty atomic.Int64 // series holding at least one point
 	met      *metrics
@@ -130,8 +131,8 @@ func (db *DB) Instrument(reg *obs.Registry) {
 // (0 = unlimited).
 func New(retentionPoints int) *DB {
 	db := &DB{retention: retentionPoints, blockCap: defaultBlockCap}
-	if db.retention > 0 && db.retention < db.blockCap {
-		db.blockCap = db.retention
+	if db.retention > 0 && db.retention < 4*defaultBlockCap {
+		db.blockCap = max(db.retention/4, 1)
 	}
 	for i := range db.shards {
 		db.shards[i].series = make(map[string]*Series)

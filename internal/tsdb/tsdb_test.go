@@ -305,3 +305,42 @@ func TestSeriesAppendDoesNotAllocate(t *testing.T) {
 		t.Errorf("retained %d points, want 64", db.Len("rack/0/0"))
 	}
 }
+
+// Blocks are dropped whole, so a series holds more than it retains — by one
+// block, which at a short retention is a quarter of it: never above 80
+// points' worth of storage at retention 64 (it was 128, a full block and a
+// full tail), and Query still returns exactly the last 64.
+func TestShortRetentionBlockBound(t *testing.T) {
+	const retention = 64
+	db := New(retention)
+	s := db.Series("rack/0/0")
+	held := func() int {
+		n := cap(s.tail) + cap(s.spare)
+		for _, b := range s.blocks {
+			n += cap(b)
+		}
+		return n
+	}
+	recycles := 0
+	for i := 0; i < 10*retention; i++ {
+		hadSpare := s.spare != nil
+		if err := s.Append(sim.Time(i), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if !hadSpare && s.spare != nil {
+			recycles++
+		}
+		if h := held(); h > retention+retention/4 {
+			t.Fatalf("after %d appends the series holds %d points' worth of blocks, want at most %d", i+1, h, retention+retention/4)
+		}
+		pts := db.Query("rack/0/0", 0, sim.Time(i))
+		want := min(i+1, retention)
+		if len(pts) != want || pts[len(pts)-1].V != float64(i) || pts[0].V != float64(i+1-want) {
+			t.Fatalf("after %d appends Query returned %d points %v…%v, want the last %d",
+				i+1, len(pts), pts[0].V, pts[len(pts)-1].V, want)
+		}
+	}
+	if recycles < 3 {
+		t.Fatalf("only %d block recycles in %d appends: the bound was not exercised", recycles, 10*retention)
+	}
+}

@@ -202,6 +202,13 @@ func NewGenerator(eng *sim.Engine, seed uint64, products []Product, dd DurationD
 		if p.BaseJobsPerMinute < 0 {
 			return nil, fmt.Errorf("workload: product %d (%s) has negative rate", i, p.Name)
 		}
+		if p.NoiseSigma < 0 {
+			return nil, fmt.Errorf("workload: product %d (%s) has negative noise sigma %v", i, p.Name, p.NoiseSigma)
+		}
+		if !(p.NoisePhi > -1 && p.NoisePhi < 1) {
+			// Outside (−1, 1) the wobble's √(1−φ²) is NaN, and so is the rate.
+			return nil, fmt.Errorf("workload: product %d (%s) has noise phi %v outside (-1, 1)", i, p.Name, p.NoisePhi)
+		}
 	}
 	g := &Generator{eng: eng, products: products, dd: dd, sink: sink}
 	g.arriveFn = g.arrive

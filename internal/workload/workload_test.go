@@ -70,6 +70,25 @@ func TestGeneratorValidation(t *testing.T) {
 	}
 }
 
+// A phi outside (−1, 1) makes the wobble NaN on its first step, the rate NaN
+// with it, and a NaN-mean Poisson draw used to never return: the generator
+// did not finish its first minute. It is a construction error.
+func TestNewGeneratorRejectsBadNoise(t *testing.T) {
+	eng := sim.NewEngine()
+	for _, phi := range []float64{1.5, 1, -1, math.NaN()} {
+		p := DefaultProduct("a", 10)
+		p.NoisePhi = phi
+		if _, err := NewGenerator(eng, 1, []Product{p}, DefaultDurations(), func(*Job) {}); err == nil {
+			t.Errorf("noise phi %v accepted", phi)
+		}
+	}
+	p := DefaultProduct("a", 10)
+	p.NoiseSigma = -0.1
+	if _, err := NewGenerator(eng, 1, []Product{p}, DefaultDurations(), func(*Job) {}); err == nil {
+		t.Error("negative noise sigma accepted")
+	}
+}
+
 func TestGeneratorMeanRate(t *testing.T) {
 	eng := sim.NewEngine()
 	p := DefaultProduct("steady", 120)
