@@ -121,9 +121,11 @@ bench-scale:
 # One-row smoke of the scale family (part of tier1): exercises every scale
 # benchmark once, which includes the zero-allocation sweep contract and the
 # controller tick's steady-state allocation ceiling (benchControllerTick
-# fails the run outright when a tick allocates more than its budget).
+# fails the run outright when a tick allocates more than its budget). The
+# sweep also runs once at 100k servers, both stores (~0.5 s): the smallest
+# point whose sample phase spans several goroutines.
 bench-scale-quick:
-	go test -run '^$$' -bench 'BenchmarkScale[A-Za-z]*/servers=400' -benchtime 1x .
+	go test -run '^$$' -bench 'BenchmarkScale[A-Za-z]*/servers=400|BenchmarkScaleSweep/servers=100000$$' -benchtime 1x .
 
 # Regression gate: re-runs the scale family (min of three repetitions, same
 # noise discipline as the baseline) and diffs ns/op against the committed

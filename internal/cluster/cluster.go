@@ -108,9 +108,10 @@ func (sp Spec) RowRatedPowerW() float64 {
 //
 // A Server is one 104-byte record of the cluster's slab and owns no heap
 // object: what is the same for every server (the spec, the noise
-// parameters, the generator that turns noise state into draws, the speed
-// listeners) lives once on the Cluster it points at. At a million servers a
-// word here is 8 MB and a pointer is also a word the collector must trace.
+// parameters, the speed listeners) lives once on the Cluster it points at,
+// and the generator that turns noise state into draws is a Sampler's. At a
+// million servers a word here is 8 MB and a pointer is also a word the
+// collector must trace.
 type Server struct {
 	ID   ServerID
 	Row  int
@@ -226,17 +227,40 @@ func (s *Server) DrawW() float64 {
 // interval; repeated calls advance the noise process.
 //
 // The step is x ← φ·x + σ·√(1−φ²)·N(0,1), scaled so the stationary standard
-// deviation is σ. The normal comes from the cluster's one rand.Rand, whose
-// source is pointed at this server's stream state first, so every server
-// keeps the independent stream a generator of its own would draw. That
-// shared cursor makes SamplePower non-reentrant per cluster: servers of one
-// cluster must not be sampled concurrently. The monitor's Sweep, on the
-// simulation goroutine, is the only caller.
-func (s *Server) SamplePower() float64 {
+// deviation is σ. The normal comes from a Sampler's rand.Rand, whose source
+// is pointed at this server's stream state first, so every server keeps the
+// independent stream a generator of its own would draw, whichever sampler
+// draws it. A server is sampled by one goroutine at a time and a sampler is
+// used by one goroutine at a time; this method draws through the cluster's
+// own sampler, so its callers share that one. The monitor's Sweep gives each
+// of its goroutines a sampler and a disjoint set of rows.
+func (s *Server) SamplePower() float64 { return s.c.sampler.SamplePower(s) }
+
+// Sampler turns servers' noise state into draws: one rand.Rand over a cursor
+// that SamplePower points at the sampled server's stream word. It holds no
+// stream of its own, so any sampler draws the same watts from a server.
+type Sampler struct {
+	rand   *rand.Rand
+	cursor sim.CursorSource
+	// Every draw writes the cursor. Padded to a cache line: two samplers
+	// allocated together and used by two goroutines otherwise share one, and
+	// a 1M-server sweep measured up to 4× slower for it.
+	_ [48]byte
+}
+
+// NewSampler returns a sampler for one goroutine's use.
+func NewSampler() *Sampler {
+	sm := &Sampler{}
+	sm.rand = rand.New(&sm.cursor)
+	return sm
+}
+
+// SamplePower is (*Server).SamplePower drawn through this sampler.
+func (sm *Sampler) SamplePower(s *Server) float64 {
 	p := s.DrawW()
 	if c := s.c; c.noiseInnovW > 0 {
-		c.cursor.At = &s.noiseRNG
-		innov := c.noiseInnovW * c.rand.NormFloat64()
+		sm.cursor.At = &s.noiseRNG
+		innov := c.noiseInnovW * sm.rand.NormFloat64()
 		s.noiseX = c.Spec.NoisePhi*s.noiseX + innov
 		p += s.noiseX
 	}
@@ -343,11 +367,9 @@ type Cluster struct {
 	// IDs are row-major and rack-contiguous: a row and a rack are subslices.
 	Servers []*Server
 
-	// One generator for every server's noise stream: rand draws from cursor,
-	// and SamplePower points cursor at the sampled server's state first.
+	// sampler serves (*Server).SamplePower and New's jitter draws.
 	// noiseInnovW is σ·√(1−φ²), the innovation scale; 0 turns noise off.
-	rand        *rand.Rand
-	cursor      sim.CursorSource
+	sampler     *Sampler
 	noiseInnovW float64
 
 	// fleetListeners hear every server's speed changes; serverListeners[id]
@@ -365,8 +387,7 @@ func New(spec Spec, seed uint64) (*Cluster, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{Spec: spec}
-	c.rand = rand.New(&c.cursor)
+	c := &Cluster{Spec: spec, sampler: NewSampler()}
 	c.noiseInnovW = spec.NoiseSigmaW * math.Sqrt(1-spec.NoisePhi*spec.NoisePhi)
 	slab := make([]Server, spec.TotalServers())
 	c.Servers = make([]*Server, len(slab))
@@ -376,8 +397,8 @@ func New(spec Spec, seed uint64) (*Cluster, error) {
 		jitter := 1.0
 		if spec.RatedJitterFrac > 0 {
 			jitterRNG = sim.RNGState(sim.SubSeedN(seed, "server-jitter-", i))
-			c.cursor.At = &jitterRNG
-			jitter = 1 + (c.rand.Float64()*2-1)*spec.RatedJitterFrac
+			c.sampler.cursor.At = &jitterRNG
+			jitter = 1 + (c.sampler.rand.Float64()*2-1)*spec.RatedJitterFrac
 		}
 		slab[i] = Server{
 			ID: ServerID(i), Row: i / perRow, Rack: i % perRow / spec.ServersPerRack,

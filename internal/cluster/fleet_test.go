@@ -14,46 +14,58 @@ import (
 // inline noise state and the shared cursor: every sample must equal theirs
 // bit for bit. 2,000 draws per server cross the ziggurat's slow paths
 // (about 1 normal in 100), and sampling server by server within each round
-// moves the cursor between any two draws of one stream.
+// moves the cursor between any two draws of one stream. In the two-sampler
+// case a server's consecutive draws come from alternating Samplers, each of
+// which sampled other servers in between: the stream belongs to the server,
+// not to the sampler.
 func TestSamplePowerMatchesPerServerAR1(t *testing.T) {
 	const draws = 2000
-	for _, jitter := range []float64{0, 0.05} {
-		for _, seed := range []uint64{1, 2, 0xfeedface} {
-			sp := DefaultSpec()
-			sp.Rows, sp.RacksPerRow, sp.ServersPerRack = 2, 4, 10
-			sp.NoisePhi, sp.NoiseSigmaW = 0.7, 3.5
-			sp.RatedJitterFrac = jitter
-			c, err := New(sp, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle := make([]*stats.AR1, len(c.Servers))
-			for id, sv := range c.Servers {
-				oracle[id] = stats.NewAR1(sp.NoisePhi, sp.NoiseSigmaW,
-					sim.SubRNG(seed, fmt.Sprintf("server-noise-%d", id)))
-				want := sp.RatedPowerW
-				if jitter > 0 {
-					jrng := sim.SubRNG(seed, fmt.Sprintf("server-jitter-%d", id))
-					want *= 1 + (jrng.Float64()*2-1)*jitter
+	for _, twoSamplers := range []bool{false, true} {
+		for _, jitter := range []float64{0, 0.05} {
+			for _, seed := range []uint64{1, 2, 0xfeedface} {
+				sp := DefaultSpec()
+				sp.Rows, sp.RacksPerRow, sp.ServersPerRack = 2, 4, 10
+				sp.NoisePhi, sp.NoiseSigmaW = 0.7, 3.5
+				sp.RatedJitterFrac = jitter
+				c, err := New(sp, seed)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if sv.RatedW() != want {
-					t.Fatalf("jitter %v seed %d server %d: rated %v, per-server RNG gives %v",
-						jitter, seed, id, sv.RatedW(), want)
-				}
-				sv.Allocate(id%sp.Containers, float64(id%sp.Containers)/2)
-			}
-			for i := 0; i < draws; i++ {
+				oracle := make([]*stats.AR1, len(c.Servers))
 				for id, sv := range c.Servers {
-					got, want := sv.SamplePower(), sv.DrawW()+oracle[id].Next()
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("jitter %v seed %d server %d draw %d: sampled %v, per-server AR1 gives %v",
-							jitter, seed, id, i, got, want)
+					oracle[id] = stats.NewAR1(sp.NoisePhi, sp.NoiseSigmaW,
+						sim.SubRNG(seed, fmt.Sprintf("server-noise-%d", id)))
+					want := sp.RatedPowerW
+					if jitter > 0 {
+						jrng := sim.SubRNG(seed, fmt.Sprintf("server-jitter-%d", id))
+						want *= 1 + (jrng.Float64()*2-1)*jitter
+					}
+					if sv.RatedW() != want {
+						t.Fatalf("jitter %v seed %d server %d: rated %v, per-server RNG gives %v",
+							jitter, seed, id, sv.RatedW(), want)
+					}
+					sv.Allocate(id%sp.Containers, float64(id%sp.Containers)/2)
+				}
+				sample := func(_ int, sv *Server) float64 { return sv.SamplePower() }
+				if twoSamplers {
+					samplers := [2]*Sampler{NewSampler(), NewSampler()}
+					sample = func(i int, sv *Server) float64 {
+						return samplers[(i+int(sv.ID))%2].SamplePower(sv)
 					}
 				}
-			}
-			for id, st := range c.ExportState() {
-				if st.NoiseW != oracle[id].Value() {
-					t.Fatalf("server %d exports noise %v, AR1 holds %v", id, st.NoiseW, oracle[id].Value())
+				for i := 0; i < draws; i++ {
+					for id, sv := range c.Servers {
+						got, want := sample(i, sv), sv.DrawW()+oracle[id].Next()
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("two samplers %v jitter %v seed %d server %d draw %d: sampled %v, per-server AR1 gives %v",
+								twoSamplers, jitter, seed, id, i, got, want)
+						}
+					}
+				}
+				for id, st := range c.ExportState() {
+					if st.NoiseW != oracle[id].Value() {
+						t.Fatalf("server %d exports noise %v, AR1 holds %v", id, st.NoiseW, oracle[id].Value())
+					}
 				}
 			}
 		}

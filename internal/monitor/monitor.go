@@ -9,6 +9,9 @@ package monitor
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -68,6 +71,18 @@ type seriesStore interface {
 	Series(name string) *tsdb.Series
 }
 
+const (
+	// shareServers is the fleet one sampling goroutine is worth: the sample
+	// phase uses min(GOMAXPROCS, servers/shareServers) of them. 32,768
+	// servers are ≥ 0.7 ms of sampling against the ~1 µs a helper costs to
+	// start, and every fleet under two shares sweeps inline.
+	shareServers = 32768
+	// blockRows is how many rows one claim of the row cursor takes: few
+	// enough claims that the cursor is never contended, blocks small enough
+	// that the last one out keeps the others waiting for microseconds.
+	blockRows = 16
+)
+
 // Monitor samples a cluster into a TSDB and keeps a latest-value snapshot.
 type Monitor struct {
 	eng *sim.Engine
@@ -102,6 +117,17 @@ type Monitor struct {
 	rowSeries    []*tsdb.Series
 	rackSeries   []*tsdb.Series
 	serverSeries []*tsdb.Series
+
+	// The sample phase of a sweep: every goroutine claims blocks of rows from
+	// nextRow and draws through a sampler of its own — the calling goroutine
+	// through sampler, helper i through the one helpers[i] closes over.
+	// helpers are goroutine bodies bound once, so that starting one allocates
+	// nothing; sampling waits for the helpers of the sweep in flight, and
+	// none outlives it.
+	sampler  *cluster.Sampler
+	helpers  []func()
+	nextRow  atomic.Int64
+	sampling sync.WaitGroup
 
 	handle   sim.Handle
 	onSample []func(now sim.Time)
@@ -173,6 +199,15 @@ func New(eng *sim.Engine, c *cluster.Cluster, db *tsdb.DB, cfg Config) (*Monitor
 			m.serverNames[i] = SeriesServer(cluster.ServerID(i))
 		}
 	}
+	m.sampler = cluster.NewSampler()
+	m.helpers = make([]func(), max(len(c.Servers)/shareServers-1, 0))
+	for i := range m.helpers {
+		sm := cluster.NewSampler()
+		m.helpers[i] = func() {
+			defer m.sampling.Done()
+			m.sampleRows(sm)
+		}
+	}
 	m.rowSeries = make([]*tsdb.Series, len(m.rowNames))
 	m.rackSeries = make([]*tsdb.Series, len(m.rackNames))
 	m.serverSeries = make([]*tsdb.Series, len(m.serverNames))
@@ -232,6 +267,12 @@ func (m *Monitor) OnSample(fn func(now sim.Time)) { m.onSample = append(m.onSamp
 // Sweep performs one sampling pass immediately. It is normally driven by
 // Start's periodic event but is exported so tests and restarted monitors can
 // force a sample.
+//
+// A sweep is a sample phase, which may run on several goroutines and touches
+// only the servers and the snapshot, then a publish phase on the calling
+// goroutine that does everything else in row order: every store append, the
+// data-center total, the counters and the callbacks. What a Store, a
+// callback or a reader can observe is therefore the same at any GOMAXPROCS.
 func (m *Monitor) Sweep(now sim.Time) {
 	if m.dropRNG != nil && m.dropRNG.Float64() < m.cfg.SweepDropRate {
 		m.dropped++
@@ -244,33 +285,33 @@ func (m *Monitor) Sweep(now sim.Time) {
 	if m.met != nil {
 		start = time.Now()
 	}
-	spec := m.c.Spec
+
+	m.nextRow.Store(0)
+	if len(m.helpers) > 0 {
+		n := min(runtime.GOMAXPROCS(0)-1, len(m.helpers))
+		m.sampling.Add(n)
+		for _, helper := range m.helpers[:n] {
+			go helper()
+		}
+	}
+	m.sampleRows(m.sampler)
+	m.sampling.Wait()
+
+	racks := m.c.Spec.RacksPerRow
 	dcTotal := 0.0
-	for r := 0; r < m.c.Rows(); r++ {
-		rowTotal := 0.0
-		// Accumulate rack totals directly into the retained lastRack
-		// segment — the per-sweep scratch buffer the old code allocated.
-		rackTotals := m.lastRack[r*spec.RacksPerRow : (r+1)*spec.RacksPerRow]
-		for k := range rackTotals {
-			rackTotals[k] = 0
-		}
-		for _, sv := range m.c.Row(r) {
-			p := sv.SamplePower()
-			m.lastServer[sv.ID] = p
-			rowTotal += p
-			rackTotals[sv.Rack] += p
-			if m.store != nil && m.cfg.StoreServerSeries {
-				m.append(m.serverSeries[sv.ID], m.serverNames[sv.ID], now, p)
-			}
-		}
-		m.lastRow[r] = rowTotal
+	for r, rowTotal := range m.lastRow {
 		dcTotal += rowTotal
-		if m.store != nil {
-			m.append(m.rowSeries[r], m.rowNames[r], now, rowTotal)
-			for k, v := range rackTotals {
-				i := r*spec.RacksPerRow + k
-				m.append(m.rackSeries[i], m.rackNames[i], now, v)
+		if m.store == nil {
+			continue
+		}
+		if m.cfg.StoreServerSeries {
+			for _, sv := range m.c.Row(r) {
+				m.append(m.serverSeries[sv.ID], m.serverNames[sv.ID], now, m.lastServer[sv.ID])
 			}
+		}
+		m.append(m.rowSeries[r], m.rowNames[r], now, rowTotal)
+		for i := r * racks; i < (r+1)*racks; i++ {
+			m.append(m.rackSeries[i], m.rackNames[i], now, m.lastRack[i])
 		}
 	}
 	if m.store != nil {
@@ -286,6 +327,33 @@ func (m *Monitor) Sweep(now sim.Time) {
 	}
 	for _, fn := range m.onSample {
 		fn(now)
+	}
+}
+
+// sampleRows is the sample phase: it claims blocks of rows until none are
+// left and fills lastServer, lastRack and lastRow for them, each total summed
+// in server-ID order. Rows, and so servers, are disjoint between goroutines.
+func (m *Monitor) sampleRows(sm *cluster.Sampler) {
+	rows, racks := m.c.Rows(), m.c.Spec.RacksPerRow
+	for {
+		lo := int(m.nextRow.Add(blockRows)) - blockRows
+		if lo >= rows {
+			return
+		}
+		for r := lo; r < min(lo+blockRows, rows); r++ {
+			rowTotal := 0.0
+			rackTotals := m.lastRack[r*racks : (r+1)*racks]
+			for k := range rackTotals {
+				rackTotals[k] = 0
+			}
+			for _, sv := range m.c.Row(r) {
+				p := sm.SamplePower(sv)
+				m.lastServer[sv.ID] = p
+				rowTotal += p
+				rackTotals[sv.Rack] += p
+			}
+			m.lastRow[r] = rowTotal
+		}
 	}
 }
 

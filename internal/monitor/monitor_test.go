@@ -227,10 +227,18 @@ func TestSweepDropInjection(t *testing.T) {
 type byNameStore struct {
 	db     *tsdb.DB
 	writes int
+	calls  []appendCall // every write, in order
+}
+
+type appendCall struct {
+	name string
+	t    sim.Time
+	v    float64
 }
 
 func (s *byNameStore) Append(name string, t sim.Time, v float64) error {
 	s.writes++
+	s.calls = append(s.calls, appendCall{name, t, v})
 	return s.db.Append(name, t, v)
 }
 

@@ -1,0 +1,219 @@
+package monitor
+
+import (
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/sim"
+	"repro/internal/tsdb"
+)
+
+// mixedFleet builds rows × 400 servers with measurement noise and rated
+// jitter on and a deterministic mix of loaded, capped, frozen and failed
+// servers, so a sweep exercises every branch of SamplePower.
+func mixedFleet(t *testing.T, rows int) *cluster.Cluster {
+	t.Helper()
+	sp := cluster.DefaultSpec()
+	sp.Rows, sp.RatedJitterFrac = rows, 0.05
+	c, err := cluster.New(sp, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, sv := range c.Servers {
+		n := id % (sp.Containers + 1)
+		sv.Allocate(n, float64(n)*0.9)
+		sv.SetFrozen(id%5 == 0)
+		if id%7 == 0 {
+			sv.ApplyCap(180)
+		}
+		sv.SetFailed(id%11 == 0)
+	}
+	return c
+}
+
+// A 100k-server fleet is three shares, so at GOMAXPROCS 2, 3 and 8 the sample
+// phase runs on two or three goroutines. Whatever they number, five sweeps
+// leave the same snapshot, the same history and — for a store that sees
+// writes by name — the same calls in the same order as one goroutine does.
+func TestSweepIdenticalAtAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const rows, sweeps = 250, 5
+	for _, serverSeries := range []bool{false, true} {
+		type outcome struct {
+			state   State
+			history [][]tsdb.Point
+			calls   []appendCall
+		}
+		run := func(procs int) outcome {
+			runtime.GOMAXPROCS(procs)
+			c := mixedFleet(t, rows)
+			db := tsdb.New(8)
+			cfg := DefaultConfig()
+			cfg.StoreServerSeries = serverSeries
+			m, err := New(sim.NewEngine(), c, db, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(m.helpers); got != 2 {
+				t.Fatalf("%d servers sweep with up to %d helper goroutines, want 2", len(c.Servers), got)
+			}
+			var rec *byNameStore
+			if serverSeries {
+				// The by-name path; the sub-case without server series
+				// keeps the resolved handles.
+				rec = &byNameStore{db: db}
+				m.SetStore(rec)
+			}
+			for i := 0; i < sweeps; i++ {
+				m.Sweep(sim.Time(i) * sim.Time(sim.Minute))
+			}
+			out := outcome{state: m.ExportState()}
+			if rec != nil {
+				out.calls = rec.calls
+			}
+			names := append([]string{SeriesDC}, m.rowNames...)
+			for _, name := range append(names, m.rackNames...) {
+				pts := db.Query(name, 0, sim.Time(sweeps)*sim.Time(sim.Minute))
+				if len(pts) != sweeps {
+					t.Fatalf("GOMAXPROCS %d: series %s holds %d points, want %d", procs, name, len(pts), sweeps)
+				}
+				out.history = append(out.history, pts)
+			}
+			return out
+		}
+		want := run(1)
+		if serverSeries && len(want.calls) != sweeps*(rows*400+rows*21+1) {
+			t.Fatalf("the store saw %d appends", len(want.calls))
+		}
+		for _, procs := range []int{2, 3, 8} {
+			got := run(procs)
+			if !reflect.DeepEqual(got.state, want.state) {
+				t.Errorf("server series %v: snapshot at GOMAXPROCS %d differs from GOMAXPROCS 1", serverSeries, procs)
+			}
+			if !reflect.DeepEqual(got.history, want.history) {
+				t.Errorf("server series %v: dc / row / rack history at GOMAXPROCS %d differs from GOMAXPROCS 1", serverSeries, procs)
+			}
+			if !slices.Equal(got.calls, want.calls) {
+				t.Errorf("server series %v: the store's call sequence at GOMAXPROCS %d differs from GOMAXPROCS 1", serverSeries, procs)
+			}
+		}
+	}
+}
+
+// sweepMallocs is testing.AllocsPerRun without its GOMAXPROCS(1), under which
+// a sweep would take the inline path: after one warm-up call, the fewest heap
+// objects allocated during any one of runs calls. The count is process-wide
+// and the runtime's own goroutines allocate now and then (GC workers starting
+// on the Ps GOMAXPROCS just added); what the sweep allocates shows every time.
+func sweepMallocs(runs int, f func()) uint64 {
+	f()
+	fewest := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
+// The parallel sample phase keeps the sweep's contracts: no allocation in
+// steady state (the helpers are func values bound at construction), and no
+// goroutine left behind between sweeps.
+func TestParallelSweepAllocatesAndParksNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const retention = 64
+	for _, withDB := range []bool{false, true} {
+		var db *tsdb.DB
+		if withDB {
+			db = tsdb.New(retention)
+		}
+		m, err := New(sim.NewEngine(), mixedFleet(t, 250), db, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := sim.Time(0)
+		sweep := func() {
+			now = now.Add(sim.Minute)
+			m.Sweep(now)
+		}
+		goroutines := runtime.NumGoroutine()
+		for i := 0; i < 2*retention+2; i++ { // the TSDB's block recycling is steady past 2 × retention
+			sweep()
+		}
+		if allocs := sweepMallocs(5, sweep); allocs != 0 {
+			t.Errorf("tsdb %v: a three-goroutine sweep allocates %d objects, want 0", withDB, allocs)
+		}
+		// A helper is done (Sweep returned) a few instructions before it is gone.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() != goroutines && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if got := runtime.NumGoroutine(); got != goroutines {
+			t.Errorf("tsdb %v: %d goroutines after the sweeps, %d before", withDB, got, goroutines)
+		}
+	}
+}
+
+// A monitor dropped after parallel sweeps is garbage, and its cluster with
+// it: no parked helper holds them (a stack per /whatif query would otherwise
+// never be freed). The finalizers sit on sentinels that only the monitor's
+// and the cluster's callback lists reach, because both structures are
+// cyclic and a finalizer on an object of a cycle never runs.
+func TestParallelSweepPinsNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	collected := make(chan string, 2)
+	func() {
+		c := mixedFleet(t, 250)
+		m, err := New(sim.NewEngine(), c, tsdb.New(8), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ofMonitor, ofCluster := new(int), new(int)
+		runtime.SetFinalizer(ofMonitor, func(*int) { collected <- "monitor" })
+		runtime.SetFinalizer(ofCluster, func(*int) { collected <- "cluster" })
+		m.OnSample(func(sim.Time) { *ofMonitor++ })
+		c.OnSpeedChange(func(*cluster.Server, float64) { *ofCluster++ })
+		for i := 0; i < 3; i++ {
+			m.Sweep(sim.Time(i) * sim.Time(sim.Minute))
+		}
+		if *ofMonitor != 3 {
+			t.Fatalf("OnSample ran %d times in 3 sweeps", *ofMonitor)
+		}
+	}()
+	for seen := 0; seen < 2; {
+		runtime.GC()
+		select {
+		case <-collected:
+			seen++
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d of monitor and cluster collected after repeated GCs", seen)
+		}
+	}
+}
+
+// Under two shares (65,536 servers) there is no helper to start: the sweep
+// of every test rig, every federation shard and the paper's rows is the
+// sample function called inline.
+func TestSweepInlineUnderTwoShares(t *testing.T) {
+	for rows, helpers := range map[int]int{1: 0, 163: 0, 164: 1, 250: 2} {
+		sp := cluster.DefaultSpec()
+		sp.Rows = rows
+		c, err := cluster.New(sp, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(sim.NewEngine(), c, nil, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(m.helpers); got != helpers {
+			t.Errorf("%d servers: %d helper goroutines available, want %d", len(c.Servers), got, helpers)
+		}
+	}
+}

@@ -2,12 +2,14 @@ package stack
 
 import (
 	"go/build"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/monitor"
+	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -195,5 +197,41 @@ func TestFleetBytesPerServer(t *testing.T) {
 	t.Logf("%.1f heap bytes per server", perServer)
 	if perServer > 190 {
 		t.Errorf("one server of an assembled stack holds %.1f heap bytes after a sweep, want at most 190", perServer)
+	}
+}
+
+// The whole-stack twin of monitor's TestSweepIdenticalAtAnyGOMAXPROCS: at 250
+// rows the monitor samples on several goroutines when GOMAXPROCS allows, and
+// a run with live load ends in the same scheduler counters, the same monitor
+// snapshot and the same per-server state as it does on one.
+func TestRunIdenticalAtAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type outcome struct {
+		sched   scheduler.Stats
+		mon     monitor.State
+		servers []cluster.ServerState
+	}
+	run := func(procs int) outcome {
+		runtime.GOMAXPROCS(procs)
+		spec := RowSpec(250, 400)
+		spec.RatedJitterFrac = 0.05
+		prod := workload.DefaultProduct("batch", JobsPerMinute(spec, 0.74, spec.TotalServers()))
+		st, err := New(Config{Seed: 3, Cluster: spec, Products: []workload.Product{prod}, Retention: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.StartBase()
+		if err := st.Run(sim.Time(4 * sim.Minute)); err != nil {
+			t.Fatal(err)
+		}
+		return outcome{st.Sched.Stats(), st.Mon.ExportState(), st.Cluster.ExportState()}
+	}
+	want, got := run(1), run(4)
+	if want.sched.Placed == 0 || want.mon.Sweeps != 5 {
+		t.Fatalf("the run placed %d jobs and swept %d times", want.sched.Placed, want.mon.Sweeps)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("scheduler stats, monitor state or server state at GOMAXPROCS 4 differ from GOMAXPROCS 1 (stats %+v vs %+v)",
+			got.sched, want.sched)
 	}
 }

@@ -1,7 +1,10 @@
 package tsdb
 
 import (
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -60,5 +63,34 @@ func TestClientConnectionError(t *testing.T) {
 	c := NewClient("http://127.0.0.1:1") // nothing listens there
 	if _, err := c.Names(); err == nil {
 		t.Error("unreachable server did not error")
+	}
+}
+
+// A database that holds no point — fresh, or with series resolved but never
+// appended to, which is every powermon before its first sweep — lists its
+// series as the empty JSON array the handler documents, not as null; the
+// client decodes that into an empty, non-nil list.
+func TestSeriesListOfEmptyDatabaseIsEmptyArray(t *testing.T) {
+	resolved := New(0)
+	resolved.Series("row/0")
+	for name, db := range map[string]*DB{"fresh": New(0), "resolved-but-empty": resolved} {
+		srv := httptest.NewServer(db.Handler())
+		resp, err := http.Get(srv.URL + "/series")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.TrimSpace(string(body)); got != "[]" {
+			t.Errorf("%s: GET /series answered %q, want []", name, got)
+		}
+		names, err := NewClient(srv.URL).Names()
+		if err != nil || names == nil || len(names) != 0 {
+			t.Errorf("%s: Client.Names = %#v, %v; want an empty non-nil list", name, names, err)
+		}
+		srv.Close()
 	}
 }

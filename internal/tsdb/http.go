@@ -21,7 +21,11 @@ import (
 func (db *DB) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /series", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, db.Names())
+		names := db.Names()
+		if names == nil {
+			names = []string{}
+		}
+		writeJSON(w, names)
 	})
 	mux.HandleFunc("GET /query", func(w http.ResponseWriter, r *http.Request) {
 		name := r.URL.Query().Get("name")

@@ -4,8 +4,8 @@
 // grows — a sweep is O(servers) with zero allocations, a placement is
 // O(rows) not O(servers), and a controller tick is O(servers) dominated by
 // reading each domain's samples. `make bench-scale` records the baseline to
-// BENCH_scale.json; the 400-server sub-benchmarks run in tier1 as a smoke
-// check of the allocation contracts.
+// BENCH_scale.json; the 400-server sub-benchmarks, and the sweep at 100k
+// servers, run in tier1 as a smoke check of the allocation contracts.
 package repro_test
 
 import (
