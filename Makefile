@@ -5,10 +5,10 @@
 .PHONY: tier1 build lint vet test race race-shuffle fuzz fuzz-smoke chaos \
 	bench-runner bench-scale bench-scale-quick bench-check gridstorm \
 	whatif whatif-smoke tournament tournament-smoke fig11scale fig11-smoke \
-	fed-smoke golden-quick bench-pair bench-pair-all
+	fed-smoke golden-quick flake bench-pair bench-pair-all
 
 tier1: build lint race race-shuffle bench-scale-quick fuzz-smoke whatif-smoke \
-	tournament-smoke fig11-smoke fed-smoke golden-quick
+	tournament-smoke fig11-smoke fed-smoke golden-quick flake
 
 build:
 	go build ./...
@@ -96,6 +96,12 @@ fig11-smoke:
 # of every experiment, diffed against results/exp_quick_output.txt.
 golden-quick:
 	go test ./cmd/ampere-exp -run TestQuickAllGolden -count=1
+
+# The parallel-sweep guards count process-wide mallocs, goroutines and
+# finalizer runs, which one pass on a quiet machine says little about: thirty
+# in a row is what shows a guard that fails one run in ten.
+flake:
+	go test ./internal/monitor -run TestParallelSweep -count=30
 
 # Fault-injection drill: naive vs resilient controller under the same storm.
 chaos:

@@ -5,7 +5,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
+	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -18,10 +20,15 @@ func why(args []string) error {
 	fs := flag.NewFlagSet("why", flag.ExitOnError)
 	event := fs.Int64("event", -1,
 		"journal event seq to fork at (-1: the first budget-change, i.e. the dip onset)")
+	var keys []string
+	for _, a := range core.PolicyAxes() {
+		if a.Patch {
+			keys = append(keys, a.PatchKey())
+		}
+	}
 	alt := fs.String("alt", "",
 		"counterfactual patch, e.g. 'policy=coldest,et=ewma,unfreeze=headroom,ramp=0.02' "+
-			"(keys: policy, et, et-percentile, et-alpha, et-band, ramp, horizon, max-freeze, "+
-			"rstable, unfreeze, headroom-trigger, headroom-step); 'self' replays the factual policy; default: ramped budget")
+			"(keys: "+strings.Join(keys, ", ")+"); 'self' replays the factual policy; default: ramped budget")
 	regime := fs.String("regime", "cliff", "factual gridstorm regime: cliff|ramp")
 	full := fs.Bool("full", false, "paper-scale gridstorm (100k servers); default is the quick 320-server configuration")
 	seed := fs.Uint64("seed", 0, "override the scenario seed (0 = scenario default)")
@@ -85,7 +92,7 @@ func why(args []string) error {
 	case "self":
 		patchStr = ""
 	}
-	patch, err := whatif.ParsePatch(patchStr)
+	patch, err := core.ParsePatch(patchStr)
 	if err != nil {
 		return err
 	}

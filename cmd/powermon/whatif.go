@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/whatif"
@@ -52,30 +53,14 @@ func (ws *whatifServer) builder(end sim.Time) whatif.Builder {
 			breakers[r] = whatif.NamedBreaker{Name: fmt.Sprintf("row/%d", r), B: sk.breakers[r]}
 		}
 		return &whatif.Instance{
-			Eng:      sk.rig.Eng,
+			Stack:    sk.rig,
 			Journal:  journal,
 			Ctl:      sk.ctl,
-			Cluster:  sk.rig.Cluster,
-			Mon:      sk.rig.Mon,
 			Breakers: breakers,
 			End:      end,
-			Interval: sim.Minute,
-			Seed:     cfg.seed,
 			ConfigTag: fmt.Sprintf("powermon seed=%d rows=%dx%d target=%g ro=%g dr=%g/%g/%g/%g",
 				cfg.seed, cfg.rows, cfg.rowServers, cfg.target, cfg.ro,
 				cfg.drAt, cfg.drDepth, cfg.drDwell, cfg.drRamp),
-			RunUntil: sk.rig.Run,
-			KPIs: func() map[string]float64 {
-				s := sk.rig.Sched.Stats()
-				return map[string]float64{
-					"jobs_submitted": float64(s.Submitted),
-					"jobs_placed":    float64(s.Placed),
-					"jobs_completed": float64(s.Completed),
-					"jobs_queued":    float64(s.Queued),
-					"jobs_overflow":  float64(s.Overflowed),
-					"jobs_killed":    float64(s.Killed),
-				}
-			},
 		}, nil
 	}
 }
@@ -122,7 +107,7 @@ func (ws *whatifServer) handle(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	patch, err := whatif.ParsePatch(q.Get("alt"))
+	patch, err := core.ParsePatch(q.Get("alt"))
 	if err != nil {
 		whatifError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -179,30 +179,23 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors, naming the offending field. NaN
-// propagates through every comparison as false, so each numeric field is
-// checked for it explicitly — a NaN parameter must be rejected here, not
-// silently disable the control law.
+// Validate reports configuration errors, naming the offending field; the
+// policy axes are judged by their policyAxes rows. NaN propagates through
+// every comparison as false, so each numeric field is checked for it
+// explicitly — a NaN parameter must be rejected here, not silently disable
+// the control law.
 func (c Config) Validate() error {
 	switch {
 	case c.Interval <= 0:
 		return fmt.Errorf("core: non-positive Interval %v", c.Interval)
-	case math.IsNaN(c.RStable) || c.RStable <= 0 || c.RStable > 1:
-		return fmt.Errorf("core: RStable %v outside (0,1]", c.RStable)
-	case math.IsNaN(c.MaxFreezeRatio) || c.MaxFreezeRatio <= 0 || c.MaxFreezeRatio > 1:
-		return fmt.Errorf("core: MaxFreezeRatio %v outside (0,1]", c.MaxFreezeRatio)
 	case math.IsNaN(c.DefaultKr) || math.IsInf(c.DefaultKr, 0) || c.DefaultKr <= 0:
 		return fmt.Errorf("core: DefaultKr %v must be a finite positive number", c.DefaultKr)
-	case math.IsNaN(c.EtPercentile) || c.EtPercentile <= 0 || c.EtPercentile > 100:
-		return fmt.Errorf("core: EtPercentile %v outside (0,100]", c.EtPercentile)
 	case math.IsNaN(c.EtDefault) || math.IsInf(c.EtDefault, 0) || c.EtDefault < 0:
 		return fmt.Errorf("core: EtDefault %v must be a finite non-negative number", c.EtDefault)
-	case c.Horizon < 0:
-		return fmt.Errorf("core: negative Horizon %d", c.Horizon)
 	case c.EtWindow < 0:
 		return fmt.Errorf("core: negative EtWindow %d", c.EtWindow)
 	}
-	if err := c.validatePolicy(); err != nil {
+	if err := c.settlePolicy(); err != nil {
 		return err
 	}
 	return c.Resilience.validate()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/sim"
@@ -11,131 +10,57 @@ import (
 // PolicyPatch is an alternative policy/parameter set for counterfactual
 // replay (internal/whatif): each non-nil field overrides the corresponding
 // live parameter from the patched tick onward. Nil fields leave the factual
-// configuration untouched, so the zero patch replays the factual run.
+// configuration untouched, so the zero patch replays the factual run. The
+// fields are the policyAxes rows a patch may set; what each means is there.
 type PolicyPatch struct {
-	// Selection swaps the freeze-candidate ordering (the paper's hottest-
-	// first vs the ablation policies).
-	Selection *SelectionPolicy
-	// EtMode swaps every domain's Et estimator for a freshly built one of
-	// the given family — including domains configured with an external
-	// estimator. The new estimators start cold and retrain from the fork
-	// point onward ("what if Et had been forecast differently"); replay
-	// determinism is preserved because counterfactual runs rebuild from
-	// genesis, so the retraining history is identical on every run.
-	EtMode *EtMode
-	// EtPercentile retargets every online HourlyEt estimator's percentile;
-	// accumulated observations are kept.
+	Selection    *SelectionPolicy
+	EtMode       *EtMode
 	EtPercentile *float64
-	// EtAlpha and EtBand retune the EWMA estimator (effective when EtMode
-	// is, or is patched to, EtEWMA).
-	EtAlpha *float64
-	EtBand  *float64
-	// RampFrac bounds per-tick effective-budget movement as a fraction of
-	// each domain's base budget, overriding any schedule's RampFrac. 0 turns
-	// ramping off (every budget change lands as a cliff).
-	RampFrac *float64
-	// Horizon swaps the solver: 1 = the closed-form SPCP, >1 = the exact
-	// horizon-N PCP.
-	Horizon *int
-	// MaxFreezeRatio and RStable retune the operational freeze cap and the
-	// §3.5 stability ratio.
-	MaxFreezeRatio *float64
-	RStable        *float64
-	// Unfreeze swaps the release path; HeadroomTrigger and HeadroomStepFrac
-	// retune the spare-headroom policy.
+	EtAlpha      *float64
+	EtBand       *float64
+	// RampFrac is the one field without a Config twin: Reconfigure keeps it
+	// on the controller, above any schedule's RampFrac.
+	RampFrac         *float64
+	Horizon          *int
+	MaxFreezeRatio   *float64
+	RStable          *float64
 	Unfreeze         *UnfreezeMode
 	HeadroomTrigger  *float64
 	HeadroomStepFrac *float64
 }
 
 // Empty reports whether the patch changes nothing.
-func (p PolicyPatch) Empty() bool {
-	return p.Selection == nil && p.EtMode == nil && p.EtPercentile == nil &&
-		p.EtAlpha == nil && p.EtBand == nil && p.RampFrac == nil &&
-		p.Horizon == nil && p.MaxFreezeRatio == nil && p.RStable == nil &&
-		p.Unfreeze == nil && p.HeadroomTrigger == nil && p.HeadroomStepFrac == nil
-}
+func (p PolicyPatch) Empty() bool { return p == PolicyPatch{} }
 
-// String renders the patch as "key=value key=value" in a fixed field order
+// String renders the patch as "key=value key=value" in policyAxes order
 // (empty string for the zero patch) — the canonical form used in reports.
-// whatif.ParsePatch is its inverse: %g prints the shortest representation
-// that round-trips through ParseFloat.
+// ParsePatch is its inverse: %g prints the shortest representation that
+// round-trips through ParseFloat.
 func (p PolicyPatch) String() string {
 	var parts []string
-	if p.Selection != nil {
-		parts = append(parts, "policy="+p.Selection.String())
-	}
-	if p.EtMode != nil {
-		parts = append(parts, "et="+p.EtMode.String())
-	}
-	if p.EtPercentile != nil {
-		parts = append(parts, fmt.Sprintf("et-percentile=%g", *p.EtPercentile))
-	}
-	if p.EtAlpha != nil {
-		parts = append(parts, fmt.Sprintf("et-alpha=%g", *p.EtAlpha))
-	}
-	if p.EtBand != nil {
-		parts = append(parts, fmt.Sprintf("et-band=%g", *p.EtBand))
-	}
-	if p.RampFrac != nil {
-		parts = append(parts, fmt.Sprintf("ramp=%g", *p.RampFrac))
-	}
-	if p.Horizon != nil {
-		parts = append(parts, fmt.Sprintf("horizon=%d", *p.Horizon))
-	}
-	if p.MaxFreezeRatio != nil {
-		parts = append(parts, fmt.Sprintf("max-freeze=%g", *p.MaxFreezeRatio))
-	}
-	if p.RStable != nil {
-		parts = append(parts, fmt.Sprintf("rstable=%g", *p.RStable))
-	}
-	if p.Unfreeze != nil {
-		parts = append(parts, "unfreeze="+p.Unfreeze.String())
-	}
-	if p.HeadroomTrigger != nil {
-		parts = append(parts, fmt.Sprintf("headroom-trigger=%g", *p.HeadroomTrigger))
-	}
-	if p.HeadroomStepFrac != nil {
-		parts = append(parts, fmt.Sprintf("headroom-step=%g", *p.HeadroomStepFrac))
+	for _, a := range policyAxes {
+		if !a.Patch {
+			continue
+		}
+		if text, set := a.patchText(&p); set {
+			parts = append(parts, a.PatchKey()+"="+text)
+		}
 	}
 	return strings.Join(parts, " ")
 }
 
-// apply folds the patch's non-nil fields into cfg.
-func (p PolicyPatch) apply(cfg *Config) {
-	if p.Selection != nil {
-		cfg.Selection = *p.Selection
+// apply folds the patch's non-nil fields into cfg, and reports a value that
+// has no Config field to carry it to Validate and is out of range.
+func (p PolicyPatch) apply(cfg *Config) error {
+	for _, a := range policyAxes {
+		if !a.Patch {
+			continue
+		}
+		if err := a.patchApply(&p, cfg); err != nil {
+			return err
+		}
 	}
-	if p.EtMode != nil {
-		cfg.EtMode = *p.EtMode
-	}
-	if p.EtPercentile != nil {
-		cfg.EtPercentile = *p.EtPercentile
-	}
-	if p.EtAlpha != nil {
-		cfg.EtAlpha = *p.EtAlpha
-	}
-	if p.EtBand != nil {
-		cfg.EtBand = *p.EtBand
-	}
-	if p.Horizon != nil {
-		cfg.Horizon = *p.Horizon
-	}
-	if p.MaxFreezeRatio != nil {
-		cfg.MaxFreezeRatio = *p.MaxFreezeRatio
-	}
-	if p.RStable != nil {
-		cfg.RStable = *p.RStable
-	}
-	if p.Unfreeze != nil {
-		cfg.Unfreeze = *p.Unfreeze
-	}
-	if p.HeadroomTrigger != nil {
-		cfg.HeadroomTrigger = *p.HeadroomTrigger
-	}
-	if p.HeadroomStepFrac != nil {
-		cfg.HeadroomStepFrac = *p.HeadroomStepFrac
-	}
+	return nil
 }
 
 // Reconfigure applies a policy patch to a running controller, atomically:
@@ -150,19 +75,17 @@ func (c *Controller) Reconfigure(p PolicyPatch) error {
 
 	// Phase 1: resolve the candidate configuration, no mutation.
 	cfg := c.cfg
-	p.apply(&cfg)
-	cfg = cfg.withPolicyDefaults()
-
-	// Phase 2: validate everything and pre-build all fallible state. The
-	// RampFrac check lives here too — it used to run after the estimator
-	// loop had already mutated percentiles, the partial-commit bug.
-	if err := cfg.Validate(); err != nil {
+	// apply judges RampFrac, which no Config field carries to Validate — it
+	// used to be checked after the estimator loop had already mutated
+	// percentiles, the partial-commit bug.
+	if err := p.apply(&cfg); err != nil {
 		return fmt.Errorf("core: Reconfigure: %w", err)
 	}
-	if p.RampFrac != nil {
-		if f := *p.RampFrac; math.IsNaN(f) || math.IsInf(f, 0) || f < 0 || f > 1 {
-			return fmt.Errorf("core: Reconfigure: RampFrac %v outside [0,1]", f)
-		}
+	cfg = cfg.withPolicyDefaults()
+
+	// Phase 2: validate everything and pre-build all fallible state.
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("core: Reconfigure: %w", err)
 	}
 	sel, solver, unf, err := cfg.policies()
 	if err != nil {

@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -399,45 +398,27 @@ func (c Config) newTrainableEt() (TrainableEt, error) {
 	}
 }
 
+// settlePolicy resolves every zero-valued policy tunable that has a
+// deployment default to it and returns the first axis then out of range:
+// Validate's check of the policy axes, on its copy of the Config.
+func (c *Config) settlePolicy() (first error) {
+	for _, a := range policyAxes {
+		if a.settle == nil {
+			continue
+		}
+		if err := a.settle(c); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // withPolicyDefaults resolves zero-valued policy tunables to the deployment
 // defaults, so hand-built Configs keep working as strategy knobs are added
 // (zero selects the default, like ResilienceConfig's fields; an explicit
-// zero is not distinguishable and also selects the default).
+// zero is not distinguishable and also selects the default). The ranges are
+// Validate's to report.
 func (c Config) withPolicyDefaults() Config {
-	if c.EtAlpha == 0 {
-		c.EtAlpha = 0.25
-	}
-	if c.EtBand == 0 {
-		c.EtBand = 3
-	}
-	if c.HeadroomTrigger == 0 {
-		c.HeadroomTrigger = 0.05
-	}
-	if c.HeadroomStepFrac == 0 {
-		c.HeadroomStepFrac = 0.10
-	}
+	_ = c.settlePolicy()
 	return c
-}
-
-// validatePolicy checks the strategy-axis knobs; called from Config.Validate.
-// Zero values pass (withPolicyDefaults resolves them before use).
-func (c Config) validatePolicy() error {
-	switch {
-	case c.EtMode < EtStatic || c.EtMode > EtSeasonal:
-		return fmt.Errorf("core: unknown EtMode %d", int(c.EtMode))
-	case c.Unfreeze < UnfreezeAll || c.Unfreeze > UnfreezeHeadroom:
-		return fmt.Errorf("core: unknown Unfreeze mode %d", int(c.Unfreeze))
-	case math.IsNaN(c.EtAlpha) || c.EtAlpha < 0 || c.EtAlpha > 1:
-		return fmt.Errorf("core: EtAlpha %v outside (0,1] (0 = default)", c.EtAlpha)
-	case math.IsNaN(c.EtBand) || math.IsInf(c.EtBand, 0) || c.EtBand < 0:
-		return fmt.Errorf("core: EtBand %v must be a finite non-negative number", c.EtBand)
-	case math.IsNaN(c.HeadroomTrigger) || c.HeadroomTrigger < 0 || c.HeadroomTrigger >= 1:
-		return fmt.Errorf("core: HeadroomTrigger %v outside [0,1)", c.HeadroomTrigger)
-	case math.IsNaN(c.HeadroomStepFrac) || c.HeadroomStepFrac < 0 || c.HeadroomStepFrac > 1:
-		return fmt.Errorf("core: HeadroomStepFrac %v outside [0,1]", c.HeadroomStepFrac)
-	}
-	if _, err := selectorFor(c.Selection); err != nil {
-		return err
-	}
-	return nil
 }

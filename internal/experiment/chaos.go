@@ -205,25 +205,16 @@ func runChaosOnce(cfg ChaosConfig, naive bool) (*ChaosOutcome, chaos.Plan, error
 	}
 
 	// Pre-train Et from the control group's history, as in RunAmpere.
-	from := ctrl.Tracker.IndexAt(sim.Time(cfg.Warmup))
-	hist := ctrl.Tracker.PowerSeries(GCtrl, from)
-	norm := make([]float64, len(hist))
-	for i, v := range hist {
-		norm[i] = v / ctrl.ExpBudgetW
-	}
-	et, err := TrainEtFromSeries(norm, sim.Time(cfg.Warmup), 99.5, 0.03)
+	et, err := ctrl.TrainEt(false, sim.Time(cfg.Warmup), 99.5)
 	if err != nil {
 		return nil, chaos.Plan{}, err
 	}
 
-	kr := cfg.Kr
-	if kr == 0 {
-		kr = DefaultKr
-	}
 	// The controller enforces PM a little below the audited budget — the
 	// §3.2 operator safety margin — so boundary-riding control jitter does
 	// not register as violations against the real limit.
-	ctlBudget := ctrl.ExpBudgetW * 0.985
+	domain := ctrl.AmpereDomain(cfg.Kr, et)
+	domain.BudgetW *= 0.985
 	ccfg := core.DefaultConfig()
 	ccfg.Resilience.Disabled = naive
 	// Drill posture: while dark, assume demand rises at 4× the trained Et
@@ -233,8 +224,7 @@ func runChaosOnce(cfg ChaosConfig, naive bool) (*ChaosOutcome, chaos.Plan, error
 	ccfg.Resilience.EtInflation = 4
 	ccfg.Resilience.FailSafeAfter = 10
 	newController := func() (*core.Controller, error) {
-		return core.New(rig.Eng, reader, api, ccfg,
-			[]core.Domain{{Name: "exp-group", Servers: ctrl.Groups.Exp, BudgetW: ctlBudget, Kr: kr, Et: et}})
+		return core.New(rig.Eng, reader, api, ccfg, []core.Domain{domain})
 	}
 	controller, err := newController()
 	if err != nil {

@@ -1,11 +1,14 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
+	"repro/internal/capping"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/workload"
 )
@@ -144,15 +147,46 @@ func NewControlled(cfg ControlledConfig) (*Controlled, error) {
 	}, nil
 }
 
-// AmpereDomain builds the controller domain for the experiment group.
+// AmpereDomain builds the controller domain for the experiment group; a zero
+// kr selects DefaultKr.
 func (c *Controlled) AmpereDomain(kr float64, et core.EtEstimator) core.Domain {
-	return core.Domain{
-		Name:    "exp-group",
-		Servers: c.Groups.Exp,
-		BudgetW: c.ExpBudgetW,
-		Kr:      kr,
-		Et:      et,
+	return core.Domain{Name: "exp-group", Servers: c.Groups.Exp, BudgetW: c.ExpBudgetW, Kr: cmp.Or(kr, DefaultKr), Et: et}
+}
+
+// RowDomain is AmpereDomain for the whole experiment row, both groups under
+// the sum of their budgets.
+func (c *Controlled) RowDomain(kr float64, et core.EtEstimator) core.Domain {
+	d := c.AmpereDomain(kr, et)
+	d.Name, d.Servers, d.BudgetW = "row/0", c.Rig.Cluster.RowIDs(0), c.ExpBudgetW+c.CtrlBudgetW
+	return d
+}
+
+// RowCapper builds the DVFS capper over the same row and budget as RowDomain.
+func (c *Controlled) RowCapper(cfg capping.Config) (*capping.Capper, error) {
+	return capping.New(c.Rig.Eng, cfg, []capping.Domain{
+		{Name: "row/0", Servers: c.Rig.Cluster.Row(0), BudgetW: c.ExpBudgetW + c.CtrlBudgetW},
+	})
+}
+
+// TrainEt pre-trains the controller's Et on the tracker's history since from:
+// the control group's power — the same demand process the experiment group
+// sees — normalized to the experiment group's budget, or with wholeRow the
+// row's power normalized to the row's budget.
+func (c *Controlled) TrainEt(wholeRow bool, from sim.Time, percentile float64) (*core.HourlyEt, error) {
+	i := c.Tracker.IndexAt(from)
+	ctrl, budget := c.Tracker.PowerSeries(GCtrl, i), c.ExpBudgetW
+	norm := make([]float64, len(ctrl))
+	copy(norm, ctrl)
+	if wholeRow {
+		budget += c.CtrlBudgetW
+		for k, exp := range c.Tracker.PowerSeries(GExp, i) {
+			norm[k] += exp
+		}
 	}
+	for k := range norm {
+		norm[k] /= budget
+	}
+	return TrainEtFromSeries(norm, from, percentile, 0.03)
 }
 
 // FreezeTop freezes the k hottest experiment-group servers by the monitor's

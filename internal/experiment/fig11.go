@@ -164,11 +164,6 @@ func runFig11Scenario(cfg Fig11Config, ops []service.Op, ampere bool) (*fig11Sce
 	}
 	rig := ctrl.Rig
 	row := rig.Cluster.Row(0)
-	rowIDs := make([]cluster.ServerID, len(row))
-	for i, sv := range row {
-		rowIDs[i] = sv.ID
-	}
-	rowBudget := ctrl.ExpBudgetW + ctrl.CtrlBudgetW
 
 	// Pin the service instances, spread evenly across the row.
 	stride := cfg.RowServers / cfg.ServiceServers
@@ -195,9 +190,7 @@ func runFig11Scenario(cfg Fig11Config, ops []service.Op, ampere bool) (*fig11Sce
 		return nil, err
 	}
 
-	capper, err := capping.New(rig.Eng, capping.DefaultConfig(), []capping.Domain{
-		{Name: "row/0", Servers: row, BudgetW: rowBudget},
-	})
+	capper, err := ctrl.RowCapper(capping.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -205,28 +198,12 @@ func runFig11Scenario(cfg Fig11Config, ops []service.Op, ampere bool) (*fig11Sce
 	var controller *core.Controller
 	if ampere {
 		// Train Et from the row's own pretrain history.
-		from := ctrl.Tracker.IndexAt(sim.Time(warmup))
-		e := ctrl.Tracker.PowerSeries(GExp, from)
-		c := ctrl.Tracker.PowerSeries(GCtrl, from)
-		norm := make([]float64, len(e))
-		for i := range e {
-			norm[i] = (e[i] + c[i]) / rowBudget
-		}
-		et, err := TrainEtFromSeries(norm, sim.Time(warmup), 99.5, 0.03)
+		et, err := ctrl.TrainEt(true, sim.Time(warmup), 99.5)
 		if err != nil {
 			return nil, err
 		}
-		kr := cfg.Kr
-		if kr == 0 {
-			kr = DefaultKr
-		}
-		controller, err = core.New(rig.Eng, rig.Mon, rig.Sched, core.DefaultConfig(), []core.Domain{{
-			Name:    "row/0",
-			Servers: rowIDs,
-			BudgetW: rowBudget,
-			Kr:      kr,
-			Et:      et,
-		}})
+		controller, err = core.New(rig.Eng, rig.Mon, rig.Sched, core.DefaultConfig(),
+			[]core.Domain{ctrl.RowDomain(cfg.Kr, et)})
 		if err != nil {
 			return nil, err
 		}

@@ -37,9 +37,6 @@ func (c *AmpereRunConfig) setDefaults() {
 	if c.Measure == 0 {
 		c.Measure = 24 * sim.Hour
 	}
-	if c.Kr == 0 {
-		c.Kr = DefaultKr
-	}
 	if c.MaxFreezeRatio == 0 {
 		c.MaxFreezeRatio = 0.5
 	}
@@ -80,16 +77,8 @@ func RunAmpere(cfg AmpereRunConfig) (*AmpereRun, error) {
 		return nil, err
 	}
 
-	// Pre-train Et from the control group's pretrain-span power history —
-	// the same demand process the experiment group sees, normalized to the
-	// controlled budget.
-	from := ctrl.Tracker.IndexAt(sim.Time(cfg.Warmup))
-	hist := ctrl.Tracker.PowerSeries(GCtrl, from)
-	norm := make([]float64, len(hist))
-	for i, v := range hist {
-		norm[i] = v / ctrl.ExpBudgetW
-	}
-	et, err := TrainEtFromSeries(norm, sim.Time(cfg.Warmup), cfg.EtPercentile, 0.03)
+	// Pre-train Et from the control group's pretrain-span power history.
+	et, err := ctrl.TrainEt(false, sim.Time(cfg.Warmup), cfg.EtPercentile)
 	if err != nil {
 		return nil, err
 	}

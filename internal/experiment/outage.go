@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/breaker"
 	"repro/internal/capping"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -130,43 +129,24 @@ func runOutageOnce(cfg OutageConfig, regime string) (*OutageOutcome, error) {
 	switch regime {
 	case "none":
 	case "capping":
-		cp, err := capping.New(rig.Eng, capping.DefaultConfig(), []capping.Domain{
-			{Name: "row/0", Servers: row, BudgetW: rowBudget},
-		})
+		cp, err := ctrl.RowCapper(capping.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
 		cp.Start()
 	case "ampere":
-		from := ctrl.Tracker.IndexAt(sim.Time(cfg.Warmup))
-		e := ctrl.Tracker.PowerSeries(GExp, from)
-		c := ctrl.Tracker.PowerSeries(GCtrl, from)
-		norm := make([]float64, len(e))
-		for i := range norm {
-			norm[i] = (e[i] + c[i]) / rowBudget
-		}
-		et, err := TrainEtFromSeries(norm, sim.Time(cfg.Warmup), 99.5, 0.03)
+		et, err := ctrl.TrainEt(true, sim.Time(cfg.Warmup), 99.5)
 		if err != nil {
 			return nil, err
 		}
-		ids := make([]cluster.ServerID, len(row))
-		for i, sv := range row {
-			ids[i] = sv.ID
-		}
-		kr := cfg.Kr
-		if kr == 0 {
-			kr = DefaultKr
-		}
 		controller, err := core.New(rig.Eng, rig.Mon, rig.Sched, core.DefaultConfig(),
-			[]core.Domain{{Name: "row/0", Servers: ids, BudgetW: rowBudget, Kr: kr, Et: et}})
+			[]core.Domain{ctrl.RowDomain(cfg.Kr, et)})
 		if err != nil {
 			return nil, err
 		}
 		controller.Start()
 		// Capping stays on as the safety net, as in the deployment.
-		cp, err := capping.New(rig.Eng, capping.DefaultConfig(), []capping.Domain{
-			{Name: "row/0", Servers: row, BudgetW: rowBudget},
-		})
+		cp, err := ctrl.RowCapper(capping.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}

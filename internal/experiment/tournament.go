@@ -27,7 +27,7 @@ import (
 type TournamentConfig struct {
 	// Grid is the factual scenario: the gridstorm cliff regime.
 	Grid GridstormConfig
-	// Patches are the contenders, in whatif.ParsePatch syntax; the empty
+	// Patches are the contenders, in core.ParsePatch syntax; the empty
 	// string is the baseline (self-replay) and is always ranked with the
 	// rest. Patch strings are canonicalized (parsed and re-rendered) before
 	// ranking.
@@ -135,7 +135,7 @@ func RunTournament(cfg TournamentConfig) (*TournamentResult, error) {
 	// must not cost eight replays first.
 	compiled := make([]tournamentEntry, len(cfg.Patches))
 	for i, s := range cfg.Patches {
-		p, err := whatif.ParsePatch(s)
+		p, err := core.ParsePatch(s)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: tournament patch %d (%q): %w", i, s, err)
 		}

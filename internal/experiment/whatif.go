@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/whatif"
@@ -35,39 +36,27 @@ func GridstormBuilder(cfg GridstormConfig, ramped bool) whatif.Builder {
 		for r := 0; r < cfg.Rows; r++ {
 			breakers[r] = whatif.NamedBreaker{Name: fmt.Sprintf("row%d", r), B: st.breakers[r]}
 		}
-		return &whatif.Instance{
-			Eng:      st.rig.Eng,
+		inst := &whatif.Instance{
+			Stack:    st.rig,
 			Journal:  journal,
 			Ctl:      st.ctl,
-			Cluster:  st.rig.Cluster,
-			Mon:      st.rig.Mon,
 			Breakers: breakers,
 			End:      st.endT,
-			Interval: sim.Minute,
-			Seed:     cfg.Seed,
 			ConfigTag: fmt.Sprintf("gridstorm/%s seed=%d rows=%dx%d target=%g budget=%g curt=%g dip=%g len=%d ramp=%d trip=%g",
 				st.regime, cfg.Seed, cfg.Rows, cfg.RowServers, cfg.TargetFrac, cfg.BudgetFrac,
 				cfg.CurtailedFrac, cfg.DipDepth, int64(cfg.DipLen/sim.Minute), cfg.RampMinutes,
 				cfg.TripOverloadSeconds),
-			RunUntil: st.rig.Run,
-			KPIs: func() map[string]float64 {
-				s := st.rig.Sched.Stats()
-				kpis := map[string]float64{
-					"jobs_submitted": float64(s.Submitted),
-					"jobs_placed":    float64(s.Placed),
-					"jobs_completed": float64(s.Completed),
-					"jobs_queued":    float64(s.Queued),
-					"jobs_overflow":  float64(s.Overflowed),
-					"jobs_killed":    float64(s.Killed),
+		}
+		if st.svc != nil {
+			inst.KPIs = func() map[string]float64 {
+				return map[string]float64{
+					"service_requests":     float64(st.svc.TotalServed()),
+					"service_p999_us":      st.svc.AggregateLatencyQuantileUS(0.999),
+					"service_slo_miss_pct": st.svc.TotalSLOMissRate() * 100,
 				}
-				if st.svc != nil {
-					kpis["service_requests"] = float64(st.svc.TotalServed())
-					kpis["service_p999_us"] = st.svc.AggregateLatencyQuantileUS(0.999)
-					kpis["service_slo_miss_pct"] = st.svc.TotalSLOMissRate() * 100
-				}
-				return kpis
-			},
-		}, nil
+			}
+		}
+		return inst, nil
 	}
 }
 
@@ -130,7 +119,7 @@ func RunWhatif(cfg GridstormConfig) (*WhatifResult, error) {
 
 	// Self-replay: same snapshot, empty patch — the journal suffix must be
 	// byte-identical (DESIGN.md §9's restore proof, exercised every demo).
-	self, err := eng.Replay(fact.Snap, whatif.MustParsePatch(""))
+	self, err := eng.Replay(fact.Snap, core.PolicyPatch{})
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +130,7 @@ func RunWhatif(cfg GridstormConfig) (*WhatifResult, error) {
 	// the cliff. This reproduces the ramp regime's dynamics from the factual
 	// run's own mid-storm state.
 	patch := fmt.Sprintf("ramp=%g", cfg.DipDepth/float64(cfg.RampMinutes))
-	p, err := whatif.ParsePatch(patch)
+	p, err := core.ParsePatch(patch)
 	if err != nil {
 		return nil, err
 	}

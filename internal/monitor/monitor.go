@@ -31,18 +31,11 @@ func SeriesRow(r int) string { return fmt.Sprintf("row/%d", r) }
 // SeriesRack returns the TSDB series name for rack k on row r.
 func SeriesRack(r, k int) string { return fmt.Sprintf("rack/%d/%d", r, k) }
 
-// SeriesServer returns the TSDB series name for a server.
-func SeriesServer(id cluster.ServerID) string { return fmt.Sprintf("server/%d", id) }
-
 // Config controls sampling.
 type Config struct {
 	// Interval between sampling sweeps. The paper samples every minute, "a
 	// good tradeoff between measurement accuracy and monitoring overhead".
 	Interval sim.Duration
-	// StoreServerSeries also records one TSDB series per server. Off by
-	// default: at data-center scale the per-server history dominates memory
-	// and only the latest snapshot is needed by the controller.
-	StoreServerSeries bool
 	// SweepDropRate injects monitoring failures: each sweep is skipped
 	// entirely with this probability (an IPMI/collector outage for that
 	// minute). Consumers observe it as a stale snapshot — the controller's
@@ -104,19 +97,18 @@ type Monitor struct {
 	dropped    int64
 	dropRNG    *rand.Rand
 
-	// rowNames/rackNames/serverNames are the TSDB series names, precomputed
-	// at construction: Sweep must not fmt.Sprintf per rack per minute at
-	// 100k-server scale. serverNames stays nil unless StoreServerSeries.
-	rowNames    []string
-	rackNames   []string
-	serverNames []string
-	// dcSeries/rowSeries/rackSeries/serverSeries are the same series resolved
-	// to handles, index for index; entries are nil when the store is not a
-	// seriesStore.
-	dcSeries     *tsdb.Series
-	rowSeries    []*tsdb.Series
-	rackSeries   []*tsdb.Series
-	serverSeries []*tsdb.Series
+	// rowNames/rackNames are the TSDB series names, precomputed at
+	// construction: Sweep must not fmt.Sprintf per rack per minute at
+	// 100k-server scale. Per-server history is not stored: at data-center
+	// scale it dominates memory, and the controller needs only the latest
+	// snapshot.
+	rowNames  []string
+	rackNames []string
+	// dcSeries/rowSeries/rackSeries are the same series resolved to handles,
+	// index for index; entries are nil when the store is not a seriesStore.
+	dcSeries   *tsdb.Series
+	rowSeries  []*tsdb.Series
+	rackSeries []*tsdb.Series
 
 	// The sample phase of a sweep: every goroutine claims blocks of rows from
 	// nextRow and draws through a sampler of its own — the calling goroutine
@@ -193,12 +185,6 @@ func New(eng *sim.Engine, c *cluster.Cluster, db *tsdb.DB, cfg Config) (*Monitor
 			m.rackNames[r*c.Spec.RacksPerRow+k] = SeriesRack(r, k)
 		}
 	}
-	if cfg.StoreServerSeries {
-		m.serverNames = make([]string, len(c.Servers))
-		for i := range c.Servers {
-			m.serverNames[i] = SeriesServer(cluster.ServerID(i))
-		}
-	}
 	m.sampler = cluster.NewSampler()
 	m.helpers = make([]func(), max(len(c.Servers)/shareServers-1, 0))
 	for i := range m.helpers {
@@ -210,7 +196,6 @@ func New(eng *sim.Engine, c *cluster.Cluster, db *tsdb.DB, cfg Config) (*Monitor
 	}
 	m.rowSeries = make([]*tsdb.Series, len(m.rowNames))
 	m.rackSeries = make([]*tsdb.Series, len(m.rackNames))
-	m.serverSeries = make([]*tsdb.Series, len(m.serverNames))
 	if db != nil {
 		m.SetStore(db)
 	}
@@ -238,9 +223,6 @@ func (m *Monitor) SetStore(s Store) {
 	}
 	for i, name := range m.rackNames {
 		m.rackSeries[i] = resolve(name)
-	}
-	for i, name := range m.serverNames {
-		m.serverSeries[i] = resolve(name)
 	}
 }
 
@@ -303,11 +285,6 @@ func (m *Monitor) Sweep(now sim.Time) {
 		dcTotal += rowTotal
 		if m.store == nil {
 			continue
-		}
-		if m.cfg.StoreServerSeries {
-			for _, sv := range m.c.Row(r) {
-				m.append(m.serverSeries[sv.ID], m.serverNames[sv.ID], now, m.lastServer[sv.ID])
-			}
 		}
 		m.append(m.rowSeries[r], m.rowNames[r], now, rowTotal)
 		for i := r * racks; i < (r+1)*racks; i++ {

@@ -70,10 +70,6 @@ func TestSweepAggregation(t *testing.T) {
 	if p, ok := db.Latest(SeriesDC); !ok || math.Abs(p.V-(rated+11*idle)) > 1e-9 {
 		t.Errorf("tsdb dc = %+v", p)
 	}
-	// Server series off by default.
-	if db.Len(SeriesServer(0)) != 0 {
-		t.Error("server series stored without StoreServerSeries")
-	}
 }
 
 func TestGroupPower(t *testing.T) {
@@ -131,22 +127,6 @@ func TestPeriodicSampling(t *testing.T) {
 	}
 	if ts, ok := m.LastSampleTime(); !ok || ts != sim.Time(5*sim.Minute) {
 		t.Errorf("LastSampleTime = %v, %v", ts, ok)
-	}
-}
-
-func TestStoreServerSeries(t *testing.T) {
-	eng := sim.NewEngine()
-	c := newCluster(t, 1, 1, 2)
-	db := tsdb.New(0)
-	cfg := DefaultConfig()
-	cfg.StoreServerSeries = true
-	m, err := New(eng, c, db, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Sweep(0)
-	if db.Len(SeriesServer(0)) != 1 || db.Len(SeriesServer(1)) != 1 {
-		t.Error("server series missing")
 	}
 }
 
@@ -250,9 +230,7 @@ func TestHandleAndNamePathsWriteTheSameHistory(t *testing.T) {
 		eng := sim.NewEngine()
 		c := newCluster(t, 2, 2, 3)
 		db := tsdb.New(0)
-		cfg := DefaultConfig()
-		cfg.StoreServerSeries = true
-		m, err := New(eng, c, db, cfg)
+		m, err := New(eng, c, db, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +246,7 @@ func TestHandleAndNamePathsWriteTheSameHistory(t *testing.T) {
 	direct, _ := build(false)
 	wrapped, st := build(true)
 	names := direct.Names()
-	if want := 1 + 2 + 4 + 12; len(names) != want || len(wrapped.Names()) != want {
+	if want := 1 + 2 + 4; len(names) != want || len(wrapped.Names()) != want {
 		t.Fatalf("%d series direct, %d wrapped, want %d", len(names), len(wrapped.Names()), want)
 	}
 	if st.writes != 3*len(names) {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -102,11 +101,9 @@ func FuzzBudgetSchedule(f *testing.F) {
 }
 
 // FuzzPolicySpec drives the control_policy surface: arbitrary JSON is
-// decoded as a spec, and whenever the spec validates, its policy block must
-// apply cleanly onto core.DefaultConfig into a configuration that core's own
-// Validate accepts — the controller-construction path Build takes. A
-// validated spec whose policy the controller then rejects is a drift bug
-// between the scenario and core validation layers.
+// decoded as a spec, and whenever the spec validates — which is core's own
+// Validate judging the configuration the block yields — the block must
+// survive a marshal round-trip to a spec that yields the same configuration.
 func FuzzPolicySpec(f *testing.F) {
 	f.Add(`{"rows":2,"row_servers":40,"hours":1,"target_frac":0.5,"ampere":true,
 		"control_policy":{"selection":"coldest","et":"ewma","et_alpha":0.5,"et_band":2}}`)
@@ -131,15 +128,6 @@ func FuzzPolicySpec(f *testing.F) {
 		if err != nil || s.Validate() != nil {
 			return
 		}
-		cfg := core.DefaultConfig()
-		if err := s.ControlPolicy.apply(&cfg); err != nil {
-			t.Fatalf("validated control_policy failed to apply: %v\n%s", err, in)
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("validated control_policy yields a config core rejects: %v\n%s", err, in)
-		}
-		// The accepted spec (policy block included) must survive a marshal
-		// round-trip to an equally valid spec.
 		blob, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("cannot re-marshal accepted spec: %v", err)
@@ -150,6 +138,10 @@ func FuzzPolicySpec(f *testing.F) {
 		}
 		if err := s2.Validate(); err != nil {
 			t.Fatalf("round-tripped spec no longer validates: %v\n%s", err, blob)
+		}
+		want, _ := s.ControlPolicy.config()
+		if got, _ := s2.ControlPolicy.config(); got != want {
+			t.Fatalf("round-tripped control_policy yields %+v, want %+v\n%s", got, want, blob)
 		}
 	})
 }

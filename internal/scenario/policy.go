@@ -1,117 +1,72 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
-	"math"
+	"reflect"
 
 	"repro/internal/core"
 )
 
-// PolicySpec is the scenario-file form of the controller's strategy knobs
-// (the `control_policy` block; the top-level `policy` key names the
-// scheduler placement policy and predates it). Zero-valued fields keep the
-// paper's defaults, so a spec only states what it changes:
+// PolicySpec is the scenario-file form of the controller's policy axes (the
+// `control_policy` block; the top-level `policy` key names the scheduler
+// placement policy and predates it). Its keys are core.PolicyAxes' SpecKeys;
+// a zero or absent value keeps the paper's default, so a spec only states
+// what it changes:
 //
 //	"control_policy": {"selection": "coldest", "et": "ewma", "et_alpha": 0.5}
-//
-// Everything here maps onto core.Config; PolicyPatch covers the same axes
-// for mid-run counterfactual replay.
 type PolicySpec struct {
-	// Selection: hottest (default) | coldest | random.
-	Selection string `json:"selection,omitempty"`
-	// SelectionSeed seeds the random policy's deterministic stream.
-	SelectionSeed uint64 `json:"selection_seed,omitempty"`
-	// Et estimator family: static (default) | ewma | seasonal.
-	Et string `json:"et,omitempty"`
-	// EtPercentile retargets the static estimator (default 99.5).
-	EtPercentile float64 `json:"et_percentile,omitempty"`
-	// EtAlpha / EtBand tune the EWMA estimator.
-	EtAlpha float64 `json:"et_alpha,omitempty"`
-	EtBand  float64 `json:"et_band,omitempty"`
-	// Horizon selects the solver: 1 = closed-form SPCP (default),
-	// >1 = exact horizon-N PCP.
-	Horizon int `json:"horizon,omitempty"`
-	// MaxFreeze / RStable retune the freeze cap and §3.5 stability ratio.
-	MaxFreeze float64 `json:"max_freeze,omitempty"`
-	RStable   float64 `json:"rstable,omitempty"`
-	// Unfreeze release path: all (default) | headroom, with its tunables.
-	Unfreeze        string  `json:"unfreeze,omitempty"`
-	HeadroomTrigger float64 `json:"headroom_trigger,omitempty"`
-	HeadroomStep    float64 `json:"headroom_step,omitempty"`
+	block any // a *blockType, once decoded
 }
 
-// Validate reports policy-spec errors. The numeric ranges defer to
-// core.Config.Validate via a trial application onto the defaults, so the
-// scenario layer can never accept what the controller would reject.
-func (p *PolicySpec) Validate() error {
-	if p == nil {
-		return nil
+// blockType is the block as encoding/json sees it, a struct with one field
+// per axis that core.Config holds — an enum's name as a string, a number as
+// the type Config has it in — tagged with the axis's SpecKey. Decoding and
+// printing the block are then the library's, with its rules for unknown,
+// repeated and mistyped keys, and a new axis needs no line here.
+var blockType = func() reflect.Type {
+	var fields []reflect.StructField
+	for i, a := range core.PolicyAxes() {
+		if a.SpecKey == "" {
+			continue
+		}
+		fields = append(fields, reflect.StructField{Name: blockField(i), Type: reflect.TypeOf(a.Zero),
+			Tag: reflect.StructTag(fmt.Sprintf(`json:"%s,omitempty"`, a.SpecKey))})
 	}
+	return reflect.StructOf(fields)
+}()
+
+// blockField names blockType's field for core.PolicyAxes()[i].
+func blockField(i int) string { return fmt.Sprintf("Axis%d", i) }
+
+func (p *PolicySpec) UnmarshalJSON(b []byte) error {
+	if p.block == nil {
+		p.block = reflect.New(blockType).Interface()
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	return dec.Decode(p.block)
+}
+
+func (p PolicySpec) MarshalJSON() ([]byte, error) { return json.Marshal(p.block) }
+
+// config lays the block (nil: nothing) over the paper's defaults. A name no
+// enum has is the only error; ranges are core.Config.Validate's, which
+// judges the whole, so a scenario cannot hold what core.New would reject.
+func (p *PolicySpec) config() (core.Config, error) {
 	cfg := core.DefaultConfig()
-	if err := p.apply(&cfg); err != nil {
-		return err
+	if p == nil || p.block == nil {
+		return cfg, nil
 	}
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("scenario: control_policy: %w", err)
-	}
-	return nil
-}
-
-// apply folds the spec's non-zero fields into cfg. Name fields are parsed
-// here (the only errors apply itself can produce); numeric ranges are left
-// to cfg.Validate.
-func (p *PolicySpec) apply(cfg *core.Config) error {
-	if p == nil {
-		return nil
-	}
-	if p.Selection != "" {
-		sel, err := core.ParseSelectionPolicy(p.Selection)
-		if err != nil {
-			return fmt.Errorf("scenario: control_policy selection: %w", err)
+	block := reflect.ValueOf(p.block).Elem()
+	for i, a := range core.PolicyAxes() {
+		if a.SpecKey == "" {
+			continue
 		}
-		cfg.Selection = sel
-	}
-	cfg.SelectionSeed = p.SelectionSeed
-	if p.Et != "" {
-		mode, err := core.ParseEtMode(p.Et)
-		if err != nil {
-			return fmt.Errorf("scenario: control_policy et: %w", err)
-		}
-		cfg.EtMode = mode
-	}
-	if p.Unfreeze != "" {
-		mode, err := core.ParseUnfreezeMode(p.Unfreeze)
-		if err != nil {
-			return fmt.Errorf("scenario: control_policy unfreeze: %w", err)
-		}
-		cfg.Unfreeze = mode
-	}
-	// Numeric knobs: zero keeps the default; NaN must not slip through as
-	// "zero-ish" (bad() mirrors budget.go's idiom), and non-zero values
-	// overwrite the default outright so cfg.Validate sees exactly what the
-	// controller would run with.
-	for _, f := range []struct {
-		name string
-		v    float64
-		dst  *float64
-	}{
-		{"et_percentile", p.EtPercentile, &cfg.EtPercentile},
-		{"et_alpha", p.EtAlpha, &cfg.EtAlpha},
-		{"et_band", p.EtBand, &cfg.EtBand},
-		{"max_freeze", p.MaxFreeze, &cfg.MaxFreezeRatio},
-		{"rstable", p.RStable, &cfg.RStable},
-		{"headroom_trigger", p.HeadroomTrigger, &cfg.HeadroomTrigger},
-		{"headroom_step", p.HeadroomStep, &cfg.HeadroomStepFrac},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("scenario: control_policy %s is not finite", f.name)
-		}
-		if f.v != 0 {
-			*f.dst = f.v
+		if err := a.SetConfig(&cfg, fmt.Sprint(block.FieldByName(blockField(i)))); err != nil {
+			return cfg, fmt.Errorf("scenario: control_policy %s: %w", a.SpecKey, err)
 		}
 	}
-	if p.Horizon != 0 {
-		cfg.Horizon = p.Horizon
-	}
-	return nil
+	return cfg, nil
 }

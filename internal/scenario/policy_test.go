@@ -1,8 +1,12 @@
 package scenario
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestControlPolicyBlockBuilds(t *testing.T) {
@@ -53,6 +57,60 @@ func TestControlPolicyValidation(t *testing.T) {
 		}
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// Every axis core.Config holds is a control_policy key: set in a document it
+// lands where core's own SetConfig puts it, a zero (a name left empty) keeps
+// the default, and an axis the controller holds — ramp, which a scenario
+// sets through budget_schedule — is no key at all.
+func TestControlPolicyKeysAreTheSchemas(t *testing.T) {
+	load := func(block string) (*Spec, error) {
+		spec, err := Load(strings.NewReader(
+			`{"rows": 2, "row_servers": 40, "hours": 1, "target_frac": 0.5, "ampere": true, "control_policy": {` + block + `}}`))
+		if err == nil {
+			err = spec.Validate()
+		}
+		return spec, err
+	}
+	for _, a := range core.PolicyAxes() {
+		if a.SpecKey == "" {
+			if _, err := load(fmt.Sprintf(`%q: 0.5`, a.Key)); err == nil {
+				t.Errorf("control_policy took %q, which Config does not hold", a.Key)
+			}
+			continue
+		}
+		// text is a value in range and off the default; value and zero are
+		// it and "keep the default" as a document writes them.
+		text, zero := "0.375", "0"
+		switch a.Zero.(type) {
+		case string:
+			text, zero = a.Values[strings.LastIndex(a.Values, "|")+1:], `""`
+		case int, uint64:
+			text = "7"
+		}
+		value := text
+		if a.Zero == "" {
+			value = strconv.Quote(text)
+		}
+		want := core.DefaultConfig()
+		if err := a.SetConfig(&want, text); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := load(fmt.Sprintf(`%q: %s`, a.SpecKey, value))
+		if err != nil {
+			t.Errorf("%s: %v", a.SpecKey, err)
+			continue
+		}
+		if got, _ := spec.ControlPolicy.config(); got != want || got == core.DefaultConfig() {
+			t.Errorf("%s=%s yields %+v, want %+v", a.SpecKey, value, got, want)
+		}
+		spec, err = load(fmt.Sprintf(`%q: %s`, a.SpecKey, zero))
+		if err != nil {
+			t.Errorf("%s: %s: %v", a.SpecKey, zero, err)
+		} else if got, _ := spec.ControlPolicy.config(); got != core.DefaultConfig() {
+			t.Errorf("%s=%s moved the default: %+v", a.SpecKey, zero, got)
 		}
 	}
 }

@@ -133,8 +133,12 @@ func (s *Spec) Validate() error {
 		if !s.Ampere {
 			return fmt.Errorf("scenario: control_policy requires ampere")
 		}
-		if err := s.ControlPolicy.Validate(); err != nil {
+		ccfg, err := s.ControlPolicy.config()
+		if err != nil {
 			return err
+		}
+		if err := ccfg.Validate(); err != nil {
+			return fmt.Errorf("scenario: control_policy: %w", err)
 		}
 	}
 	return s.validateBudget()
@@ -276,8 +280,8 @@ func (s *Spec) Build() (*Built, error) {
 				Schedule: s.compileBudgetSchedule(r, budget, b.warmup),
 			}
 		}
-		ccfg := core.DefaultConfig()
-		if err := s.ControlPolicy.apply(&ccfg); err != nil {
+		ccfg, err := s.ControlPolicy.config()
+		if err != nil {
 			return nil, err
 		}
 		b.Controller, err = core.New(rig.Eng, rig.Mon, rig.Sched, ccfg, domains)

@@ -4,93 +4,80 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// randomPatch builds a PolicyPatch with a random subset of fields set (bit i
-// of mask selects field i) and plausible random values. Values are drawn
-// from finite floats only: String() uses %g, which ParseFloat inverts
-// exactly for every finite float64.
-func randomPatch(rng *rand.Rand, mask int) core.PolicyPatch {
-	var p core.PolicyPatch
-	f := func() *float64 {
-		// Mix round numbers with full-precision ones so the round-trip is
-		// exercised on both short and maximal %g forms.
-		var v float64
-		if rng.Intn(2) == 0 {
-			v = math.Round(rng.Float64()*1000) / 1000
-		} else {
-			v = rng.Float64() * math.Pow(10, float64(rng.Intn(7)-3))
-		}
-		return &v
+// The patch syntax is core's (core.ParsePatch over core.PolicyAxes); it is
+// pinned here, where `ampere-trace why -alt`, /whatif?alt= and the tournament
+// grid hand it to Engine.Replay.
+
+// randomValue draws a value of the axis in the text form String prints:
+// one of an enum's names, an int, or a float — round and full-precision ones
+// mixed, so the round-trip is exercised on both short and maximal %g forms.
+// Finite floats only: %g is inverted exactly by ParseFloat for every one.
+func randomValue(rng *rand.Rand, a core.PolicyAxis) string {
+	switch a.Zero.(type) {
+	case string:
+		names := strings.Split(a.Values, "|")
+		return names[rng.Intn(len(names))]
+	case int:
+		return strconv.Itoa(rng.Intn(20) - 2)
+	case uint64:
+		return strconv.FormatUint(rng.Uint64(), 10)
 	}
-	if mask&(1<<0) != 0 {
-		sel := []core.SelectionPolicy{core.SelectHottest, core.SelectColdest, core.SelectRandom}[rng.Intn(3)]
-		p.Selection = &sel
+	v := rng.Float64() * math.Pow(10, float64(rng.Intn(7)-3))
+	if rng.Intn(2) == 0 {
+		v = math.Round(rng.Float64()*1000) / 1000
 	}
-	if mask&(1<<1) != 0 {
-		mode := []core.EtMode{core.EtStatic, core.EtEWMA, core.EtSeasonal}[rng.Intn(3)]
-		p.EtMode = &mode
-	}
-	if mask&(1<<2) != 0 {
-		p.EtPercentile = f()
-	}
-	if mask&(1<<3) != 0 {
-		p.EtAlpha = f()
-	}
-	if mask&(1<<4) != 0 {
-		p.EtBand = f()
-	}
-	if mask&(1<<5) != 0 {
-		p.RampFrac = f()
-	}
-	if mask&(1<<6) != 0 {
-		h := rng.Intn(20) - 2
-		p.Horizon = &h
-	}
-	if mask&(1<<7) != 0 {
-		p.MaxFreezeRatio = f()
-	}
-	if mask&(1<<8) != 0 {
-		p.RStable = f()
-	}
-	if mask&(1<<9) != 0 {
-		mode := []core.UnfreezeMode{core.UnfreezeAll, core.UnfreezeHeadroom}[rng.Intn(2)]
-		p.Unfreeze = &mode
-	}
-	if mask&(1<<10) != 0 {
-		p.HeadroomTrigger = f()
-	}
-	if mask&(1<<11) != 0 {
-		p.HeadroomStepFrac = f()
-	}
-	return p
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-const patchFieldCount = 12
+func patchAxes(t *testing.T) []core.PolicyAxis {
+	t.Helper()
+	var axes []core.PolicyAxis
+	for _, a := range core.PolicyAxes() {
+		if a.Patch {
+			axes = append(axes, a)
+		}
+	}
+	// Every PolicyPatch field is some row's: the rows are found through
+	// accessors, so a field without one would silently never print or apply.
+	if n := reflect.TypeOf(core.PolicyPatch{}).NumField(); n != len(axes) {
+		t.Fatalf("PolicyPatch has %d fields, core.PolicyAxes %d rows a patch may set", n, len(axes))
+	}
+	return axes
+}
 
 // TestParsePatchInvertsString is the property test behind the
-// `ampere-trace why -alt` contract: for every subset of PolicyPatch fields
-// (all 2^12 single-subset masks, with random values per trial) the canonical
-// String() form parses back to a deeply equal patch. A field added to
-// PolicyPatch without extending randomPatch fails the struct-shape guard
-// below.
+// `ampere-trace why -alt` contract: for every subset of the axes a patch may
+// set (random values per trial) the terms print in schema order exactly as
+// written, and the printed form parses back to a deeply equal patch.
 func TestParsePatchInvertsString(t *testing.T) {
-	if n := reflect.TypeOf(core.PolicyPatch{}).NumField(); n != patchFieldCount {
-		t.Fatalf("PolicyPatch has %d fields, test covers %d — extend randomPatch and String/ParsePatch coverage", n, patchFieldCount)
-	}
+	axes := patchAxes(t)
 	rng := rand.New(rand.NewSource(42))
-	for mask := 0; mask < 1<<patchFieldCount; mask++ {
-		p := randomPatch(rng, mask)
-		s := p.String()
-		got, err := ParsePatch(s)
-		if err != nil {
-			t.Fatalf("mask %#x: ParsePatch(%q): %v", mask, s, err)
+	for mask := 0; mask < 1<<len(axes); mask++ {
+		var terms []string
+		for i, a := range axes {
+			if mask&(1<<i) != 0 {
+				terms = append(terms, a.PatchKey()+"="+randomValue(rng, a))
+			}
 		}
-		if !reflect.DeepEqual(got, p) {
-			t.Fatalf("mask %#x: round-trip mismatch\n  in:  %+v\n  str: %q\n  out: %+v", mask, p, s, got)
+		want := strings.Join(terms, " ")
+		p, err := core.ParsePatch(want)
+		if err != nil {
+			t.Fatalf("mask %#x: ParsePatch(%q): %v", mask, want, err)
+		}
+		s := p.String()
+		if s != want {
+			t.Fatalf("mask %#x: String() = %q, parsed from %q", mask, s, want)
+		}
+		got, err := core.ParsePatch(s)
+		if err != nil || !reflect.DeepEqual(got, p) {
+			t.Fatalf("mask %#x: round-trip mismatch (%v)\n  in:  %+v\n  str: %q\n  out: %+v", mask, err, p, s, got)
 		}
 		if (s == "") != p.Empty() {
 			t.Fatalf("mask %#x: String()==%q but Empty()==%v", mask, s, p.Empty())
@@ -98,28 +85,44 @@ func TestParsePatchInvertsString(t *testing.T) {
 	}
 }
 
-// TestParsePatchCommaAndSpaceSeparators: both separators (and mixes) parse.
+// TestParsePatchCommaAndSpaceSeparators: both separators (and mixes) parse,
+// as do a row's Key and its Alias.
 func TestParsePatchCommaAndSpaceSeparators(t *testing.T) {
-	a, err := ParsePatch("policy=coldest,et=ewma ramp=0.01")
+	a, err := core.ParsePatch("policy=coldest,et=ewma ramp=0.01")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ParsePatch("policy=coldest et=ewma,ramp=0.01")
+	b, err := core.ParsePatch("selection=coldest et=ewma,ramp=0.01")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
+	if !reflect.DeepEqual(a, b) || a.String() != "policy=coldest et=ewma ramp=0.01" {
 		t.Errorf("separator variants differ: %+v vs %+v", a, b)
 	}
 }
 
 func TestParsePatchRejectsGarbage(t *testing.T) {
-	for _, s := range []string{
+	rng := rand.New(rand.NewSource(7))
+	garbage := []string{
 		"bogus=1", "policy=warmest", "et=arima", "unfreeze=never",
-		"horizon=x", "et-alpha=x", "headroom-trigger=", "policy",
-	} {
-		if _, err := ParsePatch(s); err == nil {
-			t.Errorf("ParsePatch(%q) accepted", s)
+		"horizon=x", "et-alpha=x", "headroom-trigger=", "policy", "=static", "=",
+	}
+	for _, a := range core.PolicyAxes() {
+		if !a.Patch {
+			// Set at construction only: no spelling of it is a patch key.
+			garbage = append(garbage, a.Key+"=7", a.SpecKey+"=7")
+			continue
+		}
+		// A name where a number goes, a number where a name goes, and no
+		// value at all; the control_policy spelling where it differs.
+		garbage = append(garbage, a.Key+"=x7", a.Key+"=", a.Key, strings.ToUpper(a.Key)+"="+randomValue(rng, a))
+		if spec := strings.ReplaceAll(a.Key, "-", "_"); spec != a.Key {
+			garbage = append(garbage, spec+"="+randomValue(rng, a))
+		}
+	}
+	for _, s := range garbage {
+		if p, err := core.ParsePatch(s); err == nil {
+			t.Errorf("ParsePatch(%q) accepted: %+v", s, p)
 		}
 	}
 }

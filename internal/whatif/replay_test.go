@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -47,7 +48,7 @@ func TestReplayIdentityMidStorm(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline(fork): %v", err)
 	}
-	self, err := eng.Replay(fact.Snap, whatif.MustParsePatch(""))
+	self, err := eng.Replay(fact.Snap, core.PolicyPatch{})
 	if err != nil {
 		t.Fatalf("self-replay: %v", err)
 	}
@@ -74,7 +75,7 @@ func TestReplaySeedMismatchRejected(t *testing.T) {
 	other := cfg
 	other.Seed++
 	eng2 := &whatif.Engine{Build: experiment.GridstormBuilder(other, false)}
-	if _, err := eng2.Replay(fact.Snap, whatif.MustParsePatch("")); err == nil {
+	if _, err := eng2.Replay(fact.Snap, core.PolicyPatch{}); err == nil {
 		t.Fatal("replay accepted a snapshot from a different seed")
 	} else if !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("want mismatch error, got: %v", err)
@@ -99,7 +100,7 @@ func TestWhatifSelfDiff400(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	self, err := eng.Replay(fact.Snap, whatif.MustParsePatch(""))
+	self, err := eng.Replay(fact.Snap, core.PolicyPatch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestReplayCounterfactualAvoidsTrips(t *testing.T) {
 	if len(fact.TrippedBreakers) == 0 {
 		t.Fatal("cliff regime tripped no breakers; scenario lost its teeth")
 	}
-	patch, err := whatif.ParsePatch("ramp=0.02")
+	patch, err := core.ParsePatch("ramp=0.02")
 	if err != nil {
 		t.Fatal(err)
 	}

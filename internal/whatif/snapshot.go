@@ -17,6 +17,7 @@ package whatif
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/breaker"
 	"repro/internal/cluster"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/stack"
 )
 
 // Snapshot captures the mutable control-plane state at a tick boundary: the
@@ -64,27 +66,40 @@ type NamedBreaker struct {
 // it; the builder owns all construction-time wiring (workload, chaos,
 // controller, breakers, journal instrumentation).
 type Instance struct {
-	Eng     *sim.Engine
-	Journal *obs.Journal
-	Ctl     *core.Controller
-	Cluster *cluster.Cluster
-	Mon     *monitor.Monitor
+	// Stack is the pipeline under the controller: its engine is what runs,
+	// its cluster and monitor are captured, its scheduler's job counters are
+	// the jobs_* KPIs of every diff report. Its Seed, with ConfigTag, must
+	// be stable across Build calls for the same scenario — they gate
+	// snapshot/builder compatibility.
+	Stack     *stack.Stack
+	ConfigTag string
+	Journal   *obs.Journal
+	Ctl       *core.Controller
 	// Breakers lists the per-domain breakers in a fixed (domain) order.
 	Breakers []NamedBreaker
-	// End is where the scenario naturally stops; Interval is the control
-	// tick period (used to align snapshot instants to tick boundaries).
-	End      sim.Time
-	Interval sim.Duration
-	// Seed and ConfigTag must be stable across Build calls for the same
-	// scenario — they gate snapshot/builder compatibility.
-	Seed      uint64
-	ConfigTag string
-	// RunUntil advances the simulation to t (usually Engine.RunUntil, but a
-	// rig may wrap it).
-	RunUntil func(t sim.Time) error
-	// KPIs, when non-nil, returns scenario scalars (e.g. scheduler job
-	// counters) folded into the diff report. Keys must be deterministic.
+	// End is where the scenario naturally stops.
+	End sim.Time
+	// KPIs, when non-nil, returns further scenario scalars (e.g. a hosted
+	// service's tail) folded into the diff report beside the jobs_* ones.
+	// Keys must be deterministic.
 	KPIs func() map[string]float64
+}
+
+// kpis returns the scheduler's job counters and the scenario's own scalars.
+func (inst *Instance) kpis() map[string]float64 {
+	s := inst.Stack.Sched.Stats()
+	kpis := map[string]float64{
+		"jobs_submitted": float64(s.Submitted),
+		"jobs_placed":    float64(s.Placed),
+		"jobs_completed": float64(s.Completed),
+		"jobs_queued":    float64(s.Queued),
+		"jobs_overflow":  float64(s.Overflowed),
+		"jobs_killed":    float64(s.Killed),
+	}
+	if inst.KPIs != nil {
+		maps.Copy(kpis, inst.KPIs())
+	}
+	return kpis
 }
 
 // Builder constructs a fresh Instance of one scenario from genesis. It must
@@ -99,12 +114,12 @@ type Builder func() (*Instance, error)
 func Capture(inst *Instance, at sim.Time) *Snapshot {
 	snap := &Snapshot{
 		SimMS:      int64(at),
-		Seed:       inst.Seed,
+		Seed:       inst.Stack.Seed,
 		ConfigTag:  inst.ConfigTag,
 		JournalSeq: inst.Journal.Total(),
 		Domains:    inst.Ctl.ExportState(),
-		Servers:    inst.Cluster.ExportState(),
-		Monitor:    inst.Mon.ExportState(),
+		Servers:    inst.Stack.Cluster.ExportState(),
+		Monitor:    inst.Stack.Mon.ExportState(),
 	}
 	snap.Breakers = make([]BreakerSnapshot, len(inst.Breakers))
 	for i, nb := range inst.Breakers {

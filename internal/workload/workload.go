@@ -93,14 +93,11 @@ func (d DurationDist) Mean() float64 {
 
 // Product describes one application's load on the cluster. Distinct rows run
 // distinct product mixes in the paper, producing spatial power imbalance; we
-// reproduce that by giving every product its own row affinity, diurnal phase
-// and noise stream.
+// reproduce that by giving every product its own diurnal phase and noise
+// stream here, and its own row affinity in stack.Config.ProductWeights (the
+// scheduler samples a row proportional to weight × available capacity).
 type Product struct {
 	Name string
-	// RowWeights is the placement affinity over rows; the scheduler samples
-	// a row proportional to weight × available capacity. Length must equal
-	// the cluster's row count; an empty slice means uniform.
-	RowWeights []float64
 	// BaseJobsPerMinute is the mean arrival rate before modulation.
 	BaseJobsPerMinute float64
 	// DiurnalAmplitude is the relative size of the load sinusoid (0 = flat).
