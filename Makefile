@@ -5,7 +5,7 @@
 .PHONY: tier1 build lint vet test race race-shuffle fuzz fuzz-smoke chaos \
 	bench-runner bench-scale bench-scale-quick bench-check gridstorm \
 	whatif whatif-smoke tournament tournament-smoke fig11scale fig11-smoke \
-	fed-smoke golden-quick flake bench-pair bench-pair-all
+	fed-smoke golden-quick flake bench-pair bench-pair-all lines
 
 tier1: build lint race race-shuffle bench-scale-quick fuzz-smoke whatif-smoke \
 	tournament-smoke fig11-smoke fed-smoke golden-quick flake
@@ -172,3 +172,9 @@ bench-pair:
 bench-pair-all:
 	@sed -n '/"workloads"/,/]/s/.*"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json | while read -r w; do \
 		sh scripts/bench_pair $(PARENT) "$$w" $(PAIRS) $(SEED) || exit 1; echo; done
+
+# Go lines added and removed since PARENT, split into non-test, test and
+# bench/, per package — the figure a simplicity PR reports.
+#   make lines PARENT=HEAD~1
+lines:
+	@sh scripts/diff_lines $(PARENT)

@@ -75,7 +75,7 @@ func (s *BudgetSchedule) TargetAt(now sim.Time, base float64) float64 {
 }
 
 // BudgetChange describes one movement of a domain's effective budget,
-// delivered to the OnBudgetChange callback during the apply phase, in
+// delivered to the OnBudgetChange callback by the tick that applied it, in
 // domain-index order.
 type BudgetChange struct {
 	// Domain is the domain's index in the controller's domain list; Name is
@@ -89,10 +89,10 @@ type BudgetChange struct {
 }
 
 // OnBudgetChange registers fn to be called on every effective-budget
-// movement, from the apply phase of the tick that applied it. Use it
-// to keep co-located protection (breakers) and measurement (trackers) in
-// agreement with the enforced budget. Call before Start; only one callback
-// is supported.
+// movement, from the tick that applied it, before that tick's first scheduler
+// call. Use it to keep co-located protection (breakers) and measurement
+// (trackers) in agreement with the enforced budget. Call before Start; only
+// one callback is supported.
 func (c *Controller) OnBudgetChange(fn func(BudgetChange)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -164,11 +164,10 @@ func (c *Controller) budgetTarget(ds *domainState, now sim.Time) float64 {
 	return ds.d.BudgetW
 }
 
-// planBudget re-resolves the domain's effective budget for this tick,
-// moving it toward the current target under the schedule's ramp limit. It
-// runs at the top of the plan phase and stages the old value in budgetPrev
-// for the apply phase to journal and announce.
-func (c *Controller) planBudget(ds *domainState, now sim.Time) {
+// moveBudget re-resolves the domain's effective budget at the top of its
+// tick, moving it toward the current target under the schedule's ramp limit
+// and keeping the old value in budgetPrev for announceBudget.
+func (c *Controller) moveBudget(ds *domainState, now sim.Time) {
 	ds.budgetPrev = ds.budget
 	target := c.budgetTarget(ds, now)
 	ds.budgetTargetW = target
@@ -205,9 +204,10 @@ func (c *Controller) planBudget(ds *domainState, now sim.Time) {
 	}
 }
 
-// applyBudgetChange announces and journals a staged effective-budget
-// movement. Runs in the apply phase, before the tick's decision event.
-func (c *Controller) applyBudgetChange(ds *domainState, now sim.Time) {
+// announceBudget tells the callback and the journal that this tick moved the
+// effective budget. It runs once the tick has classified its reading and
+// before it acts (see tick).
+func (c *Controller) announceBudget(ds *domainState, now sim.Time) {
 	if ds.budget == ds.budgetPrev {
 		return
 	}

@@ -294,8 +294,8 @@ type domainState struct {
 	loID, hiID cluster.ServerID
 
 	// Effective-budget state (budget.go). budget is the wattage the control
-	// law normalizes against this tick; budgetPrev stages the previous value
-	// for the apply phase's change event; budgetTargetW is where any ramp is
+	// law normalizes against this tick; budgetPrev is what it was before the
+	// tick moved it, for the change event; budgetTargetW is where any ramp is
 	// heading. overrideW/haveOverride hold the runtime SetBudget target;
 	// maxBudgetW caps it at maxBudgetFactor × the base budget.
 	budget        float64
@@ -330,46 +330,23 @@ type domainState struct {
 	// during the current tick (instrumented controllers only).
 	apiWall time.Duration
 
-	// Per-tick plan/apply staging, reused across ticks so the steady-state
-	// control path allocates nothing. The plan phase fills rank and the
-	// candidate lists; the apply phase executes them.
-	plan      tickPlan
-	rank      []serverPower // per-server power scratch for selection
-	unfCands  []serverPower // frozen ∉ S, in freeze-preference order
-	relCands  []serverPower // frozen set in release (reverse) order
-	frzCands  []serverPower // S ∖ frozen, in freeze-preference order
+	// Per-tick scratch, sized to the domain on first use and reused, so the
+	// steady-state control path allocates nothing: the power ranking, the one
+	// candidate list reconcile sorts and walks, the release-everything ID
+	// list, and the solver's forecast.
+	rank      []serverPower
+	cands     []serverPower
 	idScratch []cluster.ServerID
 	horizonEt []float64
-
-	// Journal staging (instrumented controllers only): the stats snapshot
-	// and health taken before the plan phase, and the plan phase wall-clock,
-	// folded into the decision event emitted after apply.
-	evBefore     DomainStats
-	healthBefore string
-	planWall     time.Duration
 }
 
-// planKind is what a domain's plan phase decided; the apply phase executes it.
-type planKind uint8
-
-const (
-	// planIdle leaves everything untouched (no sample and nothing to fall
-	// back on — the skip path records its counter during planning).
-	planIdle planKind = iota
-	// planHold is fail-safe mode: keep the frozen set exactly as it is.
-	planHold
-	// planRelease is a zero freeze target: unfreeze everything.
-	planRelease
-	// planReconcile drives the frozen set to plan.target using the staged
-	// candidate lists.
-	planReconcile
-)
-
-// tickPlan is one domain's staged decision for the current tick.
-type tickPlan struct {
-	kind     planKind
-	target   int
-	degraded bool
+// scratch returns s emptied with room for n elements. It grows once, to the
+// domain's size, which bounds every per-domain list.
+func scratch[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // Controller is the Ampere control loop. It is deliberately oblivious to
@@ -399,8 +376,8 @@ type Controller struct {
 	sel    Selector
 	solver Solver
 	unf    UnfreezePolicy
-	// onBudget, when set, is called from the apply phase on every
-	// effective-budget movement (see OnBudgetChange in budget.go).
+	// onBudget, when set, is called on every effective-budget movement (see
+	// OnBudgetChange in budget.go).
 	onBudget func(BudgetChange)
 	// rampOverride, when haveRampOverride, bounds per-tick effective-budget
 	// movement as a fraction of each domain's base budget, taking precedence
@@ -516,10 +493,16 @@ func (c *Controller) Start() {
 	c.handle = c.eng.Every(c.eng.Now(), c.cfg.Interval, "ampere-controller", c.Step)
 }
 
-// Stop halts the loop, leaving the current frozen set in place.
+// Stop halts the loop, leaving the current frozen set in place. Armed
+// retries die with it: a stopped controller makes no further API call.
 func (c *Controller) Stop() {
 	c.eng.Cancel(c.handle)
 	c.handle = sim.Handle{}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ds := range c.domains {
+		ds.cancelPending(false)
+	}
 }
 
 // Stats returns a copy of domain i's counters.
@@ -556,10 +539,7 @@ func (c *Controller) Resync(isFrozen func(id cluster.ServerID) bool) {
 	defer c.mu.Unlock()
 	for _, ds := range c.domains {
 		ds.frozen.clear()
-		for id, op := range ds.pending {
-			op.cancelled = true
-			delete(ds.pending, id)
-		}
+		ds.cancelPending(false)
 		for _, id := range ds.d.Servers {
 			if isFrozen(id) {
 				ds.frozen.add(id)
@@ -569,13 +549,9 @@ func (c *Controller) Resync(isFrozen func(id cluster.ServerID) bool) {
 }
 
 // Step executes one control tick for every domain. It is driven by Start's
-// periodic event and exported for tests and manual stepping.
-//
-// Each domain's tick is split into a plan phase — read power, classify the
-// sample, run the control law, stage the freeze/unfreeze candidates — and an
-// apply phase that executes the staged API calls, commits frozen-set and op
-// counters, and emits the journal event. Domains tick in domain-index order,
-// so the API call stream and the journal are deterministic.
+// periodic event and exported for tests and manual stepping. Domains tick in
+// domain-index order, each in one pass, so the API call stream and the
+// journal are deterministic.
 func (c *Controller) Step(now sim.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -583,37 +559,61 @@ func (c *Controller) Step(now sim.Time) {
 	if c.ins != nil && c.ins.tickDur != nil {
 		start = time.Now()
 	}
+	journaled := c.ins != nil && c.ins.journal != nil
 	for _, ds := range c.domains {
-		c.tickPlan(ds, now)
-		c.tickApply(ds, now)
+		if journaled {
+			c.journaledTick(ds, now)
+		} else {
+			c.tick(ds, now)
+		}
 	}
 	if c.ins != nil && c.ins.tickDur != nil {
 		c.ins.tickDur.Observe(time.Since(start).Seconds())
 	}
 }
 
-// planDomain classifies this tick's reading — fresh, stale, or corrupt —
-// and dispatches to the control law, the degraded fallback, or fail-safe
-// hold, staging the outcome in ds.plan. With resilience disabled it is
-// exactly the original Algorithm 1 front end: trust anything the reader
-// returns.
-func (c *Controller) planDomain(ds *domainState, now sim.Time) {
-	ds.plan = tickPlan{kind: planIdle}
-	c.planBudget(ds, now)
-	watts, at, ok := c.readGroup(ds, now)
+// tick is Algorithm 1 for one domain: move the budget, read and classify the
+// power sample, run the control law to a freeze target, and drive the frozen
+// set there through the scheduler API. A budget movement is announced between
+// deciding and acting — its event carries the health this tick arrived at and
+// the frozen count it started with.
+func (c *Controller) tick(ds *domainState, now sim.Time) {
+	c.moveBudget(ds, now)
+	target, degraded, ok := c.decide(ds, now)
+	c.announceBudget(ds, now)
+	if !ok {
+		return
+	}
+	if target == 0 {
+		// No imminent violation: release everything.
+		c.unfreezeAll(ds)
+	} else {
+		c.refreshRank(ds)
+		c.sel.reconcile(c, ds, target, degraded)
+	}
+	c.recordU(ds)
+}
+
+// decide classifies this tick's reading — fresh, stale, or corrupt — and
+// dispatches to the control law or the degraded fallback, returning the
+// freeze target to act on. ok is false when there is nothing to act on: no
+// sample and nothing to fall back on, or fail-safe hold. With resilience
+// disabled it is exactly the original Algorithm 1 front end: trust anything
+// the reader returns.
+func (c *Controller) decide(ds *domainState, now sim.Time) (target int, degraded, ok bool) {
+	watts, at, have := c.readGroup(ds, now)
 	p := watts / ds.budget
 
 	if c.res.Disabled {
-		if !ok {
+		if !have {
 			ds.stats.SkippedNoData++
-			return
+			return 0, false, false
 		}
-		c.planControl(ds, now, p, p, false)
-		return
+		return c.controlLaw(ds, now, p, p, false), false, true
 	}
 
-	valid := ok && !math.IsNaN(p) && !math.IsInf(p, 0) && p >= 0 && p <= c.res.MaxPlausibleP
-	if ok && !valid {
+	valid := have && !math.IsNaN(p) && !math.IsInf(p, 0) && p >= 0 && p <= c.res.MaxPlausibleP
+	if have && !valid {
 		ds.stats.InvalidSamples++
 	}
 	if valid && now.Sub(at) < c.res.StaleAfter {
@@ -626,14 +626,13 @@ func (c *Controller) planDomain(ds *domainState, now sim.Time) {
 			ds.failSafe = false
 		}
 		ds.lastGoodP, ds.lastGoodAt, ds.haveGood = p, at, true
-		c.planControl(ds, now, p, p, false)
-		return
+		return c.controlLaw(ds, now, p, p, false), false, true
 	}
 
 	// Dark interval: nothing trustworthy to read this tick.
 	if !ds.haveGood {
 		ds.stats.SkippedNoData++
-		return
+		return 0, false, false
 	}
 	if ds.dark == 0 {
 		ds.degradedSince = now
@@ -648,27 +647,28 @@ func (c *Controller) planDomain(ds *domainState, now sim.Time) {
 		if !ds.failSafe {
 			ds.failSafe = true
 			ds.stats.FailSafeEntries++
-			c.cancelPendingUnfreezes(ds)
+			ds.cancelPending(true)
 		}
 		ds.stats.FailSafeTicks++
 		ds.stats.Ticks++
 		ds.stats.PSum += ds.lastGoodP
 		ds.lastP, ds.lastTarget = ds.lastGoodP, ds.frozen.len()
-		ds.plan = tickPlan{kind: planHold}
-		return
+		c.recordU(ds)
+		return 0, false, false
 	}
 	// Degraded: fly on the last-known-good power, advanced by a
 	// conservatively inflated Et per dark interval — demand is assumed to
 	// keep rising at the inflated rate while we cannot see it.
 	pEff := ds.lastGoodP + float64(ds.dark)*c.res.EtInflation*ds.et.Estimate(now)
-	c.planControl(ds, now, ds.lastGoodP, pEff, true)
+	return c.controlLaw(ds, now, ds.lastGoodP, pEff, true), true, true
 }
 
-// planControl is the decision half of Algorithm 1 for a single domain. pStat
-// is the power recorded in the statistics; pCtl is the (possibly forecast)
-// power fed to the control law. In degraded mode the controller never
-// shrinks the frozen set: a release decision needs fresh data.
-func (c *Controller) planControl(ds *domainState, now sim.Time, pStat, pCtl float64, degraded bool) {
+// controlLaw is the decision half of Algorithm 1 for a single domain: it
+// returns the freeze target ⌊F(Pk/PM)·nk⌋. pStat is the power recorded in the
+// statistics; pCtl is the (possibly forecast) power fed to the control law.
+// In degraded mode the controller never shrinks the frozen set: a release
+// decision needs fresh data.
+func (c *Controller) controlLaw(ds *domainState, now sim.Time, pStat, pCtl float64, degraded bool) int {
 	ds.stats.Ticks++
 	ds.stats.PSum += pStat
 	if !degraded {
@@ -739,14 +739,10 @@ func (c *Controller) planControl(ds *domainState, now sim.Time, pStat, pCtl floa
 		nfreeze = c.unf.target(p, et, ds.frozen.len(), n, nfreeze)
 	}
 	ds.lastTarget = nfreeze
-	if nfreeze == 0 {
-		// No imminent violation: release everything.
-		ds.plan = tickPlan{kind: planRelease}
-		return
+	if nfreeze > 0 {
+		ds.stats.ControlledTicks++
 	}
-	ds.stats.ControlledTicks++
-	ds.plan = tickPlan{kind: planReconcile, target: nfreeze, degraded: degraded}
-	c.stageReconcile(ds, nfreeze, degraded)
+	return nfreeze
 }
 
 type serverPower struct {
@@ -754,12 +750,10 @@ type serverPower struct {
 	power float64
 }
 
-// stageReconcile refreshes the domain's ranking scratch, resets the staging
-// lists, and hands candidate selection to the configured Selector strategy
-// (strategy.go), which fills the unfreeze/release/freeze lists the apply
-// phase will execute.
-func (c *Controller) stageReconcile(ds *domainState, nfreeze int, degraded bool) {
-	rank := ds.rank[:0]
+// refreshRank refills the domain's ranking scratch with this tick's
+// per-server samples, for the Selector strategy (strategy.go) to order.
+func (c *Controller) refreshRank(ds *domainState) {
+	rank := scratch(ds.rank, len(ds.d.Servers))
 	if vals, ok := c.powerSnapshot(); ok {
 		// Snapshot fast path: one slice read per server instead of one
 		// interface call. The validity test is the same — a missing (out of
@@ -786,10 +780,6 @@ func (c *Controller) stageReconcile(ds *domainState, nfreeze int, degraded bool)
 		}
 	}
 	ds.rank = rank
-	ds.unfCands = ds.unfCands[:0]
-	ds.relCands = ds.relCands[:0]
-	ds.frzCands = ds.frzCands[:0]
-	c.sel.stage(c, ds, nfreeze, degraded)
 }
 
 // powerSnapshot resolves the reader's snapshot fast path for this tick.
@@ -798,51 +788,6 @@ func (c *Controller) powerSnapshot() ([]float64, bool) {
 		return nil, false
 	}
 	return c.snap.PowerSnapshot()
-}
-
-// applyDomain executes the staged plan: scheduler API calls, frozen-set
-// commits, op counters, retry scheduling.
-func (c *Controller) applyDomain(ds *domainState, now sim.Time) {
-	switch ds.plan.kind {
-	case planIdle:
-		return
-	case planHold:
-		c.recordU(ds)
-	case planRelease:
-		c.unfreezeAll(ds)
-		c.recordU(ds)
-	case planReconcile:
-		target := ds.plan.target
-		for _, sp := range ds.unfCands {
-			if ds.frozen.has(sp.id) {
-				c.unfreeze(ds, sp.id)
-			}
-		}
-		// Adjust the frozen count to exactly the target.
-		if ds.frozen.len() > target {
-			// Release the least-preferred frozen servers first
-			// (deterministic choice of the algorithm's "arbitrary" servers).
-			for _, sp := range ds.relCands {
-				if ds.frozen.len() <= target {
-					break
-				}
-				if ds.frozen.has(sp.id) {
-					c.unfreeze(ds, sp.id)
-				}
-			}
-		} else if ds.frozen.len() < target {
-			// Freeze the most-preferred members of S not yet frozen.
-			for _, sp := range ds.frzCands {
-				if ds.frozen.len() >= target {
-					break
-				}
-				if !ds.frozen.has(sp.id) {
-					c.freeze(ds, sp.id)
-				}
-			}
-		}
-		c.recordU(ds)
-	}
 }
 
 func (c *Controller) freeze(ds *domainState, id cluster.ServerID) {
@@ -888,7 +833,7 @@ func (c *Controller) unfreezeAll(ds *domainState) {
 	// demand trough, and rebuilding the slice each time was steady garbage.
 	// The bitmap iterates in ascending ID order, matching the sorted release
 	// order of the map-era code.
-	ids := ds.frozen.appendIDs(ds.idScratch[:0])
+	ids := ds.frozen.appendIDs(scratch(ds.idScratch, len(ds.d.Servers)))
 	ds.idScratch = ids
 	for _, id := range ids {
 		c.unfreeze(ds, id)

@@ -6,10 +6,10 @@ import "repro/internal/cluster"
 // domain's server-ID window. Domains are contiguous ID ranges in production
 // (a row) and near-contiguous in the controlled experiments, so a bitmap
 // indexed by id − base gives O(1) membership with no hashing — the frozen-set
-// probes on the plan phase's ranking walk were the controller's single
+// probes on the tick's ranking walk were the controller's single
 // largest flat cost at 100k+ servers when they went through a map.
 //
-// Only domain members are ever added (the controller stages candidates from
+// Only domain members are ever added (the controller takes candidates from
 // the domain's own ranking), so every set bit corresponds to a real server
 // and iterating the bitmap yields ascending server IDs directly.
 type frozenSet struct {

@@ -173,32 +173,14 @@ func sanitize(v float64) float64 {
 	return v
 }
 
-// tickPlan runs one domain's plan phase, snapshotting the pre-tick state the
-// journal event needs.
-func (c *Controller) tickPlan(ds *domainState, now sim.Time) {
-	if c.ins == nil || c.ins.journal == nil {
-		c.planDomain(ds, now)
-		return
-	}
-	ds.evBefore = ds.stats
-	ds.healthBefore = ds.health()
+// journaledTick runs one domain's tick and appends its decision event,
+// reconstructed from the state the tick started with.
+func (c *Controller) journaledTick(ds *domainState, now sim.Time) {
+	before, healthBefore := ds.stats, ds.health()
 	ds.apiWall = 0
 	start := time.Now()
-	c.planDomain(ds, now)
-	ds.planWall = time.Since(start)
-}
-
-// tickApply runs one domain's apply phase and emits the decision event.
-func (c *Controller) tickApply(ds *domainState, now sim.Time) {
-	c.applyBudgetChange(ds, now)
-	if c.ins == nil || c.ins.journal == nil {
-		c.applyDomain(ds, now)
-		return
-	}
-	start := time.Now()
-	c.applyDomain(ds, now)
-	took := ds.planWall + time.Since(start)
-	c.ins.journal.Append(c.decisionEvent(ds, now, ds.evBefore, ds.healthBefore, took))
+	c.tick(ds, now)
+	c.ins.journal.Append(c.decisionEvent(ds, now, before, healthBefore, time.Since(start)))
 }
 
 // decisionEvent reconstructs what the tick decided from the counter deltas
@@ -249,8 +231,8 @@ func (c *Controller) decisionEvent(ds *domainState, now sim.Time, before DomainS
 	return ev
 }
 
-// obsBudgetEvent records one effective-budget movement. Emitted from the
-// apply phase immediately before the tick's decision event, so a
+// obsBudgetEvent records one effective-budget movement. Emitted by the tick
+// that moved the budget, before it acts and so before its decision event: a
 // curtailment and the controller's response to it sit adjacent in the
 // journal (the OPERATIONS.md §12 bisection workflow depends on that order).
 func obsBudgetEvent(ds *domainState, now sim.Time) obs.Event {

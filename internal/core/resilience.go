@@ -160,11 +160,13 @@ func (c *Controller) scheduleRetry(ds *domainState, id cluster.ServerID, unfreez
 	})
 }
 
-// cancelPendingUnfreezes drops in-flight unfreeze retries; fail-safe mode
-// must never release capacity on the strength of stale data.
-func (c *Controller) cancelPendingUnfreezes(ds *domainState) {
+// cancelPending drops the domain's in-flight retries: all of them (the
+// controller stopped, or resynced from ground truth), or only the unfreezes —
+// fail-safe mode must never release capacity on the strength of stale data.
+// Callers hold mu.
+func (ds *domainState) cancelPending(unfreezesOnly bool) {
 	for id, op := range ds.pending {
-		if op.unfreeze {
+		if op.unfreeze || !unfreezesOnly {
 			op.cancelled = true
 			delete(ds.pending, id)
 		}

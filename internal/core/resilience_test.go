@@ -46,3 +46,33 @@ func TestRetryBackoffRecovers(t *testing.T) {
 		t.Fatalf("frozen bookkeeping %d vs actual %d after recovery", got, len(api.frozen))
 	}
 }
+
+// TestStopCancelsPendingRetries: a stopped controller is a crashed instance —
+// the retries it armed before dying must not reach the scheduler afterwards,
+// behind the back of whichever instance took over.
+func TestStopCancelsPendingRetries(t *testing.T) {
+	eng := sim.NewEngine()
+	api := newFakeAPI()
+	api.failFreezes = true
+	d := Domain{Name: "grp", Servers: ids(10), BudgetW: 1000, Kr: 0.10, Et: ConstantEt(0.02)}
+	ctl, err := New(eng, uniformReader(10, 110), api, DefaultConfig(), []Domain{d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.Step(0) // every freeze fails and arms a retry
+	if ctl.Stats(0).APIErrors == 0 {
+		t.Fatal("no injected API errors observed")
+	}
+	ctl.Stop()
+	api.failFreezes = false
+	calls := api.ops
+	if err := eng.RunUntil(sim.Time(sim.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if api.ops != calls || len(api.frozen) != 0 {
+		t.Errorf("stopped controller made %d API calls and froze %d servers", api.ops-calls, len(api.frozen))
+	}
+	if st := ctl.Stats(0); st.Retries != 0 {
+		t.Errorf("stopped controller counted %d retries", st.Retries)
+	}
+}

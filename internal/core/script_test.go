@@ -25,8 +25,7 @@ import (
 // goes stale mid-run (driving degraded and fail-safe modes), and scattered
 // server samples are missing or NaN to exercise the ranking guards.
 type scriptReader struct {
-	tick    int
-	domains [][]cluster.ServerID
+	tick int
 }
 
 func (r *scriptReader) domainOf(id cluster.ServerID) int { return int(id) / scriptServersPerDomain }
@@ -110,7 +109,7 @@ func (r *scriptReader) GroupSampleTime(ids []cluster.ServerID) (sim.Time, bool) 
 	return sim.Time(tick) * sim.Time(sim.Minute), true
 }
 
-// flakyAPI fails every 13th call deterministically. Apply-phase call order
+// flakyAPI fails every 13th call deterministically. The call order
 // is part of the determinism contract: the failure pattern must land on the
 // same (domain, server) pairs every run, or the digest moves.
 type flakyAPI struct {
@@ -140,10 +139,32 @@ func (f *flakyAPI) call(id cluster.ServerID, unfreeze bool) error {
 func (f *flakyAPI) Freeze(id cluster.ServerID) error   { return f.call(id, false) }
 func (f *flakyAPI) Unfreeze(id cluster.ServerID) error { return f.call(id, true) }
 
+// scriptedDomains lays out the scenario's domains: contiguous blocks of
+// scriptServersPerDomain server IDs, budgeted so the ramp crosses the freeze
+// threshold.
+func scriptedDomains() []Domain {
+	doms := make([]Domain, scriptDomains)
+	for d := range doms {
+		servers := make([]cluster.ServerID, scriptServersPerDomain)
+		for i := range servers {
+			servers[i] = cluster.ServerID(d*scriptServersPerDomain + i)
+		}
+		doms[d] = Domain{
+			Name:    fmt.Sprintf("dom%d", d),
+			Servers: servers,
+			BudgetW: float64(scriptServersPerDomain) * 10.5,
+			Kr:      0.10,
+		}
+	}
+	return doms
+}
+
 // runScenario drives the full scripted run and returns a fingerprint of
 // everything observable: the normalized journal stream, each domain's
-// statistics, and the final frozen sets on both sides of the API.
-func runScenario(t *testing.T, sel SelectionPolicy) string {
+// statistics, and the final frozen sets on both sides of the API. A non-nil
+// schedule moves every domain's budget and adds the OnBudgetChange call
+// stream to the fingerprint.
+func runScenario(t *testing.T, sel SelectionPolicy, schedule *BudgetSchedule) string {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Selection = sel
@@ -151,33 +172,26 @@ func runScenario(t *testing.T, sel SelectionPolicy) string {
 	cfg.Resilience.FailSafeAfter = 10
 	reader := &scriptReader{}
 	api := &flakyAPI{frozen: map[cluster.ServerID]bool{}}
-	var doms []Domain
-	for d := 0; d < scriptDomains; d++ {
-		servers := make([]cluster.ServerID, scriptServersPerDomain)
-		for i := range servers {
-			servers[i] = cluster.ServerID(d*scriptServersPerDomain + i)
-		}
-		reader.domains = append(reader.domains, servers)
-		doms = append(doms, Domain{
-			Name:    fmt.Sprintf("dom%d", d),
-			Servers: servers,
-			BudgetW: float64(scriptServersPerDomain) * 10.5,
-			Kr:      0.10,
-		})
+	doms := scriptedDomains()
+	for d := range doms {
+		doms[d].Schedule = schedule
 	}
 	ctl, err := New(sim.NewEngine(), reader, api, cfg, doms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal := obs.NewJournal(scriptDomains * scriptTicks)
+	journal := obs.NewJournal(2 * scriptDomains * scriptTicks)
 	ctl.Instrument(nil, journal)
+	var b strings.Builder
+	if schedule != nil {
+		ctl.OnBudgetChange(func(ch BudgetChange) { fmt.Fprintf(&b, "%+v\n", ch) })
+	}
 
 	for tick := 0; tick < scriptTicks; tick++ {
 		reader.tick = tick
 		ctl.Step(sim.Time(tick) * sim.Time(sim.Minute))
 	}
 
-	var b strings.Builder
 	for _, ev := range journal.Snapshot() {
 		// Wall-clock fields are the only permitted run-to-run divergence.
 		ev.TickMS = 0
@@ -207,7 +221,7 @@ func TestScriptedScenarioPinned(t *testing.T) {
 	}
 	for _, sel := range []SelectionPolicy{SelectHottest, SelectColdest, SelectRandom} {
 		t.Run(fmt.Sprintf("selection=%d", sel), func(t *testing.T) {
-			fp := runScenario(t, sel)
+			fp := runScenario(t, sel, nil)
 			if !strings.Contains(fp, "hold-failsafe") {
 				t.Error("scenario never reached fail-safe; coverage regressed")
 			}
@@ -231,5 +245,127 @@ func TestZeroServerDomainRejected(t *testing.T) {
 	d := Domain{Name: "empty", Servers: []cluster.ServerID{}, BudgetW: 100}
 	if _, err := New(eng, reader, api, DefaultConfig(), []Domain{d}); err == nil {
 		t.Fatal("domain with zero servers accepted")
+	}
+}
+
+// TestBudgetMoveKeepsItsPlaceInTheJournal pins where a budget movement is
+// announced inside the tick: after the reading is classified (the
+// budget-change event carries the health the tick arrived at) and before the
+// first API call (it carries the frozen count the tick started with). The
+// ramped schedule moves every budget across the ticks where domain 3 gets its
+// first sample (5) and domain 5 goes degraded (101), fail-safe (110) and
+// recovers (130), so an announcement that moved to either side of the
+// classification changes the digest.
+func TestBudgetMoveKeepsItsPlaceInTheJournal(t *testing.T) {
+	const base = float64(scriptServersPerDomain) * 10.5
+	at := func(tick int) sim.Time { return sim.Time(tick) * sim.Time(sim.Minute) }
+	schedule := &BudgetSchedule{
+		Steps: []BudgetStep{
+			{At: at(3), BudgetW: 0.95 * base},
+			{At: at(98), BudgetW: 0.82 * base},
+			{At: at(126), BudgetW: base},
+		},
+		RampFrac: 0.01,
+	}
+	fp := runScenario(t, SelectHottest, schedule)
+	moves, notOK := 0, 0
+	for _, line := range strings.Split(fp, "\n") {
+		if strings.Contains(line, "Action:budget-change") {
+			moves++
+			if !strings.Contains(line, "Health:ok") {
+				notOK++
+			}
+		}
+	}
+	if moves != 312 || notOK != 18 {
+		t.Errorf("%d budget-change events, %d on a domain that is not ok; want 312 and 18", moves, notOK)
+	}
+	const want = "e5a6d0d112041c0c641ddccd0d1d26e506055b3aa9ae7809e91d526aae3df402"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp))); got != want {
+		t.Errorf("fingerprint digest %s, pinned %s", got, want)
+	}
+}
+
+// passAPI is a healthy scheduler that tallies, per domain and tick, which
+// calls it received, so a test can name the passes a tick ran: unfreezes and
+// freezes together are a swap, unfreezes alone a release, freezes alone a
+// freeze.
+type passAPI struct {
+	froze, unfroze      [scriptDomains]int
+	swap, release, grow int
+	calls               int
+}
+
+func (a *passAPI) Freeze(id cluster.ServerID) error {
+	a.froze[int(id)/scriptServersPerDomain]++
+	return nil
+}
+
+func (a *passAPI) Unfreeze(id cluster.ServerID) error {
+	a.unfroze[int(id)/scriptServersPerDomain]++
+	return nil
+}
+
+// endTick folds the tick's per-domain tallies into the pass counts.
+func (a *passAPI) endTick() {
+	for d := range a.froze {
+		f, u := a.froze[d], a.unfroze[d]
+		switch {
+		case f > 0 && u > 0:
+			a.swap++
+		case u > 0:
+			a.release++
+		case f > 0:
+			a.grow++
+		}
+		a.calls += f + u
+		a.froze[d], a.unfroze[d] = 0, 0
+	}
+}
+
+// TestStepDoesNotAllocate is the tick's zero-allocation contract: once the
+// per-domain scratch has grown to size, a Step that swaps, releases and
+// freezes allocates nothing, under every selection policy. The API is healthy
+// on purpose — a failing call allocates its error and its retry. The first
+// 120 scripted ticks (one period of the power ramp) are the warm-up,
+// the second 120 are counted.
+func TestStepDoesNotAllocate(t *testing.T) {
+	for _, sel := range []SelectionPolicy{SelectHottest, SelectColdest, SelectRandom} {
+		t.Run(sel.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Selection = sel
+			cfg.SelectionSeed = 11
+			cfg.Resilience.FailSafeAfter = 10
+			reader := &scriptReader{}
+			api := &passAPI{}
+			doms := scriptedDomains()
+			for d := range doms {
+				doms[d].Et = ConstantEt(0.05) // an online estimator's bins grow as it learns
+			}
+			ctl, err := New(sim.NewEngine(), reader, api, cfg, doms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tick := 0
+			period := func() {
+				*api = passAPI{}
+				for i := 0; i < scriptTicks/2; i++ {
+					reader.tick = tick
+					ctl.Step(sim.Time(tick) * sim.Time(sim.Minute))
+					api.endTick()
+					tick++
+				}
+			}
+			// AllocsPerRun calls period once to warm up, then once counted.
+			allocs := testing.AllocsPerRun(1, period)
+			if allocs != 0 {
+				t.Errorf("%d steady ticks allocated %v objects, want 0", scriptTicks/2, allocs)
+			}
+			if api.swap == 0 || api.release == 0 || api.grow == 0 {
+				t.Errorf("counted ticks ran %d swap, %d release and %d freeze passes; need some of each",
+					api.swap, api.release, api.grow)
+			}
+			t.Logf("%d API calls: %d swap, %d release, %d freeze passes", api.calls, api.swap, api.release, api.grow)
+		})
 	}
 }

@@ -4,9 +4,10 @@ package core
 // freeze-candidate selection. The old path built a fresh []serverPower and
 // fully sort.Slice'd it on every freezing tick — O(n log n) with an
 // interface-dispatched comparator, ~2 MB/tick of garbage at 100k servers.
-// The plan phase now refills a per-domain scratch slice, partially partitions
-// it with quickselect (O(n) expected, introselect depth guard for the worst
-// case), and only sorts the few candidates actually staged for an API call.
+// The tick now refills a per-domain scratch slice, partially partitions it
+// with quickselect (O(n) expected, introselect depth guard for the worst
+// case), and only sorts the few candidates it is about to make an API call
+// for.
 
 import (
 	"math/bits"
@@ -56,48 +57,6 @@ func cmpHotRev(a, b serverPower) int { return cmpHot(b, a) }
 
 func cmpColdRev(a, b serverPower) int { return cmpCold(b, a) }
 
-// selectTopK partially partitions sp in place so that sp[:k] holds the k
-// most-preferred elements under cmp (in unspecified order) and returns the
-// boundary — the least-preferred member of that top set, i.e. the element
-// that a full sort would place at index k-1. Expected O(len(sp)) via
-// quickselect with median-of-three pivots; cmp must be a strict total order.
-// Requires 1 ≤ k ≤ len(sp).
-//
-// Introselect guard: median-of-three Lomuto still degrades to O(n²) on
-// adversarial orderings (e.g. an organ-pipe permutation re-partitioned every
-// tick). After 2·⌈log₂ n⌉ partitions without converging, the remaining window
-// is handed to slices.SortFunc (O(n log n) worst case). The fallback is
-// result-identical, not just boundary-identical: everything outside [lo,hi]
-// is already correctly partitioned relative to the window, the target index
-// k−1 always stays inside it, and sorting the window places the exact same
-// element at k−1 as full partitioning would.
-func selectTopK(sp []serverPower, k int, cmp func(a, b serverPower) int) serverPower {
-	return selectTopKDepth(sp, k, cmp, 2*bits.Len(uint(len(sp))))
-}
-
-// selectTopKDepth is selectTopK with an explicit partition budget (tests
-// force it to 0 to exercise the sort fallback on its own).
-func selectTopKDepth(sp []serverPower, k int, cmp func(a, b serverPower) int, depth int) serverPower {
-	lo, hi := 0, len(sp)-1
-	for lo < hi {
-		if depth == 0 {
-			slices.SortFunc(sp[lo:hi+1], cmp)
-			break
-		}
-		depth--
-		p := partitionPref(sp, lo, hi, cmp)
-		switch {
-		case p == k-1:
-			return sp[p]
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
-	}
-	return sp[k-1]
-}
-
 // lessPref reports whether a strictly precedes b in freeze preference:
 // power-descending when hot, power-ascending otherwise, ties by ascending ID.
 // It is the branch form of cmpHot/cmpCold — small enough to inline, which
@@ -115,16 +74,34 @@ func lessPref(a, b serverPower, hot bool) bool {
 	return a.id < b.id
 }
 
-// selectTopKPref is selectTopK specialized to the two ranked freeze
-// preferences (hot=true ⇒ cmpHot order, hot=false ⇒ cmpCold order), with the
-// same introselect depth guard and the same boundary semantics. The generic
-// selectTopK remains for arbitrary comparators; results are identical — the
-// equivalence test in selection_topk_test.go pins it.
+// selectTopKPref partially partitions sp in place so that sp[:k] holds the k
+// most-preferred elements (hot=true ⇒ cmpHot order, hot=false ⇒ cmpCold
+// order; in unspecified order) and returns the boundary — the least-preferred
+// member of that top set, i.e. the element that a full sort would place at
+// index k-1. Expected O(len(sp)) via quickselect with median-of-three pivots.
+// Requires 1 ≤ k ≤ len(sp).
+//
+// Introselect guard: median-of-three Lomuto still degrades to O(n²) on
+// adversarial orderings (e.g. an organ-pipe permutation re-partitioned every
+// tick). After 2·⌈log₂ n⌉ partitions without converging, the remaining window
+// is handed to slices.SortFunc (O(n log n) worst case). The fallback is
+// result-identical, not just boundary-identical: everything outside [lo,hi]
+// is already correctly partitioned relative to the window, the target index
+// k−1 always stays inside it, and sorting the window places the exact same
+// element at k−1 as full partitioning would.
 func selectTopKPref(sp []serverPower, k int, hot bool) serverPower {
-	depth := 2 * bits.Len(uint(len(sp)))
+	b, _ := selectTopKPrefDepth(sp, k, hot, 2*bits.Len(uint(len(sp))))
+	return b
+}
+
+// selectTopKPrefDepth is selectTopKPref with an explicit partition budget,
+// and reports how many partitions it spent (tests force the budget to 0 to
+// exercise the sort fallback on its own, and hold the count to the budget on
+// adversarial orderings).
+func selectTopKPrefDepth(sp []serverPower, k int, hot bool, depth int) (b serverPower, partitions int) {
 	lo, hi := 0, len(sp)-1
 	for lo < hi {
-		if depth == 0 {
+		if partitions == depth {
 			cmp := cmpHot
 			if !hot {
 				cmp = cmpCold
@@ -132,23 +109,23 @@ func selectTopKPref(sp []serverPower, k int, hot bool) serverPower {
 			slices.SortFunc(sp[lo:hi+1], cmp)
 			break
 		}
-		depth--
-		p := partitionPrefFast(sp, lo, hi, hot)
+		partitions++
+		p := partitionPref(sp, lo, hi, hot)
 		switch {
 		case p == k-1:
-			return sp[p]
+			return sp[p], partitions
 		case p < k-1:
 			lo = p + 1
 		default:
 			hi = p - 1
 		}
 	}
-	return sp[k-1]
+	return sp[k-1], partitions
 }
 
-// partitionPrefFast is partitionPref with the comparator devirtualized into
-// lessPref calls.
-func partitionPrefFast(sp []serverPower, lo, hi int, hot bool) int {
+// partitionPref is a Lomuto partition of sp[lo:hi+1] around a median-of-three
+// pivot, returning the pivot's final index.
+func partitionPref(sp []serverPower, lo, hi int, hot bool) int {
 	mid := lo + (hi-lo)/2
 	if lessPref(sp[mid], sp[lo], hot) {
 		sp[mid], sp[lo] = sp[lo], sp[mid]
@@ -164,32 +141,6 @@ func partitionPrefFast(sp []serverPower, lo, hi int, hot bool) int {
 	i := lo
 	for j := lo; j < hi; j++ {
 		if lessPref(sp[j], pivot, hot) {
-			sp[i], sp[j] = sp[j], sp[i]
-			i++
-		}
-	}
-	sp[i], sp[hi] = sp[hi], sp[i]
-	return i
-}
-
-// partitionPref is a Lomuto partition of sp[lo:hi+1] around a median-of-three
-// pivot, returning the pivot's final index.
-func partitionPref(sp []serverPower, lo, hi int, cmp func(a, b serverPower) int) int {
-	mid := lo + (hi-lo)/2
-	if cmp(sp[mid], sp[lo]) < 0 {
-		sp[mid], sp[lo] = sp[lo], sp[mid]
-	}
-	if cmp(sp[hi], sp[mid]) < 0 {
-		sp[hi], sp[mid] = sp[mid], sp[hi]
-		if cmp(sp[mid], sp[lo]) < 0 {
-			sp[mid], sp[lo] = sp[lo], sp[mid]
-		}
-	}
-	sp[mid], sp[hi] = sp[hi], sp[mid]
-	pivot := sp[hi]
-	i := lo
-	for j := lo; j < hi; j++ {
-		if cmp(sp[j], pivot) < 0 {
 			sp[i], sp[j] = sp[j], sp[i]
 			i++
 		}

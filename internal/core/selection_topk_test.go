@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -28,22 +30,32 @@ func adversarialInputs(n int) map[string][]serverPower {
 	}
 }
 
+// prefCmp is the full-sort reference order for a ranked preference.
+func prefCmp(hot bool) func(a, b serverPower) int {
+	if hot {
+		return cmpHot
+	}
+	return cmpCold
+}
+
 // TestSelectTopKFallbackMatchesFullSort forces the introselect fallback
 // (depth 0) and checks it returns exactly the element a full sort places at
-// k−1, with sp[:k] holding the top-k set, on random and structured inputs.
+// k−1, with sp[:k] holding the top-k set, on random and structured inputs,
+// hottest-first and coldest-first.
 func TestSelectTopKFallbackMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	check := func(name string, sp []serverPower, k int, depth int) {
+	check := func(name string, sp []serverPower, k int, hot bool, depth int) {
+		cmp := prefCmp(hot)
 		want := append([]serverPower(nil), sp...)
-		slices.SortFunc(want, cmpHot)
-		got := selectTopKDepth(sp, k, cmpHot, depth)
+		slices.SortFunc(want, cmp)
+		got, _ := selectTopKPrefDepth(sp, k, hot, depth)
 		if got != want[k-1] {
-			t.Fatalf("%s k=%d depth=%d: boundary %+v, full sort says %+v", name, k, depth, got, want[k-1])
+			t.Fatalf("%s k=%d hot=%v depth=%d: boundary %+v, full sort says %+v", name, k, hot, depth, got, want[k-1])
 		}
 		top := append([]serverPower(nil), sp[:k]...)
-		slices.SortFunc(top, cmpHot)
+		slices.SortFunc(top, cmp)
 		if !slices.Equal(top, want[:k]) {
-			t.Fatalf("%s k=%d depth=%d: sp[:k] is not the top-k set", name, k, depth)
+			t.Fatalf("%s k=%d hot=%v depth=%d: sp[:k] is not the top-k set", name, k, hot, depth)
 		}
 	}
 	for i := 0; i < 200; i++ {
@@ -55,36 +67,50 @@ func TestSelectTopKFallbackMatchesFullSort(t *testing.T) {
 		rng.Shuffle(n, func(a, b int) { sp[a], sp[b] = sp[b], sp[a] })
 		k := 1 + rng.Intn(n)
 		for _, depth := range []int{0, 1, 2} {
-			check("random", append([]serverPower(nil), sp...), k, depth)
+			check("random", append([]serverPower(nil), sp...), k, true, depth)
+			check("random", append([]serverPower(nil), sp...), k, false, depth)
 		}
 	}
 	for name, sp := range adversarialInputs(257) {
 		for _, k := range []int{1, 64, 128, 257} {
-			check(name, append([]serverPower(nil), sp...), k, 0)
-			check(name, append([]serverPower(nil), sp...), k, 3)
+			for _, hot := range []bool{true, false} {
+				check(name, append([]serverPower(nil), sp...), k, hot, 0)
+				check(name, append([]serverPower(nil), sp...), k, hot, 3)
+			}
 		}
 	}
 }
 
-// countingCmp wraps a comparator and counts invocations.
-func countingCmp(n *int, cmp func(a, b serverPower) int) func(a, b serverPower) int {
-	return func(a, b serverPower) int { *n++; return cmp(a, b) }
-}
-
-// TestSelectTopKWorstCaseBound is the worst-case guard: on every adversarial
-// ordering the introselect version stays within a c·n·log n comparison
-// budget, far under the ~n²/4 a degenerate quickselect burns. An organ-pipe
-// input at n=32768 used to cost ~2.7e8 comparisons; the bound below (100·n)
-// only holds because the depth limit kicks in.
+// TestSelectTopKWorstCaseBound is the worst-case guard. lessPref is inlined,
+// so comparisons cannot be counted; partitions can, and each costs at most n
+// comparisons. Left to run, quickselect spends far more than 2·⌈log₂ n⌉
+// partitions on the organ-pipe ordering (~n²/4 comparisons at n=32768); the
+// product's entry point stops at that budget and still returns what the full
+// sort would.
 func TestSelectTopKWorstCaseBound(t *testing.T) {
 	const n = 1 << 15
-	budget := 100 * n // ≫ 2n expected, ≪ n²/4 degenerate
-	for name, sp := range adversarialInputs(n) {
-		comparisons := 0
-		selectTopK(sp, n/3, countingCmp(&comparisons, cmpHot))
-		if comparisons > budget {
-			t.Errorf("%s: %d comparisons for n=%d, budget %d — introselect guard not engaging",
-				name, comparisons, n, budget)
+	budget := 2 * bits.Len(uint(n))
+	for _, hot := range []bool{true, false} {
+		unbounded := 0
+		for name, src := range adversarialInputs(n) {
+			want := append([]serverPower(nil), src...)
+			slices.SortFunc(want, prefCmp(hot))
+
+			sp := append([]serverPower(nil), src...)
+			if got := selectTopKPref(sp, n/3, hot); got != want[n/3-1] {
+				t.Errorf("%s hot=%v: boundary %+v, full sort says %+v", name, hot, got, want[n/3-1])
+			}
+			sp = append(sp[:0], src...)
+			if _, spent := selectTopKPrefDepth(sp, n/3, hot, budget); spent > budget {
+				t.Errorf("%s hot=%v: %d partitions, budget %d — introselect guard not engaging", name, hot, spent, budget)
+			}
+			sp = append(sp[:0], src...)
+			_, spent := selectTopKPrefDepth(sp, n/3, hot, n)
+			unbounded = max(unbounded, spent)
+		}
+		if unbounded <= budget {
+			t.Errorf("hot=%v: no adversarial input needs more than %d partitions (worst %d); the guard is untested",
+				hot, budget, unbounded)
 		}
 	}
 }
@@ -97,9 +123,12 @@ func BenchmarkSelectTopKAdversarial(b *testing.B) {
 	const n = 1 << 15
 	src := adversarialInputs(n)["organpipe"]
 	scratch := make([]serverPower, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(scratch, src)
-		selectTopK(scratch, n/3, cmpHot)
+	for _, hot := range []bool{true, false} {
+		b.Run(fmt.Sprintf("hot=%v", hot), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(scratch, src)
+				selectTopKPref(scratch, n/3, hot)
+			}
+		})
 	}
 }

@@ -22,14 +22,16 @@ import (
 )
 
 // Selector is the freeze-candidate selection strategy: given a domain's
-// refreshed power ranking and the tick's freeze target, it stages the
-// unfreeze/release/freeze candidate lists the apply phase executes.
+// refreshed power ranking and the tick's freeze target, it drives the frozen
+// set to the target through the controller's freeze/unfreeze calls.
 type Selector interface {
 	// Name is the canonical policy name used in specs and patches.
 	Name() string
-	// stage fills ds.unfCands/relCands/frzCands from the ds.rank scratch.
-	// It runs in the plan phase, on the controller goroutine under c.mu.
-	stage(c *Controller, ds *domainState, nfreeze int, degraded bool)
+	// reconcile orders ds.rank by its preference, unfreezes the frozen
+	// servers that fell out of the candidate set S (never in degraded mode),
+	// then releases or freezes down or up to nfreeze. It runs on the
+	// controller goroutine under c.mu.
+	reconcile(c *Controller, ds *domainState, nfreeze int, degraded bool)
 }
 
 // rankedSelector is a comparator-ordered selection policy (the paper's
@@ -38,7 +40,7 @@ type Selector interface {
 // hot mirrors cmp for the specialized quickselect and membership tests on the
 // per-server hot path (selection.go's lessPref), where the indirect
 // comparator calls were a third of the tick at 100k+ servers; cmp/cmpRel
-// still order the (small) staged candidate lists.
+// still order the (small) candidate list.
 type rankedSelector struct {
 	name      string
 	hot       bool                       // hottest-first preference
@@ -49,14 +51,14 @@ type rankedSelector struct {
 
 func (s *rankedSelector) Name() string { return s.name }
 
-// stage reproduces the fully-sorted walk of the original algorithm without
-// sorting the whole domain: quickselect partitions the scratch around the
-// boundary element b (the old ranked[nfreeze-1]) and S membership becomes two
-// comparisons. Candidates are collected from the partially partitioned
-// scratch (order-independent set membership) and then sorted in the
-// preference order the old code iterated in, so the API call sequence — and
-// with it every failure interleaving — is unchanged.
-func (s *rankedSelector) stage(c *Controller, ds *domainState, nfreeze int, degraded bool) {
+// reconcile reproduces the fully-sorted walk of the original algorithm
+// without sorting the whole domain: quickselect partitions the scratch around
+// the boundary element b (the old ranked[nfreeze-1]) and S membership becomes
+// two comparisons. Each pass collects its candidates from the partially
+// partitioned scratch (order-independent set membership) and sorts them in
+// the preference order the old code iterated in, so the API call sequence —
+// and with it every failure interleaving — is unchanged.
+func (s *rankedSelector) reconcile(c *Controller, ds *domainState, nfreeze int, degraded bool) {
 	rank := ds.rank
 	// Candidate set S: the nfreeze preferred servers, plus — for stability
 	// under the hottest-first policy — every other server still hotter
@@ -76,6 +78,7 @@ func (s *rankedSelector) stage(c *Controller, ds *domainState, nfreeze int, degr
 		}
 		return stability && sp.power > pThreshold
 	}
+	cands := scratch(ds.cands, len(rank))
 
 	// Unfreeze members that fell out of S (their power dropped enough).
 	// Skipped in degraded mode: the ranking is stale, and swapping frozen
@@ -83,31 +86,49 @@ func (s *rankedSelector) stage(c *Controller, ds *domainState, nfreeze int, degr
 	if !degraded {
 		for _, sp := range rank {
 			if ds.frozen.has(sp.id) && !inS(sp) {
-				ds.unfCands = append(ds.unfCands, sp)
+				cands = append(cands, sp)
 			}
 		}
-		slices.SortFunc(ds.unfCands, s.cmp)
+		slices.SortFunc(cands, s.cmp)
+		for _, sp := range cands {
+			c.unfreeze(ds, sp.id)
+		}
+		cands = cands[:0]
 	}
-	if ds.frozen.len() > nfreeze {
-		// The release branch may run (API failures in the unfreeze pass can
-		// leave any count between frozen−|unfCands| and frozen): stage every
-		// currently frozen server in release order; apply re-checks live.
+	// Adjust the frozen count to exactly the target, judged on what the pass
+	// above left frozen (a failed unfreeze leaves its server in place).
+	switch frozen := ds.frozen.len(); {
+	case frozen > nfreeze:
+		// Release the least-preferred frozen servers first (deterministic
+		// choice of the algorithm's "arbitrary" servers).
 		for _, sp := range rank {
 			if ds.frozen.has(sp.id) {
-				ds.relCands = append(ds.relCands, sp)
+				cands = append(cands, sp)
 			}
 		}
-		slices.SortFunc(ds.relCands, s.cmpRel)
-	}
-	if ds.frozen.len()-len(ds.unfCands) < nfreeze {
-		// The freeze branch may run: stage S ∖ frozen in preference order.
+		slices.SortFunc(cands, s.cmpRel)
+		for _, sp := range cands {
+			if ds.frozen.len() <= nfreeze {
+				break
+			}
+			c.unfreeze(ds, sp.id)
+		}
+	case frozen < nfreeze:
+		// Freeze the most-preferred members of S not yet frozen.
 		for _, sp := range rank {
 			if !ds.frozen.has(sp.id) && inS(sp) {
-				ds.frzCands = append(ds.frzCands, sp)
+				cands = append(cands, sp)
 			}
 		}
-		slices.SortFunc(ds.frzCands, s.cmp)
+		slices.SortFunc(cands, s.cmp)
+		for _, sp := range cands {
+			if ds.frozen.len() >= nfreeze {
+				break
+			}
+			c.freeze(ds, sp.id)
+		}
 	}
+	ds.cands = cands
 }
 
 // randomSelector freezes uniformly random servers (the ablation quantifying
@@ -117,9 +138,9 @@ type randomSelector struct{}
 
 func (randomSelector) Name() string { return "random" }
 
-// stage shuffles the rank scratch and stages candidates by shuffled position:
-// S is the first nfreeze entries and there is no stability augmentation.
-func (randomSelector) stage(c *Controller, ds *domainState, nfreeze int, degraded bool) {
+// reconcile shuffles the rank scratch and walks it by shuffled position: S is
+// the first nfreeze entries and there is no stability augmentation.
+func (randomSelector) reconcile(c *Controller, ds *domainState, nfreeze int, degraded bool) {
 	rank := ds.rank
 	c.selRNG.Shuffle(len(rank), func(i, j int) {
 		rank[i], rank[j] = rank[j], rank[i]
@@ -127,21 +148,24 @@ func (randomSelector) stage(c *Controller, ds *domainState, nfreeze int, degrade
 	if !degraded {
 		for _, sp := range rank[nfreeze:] {
 			if ds.frozen.has(sp.id) {
-				ds.unfCands = append(ds.unfCands, sp)
+				c.unfreeze(ds, sp.id)
 			}
 		}
 	}
-	if ds.frozen.len() > nfreeze {
-		for i := len(rank) - 1; i >= 0; i-- {
+	switch frozen := ds.frozen.len(); {
+	case frozen > nfreeze:
+		for i := len(rank) - 1; i >= 0 && ds.frozen.len() > nfreeze; i-- {
 			if ds.frozen.has(rank[i].id) {
-				ds.relCands = append(ds.relCands, rank[i])
+				c.unfreeze(ds, rank[i].id)
 			}
 		}
-	}
-	if ds.frozen.len()-len(ds.unfCands) < nfreeze {
+	case frozen < nfreeze:
 		for _, sp := range rank[:nfreeze] {
+			if ds.frozen.len() >= nfreeze {
+				break
+			}
 			if !ds.frozen.has(sp.id) {
-				ds.frzCands = append(ds.frzCands, sp)
+				c.freeze(ds, sp.id)
 			}
 		}
 	}
@@ -183,7 +207,7 @@ func ParseSelectionPolicy(s string) (SelectionPolicy, error) {
 }
 
 // Solver computes the freezing ratio from the control inputs — the axis that
-// was the hardcoded Horizon branch in planControl. Implementations must be
+// was the hardcoded Horizon branch in the control law. Implementations must be
 // stateless: one instance serves every domain.
 type Solver interface {
 	// Name identifies the solver in reports.
@@ -266,8 +290,7 @@ func ParseUnfreezeMode(s string) (UnfreezeMode, error) {
 	}
 }
 
-// UnfreezePolicy shapes the release path. It runs in the plan phase and must
-// be stateless.
+// UnfreezePolicy shapes the release path. It must be stateless.
 type UnfreezePolicy interface {
 	// Name is the canonical mode name.
 	Name() string

@@ -6,8 +6,8 @@
 //
 // The sharding rule is the whole concurrency story: a DC is a shard, every
 // mutable object belongs to exactly one shard, and the parallel phases
-// (epoch advance, federated controller tick, batched scheduler applies) fan
-// whole shards across workers — a worker only ever touches the state of the
+// (epoch advance, federated controller tick) fan whole shards across
+// workers — a worker only ever touches the state of the
 // shard it was handed. Coordinator logic (telemetry collection, headroom
 // reallocation, command delivery) runs serially between the barriers in
 // DC-index order. Output is therefore byte-identical at any worker count
@@ -30,7 +30,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/runner"
-	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/stack"
 	"repro/internal/workload"
@@ -56,8 +55,8 @@ type DCSpec struct {
 	// BudgetFrac sets the DC's base budget as a fraction of its rated power
 	// (default 0.8, the experiments' 1/1.25 over-provisioning).
 	BudgetFrac float64
-	// ReservePerServer pins that many containers per server at build time —
-	// long-running service load seeded through the batched scheduler API.
+	// ReservePerServer pins that many containers per server at build time:
+	// long-running service load, reserved on the DC's scheduler.
 	ReservePerServer int
 }
 
@@ -65,9 +64,6 @@ type DCSpec struct {
 type Config struct {
 	Seed uint64
 	DCs  []DCSpec
-	// Epoch is the lockstep advance quantum (default one minute, matching
-	// the controllers' interval: every epoch barrier is a federated tick).
-	Epoch sim.Duration
 	// CadenceEpochs is the coordinator's reallocation period (default 15).
 	CadenceEpochs int
 	// DelayEpochs is the one-way WAN delay, in epochs, applied to telemetry
@@ -76,42 +72,39 @@ type Config struct {
 	// Workers fans the parallel phases across that many shard workers
 	// (0/1 = serial, -1 = GOMAXPROCS). Output is identical at any value.
 	Workers int
-	// Margin is the demand headroom the coordinator grants above observed
-	// power when computing a DC's wanted budget (default 0.08).
-	Margin float64
 	// FloorFrac / CapFrac bound a DC's allocation to [FloorFrac,
 	// CapFrac]×base. CapFrac must stay below the SetBudget validation
 	// ceiling (2.0×base); default 0.6 / 1.5.
 	FloorFrac, CapFrac float64
-	// MaxShiftFrac bounds one reallocation's move to that fraction of a
-	// DC's base budget (default 0.10) — the coordinator is a slow outer
-	// loop, not a second fast controller.
-	MaxShiftFrac float64
 	// Retention bounds each DC's TSDB series length (0 = unlimited).
 	Retention int
 }
 
+const (
+	// epoch is the lockstep advance quantum: one minute, matching the
+	// controllers' interval, so every epoch barrier is a federated tick.
+	epoch = sim.Minute
+	// margin is the demand headroom the coordinator grants above observed
+	// power when computing a DC's wanted budget.
+	margin float64 = 0.08
+	// maxShiftFrac bounds one reallocation's move to that fraction of a DC's
+	// base budget — the coordinator is a slow outer loop, not a second fast
+	// controller.
+	maxShiftFrac float64 = 0.10
+)
+
 func (cfg Config) withDefaults() Config {
-	if cfg.Epoch == 0 {
-		cfg.Epoch = sim.Minute
-	}
 	if cfg.CadenceEpochs == 0 {
 		cfg.CadenceEpochs = 15
 	}
 	if cfg.DelayEpochs == 0 {
 		cfg.DelayEpochs = 2
 	}
-	if cfg.Margin == 0 {
-		cfg.Margin = 0.08
-	}
 	if cfg.FloorFrac == 0 {
 		cfg.FloorFrac = 0.6
 	}
 	if cfg.CapFrac == 0 {
 		cfg.CapFrac = 1.5
-	}
-	if cfg.MaxShiftFrac == 0 {
-		cfg.MaxShiftFrac = 0.10
 	}
 	for i := range cfg.DCs {
 		d := &cfg.DCs[i]
@@ -133,20 +126,14 @@ func (cfg Config) Validate() error {
 	switch {
 	case len(cfg.DCs) == 0:
 		return fmt.Errorf("federate: need at least one DC")
-	case cfg.Epoch <= 0:
-		return fmt.Errorf("federate: non-positive Epoch %v", cfg.Epoch)
 	case cfg.CadenceEpochs < 1:
 		return fmt.Errorf("federate: CadenceEpochs %d must be ≥1", cfg.CadenceEpochs)
 	case cfg.DelayEpochs < 0:
 		return fmt.Errorf("federate: negative DelayEpochs %d", cfg.DelayEpochs)
-	case math.IsNaN(cfg.Margin) || cfg.Margin < 0:
-		return fmt.Errorf("federate: Margin %v must be ≥0", cfg.Margin)
 	case math.IsNaN(cfg.FloorFrac) || cfg.FloorFrac <= 0 || cfg.FloorFrac > 1:
 		return fmt.Errorf("federate: FloorFrac %v outside (0,1]", cfg.FloorFrac)
 	case math.IsNaN(cfg.CapFrac) || cfg.CapFrac < cfg.FloorFrac || cfg.CapFrac >= 2:
 		return fmt.Errorf("federate: CapFrac %v outside [FloorFrac,2) — 2×base is the SetBudget ceiling", cfg.CapFrac)
-	case math.IsNaN(cfg.MaxShiftFrac) || cfg.MaxShiftFrac <= 0 || cfg.MaxShiftFrac > 1:
-		return fmt.Errorf("federate: MaxShiftFrac %v outside (0,1]", cfg.MaxShiftFrac)
 	}
 	seen := make(map[string]bool, len(cfg.DCs))
 	for i, d := range cfg.DCs {
@@ -166,6 +153,10 @@ func (cfg Config) Validate() error {
 		case d.ReservePerServer < 0:
 			return fmt.Errorf("federate: DC %q negative ReservePerServer %d", d.Name, d.ReservePerServer)
 		}
+		if capacity := stack.RowSpec(d.Rows, d.RowServers).Containers; d.ReservePerServer > capacity {
+			return fmt.Errorf("federate: DC %q pins %d containers per server, capacity %d",
+				d.Name, d.ReservePerServer, capacity)
+		}
 		seen[d.Name] = true
 	}
 	return nil
@@ -180,11 +171,8 @@ type DC struct {
 	Spec cluster.Spec
 	Ctl  *core.Controller
 
-	batch      *scheduler.Batch
-	errScratch []scheduler.BatchError
-	batchErrs  []scheduler.BatchError
-	runErr     error
-	rows       int
+	runErr error
+	rows   int
 }
 
 // Telemetry is one DC's state at an epoch boundary, as sampled by the
@@ -198,11 +186,13 @@ type Telemetry struct {
 	Completed int64
 }
 
-// ShardError attributes a batched-scheduler op failure to its shard; Advance
-// merges them in (shard, op-index) order.
+// ShardError is the element type of Advance's first result, a list that is
+// always empty: nothing but the shard's own engine and controller reaches its
+// scheduler. Type and result stay because frozen bench/fed.go spells them
+// (ROADMAP 1(c)).
 type ShardError struct {
-	DC int
-	scheduler.BatchError
+	DC  int
+	Err error
 }
 
 // command is a WAN-delayed coordinator order: set dc's total budget at the
@@ -218,7 +208,6 @@ type phase uint8
 const (
 	phaseAdvance phase = iota
 	phaseTick
-	phasePin
 )
 
 // Federation is the assembled two-level system.
@@ -245,8 +234,7 @@ type Federation struct {
 
 // New builds every shard (each from a labeled sub-seed of cfg.Seed, so DC
 // identity — not list order — determines its streams), starts the per-DC
-// monitors and generators, and seeds any pinned service load through
-// per-shard scheduler batches applied by shard-owned workers.
+// monitors and generators, and reserves any pinned service load.
 func New(cfg Config) (*Federation, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -295,40 +283,18 @@ func New(cfg Config) (*Federation, error) {
 		// same-engine Start() would give.
 		st.StartBase()
 
-		dc := &DC{Stack: st, Name: d.Name, Spec: spec, Ctl: ctl, rows: d.Rows}
-		dc.batch = st.Sched.NewBatch()
-		f.DCs = append(f.DCs, dc)
+		if d.ReservePerServer > 0 {
+			for _, sv := range st.Cluster.Servers {
+				if err := st.Sched.Reserve(sv.ID, d.ReservePerServer, float64(d.ReservePerServer)); err != nil {
+					return nil, fmt.Errorf("federate: DC %q pin: %w", d.Name, err)
+				}
+			}
+		}
+
+		f.DCs = append(f.DCs, &DC{Stack: st, Name: d.Name, Spec: spec, Ctl: ctl, rows: d.Rows})
 		f.base[i], f.alloc[i], f.target[i] = baseDC, baseDC, baseDC
 	}
 	f.loop = runner.NewLoop(f.runDC)
-
-	// Pinned service load: stage per-shard reservation batches and apply
-	// them on shard-owned workers — the batched scheduler API's build-time
-	// consumer. Errors merge in (shard, index) order.
-	pinned := false
-	for i, d := range cfg.DCs {
-		if d.ReservePerServer == 0 {
-			continue
-		}
-		if d.ReservePerServer > f.DCs[i].Spec.Containers {
-			return nil, fmt.Errorf("federate: DC %q pins %d containers per server, capacity %d",
-				d.Name, d.ReservePerServer, f.DCs[i].Spec.Containers)
-		}
-		pinned = true
-		for _, sv := range f.DCs[i].Cluster.Servers {
-			f.DCs[i].batch.Reserve(sv.ID, d.ReservePerServer, float64(d.ReservePerServer))
-		}
-	}
-	if pinned {
-		f.phase = phasePin
-		f.loop.Run(f.workers(), len(f.DCs))
-		for _, dc := range f.DCs {
-			if len(dc.batchErrs) > 0 {
-				return nil, fmt.Errorf("federate: DC %q pin op %d: %w",
-					dc.Name, dc.batchErrs[0].Index, dc.batchErrs[0].Err)
-			}
-		}
-	}
 	return f, nil
 }
 
@@ -348,44 +314,32 @@ func (f *Federation) workers() int {
 func (f *Federation) runDC(i int) {
 	dc := f.DCs[i]
 	switch f.phase {
-	case phasePin:
-		dc.batchErrs = dc.batch.Apply(dc.errScratch[:0])
 	case phaseAdvance:
-		if dc.batch.Len() > 0 {
-			dc.batchErrs = dc.batch.Apply(dc.errScratch[:0])
-		}
 		dc.runErr = dc.Eng.RunUntil(f.until)
 	case phaseTick:
 		dc.Ctl.Step(f.until)
 	}
 }
 
-// Batch returns DC i's staging batch. Staged ops are applied by the shard's
-// worker at the start of the next Advance epoch, before the engine advances;
-// failures surface in Advance's merged ShardError list.
-func (f *Federation) Batch(i int) *scheduler.Batch { return f.DCs[i].batch }
-
-// Advance runs the federation forward by the given number of epochs:
-// deliver due coordinator commands (serial, DC order) → apply staged shard
-// batches and advance every DC engine one epoch (parallel over shards) →
-// step every DC controller (parallel over shards — the federated tick, the
-// timed quantity) → sample telemetry and merge batch errors (serial, DC
-// order) → reallocate at cadence boundaries. Returns the batched-scheduler
-// errors merged in (shard, op-index) order; the error return is reserved
-// for engine and command failures, which abort the epoch loop.
+// Advance runs the federation forward by the given number of epochs, each in
+// three phases: deliver due coordinator commands (serial, DC order) → advance
+// every DC engine one epoch, then step every DC controller (each parallel over
+// shards; the second is the federated tick, the timed quantity) → sample
+// telemetry (serial, DC order) and reallocate at cadence boundaries. The
+// ShardError list is always empty (see the type); engine and command failures
+// abort the epoch loop through the error.
 func (f *Federation) Advance(epochs int) ([]ShardError, error) {
-	var errs []ShardError
 	for k := 0; k < epochs; k++ {
 		if err := f.applyDueCommands(); err != nil {
-			return errs, err
+			return nil, err
 		}
-		f.until = sim.Time(f.epoch+1) * sim.Time(f.cfg.Epoch)
+		f.until = sim.Time(f.epoch+1) * sim.Time(epoch)
 
 		f.phase = phaseAdvance
 		f.loop.Run(f.workers(), len(f.DCs))
 		for _, dc := range f.DCs {
 			if dc.runErr != nil {
-				return errs, fmt.Errorf("federate: DC %q: %w", dc.Name, dc.runErr)
+				return nil, fmt.Errorf("federate: DC %q: %w", dc.Name, dc.runErr)
 			}
 		}
 
@@ -401,17 +355,13 @@ func (f *Federation) Advance(epochs int) ([]ShardError, error) {
 
 		for i, dc := range f.DCs {
 			f.telem[i] = append(f.telem[i], f.observe(i, dc))
-			for _, be := range dc.batchErrs {
-				errs = append(errs, ShardError{DC: i, BatchError: be})
-			}
-			dc.batchErrs = nil
 		}
 		f.epoch++
 		if f.epoch%f.cfg.CadenceEpochs == 0 {
 			f.reallocate()
 		}
 	}
-	return errs, nil
+	return nil, nil
 }
 
 func (f *Federation) observe(i int, dc *DC) Telemetry {
@@ -459,7 +409,7 @@ func (f *Federation) applyDueCommands() error {
 // (Σ base). Each DC wants its WAN-delayed observed power plus margin,
 // clamped to [FloorFrac, CapFrac]×base; leftovers are returned pro rata to
 // base, deficits scale every DC's above-floor ask by a common ratio. The
-// per-cadence move is clamped to MaxShiftFrac×base and the result never
+// per-cadence move is clamped to maxShiftFrac×base and the result never
 // exceeds the pool, so the coordinator conserves total provisioned power
 // while chasing the diurnal peaks around the planet.
 func (f *Federation) reallocate() {
@@ -472,7 +422,7 @@ func (f *Federation) reallocate() {
 	want := make([]float64, n)
 	for d := 0; d < n; d++ {
 		floor, cap := f.cfg.FloorFrac*f.base[d], f.cfg.CapFrac*f.base[d]
-		w := f.telem[d][src].PowerW * (1 + f.cfg.Margin)
+		w := f.telem[d][src].PowerW * (1 + margin)
 		w = math.Min(math.Max(w, floor), cap)
 		want[d] = w
 		pool += f.base[d]
@@ -498,7 +448,7 @@ func (f *Federation) reallocate() {
 	}
 	sum := 0.0
 	for d := 0; d < n; d++ {
-		if shift := f.cfg.MaxShiftFrac * f.base[d]; math.Abs(alloc[d]-f.target[d]) > shift {
+		if shift := maxShiftFrac * f.base[d]; math.Abs(alloc[d]-f.target[d]) > shift {
 			if alloc[d] > f.target[d] {
 				alloc[d] = f.target[d] + shift
 			} else {

@@ -37,8 +37,8 @@ func run(t *testing.T, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if errs, err := f.Advance(8); err != nil || len(errs) != 0 {
-		t.Fatalf("advance: errs=%v err=%v", errs, err)
+	if _, err := f.Advance(8); err != nil {
+		t.Fatal(err)
 	}
 	moved, err := f.ShiftBudget(3, 0, 2000)
 	if err != nil {
@@ -47,8 +47,8 @@ func run(t *testing.T, workers int) string {
 	if moved <= 0 {
 		t.Fatalf("ShiftBudget moved %v W, want >0", moved)
 	}
-	if errs, err := f.Advance(8); err != nil || len(errs) != 0 {
-		t.Fatalf("advance: errs=%v err=%v", errs, err)
+	if _, err := f.Advance(8); err != nil {
+		t.Fatal(err)
 	}
 	return f.Fingerprint()
 }
@@ -122,8 +122,8 @@ func TestShardIsAStack(t *testing.T) {
 	st.StartBase()
 	dc := f.DCs[0]
 	for e := 1; e <= 45; e++ {
-		if errs, err := f.Advance(1); err != nil || len(errs) != 0 {
-			t.Fatalf("advance: errs=%v err=%v", errs, err)
+		if _, err := f.Advance(1); err != nil {
+			t.Fatal(err)
 		}
 		if err := st.Run(sim.Time(e) * sim.Time(sim.Minute)); err != nil {
 			t.Fatal(err)
@@ -164,8 +164,8 @@ func TestReallocationShiftsHeadroom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if errs, err := f.Advance(25); err != nil || len(errs) != 0 {
-		t.Fatalf("advance: errs=%v err=%v", errs, err)
+	if _, err := f.Advance(25); err != nil {
+		t.Fatal(err)
 	}
 	hot, cold := f.Allocation(0), f.Allocation(1)
 	if hot <= f.BaseBudget(0) {
@@ -218,8 +218,8 @@ func TestShiftBudgetWANDelay(t *testing.T) {
 	}
 }
 
-// TestPinnedServiceLoad checks the batched build-time seeding: every server
-// in a ReservePerServer DC holds its pinned containers after New.
+// TestPinnedServiceLoad checks the build-time seeding: every server in a
+// ReservePerServer DC holds its pinned containers after New.
 func TestPinnedServiceLoad(t *testing.T) {
 	f, err := New(testConfig(2))
 	if err != nil {
@@ -274,6 +274,7 @@ func TestConfigValidation(t *testing.T) {
 		{DCs: []DCSpec{{Name: "a", Rows: 1, RowServers: 30}}},
 		{DCs: []DCSpec{{Name: "a", Rows: 1, TargetFrac: 1.5}}},
 		{DCs: []DCSpec{{Name: "a", Rows: 1, ReservePerServer: -1}}},
+		{DCs: []DCSpec{{Name: "a", Rows: 1, ReservePerServer: 1 << 20}}},
 		{DCs: []DCSpec{{Name: "a", Rows: 1}}, CapFrac: 2.5},
 		{DCs: []DCSpec{{Name: "a", Rows: 1}}, FloorFrac: 1.2},
 	}

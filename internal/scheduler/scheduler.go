@@ -427,16 +427,6 @@ func (s *Scheduler) Freeze(id cluster.ServerID) error {
 
 // Unfreeze implements FreezeAPI.
 func (s *Scheduler) Unfreeze(id cluster.ServerID) error {
-	if err := s.unfreeze(id); err != nil {
-		return err
-	}
-	s.drainQueue()
-	return nil
-}
-
-// unfreeze is Unfreeze without the queue drain — the batched apply path
-// (batch.go) runs many unfreezes and drains once at the end.
-func (s *Scheduler) unfreeze(id cluster.ServerID) error {
 	if s.met != nil {
 		defer func(start time.Time) {
 			s.met.unfreezeDur.Observe(time.Since(start).Seconds())
@@ -451,6 +441,7 @@ func (s *Scheduler) unfreeze(id cluster.ServerID) error {
 	}
 	sv.SetFrozen(false)
 	s.refreshAvail(sv)
+	s.drainQueue()
 	return nil
 }
 
@@ -942,15 +933,6 @@ func (s *Scheduler) RepairServer(id cluster.ServerID) error {
 // is reported like Freeze/Unfreeze errors rather than panicking inside
 // cluster.Server.Release.
 func (s *Scheduler) Release(id cluster.ServerID, containers int, cpu float64) error {
-	if err := s.release(id, containers, cpu); err != nil {
-		return err
-	}
-	s.drainQueue()
-	return nil
-}
-
-// release is Release without the queue drain (see batch.go).
-func (s *Scheduler) release(id cluster.ServerID, containers int, cpu float64) error {
 	if int(id) < 0 || int(id) >= len(s.c.Servers) {
 		return fmt.Errorf("scheduler: release on unknown server %d", id)
 	}
@@ -965,5 +947,6 @@ func (s *Scheduler) release(id cluster.ServerID, containers int, cpu float64) er
 	sv.Release(containers, cpu)
 	s.busyRow[sv.Row] -= containers
 	s.refreshAvail(sv)
+	s.drainQueue()
 	return nil
 }
