@@ -93,9 +93,10 @@ fig11-smoke:
 	go test ./internal/experiment/ -run TestFig11ScaleSmoke400 -count=1
 
 # Tier-1's behaviour pin: stdout of `ampere-exp -quick -exp all`, every table
-# of every experiment, diffed against results/exp_quick_output.txt.
+# of every experiment, diffed against results/exp_quick_output.txt at
+# GOMAXPROCS 1 (every run inline, in order) and 4 (fanned out).
 golden-quick:
-	go test ./cmd/ampere-exp -run TestQuickAllGolden -count=1
+	go test -cpu 1,4 ./cmd/ampere-exp -run TestQuickAllGolden -count=1
 
 # The parallel-sweep guards count process-wide mallocs, goroutines and
 # finalizer runs, which one pass on a quiet machine says little about: thirty
@@ -145,7 +146,7 @@ bench-check:
 	sh scripts/bench_compare BENCH_fresh.json BENCH_scale.json
 	rm -f BENCH_fresh.json
 
-# Records serial vs parallel wall-clock for the shrunken figure suite; on a
+# Records GOMAXPROCS 1 vs CPU-count wall-clock for the shrunken figure suite; on a
 # ≥4-core machine the parallel run should be ≥2× faster with byte-identical
 # results (parallel_test.go checks the identity half).
 bench-runner:

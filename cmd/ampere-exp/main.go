@@ -6,7 +6,7 @@
 //	ampere-exp -exp fig1|fig2|fig4|fig5|fig7|fig8|fig9|fig10|fig11|fig11scale|
 //	                fig12|table2|table3|spread|outage|chaos|ablations|scale|
 //	                gridstorm|whatif|tournament|all
-//	           [-quick] [-seed N] [-out dir] [-parallel N]
+//	           [-quick] [-seed N] [-out dir]
 //
 // -quick shrinks cluster sizes and time spans for a fast pass (the same
 // configurations the test suite and benchmarks use); the default sizes
@@ -14,12 +14,10 @@
 // in total. -out additionally writes plot-ready CSV series for the figure
 // experiments into the given directory.
 //
-// -parallel N fans independent runs — the selected experiments, and the
-// variants inside multi-run experiments (table2, table3, spread, outage,
-// chaos, ablations) — across up to N workers (default: the CPU count;
-// 1 restores the legacy serial path). Each run builds a fully isolated rig
-// from its own seed and its report is buffered and printed in the fixed
-// experiment order, so stdout is byte-identical at any -parallel value;
+// Independent runs — the selected experiments and the variants inside them —
+// fan out across GOMAXPROCS workers (GOMAXPROCS=1 runs them serially). Each
+// builds an isolated rig from its own seed and its report is printed in the
+// fixed experiment order, so stdout is byte-identical at any GOMAXPROCS;
 // per-experiment timing goes to stderr as runs complete.
 package main
 
@@ -30,7 +28,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"repro/internal/experiment"
@@ -40,10 +37,9 @@ import (
 
 // runCtx carries the shared CLI knobs into each experiment runner.
 type runCtx struct {
-	quick    bool
-	seed     uint64
-	outDir   string
-	parallel int
+	quick  bool
+	seed   uint64
+	outDir string
 }
 
 // runners maps every -exp id to its experiment; fig10 is an alias of table2
@@ -83,7 +79,6 @@ func main() {
 	quick := flag.Bool("quick", false, "shrunken fast configuration")
 	seed := flag.Uint64("seed", 0, "override the experiment seed (0 = per-experiment default)")
 	out := flag.String("out", "", "directory to also write plot-ready CSV series into")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker count for independent runs (1 = serial)")
 	flag.Parse()
 
 	var ids []string
@@ -96,13 +91,20 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	rc := runCtx{quick: *quick, seed: *seed, outDir: *out, parallel: *parallel}
+	report, err := render(ids, runCtx{quick: *quick, seed: *seed, outDir: *out})
+	os.Stdout.Write(report)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
 
-	// Each experiment renders into its own buffer; buffers are printed in
-	// the fixed order, so stdout does not depend on completion order.
+// render runs the experiments and returns their reports in ids order, each
+// non-empty one followed by a blank line; on failure, the finished reports
+// and the lowest-indexed error.
+func render(ids []string, rc runCtx) ([]byte, error) {
 	units := make([]runner.Unit[[]byte], len(ids))
 	for i, id := range ids {
-		id := id
 		units[i] = runner.Unit[[]byte]{Name: id, Run: func() ([]byte, error) {
 			var buf bytes.Buffer
 			if err := runners[id](&buf, rc); err != nil {
@@ -112,7 +114,6 @@ func main() {
 		}}
 	}
 	bufs, err := runner.Run(units, runner.Options{
-		Workers: rc.parallel,
 		OnDone: func(r runner.Report) {
 			switch {
 			case r.Skipped:
@@ -124,16 +125,14 @@ func main() {
 			}
 		},
 	})
+	var out bytes.Buffer
 	for _, b := range bufs {
 		if len(b) > 0 {
-			os.Stdout.Write(b)
-			fmt.Println()
+			out.Write(b)
+			out.WriteByte('\n')
 		}
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return out.Bytes(), err
 }
 
 func pick(seed, def uint64) uint64 {
@@ -265,7 +264,6 @@ func runFig10Table2(w io.Writer, rc runCtx) error {
 		cfg.Warmup = sim.Hour
 	}
 	cfg.Seed = pick(rc.seed, cfg.Seed)
-	cfg.Parallel = rc.parallel
 	res, err := experiment.RunTable2(cfg)
 	if err != nil {
 		return err
@@ -299,14 +297,13 @@ func runFig11(w io.Writer, rc runCtx) error {
 // 100k-server fleet whose hot rows host a 3-million-user service, scored as
 // per-op/per-class p999 and SLO-miss under row capping vs the Ampere
 // controller. Regimes fan across two workers; output is byte-identical at
-// any -parallel value.
+// any GOMAXPROCS.
 func runFig11Scale(w io.Writer, rc runCtx) error {
 	cfg := experiment.DefaultFig11Scale()
 	if rc.quick {
 		cfg = experiment.QuickFig11Scale()
 	}
 	cfg.Seed = pick(rc.seed, cfg.Seed)
-	cfg.Parallel = rc.parallel
 	res, err := experiment.RunFig11Scale(cfg)
 	if err != nil {
 		return err
@@ -336,7 +333,6 @@ func runSpread(w io.Writer, rc runCtx) error {
 		cfg.RowServers, cfg.Measure = 80, 8*sim.Hour
 	}
 	cfg.Seed = pick(rc.seed, cfg.Seed)
-	cfg.Parallel = rc.parallel
 	rows, err := experiment.RunSpread(cfg)
 	if err != nil {
 		return err
@@ -352,7 +348,6 @@ func runOutage(w io.Writer, rc runCtx) error {
 		cfg.Pretrain, cfg.Measure = 8*sim.Hour, 8*sim.Hour
 	}
 	cfg.Seed = pick(rc.seed, cfg.Seed)
-	cfg.Parallel = rc.parallel
 	rows, err := experiment.RunOutage(cfg)
 	if err != nil {
 		return err
@@ -368,7 +363,6 @@ func runChaos(w io.Writer, rc runCtx) error {
 		cfg.Pretrain, cfg.Measure = 6*sim.Hour, 12*sim.Hour
 	}
 	cfg.Seed = pick(rc.seed, cfg.Seed)
-	cfg.Parallel = rc.parallel
 	res, err := experiment.RunChaos(cfg)
 	if err != nil {
 		return err
@@ -384,7 +378,6 @@ func runAblations(w io.Writer, rc runCtx) error {
 		cfg.Warmup, cfg.Pretrain, cfg.Measure = sim.Hour, 12*sim.Hour, 12*sim.Hour
 	}
 	cfg.Seed = pick(rc.seed, cfg.Seed)
-	cfg.Parallel = rc.parallel
 
 	sel, err := experiment.RunSelectionAblation(cfg)
 	if err != nil {
@@ -420,9 +413,9 @@ func runAblations(w io.Writer, rc runCtx) error {
 
 // runScale runs the weak-scaling sweep, then the federated scale run (a
 // million servers across 8 DCs; quick: 1,600 across 4). The single-DC sizes
-// run serially regardless of -parallel (each size's wall-clock measurement
-// needs the machine to itself); the federated half honors -parallel as its
-// shard worker count, which does not change stdout. Wall timings go to stderr.
+// run serially (each size's wall-clock measurement needs the machine to
+// itself); the federated half fans its shards across GOMAXPROCS workers,
+// which does not change stdout. Wall timings go to stderr.
 func runScale(w io.Writer, rc runCtx) error {
 	cfg := experiment.DefaultScale()
 	if rc.quick {
@@ -442,7 +435,6 @@ func runScale(w io.Writer, rc runCtx) error {
 		fcfg = experiment.QuickFedScale()
 	}
 	fcfg.Seed = pick(rc.seed, fcfg.Seed)
-	fcfg.Workers = rc.parallel
 	fres, err := experiment.RunFedScale(fcfg)
 	if err != nil {
 		return err
@@ -462,7 +454,6 @@ func runGridstorm(w io.Writer, rc runCtx) error {
 		cfg = experiment.QuickGridstorm()
 	}
 	cfg.Seed = pick(rc.seed, cfg.Seed)
-	cfg.Parallel = rc.parallel
 	runs, err := experiment.RunGridstorm(cfg)
 	if err != nil {
 		return err
@@ -494,7 +485,7 @@ func runWhatif(w io.Writer, rc runCtx) error {
 // replays the default policy grid (selection × Et estimator × unfreeze ×
 // horizon × ramp) from the shared snapshot, ranking the contenders by
 // trips, violation ticks, frozen capacity and completed jobs. Replays fan
-// across -parallel workers; output is byte-identical at any worker count.
+// across GOMAXPROCS workers; output is byte-identical at any worker count.
 // -out additionally writes the ranked result as tournament.json.
 func runTournament(w io.Writer, rc runCtx) error {
 	cfg := experiment.DefaultTournament()
@@ -502,7 +493,6 @@ func runTournament(w io.Writer, rc runCtx) error {
 		cfg = experiment.QuickTournament()
 	}
 	cfg.Grid.Seed = pick(rc.seed, cfg.Grid.Seed)
-	cfg.Parallel = rc.parallel
 	res, err := experiment.RunTournament(cfg)
 	if err != nil {
 		return err
@@ -518,7 +508,6 @@ func runTable3(w io.Writer, rc runCtx) error {
 		cfg.Warmup, cfg.Pretrain, cfg.Measure = sim.Hour, 12*sim.Hour, 12*sim.Hour
 	}
 	cfg.Seed = pick(rc.seed, cfg.Seed)
-	cfg.Parallel = rc.parallel
 	res, err := experiment.RunTable3(cfg)
 	if err != nil {
 		return err

@@ -32,8 +32,10 @@ func TestOrderAndRunnersAgree(t *testing.T) {
 //
 //	go run ./cmd/ampere-exp -quick -exp all > results/exp_quick_output.txt
 //
-// The bytes are floating-point sums, and off amd64 the compiler may fuse
-// multiply-adds, so the comparison only runs there.
+// It drives main's own fan-out (render), so `go test -cpu 1,4` pins the
+// bytes at the serial and at a fanned width. The bytes are floating-point
+// sums, and off amd64 the compiler may fuse multiply-adds, so the
+// comparison only runs there.
 func TestQuickAllGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every quick experiment (~16 s)")
@@ -45,23 +47,14 @@ func TestQuickAllGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := runCtx{quick: true, parallel: 2}
-	var got bytes.Buffer
-	for _, id := range order {
-		var buf bytes.Buffer
-		if err := runners[id](&buf, rc); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		// main prints each non-empty report followed by a blank line.
-		if buf.Len() > 0 {
-			got.Write(buf.Bytes())
-			got.WriteByte('\n')
-		}
+	got, err := render(order, runCtx{quick: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if bytes.Equal(got.Bytes(), want) {
+	if bytes.Equal(got, want) {
 		return
 	}
-	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	i := 0
 	for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
 		i++

@@ -5,13 +5,12 @@
 //
 //	ampere-sim -rows 2 -row-servers 400 -hours 24 -target 0.76 -ro 0.25 -ampere
 //	ampere-sim -config scenario.json
-//	ampere-sim -ampere -replicate 8 -parallel 4
+//	ampere-sim -ampere -replicate 8
 //
-// -replicate K repeats the scenario K times with seeds seed..seed+K−1 and
-// -parallel N fans the replicates across up to N workers (default: the CPU
-// count; 1 = serial). Each replicate builds its own isolated simulation and
-// its report is buffered, so output appears in seed order and is
-// byte-identical at any -parallel value.
+// -replicate K repeats the scenario K times with seeds seed..seed+K−1,
+// fanned across GOMAXPROCS workers (GOMAXPROCS=1 runs them serially). Each
+// replicate builds its own isolated simulation and its report is buffered,
+// so output appears in seed order and is byte-identical at any GOMAXPROCS.
 //
 // cmd/ampere-exp runs the paper's specific experiments; this tool is for
 // free-form exploration.
@@ -22,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -45,7 +43,6 @@ func main() {
 		chooser    = flag.String("row-chooser", "proportional", "row selection: proportional|balance-rows|concentrate-rows")
 		amplitude  = flag.Float64("amplitude", 0.35, "diurnal amplitude of the workload")
 		replicate  = flag.Int("replicate", 1, "run K replicates with seeds seed..seed+K-1")
-		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker count for replicates (1 = serial)")
 	)
 	flag.Parse()
 
@@ -84,7 +81,6 @@ func main() {
 	}
 	units := make([]runner.Unit[[]byte], k)
 	for i := 0; i < k; i++ {
-		i := i
 		units[i] = runner.Unit[[]byte]{Name: fmt.Sprintf("replicate %d", i), Run: func() ([]byte, error) {
 			// Shallow copy: Build never mutates the spec and replicates only
 			// reseed it, so the copies stay independent.
@@ -105,7 +101,7 @@ func main() {
 			return buf.Bytes(), nil
 		}}
 	}
-	outs, err := runner.Run(units, runner.Options{Workers: *parallel})
+	outs, err := runner.Run(units, runner.Options{})
 	for _, b := range outs {
 		os.Stdout.Write(b)
 	}

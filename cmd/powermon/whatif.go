@@ -83,16 +83,18 @@ func (ws *whatifServer) handle(w http.ResponseWriter, r *http.Request) {
 			whatifError(w, http.StatusBadRequest, "bad event %q: %v", s, err)
 			return
 		}
-		total, oldest := ws.journal.Total(), ws.journal.OldestSeq()
-		if seq >= total {
-			whatifError(w, http.StatusNotFound, "event %d not yet journaled (total %d)", seq, total)
+		// One read: the live run appends and evicts concurrently, and Since
+		// clamps an evicted seq to the oldest retained event.
+		evs := ws.journal.Since(seq)
+		if len(evs) == 0 {
+			whatifError(w, http.StatusNotFound, "event %d not yet journaled", seq)
 			return
 		}
-		if seq < oldest {
-			whatifError(w, http.StatusGone, "event %d evicted from the journal ring (oldest retained %d)", seq, oldest)
+		if evs[0].Seq != seq {
+			whatifError(w, http.StatusGone, "event %d evicted from the journal ring (oldest retained %d)", seq, evs[0].Seq)
 			return
 		}
-		fork = ws.journal.Since(seq)[0]
+		fork = evs[0]
 	} else {
 		found := false
 		for _, ev := range ws.journal.Since(0) {

@@ -38,9 +38,6 @@ type AblationConfig struct {
 	Warmup     sim.Duration
 	Pretrain   sim.Duration
 	Measure    sim.Duration
-	// Parallel fans the variants out on that many workers (0 or 1 = serial).
-	// Each variant builds its own rig, so results are identical at any value.
-	Parallel int
 }
 
 // DefaultAblation uses the Table 2 heavy day.
@@ -88,7 +85,7 @@ func RunSelectionAblation(cfg AblationConfig) ([]AblationOutcome, error) {
 	for i, sel := range sels {
 		names[i] = sel.String()
 	}
-	return runUnits(cfg.Parallel, names, func(i int) (AblationOutcome, error) {
+	return runUnits(names, func(i int) (AblationOutcome, error) {
 		c := cfg.base()
 		c.Selection = sels[i]
 		run, err := RunAmpere(c)
@@ -111,7 +108,7 @@ func RunRStableAblation(cfg AblationConfig, values []float64) ([]AblationOutcome
 	for i, v := range values {
 		names[i] = fmt.Sprintf("rstable=%.2f", v)
 	}
-	return runUnits(cfg.Parallel, names, func(i int) (AblationOutcome, error) {
+	return runUnits(names, func(i int) (AblationOutcome, error) {
 		c := cfg.base()
 		c.RStable = values[i]
 		run, err := RunAmpere(c)
@@ -133,7 +130,7 @@ func RunEtPercentileAblation(cfg AblationConfig, percentiles []float64) ([]Ablat
 	for i, p := range percentiles {
 		names[i] = fmt.Sprintf("etpct=%.1f", p)
 	}
-	return runUnits(cfg.Parallel, names, func(i int) (AblationOutcome, error) {
+	return runUnits(names, func(i int) (AblationOutcome, error) {
 		c := cfg.base()
 		c.EtPercentile = percentiles[i]
 		run, err := RunAmpere(c)
@@ -155,7 +152,7 @@ func RunHorizonAblation(cfg AblationConfig, horizons []int) ([]AblationOutcome, 
 	for i, h := range horizons {
 		names[i] = fmt.Sprintf("horizon=%d", h)
 	}
-	return runUnits(cfg.Parallel, names, func(i int) (AblationOutcome, error) {
+	return runUnits(names, func(i int) (AblationOutcome, error) {
 		c := cfg.base()
 		c.Horizon = horizons[i]
 		run, err := RunAmpere(c)
@@ -203,7 +200,7 @@ func RunCappingAblation(cfg AblationConfig) ([]CappingAblationRow, error) {
 	for i, v := range variants {
 		names[i] = v.name
 	}
-	return runUnits(cfg.Parallel, names, func(i int) (CappingAblationRow, error) {
+	return runUnits(names, func(i int) (CappingAblationRow, error) {
 		v := variants[i]
 		row, err := runCappingVariant(cfg, v.name, v.mode, v.ampere)
 		if err != nil {

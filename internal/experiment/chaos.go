@@ -44,10 +44,6 @@ type ChaosConfig struct {
 	// to the start of the measured window.
 	CrashAt  sim.Duration
 	CrashLen sim.Duration
-	// Parallel fans the two regimes out on that many workers (0 or 1 =
-	// serial); the injector's fault decisions are pure functions of time, so
-	// both regimes face the same storm regardless of execution order.
-	Parallel int
 }
 
 // DefaultChaos is a 160-server row under a day-long storm with a five-hour
@@ -143,7 +139,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		plan chaos.Plan
 	}
 	naiveFlags := []bool{true, false}
-	runs, err := runUnits(cfg.Parallel, []string{"naive", "resilient"}, func(i int) (regimeRun, error) {
+	// The injector's fault decisions are pure functions of time, so both
+	// regimes face the same storm regardless of execution order.
+	runs, err := runUnits([]string{"naive", "resilient"}, func(i int) (regimeRun, error) {
 		out, plan, err := runChaosOnce(cfg, naiveFlags[i])
 		if err != nil {
 			return regimeRun{}, fmt.Errorf("chaos %s: %w", []string{"naive", "resilient"}[i], err)

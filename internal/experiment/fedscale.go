@@ -28,9 +28,6 @@ type FedScaleConfig struct {
 	// Warmup precedes the measure window; both are whole minutes (epochs).
 	Warmup  sim.Duration
 	Measure sim.Duration
-	// Workers fans shard advances and federated ticks (0/1 serial, -1 all
-	// CPUs); it does not change output.
-	Workers int
 }
 
 // DefaultFedScale is the acceptance configuration: 8 DCs × 313 rows =
@@ -86,7 +83,6 @@ func RunFedScale(cfg FedScaleConfig) (*FedScaleResult, error) {
 	}
 	fed, err := federate.New(federate.Config{
 		Seed: cfg.Seed, DCs: dcs,
-		Workers:   cfg.Workers,
 		Retention: 64,
 	})
 	if err != nil {

@@ -6,13 +6,11 @@ import (
 )
 
 // TestFedScaleSmoke runs the quick federated scale configuration (4 DCs ×
-// 400 servers) end to end and pins the worker-count independence of its
+// 400 servers) end to end and pins the GOMAXPROCS independence of its
 // formatted output — the tier-1 gate for the two-level substrate.
 func TestFedScaleSmoke(t *testing.T) {
-	render := func(workers int) string {
-		cfg := QuickFedScale()
-		cfg.Workers = workers
-		res, err := RunFedScale(cfg)
+	ref, got := atOneAndFour(func() string {
+		res, err := RunFedScale(QuickFedScale())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,9 +34,8 @@ func TestFedScaleSmoke(t *testing.T) {
 		var buf bytes.Buffer
 		FormatFedScale(&buf, res)
 		return buf.String()
-	}
-	ref := render(1)
-	if got := render(4); got != ref {
-		t.Errorf("output diverges at workers=4:\nserial:\n%s\nparallel:\n%s", ref, got)
+	})
+	if got != ref {
+		t.Errorf("output diverges at GOMAXPROCS 4:\nserial:\n%s\nparallel:\n%s", ref, got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/capping"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/runner"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/stack"
@@ -70,8 +71,8 @@ type Fig11ScaleConfig struct {
 	CapperInterval sim.Duration
 	Warmup         sim.Duration
 	Measure        sim.Duration
-	// Parallel fans the two regimes across workers; it does not change
-	// output (DESIGN.md §7).
+	// Parallel is the two regimes' runner.Options.Workers (<= 0 is
+	// GOMAXPROCS); it does not change output (DESIGN.md §7).
 	Parallel int
 }
 
@@ -176,9 +177,10 @@ func RunFig11Scale(cfg Fig11ScaleConfig) (*Fig11ScaleResult, error) {
 	if cfg.BudgetFrac <= 0 || cfg.BudgetFrac > 1 {
 		return nil, fmt.Errorf("experiment: budget fraction %v outside (0,1]", cfg.BudgetFrac)
 	}
-	scens, err := runUnits(cfg.Parallel, []string{"capping", "ampere"}, func(i int) (*fig11ScaleScenario, error) {
-		return runFig11ScaleScenario(cfg, i == 1)
-	})
+	scens, err := runner.Run([]runner.Unit[*fig11ScaleScenario]{
+		{Name: "capping", Run: func() (*fig11ScaleScenario, error) { return runFig11ScaleScenario(cfg, false) }},
+		{Name: "ampere", Run: func() (*fig11ScaleScenario, error) { return runFig11ScaleScenario(cfg, true) }},
+	}, runner.Options{Workers: cfg.Parallel})
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +462,7 @@ func (res *Fig11ScaleResult) WriteCSV(w io.Writer) error {
 }
 
 // FormatFig11Scale renders the scaled comparison with SLO-miss columns; all
-// output is deterministic at a fixed seed and independent of Parallel.
+// output is deterministic at a fixed seed and independent of the worker count.
 func FormatFig11Scale(w io.Writer, cfg Fig11ScaleConfig, res *Fig11ScaleResult) {
 	fmt.Fprintf(w, "Fig 11 at scale: %d servers (%d hot rows of %d), %d instances, %d users\n",
 		cfg.Rows*cfg.RowServers, cfg.ServiceRows, cfg.Rows, cfg.ServiceRows*cfg.ServicePerRow,

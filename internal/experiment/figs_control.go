@@ -193,9 +193,6 @@ type Table2Config struct {
 	Warmup               sim.Duration
 	Pretrain             sim.Duration
 	Measure              sim.Duration
-	// Parallel fans the two day scenarios out on that many workers (0 or 1
-	// = serial); each builds its own rig, so results are order-independent.
-	Parallel int
 }
 
 // DefaultTable2 reproduces the paper's setup: 400 servers, rO = 0.25, 24 h
@@ -236,7 +233,7 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 		})
 	}
 	fracs := []float64{cfg.LightFrac, cfg.HeavyFrac}
-	runs, err := runUnits(cfg.Parallel, []string{"light", "heavy"}, func(i int) (*AmpereRun, error) {
+	runs, err := runUnits([]string{"light", "heavy"}, func(i int) (*AmpereRun, error) {
 		r, err := run(fracs[i], uint64(i))
 		if err != nil {
 			return nil, fmt.Errorf("%s scenario: %w", []string{"light", "heavy"}[i], err)
@@ -423,10 +420,6 @@ type Table3Config struct {
 	Pretrain   sim.Duration
 	Measure    sim.Duration
 	Scenarios  []Table3Scenario
-	// Parallel fans the scenarios out on that many workers (0 or 1 =
-	// serial); each builds its own rig, so row order and values are
-	// identical at any value.
-	Parallel int
 }
 
 // DefaultTable3 mirrors the paper's 13 representative days across four
@@ -466,7 +459,7 @@ func RunTable3(cfg Table3Config) (*Table3Result, error) {
 	for i, sc := range cfg.Scenarios {
 		names[i] = fmt.Sprintf("scenario %d (ro=%.2f)", i, sc.RO)
 	}
-	rows, err := runUnits(cfg.Parallel, names, func(i int) (Table3Row, error) {
+	rows, err := runUnits(names, func(i int) (Table3Row, error) {
 		sc := cfg.Scenarios[i]
 		run, err := RunAmpere(AmpereRunConfig{
 			Controlled: ControlledConfig{

@@ -107,9 +107,6 @@ type GridstormConfig struct {
 	ServicePerRow     int
 	ServiceContainers int
 	ServiceRPSPerUser float64
-	// Parallel fans the two regimes across workers; it does not change
-	// output (DESIGN.md §7).
-	Parallel int
 }
 
 // DefaultGridstorm is the full-scale configuration: 100k servers, a 20 %
@@ -152,7 +149,7 @@ func QuickGridstorm() GridstormConfig {
 }
 
 // GridstormRun is one regime's outcome. Every field is deterministic at a
-// fixed seed and independent of Parallel.
+// fixed seed and independent of GOMAXPROCS.
 type GridstormRun struct {
 	Regime        string
 	Rows          int
@@ -206,7 +203,7 @@ func RunGridstorm(cfg GridstormConfig) ([]GridstormRun, error) {
 	if cfg.RampMinutes < 1 {
 		return nil, fmt.Errorf("experiment: gridstorm ramp minutes %d must be ≥1", cfg.RampMinutes)
 	}
-	runs, err := runUnits(cfg.Parallel, []string{"cliff", "ramp"}, func(i int) (GridstormRun, error) {
+	runs, err := runUnits([]string{"cliff", "ramp"}, func(i int) (GridstormRun, error) {
 		return runGridstormOnce(cfg, i == 1)
 	})
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 // under the curtailed envelope (zero sustained violations).
 func TestGridstormQuick(t *testing.T) {
 	cfg := QuickGridstorm()
-	cfg.Parallel = 2
 	runs, err := RunGridstorm(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -54,12 +53,10 @@ func TestGridstormQuick(t *testing.T) {
 }
 
 // TestGridstormByteIdentity is the DESIGN.md §7 check for the new
-// experiment: the formatted report is byte-identical whatever the regime
-// fan-out.
+// experiment: the formatted report is byte-identical at GOMAXPROCS 1 and 4.
 func TestGridstormByteIdentity(t *testing.T) {
-	render := func(parallel int) []byte {
-		cfg := QuickGridstorm()
-		cfg.Parallel = parallel
+	cfg := QuickGridstorm()
+	serial, fanned := atOneAndFour(func() []byte {
 		runs, err := RunGridstorm(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -67,9 +64,7 @@ func TestGridstormByteIdentity(t *testing.T) {
 		var buf bytes.Buffer
 		FormatGridstorm(&buf, cfg, runs)
 		return buf.Bytes()
-	}
-	serial := render(1)
-	fanned := render(2)
+	})
 	if !bytes.Equal(serial, fanned) {
 		t.Errorf("gridstorm output differs across worker counts:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, fanned)
@@ -86,7 +81,6 @@ func TestGridstormRideThrough(t *testing.T) {
 	for _, seed := range []uint64{3, 71, 2026} {
 		cfg := QuickGridstorm()
 		cfg.Seed = seed
-		cfg.Parallel = 2
 		runs, err := RunGridstorm(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -31,9 +31,6 @@ type OutageConfig struct {
 	Measure    sim.Duration
 	// RepairAfter is the outage duration before servers return.
 	RepairAfter sim.Duration
-	// Parallel fans the protection regimes out on that many workers (0 or 1
-	// = serial); each builds its own rig, so results are order-independent.
-	Parallel int
 }
 
 // DefaultOutage uses a 160-server row with peak demand ≈ 6 % over budget.
@@ -64,7 +61,7 @@ type OutageOutcome struct {
 // RunOutage runs the three regimes on the identical workload.
 func RunOutage(cfg OutageConfig) ([]OutageOutcome, error) {
 	regimes := []string{"none", "capping", "ampere"}
-	return runUnits(cfg.Parallel, regimes, func(i int) (OutageOutcome, error) {
+	return runUnits(regimes, func(i int) (OutageOutcome, error) {
 		o, err := runOutageOnce(cfg, regimes[i])
 		if err != nil {
 			return OutageOutcome{}, fmt.Errorf("outage %s: %w", regimes[i], err)

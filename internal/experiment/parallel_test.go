@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,24 +18,32 @@ import (
 
 // The determinism contract of the parallel fan-out: every unit builds a
 // fully isolated rig from an explicit seed, so the rendered report must be
-// byte-identical at any worker count.
+// byte-identical at any worker count. The fan-out is GOMAXPROCS wide, so the
+// tests compare a run at GOMAXPROCS 1 (every unit inline, in order) with one
+// at 4.
+
+// atOneAndFour returns render's output at GOMAXPROCS 1 and at 4, restoring
+// the setting afterwards.
+func atOneAndFour[T any](render func() T) (serial, fanned T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	serial = render()
+	runtime.GOMAXPROCS(4)
+	return serial, render()
+}
 
 func TestSpreadOutputByteIdenticalAcrossWorkers(t *testing.T) {
-	base := SpreadConfig{Seed: 77, Rows: 4, RowServers: 80, TargetFrac: 0.70,
+	cfg := SpreadConfig{Seed: 77, Rows: 4, RowServers: 80, TargetFrac: 0.70,
 		Warmup: sim.Hour, Measure: 4 * sim.Hour}
-	render := func(parallel int) string {
-		cfg := base
-		cfg.Parallel = parallel
+	serial, parallel := atOneAndFour(func() string {
 		rows, err := RunSpread(cfg)
 		if err != nil {
-			t.Fatalf("parallel=%d: %v", parallel, err)
+			t.Fatal(err)
 		}
 		var sb strings.Builder
 		FormatSpread(&sb, rows)
 		return sb.String()
-	}
-	serial := render(1)
-	parallel := render(4)
+	})
 	if serial != parallel {
 		t.Fatalf("spread report differs across worker counts:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, parallel)
@@ -42,21 +51,17 @@ func TestSpreadOutputByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 func TestAblationOutputByteIdenticalAcrossWorkers(t *testing.T) {
-	base := AblationConfig{Seed: 99, RowServers: 80, TargetFrac: 0.772, Amplitude: 0.35,
+	cfg := AblationConfig{Seed: 99, RowServers: 80, TargetFrac: 0.772, Amplitude: 0.35,
 		Warmup: sim.Hour, Pretrain: 2 * sim.Hour, Measure: 2 * sim.Hour}
-	render := func(parallel int) string {
-		cfg := base
-		cfg.Parallel = parallel
+	serial, parallel := atOneAndFour(func() string {
 		rows, err := RunRStableAblation(cfg, nil)
 		if err != nil {
-			t.Fatalf("parallel=%d: %v", parallel, err)
+			t.Fatal(err)
 		}
 		var sb strings.Builder
 		FormatAblation(&sb, "rstable", rows)
 		return sb.String()
-	}
-	serial := render(1)
-	parallel := render(4)
+	})
 	if serial != parallel {
 		t.Fatalf("ablation report differs across worker counts:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, parallel)

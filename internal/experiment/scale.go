@@ -61,7 +61,7 @@ type ScaleRow struct {
 
 // RunScale runs the sweep. Sizes run serially on purpose: each size's
 // WallSeconds is only meaningful when the run has the machine to itself, so
-// this experiment ignores any -parallel fan-out.
+// this experiment does not fan out.
 func RunScale(cfg ScaleConfig) ([]ScaleRow, error) {
 	if len(cfg.RowCounts) == 0 {
 		return nil, fmt.Errorf("experiment: scale sweep needs at least one size")

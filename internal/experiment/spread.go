@@ -31,9 +31,6 @@ type SpreadConfig struct {
 	TargetFrac float64
 	Warmup     sim.Duration
 	Measure    sim.Duration
-	// Parallel fans the chooser variants out on that many workers (0 or 1
-	// = serial); each builds its own rig, so results are order-independent.
-	Parallel int
 }
 
 // DefaultSpread compares on 4 rows of 160 servers over a day.
@@ -80,7 +77,7 @@ func RunSpread(cfg SpreadConfig) ([]SpreadOutcome, error) {
 	for i, ch := range choosers {
 		names[i] = ch.name
 	}
-	return runUnits(cfg.Parallel, names, func(i int) (SpreadOutcome, error) {
+	return runUnits(names, func(i int) (SpreadOutcome, error) {
 		ch := choosers[i]
 		o, err := runSpreadOnce(cfg, ch.name, ch.rc)
 		if err != nil {

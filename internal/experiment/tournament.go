@@ -32,9 +32,6 @@ type TournamentConfig struct {
 	// rest. Patch strings are canonicalized (parsed and re-rendered) before
 	// ranking.
 	Patches []string
-	// Parallel caps replay fan-out (runner.Options semantics: <=0 selects
-	// GOMAXPROCS, 1 is serial). Output is identical at any setting.
-	Parallel int
 }
 
 // DefaultTournamentPatches is the standard contender grid: every selection
@@ -125,8 +122,8 @@ type TournamentResult struct {
 }
 
 // RunTournament forks one factual gridstorm run at the dip onset and replays
-// every patch from the shared snapshot, fanning entries across
-// cfg.Parallel workers.
+// every patch from the shared snapshot, fanning entries across GOMAXPROCS
+// workers.
 func RunTournament(cfg TournamentConfig) (*TournamentResult, error) {
 	if len(cfg.Patches) == 0 {
 		return nil, fmt.Errorf("experiment: tournament has no patches")
@@ -189,7 +186,7 @@ func RunTournament(cfg TournamentConfig) (*TournamentResult, error) {
 			},
 		}
 	}
-	reports, err := runner.Run(units, runner.Options{Workers: cfg.Parallel})
+	reports, err := runner.Run(units, runner.Options{})
 	if err != nil {
 		return nil, err
 	}

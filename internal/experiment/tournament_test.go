@@ -24,12 +24,11 @@ func smokeTournament() TournamentConfig {
 
 // TestTournamentSmoke400: the quick tournament ranks deterministically, the
 // baseline self-replay is byte-identical, and the rendered table and JSON are
-// byte-identical at worker counts 1 and 4 (the §7 contract extended across
+// byte-identical at GOMAXPROCS 1 and 4 (the §7 contract extended across
 // fanned-out replays).
 func TestTournamentSmoke400(t *testing.T) {
-	run := func(parallel int) (string, string) {
-		cfg := smokeTournament()
-		cfg.Parallel = parallel
+	cfg := smokeTournament()
+	run := func() [2]string {
 		res, err := RunTournament(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -50,15 +49,15 @@ func TestTournamentSmoke400(t *testing.T) {
 		if err := res.WriteJSON(&js); err != nil {
 			t.Fatal(err)
 		}
-		return text.String(), js.String()
+		return [2]string{text.String(), js.String()}
 	}
-	text1, js1 := run(1)
-	text4, js4 := run(4)
-	if text1 != text4 {
-		t.Errorf("text output differs between -parallel 1 and 4:\n--- 1:\n%s\n--- 4:\n%s", text1, text4)
+	out1, out4 := atOneAndFour(run)
+	text1 := out1[0]
+	if text1 != out4[0] {
+		t.Errorf("text output differs between GOMAXPROCS 1 and 4:\n--- 1:\n%s\n--- 4:\n%s", text1, out4[0])
 	}
-	if js1 != js4 {
-		t.Errorf("JSON output differs between -parallel 1 and 4")
+	if out1[1] != out4[1] {
+		t.Errorf("JSON output differs between GOMAXPROCS 1 and 4")
 	}
 	if !strings.Contains(text1, "(baseline)") {
 		t.Errorf("table lacks the baseline row:\n%s", text1)

@@ -2,26 +2,15 @@ package experiment
 
 import "repro/internal/runner"
 
-// poolWorkers maps an experiment config's Parallel field onto the runner
-// pool: the zero value and 1 both select the legacy serial path (a config
-// that never opted in keeps its exact historical behavior), anything larger
-// caps the pool at that many workers.
-func poolWorkers(parallel int) int {
-	if parallel <= 1 {
-		return 1
-	}
-	return parallel
-}
-
 // runUnits fans one experiment's independent variants out on the runner
-// pool. Each call of run(i) must build everything it touches — a fresh rig
-// per variant — so the units satisfy the runner's isolation contract and
-// results are byte-identical to the serial order at any worker count.
-func runUnits[T any](parallel int, names []string, run func(i int) (T, error)) ([]T, error) {
+// pool at its default width, GOMAXPROCS. Each call of run(i) must build
+// everything it touches — a fresh rig per variant — so the units satisfy the
+// runner's isolation contract and results are byte-identical to the serial
+// order at any worker count.
+func runUnits[T any](names []string, run func(i int) (T, error)) ([]T, error) {
 	units := make([]runner.Unit[T], len(names))
 	for i, name := range names {
-		i := i
 		units[i] = runner.Unit[T]{Name: name, Run: func() (T, error) { return run(i) }}
 	}
-	return runner.Run(units, runner.Options{Workers: poolWorkers(parallel)})
+	return runner.Run(units, runner.Options{})
 }

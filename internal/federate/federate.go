@@ -69,8 +69,8 @@ type Config struct {
 	// DelayEpochs is the one-way WAN delay, in epochs, applied to telemetry
 	// reads and to command delivery (default 2).
 	DelayEpochs int
-	// Workers fans the parallel phases across that many shard workers
-	// (0/1 = serial, -1 = GOMAXPROCS). Output is identical at any value.
+	// Workers caps the parallel phases' shard workers (<= 0 is GOMAXPROCS,
+	// 1 is serial). Output is identical at any value.
 	Workers int
 	// FloorFrac / CapFrac bound a DC's allocation to [FloorFrac,
 	// CapFrac]×base. CapFrac must stay below the SetBudget validation
@@ -299,14 +299,10 @@ func New(cfg Config) (*Federation, error) {
 }
 
 func (f *Federation) workers() int {
-	w := f.cfg.Workers
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
+	if f.cfg.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if w == 0 {
-		w = 1
-	}
-	return w
+	return f.cfg.Workers
 }
 
 // runDC is the shard worker body for every parallel phase; the phase field

@@ -56,9 +56,9 @@ func run(t *testing.T, workers int) string {
 // TestFederatedTickByteIdentity is the §7/§11 contract at the federation
 // level: the full observable history — telemetry of every epoch, the
 // coordinator's reallocations, and a mid-run operator shift — is
-// byte-identical at shard worker counts {1, 2, 4, ncpu}. Run under -race
-// this also proves the shard-ownership rule: workers never touch another
-// shard's state.
+// byte-identical at shard worker counts {1, 2, 4, ncpu} and at the default
+// (0 = GOMAXPROCS). Run under -race this also proves the shard-ownership
+// rule: workers never touch another shard's state.
 func TestFederatedTickByteIdentity(t *testing.T) {
 	ref := run(t, 1)
 	if ref == "" {
@@ -71,6 +71,7 @@ func TestFederatedTickByteIdentity(t *testing.T) {
 		{"workers=2", 2},
 		{"workers=4", 4},
 		{"workers=ncpu", runtime.GOMAXPROCS(0)},
+		{"workers=0", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

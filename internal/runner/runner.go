@@ -9,8 +9,8 @@
 //
 //   - Results are collected by unit index, so merged output is byte-identical
 //     to the serial order at any worker count.
-//   - Workers = min(GOMAXPROCS, len(units)) by default; Workers = 1 runs
-//     every unit inline on the calling goroutine (the legacy serial path).
+//   - Workers = min(GOMAXPROCS, len(units)) by default, the calling
+//     goroutine counting as one, so one worker runs every unit inline, in order.
 //   - A unit panic is captured and attributed (unit name, index, stack)
 //     instead of killing the process.
 //   - The first error cancels cooperatively: units not yet started are
@@ -51,7 +51,7 @@ type Report struct {
 // Options tunes one Run call.
 type Options struct {
 	// Workers caps pool concurrency. <= 0 selects min(GOMAXPROCS,
-	// len(units)); 1 executes units serially on the calling goroutine.
+	// len(units)); 1 executes units in order on the calling goroutine.
 	Workers int
 	// OnDone, when non-nil, is invoked once per unit as it finishes or is
 	// skipped. Calls are serialized; completion order is scheduling-dependent
@@ -98,51 +98,39 @@ func Run[T any](units []Unit[T], opts Options) ([]T, error) {
 		opts.OnDone(r)
 	}
 
-	errs := make([]error, n)
-	if workers == 1 {
-		// Legacy serial path: strict unit order, stop at the first error.
-		for i := range units {
-			res, err := runUnit(units[i], i, report)
-			if err != nil {
-				errs[i] = err
-				for j := i + 1; j < n; j++ {
-					report(Report{Index: j, Name: units[j].Name, Skipped: true})
-				}
-				break
-			}
-			out[i] = res
-		}
-		return out, firstError(units, errs)
-	}
-
 	var (
+		errs   = make([]error, n)
 		next   atomic.Int64
 		failed atomic.Bool
 		wg     sync.WaitGroup
 	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if failed.Load() {
+				report(Report{Index: i, Name: units[i].Name, Skipped: true})
+				continue
+			}
+			res, err := runUnit(units[i], i, report)
+			if err != nil {
+				errs[i] = err
+				failed.Store(true)
+				continue
+			}
+			out[i] = res
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if failed.Load() {
-					report(Report{Index: i, Name: units[i].Name, Skipped: true})
-					continue
-				}
-				res, err := runUnit(units[i], i, report)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					continue
-				}
-				out[i] = res
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return out, firstError(units, errs)
 }

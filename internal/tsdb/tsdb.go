@@ -25,7 +25,7 @@ type Point struct {
 
 // shardCount is the number of independently locked series-map shards. A
 // power of two so the hash can be masked. 64 comfortably exceeds the core
-// count of the machines the -parallel experiment runs target, so concurrent
+// count of the machines the parallel experiment runs target, so concurrent
 // HTTP queries virtually never contend when they resolve names.
 const shardCount = 64
 
