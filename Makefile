@@ -98,11 +98,13 @@ fig11-smoke:
 golden-quick:
 	go test -cpu 1,4 ./cmd/ampere-exp -run TestQuickAllGolden -count=1
 
-# The parallel-sweep guards count process-wide mallocs, goroutines and
-# finalizer runs, which one pass on a quiet machine says little about: thirty
-# in a row is what shows a guard that fails one run in ten.
+# The parallel-sweep and parallel-replay guards count process-wide mallocs,
+# goroutines and finalizer runs, which one pass on a quiet machine says
+# little about: thirty in a row is what shows a guard that fails one run in
+# ten.
 flake:
 	go test ./internal/monitor -run TestParallelSweep -count=30
+	go test ./internal/service -run TestParallelReplay -count=30
 
 # Fault-injection drill: naive vs resilient controller under the same storm.
 chaos:

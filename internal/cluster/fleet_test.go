@@ -3,13 +3,79 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// The per-server objects New used to build — a stats.AR1 over its own
+// refAR1 is the per-server noise process New used to build, kept as the
+// oracle for the inline noise state: a first-order autoregressive Gaussian
+// process
+//
+//	x[t] = phi·x[t−1] + e[t],  e ~ N(0, sigma²·(1−phi²))
+//
+// scaled so its stationary standard deviation is sigma, started at its
+// stationary mean 0.
+type refAR1 struct {
+	phi, sigma, x float64
+	rng           *rand.Rand
+}
+
+func newRefAR1(phi, sigma float64, rng *rand.Rand) *refAR1 {
+	if phi <= -1 || phi >= 1 {
+		panic("refAR1: phi must be in (-1, 1)")
+	}
+	return &refAR1{phi: phi, sigma: sigma, rng: rng}
+}
+
+func (a *refAR1) next() float64 {
+	innov := a.sigma * math.Sqrt(1-a.phi*a.phi) * a.rng.NormFloat64()
+	a.x = a.phi*a.x + innov
+	return a.x
+}
+
+func TestAR1Stationarity(t *testing.T) {
+	a := newRefAR1(0.7, 2.0, sim.NewRNG(9))
+	var s stats.Summary
+	for i := 0; i < 200000; i++ {
+		s.Add(a.next())
+	}
+	if math.Abs(s.Mean()) > 0.1 {
+		t.Errorf("AR1 mean %v, want ≈0", s.Mean())
+	}
+	if sd := s.StdDev(); math.Abs(sd-2) > 0.1 {
+		t.Errorf("AR1 sd %v, want ≈2", sd)
+	}
+}
+
+func TestAR1Autocorrelation(t *testing.T) {
+	a := newRefAR1(0.8, 1.0, sim.NewRNG(10))
+	n := 100000
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = a.next()
+	}
+	r, err := stats.Pearson(xs[:n-1], xs[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(r-0.8) > 0.05 {
+		t.Errorf("lag-1 autocorrelation %v, want ≈0.8", r)
+	}
+}
+
+func TestAR1InvalidPhiPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("phi=1 did not panic")
+		}
+	}()
+	newRefAR1(1.0, 1.0, sim.NewRNG(1))
+}
+
+// The per-server objects New used to build — a refAR1 over its own
 // sim.SubRNG, a second SubRNG for the jitter factor — are the oracle for the
 // inline noise state and the shared cursor: every sample must equal theirs
 // bit for bit. 2,000 draws per server cross the ziggurat's slow paths
@@ -31,9 +97,9 @@ func TestSamplePowerMatchesPerServerAR1(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				oracle := make([]*stats.AR1, len(c.Servers))
+				oracle := make([]*refAR1, len(c.Servers))
 				for id, sv := range c.Servers {
-					oracle[id] = stats.NewAR1(sp.NoisePhi, sp.NoiseSigmaW,
+					oracle[id] = newRefAR1(sp.NoisePhi, sp.NoiseSigmaW,
 						sim.SubRNG(seed, fmt.Sprintf("server-noise-%d", id)))
 					want := sp.RatedPowerW
 					if jitter > 0 {
@@ -55,7 +121,7 @@ func TestSamplePowerMatchesPerServerAR1(t *testing.T) {
 				}
 				for i := 0; i < draws; i++ {
 					for id, sv := range c.Servers {
-						got, want := sample(i, sv), sv.DrawW()+oracle[id].Next()
+						got, want := sample(i, sv), sv.DrawW()+oracle[id].next()
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("two samplers %v jitter %v seed %d server %d draw %d: sampled %v, per-server AR1 gives %v",
 								twoSamplers, jitter, seed, id, i, got, want)
@@ -63,8 +129,8 @@ func TestSamplePowerMatchesPerServerAR1(t *testing.T) {
 					}
 				}
 				for id, st := range c.ExportState() {
-					if st.NoiseW != oracle[id].Value() {
-						t.Fatalf("server %d exports noise %v, AR1 holds %v", id, st.NoiseW, oracle[id].Value())
+					if st.NoiseW != oracle[id].x {
+						t.Fatalf("server %d exports noise %v, AR1 holds %v", id, st.NoiseW, oracle[id].x)
 					}
 				}
 			}

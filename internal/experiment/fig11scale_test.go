@@ -49,23 +49,20 @@ func TestFig11ScaleSmoke400(t *testing.T) {
 }
 
 // TestFig11ScaleByteIdentity is the DESIGN.md §7 check: the formatted report
-// is byte-identical whatever the regime fan-out (runs under -race via
-// race-shuffle).
+// is byte-identical at GOMAXPROCS 1 and 4, which fans the two regimes out
+// (runs under -race via race-shuffle).
 func TestFig11ScaleByteIdentity(t *testing.T) {
-	render := func(parallel int) []byte {
+	serial, fanned := atOneAndFour(func() string {
 		cfg := QuickFig11Scale()
-		cfg.Parallel = parallel
 		res, err := RunFig11Scale(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
+		var buf strings.Builder
 		FormatFig11Scale(&buf, cfg, res)
-		return buf.Bytes()
-	}
-	serial := render(1)
-	fanned := render(4)
-	if !bytes.Equal(serial, fanned) {
+		return buf.String()
+	})
+	if serial != fanned {
 		t.Errorf("fig11scale output differs across worker counts:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, fanned)
 	}

@@ -118,9 +118,10 @@ type family struct {
 	labelNames []string
 
 	// Histogram families carry the bucket layout for lazily created
-	// children.
+	// children, and an empty histogram of it they are Fresh copies of.
 	histMin, histMax float64
 	histBuckets      int
+	histProto        *stats.LogHistogram
 
 	mu       sync.RWMutex
 	children map[string]*child
@@ -152,11 +153,7 @@ func (f *family) child(labelValues []string) *child {
 	case TypeGauge:
 		c.gauge = &Gauge{}
 	case TypeSummary:
-		lh, err := stats.NewLogHistogram(f.histMin, f.histMax, f.histBuckets)
-		if err != nil {
-			panic("obs: " + err.Error()) // layout validated at registration
-		}
-		c.hist = &Histogram{h: lh}
+		c.hist = &Histogram{h: f.histProto.Fresh()}
 	}
 	f.children[key] = c
 	f.keys = append(f.keys, key)
@@ -290,7 +287,8 @@ func (r *Registry) Histogram(name, help string, min, max float64, buckets int) *
 // bucket layout is validated eagerly so misconfiguration fails at
 // registration, not first observation.
 func (r *Registry) HistogramVec(name, help string, min, max float64, buckets int, labelNames ...string) *HistogramVec {
-	if _, err := stats.NewLogHistogram(min, max, buckets); err != nil {
+	proto, err := stats.NewLogHistogram(min, max, buckets)
+	if err != nil {
 		panic("obs: " + err.Error())
 	}
 	f := r.family(name, help, TypeSummary, labelNames, nil)
@@ -299,7 +297,9 @@ func (r *Registry) HistogramVec(name, help string, min, max float64, buckets int
 	if f.histBuckets != 0 && (f.histMin != min || f.histMax != max || f.histBuckets != buckets) {
 		panic(fmt.Sprintf("obs: histogram %q re-registered with a different bucket layout", name))
 	}
-	f.histMin, f.histMax, f.histBuckets = min, max, buckets
+	if f.histProto == nil {
+		f.histMin, f.histMax, f.histBuckets, f.histProto = min, max, buckets, proto
+	}
 	return &HistogramVec{f: f}
 }
 

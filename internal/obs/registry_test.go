@@ -112,6 +112,8 @@ func TestShapeMismatchPanics(t *testing.T) {
 			r.Histogram("m", "h", 1e-6, 10, 100)
 			r.Histogram("m", "h", 1e-6, 100, 100)
 		}},
+		{"non-finite bucket range", func(r *Registry) { r.Histogram("m", "h", 1e-6, math.Inf(1), 100) }},
+		{"NaN bucket range", func(r *Registry) { r.Histogram("m", "h", math.NaN(), 10, 100) }},
 		{"collector over static", func(r *Registry) {
 			r.Counter("m", "h")
 			r.RegisterCollector("m", "h", TypeCounter, nil, func(Emit) {})

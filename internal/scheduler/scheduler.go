@@ -189,20 +189,24 @@ func New(eng *sim.Engine, c *cluster.Cluster, seed uint64, policy Policy) *Sched
 	if err != nil {
 		panic(err) // constants are valid; unreachable
 	}
+	stretchHist, err := stats.NewLogHistogram(0.5, 1000, 1200) // slowdown ×0.5 … ×1000
+	if err != nil {
+		panic(err) // likewise
+	}
 	s := &Scheduler{
-		eng:       eng,
-		c:         c,
-		rng:       sim.SubRNG(seed, "scheduler"),
-		policy:    policy,
-		avail:     make([][]*cluster.Server, c.Rows()),
-		pos:       make([]int, len(c.Servers)),
-		availTree: newRowTree(c.Rows()),
-		runs:      make([]runPage, c.Rows()),
-		runFree:   -1,
-		waitHist:  waitHist,
+		eng:         eng,
+		c:           c,
+		rng:         sim.SubRNG(seed, "scheduler"),
+		policy:      policy,
+		avail:       make([][]*cluster.Server, c.Rows()),
+		pos:         make([]int, len(c.Servers)),
+		availTree:   newRowTree(c.Rows()),
+		runs:        make([]runPage, c.Rows()),
+		runFree:     -1,
+		waitHist:    waitHist,
+		stretchHist: stretchHist,
 	}
 	s.completeFn = s.complete
-	s.ResetStretchStats()
 	for i := range s.pos {
 		s.pos[i] = -1
 	}
@@ -341,13 +345,7 @@ func (s *Scheduler) StretchCount() int64 { return s.stretchHist.Count() }
 
 // ResetStretchStats clears the slowdown histogram so a measurement window
 // can exclude warmup completions.
-func (s *Scheduler) ResetStretchStats() {
-	h, err := stats.NewLogHistogram(0.5, 1000, 1200)
-	if err != nil {
-		panic(err) // constants are valid; unreachable
-	}
-	s.stretchHist = h
-}
+func (s *Scheduler) ResetStretchStats() { s.stretchHist = s.stretchHist.Fresh() }
 
 // OnPlace registers a callback invoked after each successful placement. j is
 // valid for the call only; do not retain *Job past the call.

@@ -1,44 +1,58 @@
 package service
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
-// BenchmarkServiceReplay guards the per-window replay cost at a 1M-user
-// aggregate rate: one million simulated users at 0.06 req/s each (60k req/s
-// service-wide) over 20 instances, 1 s windows. The cost must scale with the
-// request count, never the user count — a regression here makes fig11scale's
-// 100k-server runs unaffordable.
+// BenchmarkServiceReplay guards the per-window replay cost; ns/request is
+// wall time per served request. instances=20 is a 1M-user aggregate rate:
+// one million simulated users at 0.06 req/s each (60k req/s service-wide)
+// over 20 instances, 1 s windows. instances=400 is svc_slo's service: 600k
+// users at 0.039 req/s (58.5 req/s an instance) over 10 s windows, about
+// 234k requests a window, so its sample phase runs on GOMAXPROCS goroutines.
+// The cost must scale with the request count, never the user count — a
+// regression here makes fig11scale's 100k-server runs unaffordable.
 func BenchmarkServiceReplay(b *testing.B) {
-	sp := cluster.DefaultSpec()
-	sp.Rows, sp.RacksPerRow, sp.ServersPerRack = 1, 1, 20
-	sp.NoiseSigmaW = 0
-	c, err := cluster.New(sp, 1)
-	if err != nil {
-		b.Fatal(err)
+	for _, bc := range []struct {
+		instances, users int
+		rpsPerUser       float64
+		window           sim.Duration
+	}{
+		{20, 1_000_000, 0.06, sim.Second},
+		{400, 600_000, 0.039, 10 * sim.Second},
+	} {
+		b.Run(fmt.Sprintf("instances=%d", bc.instances), func(b *testing.B) {
+			sp := cluster.DefaultSpec()
+			sp.Rows, sp.RacksPerRow, sp.ServersPerRack = 1, bc.instances/20, 20
+			sp.NoiseSigmaW = 0
+			c, err := cluster.New(sp, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng := sim.NewEngine()
+			cfg := Config{Classes: DefaultClasses(bc.users, bc.rpsPerUser), Window: bc.window}
+			s, err := New(eng, 9, cfg, c.Servers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.Start()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.RunUntil(sim.Time(int64(i+1) * int64(bc.window))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			served := s.TotalServed()
+			if served == 0 {
+				b.Fatal("nothing served")
+			}
+			b.ReportMetric(float64(served)/float64(b.N), "requests/window")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(served), "ns/request")
+		})
 	}
-	eng := sim.NewEngine()
-	cfg := Config{
-		Classes: DefaultClasses(1_000_000, 0.06),
-		Window:  sim.Second,
-	}
-	s, err := New(eng, 9, cfg, c.Servers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Start()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.RunUntil(sim.Time(int64(i+1) * int64(sim.Second))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if s.TotalServed() == 0 {
-		b.Fatal("nothing served")
-	}
-	b.ReportMetric(float64(s.TotalServed())/float64(b.N), "requests/window")
 }

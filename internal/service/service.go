@@ -21,7 +21,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -110,7 +112,36 @@ type instance struct {
 	// so an idle Service stays O(1) under 1 s capping churn.
 	segs   []speedSeg
 	detach func()
+	// out is the instance's replay of the window being closed, in arrival
+	// order: the sample phase writes it, the publish phase reads it.
+	out []arrival
 }
+
+// arrival is one replayed request as the sample phase hands it to publish.
+type arrival struct {
+	latencyUS float64
+	class, op int32
+}
+
+// window is what every instance's replay reads of the window being closed:
+// its start and length and each instance's arrival rate, in milliseconds.
+type window struct {
+	start, ms, perInstPerMS float64
+}
+
+const (
+	// shareArrivals is the window one replay goroutine is worth: the sample
+	// phase uses min(GOMAXPROCS, expected arrivals/shareArrivals) of them.
+	// 32,768 arrivals are about a millisecond of replay against the ~1 µs a
+	// helper costs to start, and a window under two shares replays inline:
+	// the quick rigs', the paper-scale fig11's and those of every test rig
+	// but the fan-out tests.
+	shareArrivals = 32768
+	// blockInstances is how many instances one claim of the cursor takes:
+	// few enough claims that the cursor is never contended, blocks small
+	// enough that the last one out keeps the others waiting for microseconds.
+	blockInstances = 8
+)
 
 // Service drives request generation and latency accounting.
 //
@@ -135,6 +166,20 @@ type Service struct {
 	hist      [][]*stats.LogHistogram // [class][op], latency in µs
 	recorded  *Trace
 	cumShare  []float64 // scratch: cumulative class rate shares this window
+
+	// The sample phase of a window: every goroutine claims blocks of
+	// instances from nextInst and replays them against win — the caller
+	// directly, each helper through helper, a goroutine body bound once so
+	// that starting one allocates nothing. unstarted counts the helpers of
+	// the window not yet started; replaying is held while the caller
+	// replays. closeWindow waits for the helpers of the window in flight;
+	// none outlives it.
+	win       window
+	helper    func()
+	nextInst  atomic.Int64
+	unstarted atomic.Int32
+	replaying sync.WaitGroup
+	sampling  sync.WaitGroup
 }
 
 // New pins one service instance on each given server and prepares the client
@@ -238,18 +283,24 @@ func New(eng *sim.Engine, seed uint64, cfg Config, servers []*cluster.Server) (*
 	s.served = make([][]int64, len(s.classes))
 	s.sloMisses = make([][]int64, len(s.classes))
 	s.hist = make([][]*stats.LogHistogram, len(s.classes))
+	latency, err := stats.NewLogHistogram(1, 60e6, 2400) // 1 µs … 60 s
+	if err != nil {
+		return nil, err
+	}
 	for ci := range s.classes {
 		s.served[ci] = make([]int64, len(ops))
 		s.sloMisses[ci] = make([]int64, len(ops))
 		for range ops {
-			h, err := stats.NewLogHistogram(1, 60e6, 2400) // 1 µs … 60 s
-			if err != nil {
-				return nil, err
-			}
-			s.hist[ci] = append(s.hist[ci], h)
+			s.hist[ci] = append(s.hist[ci], latency.Fresh())
 		}
 	}
 	s.cumShare = make([]float64, len(s.classes))
+	s.helper = func() {
+		defer s.sampling.Done()
+		s.startHelper()
+		s.replayInstances()
+		s.replaying.Wait()
+	}
 
 	for i, sv := range servers {
 		inst := &instance{
@@ -498,10 +549,7 @@ func (s *Service) mergedLocked(c, i int) *stats.LogHistogram {
 	if c < 0 && len(s.classes) == 1 && i >= 0 {
 		return s.hist[0][i]
 	}
-	out, err := stats.NewLogHistogram(1, 60e6, 2400)
-	if err != nil {
-		panic(err) // fixed valid layout; cannot fail
-	}
+	out := s.hist[0][0].Fresh()
 	for ci := range s.classes {
 		if c >= 0 && ci != c {
 			continue
@@ -521,6 +569,12 @@ func (s *Service) mergedLocked(c, i int) *stats.LogHistogram {
 // closeWindow composes the window's class rates, replays the arrivals for
 // every instance against the frequency history recorded during the window,
 // then advances the MMPP phases and compresses the histories.
+//
+// The replay is a sample phase, which may run on several goroutines and
+// touches only the instances, then a publish phase on the calling goroutine
+// that records every arrival in instance order and then arrival order: each
+// histogram, its float sum included, and each counter sees the sequence a
+// serial replay gives it, so the accounting is the same at any GOMAXPROCS.
 func (s *Service) closeWindow(now sim.Time) {
 	start := s.winStart
 	s.winStart = now
@@ -551,10 +605,9 @@ func (s *Service) closeWindow(now sim.Time) {
 		for ci := range s.cumShare {
 			s.cumShare[ci] /= total
 		}
-		perInstPerMS := total / 1000 / float64(len(s.instances))
-		for _, inst := range s.instances {
-			s.replay(inst, start, windowMS, perInstPerMS)
-		}
+		s.win = window{start: float64(start), ms: windowMS, perInstPerMS: total / 1000 / float64(len(s.instances))}
+		s.sample()
+		s.publish()
 	}
 	s.mu.Unlock()
 
@@ -570,30 +623,111 @@ func (s *Service) closeWindow(now sim.Time) {
 	}
 }
 
+// sample is the window's sample phase. An instance's replay touches only the
+// instance — its RNG, queue horizon, frequency history and arrival buffer —
+// and reads the window's rates, so replayWidth goroutines claim blocks of
+// instances from nextInst: the caller and replayWidth−1 helpers, which exit
+// with the window.
+func (s *Service) sample() {
+	// Sized here, a buffer never grows on a helper: a Poisson count stays
+	// within eight standard deviations of its mean. A quarter's headroom
+	// keeps a slowly rising rate from resizing every window.
+	perInst := s.win.perInstPerMS * s.win.ms
+	need := int(perInst + 8*math.Sqrt(perInst) + 16)
+	for _, inst := range s.instances {
+		if cap(inst.out) < need {
+			inst.out = make([]arrival, 0, need+need/4)
+		}
+	}
+	s.nextInst.Store(0)
+	width := s.replayWidth()
+	s.sampling.Add(width - 1)
+	s.unstarted.Store(int32(width - 1))
+	s.replaying.Add(1)
+	s.startHelper()
+	s.replayInstances()
+	s.replaying.Done()
+	s.sampling.Wait()
+}
+
+// startHelper starts the window's next helper, if one is left to start.
+//
+// Where a helper's goroutine record goes matters: it returns to the free
+// list of the P the goroutine exits on, a go statement takes one from the
+// list of the P it runs on, and a record the runtime allocates because that
+// list was empty is never freed. So a helper that runs out of instances
+// waits for the caller to run out too, and the caller waits for the last
+// helper's Done, which wakes it on that helper's P: the record is back where
+// the next window's go statement looks. Each helper starts the next from its
+// own P for the same reason. Started from the caller's P and left to exit
+// wherever they ran, helpers retained about 20 KB at svc_slo's scale, a
+// fifth of its live heap.
+func (s *Service) startHelper() {
+	if s.unstarted.Add(-1) >= 0 {
+		go s.helper()
+	}
+}
+
+// replayWidth is the sample phase's goroutine count for the window in win:
+// min(GOMAXPROCS, expected arrivals/shareArrivals), and one — the caller,
+// inline — below two shares.
+func (s *Service) replayWidth() int {
+	expected := s.win.perInstPerMS * s.win.ms * float64(len(s.instances))
+	return max(1, int(min(float64(runtime.GOMAXPROCS(0)), expected/shareArrivals)))
+}
+
+// replayInstances claims blocks of instances until none are left and
+// replays each into its own buffer.
+func (s *Service) replayInstances() {
+	for {
+		lo := int(s.nextInst.Add(blockInstances)) - blockInstances
+		if lo >= len(s.instances) {
+			return
+		}
+		for _, inst := range s.instances[lo:min(lo+blockInstances, len(s.instances))] {
+			s.replay(inst)
+		}
+	}
+}
+
+// publish is the window's publish phase: every replayed arrival, in instance
+// order and then arrival order, into its histogram and counters.
+func (s *Service) publish() {
+	for _, inst := range s.instances {
+		for _, a := range inst.out {
+			s.hist[a.class][a.op].Add(a.latencyUS)
+			s.served[a.class][a.op]++
+			if slo := s.classes[a.class].sloUS[a.op]; slo > 0 && a.latencyUS > slo {
+				s.sloMisses[a.class][a.op]++
+			}
+		}
+	}
+}
+
 // replay streams the window's arrivals in time order — exponential
 // inter-arrival gaps at the composed rate, no per-request allocation — and
-// pushes them through the instance's single-threaded FCFS queue. Each
-// arrival picks its class proportionally to the classes' rate shares, then
-// an operation from the class's mix. Within the window the frequency is
-// piecewise constant per the recorded segments; work started near the window
-// edge is finished at the final segment's speed (exact unless the frequency
-// changes again immediately, a negligible horizon at 10 s windows vs 1 s
-// capping). Callers hold s.mu.
-func (s *Service) replay(inst *instance, start sim.Time, windowMS, perInstPerMS float64) {
-	base := float64(start)
-	if inst.busyUntilMS < base {
-		inst.busyUntilMS = base
+// pushes them through the instance's single-threaded FCFS queue, writing each
+// one's latency, class and operation to inst.out. Each arrival picks its
+// class proportionally to the classes' rate shares, then an operation from
+// the class's mix. Within the window the frequency is piecewise constant per
+// the recorded segments; work started near the window edge is finished at
+// the final segment's speed (exact unless the frequency changes again
+// immediately, a negligible horizon at 10 s windows vs 1 s capping).
+func (s *Service) replay(inst *instance) {
+	w := &s.win
+	if inst.busyUntilMS < w.start {
+		inst.busyUntilMS = w.start
 	}
 	r := inst.rng
 	single := len(s.classes) == 1
-	for t := r.ExpFloat64() / perInstPerMS; t < windowMS; t += r.ExpFloat64() / perInstPerMS {
-		at := base + t
+	out := inst.out[:0]
+	for t := r.ExpFloat64() / w.perInstPerMS; t < w.ms; t += r.ExpFloat64() / w.perInstPerMS {
+		at := w.start + t
 		ci := 0
 		if !single {
 			ci = pickCum(r, s.cumShare)
 		}
-		cs := s.classes[ci]
-		opIdx := pickCum(r, cs.cum)
+		opIdx := pickCum(r, s.classes[ci].cum)
 		startSvc := at
 		if inst.busyUntilMS > startSvc {
 			startSvc = inst.busyUntilMS
@@ -601,13 +735,9 @@ func (s *Service) replay(inst *instance, start sim.Time, windowMS, perInstPerMS 
 		workMS := s.ops[opIdx].BaseServiceUS / 1000
 		done := finish(inst.segs, startSvc, workMS)
 		inst.busyUntilMS = done
-		latencyUS := (done - at) * 1000
-		s.hist[ci][opIdx].Add(latencyUS)
-		s.served[ci][opIdx]++
-		if slo := cs.sloUS[opIdx]; slo > 0 && latencyUS > slo {
-			s.sloMisses[ci][opIdx]++
-		}
+		out = append(out, arrival{latencyUS: (done - at) * 1000, class: int32(ci), op: int32(opIdx)})
 	}
+	inst.out = out
 }
 
 // pickCum samples an index from cumulative weights.

@@ -10,38 +10,144 @@ import (
 // interactive-service substrate records millions of request latencies into
 // one; storing them individually for a p99.9 query would dominate memory.
 type LogHistogram struct {
+	*logIndex // the layout: immutable, shared by every Fresh copy
+	counts    []int64
+	n         int64
+	sum       float64 // exact sum of recorded values (not bucket-quantized)
+	under     int64   // values below min (counted at min)
+	over      int64   // values above max (counted at max)
+}
+
+// logIndex is a histogram layout: the bucket formula
+// int((ln v − logMin)·scale), clamped to the buckets, and a table-driven
+// index that answers it exactly without a logarithm.
+//
+// edges[k] is the smallest float64 in [min, max) the formula puts in bucket
+// k or above (max when there is none, so edges[buckets] stops every walk).
+// cells maps a value's IEEE bit pattern, shifted right by shift and offset by
+// base, to the bucket of the smallest value in its cell. A cell is no wider
+// than the narrowest bucket it meets, so it holds at most one edge and index
+// walks at most a step past the table's answer. Positive floats order as
+// their bit patterns, which is what makes both tables exact.
+type logIndex struct {
 	min, max float64
 	logMin   float64
 	scale    float64 // buckets per unit of ln(v)
-	counts   []int64
-	n        int64
-	sum      float64 // exact sum of recorded values (not bucket-quantized)
-	under    int64   // values below min (counted at min)
-	over     int64   // values above max (counted at max)
+	edges    []float64
+	cells    []int32
+	shift    uint
+	base     uint64
 }
 
-// NewLogHistogram covers [min, max] with the given number of buckets;
-// min must be positive and less than max.
+// NewLogHistogram covers [min, max] with the given number of buckets; min
+// and max must be finite, min positive and less than max.
 func NewLogHistogram(min, max float64, buckets int) (*LogHistogram, error) {
-	if min <= 0 || max <= min {
+	if !(min > 0 && max > min && max <= math.MaxFloat64) {
 		return nil, fmt.Errorf("stats: log histogram range [%v, %v] invalid", min, max)
 	}
 	if buckets < 1 {
 		return nil, fmt.Errorf("stats: log histogram needs at least one bucket, got %d", buckets)
 	}
-	return &LogHistogram{
+	return (&LogHistogram{logIndex: newLogIndex(min, max, buckets)}).Fresh(), nil
+}
+
+// Fresh returns an empty histogram with h's layout. It shares h's bucket
+// index, which is immutable, so it costs the counts alone: an owner of
+// several histograms of one layout builds the index once.
+func (h *LogHistogram) Fresh() *LogHistogram {
+	return &LogHistogram{logIndex: h.logIndex, counts: make([]int64, len(h.edges)-1)}
+}
+
+func newLogIndex(min, max float64, buckets int) *logIndex {
+	x := &logIndex{
 		min:    min,
 		max:    max,
 		logMin: math.Log(min),
 		scale:  float64(buckets) / (math.Log(max) - math.Log(min)),
-		counts: make([]int64, buckets),
-	}, nil
+		edges:  make([]float64, buckets+1),
+	}
+	x.edges[0], x.edges[buckets] = min, max
+	for k := 1; k < buckets; k++ {
+		x.edges[k] = math.Max(x.edge(k), x.edges[k-1])
+	}
+
+	// 2^c cells per binade, c = ⌈log2 1/(g−1)⌉ for the bucket ratio g, make a
+	// cell no wider than any bucket that starts in its binade.
+	c := math.Ceil(-math.Log2(math.Expm1(1 / x.scale)))
+	x.shift = 52 - uint(math.Min(math.Max(c, 0), 52))
+	x.base = math.Float64bits(min) >> x.shift
+	x.cells = make([]int32, math.Float64bits(max)>>x.shift-x.base+1)
+	i := 0
+	for j := range x.cells {
+		lo := math.Max(math.Float64frombits((x.base+uint64(j))<<x.shift), min)
+		for i < buckets-1 && lo >= x.edges[i+1] {
+			i++
+		}
+		x.cells[j] = int32(i)
+	}
+	return x
 }
 
-// Add records one value. Non-positive and NaN values are ignored; values
-// outside the range clamp to the edge buckets.
+// bucket is the formula the index reproduces, for v in [min, max).
+func (x *logIndex) bucket(v float64) int {
+	i := int((math.Log(v) - x.logMin) * x.scale)
+	return min(max(i, 0), len(x.edges)-2)
+}
+
+// edge returns the smallest float64 in [min, max) that bucket puts in bucket
+// k or above, or max when there is none (0 < k < buckets). It starts at the
+// exact-arithmetic answer, widens a bracket around it by doubling steps of
+// ulps, and bisects the bracket's bit patterns.
+func (x *logIndex) edge(k int) float64 {
+	lo, hi := math.Float64bits(x.min), math.Float64bits(x.max) // bucket(min) = 0 < k; hi stands for max
+	at := func(u uint64) bool { return x.bucket(math.Float64frombits(u)) >= k }
+	g := math.Float64bits(math.Exp(x.logMin + float64(k)/x.scale))
+	if g > lo && g < hi {
+		if at(g) {
+			hi = g
+			for step := uint64(1); hi-lo > step; step *= 2 {
+				if !at(hi - step) {
+					lo = hi - step
+					break
+				}
+				hi -= step
+			}
+		} else {
+			lo = g
+			for step := uint64(1); hi-lo > step; step *= 2 {
+				if at(lo + step) {
+					hi = lo + step
+					break
+				}
+				lo += step
+			}
+		}
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if at(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return math.Float64frombits(hi)
+}
+
+// index returns v's bucket, for v in [min, max): the table's answer for v's
+// cell, walked past the edge the cell may hold below v.
+func (x *logIndex) index(v float64) int {
+	i := int(x.cells[math.Float64bits(v)>>x.shift-x.base])
+	for v >= x.edges[i+1] {
+		i++
+	}
+	return i
+}
+
+// Add records one value. Non-positive and non-finite values are ignored;
+// values outside the range clamp to the edge buckets.
 func (h *LogHistogram) Add(v float64) {
-	if math.IsNaN(v) || v <= 0 {
+	if !(v > 0 && v <= math.MaxFloat64) {
 		return
 	}
 	h.n++
@@ -52,14 +158,7 @@ func (h *LogHistogram) Add(v float64) {
 	case v >= h.max:
 		h.over++
 	default:
-		i := int((math.Log(v) - h.logMin) * h.scale)
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(h.counts) {
-			i = len(h.counts) - 1
-		}
-		h.counts[i]++
+		h.counts[h.index(v)]++
 	}
 }
 

@@ -1,0 +1,153 @@
+package stats
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// refBucket is the bucket formula Add evaluated with a logarithm per value
+// before the index replaced it: the oracle the index must reproduce for
+// every value in [min, max).
+func refBucket(h *LogHistogram, v float64) int {
+	i := int((math.Log(v) - h.logMin) * h.scale)
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(h.counts) {
+		i = len(h.counts) - 1
+	}
+	return i
+}
+
+// layouts is every histogram layout the repo constructs: the service's and
+// the load harness's latencies, the scheduler's queue wait (ms, 30 days) and
+// stretch, every obs registration, and the test layouts of this package and
+// of obs.
+var layouts = []struct {
+	min, max float64
+	buckets  int
+}{
+	{1, 60e6, 2400},
+	{1, 30 * 24 * 3600 * 1000, 1200},
+	{0.5, 1000, 1200},
+	{1e-8, 10, 400},
+	{1e-7, 10, 400},
+	{1e-8, 1, 300},
+	{1e-6, 3600, 400},
+	{1, 1e9, 400},
+	{1e-6, 10, 100},
+	{1e-6, 100, 100},
+	{1e-6, 10, 200},
+	{1e-6, 10, 400},
+	{1, 1e7, 2000},
+	{1, 100, 10},
+}
+
+// The index puts every value where the formula does: ±4096 ulps around
+// every edge (where a logarithm's rounding decides), both ends of the range,
+// and a million values spread log-uniformly over it.
+func TestIndexMatchesFormula(t *testing.T) {
+	const ulps, spread = 4096, 1_000_000
+	for _, l := range layouts {
+		h, err := NewLogHistogram(l.min, l.max, l.buckets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := 0
+		check := func(v float64) {
+			if !(v >= l.min && v < l.max) || bad > 5 {
+				return
+			}
+			if got, want := h.index(v), refBucket(h, v); got != want {
+				bad++
+				t.Errorf("[%v, %v]×%d: %v (bits %#x) indexed to bucket %d, the formula says %d",
+					l.min, l.max, l.buckets, v, math.Float64bits(v), got, want)
+			}
+		}
+		for _, e := range h.edges {
+			u := math.Float64bits(e)
+			for d := uint64(0); d <= ulps; d++ {
+				check(math.Float64frombits(u + d))
+				check(math.Float64frombits(u - d))
+			}
+		}
+		check(l.min)
+		check(math.Nextafter(l.max, 0))
+		r := sim.NewRNG(uint64(l.buckets))
+		lo, hi := math.Log(l.min), math.Log(l.max)
+		for i := 0; i < spread; i++ {
+			check(math.Exp(lo + r.Float64()*(hi-lo)))
+		}
+	}
+}
+
+// An edge is the first value of its bucket: the float just below it is in
+// the bucket before.
+func TestEdgesAreFirstValues(t *testing.T) {
+	for _, l := range layouts {
+		h, err := NewLogHistogram(l.min, l.max, l.buckets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k < l.buckets; k++ {
+			e := h.edges[k]
+			if e == l.max {
+				continue // bucket k holds no float below max
+			}
+			if refBucket(h, e) < k || refBucket(h, math.Nextafter(e, 0)) >= k {
+				t.Fatalf("[%v, %v]×%d: edge %d = %v is not where bucket %d starts", l.min, l.max, l.buckets, k, e, k)
+			}
+		}
+	}
+}
+
+// Fresh copies share the index and nothing else.
+func TestFreshSharesIndexNotCounts(t *testing.T) {
+	h, err := NewLogHistogram(1, 60e6, 2400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Add(50)
+	f := h.Fresh()
+	if f.logIndex != h.logIndex {
+		t.Error("a Fresh copy built its own index")
+	}
+	if f.Count() != 0 || f.Sum() != 0 {
+		t.Errorf("a Fresh copy holds %d values summing to %v", f.Count(), f.Sum())
+	}
+	f.Add(70)
+	if err := h.Merge(f); err != nil || h.Count() != 2 || h.Sum() != 120 {
+		t.Errorf("merging a Fresh copy: err %v, count %d, sum %v", err, h.Count(), h.Sum())
+	}
+}
+
+func TestLogHistogramRejectsNonFiniteBounds(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, r := range [][2]float64{{nan, 10}, {1, nan}, {1, inf}, {inf, inf}, {-inf, 10}, {1e-300, inf}} {
+		if _, err := NewLogHistogram(r[0], r[1], 10); err == nil {
+			t.Errorf("range [%v, %v] accepted", r[0], r[1])
+		}
+	}
+}
+
+// Non-finite values are dropped like NaN, so one +Inf cannot poison the sum
+// every later scrape reports.
+func TestLogHistogramDropsNonFiniteValues(t *testing.T) {
+	h, err := NewLogHistogram(1, 100, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Add(5)
+	h.Add(math.Inf(1))
+	h.Add(math.Inf(-1))
+	h.Add(math.NaN())
+	h.Add(math.MaxFloat64) // finite: clamps to max
+	if h.Count() != 2 || h.Sum() != 5+math.MaxFloat64 {
+		t.Errorf("count %d, sum %v after 5, ±Inf, NaN and MaxFloat64; want 2 and %v", h.Count(), h.Sum(), 5+math.MaxFloat64)
+	}
+	if got := h.Quantile(1); got != 100 {
+		t.Errorf("q1 = %v, want the clamp to max", got)
+	}
+}

@@ -175,47 +175,6 @@ func TestDiffsAndWindowMax(t *testing.T) {
 	}
 }
 
-func TestAR1Stationarity(t *testing.T) {
-	rng := sim.NewRNG(9)
-	a := NewAR1(0.7, 2.0, rng)
-	var s Summary
-	for i := 0; i < 200000; i++ {
-		s.Add(a.Next())
-	}
-	if math.Abs(s.Mean()) > 0.1 {
-		t.Errorf("AR1 mean %v, want ≈0", s.Mean())
-	}
-	if sd := s.StdDev(); math.Abs(sd-2) > 0.1 {
-		t.Errorf("AR1 sd %v, want ≈2", sd)
-	}
-}
-
-func TestAR1Autocorrelation(t *testing.T) {
-	rng := sim.NewRNG(10)
-	a := NewAR1(0.8, 1.0, rng)
-	n := 100000
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = a.Next()
-	}
-	r, err := Pearson(xs[:n-1], xs[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-0.8) > 0.05 {
-		t.Errorf("lag-1 autocorrelation %v, want ≈0.8", r)
-	}
-}
-
-func TestAR1InvalidPhiPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("phi=1 did not panic")
-		}
-	}()
-	NewAR1(1.0, 1.0, sim.NewRNG(1))
-}
-
 // Property: percentiles are monotone in p and bounded by min/max.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, a, b uint8) bool {
