@@ -148,11 +148,12 @@ bench-check:
 	sh scripts/bench_compare BENCH_fresh.json BENCH_scale.json
 	rm -f BENCH_fresh.json
 
-# Records GOMAXPROCS 1 vs CPU-count wall-clock for the shrunken figure suite; on a
-# ≥4-core machine the parallel run should be ≥2× faster with byte-identical
-# results (parallel_test.go checks the identity half).
+# Records GOMAXPROCS 1 vs CPU-count wall-clock for two fanned-out quick
+# experiments (spread: 3 rigs, table3: 13); on a ≥4-core machine the wider
+# run should be ≥2× faster with byte-identical results (parallel_test.go
+# checks the identity half).
 bench-runner:
-	go test -run '^$$' -bench 'BenchmarkFigureSuite' -benchtime 1x ./internal/experiment/
+	go test -run '^$$' -bench 'BenchmarkQuick/(spread|table3)$$' -benchtime 1x -cpu 1,$$(nproc) .
 
 # The paired measurement a performance claim rests on: ./bench built from
 # PARENT's committed files and from the working tree, WORKLOAD run on both

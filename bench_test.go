@@ -1,16 +1,14 @@
-// Package repro_test is the benchmark harness: one benchmark per table and
-// figure in the paper's evaluation (§4), each regenerating its result at a
-// reduced scale and reporting the headline numbers as custom metrics, plus
-// ablation benches for the design choices called out in DESIGN.md and
-// microbenchmarks of the hot substrate paths.
+// Package repro_test is the benchmark harness: BenchmarkQuick regenerates
+// every experiment of the catalogue (internal/experiment/catalog.go) at its
+// -quick sizes, one sub-benchmark per -exp id, plus microbenchmarks of the
+// hot substrate paths.
 //
 // Run everything with:
 //
 //	go test -bench=. -benchmem
 //
 // Full-scale experiment output (paper-sized rows and spans) comes from
-// cmd/ampere-exp instead; benchmarks use the quick configurations so the
-// whole suite finishes in a few minutes.
+// cmd/ampere-exp instead.
 package repro_test
 
 import (
@@ -29,303 +27,17 @@ import (
 	"repro/internal/workload"
 )
 
-// ---------------------------------------------------------------------------
-// Paper experiments: one benchmark per table / figure.
-// ---------------------------------------------------------------------------
-
-func BenchmarkFig1PowerUtilizationCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.Fig1Config{Seed: 1, Rows: 4, RowServers: 80,
-			Warmup: sim.Hour, Measure: 12 * sim.Hour}
-		res, err := experiment.RunFig1(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MeanDC, "dc-mean-util")
-		b.ReportMetric(res.P99Rack-res.P99DC, "p99-rack-minus-dc")
-	}
-}
-
-func BenchmarkFig2RowPowerVariation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.Fig2Config{Seed: 2, Rows: 5, RowServers: 80,
-			Warmup: sim.Hour, Window: 2 * sim.Hour, CorrSpan: 12 * sim.Hour}
-		res, err := experiment.RunFig2(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.FracWeak, "frac-weak-corr")
-	}
-}
-
-func BenchmarkFig4FreezePowerDecay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.Fig4Config{Seed: 4, RowServers: 160, FreezeCount: 32,
-			Warmup: 80 * sim.Minute, Observe: 50 * sim.Minute}
-		res, err := experiment.RunFig4(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.MinutesTo90), "minutes-to-90pct-decay")
-		b.ReportMetric(res.Series[len(res.Series)-1], "final-power-frac")
-	}
-}
-
-func BenchmarkFig5ControlEffect(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.Fig5Config{
-			Seed: 5, RowServers: 160, RO: 0.25, TargetPowerFrac: 0.74,
-			Warmup: 50 * sim.Minute, Cycles: 1,
-			URatios:       []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6},
-			FreezeMinutes: 3, RecoverMinutes: 10,
-		}
-		res, err := experiment.RunFig5(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Kr, "kr")
-	}
-}
-
-func BenchmarkFig7JobDurationCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiment.RunFig7(7, 200000)
-		b.ReportMetric(res.MeanMinutes, "mean-minutes")
-		b.ReportMetric(res.FracWithin2, "frac-within-2min")
-	}
-}
-
-func BenchmarkFig8RowPowerDay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.Fig8Config{Seed: 8, RowServers: 160, Warmup: sim.Hour}
-		res, err := experiment.RunFig8(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.HourlySwing, "hourly-swing")
-	}
-}
-
-func BenchmarkFig9PowerChangeCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.Fig9Config{Seed: 9, RowServers: 160,
-			Warmup: sim.Hour, Measure: 12 * sim.Hour}
-		res, err := experiment.RunFig9(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.P99Abs1Min, "p99-abs-1min-delta")
-		b.ReportMetric(res.MaxAbs1Min, "max-abs-1min-delta")
-	}
-}
-
-func BenchmarkFig10ControlTimeline(b *testing.B) {
-	benchTable2(b, true)
-}
-
-func BenchmarkTable2ControllerEffectiveness(b *testing.B) {
-	benchTable2(b, false)
-}
-
-func benchTable2(b *testing.B, series bool) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.DefaultTable2()
-		cfg.RowServers = 160
-		cfg.Warmup = sim.Hour
-		res, err := experiment.RunTable2(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if series {
-			b.ReportMetric(float64(len(res.HeavySer.U)), "timeline-minutes")
-			b.ReportMetric(maxOf(res.HeavySer.U), "heavy-u-max")
-		} else {
-			b.ReportMetric(float64(res.Heavy.ViolationsExp), "heavy-violations-ampere")
-			b.ReportMetric(float64(res.Heavy.ViolationsCtl), "heavy-violations-none")
-			b.ReportMetric(res.Heavy.UMean, "heavy-u-mean")
-		}
-	}
-}
-
-func maxOf(xs []float64) float64 {
-	m := 0.0
-	for _, v := range xs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-func BenchmarkFig11LatencyComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.Fig11Config{
-			Seed: 11, RowServers: 80, ServiceServers: 16, ServiceContainers: 8,
-			RO: 0.25, BatchTargetFrac: 0.75, RequestsPerSecond: 60,
-			Warmup: sim.Hour, Pretrain: 8 * sim.Hour, Measure: sim.Hour,
-		}
-		res, err := experiment.RunFig11(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		worst := 0.0
-		for _, r := range res.Rows {
-			if r.Inflation > worst {
-				worst = r.Inflation
+// BenchmarkQuick runs each catalogue experiment as `ampere-exp -quick -exp
+// <id>` does, e.g. `go test -run '^$' -bench 'Quick/table3$' -benchtime 1x`.
+func BenchmarkQuick(b *testing.B) {
+	for _, e := range experiment.Catalog() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := e.Run(io.Discard, true, 0, ""); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.ReportMetric(worst, "worst-capping-inflation")
-		b.ReportMetric(res.CappedServerFracAmpere, "capped-frac-ampere")
-	}
-}
-
-func BenchmarkFig12PowerThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.Fig12Config{Seed: 12, RowServers: 160, RO: 0.25,
-			Warmup: sim.Hour, Pretrain: 8 * sim.Hour, Measure: 4 * sim.Hour}
-		res, err := experiment.RunFig12(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.RTOverall, "rT-overall")
-		b.ReportMetric(res.GTPW, "gtpw")
-	}
-}
-
-func BenchmarkTable3GTPWSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.Table3Config{
-			Seed: 13, RowServers: 120,
-			Warmup: sim.Hour, Pretrain: 12 * sim.Hour, Measure: 12 * sim.Hour,
-			Scenarios: []experiment.Table3Scenario{
-				{RO: 0.25, TargetFrac: 0.745, Amplitude: 0.45},
-				{RO: 0.17, TargetFrac: 0.717, Amplitude: 0.30},
-				{RO: 0.13, TargetFrac: 0.750, Amplitude: 0.30},
-			},
-		}
-		res, err := experiment.RunTable3(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		best := -1.0
-		for _, r := range res.Rows {
-			if r.GTPW > best {
-				best = r.GTPW
-			}
-		}
-		b.ReportMetric(best, "best-gtpw")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Ablation benches for DESIGN.md's called-out design choices.
-// ---------------------------------------------------------------------------
-
-func quickAblation() experiment.AblationConfig {
-	cfg := experiment.DefaultAblation()
-	cfg.RowServers = 120
-	cfg.Warmup = sim.Hour
-	cfg.Pretrain = 12 * sim.Hour
-	cfg.Measure = 12 * sim.Hour
-	return cfg
-}
-
-func BenchmarkAblationFreezeSelection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunSelectionAblation(quickAblation())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rows[0].Violations), "violations-hottest")
-		b.ReportMetric(float64(rows[2].Violations), "violations-random")
-	}
-}
-
-func BenchmarkAblationRStable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunRStableAblation(quickAblation(), []float64{0.5, 0.8, 0.95})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rows[1].ChurnOps), "churn-rstable-0.8")
-	}
-}
-
-func BenchmarkAblationEtPercentile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunEtPercentileAblation(quickAblation(), []float64{50, 99.5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rows[0].Violations), "violations-p50")
-		b.ReportMetric(float64(rows[1].Violations), "violations-p99.5")
-	}
-}
-
-func BenchmarkAblationRHCHorizon(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunHorizonAblation(quickAblation(), []int{1, 5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].UMean, "umean-horizon-1")
-		b.ReportMetric(rows[1].UMean, "umean-horizon-5")
-	}
-}
-
-func BenchmarkAblationCappingMode(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.RunCappingAblation(quickAblation())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].StretchP99, "p99-stretch-capping")
-		b.ReportMetric(rows[2].StretchP99, "p99-stretch-ampere")
-	}
-}
-
-func BenchmarkOutageScenario(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.OutageConfig{
-			Seed: 55, RowServers: 120, RO: 0.25, TargetFrac: 0.79,
-			Warmup: sim.Hour, Pretrain: 8 * sim.Hour, Measure: 8 * sim.Hour,
-			RepairAfter: 30 * sim.Minute,
-		}
-		rows, err := experiment.RunOutage(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rows[0].JobsKilled), "jobs-killed-uncontrolled")
-		b.ReportMetric(float64(rows[2].JobsKilled), "jobs-killed-ampere")
-	}
-}
-
-func BenchmarkFutureWorkRowSpread(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.SpreadConfig{Seed: 77, Rows: 4, RowServers: 80,
-			TargetFrac: 0.70, Warmup: sim.Hour, Measure: 8 * sim.Hour}
-		rows, err := experiment.RunSpread(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[2].CrossRowStd, "concentrated-row-std")
-		b.ReportMetric(float64(rows[2].IdleRows), "idle-rows")
-	}
-}
-
-func BenchmarkChaosStorm(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.DefaultChaos()
-		cfg.RowServers = 80
-		cfg.Pretrain, cfg.Measure = 6*sim.Hour, 12*sim.Hour
-		res, err := experiment.RunChaos(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Naive.Violations), "violations-naive")
-		b.ReportMetric(float64(res.Resilient.Violations), "violations-resilient")
-		b.ReportMetric(res.Resilient.Stats.MTTR().Minutes(), "mttr-min")
+		})
 	}
 }
 

@@ -7,23 +7,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
-)
 
-// -exp all runs order and single ids look up runners: every ordered id needs
-// a runner, and a runner missing from order (other than the fig10 alias of
-// table2) would be silently skipped by -exp all.
-func TestOrderAndRunnersAgree(t *testing.T) {
-	for _, id := range order {
-		if runners[id] == nil {
-			t.Errorf("order lists %q, which has no runner", id)
-		}
-	}
-	for id := range runners {
-		if id != "fig10" && !slices.Contains(order, id) {
-			t.Errorf("runner %q is not in order, so -exp all never runs it", id)
-		}
-	}
-}
+	"repro/internal/experiment"
+)
 
 // TestQuickAllGolden pins the stdout of `ampere-exp -quick -exp all` to
 // results/exp_quick_output.txt: every table of every experiment, byte for
@@ -33,7 +19,8 @@ func TestOrderAndRunnersAgree(t *testing.T) {
 //	go run ./cmd/ampere-exp -quick -exp all > results/exp_quick_output.txt
 //
 // It drives main's own fan-out (render), so `go test -cpu 1,4` pins the
-// bytes at the serial and at a fanned width. The bytes are floating-point
+// bytes at the serial and at a fanned width, and the same run checks the
+// names of the plot-ready files -out writes. The bytes are floating-point
 // sums, and off amd64 the compiler may fuse multiply-adds, so the
 // comparison only runs there.
 func TestQuickAllGolden(t *testing.T) {
@@ -47,9 +34,23 @@ func TestQuickAllGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := render(order, runCtx{quick: true})
+	dir := t.TempDir()
+	got, err := render(experiment.Catalog(), true, 0, dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	wantFiles := []string{"fig1.csv", "fig10_heavy.csv", "fig10_light.csv", "fig11scale.csv",
+		"fig12.csv", "fig4.csv", "fig5.csv", "fig8.csv", "tournament.json"}
+	if !slices.Equal(files, wantFiles) {
+		t.Errorf("-out wrote %v, want %v", files, wantFiles)
 	}
 	if bytes.Equal(got, want) {
 		return
@@ -67,4 +68,24 @@ func TestQuickAllGolden(t *testing.T) {
 	}
 	t.Fatalf("output diverges from results/exp_quick_output.txt at line %d (%d lines vs %d):\n got: %s\nwant: %s",
 		i+1, len(gl), len(wl), at(gl), at(wl))
+}
+
+// TestSeedOverride: -seed lands on the experiment's own seed, so fig7 at its
+// default seed 7 reproduces the default run and seed 3 does not.
+func TestSeedOverride(t *testing.T) {
+	fig7, _ := experiment.Lookup("fig7")
+	run := func(seed uint64) []byte {
+		out, err := render([]experiment.Experiment{fig7}, true, seed, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	def := run(0)
+	if !bytes.Equal(run(7), def) {
+		t.Error("-seed 7 differs from fig7's default seed 7")
+	}
+	if bytes.Equal(run(3), def) {
+		t.Error("-seed 3 reproduces fig7's default run")
+	}
 }

@@ -60,7 +60,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		tick       = flag.Duration("tick", 200*time.Millisecond, "real time per simulated minute")
-		rowServers = flag.Int("row-servers", 200, "servers per row")
+		rowServers = flag.Int("row-servers", 200, "servers per row (a multiple of the 20-server rack)")
 		rows       = flag.Int("rows", 2, "rows")
 		target     = flag.Float64("target", 0.75, "power target as fraction of rated")
 		ro         = flag.Float64("ro", 0.25, "over-provisioning ratio")
@@ -151,10 +151,12 @@ type simStack struct {
 // start. reg may be nil (the offline-replay case: metrics unregistered but
 // journal still fed); journal may be nil only when cfg.obs is false.
 func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*simStack, error) {
-	spec := stack.RowSpec(cfg.rows, cfg.rowServers)
-	if spec.RacksPerRow < 1 {
-		return nil, fmt.Errorf("row-servers %d too small", cfg.rowServers)
+	// Rows are whole racks: RowSpec would floor a partial one away while the
+	// log line and the /whatif ConfigTag report the requested size.
+	if cfg.rowServers <= 0 || cfg.rowServers%20 != 0 {
+		return nil, fmt.Errorf("row-servers %d must be a positive multiple of 20", cfg.rowServers)
 	}
+	spec := stack.RowSpec(cfg.rows, cfg.rowServers)
 
 	product := workload.DefaultProduct("mixed", stack.JobsPerMinute(spec, cfg.target, spec.TotalServers()))
 

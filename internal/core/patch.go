@@ -49,9 +49,9 @@ func (p PolicyPatch) String() string {
 	return strings.Join(parts, " ")
 }
 
-// apply folds the patch's non-nil fields into cfg, and reports a value that
+// Apply folds the patch's non-nil fields into cfg, and reports a value that
 // has no Config field to carry it to Validate and is out of range.
-func (p PolicyPatch) apply(cfg *Config) error {
+func (p PolicyPatch) Apply(cfg *Config) error {
 	for _, a := range policyAxes {
 		if !a.Patch {
 			continue
@@ -75,10 +75,10 @@ func (c *Controller) Reconfigure(p PolicyPatch) error {
 
 	// Phase 1: resolve the candidate configuration, no mutation.
 	cfg := c.cfg
-	// apply judges RampFrac, which no Config field carries to Validate — it
+	// Apply judges RampFrac, which no Config field carries to Validate — it
 	// used to be checked after the estimator loop had already mutated
 	// percentiles, the partial-commit bug.
-	if err := p.apply(&cfg); err != nil {
+	if err := p.Apply(&cfg); err != nil {
 		return fmt.Errorf("core: Reconfigure: %w", err)
 	}
 	cfg = cfg.withPolicyDefaults()

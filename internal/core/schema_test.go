@@ -20,7 +20,7 @@ func sample(a PolicyAxis) string {
 }
 
 // TestSpecAndPatchLandOnTheSameField: an axis set the way a control_policy
-// block sets it (SetConfig) and the way a patch does (ParsePatch, apply)
+// block sets it (SetConfig) and the way a patch does (ParsePatch, Apply)
 // changes the same Config field to the same value, and only that field. The
 // two axes with one spelling are exactly ramp and the selection seed.
 func TestSpecAndPatchLandOnTheSameField(t *testing.T) {
@@ -38,7 +38,7 @@ func TestSpecAndPatchLandOnTheSameField(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.apply(&byPatch); err != nil {
+		if err := p.Apply(&byPatch); err != nil {
 			t.Fatal(err)
 		}
 		if bySpec != byPatch || bySpec == DefaultConfig() {

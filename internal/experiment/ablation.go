@@ -10,10 +10,11 @@ import (
 	"repro/internal/sim"
 )
 
-// The ablation runners quantify the design choices §3 argues for: freezing
-// the hottest servers, the rstable hysteresis, the 99.5th-percentile Et
-// margin, and the horizon-1 SPCP simplification. Each runs the same heavy
-// controlled scenario with one knob varied.
+// The ablations quantify the design choices §3 argues for: freezing the
+// hottest servers, the rstable hysteresis, the 99.5th-percentile Et margin,
+// and the horizon-1 SPCP simplification (the catalogue's ablationSweeps),
+// each by rerunning the same heavy controlled scenario under a policy patch;
+// and the case against DVFS capping (RunCappingAblation).
 
 // AblationOutcome is one variant's headline numbers.
 type AblationOutcome struct {
@@ -27,39 +28,11 @@ type AblationOutcome struct {
 	PMaxExp  float64
 }
 
-// AblationConfig shapes the shared scenario.
-type AblationConfig struct {
-	Seed       uint64
-	RowServers int
-	// TargetFrac and Amplitude define the (heavy) demand; defaults press
-	// the budget at peak hours so the knobs matter.
-	TargetFrac float64
-	Amplitude  float64
-	Warmup     sim.Duration
-	Pretrain   sim.Duration
-	Measure    sim.Duration
-}
-
-// DefaultAblation uses the Table 2 heavy day.
-func DefaultAblation() AblationConfig {
-	return AblationConfig{Seed: 99, RowServers: 160, TargetFrac: 0.772, Amplitude: 0.35}
-}
-
-func (a AblationConfig) base() AmpereRunConfig {
-	return AmpereRunConfig{
-		Controlled: ControlledConfig{
-			Seed:             a.Seed,
-			RowServers:       a.RowServers,
-			RestRows:         1,
-			TargetPowerFrac:  a.TargetFrac,
-			RO:               0.25,
-			ScaleCtrlBudget:  true,
-			DiurnalAmplitude: a.Amplitude,
-		},
-		Warmup:   a.Warmup,
-		Pretrain: a.Pretrain,
-		Measure:  a.Measure,
-	}
+// DefaultAblation is the shared scenario: the Table 2 heavy day, whose
+// demand presses the budget at peak hours so the knobs matter.
+func DefaultAblation() AmpereRunConfig {
+	return AmpereRunConfig{Controlled: ControlledConfig{Seed: 99, RowServers: 160, RestRows: 1,
+		TargetPowerFrac: 0.772, RO: 0.25, ScaleCtrlBudget: true, DiurnalAmplitude: 0.35}}
 }
 
 func outcome(variant string, run *AmpereRun) AblationOutcome {
@@ -75,89 +48,25 @@ func outcome(variant string, run *AmpereRun) AblationOutcome {
 	}
 }
 
-// RunSelectionAblation compares hottest / coldest / random freeze selection.
-// The paper prefers hottest because low-power servers "may have more
-// computation capacity left and thus freezing them may result in a higher
-// cost".
-func RunSelectionAblation(cfg AblationConfig) ([]AblationOutcome, error) {
-	sels := []core.SelectionPolicy{core.SelectHottest, core.SelectColdest, core.SelectRandom}
-	names := make([]string, len(sels))
-	for i, sel := range sels {
-		names[i] = sel.String()
-	}
-	return runUnits(names, func(i int) (AblationOutcome, error) {
-		c := cfg.base()
-		c.Selection = sels[i]
-		run, err := RunAmpere(c)
-		if err != nil {
-			return AblationOutcome{}, fmt.Errorf("selection %v: %w", sels[i], err)
-		}
-		return outcome(sels[i].String(), run), nil
-	})
-}
+// AblationVariant is one row of an ablation table: its name and the policy
+// patch, in core.ParsePatch syntax, the heavy day runs under.
+type AblationVariant struct{ Name, Patch string }
 
-// RunRStableAblation sweeps the stability ratio. The paper "find[s] that the
-// value of rstable does not affect the performance much" and fixes 0.8; the
-// sweep verifies that insensitivity while exposing the churn cost of
-// disabling hysteresis (rstable → 1).
-func RunRStableAblation(cfg AblationConfig, values []float64) ([]AblationOutcome, error) {
-	if values == nil {
-		values = []float64{0.5, 0.8, 0.95}
-	}
-	names := make([]string, len(values))
-	for i, v := range values {
-		names[i] = fmt.Sprintf("rstable=%.2f", v)
+// RunAblation runs the scenario once per variant, each under its patch.
+func RunAblation(cfg AmpereRunConfig, variants []AblationVariant) ([]AblationOutcome, error) {
+	names := make([]string, len(variants))
+	for i, v := range variants {
+		names[i] = v.Name
 	}
 	return runUnits(names, func(i int) (AblationOutcome, error) {
-		c := cfg.base()
-		c.RStable = values[i]
-		run, err := RunAmpere(c)
-		if err != nil {
-			return AblationOutcome{}, fmt.Errorf("rstable %v: %w", values[i], err)
+		c := cfg
+		var err error
+		if c.Policy, err = core.ParsePatch(variants[i].Patch); err != nil {
+			return AblationOutcome{}, fmt.Errorf("ablation %s: %w", names[i], err)
 		}
-		return outcome(names[i], run), nil
-	})
-}
-
-// RunEtPercentileAblation sweeps the Et percentile: lower percentiles leave
-// a thinner safety margin (more violations, less freezing), the paper's
-// 99.5 is deliberately conservative.
-func RunEtPercentileAblation(cfg AblationConfig, percentiles []float64) ([]AblationOutcome, error) {
-	if percentiles == nil {
-		percentiles = []float64{50, 90, 99.5}
-	}
-	names := make([]string, len(percentiles))
-	for i, p := range percentiles {
-		names[i] = fmt.Sprintf("etpct=%.1f", p)
-	}
-	return runUnits(names, func(i int) (AblationOutcome, error) {
-		c := cfg.base()
-		c.EtPercentile = percentiles[i]
 		run, err := RunAmpere(c)
 		if err != nil {
-			return AblationOutcome{}, fmt.Errorf("et percentile %v: %w", percentiles[i], err)
-		}
-		return outcome(names[i], run), nil
-	})
-}
-
-// RunHorizonAblation compares the paper's horizon-1 SPCP controller with
-// exact horizon-N RHC over the same scenario (Lemma 3.1 predicts little
-// difference under normal demand).
-func RunHorizonAblation(cfg AblationConfig, horizons []int) ([]AblationOutcome, error) {
-	if horizons == nil {
-		horizons = []int{1, 5, 15}
-	}
-	names := make([]string, len(horizons))
-	for i, h := range horizons {
-		names[i] = fmt.Sprintf("horizon=%d", h)
-	}
-	return runUnits(names, func(i int) (AblationOutcome, error) {
-		c := cfg.base()
-		c.Horizon = horizons[i]
-		run, err := RunAmpere(c)
-		if err != nil {
-			return AblationOutcome{}, fmt.Errorf("horizon %d: %w", horizons[i], err)
+			return AblationOutcome{}, fmt.Errorf("ablation %s: %w", names[i], err)
 		}
 		return outcome(names[i], run), nil
 	})
@@ -185,7 +94,7 @@ type CappingAblationRow struct {
 // (b) naive static per-server fair-share capping, and (c) Ampere. Static
 // capping is safe but throttles hot servers even when the row has headroom;
 // Ampere avoids touching running jobs at all.
-func RunCappingAblation(cfg AblationConfig) ([]CappingAblationRow, error) {
+func RunCappingAblation(cfg AmpereRunConfig) ([]CappingAblationRow, error) {
 	type variant struct {
 		name   string
 		mode   capping.Mode
@@ -210,8 +119,7 @@ func RunCappingAblation(cfg AblationConfig) ([]CappingAblationRow, error) {
 	})
 }
 
-func runCappingVariant(cfg AblationConfig, name string, mode capping.Mode, ampere bool) (*CappingAblationRow, error) {
-	base := cfg.base()
+func runCappingVariant(base AmpereRunConfig, name string, mode capping.Mode, ampere bool) (*CappingAblationRow, error) {
 	base.setDefaults()
 	if ampere {
 		run, err := RunAmpere(base)
@@ -291,7 +199,7 @@ func FormatCappingAblation(w io.Writer, rows []CappingAblationRow) {
 }
 
 // FormatAblation renders outcomes as a table.
-func FormatAblation(w interface{ Write([]byte) (int, error) }, title string, rows []AblationOutcome) {
+func FormatAblation(w io.Writer, title string, rows []AblationOutcome) {
 	fmt.Fprintf(w, "Ablation: %s\n", title)
 	fmt.Fprintf(w, "  %-14s %10s %8s %8s %8s %8s\n", "variant", "violations", "umean", "rT", "churn", "Pmax")
 	for _, r := range rows {

@@ -3,26 +3,16 @@ package experiment
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
-func quickAblation() AblationConfig {
-	cfg := DefaultAblation()
-	cfg.RowServers = 120
-	cfg.Warmup = sim.Hour
-	cfg.Pretrain = 12 * sim.Hour
-	cfg.Measure = 12 * sim.Hour
-	return cfg
-}
-
 func TestSelectionAblation(t *testing.T) {
-	rows, err := RunSelectionAblation(quickAblation())
+	sweep := ablationSweeps[0]
+	rows, err := RunAblation(quickConfig[AmpereRunConfig]("ablations"), sweep.variants)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	FormatAblation(&sb, "freeze selection", rows)
+	FormatAblation(&sb, sweep.title, rows)
 	t.Log("\n" + sb.String())
 	if len(rows) != 3 {
 		t.Fatalf("got %d variants", len(rows))
@@ -43,12 +33,13 @@ func TestSelectionAblation(t *testing.T) {
 }
 
 func TestRStableAblation(t *testing.T) {
-	rows, err := RunRStableAblation(quickAblation(), []float64{0.5, 0.8, 0.95})
+	sweep := ablationSweeps[1] // rstable 0.5, 0.8, 0.95
+	rows, err := RunAblation(quickConfig[AmpereRunConfig]("ablations"), sweep.variants)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	FormatAblation(&sb, "rstable", rows)
+	FormatAblation(&sb, sweep.title, rows)
 	t.Log("\n" + sb.String())
 	// The paper: performance is insensitive to rstable. Violations should
 	// be in the same band across the sweep.
@@ -67,12 +58,14 @@ func TestRStableAblation(t *testing.T) {
 }
 
 func TestEtPercentileAblation(t *testing.T) {
-	rows, err := RunEtPercentileAblation(quickAblation(), []float64{50, 99.5})
+	sweep := ablationSweeps[2]
+	p50, p995 := sweep.variants[0], sweep.variants[2]
+	rows, err := RunAblation(quickConfig[AmpereRunConfig]("ablations"), []AblationVariant{p50, p995})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	FormatAblation(&sb, "Et percentile", rows)
+	FormatAblation(&sb, sweep.title, rows)
 	t.Log("\n" + sb.String())
 	// A thin margin (p50) must not freeze more than the conservative one.
 	if rows[0].UMean > rows[1].UMean+1e-9 {
@@ -81,12 +74,13 @@ func TestEtPercentileAblation(t *testing.T) {
 }
 
 func TestHorizonAblation(t *testing.T) {
-	rows, err := RunHorizonAblation(quickAblation(), []int{1, 5})
+	sweep := ablationSweeps[3]
+	rows, err := RunAblation(quickConfig[AmpereRunConfig]("ablations"), sweep.variants[:2]) // horizons 1 and 5
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	FormatAblation(&sb, "RHC horizon", rows)
+	FormatAblation(&sb, sweep.title, rows)
 	t.Log("\n" + sb.String())
 	// Lemma 3.1: under normal demand both horizons behave alike.
 	d := rows[0].Violations - rows[1].Violations
@@ -96,7 +90,7 @@ func TestHorizonAblation(t *testing.T) {
 }
 
 func TestCappingAblation(t *testing.T) {
-	rows, err := RunCappingAblation(quickAblation())
+	rows, err := RunCappingAblation(quickConfig[AmpereRunConfig]("ablations"))
 	if err != nil {
 		t.Fatal(err)
 	}

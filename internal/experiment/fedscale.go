@@ -37,12 +37,6 @@ func DefaultFedScale() FedScaleConfig {
 		Warmup: 10 * sim.Minute, Measure: 30 * sim.Minute}
 }
 
-// QuickFedScale is the tier-1 smoke size: 4 DCs × 1 row = 1,600 servers.
-func QuickFedScale() FedScaleConfig {
-	return FedScaleConfig{Seed: 1031, Family: "follow-the-sun", DCs: 4, RowsPerDC: 1,
-		Warmup: 10 * sim.Minute, Measure: 30 * sim.Minute}
-}
-
 // FedScaleRow is one DC's measure-window outcome.
 type FedScaleRow struct {
 	DC        string

@@ -10,7 +10,7 @@ import (
 // formatted output — the tier-1 gate for the two-level substrate.
 func TestFedScaleSmoke(t *testing.T) {
 	ref, got := atOneAndFour(func() string {
-		res, err := RunFedScale(QuickFedScale())
+		res, err := RunFedScale(quickConfig[scaleConfig]("scale").fed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,18 +101,6 @@ func DefaultFig11Scale() Fig11ScaleConfig {
 	}
 }
 
-// QuickFig11Scale shrinks the fleet and population for tests and -quick
-// runs, preserving every per-server and per-instance intensity (utilization,
-// ρ, budget pressure) of the full configuration.
-func QuickFig11Scale() Fig11ScaleConfig {
-	cfg := DefaultFig11Scale()
-	cfg.Rows, cfg.RowServers = 3, 80
-	cfg.ServiceRows, cfg.ServicePerRow = 1, 8
-	cfg.ServiceUsers, cfg.RPSPerUser = 30_000, 0.0155
-	cfg.Warmup, cfg.Measure = 30*sim.Minute, 40*sim.Minute
-	return cfg
-}
-
 // Fig11ScaleClassRow is one client class's outcome across the two regimes.
 type Fig11ScaleClassRow struct {
 	Class          string

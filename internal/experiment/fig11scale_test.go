@@ -11,7 +11,7 @@ import (
 // request tail that Ampere's freeze-and-displace protects, and the SLO-miss
 // accounting is live in the result.
 func TestFig11ScaleSmoke400(t *testing.T) {
-	cfg := QuickFig11Scale()
+	cfg := quickConfig[Fig11ScaleConfig]("fig11scale")
 	cfg.Parallel = 2
 	res, err := RunFig11Scale(cfg)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestFig11ScaleSmoke400(t *testing.T) {
 // (runs under -race via race-shuffle).
 func TestFig11ScaleByteIdentity(t *testing.T) {
 	serial, fanned := atOneAndFour(func() string {
-		cfg := QuickFig11Scale()
+		cfg := quickConfig[Fig11ScaleConfig]("fig11scale")
 		res, err := RunFig11Scale(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +80,7 @@ func TestFig11ScaleConfigValidation(t *testing.T) {
 		func(c *Fig11ScaleConfig) { c.BudgetFrac = 1.5 },
 	}
 	for i, mut := range cases {
-		cfg := QuickFig11Scale()
+		cfg := quickConfig[Fig11ScaleConfig]("fig11scale")
 		mut(&cfg)
 		if _, err := RunFig11Scale(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)

@@ -15,16 +15,13 @@ type AmpereRunConfig struct {
 	Controlled ControlledConfig
 	// Kr is the control-model gradient (0 selects DefaultKr, the value
 	// calibrated by RunFig5 on the default rig).
-	Kr             float64
-	Warmup         sim.Duration // default 2 h
-	Pretrain       sim.Duration // default 24 h
-	Measure        sim.Duration // default 24 h
-	MaxFreezeRatio float64      // default 0.5, the paper's operational cap
-	EtPercentile   float64      // default 99.5
-	// Ablation knobs (zero values select the paper's choices).
-	RStable   float64
-	Selection core.SelectionPolicy
-	Horizon   int
+	Kr       float64
+	Warmup   sim.Duration // default 2 h
+	Pretrain sim.Duration // default 24 h
+	Measure  sim.Duration // default 24 h
+	// Policy is laid over core.DefaultConfig, the paper's choices (the
+	// ablations vary it); its Et percentile also trains the pre-trained Et.
+	Policy core.PolicyPatch
 }
 
 func (c *AmpereRunConfig) setDefaults() {
@@ -36,12 +33,6 @@ func (c *AmpereRunConfig) setDefaults() {
 	}
 	if c.Measure == 0 {
 		c.Measure = 24 * sim.Hour
-	}
-	if c.MaxFreezeRatio == 0 {
-		c.MaxFreezeRatio = 0.5
-	}
-	if c.EtPercentile == 0 {
-		c.EtPercentile = 99.5
 	}
 }
 
@@ -60,6 +51,11 @@ type AmpereRun struct {
 // RunAmpere executes the full scenario and returns it ready for analysis.
 func RunAmpere(cfg AmpereRunConfig) (*AmpereRun, error) {
 	cfg.setDefaults()
+	ccfg := core.DefaultConfig()
+	ccfg.SelectionSeed = cfg.Controlled.Seed
+	if err := cfg.Policy.Apply(&ccfg); err != nil {
+		return nil, err
+	}
 	ctrl, err := NewControlled(cfg.Controlled)
 	if err != nil {
 		return nil, err
@@ -78,21 +74,9 @@ func RunAmpere(cfg AmpereRunConfig) (*AmpereRun, error) {
 	}
 
 	// Pre-train Et from the control group's pretrain-span power history.
-	et, err := ctrl.TrainEt(false, sim.Time(cfg.Warmup), cfg.EtPercentile)
+	et, err := ctrl.TrainEt(false, sim.Time(cfg.Warmup), ccfg.EtPercentile)
 	if err != nil {
 		return nil, err
-	}
-
-	ccfg := core.DefaultConfig()
-	ccfg.MaxFreezeRatio = cfg.MaxFreezeRatio
-	ccfg.EtPercentile = cfg.EtPercentile
-	ccfg.Selection = cfg.Selection
-	ccfg.SelectionSeed = cfg.Controlled.Seed
-	if cfg.RStable > 0 {
-		ccfg.RStable = cfg.RStable
-	}
-	if cfg.Horizon > 0 {
-		ccfg.Horizon = cfg.Horizon
 	}
 	controller, err = core.New(ctrl.Rig.Eng, ctrl.Rig.Mon, ctrl.Rig.Sched, ccfg,
 		[]core.Domain{ctrl.AmpereDomain(cfg.Kr, et)})

@@ -8,6 +8,12 @@ import (
 	"repro/internal/sim"
 )
 
+// quickConfig is the catalogue's -quick configuration of experiment id.
+func quickConfig[C any](id string) C {
+	e, _ := Lookup(id)
+	return e.config(true, 0).(C)
+}
+
 func TestSplitByParity(t *testing.T) {
 	sp := cluster.DefaultSpec()
 	sp.Rows, sp.RacksPerRow, sp.ServersPerRack = 2, 1, 10

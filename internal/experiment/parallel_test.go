@@ -51,15 +51,17 @@ func TestSpreadOutputByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 func TestAblationOutputByteIdenticalAcrossWorkers(t *testing.T) {
-	cfg := AblationConfig{Seed: 99, RowServers: 80, TargetFrac: 0.772, Amplitude: 0.35,
-		Warmup: sim.Hour, Pretrain: 2 * sim.Hour, Measure: 2 * sim.Hour}
+	cfg := DefaultAblation()
+	cfg.Controlled.RowServers = 80
+	cfg.Warmup, cfg.Pretrain, cfg.Measure = sim.Hour, 2*sim.Hour, 2*sim.Hour
 	serial, parallel := atOneAndFour(func() string {
-		rows, err := RunRStableAblation(cfg, nil)
+		sweep := ablationSweeps[1] // rstable
+		rows, err := RunAblation(cfg, sweep.variants)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
-		FormatAblation(&sb, "rstable", rows)
+		FormatAblation(&sb, sweep.title, rows)
 		return sb.String()
 	})
 	if serial != parallel {

@@ -9,8 +9,8 @@ import (
 
 // The Format functions render each experiment's result the way the paper
 // presents it — the same rows for tables, the same series (downsampled for
-// readability) for figures. cmd/ampere-exp prints these; the benchmark
-// harness reports the headline numbers as custom metrics.
+// readability) for figures. cmd/ampere-exp prints these through the
+// experiment catalogue (catalog.go).
 
 // FormatFig1 renders the utilization CDFs.
 func FormatFig1(w io.Writer, r *Fig1Result) {

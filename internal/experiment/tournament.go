@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -49,7 +50,7 @@ func DefaultTournamentPatches(cfg GridstormConfig) []string {
 		"policy=coldest et=ewma",
 		"unfreeze=headroom",
 		"horizon=5",
-		fmt.Sprintf("ramp=%g", cfg.DipDepth/float64(cfg.RampMinutes)),
+		rampPatch(cfg),
 	}
 }
 
@@ -66,24 +67,14 @@ func DefaultTournament() TournamentConfig {
 	return TournamentConfig{Grid: cfg, Patches: DefaultTournamentPatches(cfg)}
 }
 
-// QuickTournament shrinks the grid for -quick runs and tests, keeping the
-// per-instance service intensity of the full tournament.
-func QuickTournament() TournamentConfig {
-	cfg := QuickGridstorm()
-	cfg.ServiceUsers = 40_000
-	cfg.ServiceRPSPerUser = 0.0116
-	cfg.ServicePerRow = 8
-	cfg.ServiceContainers = 16
-	return TournamentConfig{Grid: cfg, Patches: DefaultTournamentPatches(cfg)}
-}
-
 // TournamentRow is one contender's scored outcome over the post-fork window.
 type TournamentRow struct {
 	Rank int `json:"rank"`
 	// Patch is the canonical patch string ("" = baseline self-replay).
 	Patch string `json:"patch"`
 	// Identical is true when the replay reproduced the factual journal
-	// suffix event-for-event (must hold for the baseline row).
+	// suffix event-for-event (must hold for the baseline row, whose check
+	// also compares seqs).
 	Identical bool `json:"identical"`
 	// The ranking keys, most significant first.
 	Trips               int      `json:"trips"`
@@ -100,6 +91,8 @@ type TournamentRow struct {
 	SLOMissPct float64 `json:"service_slo_miss_pct,omitempty"`
 	// KPIs are the scenario scalars (scheduler job counters) at run end.
 	KPIs map[string]float64 `json:"kpis,omitempty"`
+	// Report is the full diff against the factual run.
+	Report *whatif.Report `json:"-"`
 }
 
 // TournamentResult is the deterministic ranked outcome.
@@ -182,7 +175,14 @@ func RunTournament(cfg TournamentConfig) (*TournamentResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				return whatif.Diff(factView, alt.View(sim.Minute), fork.SimMS, entry.canonical), nil
+				rep := whatif.Diff(factView, alt.View(sim.Minute), fork.SimMS, entry.canonical)
+				if entry.canonical == "" {
+					// Diff aligns with seqs zeroed; the baseline must also
+					// reproduce them, byte for byte.
+					rep.Identical = rep.Identical &&
+						bytes.Equal(whatif.CanonicalJSONL(alt.Events), whatif.CanonicalJSONL(fact.Events))
+				}
+				return rep, nil
 			},
 		}
 	}
@@ -217,6 +217,7 @@ func RunTournament(cfg TournamentConfig) (*TournamentResult, error) {
 			P999US:              kpis["service_p999_us"],
 			SLOMissPct:          kpis["service_slo_miss_pct"],
 			KPIs:                kpis,
+			Report:              rep,
 		}
 		if compiled[i].canonical == "" && !rep.Identical {
 			res.BaselineIdentical = false

@@ -10,7 +10,7 @@ import (
 // with a 5-entry patch subset (baseline + one policy per axis). `make
 // tournament-smoke` runs exactly TestTournamentSmoke400.
 func smokeTournament() TournamentConfig {
-	cfg := QuickTournament()
+	cfg := quickConfig[TournamentConfig]("tournament")
 	cfg.Grid.Rows = 5 // 5 × 80 = 400 servers
 	cfg.Patches = []string{
 		"",

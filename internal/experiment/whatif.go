@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/whatif"
@@ -14,10 +13,11 @@ import (
 // engine: the factual run is the *cliff* regime (the dip lands in one tick
 // and every curtailed row's breaker trips), and the counterfactual asks the
 // operator's question — "what if the budget had been ramped?" — by forking
-// at the dip-onset journal event with a RampFrac policy patch. The engine
-// proves the ramped replay avoids every trip, which is exactly the ramp
-// regime's outcome, now derived from a mid-run snapshot instead of a
-// separate experiment.
+// at the dip-onset journal event with a RampFrac policy patch. -exp whatif
+// is the two-contender tournament of that patch against the baseline
+// self-replay: the engine proves the ramped replay avoids every trip, which
+// is exactly the ramp regime's outcome, now derived from a mid-run snapshot
+// instead of a separate experiment.
 
 // GridstormBuilder adapts one gridstorm regime to the what-if engine. Every
 // call rebuilds the identical deterministic run from genesis (the Builder
@@ -60,104 +60,43 @@ func GridstormBuilder(cfg GridstormConfig, ramped bool) whatif.Builder {
 	}
 }
 
-// WhatifResult is the -exp whatif demo's deterministic outcome.
-type WhatifResult struct {
-	Cfg GridstormConfig
-	// ForkSeq/ForkMS locate the dip-onset journal event the replay forks at.
-	ForkSeq uint64
-	ForkMS  int64
-	// SnapshotBytes is the encoded witness size.
-	SnapshotBytes int
-	// SelfIdentical is the self-replay identity check: replaying the
-	// snapshot with an unchanged policy reproduced the factual journal
-	// suffix byte-for-byte.
-	SelfIdentical bool
-	// Patch is the counterfactual policy; Report scores it.
-	Patch  string
-	Report *whatif.Report
+// whatifTournament is -exp whatif on a gridstorm grid: the baseline
+// self-replay against the budget ramped over RampMinutes ticks.
+func whatifTournament(grid GridstormConfig) TournamentConfig {
+	return TournamentConfig{Grid: grid, Patches: []string{"", rampPatch(grid)}}
 }
 
-// RunWhatif drives the demo: baseline the cliff regime, fork at the first
-// budget-change event (the dip landing), self-replay to prove identity, then
-// replay with the ramp patch and diff.
-func RunWhatif(cfg GridstormConfig) (*WhatifResult, error) {
-	if cfg.RampMinutes < 1 {
-		return nil, fmt.Errorf("experiment: whatif ramp minutes %d must be ≥1", cfg.RampMinutes)
-	}
-	eng := &whatif.Engine{Build: GridstormBuilder(cfg, false)}
+// rampPatch spreads the cliff's dip over RampMinutes ticks.
+func rampPatch(grid GridstormConfig) string {
+	return fmt.Sprintf("ramp=%g", grid.DipDepth/float64(grid.RampMinutes))
+}
 
-	// Locate the dip onset: determinism makes a fresh genesis run an exact
-	// index of the factual event stream.
-	scout, err := eng.Baseline(0)
-	if err != nil {
-		return nil, err
-	}
-	var fork *obs.Event
-	for i := range scout.Events {
-		if scout.Events[i].Action == "budget-change" {
-			fork = &scout.Events[i]
-			break
+// rampRow is the whatif tournament's contender other than the baseline.
+func rampRow(res *TournamentResult) TournamentRow {
+	for _, r := range res.Rows {
+		if r.Patch != "" {
+			return r
 		}
 	}
-	if fork == nil {
-		return nil, fmt.Errorf("experiment: whatif: no budget-change event in the factual run")
-	}
-
-	// Factual run with the witness captured at the fork boundary: the tick
-	// that produced the dip's budget-change event has not yet run in the
-	// restored state, so a patched policy is in force when it re-runs.
-	fact, err := eng.Baseline(sim.Time(fork.SimMS))
-	if err != nil {
-		return nil, err
-	}
-	res := &WhatifResult{
-		Cfg:           cfg,
-		ForkSeq:       fork.Seq,
-		ForkMS:        fork.SimMS,
-		SnapshotBytes: len(fact.SnapBytes),
-	}
-
-	// Self-replay: same snapshot, empty patch — the journal suffix must be
-	// byte-identical (DESIGN.md §9's restore proof, exercised every demo).
-	self, err := eng.Replay(fact.Snap, core.PolicyPatch{})
-	if err != nil {
-		return nil, err
-	}
-	res.SelfIdentical = string(whatif.CanonicalJSONL(self.Events)) ==
-		string(whatif.CanonicalJSONL(fact.Events))
-
-	// The counterfactual: ramp the budget over RampMinutes ticks instead of
-	// the cliff. This reproduces the ramp regime's dynamics from the factual
-	// run's own mid-storm state.
-	patch := fmt.Sprintf("ramp=%g", cfg.DipDepth/float64(cfg.RampMinutes))
-	p, err := core.ParsePatch(patch)
-	if err != nil {
-		return nil, err
-	}
-	alt, err := eng.Replay(fact.Snap, p)
-	if err != nil {
-		return nil, err
-	}
-	res.Patch = p.String()
-	res.Report = whatif.Diff(fact.View(sim.Minute), alt.View(sim.Minute), fork.SimMS, p.String())
-	return res, nil
+	return TournamentRow{}
 }
 
-// FormatWhatif renders the demo outcome; every line is deterministic.
-func FormatWhatif(w io.Writer, res *WhatifResult) {
-	cfg := res.Cfg
+// FormatWhatif renders -exp whatif from its tournament; every line is
+// deterministic.
+func FormatWhatif(w io.Writer, res *TournamentResult) {
+	cfg, alt := res.Grid, rampRow(res)
 	fmt.Fprintf(w, "Counterfactual what-if on gridstorm cliff: %.0f%% dip, %d×%d servers, fork at dip onset\n",
 		cfg.DipDepth*100, cfg.Rows, cfg.RowServers)
 	fmt.Fprintf(w, "  fork event seq=%d at %s; snapshot witness %d bytes\n",
-		res.ForkSeq, sim.Time(res.ForkMS), res.SnapshotBytes)
-	if res.SelfIdentical {
+		res.ForkSeq, res.ForkTime, res.SnapshotBytes)
+	if res.BaselineIdentical {
 		fmt.Fprintf(w, "  self-replay: journal suffix byte-identical (restore verified)\n")
 	} else {
 		fmt.Fprintf(w, "  self-replay: DIVERGED — determinism contract broken\n")
 	}
-	fmt.Fprintf(w, "\n%s", res.Report.Format())
-	if res.Report.TripsAvoided == res.Report.Factual.Trips && res.Report.Factual.Trips > 0 {
+	fmt.Fprintf(w, "\n%s", alt.Report.Format())
+	if alt.Report.TripsAvoided == alt.Report.Factual.Trips && alt.Report.Factual.Trips > 0 {
 		fmt.Fprintf(w, "\nramped budget (%s) would have avoided all %d breaker trips\n",
-			res.Patch, res.Report.Factual.Trips)
+			alt.Patch, alt.Report.Factual.Trips)
 	}
 }

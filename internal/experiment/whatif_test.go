@@ -10,22 +10,23 @@ import (
 // holds — the ramped-budget counterfactual avoids every cliff-regime trip
 // from a byte-verified mid-storm snapshot.
 func TestRunWhatifDeterministic(t *testing.T) {
-	cfg := QuickGridstorm()
+	cfg := quickConfig[TournamentConfig]("whatif")
 	var outs [2]bytes.Buffer
 	for i := range outs {
-		res, err := RunWhatif(cfg)
+		res, err := RunTournament(cfg)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		if !res.SelfIdentical {
+		if !res.BaselineIdentical {
 			t.Fatalf("run %d: self-replay diverged", i)
 		}
-		if res.Report.Factual.Trips == 0 {
+		rep := rampRow(res).Report
+		if rep.Factual.Trips == 0 {
 			t.Fatalf("run %d: cliff regime tripped no breakers", i)
 		}
-		if res.Report.TripsAvoided != res.Report.Factual.Trips {
+		if rep.TripsAvoided != rep.Factual.Trips {
 			t.Fatalf("run %d: ramped counterfactual avoided %d of %d trips",
-				i, res.Report.TripsAvoided, res.Report.Factual.Trips)
+				i, rep.TripsAvoided, rep.Factual.Trips)
 		}
 		FormatWhatif(&outs[i], res)
 	}
