@@ -101,9 +101,10 @@ golden-quick:
 # The parallel-sweep and parallel-replay guards count process-wide mallocs,
 # goroutines and finalizer runs, which one pass on a quiet machine says
 # little about: thirty in a row is what shows a guard that fails one run in
-# ten.
+# ten. The frame's reader/writer test is a race, so it runs under -race.
 flake:
 	go test ./internal/monitor -run TestParallelSweep -count=30
+	go test -race ./internal/monitor -run TestFrameReadersSeeWholeSweeps -count=10
 	go test ./internal/service -run TestParallelReplay -count=30
 
 # Fault-injection drill: naive vs resilient controller under the same storm.

@@ -5,6 +5,8 @@
 //	ampere-ctl -addr http://localhost:8080 latest row/0
 //	ampere-ctl -addr http://localhost:8080 query row/0 -last 30
 //	ampere-ctl -addr http://localhost:8080 status
+//
+// It exits 2 on a usage error and 1 when the server cannot answer.
 package main
 
 import (
@@ -18,74 +20,78 @@ import (
 	"repro/internal/tsdb"
 )
 
-func main() {
-	addr := flag.String("addr", "http://localhost:8080", "powermon base URL")
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
+const usage = "usage: ampere-ctl [-addr URL] series | latest <name> | query [-last N] <name> | status"
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes results to stdout and
+// diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ampere-ctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "http://localhost:8080", "powermon base URL")
+	if fs.Parse(args) != nil {
+		return 2
 	}
 	client := tsdb.NewClient(*addr)
+	cmd, rest := fs.Arg(0), fs.Args()[min(1, fs.NArg()):]
 	var err error
-	switch args[0] {
-	case "series":
-		err = series(client)
-	case "latest":
-		if len(args) < 2 {
-			usage()
+	switch {
+	case cmd == "series" && len(rest) == 0:
+		err = series(client, stdout)
+	case cmd == "latest" && len(rest) == 1:
+		err = latest(client, stdout, rest[0])
+	case cmd == "query":
+		qs := flag.NewFlagSet("query", flag.ContinueOnError)
+		qs.SetOutput(stderr)
+		last := qs.Int("last", 0, "only the last N minutes")
+		// Flags may come before the name or after it.
+		if qs.Parse(rest) != nil {
+			return 2
 		}
-		err = latest(client, args[1])
-	case "query":
-		if len(args) < 2 {
-			usage()
+		name := qs.Arg(0)
+		if qs.Parse(qs.Args()[min(1, qs.NArg()):]) != nil {
+			return 2
 		}
-		fs := flag.NewFlagSet("query", flag.ExitOnError)
-		last := fs.Int("last", 0, "only the last N minutes")
-		if err := fs.Parse(args[2:]); err != nil {
-			fatal(err)
+		if name == "" || qs.NArg() != 0 {
+			fmt.Fprintln(stderr, usage)
+			return 2
 		}
-		err = query(client, args[1], *last)
-	case "status":
-		err = status(*addr)
+		err = query(client, stdout, name, *last)
+	case cmd == "status" && len(rest) == 0:
+		err = status(*addr, stdout)
 	default:
-		usage()
+		fmt.Fprintln(stderr, usage)
+		return 2
 	}
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "ampere-ctl:", err)
+		return 1
 	}
+	return 0
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ampere-ctl [-addr URL] series | latest <name> | query <name> [-last N] | status")
-	os.Exit(2)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ampere-ctl:", err)
-	os.Exit(1)
-}
-
-func series(c *tsdb.Client) error {
+func series(c *tsdb.Client, w io.Writer) error {
 	names, err := c.Names()
 	if err != nil {
 		return err
 	}
 	for _, n := range names {
-		fmt.Println(n)
+		fmt.Fprintln(w, n)
 	}
 	return nil
 }
 
-func latest(c *tsdb.Client, name string) error {
+func latest(c *tsdb.Client, w io.Writer, name string) error {
 	p, err := c.Latest(name)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s  %v  %.1f W\n", name, p.T, p.V)
+	fmt.Fprintf(w, "%s  %v  %.1f W\n", name, p.T, p.V)
 	return nil
 }
 
-func query(c *tsdb.Client, name string, lastMinutes int) error {
+func query(c *tsdb.Client, w io.Writer, name string, lastMinutes int) error {
 	var pts []tsdb.Point
 	var err error
 	if lastMinutes > 0 {
@@ -102,13 +108,13 @@ func query(c *tsdb.Client, name string, lastMinutes int) error {
 		return err
 	}
 	for _, p := range pts {
-		fmt.Printf("%v  %.1f\n", p.T, p.V)
+		fmt.Fprintf(w, "%v  %.1f\n", p.T, p.V)
 	}
 	return nil
 }
 
 // status fetches powermon's /status endpoint (free-form JSON, printed raw).
-func status(addr string) error {
+func status(addr string, w io.Writer) error {
 	resp, err := http.Get(addr + "/status")
 	if err != nil {
 		return err
@@ -117,6 +123,6 @@ func status(addr string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("GET /status: %s", resp.Status)
 	}
-	_, err = io.Copy(os.Stdout, resp.Body)
+	_, err = io.Copy(w, resp.Body)
 	return err
 }

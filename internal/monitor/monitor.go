@@ -56,14 +56,6 @@ type Store interface {
 	Append(name string, t sim.Time, v float64) error
 }
 
-// seriesStore is the optional fast path of a Store: series resolved once,
-// then appended to without a name lookup. tsdb.DB offers it; wrappers that
-// must see every write by name (fault injectors, timers) do not, and the
-// monitor falls back to Store.Append.
-type seriesStore interface {
-	Series(name string) *tsdb.Series
-}
-
 const (
 	// shareServers is the fleet one sampling goroutine is worth: the sample
 	// phase uses min(GOMAXPROCS, servers/shareServers) of them. 32,768
@@ -82,33 +74,38 @@ type Monitor struct {
 	c   *cluster.Cluster
 	cfg Config
 
-	store       Store
+	store Store
+	// db is the store when it is a *tsdb.DB, which takes each sweep as one row
+	// of frame. The frame is resolved at the first publish, not by SetStore:
+	// New sets the DB before a caller can wrap it in a by-name store, and
+	// that store must find the names free.
+	db          *tsdb.DB
+	frame       *tsdb.Frame
 	writeErrors int64
 
 	lastServer []float64 // latest sample per server
-	// lastRow[r] / lastRack[r*RacksPerRow+k] are the aggregates of the latest
-	// sweep, maintained while sweeping so RowPower/RackPower reads are O(1)
-	// instead of re-summing the row on every controller tick.
-	lastRow    []float64
+	// row is the latest sweep's aggregates laid out as the frame's row: every
+	// rack total, then every row total, then the data-center total.
+	// lastRack[r*RacksPerRow+k] and lastRow[r] are its sub-slices, maintained
+	// while sweeping so RowPower/RackPower reads are O(1) instead of
+	// re-summing the row on every controller tick.
+	row        []float64
 	lastRack   []float64
+	lastRow    []float64
 	lastTime   sim.Time
 	haveSample bool
 	sweeps     int64
 	dropped    int64
 	dropRNG    *rand.Rand
 
-	// rowNames/rackNames are the TSDB series names, precomputed at
-	// construction: Sweep must not fmt.Sprintf per rack per minute at
-	// 100k-server scale. Per-server history is not stored: at data-center
-	// scale it dominates memory, and the controller needs only the latest
-	// snapshot.
-	rowNames  []string
+	// names are the TSDB series names of row, column for column, and
+	// rackNames/rowNames its sub-slices, precomputed at construction: Sweep
+	// must not fmt.Sprintf per rack per minute at 100k-server scale.
+	// Per-server history is not stored: at data-center scale it dominates
+	// memory, and the controller needs only the latest snapshot.
+	names     []string
 	rackNames []string
-	// dcSeries/rowSeries/rackSeries are the same series resolved to handles,
-	// index for index; entries are nil when the store is not a seriesStore.
-	dcSeries   *tsdb.Series
-	rowSeries  []*tsdb.Series
-	rackSeries []*tsdb.Series
+	rowNames  []string
 
 	// The sample phase of a sweep: every goroutine claims blocks of rows from
 	// nextRow and draws through a sampler of its own — the calling goroutine
@@ -169,22 +166,24 @@ func New(eng *sim.Engine, c *cluster.Cluster, db *tsdb.DB, cfg Config) (*Monitor
 	if cfg.SweepDropRate < 0 || cfg.SweepDropRate >= 1 {
 		return nil, fmt.Errorf("monitor: sweep drop rate %v outside [0, 1)", cfg.SweepDropRate)
 	}
+	rows, racks := c.Rows(), c.Rows()*c.Spec.RacksPerRow
 	m := &Monitor{
 		eng:        eng,
 		c:          c,
 		cfg:        cfg,
 		lastServer: make([]float64, len(c.Servers)),
-		lastRow:    make([]float64, c.Rows()),
-		lastRack:   make([]float64, c.Rows()*c.Spec.RacksPerRow),
-		rowNames:   make([]string, c.Rows()),
-		rackNames:  make([]string, c.Rows()*c.Spec.RacksPerRow),
+		row:        make([]float64, racks+rows+1),
+		names:      make([]string, racks+rows+1),
 	}
-	for r := 0; r < c.Rows(); r++ {
+	m.lastRack, m.lastRow = m.row[:racks], m.row[racks:racks+rows]
+	m.rackNames, m.rowNames = m.names[:racks], m.names[racks:racks+rows]
+	for r := 0; r < rows; r++ {
 		m.rowNames[r] = SeriesRow(r)
 		for k := 0; k < c.Spec.RacksPerRow; k++ {
 			m.rackNames[r*c.Spec.RacksPerRow+k] = SeriesRack(r, k)
 		}
 	}
+	m.names[racks+rows] = SeriesDC
 	m.sampler = cluster.NewSampler()
 	m.helpers = make([]func(), max(len(c.Servers)/shareServers-1, 0))
 	for i := range m.helpers {
@@ -194,8 +193,6 @@ func New(eng *sim.Engine, c *cluster.Cluster, db *tsdb.DB, cfg Config) (*Monitor
 			m.sampleRows(sm)
 		}
 	}
-	m.rowSeries = make([]*tsdb.Series, len(m.rowNames))
-	m.rackSeries = make([]*tsdb.Series, len(m.rackNames))
 	if db != nil {
 		m.SetStore(db)
 	}
@@ -210,20 +207,8 @@ func New(eng *sim.Engine, c *cluster.Cluster, db *tsdb.DB, cfg Config) (*Monitor
 // Start.
 func (m *Monitor) SetStore(s Store) {
 	m.store = s
-	ss, _ := s.(seriesStore)
-	resolve := func(name string) *tsdb.Series {
-		if ss == nil {
-			return nil
-		}
-		return ss.Series(name)
-	}
-	m.dcSeries = resolve(SeriesDC)
-	for i, name := range m.rowNames {
-		m.rowSeries[i] = resolve(name)
-	}
-	for i, name := range m.rackNames {
-		m.rackSeries[i] = resolve(name)
-	}
+	m.db, _ = s.(*tsdb.DB)
+	m.frame = nil
 }
 
 // Start begins periodic sampling, with the first sweep at the current time.
@@ -252,9 +237,9 @@ func (m *Monitor) OnSample(fn func(now sim.Time)) { m.onSample = append(m.onSamp
 //
 // A sweep is a sample phase, which may run on several goroutines and touches
 // only the servers and the snapshot, then a publish phase on the calling
-// goroutine that does everything else in row order: every store append, the
-// data-center total, the counters and the callbacks. What a Store, a
-// callback or a reader can observe is therefore the same at any GOMAXPROCS.
+// goroutine that does everything else: the data-center total, the store
+// write, the counters and the callbacks. What a Store, a callback or a reader
+// can observe is therefore the same at any GOMAXPROCS.
 func (m *Monitor) Sweep(now sim.Time) {
 	if m.dropRNG != nil && m.dropRNG.Float64() < m.cfg.SweepDropRate {
 		m.dropped++
@@ -279,21 +264,12 @@ func (m *Monitor) Sweep(now sim.Time) {
 	m.sampleRows(m.sampler)
 	m.sampling.Wait()
 
-	racks := m.c.Spec.RacksPerRow
 	dcTotal := 0.0
-	for r, rowTotal := range m.lastRow {
+	for _, rowTotal := range m.lastRow {
 		dcTotal += rowTotal
-		if m.store == nil {
-			continue
-		}
-		m.append(m.rowSeries[r], m.rowNames[r], now, rowTotal)
-		for i := r * racks; i < (r+1)*racks; i++ {
-			m.append(m.rackSeries[i], m.rackNames[i], now, m.lastRack[i])
-		}
 	}
-	if m.store != nil {
-		m.append(m.dcSeries, SeriesDC, now, dcTotal)
-	}
+	m.row[len(m.row)-1] = dcTotal
+	m.publish(now)
 	m.lastTime = now
 	m.haveSample = true
 	m.sweeps++
@@ -334,16 +310,36 @@ func (m *Monitor) sampleRows(sm *cluster.Sampler) {
 	}
 }
 
-// append writes one sample to the store. History is best-effort: a
-// rejected write loses that point but must not take down sampling — the
-// controller consumes the in-memory snapshot, which is already updated.
-func (m *Monitor) append(h *tsdb.Series, name string, t sim.Time, v float64) {
-	var err error
-	if h != nil {
-		err = h.Append(t, v)
-	} else {
-		err = m.store.Append(name, t, v)
+// publish writes the sweep to the store: to a tsdb.DB as one row of its
+// frame, to any other store by name — each row's total, then its racks', and
+// the data-center total last. History is best-effort: a rejected write loses
+// its points but must not take down sampling — the controller consumes the
+// in-memory snapshot, which is already updated.
+func (m *Monitor) publish(now sim.Time) {
+	switch {
+	case m.db != nil:
+		var err error
+		if m.frame == nil {
+			m.frame, err = m.db.Frame(m.names)
+		}
+		if err == nil {
+			err = m.frame.Append(now, m.row)
+		}
+		m.check(err)
+	case m.store != nil:
+		racks := m.c.Spec.RacksPerRow
+		for r, rowTotal := range m.lastRow {
+			m.check(m.store.Append(m.rowNames[r], now, rowTotal))
+			for i := r * racks; i < (r+1)*racks; i++ {
+				m.check(m.store.Append(m.rackNames[i], now, m.lastRack[i]))
+			}
+		}
+		m.check(m.store.Append(SeriesDC, now, m.row[len(m.row)-1]))
 	}
+}
+
+// check counts a rejected write.
+func (m *Monitor) check(err error) {
 	if err != nil {
 		m.writeErrors++
 		if m.met != nil {

@@ -1,10 +1,13 @@
 package monitor
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tsdb"
 )
@@ -202,8 +205,8 @@ func TestSweepDropInjection(t *testing.T) {
 	}
 }
 
-// byNameStore hides tsdb.DB's Series method, the way a fault injector or a
-// timing wrapper does, so the monitor must append by name.
+// byNameStore hides the *tsdb.DB, the way a fault injector or a timing
+// wrapper does, so the monitor must append by name.
 type byNameStore struct {
 	db     *tsdb.DB
 	writes int
@@ -222,10 +225,10 @@ func (s *byNameStore) Append(name string, t sim.Time, v float64) error {
 	return s.db.Append(name, t, v)
 }
 
-// Resolved handles are a shortcut, not a second history: a store that offers
-// Series and one that only takes names end up holding the same points, and a
-// wrapper still sees every write.
-func TestHandleAndNamePathsWriteTheSameHistory(t *testing.T) {
+// A frame is a layout, not a second history: a sweep written as one frame
+// row and the same sweep written series by series through a wrapper end up
+// as the same points, and the wrapper still sees every write.
+func TestFrameAndNamePathsWriteTheSameHistory(t *testing.T) {
 	build := func(wrap bool) (*tsdb.DB, *byNameStore) {
 		eng := sim.NewEngine()
 		c := newCluster(t, 2, 2, 3)
@@ -262,5 +265,37 @@ func TestHandleAndNamePathsWriteTheSameHistory(t *testing.T) {
 				t.Errorf("%s[%d]: %+v by handle, %+v by name", name, i, a[i], b[i])
 			}
 		}
+	}
+}
+
+// A sweep holding a non-finite value is rejected whole: one write error on
+// the monitor and on tsdb_append_errors_total, no point of it in the TSDB —
+// finite racks and rows included — and the snapshot updated all the same.
+func TestNonFiniteSweepRejectedWhole(t *testing.T) {
+	c := newCluster(t, 2, 2, 3)
+	db := tsdb.New(0)
+	reg := obs.NewRegistry()
+	db.Instrument(reg)
+	m, err := New(sim.NewEngine(), c, db, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Server(0).Allocate(1, math.NaN())
+	m.Sweep(sim.Time(sim.Minute))
+	if m.WriteErrors() != 1 {
+		t.Errorf("WriteErrors = %d, want 1", m.WriteErrors())
+	}
+	if n := db.PointCount(); n != 0 || len(db.Names()) != 0 {
+		t.Errorf("a rejected sweep left %d points in %v", n, db.Names())
+	}
+	if p, ok := m.RowPower(1); !ok || p <= 0 {
+		t.Errorf("snapshot not updated: row 1 %v, %v", p, ok)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "tsdb_append_errors_total 1") {
+		t.Errorf("scrape missing tsdb_append_errors_total 1:\n%s", buf.String())
 	}
 }

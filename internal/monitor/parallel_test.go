@@ -61,7 +61,7 @@ func TestSweepIdenticalAtAnyGOMAXPROCS(t *testing.T) {
 			}
 			var rec *byNameStore
 			if byName {
-				// The other sub-case keeps the resolved handles.
+				// The other sub-case writes each sweep as one frame row.
 				rec = &byNameStore{db: db}
 				m.SetStore(rec)
 			}
@@ -143,7 +143,7 @@ func TestParallelSweepAllocatesAndParksNothing(t *testing.T) {
 			m.Sweep(now)
 		}
 		goroutines := runtime.NumGoroutine()
-		for i := 0; i < 2*retention+2; i++ { // the TSDB's block recycling is steady past 2 × retention
+		for i := 0; i < 2*retention+2; i++ { // the TSDB's ring has wrapped: appends reuse its slots
 			sweep()
 		}
 		if allocs := sweepMallocs(100, sweep); allocs != 0 {

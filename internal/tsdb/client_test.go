@@ -66,13 +66,14 @@ func TestClientConnectionError(t *testing.T) {
 	}
 }
 
-// A database that holds no point — fresh, or with series resolved but never
-// appended to, which is every powermon before its first sweep — lists its
-// series as the empty JSON array the handler documents, not as null; the
-// client decodes that into an empty, non-nil list.
+// A database that holds no point — fresh, or with a frame that holds no row
+// yet — lists its series as the empty JSON array the handler documents, not
+// as null; the client decodes that into an empty, non-nil list.
 func TestSeriesListOfEmptyDatabaseIsEmptyArray(t *testing.T) {
 	resolved := New(0)
-	resolved.Series("row/0")
+	if _, err := resolved.Frame([]string{"row/0", "dc"}); err != nil {
+		t.Fatal(err)
+	}
 	for name, db := range map[string]*DB{"fresh": New(0), "resolved-but-empty": resolved} {
 		srv := httptest.NewServer(db.Handler())
 		resp, err := http.Get(srv.URL + "/series")

@@ -61,3 +61,37 @@ func TestNonFiniteAppendRejected(t *testing.T) {
 		t.Errorf("scrape missing tsdb_append_errors_total 3:\n%s", buf.String())
 	}
 }
+
+// A frame row holding one non-finite value is rejected whole: one count in
+// tsdb_append_errors_total, and no series of the frame — finite columns
+// included — shows the row to a reader. An accepted row counts its width in
+// tsdb_appends_total.
+func TestNonFiniteFrameRejectedWhole(t *testing.T) {
+	db := New(0)
+	reg := obs.NewRegistry()
+	db.Instrument(reg)
+	f, err := db.Frame([]string{"rack/0/0", "row/0", "dc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Append(0, []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Append(sim.Time(sim.Minute), []float64{4, math.Inf(1), 6}); err == nil {
+		t.Fatal("row with +Inf accepted")
+	}
+	for _, name := range []string{"rack/0/0", "row/0", "dc"} {
+		if p, _ := db.Latest(name); p.T != 0 || db.Len(name) != 1 {
+			t.Errorf("%s: latest %+v, %d points after the rejected row; want only the row at 0", name, p, db.Len(name))
+		}
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"tsdb_append_errors_total 1", "tsdb_appends_total 3"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("scrape missing %s:\n%s", want, buf.String())
+		}
+	}
+}

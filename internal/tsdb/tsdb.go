@@ -6,11 +6,12 @@
 package tsdb
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -23,76 +24,47 @@ type Point struct {
 	V float64  `json:"v"`
 }
 
-// shardCount is the number of independently locked series-map shards. A
-// power of two so the hash can be masked. 64 comfortably exceeds the core
-// count of the machines the parallel experiment runs target, so concurrent
-// HTTP queries virtually never contend when they resolve names.
-const shardCount = 64
-
-// shard is one lock + series-map pair. The lock guards the map only; each
-// series guards its own points.
-type shard struct {
-	mu     sync.RWMutex
-	series map[string]*Series
-}
-
-// defaultBlockCap is the fixed capacity of one storage block. Small enough
-// that an idle series wastes little, large enough that index math and the
-// blocks slice stay cheap at millions of points.
-const defaultBlockCap = 512
-
-// Series is one named series, resolved once with DB.Series so that appending
-// to it costs no name hash, shard lock or map lookup — the monitor appends
-// to the same tens of thousands of series every minute. A resolved series
-// that holds no point yet does not exist as far as Names, SeriesCount and
-// the HTTP API are concerned.
-//
-// Points are stored in fixed-capacity blocks instead of a single
-// append-grown slice. blocks are the full ones, oldest first, and tail is the
-// one being filled; start (always < the block capacity) counts points of the
-// oldest block already dropped by retention, so retained point i lives at
-// the globally computable position start+i. With retention enabled the
-// oldest block is recycled as the next tail the moment retention consumes
-// it, so steady-state appends allocate nothing. What an append reads — the
-// lock, the last timestamp, the tail's slice header — sits together at the
-// top of the struct: at fleet scale every series is a cache miss, and it
-// should be one miss, not a chase through blocks.
-type Series struct {
-	mu    sync.Mutex
-	lastT sim.Time // timestamp of the newest point; meaningful when n > 0
-	tail  []Point
-	n     int // retained point count
-	start int // points of the oldest block consumed by retention
-
-	blocks [][]Point
-	spare  []Point // one empty full-capacity block awaiting reuse
-	db     *DB
-	name   string
-}
-
-// at returns retained point i (0 ≤ i < n).
-func (s *Series) at(i int) Point {
-	a := s.start + i
-	if b := a / s.db.blockCap; b < len(s.blocks) {
-		return s.blocks[b][a%s.db.blockCap]
-	}
-	return s.tail[a%s.db.blockCap]
-}
-
-// DB stores named series of time-ordered points. It is safe for concurrent
-// use: the simulation appends while HTTP queries read. Every series has its
-// own lock, so readers of one series never serialize against appends to
-// another.
+// DB stores named series of time-ordered points in frames. A frame is a
+// fixed, ordered set of series that share one timestamp per row: the
+// monitor's sweep is one frame, written a row per sweep, and a series written
+// by name with Append is a frame of width 1. It is safe for concurrent use:
+// the simulation appends while HTTP queries read, and every frame has its own
+// lock, so a reader sees a frame's rows whole and never serializes against
+// appends to another frame.
 type DB struct {
-	shards    [shardCount]shard
-	retention int // max points kept per series; 0 = unlimited
-	// blockCap is every series' block capacity. Blocks are dropped whole, so
-	// a series can hold up to retention + blockCap points' worth of them: a
-	// short retention takes a quarter-size block (at most 25 % over), an
-	// unlimited or long one the default.
-	blockCap int
-	nonEmpty atomic.Int64 // series holding at least one point
-	met      *metrics
+	retention int // max rows kept per frame, and so points per series; 0 = unlimited
+
+	mu     sync.RWMutex
+	index  map[string]column // every series → its frame and column
+	frames []*Frame          // in creation order
+	met    *metrics
+}
+
+// column locates a series: column col of frame f.
+type column struct {
+	f   *Frame
+	col int
+}
+
+// Frame is a fixed, ordered set of series written a row at a time, one
+// timestamp per row. Rows live in a ring of slots of 1+width words: retained
+// row i (0 the oldest) is slot (head+i) mod slots, its timestamp's bits then
+// its values. The ring doubles as it fills, up to the DB's retention, and
+// from then on each row overwrites the oldest, so steady-state appends
+// allocate nothing. What an append touches — the lock, the ring's header,
+// head and n — sits together at the top of the struct, and a row's
+// timestamp sits with its values: a by-name writer appends to tens of
+// thousands of width-1 frames a minute, each a cache miss, and it should be
+// one miss for the frame and one for the row. A frame that holds no row yet does not exist as
+// far as Names, SeriesCount and the HTTP API are concerned.
+type Frame struct {
+	mu   sync.Mutex
+	ring []float64
+	head int // slot of the oldest row; 0 until the ring first fills
+	n    int // retained rows
+
+	db    *DB
+	names []string
 }
 
 // metrics is the DB's optional observability wiring.
@@ -104,7 +76,7 @@ type metrics struct {
 
 // Instrument registers the database's metrics on reg (nil is a no-op):
 //
-//	tsdb_appends_total            counter
+//	tsdb_appends_total            counter, samples (a frame row adds its width)
 //	tsdb_append_errors_total      counter (out-of-order or non-finite rejections)
 //	tsdb_series                   gauge, collected at scrape time
 //	tsdb_points                   gauge, total retained points
@@ -130,112 +102,170 @@ func (db *DB) Instrument(reg *obs.Registry) {
 // New returns a DB that retains at most retentionPoints per series
 // (0 = unlimited).
 func New(retentionPoints int) *DB {
-	db := &DB{retention: retentionPoints, blockCap: defaultBlockCap}
-	if db.retention > 0 && db.retention < 4*defaultBlockCap {
-		db.blockCap = max(db.retention/4, 1)
-	}
-	for i := range db.shards {
-		db.shards[i].series = make(map[string]*Series)
-	}
-	return db
+	return &DB{retention: retentionPoints, index: make(map[string]column)}
 }
 
-// shardOf returns the shard owning the named series (FNV-1a over the name).
-func (db *DB) shardOf(name string) *shard {
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
+// Frame returns the frame of the named series, column for column, creating
+// it the first time. The same names return the same frame, so a restarted
+// writer continues its predecessor's history; a name already stored in
+// another frame is an error.
+func (db *DB) Frame(names []string) (*Frame, error) {
+	if len(names) == 0 {
+		return nil, errors.New("tsdb: frame of no series")
 	}
-	return &db.shards[h&(shardCount-1)]
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if c, ok := db.index[names[0]]; ok && slices.Equal(c.f.names, names) {
+		return c.f, nil
+	}
+	return db.newFrame(slices.Clone(names))
 }
 
-// lookup returns the named series, or nil when nothing ever resolved it.
-func (db *DB) lookup(name string) *Series {
-	sh := db.shardOf(name)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.series[name]
+// newFrame registers a frame over names. The caller holds db.mu.
+func (db *DB) newFrame(names []string) (*Frame, error) {
+	f := &Frame{db: db, names: names}
+	for i, name := range names {
+		if _, ok := db.index[name]; ok {
+			for _, added := range names[:i] {
+				delete(db.index, added)
+			}
+			return nil, fmt.Errorf("tsdb: series %q is already stored", name)
+		}
+		db.index[name] = column{f, i}
+	}
+	db.frames = append(db.frames, f)
+	return f, nil
 }
 
-// Series resolves name to its series, creating an empty one the first time.
-// Resolve once and keep the result: the handle stays valid for the DB's
-// lifetime.
-func (db *DB) Series(name string) *Series {
-	if s := db.lookup(name); s != nil {
-		return s
-	}
-	sh := db.shardOf(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.series[name]
-	if s == nil {
-		s = &Series{db: db, name: name}
-		sh.series[name] = s
-	}
-	return s
+// lookup returns the named series' frame and column.
+func (db *DB) lookup(name string) (column, bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	c, ok := db.index[name]
+	return c, ok
 }
 
-// Append adds a sample to the named series; it is Series(name).Append.
+// Append adds a sample to the named series, a frame of width 1 created the
+// first time. A series that is a column of a wider frame takes samples only
+// in its frame's rows: appending one by name is an error.
 func (db *DB) Append(name string, t sim.Time, v float64) error {
-	return db.Series(name).Append(t, v)
+	c, ok := db.lookup(name)
+	if !ok {
+		db.mu.Lock()
+		if c, ok = db.index[name]; !ok {
+			c.f, _ = db.newFrame([]string{name}) // cannot fail: name is not stored
+		}
+		db.mu.Unlock()
+	}
+	row := [1]float64{v}
+	return c.f.Append(t, row[:])
 }
 
-// Append adds a sample to the series. Timestamps must be non-decreasing;
-// out-of-order appends return an error (the monitor never produces them, so
-// an error indicates a wiring bug). Non-finite values (NaN, ±Inf) are
-// rejected: encoding/json cannot marshal them, so a single poisoned sample
-// would turn every later /query and /latest on the series into a 500.
-func (s *Series) Append(t sim.Time, v float64) error {
-	db := s.db
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		if db.met != nil {
-			db.met.appendErrors.Inc()
-		}
-		return fmt.Errorf("tsdb: non-finite value %v appended to %q at %v", v, s.name, t)
+// Append adds one row: row[i] is the sample of the frame's series i at t.
+// Timestamps must be non-decreasing; an out-of-order row returns an error
+// (the monitor never produces one, so an error indicates a wiring bug). A
+// row holding a non-finite value (NaN, ±Inf) is rejected whole:
+// encoding/json cannot marshal them, so a single poisoned sample would turn
+// every later /query and /latest on its series into a 500. Either way a
+// reader sees the whole row or none of it.
+func (f *Frame) Append(t sim.Time, row []float64) error {
+	err := f.add(t, row)
+	if met := f.db.met; met != nil && err != nil {
+		met.appendErrors.Inc()
+	} else if met != nil {
+		met.appends.Add(int64(len(row)))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n > 0 && s.lastT > t {
-		if db.met != nil {
-			db.met.appendErrors.Inc()
-		}
-		return fmt.Errorf("tsdb: out-of-order append to %q: %v after %v", s.name, t, s.lastT)
+	return err
+}
+
+func (f *Frame) add(t sim.Time, row []float64) error {
+	w := len(f.names)
+	if len(row) != w {
+		return fmt.Errorf("tsdb: %d values appended to the %d-series frame of %q", len(row), w, f.names[0])
 	}
-	if db.met != nil {
-		db.met.appends.Inc()
-	}
-	if len(s.tail) == cap(s.tail) {
-		if s.tail != nil {
-			s.blocks = append(s.blocks, s.tail)
-		}
-		s.tail = s.spare
-		s.spare = nil
-		if s.tail == nil {
-			s.tail = make([]Point, 0, db.blockCap)
+	for i, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("tsdb: non-finite value %v appended to %q at %v", v, f.names[i], t)
 		}
 	}
-	s.tail = append(s.tail, Point{T: t, V: v})
-	s.lastT = t
-	if s.n++; s.n == 1 {
-		db.nonEmpty.Add(1)
-	}
-	if db.retention > 0 && s.n > db.retention {
-		// Drop the oldest point; when that empties the oldest block, recycle
-		// it as the next tail instead of allocating. The tail cannot be the
-		// block that empties: the point just appended is retained.
-		s.n--
-		s.start++
-		if s.start == db.blockCap {
-			oldest := s.blocks[0]
-			last := copy(s.blocks, s.blocks[1:])
-			s.blocks[last] = nil
-			s.blocks = s.blocks[:last]
-			s.spare = oldest[:0]
-			s.start = 0
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.n > 0 {
+		if last := f.time(f.slot(f.n - 1)); last > t {
+			return fmt.Errorf("tsdb: out-of-order append to %q: %v after %v", f.names[0], t, last)
 		}
 	}
+	slot := f.n
+	switch {
+	case f.n < f.slots():
+		f.n++
+	case f.n == f.db.retention && f.n > 0: // full: overwrite the oldest row
+		slot = f.head
+		f.head = (f.head + 1) % f.n
+	default:
+		f.grow()
+		f.n++
+	}
+	at := slot * f.stride()
+	f.ring[at] = math.Float64frombits(uint64(t))
+	copy(f.ring[at+1:at+1+w], row)
 	return nil
+}
+
+// grow doubles the ring, up to the retention. It runs only before the ring
+// first fills, while head is 0 and the rows are in slot order.
+func (f *Frame) grow() {
+	slots := max(2*f.n, 4)
+	if r := f.db.retention; r > 0 {
+		slots = min(slots, r)
+	}
+	ring := make([]float64, slots*f.stride())
+	copy(ring, f.ring)
+	f.ring = ring
+}
+
+// stride is a ring slot's length: the timestamp, then a value per series.
+func (f *Frame) stride() int { return 1 + len(f.names) }
+
+// slots returns the ring's capacity in rows.
+func (f *Frame) slots() int { return len(f.ring) / f.stride() }
+
+// slot returns the ring slot of retained row i.
+func (f *Frame) slot(i int) int { return (f.head + i) % f.slots() }
+
+// time returns the timestamp of the row in slot s.
+func (f *Frame) time(s int) sim.Time {
+	return sim.Time(math.Float64bits(f.ring[s*f.stride()]))
+}
+
+// point returns retained row i's sample of series col.
+func (f *Frame) point(i, col int) Point {
+	s := f.slot(i)
+	return Point{T: f.time(s), V: f.ring[s*f.stride()+1+col]}
+}
+
+// read calls fn with the named series' frame, locked, and its column,
+// if a frame holds the name. Every per-series read goes through it.
+func (db *DB) read(name string, fn func(f *Frame, col int)) {
+	if c, ok := db.lookup(name); ok {
+		c.f.mu.Lock()
+		defer c.f.mu.Unlock()
+		fn(c.f, c.col)
+	}
+}
+
+// each calls fn with every frame that holds a row, locked. Every
+// whole-database read goes through it.
+func (db *DB) each(fn func(f *Frame)) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for _, f := range db.frames {
+		f.mu.Lock()
+		if f.n > 0 {
+			fn(f)
+		}
+		f.mu.Unlock()
+	}
 }
 
 // Query returns the points of the named series with from ≤ T ≤ to, in time
@@ -246,26 +276,18 @@ func (db *DB) Query(name string, from, to sim.Time) []Point {
 			db.met.queryDur.Observe(time.Since(start).Seconds())
 		}(time.Now())
 	}
-	s := db.lookup(name)
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	lo := sort.Search(s.n, func(i int) bool { return s.at(i).T >= from })
-	hi := sort.Search(s.n, func(i int) bool { return s.at(i).T > to })
-	if lo >= hi {
-		return nil
-	}
-	out := make([]Point, hi-lo)
-	for k := lo; k < hi; {
-		a := s.start + k
-		blk := s.tail
-		if b := a / db.blockCap; b < len(s.blocks) {
-			blk = s.blocks[b]
+	var out []Point
+	db.read(name, func(f *Frame, col int) {
+		lo := sort.Search(f.n, func(i int) bool { return f.time(f.slot(i)) >= from })
+		hi := sort.Search(f.n, func(i int) bool { return f.time(f.slot(i)) > to })
+		if lo >= hi {
+			return
 		}
-		k += copy(out[k-lo:], blk[a%db.blockCap:])
-	}
+		out = make([]Point, hi-lo)
+		for k := range out {
+			out[k] = f.point(lo+k, col)
+		}
+	})
 	return out
 }
 
@@ -280,63 +302,37 @@ func (db *DB) Values(name string, from, to sim.Time) []float64 {
 }
 
 // Latest returns the most recent point of the named series.
-func (db *DB) Latest(name string) (Point, bool) {
-	s := db.lookup(name)
-	if s == nil {
-		return Point{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Point{}, false
-	}
-	return s.tail[len(s.tail)-1], true
+func (db *DB) Latest(name string) (p Point, ok bool) {
+	db.read(name, func(f *Frame, col int) {
+		if ok = f.n > 0; ok {
+			p = f.point(f.n-1, col)
+		}
+	})
+	return p, ok
 }
 
 // Len returns the number of retained points in the named series.
-func (db *DB) Len(name string) int {
-	s := db.lookup(name)
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
+func (db *DB) Len(name string) (n int) {
+	db.read(name, func(f *Frame, _ int) { n = f.n })
+	return n
 }
 
 // SeriesCount returns the number of retained series: those holding a point.
-func (db *DB) SeriesCount() int { return int(db.nonEmpty.Load()) }
-
-// each calls fn with every resolved series' name and retained point count.
-func (db *DB) each(fn func(name string, points int)) {
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for name, s := range sh.series {
-			s.mu.Lock()
-			n := s.n
-			s.mu.Unlock()
-			fn(name, n)
-		}
-		sh.mu.RUnlock()
-	}
+func (db *DB) SeriesCount() (n int) {
+	db.each(func(f *Frame) { n += len(f.names) })
+	return n
 }
 
 // PointCount returns the total number of retained points across series.
-func (db *DB) PointCount() int {
-	total := 0
-	db.each(func(_ string, points int) { total += points })
-	return total
+func (db *DB) PointCount() (n int) {
+	db.each(func(f *Frame) { n += f.n * len(f.names) })
+	return n
 }
 
 // Names returns the names of all retained series, sorted.
 func (db *DB) Names() []string {
 	var names []string
-	db.each(func(name string, points int) {
-		if points > 0 {
-			names = append(names, name)
-		}
-	})
+	db.each(func(f *Frame) { names = append(names, f.names...) })
 	sort.Strings(names)
 	return names
 }

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -247,100 +248,149 @@ func TestQueryMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-// A resolved series is a handle, not a fact: it exists (Names, SeriesCount,
-// /series, Latest) only once it holds a point, however it got there.
+// A frame's series exist (Names, SeriesCount, /series, Latest) only once it
+// holds a row, and a row is stored whole or not at all.
 func TestSeriesExistsOnceItHoldsAPoint(t *testing.T) {
 	db := New(0)
-	h := db.Series("row/0")
-	if db.Series("row/0") != h {
-		t.Fatal("Series resolved the same name to two handles")
+	names := []string{"rack/0/0", "row/0", "dc"}
+	f, err := db.Frame(names)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := h.Append(0, math.NaN()); err == nil {
-		t.Fatal("NaN accepted through a handle")
+	if again, err := db.Frame(names); err != nil || again != f {
+		t.Fatalf("Frame resolved the same names to %p, %v; want %p", again, err, f)
+	}
+	if err := f.Append(0, []float64{1, math.NaN(), 3}); err == nil {
+		t.Fatal("NaN accepted in a frame row")
 	}
 	srv := httptest.NewServer(db.Handler())
 	defer srv.Close()
-	var names []string
-	getJSON(t, srv.URL+"/series", &names)
-	if _, ok := db.Latest("row/0"); ok || db.SeriesCount() != 0 || db.Len("row/0") != 0 ||
-		len(db.Names()) != 0 || len(names) != 0 {
-		t.Fatalf("empty resolved series exists: count %d, names %v, /series %v", db.SeriesCount(), db.Names(), names)
+	var listed []string
+	getJSON(t, srv.URL+"/series", &listed)
+	if _, ok := db.Latest("dc"); ok || db.SeriesCount() != 0 || db.Len("rack/0/0") != 0 ||
+		len(db.Names()) != 0 || len(listed) != 0 || db.PointCount() != 0 {
+		t.Fatalf("empty frame exists: count %d, names %v, /series %v", db.SeriesCount(), db.Names(), listed)
 	}
 
-	// The handle and the name are one series with one ordering rule.
-	if err := h.Append(sim.Time(sim.Minute), 1); err != nil {
+	// One ordering rule per frame; a column takes samples only in rows.
+	if err := f.Append(sim.Time(sim.Minute), []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Append("row/0", sim.Time(2*sim.Minute), 2); err != nil {
-		t.Fatal(err)
+	if err := f.Append(0, []float64{4, 5, 6}); err == nil {
+		t.Error("out-of-order row accepted")
 	}
-	if err := h.Append(sim.Time(sim.Minute), 3); err == nil {
-		t.Error("out-of-order append accepted through a handle")
+	if err := f.Append(sim.Time(2*sim.Minute), []float64{4, 5}); err == nil {
+		t.Error("short row accepted")
 	}
-	if got := db.Values("row/0", 0, sim.Time(sim.Hour)); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("values %v, want [1 2]", got)
+	if err := db.Append("row/0", sim.Time(2*sim.Minute), 7); err == nil {
+		t.Error("by-name append to a column of a wider frame accepted")
 	}
-	if db.SeriesCount() != 1 || len(db.Names()) != 1 || db.PointCount() != 2 {
+	if _, err := db.Frame([]string{"row/0", "row/1"}); err == nil {
+		t.Error("a second frame took a stored series")
+	}
+	if _, err := db.Frame([]string{"row/9", "row/9"}); err == nil {
+		t.Error("a frame named one series twice")
+	}
+	if p, ok := db.Latest("row/0"); !ok || p != (Point{T: sim.Time(sim.Minute), V: 2}) {
+		t.Errorf("Latest(row/0) = %+v, %v; want {1m 2}", p, ok)
+	}
+	if db.SeriesCount() != 3 || len(db.Names()) != 3 || db.PointCount() != 3 {
 		t.Errorf("count %d, names %v, points %d", db.SeriesCount(), db.Names(), db.PointCount())
 	}
-}
-
-func TestSeriesAppendDoesNotAllocate(t *testing.T) {
-	db := New(64)
-	h := db.Series("rack/0/0")
-	tm := sim.Time(0)
-	next := func() {
-		tm += sim.Time(sim.Minute)
-		if err := h.Append(tm, 1); err != nil {
-			t.Fatal(err)
+	// The rejected frames left nothing behind: row/1 and row/9 are free.
+	for _, name := range []string{"row/1", "row/9"} {
+		if err := db.Append(name, 0, 1); err != nil {
+			t.Errorf("series of a rejected frame not free: %v", err)
 		}
 	}
-	for i := 0; i < 3*64; i++ { // wrap the ring: every block exists
-		next()
-	}
-	if allocs := testing.AllocsPerRun(1000, next); allocs != 0 {
-		t.Errorf("Series.Append at retention 64 allocates %.2f objects, want 0", allocs)
-	}
-	if db.Len("rack/0/0") != 64 {
-		t.Errorf("retained %d points, want 64", db.Len("rack/0/0"))
+}
+
+// Once the ring has wrapped, an append allocates nothing, by name at width 1
+// and as a row at width 21 (a row of racks).
+func TestFrameAppendDoesNotAllocate(t *testing.T) {
+	const retention = 64
+	for _, width := range []int{1, 21} {
+		db := New(retention)
+		names := make([]string, width)
+		for i := range names {
+			names[i] = fmt.Sprintf("rack/0/%d", i)
+		}
+		f, err := db.Frame(names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := make([]float64, width)
+		tm := sim.Time(0)
+		next := func() {
+			tm += sim.Time(sim.Minute)
+			if width == 1 {
+				err = db.Append(names[0], tm, 1)
+			} else {
+				err = f.Append(tm, row)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3*retention; i++ {
+			next()
+		}
+		if allocs := testing.AllocsPerRun(1000, next); allocs != 0 {
+			t.Errorf("width %d: append at retention %d allocates %.2f objects, want 0", width, retention, allocs)
+		}
+		if got := db.Len(names[width-1]); got != retention {
+			t.Errorf("width %d: retained %d points, want %d", width, got, retention)
+		}
 	}
 }
 
-// Blocks are dropped whole, so a series holds more than it retains — by one
-// block, which at a short retention is a quarter of it: never above 80
-// points' worth of storage at retention 64 (it was 128, a full block and a
-// full tail), and Query still returns exactly the last 64.
-func TestShortRetentionBlockBound(t *testing.T) {
+// A frame holds no more rows than it retains — at most retention +
+// retention/4 was the bound of the block store it replaced — and Query
+// returns exactly the last retention rows throughout.
+func TestFrameHoldsAtMostRetention(t *testing.T) {
 	const retention = 64
 	db := New(retention)
-	s := db.Series("rack/0/0")
-	held := func() int {
-		n := cap(s.tail) + cap(s.spare)
-		for _, b := range s.blocks {
-			n += cap(b)
-		}
-		return n
+	f, err := db.Frame([]string{"rack/0/0", "rack/0/1"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	recycles := 0
 	for i := 0; i < 10*retention; i++ {
-		hadSpare := s.spare != nil
-		if err := s.Append(sim.Time(i), float64(i)); err != nil {
+		if err := f.Append(sim.Time(i), []float64{float64(i), -float64(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if !hadSpare && s.spare != nil {
-			recycles++
+		if held := f.slots(); held > retention || len(f.ring) != 3*held {
+			t.Fatalf("after %d appends the frame holds %d rows in %d words, want at most %d rows of 3",
+				i+1, held, len(f.ring), retention)
 		}
-		if h := held(); h > retention+retention/4 {
-			t.Fatalf("after %d appends the series holds %d points' worth of blocks, want at most %d", i+1, h, retention+retention/4)
-		}
-		pts := db.Query("rack/0/0", 0, sim.Time(i))
+		pts := db.Query("rack/0/1", 0, sim.Time(i))
 		want := min(i+1, retention)
-		if len(pts) != want || pts[len(pts)-1].V != float64(i) || pts[0].V != float64(i+1-want) {
+		if len(pts) != want || pts[len(pts)-1].V != -float64(i) || pts[0].V != -float64(i+1-want) {
 			t.Fatalf("after %d appends Query returned %d points %v…%v, want the last %d",
 				i+1, len(pts), pts[0].V, pts[len(pts)-1].V, want)
 		}
 	}
-	if recycles < 3 {
-		t.Fatalf("only %d block recycles in %d appends: the bound was not exercised", recycles, 10*retention)
+}
+
+// A row's timestamp is stored as its bits beside the row's values; every
+// int64 comes back as it went in, including those whose bits read as a NaN.
+func TestExtremeTimestampsRoundTrip(t *testing.T) {
+	db := New(0)
+	times := []sim.Time{math.MinInt64, -1, 0, 1, math.MaxInt64}
+	for i, at := range times {
+		if err := db.Append("s", at, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pts := db.Query("s", math.MinInt64, math.MaxInt64)
+	if len(pts) != len(times) {
+		t.Fatalf("%d points, want %d", len(pts), len(times))
+	}
+	for i, p := range pts {
+		if p != (Point{T: times[i], V: float64(i)}) {
+			t.Errorf("point %d = %+v, want {%d %d}", i, p, times[i], i)
+		}
+	}
+	if err := db.Append("s", -1, 9); err == nil {
+		t.Error("append at -1 after MaxInt64 accepted")
 	}
 }

@@ -51,7 +51,7 @@ func scaleCluster(b *testing.B, rows int) *cluster.Cluster {
 
 // BenchmarkScaleSweep measures one monitor sweep over the whole fleet.
 // store=tsdb is the deployed configuration (row + rack series appended per
-// sweep through the sharded TSDB); store=none isolates the sampling and
+// sweep as one TSDB frame row); store=none isolates the sampling and
 // incremental-aggregation path and additionally pins the scale contracts:
 // zero allocations per sweep (no per-sweep series names, no per-row scratch)
 // and allocation-free O(1) RowPower reads.
@@ -70,11 +70,10 @@ func BenchmarkScaleSweep(b *testing.B) {
 				now = now.Add(sim.Minute)
 				m.Sweep(now)
 			}
-			// Warm every series past retention so the TSDB's head-block
-			// recycling reaches its steady state: from then on each append
-			// reuses the spare block and the sweep allocates nothing. The
-			// old version measured from an empty store, so block-growth
-			// warmup amortized into the figure as ~94 allocs/op at 100k.
+			// Warm the frame past retention so the TSDB's ring has wrapped:
+			// from then on each append overwrites the oldest row and the
+			// sweep allocates nothing. Measured from an empty store, the
+			// store's growth would amortize into the figure as allocs/op.
 			for i := 0; i < 2*retention+2; i++ {
 				sweep()
 			}
