@@ -9,7 +9,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/sim"
 )
@@ -76,8 +75,8 @@ func (sp Spec) Validate() error {
 		return fmt.Errorf("cluster: rated power %v must be positive", sp.RatedPowerW)
 	case sp.IdlePowerW < 0 || sp.IdlePowerW >= sp.RatedPowerW:
 		return fmt.Errorf("cluster: idle power %v must be in [0, rated %v)", sp.IdlePowerW, sp.RatedPowerW)
-	case sp.Containers <= 0:
-		return fmt.Errorf("cluster: containers %d must be positive", sp.Containers)
+	case sp.Containers <= 0 || sp.Containers > math.MaxInt32:
+		return fmt.Errorf("cluster: containers %d outside [1, %d]", sp.Containers, math.MaxInt32)
 	case sp.NoiseSigmaW < 0:
 		return fmt.Errorf("cluster: noise sigma %v must be non-negative", sp.NoiseSigmaW)
 	case !(sp.NoisePhi > -1 && sp.NoisePhi < 1):
@@ -106,12 +105,13 @@ func (sp Spec) RowRatedPowerW() float64 {
 // frozen), the capping subsystem (speed, cap), and the workload executor;
 // the power monitor reads it.
 //
-// A Server is one 104-byte record of the cluster's slab and owns no heap
+// A Server is one 80-byte record of the cluster's slab and owns no heap
 // object: what is the same for every server (the spec, the noise
 // parameters, the speed listeners) lives once on the Cluster it points at,
-// and the generator that turns noise state into draws is a Sampler's. At a
-// million servers a word here is 8 MB and a pointer is also a word the
-// collector must trace.
+// and what the monitor's sweep reads and writes — the draw, the noise state
+// — lives in the cluster's sample column, so a sweep never loads the
+// record. At a million servers a word here is 8 MB and a pointer is also a
+// word the collector must trace.
 type Server struct {
 	ID   ServerID
 	Row  int
@@ -122,16 +122,23 @@ type Server struct {
 	// to the spec values unless RatedJitterFrac is set).
 	ratedW, idleW float64
 
-	busy    int     // allocated containers
 	cpuLoad float64 // sum of running jobs' CPU demand, in container units
+	busy    int32   // allocated containers (Spec.Containers fits an int32)
 	frozen  bool
 	failed  bool // powered off (breaker trip / outage)
 
 	speed     float64 // DVFS frequency factor in (0, 1]; 1 = full speed
 	capLevelW float64 // 0 means uncapped
+}
 
-	// The AR(1) measurement-noise process, inline: its current value and
-	// the SplitMix64 state of its own random stream (see SamplePower).
+// sampleState is one server's entry in the cluster's sample column: all a
+// monitor sweep touches, 24 bytes. drawW is DrawW, stored: every method that
+// changes one of its inputs (Allocate, Release, SetFailed, ApplyCap,
+// RemoveCap) refreshes it, and a new writer of those inputs must too.
+// noiseX and noiseRNG are the AR(1) measurement-noise process: its current
+// value and the SplitMix64 state of the server's own random stream.
+type sampleState struct {
+	drawW    float64
 	noiseX   float64
 	noiseRNG uint64
 }
@@ -140,10 +147,10 @@ type Server struct {
 func (s *Server) Spec() *Spec { return &s.c.Spec }
 
 // Busy returns the number of allocated containers.
-func (s *Server) Busy() int { return s.busy }
+func (s *Server) Busy() int { return int(s.busy) }
 
 // FreeContainers returns the number of unallocated containers.
-func (s *Server) FreeContainers() int { return s.c.Spec.Containers - s.busy }
+func (s *Server) FreeContainers() int { return s.c.Spec.Containers - int(s.busy) }
 
 // Frozen reports whether the server is advised out of the candidate list.
 func (s *Server) Frozen() bool { return s.frozen }
@@ -159,30 +166,35 @@ func (s *Server) Failed() bool { return s.failed }
 // SetFailed powers the server off or back on. The scheduler owns the job
 // consequences (killing and restoring); this only flips the electrical
 // state: a failed server draws no power.
-func (s *Server) SetFailed(f bool) { s.failed = f }
+func (s *Server) SetFailed(f bool) {
+	s.failed = f
+	s.refreshDraw()
+}
 
 // Allocate reserves n containers carrying the given total CPU demand
 // (in container units). It panics when over-allocated: placement above
 // capacity is a scheduler bug, not a runtime condition.
 func (s *Server) Allocate(n int, cpu float64) {
-	if n < 0 || s.busy+n > s.c.Spec.Containers {
+	if n < 0 || n > s.FreeContainers() {
 		panic(fmt.Sprintf("cluster: allocating %d containers on server %d with %d busy of %d",
 			n, s.ID, s.busy, s.c.Spec.Containers))
 	}
-	s.busy += n
+	s.busy += int32(n)
 	s.cpuLoad += cpu
+	s.refreshDraw()
 }
 
 // Release frees n containers and cpu demand previously allocated.
 func (s *Server) Release(n int, cpu float64) {
-	if n < 0 || s.busy-n < 0 {
+	if n < 0 || n > int(s.busy) {
 		panic(fmt.Sprintf("cluster: releasing %d containers on server %d with %d busy", n, s.ID, s.busy))
 	}
-	s.busy -= n
+	s.busy -= int32(n)
 	s.cpuLoad -= cpu
 	if s.cpuLoad < 1e-9 {
 		s.cpuLoad = 0
 	}
+	s.refreshDraw()
 }
 
 // Utilization returns the CPU utilization in [0, 1].
@@ -214,12 +226,16 @@ func (s *Server) DemandW() float64 {
 }
 
 // DrawW is the power actually drawn after capping clamps the demand.
-func (s *Server) DrawW() float64 {
+func (s *Server) DrawW() float64 { return s.c.samples[s.ID].drawW }
+
+// refreshDraw stores the draw the server's current state implies in its
+// sample column entry. Every writer of an input of the draw calls it.
+func (s *Server) refreshDraw() {
 	d := s.DemandW()
 	if s.capLevelW > 0 && d > s.capLevelW {
-		return s.capLevelW
+		d = s.capLevelW
 	}
-	return d
+	s.c.samples[s.ID].drawW = d
 }
 
 // SamplePower returns one monitor measurement: the draw plus one step of the
@@ -227,47 +243,39 @@ func (s *Server) DrawW() float64 {
 // interval; repeated calls advance the noise process.
 //
 // The step is x ← φ·x + σ·√(1−φ²)·N(0,1), scaled so the stationary standard
-// deviation is σ. The normal comes from a Sampler's rand.Rand, whose source
-// is pointed at this server's stream state first, so every server keeps the
-// independent stream a generator of its own would draw, whichever sampler
-// draws it. A server is sampled by one goroutine at a time and a sampler is
-// used by one goroutine at a time; this method draws through the cluster's
-// own sampler, so its callers share that one. The monitor's Sweep gives each
-// of its goroutines a sampler and a disjoint set of rows.
-func (s *Server) SamplePower() float64 { return s.c.sampler.SamplePower(s) }
-
-// Sampler turns servers' noise state into draws: one rand.Rand over a cursor
-// that SamplePower points at the sampled server's stream word. It holds no
-// stream of its own, so any sampler draws the same watts from a server.
-type Sampler struct {
-	rand   *rand.Rand
-	cursor sim.CursorSource
-	// Every draw writes the cursor. Padded to a cache line: two samplers
-	// allocated together and used by two goroutines otherwise share one, and
-	// a 1M-server sweep measured up to 4× slower for it.
-	_ [48]byte
+// deviation is σ. The normal is drawn from the server's own stream, the one
+// sim.SubRNG(seed, "server-noise-<id>") would generate, bit for bit. A server
+// is sampled by one goroutine at a time; servers are independent.
+func (s *Server) SamplePower() float64 {
+	var p [1]float64
+	s.c.SamplePowers(s.ID, p[:])
+	return p[0]
 }
 
-// NewSampler returns a sampler for one goroutine's use.
-func NewSampler() *Sampler {
-	sm := &Sampler{}
-	sm.rand = rand.New(&sm.cursor)
-	return sm
-}
-
-// SamplePower is (*Server).SamplePower drawn through this sampler.
-func (sm *Sampler) SamplePower(s *Server) float64 {
-	p := s.DrawW()
-	if c := s.c; c.noiseInnovW > 0 {
-		sm.cursor.At = &s.noiseRNG
-		innov := c.noiseInnovW * sm.rand.NormFloat64()
-		s.noiseX = c.Spec.NoisePhi*s.noiseX + innov
-		p += s.noiseX
+// SamplePowers is SamplePower of each server lo, lo+1, …, lo+len(out)−1,
+// written to out in ID order. It reads and writes only those servers' sample
+// column entries, never a Server record: the monitor's sweep samples a row
+// with one call.
+func (c *Cluster) SamplePowers(lo ServerID, out []float64) {
+	col := c.samples[lo : int(lo)+len(out)]
+	phi, innovW := c.Spec.NoisePhi, c.noiseInnovW
+	for i := range col {
+		st := &col[i]
+		p := st.drawW
+		if innovW > 0 {
+			// sim.NormFloat64, with its fast path inlined into this loop.
+			n, ok := sim.NormFast(&st.noiseRNG)
+			if !ok {
+				n = sim.NormTail(&st.noiseRNG)
+			}
+			st.noiseX = phi*st.noiseX + innovW*n
+			p += st.noiseX
+		}
+		if p < 0 {
+			p = 0
+		}
+		out[i] = p
 	}
-	if p < 0 {
-		p = 0
-	}
-	return p
 }
 
 // Speed returns the DVFS frequency factor in (0, 1].
@@ -283,8 +291,8 @@ func (s *Server) CapLevelW() float64 { return s.capLevelW }
 // frequency factor DVFS must drop to so demand fits under the cap. The
 // factor scales the active (above-idle) power linearly with frequency.
 func (s *Server) ApplyCap(levelW float64) {
-	if levelW <= 0 {
-		panic(fmt.Sprintf("cluster: non-positive cap %v on server %d", levelW, s.ID))
+	if !(levelW > 0) || math.IsInf(levelW, 1) {
+		panic(fmt.Sprintf("cluster: cap %v on server %d is not a positive finite level", levelW, s.ID))
 	}
 	old := s.speed
 	s.capLevelW = levelW
@@ -301,6 +309,7 @@ func (s *Server) ApplyCap(levelW float64) {
 			s.speed = 0.1
 		}
 	}
+	s.refreshDraw()
 	s.notifySpeed(old)
 }
 
@@ -309,6 +318,7 @@ func (s *Server) RemoveCap() {
 	old := s.speed
 	s.capLevelW = 0
 	s.speed = 1
+	s.refreshDraw()
 	s.notifySpeed(old)
 }
 
@@ -367,9 +377,9 @@ type Cluster struct {
 	// IDs are row-major and rack-contiguous: a row and a rack are subslices.
 	Servers []*Server
 
-	// sampler serves (*Server).SamplePower and New's jitter draws.
-	// noiseInnovW is σ·√(1−φ²), the innovation scale; 0 turns noise off.
-	sampler     *Sampler
+	// samples[id] is server id's sample column entry; noiseInnovW is
+	// σ·√(1−φ²), the innovation scale; 0 turns noise off.
+	samples     []sampleState
 	noiseInnovW float64
 
 	// fleetListeners hear every server's speed changes; serverListeners[id]
@@ -387,27 +397,27 @@ func New(spec Spec, seed uint64) (*Cluster, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{Spec: spec, sampler: NewSampler()}
+	c := &Cluster{Spec: spec}
 	c.noiseInnovW = spec.NoiseSigmaW * math.Sqrt(1-spec.NoisePhi*spec.NoisePhi)
 	slab := make([]Server, spec.TotalServers())
 	c.Servers = make([]*Server, len(slab))
+	c.samples = make([]sampleState, len(slab))
 	perRow := spec.ServersPerRow()
-	var jitterRNG uint64
 	for i := range slab {
 		jitter := 1.0
 		if spec.RatedJitterFrac > 0 {
-			jitterRNG = sim.RNGState(sim.SubSeedN(seed, "server-jitter-", i))
-			c.sampler.cursor.At = &jitterRNG
-			jitter = 1 + (c.sampler.rand.Float64()*2-1)*spec.RatedJitterFrac
+			jitterRNG := sim.RNGState(sim.SubSeedN(seed, "server-jitter-", i))
+			jitter = 1 + (sim.Float64(&jitterRNG)*2-1)*spec.RatedJitterFrac
 		}
 		slab[i] = Server{
 			ID: ServerID(i), Row: i / perRow, Rack: i % perRow / spec.ServersPerRack,
 			c: c, speed: 1,
-			ratedW:   spec.RatedPowerW * jitter,
-			idleW:    spec.IdlePowerW * jitter,
-			noiseRNG: sim.RNGState(sim.SubSeedN(seed, "server-noise-", i)),
+			ratedW: spec.RatedPowerW * jitter,
+			idleW:  spec.IdlePowerW * jitter,
 		}
 		c.Servers[i] = &slab[i]
+		c.samples[i].noiseRNG = sim.RNGState(sim.SubSeedN(seed, "server-noise-", i))
+		slab[i].refreshDraw()
 	}
 	return c, nil
 }
@@ -467,9 +477,10 @@ func (c *Cluster) MeasuredRowRatedW(r int) float64 {
 // draws, before measurement noise). The PDU breaker and the capping safety
 // net act on this quantity.
 func (c *Cluster) RowDrawW(r int) float64 {
+	n := c.Spec.ServersPerRow()
 	var sum float64
-	for _, s := range c.Row(r) {
-		sum += s.DrawW()
+	for _, st := range c.samples[r*n : (r+1)*n] {
+		sum += st.drawW
 	}
 	return sum
 }
@@ -479,9 +490,11 @@ func (c *Cluster) RowDrawW(r int) float64 {
 // row; iteration stays in ID order, so the floating-point sum is identical
 // to the historical scan.
 func (c *Cluster) RackDrawW(r, k int) float64 {
+	n := c.Spec.ServersPerRack
+	lo := (r*c.Spec.RacksPerRow + k) * n
 	var sum float64
-	for _, s := range c.Rack(r, k) {
-		sum += s.DrawW()
+	for _, st := range c.samples[lo : lo+n] {
+		sum += st.drawW
 	}
 	return sum
 }

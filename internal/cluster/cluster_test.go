@@ -25,6 +25,7 @@ func TestSpecValidate(t *testing.T) {
 		func(s *Spec) { s.IdlePowerW = -1 },
 		func(s *Spec) { s.IdlePowerW = s.RatedPowerW },
 		func(s *Spec) { s.Containers = 0 },
+		func(s *Spec) { n := int64(math.MaxInt32); s.Containers = int(n + 1) }, // busy is an int32
 		func(s *Spec) { s.NoiseSigmaW = -1 },
 	}
 	for i, mutate := range cases {
@@ -193,6 +194,24 @@ func TestCapZeroPanics(t *testing.T) {
 		}
 	}()
 	c.Server(0).ApplyCap(0)
+}
+
+// A NaN cap used to be accepted: Speed() became NaN, Capped() stayed false,
+// and the scheduler was told to reschedule completions at a NaN wall time.
+// A level that is not a positive finite number is a bug, like a zero one.
+func TestCapNonFinitePanics(t *testing.T) {
+	for _, level := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		c, _ := New(testSpec(), 1)
+		sv := c.Server(0)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("cap %v did not panic; speed %v capped %v", level, sv.Speed(), sv.Capped())
+				}
+			}()
+			sv.ApplyCap(level)
+		}()
+	}
 }
 
 func TestSpeedChangeListener(t *testing.T) {

@@ -77,16 +77,15 @@ func TestAR1InvalidPhiPanics(t *testing.T) {
 
 // The per-server objects New used to build — a refAR1 over its own
 // sim.SubRNG, a second SubRNG for the jitter factor — are the oracle for the
-// inline noise state and the shared cursor: every sample must equal theirs
-// bit for bit. 2,000 draws per server cross the ziggurat's slow paths
-// (about 1 normal in 100), and sampling server by server within each round
-// moves the cursor between any two draws of one stream. In the two-sampler
-// case a server's consecutive draws come from alternating Samplers, each of
-// which sampled other servers in between: the stream belongs to the server,
-// not to the sampler.
+// sample column and its inline ziggurat: every sample must equal theirs bit
+// for bit. 2,000 draws per server cross the ziggurat's slow paths (about 3
+// normals in 100). In the mixed case a server's consecutive draws come
+// alternately from SamplePower and from a row-wide SamplePowers, as the
+// monitor's sweep draws them: the stream belongs to the server, not to the
+// path that draws it.
 func TestSamplePowerMatchesPerServerAR1(t *testing.T) {
 	const draws = 2000
-	for _, twoSamplers := range []bool{false, true} {
+	for _, mixed := range []bool{false, true} {
 		for _, jitter := range []float64{0, 0.05} {
 			for _, seed := range []uint64{1, 2, 0xfeedface} {
 				sp := DefaultSpec()
@@ -112,19 +111,21 @@ func TestSamplePowerMatchesPerServerAR1(t *testing.T) {
 					}
 					sv.Allocate(id%sp.Containers, float64(id%sp.Containers)/2)
 				}
-				sample := func(_ int, sv *Server) float64 { return sv.SamplePower() }
-				if twoSamplers {
-					samplers := [2]*Sampler{NewSampler(), NewSampler()}
-					sample = func(i int, sv *Server) float64 {
-						return samplers[(i+int(sv.ID))%2].SamplePower(sv)
-					}
-				}
+				got, perRow := make([]float64, len(c.Servers)), sp.ServersPerRow()
 				for i := 0; i < draws; i++ {
+					if mixed && i%2 == 1 {
+						for lo := 0; lo < len(got); lo += perRow {
+							c.SamplePowers(ServerID(lo), got[lo:lo+perRow])
+						}
+					} else {
+						for id, sv := range c.Servers {
+							got[id] = sv.SamplePower()
+						}
+					}
 					for id, sv := range c.Servers {
-						got, want := sample(i, sv), sv.DrawW()+oracle[id].next()
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("two samplers %v jitter %v seed %d server %d draw %d: sampled %v, per-server AR1 gives %v",
-								twoSamplers, jitter, seed, id, i, got, want)
+						if want := sv.DrawW() + oracle[id].next(); math.Float64bits(got[id]) != math.Float64bits(want) {
+							t.Fatalf("mixed %v jitter %v seed %d server %d draw %d: sampled %v, per-server AR1 gives %v",
+								mixed, jitter, seed, id, i, got[id], want)
 						}
 					}
 				}
@@ -135,6 +136,79 @@ func TestSamplePowerMatchesPerServerAR1(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// liveDrawW is the draw formula the sample column caches: demand at full
+// frequency, clamped to an active cap.
+func liveDrawW(s *Server) float64 {
+	d := s.DemandW()
+	if s.capLevelW > 0 && d > s.capLevelW {
+		return s.capLevelW
+	}
+	return d
+}
+
+// The column's drawW is a cache, so every writer of an input of the draw
+// must refresh it. A seeded script of the five mutators on a jittered fleet
+// checks, from construction on and after every operation, that each server's
+// cached draw equals the live formula bit for bit — and RowDrawW, which sums
+// the cache, the live formula's sum.
+func TestCachedDrawMatchesLiveFormula(t *testing.T) {
+	sp := DefaultSpec()
+	sp.Rows, sp.RacksPerRow, sp.ServersPerRack = 2, 4, 10
+	sp.RatedJitterFrac = 0.05
+	c, err := New(sp, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step int, op string) {
+		t.Helper()
+		for _, sv := range c.Servers {
+			if got, want := c.samples[sv.ID].drawW, liveDrawW(sv); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d (%s): server %d caches draw %v, live formula gives %v", step, op, sv.ID, got, want)
+			}
+		}
+		for r := 0; r < c.Rows(); r++ {
+			want := 0.0
+			for _, sv := range c.Row(r) {
+				want += liveDrawW(sv)
+			}
+			if got := c.RowDrawW(r); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d (%s): row %d draws %v, live formula sums to %v", step, op, r, got, want)
+			}
+		}
+	}
+	check(0, "New")
+	rng := sim.NewRNG(17)
+	ops := map[string]int{}
+	for step := 1; step <= 20000; step++ {
+		sv := c.Servers[rng.Intn(len(c.Servers))]
+		var op string
+		switch rng.Intn(5) {
+		case 0:
+			op = "Allocate"
+			n := rng.Intn(sv.FreeContainers() + 1)
+			sv.Allocate(n, float64(n)*rng.Float64())
+		case 1:
+			op = "Release"
+			n := rng.Intn(sv.Busy() + 1)
+			sv.Release(n, min(float64(n)*rng.Float64(), sv.cpuLoad))
+		case 2:
+			op = "SetFailed"
+			sv.SetFailed(rng.Intn(4) == 0)
+		case 3:
+			op = "ApplyCap"
+			sv.ApplyCap(sv.IdleW()*0.8 + rng.Float64()*(sv.RatedW()-sv.IdleW()*0.8))
+		case 4:
+			op = "RemoveCap"
+			sv.RemoveCap()
+		}
+		ops[op]++
+		check(step, op)
+	}
+	if len(ops) != 5 {
+		t.Errorf("the script ran %v, want all five mutators", ops)
 	}
 }
 

@@ -107,14 +107,12 @@ type Monitor struct {
 	rackNames []string
 	rowNames  []string
 
-	// The sample phase of a sweep: every goroutine claims blocks of rows from
-	// nextRow and draws through a sampler of its own — the calling goroutine
-	// through sampler, helper i through the one helpers[i] closes over.
-	// helpers are goroutine bodies bound once, so that starting one allocates
-	// nothing; sampling waits for the helpers of the sweep in flight, and
-	// none outlives it.
-	sampler  *cluster.Sampler
-	helpers  []func()
+	// The sample phase of a sweep: the calling goroutine and up to helpers
+	// more claim blocks of rows from nextRow. helper is their body, bound
+	// once, so that starting one allocates nothing; sampling waits for the
+	// helpers of the sweep in flight, and none outlives it.
+	helpers  int
+	helper   func()
 	nextRow  atomic.Int64
 	sampling sync.WaitGroup
 
@@ -184,14 +182,10 @@ func New(eng *sim.Engine, c *cluster.Cluster, db *tsdb.DB, cfg Config) (*Monitor
 		}
 	}
 	m.names[racks+rows] = SeriesDC
-	m.sampler = cluster.NewSampler()
-	m.helpers = make([]func(), max(len(c.Servers)/shareServers-1, 0))
-	for i := range m.helpers {
-		sm := cluster.NewSampler()
-		m.helpers[i] = func() {
-			defer m.sampling.Done()
-			m.sampleRows(sm)
-		}
+	m.helpers = max(len(c.Servers)/shareServers-1, 0)
+	m.helper = func() {
+		defer m.sampling.Done()
+		m.sampleRows()
 	}
 	if db != nil {
 		m.SetStore(db)
@@ -254,14 +248,14 @@ func (m *Monitor) Sweep(now sim.Time) {
 	}
 
 	m.nextRow.Store(0)
-	if len(m.helpers) > 0 {
-		n := min(runtime.GOMAXPROCS(0)-1, len(m.helpers))
+	if m.helpers > 0 {
+		n := min(runtime.GOMAXPROCS(0)-1, m.helpers)
 		m.sampling.Add(n)
-		for _, helper := range m.helpers[:n] {
-			go helper()
+		for range n {
+			go m.helper()
 		}
 	}
-	m.sampleRows(m.sampler)
+	m.sampleRows()
 	m.sampling.Wait()
 
 	dcTotal := 0.0
@@ -284,26 +278,31 @@ func (m *Monitor) Sweep(now sim.Time) {
 }
 
 // sampleRows is the sample phase: it claims blocks of rows until none are
-// left and fills lastServer, lastRack and lastRow for them, each total summed
-// in server-ID order. Rows, and so servers, are disjoint between goroutines.
-func (m *Monitor) sampleRows(sm *cluster.Sampler) {
+// left and fills lastServer, lastRack and lastRow for them. Each row is
+// sampled into lastServer with one cluster.SamplePowers call, which reads the
+// cluster's sample column and never a Server record, then summed rack by
+// rack, every total in server-ID order from zero. Rows, and so servers, are
+// disjoint between goroutines.
+func (m *Monitor) sampleRows() {
 	rows, racks := m.c.Rows(), m.c.Spec.RacksPerRow
+	perRow, perRack := m.c.Spec.ServersPerRow(), m.c.Spec.ServersPerRack
 	for {
 		lo := int(m.nextRow.Add(blockRows)) - blockRows
 		if lo >= rows {
 			return
 		}
 		for r := lo; r < min(lo+blockRows, rows); r++ {
+			row := m.lastServer[r*perRow : (r+1)*perRow]
+			m.c.SamplePowers(cluster.ServerID(r*perRow), row)
 			rowTotal := 0.0
 			rackTotals := m.lastRack[r*racks : (r+1)*racks]
 			for k := range rackTotals {
-				rackTotals[k] = 0
-			}
-			for _, sv := range m.c.Row(r) {
-				p := sm.SamplePower(sv)
-				m.lastServer[sv.ID] = p
-				rowTotal += p
-				rackTotals[sv.Rack] += p
+				rackTotal := 0.0
+				for _, p := range row[k*perRack : (k+1)*perRack] {
+					rowTotal += p
+					rackTotal += p
+				}
+				rackTotals[k] = rackTotal
 			}
 			m.lastRow[r] = rowTotal
 		}

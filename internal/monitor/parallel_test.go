@@ -56,7 +56,7 @@ func TestSweepIdenticalAtAnyGOMAXPROCS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := len(m.helpers); got != 2 {
+			if got := m.helpers; got != 2 {
 				t.Fatalf("%d servers sweep with up to %d helper goroutines, want 2", len(c.Servers), got)
 			}
 			var rec *byNameStore
@@ -218,7 +218,7 @@ func TestSweepInlineUnderTwoShares(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(m.helpers); got != helpers {
+		if got := m.helpers; got != helpers {
 			t.Errorf("%d servers: %d helper goroutines available, want %d", len(c.Servers), got, helpers)
 		}
 	}

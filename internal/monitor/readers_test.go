@@ -29,7 +29,7 @@ func TestFrameReadersSeeWholeSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.helpers) == 0 {
+	if m.helpers == 0 {
 		t.Fatal("the fleet sweeps inline")
 	}
 	srv := httptest.NewServer(db.Handler())

@@ -6,10 +6,13 @@ import (
 	"strconv"
 )
 
+// smGamma is SplitMix64's increment: a stream's state advances by it per draw.
+const smGamma = 0x9e3779b97f4a7c15
+
 // splitmix64 is the SplitMix64 mixing function. It is used both as a
 // rand.Source64 and to derive independent stream seeds from a master seed.
 func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+	x += smGamma
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
@@ -17,7 +20,7 @@ func splitmix64(x uint64) uint64 {
 
 // smNext advances a SplitMix64 state one step and returns the output.
 func smNext(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
+	*state += smGamma
 	z := *state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -39,20 +42,8 @@ func NewRNG(seed uint64) *rand.Rand {
 
 // RNGState returns the 8 bytes of generator state NewRNG(seed) starts from.
 // A holder of a million streams keeps this word per stream instead of a
-// *rand.Rand each, and draws through one rand.Rand over a CursorSource.
+// *rand.Rand each, and draws from it with NormFloat64 and Float64.
 func RNGState(seed uint64) uint64 { return splitmix64(seed) }
-
-// CursorSource is the rand.Source64 of NewRNG with its state held elsewhere:
-// point At at a word that started as RNGState(seed) and a rand.Rand built
-// over the cursor draws exactly what NewRNG(seed) would, advancing that word.
-// rand.Rand buffers nothing between draws (only Read does, which nothing
-// here calls), so one Rand can serve any number of streams in any
-// interleaving.
-type CursorSource struct{ At *uint64 }
-
-func (c *CursorSource) Seed(seed int64) { *c.At = uint64(seed) }
-func (c *CursorSource) Uint64() uint64  { return smNext(c.At) }
-func (c *CursorSource) Int63() int64    { return int64(c.Uint64() >> 1) }
 
 // SubSeed derives an independent stream seed from a master seed and a label.
 // Components that need their own randomness (per-row arrival processes,

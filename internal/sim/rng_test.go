@@ -31,6 +31,18 @@ func TestSubSeedMatchesHashFNV(t *testing.T) {
 	}
 }
 
+// CursorSource is the rand.Source64 of NewRNG with its state held elsewhere:
+// point At at a word that started as RNGState(seed) and a rand.Rand built
+// over the cursor draws exactly what NewRNG(seed) would, advancing that word.
+// rand.Rand buffers nothing between draws (only Read does, which nothing
+// here calls), so one Rand can serve any number of streams in any
+// interleaving. It is the oracle NormFloat64 and Float64 are held to.
+type CursorSource struct{ At *uint64 }
+
+func (c *CursorSource) Seed(seed int64) { *c.At = uint64(seed) }
+func (c *CursorSource) Uint64() uint64  { return smNext(c.At) }
+func (c *CursorSource) Int63() int64    { return int64(c.Uint64() >> 1) }
+
 // One rand.Rand over a cursor, moved between interleaved streams, draws what
 // a NewRNG per stream draws — through NormFloat64's rejection paths too.
 func TestCursorSourceMatchesNewRNG(t *testing.T) {

@@ -177,7 +177,9 @@ func TestWarmStackDoesNotAllocatePerJob(t *testing.T) {
 // after the first sweep (rack and row series; the servers themselves are
 // summed, not stored). 165.5 B when the fleet became one slab of 104-byte
 // records; 367.6 B before, when a server was four heap objects and carried
-// its own listener slice. The bound is 15 % above the measurement.
+// its own listener slice. 151.9 B since the record is 80 bytes and the
+// monitor's sweep state a 24-byte column entry beside it. The bound sits
+// 5 % above that, so a new per-server field cannot land unnoticed.
 func TestFleetBytesPerServer(t *testing.T) {
 	heap := func() uint64 {
 		var ms runtime.MemStats
@@ -195,8 +197,8 @@ func TestFleetBytesPerServer(t *testing.T) {
 	perServer := float64(heap()-before) / float64(spec.TotalServers())
 	runtime.KeepAlive(st)
 	t.Logf("%.1f heap bytes per server", perServer)
-	if perServer > 190 {
-		t.Errorf("one server of an assembled stack holds %.1f heap bytes after a sweep, want at most 190", perServer)
+	if perServer > 160 {
+		t.Errorf("one server of an assembled stack holds %.1f heap bytes after a sweep, want at most 160", perServer)
 	}
 }
 
