@@ -5,7 +5,7 @@
 .PHONY: tier1 build lint vet test race race-shuffle fuzz fuzz-smoke chaos \
 	bench-runner bench-scale bench-scale-quick bench-check gridstorm \
 	whatif whatif-smoke tournament tournament-smoke fig11scale fig11-smoke \
-	fed-smoke golden-quick flake bench-pair bench-pair-all lines
+	fed-smoke golden-quick golden-paper flake bench-pair bench-pair-all lines
 
 tier1: build lint race race-shuffle bench-scale-quick fuzz-smoke whatif-smoke \
 	tournament-smoke fig11-smoke fed-smoke golden-quick flake
@@ -97,6 +97,13 @@ fig11-smoke:
 # GOMAXPROCS 1 (every run inline, in order) and 4 (fanned out).
 golden-quick:
 	go test -cpu 1,4 ./cmd/ampere-exp -run TestQuickAllGolden -count=1
+
+# The paper-scale pin of the seven controlled-day experiments (table2 fig11
+# fig12 table3 outage chaos ablations; ≈ 35 s on 2 vCPUs, not in tier1): each
+# one's stdout against its section of results/exp_full_output.txt, timing
+# lines aside. `sh scripts/golden_paper ID ...` checks a subset.
+golden-paper:
+	sh scripts/golden_paper
 
 # The parallel-sweep and parallel-replay guards count process-wide mallocs,
 # goroutines and finalizer runs, which one pass on a quiet machine says

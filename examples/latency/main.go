@@ -23,9 +23,7 @@ func main() {
 		RO:                0.25,
 		BatchTargetFrac:   0.75,
 		RequestsPerSecond: 80,
-		Warmup:            sim.Hour,
-		Pretrain:          12 * sim.Hour,
-		Measure:           time90m(),
+		Day:               experiment.Day{Warmup: sim.Hour, Pretrain: 12 * sim.Hour, Measure: 90 * sim.Minute},
 	}
 	res, err := experiment.RunFig11(cfg)
 	if err != nil {
@@ -42,5 +40,3 @@ func main() {
 		res.CappedServerFracCapping*100, res.CappedServerFracAmpere*100)
 	fmt.Println("capping hurts running requests; Ampere only refuses new batch placements.")
 }
-
-func time90m() sim.Duration { return 90 * sim.Minute }

@@ -38,9 +38,7 @@ func main() {
 				ScaleCtrlBudget:  false, // §4.4 setup: only the exp group is squeezed
 				DiurnalAmplitude: 0.45,
 			},
-			Warmup:   sim.Hour,
-			Pretrain: 24 * sim.Hour,
-			Measure:  24 * sim.Hour,
+			Day: experiment.Day{Warmup: sim.Hour, Pretrain: 24 * sim.Hour, Measure: 24 * sim.Hour},
 		})
 		if err != nil {
 			log.Fatal(err)

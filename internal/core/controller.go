@@ -252,6 +252,33 @@ type DomainStats struct {
 	RetrySuccesses int64
 }
 
+// Add folds o into s, as for two controller instances that ran one domain
+// in turn across a crash/restart: every count and sum adds, and UMax and
+// PMax take the larger of the two.
+func (s DomainStats) Add(o DomainStats) DomainStats {
+	s.Ticks += o.Ticks
+	s.Violations += o.Violations
+	s.ControlledTicks += o.ControlledTicks
+	s.FreezeOps += o.FreezeOps
+	s.UnfreezeOps += o.UnfreezeOps
+	s.APIErrors += o.APIErrors
+	s.USum += o.USum
+	s.UMax = max(s.UMax, o.UMax)
+	s.PSum += o.PSum
+	s.PMax = max(s.PMax, o.PMax)
+	s.SkippedNoData += o.SkippedNoData
+	s.StaleTicks += o.StaleTicks
+	s.InvalidSamples += o.InvalidSamples
+	s.DegradedTicks += o.DegradedTicks
+	s.FailSafeTicks += o.FailSafeTicks
+	s.FailSafeEntries += o.FailSafeEntries
+	s.Recoveries += o.Recoveries
+	s.DegradedDwell += o.DegradedDwell
+	s.Retries += o.Retries
+	s.RetrySuccesses += o.RetrySuccesses
+	return s
+}
+
 // MTTR returns the mean time from entering degraded mode to the next fresh
 // sample, over completed recoveries (zero when nothing recovered yet).
 func (s DomainStats) MTTR() sim.Duration {

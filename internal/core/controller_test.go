@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -470,5 +472,39 @@ func TestOverlappingDomainsRejected(t *testing.T) {
 	ds[1].Servers = []cluster.ServerID{6, 7, 8}
 	if _, err := New(sim.NewEngine(), reader, api, DefaultConfig(), ds); err != nil {
 		t.Errorf("disjoint domains rejected: %v", err)
+	}
+}
+
+// TestDomainStatsAddFoldsEveryField sets one field at a time in two records
+// and folds them both ways: a count or sum must add, a maximum must take the
+// larger. A field Add leaves out keeps the receiver's value and fails here,
+// including one added to DomainStats later.
+func TestDomainStatsAddFoldsEveryField(t *testing.T) {
+	typ := reflect.TypeOf(DomainStats{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		set := func(v int64) DomainStats {
+			var s DomainStats
+			switch f := reflect.ValueOf(&s).Elem().Field(i); f.Kind() {
+			case reflect.Int64:
+				f.SetInt(v)
+			case reflect.Float64:
+				f.SetFloat(float64(v))
+			default:
+				t.Fatalf("%s: unhandled kind %v", name, f.Kind())
+			}
+			return s
+		}
+		want := 8.0
+		if strings.HasSuffix(name, "Max") {
+			want = 5
+		}
+		for _, pair := range [][2]int64{{3, 5}, {5, 3}} {
+			f := reflect.ValueOf(set(pair[0]).Add(set(pair[1]))).Field(i)
+			got := f.Convert(reflect.TypeOf(0.0)).Float()
+			if got != want {
+				t.Errorf("%s: %d folded with %d = %v, want %v", name, pair[0], pair[1], got, want)
+			}
+		}
 	}
 }

@@ -32,7 +32,8 @@ type AblationOutcome struct {
 // demand presses the budget at peak hours so the knobs matter.
 func DefaultAblation() AmpereRunConfig {
 	return AmpereRunConfig{Controlled: ControlledConfig{Seed: 99, RowServers: 160, RestRows: 1,
-		TargetPowerFrac: 0.772, RO: 0.25, ScaleCtrlBudget: true, DiurnalAmplitude: 0.35}}
+		TargetPowerFrac: 0.772, RO: 0.25, ScaleCtrlBudget: true, DiurnalAmplitude: 0.35},
+		Day: Day{Warmup: 2 * sim.Hour, Pretrain: 24 * sim.Hour, Measure: 24 * sim.Hour}}
 }
 
 func outcome(variant string, run *AmpereRun) AblationOutcome {
@@ -115,75 +116,63 @@ func RunCappingAblation(cfg AmpereRunConfig) ([]CappingAblationRow, error) {
 		if err != nil {
 			return CappingAblationRow{}, fmt.Errorf("capping ablation %s: %w", v.name, err)
 		}
-		return *row, nil
+		return row, nil
 	})
 }
 
-func runCappingVariant(base AmpereRunConfig, name string, mode capping.Mode, ampere bool) (*CappingAblationRow, error) {
-	base.setDefaults()
-	if ampere {
-		run, err := RunAmpere(base)
-		if err != nil {
-			return nil, err
-		}
-		st := run.Analyze(name)
-		return &CappingAblationRow{
-			Mechanism:  name,
-			Violations: st.ViolationsExp,
-			Throughput: run.Ctrl.Tracker.PlacedBetween(GExp, run.MeasureFrom, -1),
-			StretchP50: run.Ctrl.Rig.Sched.StretchQuantile(0.5),
-			StretchP99: run.Ctrl.Rig.Sched.StretchQuantile(0.99),
-			PMax:       st.PMaxExp,
-		}, nil
-	}
-	ctrl, err := NewControlled(base.Controlled)
+// runCappingVariant runs the heavy day with either Ampere or a capper of
+// the given mode over the experiment group, and tabulates the measured span.
+func runCappingVariant(cfg AmpereRunConfig, name string, mode capping.Mode, ampere bool) (CappingAblationRow, error) {
+	ccfg, err := cfg.controllerConfig()
 	if err != nil {
-		return nil, err
+		return CappingAblationRow{}, err
+	}
+	ctrl, err := NewControlled(cfg.Controlled)
+	if err != nil {
+		return CappingAblationRow{}, err
 	}
 	rig := ctrl.Rig
-	// Cap the experiment group only, mirroring the Ampere variant's domain.
-	var servers []*cluster.Server
-	for _, id := range ctrl.Groups.Exp {
-		servers = append(servers, rig.Cluster.Server(id))
-	}
-	rig.StartBase()
-	if err := rig.Run(sim.Time(base.Warmup + base.Pretrain)); err != nil {
-		return nil, err
-	}
-	ccfg := capping.DefaultConfig()
-	ccfg.Mode = mode
-	cp, err := capping.New(rig.Eng, ccfg, []capping.Domain{
-		{Name: "exp-group", Servers: servers, BudgetW: ctrl.ExpBudgetW},
+	var cp *capping.Capper
+	from, err := ctrl.Run(cfg.Day, func() error {
+		if ampere {
+			_, err := ctrl.Ampere(cfg.Day, false, ccfg)
+			return err
+		}
+		// Cap the experiment group only, mirroring the Ampere variant's
+		// domain.
+		servers := make([]*cluster.Server, len(ctrl.Groups.Exp))
+		for i, id := range ctrl.Groups.Exp {
+			servers[i] = rig.Cluster.Server(id)
+		}
+		capCfg := capping.DefaultConfig()
+		capCfg.Mode = mode
+		if cp, err = capping.New(rig.Eng, capCfg, []capping.Domain{
+			{Name: "exp-group", Servers: servers, BudgetW: ctrl.ExpBudgetW},
+		}); err != nil {
+			return err
+		}
+		cp.Start()
+		return nil
 	})
 	if err != nil {
-		return nil, err
+		return CappingAblationRow{}, err
 	}
-	measureFrom := ctrl.Tracker.Samples()
-	rig.Sched.ResetStretchStats()
-	cp.Start()
-	if err := rig.Run(sim.Time(base.Warmup + base.Pretrain + base.Measure)); err != nil {
-		return nil, err
-	}
-	var pmax float64
-	for _, v := range ctrl.Tracker.NormPowerSeries(GExp, measureFrom) {
-		if v > pmax {
-			pmax = v
-		}
-	}
-	st := cp.Stats(0)
-	frac := 0.0
-	if st.ServerSamples > 0 {
-		frac = float64(st.CappedServerSamples) / float64(st.ServerSamples)
-	}
-	return &CappingAblationRow{
+	row := CappingAblationRow{
 		Mechanism:  name,
-		Violations: ctrl.Tracker.Violations(GExp, measureFrom),
-		Throughput: ctrl.Tracker.PlacedBetween(GExp, measureFrom, -1),
-		CappedFrac: frac,
+		Violations: ctrl.Tracker.Violations(GExp, from),
+		Throughput: ctrl.Tracker.PlacedBetween(GExp, from, -1),
 		StretchP50: rig.Sched.StretchQuantile(0.5),
 		StretchP99: rig.Sched.StretchQuantile(0.99),
-		PMax:       pmax,
-	}, nil
+	}
+	for _, v := range ctrl.Tracker.NormPowerSeries(GExp, from) {
+		row.PMax = max(row.PMax, v)
+	}
+	if cp != nil {
+		if st := cp.Stats(0); st.ServerSamples > 0 {
+			row.CappedFrac = float64(st.CappedServerSamples) / float64(st.ServerSamples)
+		}
+	}
+	return row, nil
 }
 
 // FormatCappingAblation renders the comparison.

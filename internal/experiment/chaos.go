@@ -31,10 +31,7 @@ type ChaosConfig struct {
 	// the diurnal peak (the outage experiment's calibration).
 	TargetFrac float64
 	RO         float64
-	Kr         float64
-	Warmup     sim.Duration
-	Pretrain   sim.Duration
-	Measure    sim.Duration
+	Day
 	// BlackoutLead and BlackoutLen place the monitor blackout: it starts
 	// BlackoutLead before the diurnal peak and lasts BlackoutLen, so the
 	// naive controller flies blind through the demand ramp.
@@ -51,7 +48,7 @@ type ChaosConfig struct {
 func DefaultChaos() ChaosConfig {
 	return ChaosConfig{
 		Seed: 77, RowServers: 160, TargetFrac: 0.78, RO: 0.25,
-		Warmup: sim.Hour, Pretrain: 12 * sim.Hour, Measure: 24 * sim.Hour,
+		Day:          Day{Warmup: sim.Hour, Pretrain: 12 * sim.Hour, Measure: 24 * sim.Hour},
 		BlackoutLead: 3 * sim.Hour, BlackoutLen: 5 * sim.Hour,
 		CrashAt: 2 * sim.Hour, CrashLen: 10 * sim.Minute,
 	}
@@ -156,9 +153,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 
 func runChaosOnce(cfg ChaosConfig, naive bool) (*ChaosOutcome, chaos.Plan, error) {
 	// Peak the diurnal load mid-way through the measured window.
-	start := sim.Time(cfg.Warmup + cfg.Pretrain)
+	start := cfg.Start()
 	peak := start.Add(cfg.Measure / 2)
-	peakHour := float64(int64(peak)%int64(24*sim.Hour)) / float64(sim.Hour)
 
 	ctrl, err := NewControlled(ControlledConfig{
 		Seed:             cfg.Seed,
@@ -167,7 +163,7 @@ func runChaosOnce(cfg ChaosConfig, naive bool) (*ChaosOutcome, chaos.Plan, error
 		RO:               cfg.RO,
 		ScaleCtrlBudget:  true,
 		DiurnalAmplitude: 0.35,
-		PeakHour:         peakHour,
+		PeakHour:         dayHour(float64(peak) / float64(sim.Hour)),
 	})
 	if err != nil {
 		return nil, chaos.Plan{}, err
@@ -197,67 +193,61 @@ func runChaosOnce(cfg ChaosConfig, naive bool) (*ChaosOutcome, chaos.Plan, error
 	}
 	brk.Start()
 
-	rig.StartBase()
-	if err := rig.Run(start); err != nil {
-		return nil, chaos.Plan{}, err
-	}
-
-	// Pre-train Et from the control group's history, as in RunAmpere.
-	et, err := ctrl.TrainEt(false, sim.Time(cfg.Warmup), 99.5)
-	if err != nil {
-		return nil, chaos.Plan{}, err
-	}
-
-	// The controller enforces PM a little below the audited budget — the
-	// §3.2 operator safety margin — so boundary-riding control jitter does
-	// not register as violations against the real limit.
-	domain := ctrl.AmpereDomain(cfg.Kr, et)
-	domain.BudgetW *= 0.985
-	ccfg := core.DefaultConfig()
-	ccfg.Resilience.Disabled = naive
-	// Drill posture: while dark, assume demand rises at 4× the trained Et
-	// and keep tightening for 10 intervals before latching the fail-safe
-	// hold — a long blackout across the demand peak then meets a frozen set
-	// sized for the peak, not for the last healthy minute.
-	ccfg.Resilience.EtInflation = 4
-	ccfg.Resilience.FailSafeAfter = 10
-	newController := func() (*core.Controller, error) {
-		return core.New(rig.Eng, reader, api, ccfg, []core.Domain{domain})
-	}
-	controller, err := newController()
-	if err != nil {
-		return nil, chaos.Plan{}, err
-	}
-	controller.Start()
-
-	// Crash/restart cycles: the controller process dies at From and a fresh
-	// instance starts at To, rebuilding its frozen-set view from the
-	// scheduler's ground truth (the statelessness claim: everything else it
-	// needs — Et history — lives in the TSDB).
 	restarts := 0
+	var controller *core.Controller
 	var stopped core.DomainStats
-	for _, f := range plan.Crashes() {
-		f := f
-		rig.Eng.At(f.From, "ctl-crash", func(sim.Time) {
-			stopped = controller.Stats(0)
-			controller.Stop()
-		})
-		rig.Eng.At(f.To, "ctl-restart", func(sim.Time) {
-			fresh, err := newController()
-			if err != nil {
-				panic(err) // same config that already validated
-			}
-			fresh.Resync(func(id cluster.ServerID) bool {
-				return rig.Cluster.Server(id).Frozen()
-			})
-			controller = fresh
-			controller.Start()
-			restarts++
-		})
-	}
+	measureFrom, err := ctrl.Run(cfg.Day, func() error {
+		// Pre-train Et from the control group's history, as in RunAmpere.
+		et, err := ctrl.TrainEt(false, sim.Time(cfg.Warmup), 99.5)
+		if err != nil {
+			return err
+		}
+		// The controller enforces PM a little below the audited budget —
+		// the §3.2 operator safety margin — so boundary-riding control
+		// jitter does not register as violations against the real limit.
+		domain := ctrl.Domain(false, et)
+		domain.BudgetW *= 0.985
+		ccfg := core.DefaultConfig()
+		ccfg.Resilience.Disabled = naive
+		// Drill posture: while dark, assume demand rises at 4× the trained
+		// Et and keep tightening for 10 intervals before latching the
+		// fail-safe hold — a long blackout across the demand peak then meets
+		// a frozen set sized for the peak, not for the last healthy minute.
+		ccfg.Resilience.EtInflation = 4
+		ccfg.Resilience.FailSafeAfter = 10
+		newController := func() (*core.Controller, error) {
+			return core.New(rig.Eng, reader, api, ccfg, []core.Domain{domain})
+		}
+		if controller, err = newController(); err != nil {
+			return err
+		}
+		controller.Start()
 
-	measureFrom := ctrl.Tracker.Samples()
-	if err := rig.Run(start.Add(cfg.Measure)); err != nil {
+		// Crash/restart cycles: the controller process dies at From and a
+		// fresh instance starts at To, rebuilding its frozen-set view from
+		// the scheduler's ground truth (the statelessness claim: everything
+		// else it needs — Et history — lives in the TSDB).
+		for _, f := range plan.Crashes() {
+			rig.Eng.At(f.From, "ctl-crash", func(sim.Time) {
+				stopped = stopped.Add(controller.Stats(0))
+				controller.Stop()
+			})
+			rig.Eng.At(f.To, "ctl-restart", func(sim.Time) {
+				fresh, err := newController()
+				if err != nil {
+					panic(err) // same config that already validated
+				}
+				fresh.Resync(func(id cluster.ServerID) bool {
+					return rig.Cluster.Server(id).Frozen()
+				})
+				controller = fresh
+				controller.Start()
+				restarts++
+			})
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, chaos.Plan{}, err
 	}
 
@@ -266,20 +256,6 @@ func runChaosOnce(cfg ChaosConfig, naive bool) (*ChaosOutcome, chaos.Plan, error
 		pmax.Add(v)
 	}
 	tripped, _ := brk.Tripped()
-	st := controller.Stats(0)
-	// Fold the pre-crash instance's counters in, so the report covers the
-	// whole day rather than only the surviving instance.
-	st.Violations += stopped.Violations
-	st.StaleTicks += stopped.StaleTicks
-	st.InvalidSamples += stopped.InvalidSamples
-	st.DegradedTicks += stopped.DegradedTicks
-	st.FailSafeTicks += stopped.FailSafeTicks
-	st.FailSafeEntries += stopped.FailSafeEntries
-	st.Recoveries += stopped.Recoveries
-	st.DegradedDwell += stopped.DegradedDwell
-	st.Retries += stopped.Retries
-	st.RetrySuccesses += stopped.RetrySuccesses
-	st.APIErrors += stopped.APIErrors
 
 	regime := "resilient"
 	if naive {
@@ -292,8 +268,10 @@ func runChaosOnce(cfg ChaosConfig, naive bool) (*ChaosOutcome, chaos.Plan, error
 		BreakerTripped: tripped,
 		Restarts:       restarts,
 		FrozenEnd:      controller.FrozenCount(0),
-		Stats:          st,
-		Chaos:          inj.Stats(),
+		// The stopped instances' counters fold in, so the report covers
+		// the whole day rather than only the surviving instance.
+		Stats: controller.Stats(0).Add(stopped),
+		Chaos: inj.Stats(),
 	}, plan, nil
 }
 

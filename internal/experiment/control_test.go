@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/sim"
@@ -20,9 +21,7 @@ func quickAmpere(seed uint64, frac, ro float64, scaleBoth bool, amp float64) Amp
 			ScaleCtrlBudget:  scaleBoth,
 			DiurnalAmplitude: amp,
 		},
-		Warmup:   sim.Hour,
-		Pretrain: 24 * sim.Hour,
-		Measure:  24 * sim.Hour,
+		Day: Day{Warmup: sim.Hour, Pretrain: 24 * sim.Hour, Measure: 24 * sim.Hour},
 	}
 }
 
@@ -89,7 +88,7 @@ func TestAmpereThroughputCost(t *testing.T) {
 
 func TestFig12Shape(t *testing.T) {
 	cfg := Fig12Config{Seed: 12, RowServers: 160, RO: 0.25,
-		Warmup: sim.Hour, Pretrain: 8 * sim.Hour, Measure: 4 * sim.Hour}
+		Day: Day{Warmup: sim.Hour, Pretrain: 8 * sim.Hour, Measure: 4 * sim.Hour}}
 	res, err := RunFig12(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -129,9 +128,7 @@ func TestTable3QuickSweep(t *testing.T) {
 	cfg := Table3Config{
 		Seed:       33,
 		RowServers: 160,
-		Warmup:     sim.Hour,
-		Pretrain:   6 * sim.Hour,
-		Measure:    6 * sim.Hour,
+		Day:        Day{Warmup: sim.Hour, Pretrain: 6 * sim.Hour, Measure: 6 * sim.Hour},
 		Scenarios: []Table3Scenario{
 			{RO: 0.25, TargetFrac: 0.74, Amplitude: 0.5},
 			{RO: 0.17, TargetFrac: 0.72, Amplitude: 0.4},
@@ -209,5 +206,94 @@ func TestAmpereOnJitteredFleet(t *testing.T) {
 	if st.ViolationsExp*5 > st.ViolationsCtl {
 		t.Errorf("control degraded on jittered fleet: %d vs %d",
 			st.ViolationsExp, st.ViolationsCtl)
+	}
+}
+
+func smallControlled(t *testing.T) *Controlled {
+	t.Helper()
+	ctrl, err := NewControlled(ControlledConfig{Seed: 5, RowServers: 40, RestRows: 1, TargetPowerFrac: 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctrl
+}
+
+func TestControlledRunRejectsBadSpans(t *testing.T) {
+	for _, d := range []Day{
+		{Warmup: sim.Hour, Pretrain: sim.Hour},
+		{Warmup: sim.Hour, Pretrain: sim.Hour, Measure: -sim.Minute},
+		{Warmup: -sim.Minute, Pretrain: sim.Hour, Measure: sim.Hour},
+		{Warmup: sim.Hour, Pretrain: -sim.Minute, Measure: sim.Hour},
+	} {
+		ctrl := smallControlled(t)
+		called := false
+		if _, err := ctrl.Run(d, func() error { called = true; return nil }); err == nil {
+			t.Errorf("day %+v accepted", d)
+		}
+		if called || ctrl.Rig.Eng.Now() != 0 {
+			t.Errorf("day %+v: rejected after running (protect called %v, now %v)", d, called, ctrl.Rig.Eng.Now())
+		}
+	}
+}
+
+func TestControlledRunProtectsAtPretrainEnd(t *testing.T) {
+	d := Day{Warmup: 20 * sim.Minute, Pretrain: 40 * sim.Minute, Measure: 30 * sim.Minute}
+	ctrl := smallControlled(t)
+	var at sim.Time
+	samples := -1
+	from, err := ctrl.Run(d, func() error {
+		at, samples = ctrl.Rig.Eng.Now(), ctrl.Tracker.Samples()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at != sim.Time(d.Warmup+d.Pretrain) || at != d.Start() {
+		t.Errorf("protect ran at %v, want Warmup+Pretrain = %v", at, d.Start())
+	}
+	if from != samples || samples <= 0 {
+		t.Errorf("measureFrom %d, want the %d samples taken when protect ran", from, samples)
+	}
+	if now := ctrl.Rig.Eng.Now(); now != d.Start().Add(d.Measure) {
+		t.Errorf("day ended at %v, want %v", now, d.Start().Add(d.Measure))
+	}
+
+	// A nil protect runs the identical day unprotected.
+	bare := smallControlled(t)
+	bareFrom, err := bare.Run(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bareFrom != from || bare.Tracker.Samples() != ctrl.Tracker.Samples() {
+		t.Errorf("nil protect: measureFrom %d of %d samples, want %d of %d",
+			bareFrom, bare.Tracker.Samples(), from, ctrl.Tracker.Samples())
+	}
+	for _, gi := range []int{GExp, GCtrl} {
+		a, b := bare.Tracker.PowerSeries(gi, 0), ctrl.Tracker.PowerSeries(gi, 0)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("group %d sample %d: %v unprotected, %v with a no-op protect", gi, i, a[i], b[i])
+			}
+		}
+	}
+}
+
+func TestControlledRunStopsOnProtectError(t *testing.T) {
+	d := Day{Warmup: 10 * sim.Minute, Pretrain: 10 * sim.Minute, Measure: 10 * sim.Minute}
+	ctrl := smallControlled(t)
+	boom := errors.New("boom")
+	if _, err := ctrl.Run(d, func() error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the protect error", err)
+	}
+	if now := ctrl.Rig.Eng.Now(); now != d.Start() {
+		t.Errorf("ran on to %v after protect failed, want stop at %v", now, d.Start())
+	}
+}
+
+func TestDayHourWrapsMidnightToHour24(t *testing.T) {
+	for h, want := range map[float64]float64{0.5: 0.5, 15: 15, 24: 24, 24.5: 0.5, 48: 24, 50: 2} {
+		if got := dayHour(h); got != want {
+			t.Errorf("dayHour(%v) = %v, want %v", h, got, want)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"cmp"
 	"fmt"
 	"sort"
 
@@ -147,21 +146,74 @@ func NewControlled(cfg ControlledConfig) (*Controlled, error) {
 	}, nil
 }
 
-// AmpereDomain builds the controller domain for the experiment group; a zero
-// kr selects DefaultKr.
-func (c *Controlled) AmpereDomain(kr float64, et core.EtEstimator) core.Domain {
-	return core.Domain{Name: "exp-group", Servers: c.Groups.Exp, BudgetW: c.ExpBudgetW, Kr: cmp.Or(kr, DefaultKr), Et: et}
+// Day is the §4.1.2 controlled day every controlled experiment runs: the
+// base load warms up for Warmup, runs unprotected for Pretrain while it
+// collects the power history Et trains on, then a protection attaches and
+// the Measure span runs.
+type Day struct{ Warmup, Pretrain, Measure sim.Duration }
+
+// Start is the moment the protection attaches, Warmup+Pretrain.
+func (d Day) Start() sim.Time { return sim.Time(d.Warmup + d.Pretrain) }
+
+// Run drives the day: the base load to d.Start(), then protect (nil runs
+// the day unprotected), then the measured span. It returns the tracker
+// sample index where the measured span begins; the scheduler's job-slowdown
+// statistics are scoped to that span.
+func (c *Controlled) Run(d Day, protect func() error) (measureFrom int, err error) {
+	if d.Warmup < 0 || d.Pretrain < 0 || d.Measure <= 0 {
+		return 0, fmt.Errorf("experiment: day %+v needs non-negative spans and a positive Measure", d)
+	}
+	c.Rig.StartBase()
+	if err := c.Rig.Run(d.Start()); err != nil {
+		return 0, err
+	}
+	if protect != nil {
+		if err := protect(); err != nil {
+			return 0, err
+		}
+	}
+	measureFrom = c.Tracker.Samples()
+	c.Rig.Sched.ResetStretchStats()
+	return measureFrom, c.Rig.Run(d.Start().Add(d.Measure))
 }
 
-// RowDomain is AmpereDomain for the whole experiment row, both groups under
-// the sum of their budgets.
-func (c *Controlled) RowDomain(kr float64, et core.EtEstimator) core.Domain {
-	d := c.AmpereDomain(kr, et)
-	d.Name, d.Servers, d.BudgetW = "row/0", c.Rig.Cluster.RowIDs(0), c.ExpBudgetW+c.CtrlBudgetW
+// Ampere is the protection most days attach: Et trained on d's pretrain
+// span (see TrainEt), then a started controller over Domain(row, et).
+func (c *Controlled) Ampere(d Day, row bool, cfg core.Config) (*core.Controller, error) {
+	et, err := c.TrainEt(row, sim.Time(d.Warmup), cfg.EtPercentile)
+	if err != nil {
+		return nil, err
+	}
+	ctl, err := core.New(c.Rig.Eng, c.Rig.Mon, c.Rig.Sched, cfg, []core.Domain{c.Domain(row, et)})
+	if err != nil {
+		return nil, err
+	}
+	ctl.Start()
+	return ctl, nil
+}
+
+// Domain is the controller domain for the experiment group under its
+// budget, or with row for the whole experiment row under the sum of both
+// groups' budgets.
+func (c *Controlled) Domain(row bool, et core.EtEstimator) core.Domain {
+	d := core.Domain{Name: "exp-group", Servers: c.Groups.Exp, BudgetW: c.ExpBudgetW, Kr: DefaultKr, Et: et}
+	if row {
+		d.Name, d.Servers, d.BudgetW = "row/0", c.Rig.Cluster.RowIDs(0), c.ExpBudgetW+c.CtrlBudgetW
+	}
 	return d
 }
 
-// RowCapper builds the DVFS capper over the same row and budget as RowDomain.
+// dayHour wraps an hour count into (0, 24]: midnight is hour 24, the same
+// diurnal phase as 0, which ControlledConfig.PeakHour reads as unset.
+func dayHour(h float64) float64 {
+	for h > 24 {
+		h -= 24
+	}
+	return h
+}
+
+// RowCapper builds the DVFS capper over the same row and budget as
+// Domain(true, …).
 func (c *Controlled) RowCapper(cfg capping.Config) (*capping.Capper, error) {
 	return capping.New(c.Rig.Eng, cfg, []capping.Domain{
 		{Name: "row/0", Servers: c.Rig.Cluster.Row(0), BudgetW: c.ExpBudgetW + c.CtrlBudgetW},

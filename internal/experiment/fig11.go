@@ -30,10 +30,7 @@ type Fig11Config struct {
 	// fewer simulated requests; Fig 11 reports normalized latency, so the
 	// scale cancels.
 	RequestsPerSecond float64
-	Kr                float64
-	Warmup            sim.Duration
-	Pretrain          sim.Duration
-	Measure           sim.Duration
+	Day
 }
 
 // DefaultFig11 mirrors the paper's setup at simulation scale.
@@ -46,9 +43,7 @@ func DefaultFig11() Fig11Config {
 		RO:                0.25,
 		BatchTargetFrac:   0.75,
 		RequestsPerSecond: 145,
-		Warmup:            2 * sim.Hour,
-		Pretrain:          24 * sim.Hour,
-		Measure:           2 * sim.Hour,
+		Day:               Day{Warmup: 2 * sim.Hour, Pretrain: 24 * sim.Hour, Measure: 2 * sim.Hour},
 	}
 }
 
@@ -93,14 +88,18 @@ func RunFig11(cfg Fig11Config) (*Fig11Result, error) {
 			cfg.ServiceServers, cfg.RowServers)
 	}
 	ops := scaledOps()
-	withAmpere, err := runFig11Scenario(cfg, ops, true)
+	regimes := []string{"ampere", "capping"}
+	runs, err := runUnits(regimes, func(i int) (*fig11Scenario, error) {
+		s, err := runFig11Scenario(cfg, ops, i == 0)
+		if err != nil {
+			return nil, fmt.Errorf("%s scenario: %w", regimes[i], err)
+		}
+		return s, nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("ampere scenario: %w", err)
+		return nil, err
 	}
-	withCapping, err := runFig11Scenario(cfg, ops, false)
-	if err != nil {
-		return nil, fmt.Errorf("capping scenario: %w", err)
-	}
+	withAmpere, withCapping := runs[0], runs[1]
 	res := &Fig11Result{
 		CappedServerFracCapping: withCapping.capped,
 		CappedServerFracAmpere:  withAmpere.capped,
@@ -133,22 +132,9 @@ func scaledOps() []service.Op {
 }
 
 func runFig11Scenario(cfg Fig11Config, ops []service.Op, ampere bool) (*fig11Scenario, error) {
-	warmup, pretrain, measure := cfg.Warmup, cfg.Pretrain, cfg.Measure
-	if warmup == 0 {
-		warmup = 2 * sim.Hour
-	}
-	if pretrain == 0 {
-		pretrain = 24 * sim.Hour
-	}
-	if measure == 0 {
-		measure = 2 * sim.Hour
-	}
 	// Centre the diurnal peak on the measured window: the comparison is
 	// about behaviour while demand presses against the budget.
-	peak := float64((warmup+pretrain+measure/2)/sim.Hour) + 0.5
-	for peak >= 24 {
-		peak -= 24
-	}
+	peak := dayHour(float64((cfg.Warmup+cfg.Pretrain+cfg.Measure/2)/sim.Hour) + 0.5)
 	ctrl, err := NewControlled(ControlledConfig{
 		Seed:             cfg.Seed,
 		RowServers:       cfg.RowServers,
@@ -185,33 +171,21 @@ func runFig11Scenario(cfg Fig11Config, ops []service.Op, ampere bool) (*fig11Sce
 		return nil, err
 	}
 
-	rig.StartBase()
-	if err := rig.Run(sim.Time(warmup + pretrain)); err != nil {
-		return nil, err
-	}
-
-	capper, err := ctrl.RowCapper(capping.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-
-	var controller *core.Controller
-	if ampere {
-		// Train Et from the row's own pretrain history.
-		et, err := ctrl.TrainEt(true, sim.Time(warmup), 99.5)
-		if err != nil {
-			return nil, err
+	var capper *capping.Capper
+	if _, err := ctrl.Run(cfg.Day, func() (err error) {
+		if capper, err = ctrl.RowCapper(capping.DefaultConfig()); err != nil {
+			return err
 		}
-		controller, err = core.New(rig.Eng, rig.Mon, rig.Sched, core.DefaultConfig(),
-			[]core.Domain{ctrl.RowDomain(cfg.Kr, et)})
-		if err != nil {
-			return nil, err
+		if ampere {
+			// Et trains on the row's own pretrain history.
+			if _, err := ctrl.Ampere(cfg.Day, true, core.DefaultConfig()); err != nil {
+				return err
+			}
 		}
-		controller.Start()
-	}
-	capper.Start()
-	svc.Start()
-	if err := rig.Run(sim.Time(warmup + pretrain + measure)); err != nil {
+		capper.Start()
+		svc.Start()
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 

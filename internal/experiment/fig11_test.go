@@ -28,9 +28,7 @@ func TestFig11CappingInflatesLatency(t *testing.T) {
 		RO:                0.25,
 		BatchTargetFrac:   0.75,
 		RequestsPerSecond: 60,
-		Warmup:            sim.Hour,
-		Pretrain:          8 * sim.Hour,
-		Measure:           60 * sim.Minute,
+		Day:               Day{Warmup: sim.Hour, Pretrain: 8 * sim.Hour, Measure: 60 * sim.Minute},
 	}
 	res, err := RunFig11(cfg)
 	if err != nil {

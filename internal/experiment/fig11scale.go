@@ -61,7 +61,6 @@ type Fig11ScaleConfig struct {
 	// DiurnalAmplitude swings the hot product's arrival rate; the peak is
 	// centred on the measure window (the diurnal service class follows it).
 	DiurnalAmplitude float64
-	Kr               float64
 	// MaxFreezeRatio loosens the paper's operational 0.5: with the service
 	// reservations pinned, draining a deeply over-budget hot row can need
 	// more than half its servers frozen.
@@ -329,15 +328,11 @@ func runFig11ScaleScenario(cfg Fig11ScaleConfig, ampere bool) (*fig11ScaleScenar
 
 	var ctl *core.Controller
 	if ampere {
-		kr := cfg.Kr
-		if kr == 0 {
-			kr = DefaultKr
-		}
 		cdom := make([]core.Domain, cfg.ServiceRows)
 		for r := 0; r < cfg.ServiceRows; r++ {
 			cdom[r] = core.Domain{
 				Name: fmt.Sprintf("row%d", r), Servers: rig.Cluster.RowIDs(r),
-				BudgetW: rowBudget * gridMargin, Kr: kr,
+				BudgetW: rowBudget * gridMargin, Kr: DefaultKr,
 				Et: core.ConstantEt(0.03),
 			}
 		}

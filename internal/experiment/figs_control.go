@@ -9,31 +9,22 @@ import (
 )
 
 // AmpereRunConfig assembles one Ampere-controlled controlled experiment:
-// warmup, an Et pre-training span with the controller off (the paper's
-// long-term power-history collection), then a measured control span.
+// the Day's pretrain span with the controller off (the paper's long-term
+// power-history collection), then its measured span under Ampere.
 type AmpereRunConfig struct {
 	Controlled ControlledConfig
-	// Kr is the control-model gradient (0 selects DefaultKr, the value
-	// calibrated by RunFig5 on the default rig).
-	Kr       float64
-	Warmup   sim.Duration // default 2 h
-	Pretrain sim.Duration // default 24 h
-	Measure  sim.Duration // default 24 h
+	Day
 	// Policy is laid over core.DefaultConfig, the paper's choices (the
 	// ablations vary it); its Et percentile also trains the pre-trained Et.
 	Policy core.PolicyPatch
 }
 
-func (c *AmpereRunConfig) setDefaults() {
-	if c.Warmup == 0 {
-		c.Warmup = 2 * sim.Hour
-	}
-	if c.Pretrain == 0 {
-		c.Pretrain = 24 * sim.Hour
-	}
-	if c.Measure == 0 {
-		c.Measure = 24 * sim.Hour
-	}
+// controllerConfig is core.DefaultConfig under the run's policy patch, its
+// freeze selection seeded by the rig's seed.
+func (c AmpereRunConfig) controllerConfig() (core.Config, error) {
+	ccfg := core.DefaultConfig()
+	ccfg.SelectionSeed = c.Controlled.Seed
+	return ccfg, c.Policy.Apply(&ccfg)
 }
 
 // AmpereRun is a completed controlled run with Ampere managing the
@@ -44,53 +35,36 @@ type AmpereRun struct {
 	// MeasureFrom is the tracker sample index where the measured span
 	// begins (the moment the controller started).
 	MeasureFrom int
-	// UProbe indexes the tracker probe recording the freezing ratio.
-	UProbe int
 }
+
+// uProbe indexes the freezing-ratio probe, the one probe RunAmpere adds.
+const uProbe = 0
 
 // RunAmpere executes the full scenario and returns it ready for analysis.
 func RunAmpere(cfg AmpereRunConfig) (*AmpereRun, error) {
-	cfg.setDefaults()
-	ccfg := core.DefaultConfig()
-	ccfg.SelectionSeed = cfg.Controlled.Seed
-	if err := cfg.Policy.Apply(&ccfg); err != nil {
+	ccfg, err := cfg.controllerConfig()
+	if err != nil {
 		return nil, err
 	}
 	ctrl, err := NewControlled(cfg.Controlled)
 	if err != nil {
 		return nil, err
 	}
-	var controller *core.Controller
+	run := &AmpereRun{Ctrl: ctrl}
 	ctrl.Tracker.AddProbe("freeze-ratio", func() float64 {
-		if controller == nil {
+		if run.Controller == nil {
 			return 0
 		}
-		return controller.FreezeRatio(0)
+		return run.Controller.FreezeRatio(0)
 	})
-
-	ctrl.Rig.StartBase()
-	if err := ctrl.Rig.Run(sim.Time(cfg.Warmup + cfg.Pretrain)); err != nil {
-		return nil, err
-	}
-
-	// Pre-train Et from the control group's pretrain-span power history.
-	et, err := ctrl.TrainEt(false, sim.Time(cfg.Warmup), ccfg.EtPercentile)
+	run.MeasureFrom, err = ctrl.Run(cfg.Day, func() (err error) {
+		run.Controller, err = ctrl.Ampere(cfg.Day, false, ccfg)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	controller, err = core.New(ctrl.Rig.Eng, ctrl.Rig.Mon, ctrl.Rig.Sched, ccfg,
-		[]core.Domain{ctrl.AmpereDomain(cfg.Kr, et)})
-	if err != nil {
-		return nil, err
-	}
-	measureFrom := ctrl.Tracker.Samples()
-	// Scope job-slowdown statistics to the measured span.
-	ctrl.Rig.Sched.ResetStretchStats()
-	controller.Start()
-	if err := ctrl.Rig.Run(sim.Time(cfg.Warmup + cfg.Pretrain + cfg.Measure)); err != nil {
-		return nil, err
-	}
-	return &AmpereRun{Ctrl: ctrl, Controller: controller, MeasureFrom: measureFrom, UProbe: 0}, nil
+	return run, nil
 }
 
 // ScenarioStats is one Table 2 column pair: controller activity plus power
@@ -120,7 +94,7 @@ func (r *AmpereRun) Analyze(name string) ScenarioStats {
 	t := r.Ctrl.Tracker
 	exp := t.NormPowerSeries(GExp, r.MeasureFrom)
 	ctl := t.NormPowerSeries(GCtrl, r.MeasureFrom)
-	u := t.ProbeSeries(r.UProbe, r.MeasureFrom)
+	u := t.ProbeSeries(uProbe, r.MeasureFrom)
 	var se, sc, su stats.Summary
 	for i := range exp {
 		se.Add(exp[i])
@@ -147,7 +121,7 @@ func (r *AmpereRun) SeriesView() Series {
 	return Series{
 		ExpNorm:  t.NormPowerSeries(GExp, r.MeasureFrom),
 		CtrlNorm: t.NormPowerSeries(GCtrl, r.MeasureFrom),
-		U:        t.ProbeSeries(r.UProbe, r.MeasureFrom),
+		U:        t.ProbeSeries(uProbe, r.MeasureFrom),
 	}
 }
 
@@ -173,16 +147,14 @@ type Table2Config struct {
 	// fractions of rated power (defaults reproduce the paper's normalized
 	// ≈ 0.86 and ≈ 0.95–0.97 under RO 0.25).
 	LightFrac, HeavyFrac float64
-	Kr                   float64
-	Warmup               sim.Duration
-	Pretrain             sim.Duration
-	Measure              sim.Duration
+	Day
 }
 
 // DefaultTable2 reproduces the paper's setup: 400 servers, rO = 0.25, 24 h
 // per workload level.
 func DefaultTable2() Table2Config {
-	return Table2Config{Seed: 10, RowServers: 400, RO: 0.25, LightFrac: 0.686, HeavyFrac: 0.772}
+	return Table2Config{Seed: 10, RowServers: 400, RO: 0.25, LightFrac: 0.686, HeavyFrac: 0.772,
+		Day: Day{Warmup: 2 * sim.Hour, Pretrain: 24 * sim.Hour, Measure: 24 * sim.Hour}}
 }
 
 // Table2Result holds both scenarios with their Fig 10 series.
@@ -196,9 +168,6 @@ type Table2Result struct {
 
 // RunTable2 runs the light and heavy controlled scenarios.
 func RunTable2(cfg Table2Config) (*Table2Result, error) {
-	if cfg.RO == 0 {
-		cfg.RO = 0.25
-	}
 	run := func(frac float64, seedSalt uint64) (*AmpereRun, error) {
 		return RunAmpere(AmpereRunConfig{
 			Controlled: ControlledConfig{
@@ -210,10 +179,7 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 				ScaleCtrlBudget:  true,
 				DiurnalAmplitude: 0.35,
 			},
-			Kr:       cfg.Kr,
-			Warmup:   cfg.Warmup,
-			Pretrain: cfg.Pretrain,
-			Measure:  cfg.Measure,
+			Day: cfg.Day,
 		})
 	}
 	fracs := []float64{cfg.LightFrac, cfg.HeavyFrac}
@@ -242,20 +208,18 @@ type Fig12Config struct {
 	Seed       uint64
 	RowServers int
 	RO         float64
-	Kr         float64
-	Warmup     sim.Duration
-	Pretrain   sim.Duration
-	// Measure defaults to 4 h as in the paper's Fig 12.
-	Measure sim.Duration
-	// WindowMinutes aggregates throughput for the normalized-throughput
-	// panel (default 10).
-	WindowMinutes int
+	Day
 }
 
 // DefaultFig12 matches the paper: rO = 0.25, four hours, heavy at the start.
 func DefaultFig12() Fig12Config {
-	return Fig12Config{Seed: 12, RowServers: 400, RO: 0.25}
+	return Fig12Config{Seed: 12, RowServers: 400, RO: 0.25,
+		Day: Day{Warmup: 2 * sim.Hour, Pretrain: 24 * sim.Hour, Measure: 4 * sim.Hour}}
 }
+
+// fig12Window is the span, in minutes, the normalized-throughput panel
+// aggregates.
+const fig12Window = 10
 
 // Fig12Result holds the two panels plus the headline numbers discussed in
 // §4.4.
@@ -277,16 +241,7 @@ type Fig12Result struct {
 
 // RunFig12 reproduces Fig 12.
 func RunFig12(cfg Fig12Config) (*Fig12Result, error) {
-	if cfg.RO == 0 {
-		cfg.RO = 0.25
-	}
-	if cfg.Measure == 0 {
-		cfg.Measure = 4 * sim.Hour
-	}
-	if cfg.WindowMinutes == 0 {
-		cfg.WindowMinutes = 10
-	}
-	acfg := AmpereRunConfig{
+	run, err := RunAmpere(AmpereRunConfig{
 		Controlled: ControlledConfig{
 			Seed:       cfg.Seed,
 			RowServers: cfg.RowServers,
@@ -300,18 +255,12 @@ func RunFig12(cfg Fig12Config) (*Fig12Result, error) {
 			ScaleCtrlBudget:    false,
 			DiurnalAmplitude:   0.40,
 			DiurnalPeriodHours: 8,
+			// Position the load peak ≈ 30 min into the measured window so
+			// the boxed high-load region opens the figure, as in the paper.
+			PeakHour: float64((cfg.Warmup+cfg.Pretrain)/sim.Hour) + 0.5,
 		},
-		Kr:       cfg.Kr,
-		Warmup:   cfg.Warmup,
-		Pretrain: cfg.Pretrain,
-		Measure:  cfg.Measure,
-	}
-	acfg.setDefaults()
-	// Position the load peak ≈ 30 min into the measured window so the
-	// boxed high-load region opens the figure, as in the paper.
-	acfg.Controlled.PeakHour = float64((acfg.Warmup+acfg.Pretrain)/sim.Hour) + 0.5
-
-	run, err := RunAmpere(acfg)
+		Day: cfg.Day,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +279,7 @@ func RunFig12(cfg Fig12Config) (*Fig12Result, error) {
 	etEst := run.Controller.HourlyEt(0)
 	var thr stats.Summary
 	for i := range res.ExpNorm {
-		at := sim.Time(acfg.Warmup + acfg.Pretrain).Add(sim.Duration(i) * sim.Minute)
+		at := cfg.Start().Add(sim.Duration(i) * sim.Minute)
 		thr.Add(1 - etEst.Estimate(at))
 	}
 	res.Threshold = thr.Mean()
@@ -338,7 +287,7 @@ func RunFig12(cfg Fig12Config) (*Fig12Result, error) {
 	// Windowed throughput ratio.
 	incE := t.PlacedSeries(GExp, run.MeasureFrom)
 	incC := t.PlacedSeries(GCtrl, run.MeasureFrom)
-	w := cfg.WindowMinutes
+	w := fig12Window
 	var hiE, hiC, allE, allC int64
 	for i := 0; i+w <= len(incE); i += w {
 		var we, wc int64
@@ -399,11 +348,8 @@ type Table3Row struct {
 type Table3Config struct {
 	Seed       uint64
 	RowServers int
-	Kr         float64
-	Warmup     sim.Duration
-	Pretrain   sim.Duration
-	Measure    sim.Duration
-	Scenarios  []Table3Scenario
+	Day
+	Scenarios []Table3Scenario
 }
 
 // DefaultTable3 mirrors the paper's 13 representative days across four
@@ -412,6 +358,7 @@ func DefaultTable3() Table3Config {
 	return Table3Config{
 		Seed:       13,
 		RowServers: 400,
+		Day:        Day{Warmup: 2 * sim.Hour, Pretrain: 24 * sim.Hour, Measure: 24 * sim.Hour},
 		Scenarios: []Table3Scenario{
 			{RO: 0.25, TargetFrac: 0.722, Amplitude: 0.30},
 			{RO: 0.25, TargetFrac: 0.745, Amplitude: 0.45},
@@ -455,10 +402,7 @@ func RunTable3(cfg Table3Config) (*Table3Result, error) {
 				ScaleCtrlBudget:  false,
 				DiurnalAmplitude: sc.Amplitude,
 			},
-			Kr:       cfg.Kr,
-			Warmup:   cfg.Warmup,
-			Pretrain: cfg.Pretrain,
-			Measure:  cfg.Measure,
+			Day: cfg.Day,
 		})
 		if err != nil {
 			return Table3Row{}, fmt.Errorf("table3 scenario %d: %w", i, err)

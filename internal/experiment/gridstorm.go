@@ -72,8 +72,6 @@ type GridstormConfig struct {
 	// CurtailedFrac is the fraction of rows on the curtailed feeder
 	// (rounded to at least one row).
 	CurtailedFrac float64
-	// Kr is the control-effect gradient (0 = DefaultKr).
-	Kr float64
 	// Warmup lets the fleet reach steady state before anything is measured.
 	Warmup sim.Duration
 	// DipAfter is how long after warmup the curtailment lands.
@@ -325,10 +323,6 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 	// One controller, one domain per row, enforcing the margined envelope.
 	// The ramp regime's schedule has no steps: it is purely the per-tick
 	// ramp limit applied to the SetBudget overrides the storm driver issues.
-	kr := cfg.Kr
-	if kr == 0 {
-		kr = DefaultKr
-	}
 	var sched *core.BudgetSchedule
 	if ramped {
 		sched = &core.BudgetSchedule{RampFrac: cfg.DipDepth / float64(cfg.RampMinutes)}
@@ -337,7 +331,7 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 	for r := 0; r < cfg.Rows; r++ {
 		domains[r] = core.Domain{
 			Name: groups[r].Name, Servers: groups[r].IDs,
-			BudgetW: rowBudget * gridMargin, Kr: kr,
+			BudgetW: rowBudget * gridMargin, Kr: DefaultKr,
 			Et: core.ConstantEt(0.03), Schedule: sched,
 		}
 	}

@@ -25,10 +25,7 @@ type OutageConfig struct {
 	RO         float64
 	// TargetFrac drives demand above the scaled budget at the diurnal peak.
 	TargetFrac float64
-	Kr         float64
-	Warmup     sim.Duration
-	Pretrain   sim.Duration
-	Measure    sim.Duration
+	Day
 	// RepairAfter is the outage duration before servers return.
 	RepairAfter sim.Duration
 }
@@ -37,7 +34,7 @@ type OutageConfig struct {
 func DefaultOutage() OutageConfig {
 	return OutageConfig{
 		Seed: 55, RowServers: 160, RO: 0.25, TargetFrac: 0.78,
-		Warmup: sim.Hour, Pretrain: 12 * sim.Hour, Measure: 12 * sim.Hour,
+		Day:         Day{Warmup: sim.Hour, Pretrain: 12 * sim.Hour, Measure: 12 * sim.Hour},
 		RepairAfter: 30 * sim.Minute,
 	}
 }
@@ -71,10 +68,6 @@ func RunOutage(cfg OutageConfig) ([]OutageOutcome, error) {
 }
 
 func runOutageOnce(cfg OutageConfig, regime string) (*OutageOutcome, error) {
-	peak := float64((cfg.Warmup+cfg.Pretrain)/sim.Hour) + 2
-	for peak >= 24 {
-		peak -= 24
-	}
 	ctrl, err := NewControlled(ControlledConfig{
 		Seed:             cfg.Seed,
 		RowServers:       cfg.RowServers,
@@ -83,7 +76,7 @@ func runOutageOnce(cfg OutageConfig, regime string) (*OutageOutcome, error) {
 		RO:               cfg.RO,
 		ScaleCtrlBudget:  true,
 		DiurnalAmplitude: 0.35,
-		PeakHour:         peak,
+		PeakHour:         dayHour(float64((cfg.Warmup+cfg.Pretrain)/sim.Hour) + 2),
 	})
 	if err != nil {
 		return nil, err
@@ -92,68 +85,54 @@ func runOutageOnce(cfg OutageConfig, regime string) (*OutageOutcome, error) {
 	row := rig.Cluster.Row(0)
 	rowBudget := ctrl.ExpBudgetW + ctrl.CtrlBudgetW
 
-	rig.StartBase()
-	if err := rig.Run(sim.Time(cfg.Warmup + cfg.Pretrain)); err != nil {
-		return nil, err
-	}
-	completedBefore := rig.Sched.Stats().Completed
-
-	// Breaker over the whole row; on trip, the entire row fails and is
-	// repaired after RepairAfter.
-	brk, err := breaker.New(rig.Eng, breaker.DefaultConfig(rowBudget), row)
-	if err != nil {
-		return nil, err
-	}
+	var completedBefore int64
+	var brk *breaker.Breaker
 	var trippedAt sim.Time
-	brk.OnTrip(func(now sim.Time) {
-		trippedAt = now
-		for _, sv := range row {
-			if err := rig.Sched.FailServer(sv.ID); err != nil {
-				panic(err) // servers cannot already be failed here
-			}
+	measureStart, err := ctrl.Run(cfg.Day, func() error {
+		completedBefore = rig.Sched.Stats().Completed
+		// Breaker over the whole row; on trip, the entire row fails and is
+		// repaired after RepairAfter.
+		if brk, err = breaker.New(rig.Eng, breaker.DefaultConfig(rowBudget), row); err != nil {
+			return err
 		}
-		rig.Eng.After(cfg.RepairAfter, "row-repair", func(sim.Time) {
+		brk.OnTrip(func(now sim.Time) {
+			trippedAt = now
 			for _, sv := range row {
-				if err := rig.Sched.RepairServer(sv.ID); err != nil {
-					panic(err)
+				if err := rig.Sched.FailServer(sv.ID); err != nil {
+					panic(err) // servers cannot already be failed here
 				}
 			}
-			brk.Reset()
+			rig.Eng.After(cfg.RepairAfter, "row-repair", func(sim.Time) {
+				for _, sv := range row {
+					if err := rig.Sched.RepairServer(sv.ID); err != nil {
+						panic(err)
+					}
+				}
+				brk.Reset()
+			})
 		})
+		brk.Start()
+
+		switch regime {
+		case "none":
+			return nil
+		case "ampere":
+			if _, err := ctrl.Ampere(cfg.Day, true, core.DefaultConfig()); err != nil {
+				return err
+			}
+			// Capping stays on as the safety net, as in the deployment.
+			fallthrough
+		case "capping":
+			cp, err := ctrl.RowCapper(capping.DefaultConfig())
+			if err != nil {
+				return err
+			}
+			cp.Start()
+			return nil
+		}
+		return fmt.Errorf("unknown regime %q", regime)
 	})
-	brk.Start()
-
-	switch regime {
-	case "none":
-	case "capping":
-		cp, err := ctrl.RowCapper(capping.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		cp.Start()
-	case "ampere":
-		et, err := ctrl.TrainEt(true, sim.Time(cfg.Warmup), 99.5)
-		if err != nil {
-			return nil, err
-		}
-		controller, err := core.New(rig.Eng, rig.Mon, rig.Sched, core.DefaultConfig(),
-			[]core.Domain{ctrl.RowDomain(cfg.Kr, et)})
-		if err != nil {
-			return nil, err
-		}
-		controller.Start()
-		// Capping stays on as the safety net, as in the deployment.
-		cp, err := ctrl.RowCapper(capping.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		cp.Start()
-	default:
-		return nil, fmt.Errorf("unknown regime %q", regime)
-	}
-
-	measureStart := ctrl.Tracker.Samples()
-	if err := rig.Run(sim.Time(cfg.Warmup + cfg.Pretrain + cfg.Measure)); err != nil {
+	if err != nil {
 		return nil, err
 	}
 
@@ -172,7 +151,7 @@ func runOutageOnce(cfg OutageConfig, regime string) (*OutageOutcome, error) {
 		PMax:       pmax.Max(),
 	}
 	if o.Tripped {
-		o.TripAfter = trippedAt.Sub(sim.Time(cfg.Warmup + cfg.Pretrain))
+		o.TripAfter = trippedAt.Sub(cfg.Start())
 	}
 	return o, nil
 }

@@ -10,7 +10,7 @@ import (
 func TestOutageScenario(t *testing.T) {
 	cfg := OutageConfig{
 		Seed: 55, RowServers: 120, RO: 0.25, TargetFrac: 0.79,
-		Warmup: sim.Hour, Pretrain: 8 * sim.Hour, Measure: 8 * sim.Hour,
+		Day:         Day{Warmup: sim.Hour, Pretrain: 8 * sim.Hour, Measure: 8 * sim.Hour},
 		RepairAfter: 30 * sim.Minute,
 	}
 	rows, err := RunOutage(cfg)
@@ -48,5 +48,23 @@ func TestOutageScenario(t *testing.T) {
 	// The outage costs real throughput relative to either protection.
 	if none.Throughput >= amp.Throughput {
 		t.Errorf("outage throughput %d not below ampere %d", none.Throughput, amp.Throughput)
+	}
+}
+
+// TestOutagePeakAtMidnight places the demand peak on 00:00 — 2 h into a
+// measured window that opens at 22:00 — and requires the uncontrolled row to
+// meet it. Hour 0 must not be read as "no peak hour given", which would move
+// the peak to the default 14:00, into the trough of the measured window.
+func TestOutagePeakAtMidnight(t *testing.T) {
+	cfg := DefaultOutage()
+	cfg.RowServers = 120
+	cfg.Warmup, cfg.Pretrain, cfg.Measure = sim.Hour, 21*sim.Hour, 4*sim.Hour
+	o, err := runOutageOnce(cfg, "none")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("peak 00:00: Pmax %.3f, tripped %v", o.PMax, o.Tripped)
+	if o.PMax <= 1 {
+		t.Errorf("uncontrolled Pmax %.3f over the peak, want above the budget", o.PMax)
 	}
 }
