@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Event is a callback executed at its scheduled virtual time.
@@ -67,10 +68,15 @@ func (ev *event) period() Duration {
 // Cancellation is lazy — it marks the slab record and the entry is dropped
 // when it surfaces — because removing from the middle would need every sift
 // to write each moved entry's position back into the slab.
+//
+// Bulk one-shots that share a callback and are never cancelled skip the heap:
+// they go in a Batch, and dispatch takes whichever of the heap top and the
+// batch heads is first in (at, seq) order.
 type Engine struct {
 	now     Time
 	queue   []entry
 	events  Slab[event]
+	batches []*Batch
 	free    int32 // head of the free-slot list, -1 when empty
 	seq     uint64
 	stopped bool
@@ -222,36 +228,75 @@ func (e *Engine) pop() entry {
 	return top
 }
 
+// next returns the earliest pending event in (at, seq) order: the heap top
+// (b == nil) or the head of batch b. ok is false when nothing is pending.
+// Cancelled heap entries that surface ahead of every batch head are dropped
+// on the way, as a single queue holding both would drop them.
+func (e *Engine) next() (top entry, b *Batch, ok bool) {
+	for _, x := range e.batches {
+		if x.head == len(x.ents) {
+			continue
+		}
+		if !x.sorted {
+			x.sort()
+		}
+		h := entry{at: x.ents[x.head].at, seq: x.ents[x.head].seq}
+		if b == nil || h.before(top) {
+			top, b = h, x
+		}
+	}
+	for len(e.queue) > 0 {
+		q := e.queue[0]
+		if b != nil && top.before(q) {
+			break
+		}
+		if !e.events.At(q.slot).cancelled {
+			return q, nil, true
+		}
+		e.pop()
+		e.release(q.slot)
+	}
+	return top, b, b != nil
+}
+
+// dispatch runs top, which next has just returned with b.
+func (e *Engine) dispatch(top entry, b *Batch) {
+	e.now = top.at
+	e.steps++
+	if b != nil {
+		b.fn(e.now, b.take())
+		return
+	}
+	e.pop()
+	ev := *e.events.At(top.slot)
+	if period := ev.period(); period > 0 {
+		// Re-arm before running so the callback can cancel via its handle.
+		e.push(entry{at: top.at.Add(period), seq: e.seq, slot: top.slot})
+		e.seq++
+	} else {
+		// Release before running so the callback's own scheduling reuses
+		// the slot while it is still in cache.
+		e.release(top.slot)
+	}
+	if ev.argFn != nil {
+		ev.argFn(e.now, ev.arg)
+	} else {
+		ev.fn(e.now)
+	}
+}
+
 // Step executes the next pending event, advancing the clock to its timestamp.
 // It reports whether an event was executed (false when the queue is empty or
 // the engine was stopped).
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 && !e.stopped {
-		top := e.pop()
-		ev := *e.events.At(top.slot)
-		if ev.cancelled {
-			e.release(top.slot)
-			continue
-		}
-		e.now = top.at
-		e.steps++
-		if period := ev.period(); period > 0 {
-			// Re-arm before running so the callback can cancel via its handle.
-			e.push(entry{at: top.at.Add(period), seq: e.seq, slot: top.slot})
-			e.seq++
-		} else {
-			// Release before running so the callback's own scheduling reuses
-			// the slot while it is still in cache.
-			e.release(top.slot)
-		}
-		if ev.argFn != nil {
-			ev.argFn(e.now, ev.arg)
-		} else {
-			ev.fn(e.now)
-		}
-		return true
+	if e.stopped {
+		return false
 	}
-	return false
+	top, b, ok := e.next()
+	if ok {
+		e.dispatch(top, b)
+	}
+	return ok
 }
 
 // Run executes events until the queue is empty, Stop is called, or the step
@@ -268,17 +313,12 @@ func (e *Engine) Run() error {
 // RunUntil executes events with timestamps ≤ end, then sets the clock to end.
 // Events scheduled after end remain queued, so the simulation can be resumed.
 func (e *Engine) RunUntil(end Time) error {
-	for len(e.queue) > 0 && !e.stopped {
-		next := e.queue[0]
-		if e.events.At(next.slot).cancelled {
-			e.pop()
-			e.release(next.slot)
-			continue
-		}
-		if next.at > end {
+	for !e.stopped {
+		top, b, ok := e.next()
+		if !ok || top.at > end {
 			break
 		}
-		e.Step()
+		e.dispatch(top, b)
 		if e.stepLim > 0 && e.steps > e.stepLim {
 			return fmt.Errorf("%w after %d events at %v", ErrStepLimit, e.steps, e.now)
 		}
@@ -295,9 +335,134 @@ func (e *Engine) Stop() { e.stopped = true }
 // Stopped reports whether Stop has been called.
 func (e *Engine) Stopped() bool { return e.stopped }
 
-// Pending returns the number of queued (possibly cancelled) events; intended
-// for tests and diagnostics.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending returns the number of queued (possibly cancelled) events, batch
+// entries included; intended for tests and diagnostics.
+func (e *Engine) Pending() int {
+	n := len(e.queue)
+	for _, b := range e.batches {
+		n += len(b.ents) - b.head
+	}
+	return n
+}
 
 // Steps returns the number of events executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
+
+// Batch holds one-shot events that share a callback and are never cancelled,
+// outside the heap: a workload's arrivals, added a minute at a time. Add is
+// an append; the engine sorts the batch the first time it looks at it after
+// an Add, and dispatching an entry is an index bump. Entries take their seq
+// from the engine's counter at Add, exactly as AtArg does, so a batch entry
+// and a heap entry at the same time fire in the order they were scheduled.
+type Batch struct {
+	eng  *Engine
+	name string
+	fn   ArgEvent
+	// ents[head:] are pending; ents[:head] were dispatched. Among pending
+	// entries at one time seq always ascends: an Add appends a larger seq
+	// than any pending one, and sorting and giving back the dispatched
+	// prefix keep relative order. sorted says they are in at order too.
+	ents   []batchEntry
+	head   int
+	sorted bool
+	spare  []batchEntry // the radix sort's other buffer
+	counts []int32      // the radix sort's digit counts
+}
+
+type batchEntry struct {
+	at  Time
+	seq uint64
+	arg int64
+}
+
+// NewBatch returns an empty batch whose entries run fn(at, arg); name is for
+// panic messages.
+func (e *Engine) NewBatch(name string, fn ArgEvent) *Batch {
+	b := &Batch{eng: e, name: name, fn: fn}
+	e.batches = append(e.batches, b)
+	return b
+}
+
+// Add schedules fn(t, arg) at virtual time t. Scheduling in the past (before
+// Now) panics, as it does for a heap event.
+func (b *Batch) Add(t Time, arg int64) {
+	e := b.eng
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", b.name, t, e.now))
+	}
+	b.ents = append(b.ents, batchEntry{at: t, seq: e.seq, arg: arg})
+	e.seq++
+	b.sorted = false
+}
+
+// take consumes the head entry and returns its arg. A drained batch rewinds
+// to the start of its buffer; a batch that never drains gives back its
+// consumed prefix once that is more than half its length, so the length
+// stays within twice the entries pending.
+func (b *Batch) take() int64 {
+	arg := b.ents[b.head].arg
+	b.head++
+	if n := len(b.ents); b.head == n {
+		b.ents, b.head = b.ents[:0], 0
+	} else if b.head > n/2 {
+		b.ents = b.ents[:copy(b.ents, b.ents[b.head:])]
+		b.head = 0
+	}
+	return arg
+}
+
+// sort puts the pending entries in (at, seq) order. They are in seq order
+// among equal times (see Batch), so a stable sort on at alone suffices: an
+// LSD radix sort on at − min(at), in as few passes of at most
+// clamp(log₂ n, 6, 16)-bit digits as the key span needs, digits evened out
+// across the passes. One pass costs O(n + 2^digit) = O(n).
+func (b *Batch) sort() {
+	b.sorted = true
+	src := b.ents[b.head:]
+	n := len(src)
+	lo, hi := src[0].at, src[0].at
+	inOrder := true
+	for i := 1; i < n; i++ {
+		at := src[i].at
+		inOrder = inOrder && at >= src[i-1].at
+		lo, hi = min(lo, at), max(hi, at)
+	}
+	if inOrder {
+		return // one entry and a zero span included: no key to sort on
+	}
+	keyBits := bits.Len64(uint64(hi - lo))
+	digit := min(max(bits.Len(uint(n)), 6), 16)
+	passes := (keyBits + digit - 1) / digit
+	digit = (keyBits + passes - 1) / passes
+	if cap(b.spare) < n {
+		b.spare = make([]batchEntry, cap(b.ents))
+	}
+	if len(b.counts) < 1<<digit {
+		b.counts = make([]int32, 1<<digit)
+	}
+	counts := b.counts[:1<<digit]
+	mask := uint64(len(counts) - 1)
+	dst := b.spare[:n]
+	for shift := 0; shift < keyBits; shift += digit {
+		clear(counts)
+		for i := range src {
+			counts[uint64(src[i].at-lo)>>shift&mask]++
+		}
+		sum := int32(0)
+		for d, c := range counts {
+			counts[d] = sum
+			sum += c
+		}
+		for i := range src {
+			d := uint64(src[i].at-lo) >> shift & mask
+			dst[counts[d]] = src[i]
+			counts[d]++
+		}
+		src, dst = dst, src
+	}
+	if passes%2 == 1 {
+		// The sorted entries are in the spare buffer: swap the two.
+		b.ents, b.spare = src, b.ents[:0]
+		b.head = 0
+	}
+}

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -423,6 +425,7 @@ type scriptedEngine struct {
 	after    func(d Duration, fn Event) (cancel func())
 	every    func(start Time, interval Duration, fn Event) (cancel func())
 	atArg    func(t Time, fn ArgEvent, arg int64) (cancel func())
+	newBatch func(fn ArgEvent) (add func(t Time, arg int64))
 	runUntil func(end Time) error
 	steps    func() uint64
 	pending  func() int
@@ -439,6 +442,7 @@ func scriptNew() scriptedEngine {
 		atArg: func(t Time, fn ArgEvent, arg int64) func() {
 			return canceller(e.AtArg(t, "at-arg", fn, arg))
 		},
+		newBatch: func(fn ArgEvent) func(Time, int64) { return e.NewBatch("batch", fn).Add },
 		runUntil: e.RunUntil, steps: e.Steps, pending: e.Pending,
 	}
 }
@@ -453,6 +457,10 @@ func scriptRef() scriptedEngine {
 		// The old engine had no closure-free form; a closure is its meaning.
 		atArg: func(t Time, fn ArgEvent, arg int64) func() {
 			return e.schedule(t, 0, func(now Time) { fn(now, arg) }).Cancel
+		},
+		// A batch entry is a one-shot nobody cancels.
+		newBatch: func(fn ArgEvent) func(Time, int64) {
+			return func(t Time, arg int64) { e.schedule(t, 0, func(now Time) { fn(now, arg) }) }
 		},
 		runUntil: e.RunUntil,
 		steps:    func() uint64 { return e.steps },
@@ -473,6 +481,13 @@ type checkpoint struct {
 	dispatch int // trace length
 }
 
+// batchMix is how much of a script goes through batches: batches of them
+// (0, 1 or 2), and share/256 of its spawned one-shots.
+type batchMix struct {
+	batches int
+	share   int
+}
+
 // runScript drives e with a seeded random script and returns every dispatch
 // as (time, id) and a checkpoint per RunUntil. Each callback draws from the
 // script's one random stream, so two engines stay in step only for as long
@@ -480,13 +495,17 @@ type checkpoint struct {
 // and closure-free; schedule-at-now from inside a callback; periodics that
 // cancel themselves from inside their own callback; cancels of live, fired
 // and already-cancelled events, long after the slot has a new tenant; and
-// bursts of thousands of events on one timestamp.
-func runScript(e scriptedEngine, seed int64) ([]dispatch, []checkpoint) {
+// bursts of thousands of events on one timestamp. With batches it also adds
+// batch entries from inside callbacks, between runs and in bursts, and a
+// bulk each round spread over a span from 1 ms to, late on, 2^40 ms, so the
+// radix sort runs from one pass to several.
+func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkpoint) {
 	r := rand.New(rand.NewSource(seed))
 	var trace []dispatch
 	var marks []checkpoint
 	var cancels []func() // every handle ever issued, never pruned
 	nextID := int64(0)
+	var batches []func(t Time, arg int64)
 
 	var spawn func(depth int)
 	record := func(now Time, id int64, depth int) {
@@ -501,11 +520,18 @@ func runScript(e scriptedEngine, seed int64) ([]dispatch, []checkpoint) {
 		}
 	}
 	argFn := func(now Time, arg int64) { record(now, arg>>2, int(arg&3)) }
+	for k := 0; k < mix.batches; k++ {
+		batches = append(batches, e.newBatch(argFn))
+	}
 	spawn = func(depth int) {
 		id := nextID
 		nextID++
 		// Coarse delays, zero included: ties and schedule-at-now are common.
 		delay := Duration(r.Intn(12))
+		if len(batches) > 0 && r.Intn(256) < mix.share {
+			batches[r.Intn(len(batches))](e.now().Add(delay), id<<2|int64(depth))
+			return
+		}
 		switch r.Intn(10) {
 		case 0, 1, 2:
 			cancels = append(cancels, e.at(e.now().Add(delay), func(now Time) { record(now, id, depth) }))
@@ -542,15 +568,33 @@ func runScript(e scriptedEngine, seed int64) ([]dispatch, []checkpoint) {
 				id := nextID
 				nextID++
 				var cancel func()
-				if k%2 == 0 {
+				switch {
+				case k%3 != 0 && len(batches) > 0 && k%4 == 1:
+					batches[k%len(batches)](at, id<<2|3)
+					continue
+				case k%2 == 0:
 					cancel = e.at(at, func(now Time) { record(now, id, 3) })
-				} else {
+				default:
 					cancel = e.atArg(at, argFn, id<<2|3)
 				}
 				cancels = append(cancels, cancel)
 				if k%3 == 0 {
 					cancel()
 				}
+			}
+		}
+		if len(batches) > 0 {
+			// Wide spans come late: their entries outlive the script, and
+			// until then the batches drain and rewind.
+			span := int64(1) << r.Intn(12)
+			if round >= 50 {
+				span = int64(1) << r.Intn(41)
+			}
+			for k := r.Intn(300); k > 0; k-- {
+				id := nextID
+				nextID++
+				at := e.now().Add(Duration(r.Int63n(span)))
+				batches[r.Intn(len(batches))](at, id<<2|3)
 			}
 		}
 		// Some horizons fall short of the next event, some leave work queued.
@@ -563,27 +607,50 @@ func runScript(e scriptedEngine, seed int64) ([]dispatch, []checkpoint) {
 	return trace, marks
 }
 
-func TestEngineMatchesReference(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		got, gotMarks := runScript(scriptNew(), seed)
-		want, wantMarks := runScript(scriptRef(), seed)
-		for i := range wantMarks {
-			if gotMarks[i] != wantMarks[i] {
-				t.Fatalf("seed %d: after RunUntil #%d engine at %+v, reference at %+v", seed, i, gotMarks[i], wantMarks[i])
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d dispatches, reference %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: dispatch %d is %+v, reference %+v", seed, i, got[i], want[i])
-			}
-		}
-		if len(want) < 5000 {
-			t.Fatalf("seed %d: script dispatched only %d events", seed, len(want))
+// matchReference runs one script on the engine and on refEngine and reports
+// the first difference, or the number of dispatches when there is none.
+func matchReference(seed int64, mix batchMix) (int, error) {
+	got, gotMarks := runScript(scriptNew(), seed, mix)
+	want, wantMarks := runScript(scriptRef(), seed, mix)
+	for i := range wantMarks {
+		if gotMarks[i] != wantMarks[i] {
+			return 0, fmt.Errorf("after RunUntil #%d engine at %+v, reference at %+v", i, gotMarks[i], wantMarks[i])
 		}
 	}
+	if len(got) != len(want) {
+		return 0, fmt.Errorf("%d dispatches, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return 0, fmt.Errorf("dispatch %d is %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	return len(want), nil
+}
+
+func TestEngineMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		mix := batchMix{batches: int(seed % 3), share: 32 * int(seed%4)}
+		n, err := matchReference(seed, mix)
+		if err != nil {
+			t.Fatalf("seed %d, %+v: %v", seed, mix, err)
+		}
+		if n < 5000 {
+			t.Fatalf("seed %d: script dispatched only %d events", seed, n)
+		}
+	}
+}
+
+// The script seed and the batch mix are the input; the batch engine must
+// dispatch exactly as refEngine does with the same entries as one-shots.
+// The seed corpus is in testdata/fuzz.
+func FuzzEngineMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, batches, share uint8) {
+		mix := batchMix{batches: int(batches % 3), share: int(share)}
+		if _, err := matchReference(seed, mix); err != nil {
+			t.Fatalf("seed %d, %+v: %v", seed, mix, err)
+		}
+	})
 }
 
 // A handle outlives its event: once the slot has a new tenant, cancelling
@@ -627,5 +694,176 @@ func TestAtArgStepDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("AtArg+Step allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// Batch entries interleave with heap events at the same time in the order
+// they were scheduled, whichever side they were scheduled on.
+func TestBatchKeepsFIFOWithHeap(t *testing.T) {
+	e := NewEngine()
+	var order []int64
+	record := func(_ Time, arg int64) { order = append(order, arg) }
+	a, b := e.NewBatch("a", record), e.NewBatch("b", record)
+	for i := int64(0); i < 12; i++ {
+		switch i % 3 {
+		case 0:
+			a.Add(Time(Second), i)
+		case 1:
+			e.AtArg(Time(Second), "heap", record, i)
+		case 2:
+			b.Add(Time(Second), i)
+		}
+	}
+	a.Add(0, 100)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []int64{100, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("dispatch order %v, want %v", order, want)
+	}
+}
+
+// RunUntil's horizon is inclusive for batch entries as for heap events, and
+// what lies beyond it stays pending for the next run.
+func TestBatchRunUntilHorizon(t *testing.T) {
+	e := NewEngine()
+	var got []Time
+	b := e.NewBatch("arrival", func(now Time, _ int64) { got = append(got, now) })
+	end := Time(Minute)
+	b.Add(end+1, 0)
+	b.Add(end, 0)
+	if err := e.RunUntil(end); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != end || e.Now() != end {
+		t.Fatalf("dispatched %v, clock %v; want only the entry at %v", got, e.Now(), end)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending() = %d after the horizon, want 1", e.Pending())
+	}
+	if err := e.RunUntil(end + 1); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[1] != end+1 || e.Pending() != 0 {
+		t.Errorf("resumed run dispatched %v, %d pending", got, e.Pending())
+	}
+}
+
+func TestBatchStopFromCallback(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	b := e.NewBatch("arrival", func(Time, int64) {
+		if n++; n == 3 {
+			e.Stop()
+		}
+	})
+	for i := 0; i < 10; i++ {
+		b.Add(Time(i), 0)
+	}
+	if err := e.RunUntil(Time(Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if n != 3 || e.Now() != 2 || e.Pending() != 7 {
+		t.Errorf("after Stop: %d dispatched, clock %v, %d pending; want 3, 2ms, 7", n, e.Now(), e.Pending())
+	}
+	if e.Step() {
+		t.Error("Step ran an entry on a stopped engine")
+	}
+}
+
+// Batch dispatches are steps: they count in Steps and against the limit.
+func TestBatchStepLimit(t *testing.T) {
+	e := NewEngine()
+	e.SetStepLimit(5)
+	b := e.NewBatch("arrival", func(Time, int64) {})
+	for i := 0; i < 10; i++ {
+		b.Add(Time(i), 0)
+	}
+	if err := e.RunUntil(Time(Hour)); !errors.Is(err, ErrStepLimit) {
+		t.Fatalf("RunUntil = %v, want ErrStepLimit", err)
+	}
+	if e.Steps() != 6 || e.Pending() != 4 {
+		t.Errorf("Steps() = %d, Pending() = %d; want 6 and 4", e.Steps(), e.Pending())
+	}
+}
+
+func TestBatchPending(t *testing.T) {
+	e := NewEngine()
+	b := e.NewBatch("arrival", func(Time, int64) {})
+	e.At(Time(Second), "heap", func(Time) {})
+	for i := 5; i > 0; i-- {
+		b.Add(Time(i), 0)
+	}
+	if e.Pending() != 6 {
+		t.Fatalf("Pending() = %d, want 6", e.Pending())
+	}
+	e.Step()
+	e.Step()
+	if e.Pending() != 4 {
+		t.Errorf("Pending() = %d after two steps, want 4", e.Pending())
+	}
+}
+
+func TestBatchAddInPastPanics(t *testing.T) {
+	e := NewEngine()
+	b := e.NewBatch("job-arrival", func(Time, int64) {})
+	if err := e.RunUntil(Time(Minute)); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"job-arrival"`) {
+			t.Fatalf("Add before Now panicked with %q, want the batch name", msg)
+		}
+	}()
+	b.Add(Time(Minute)-1, 0)
+}
+
+// A batch that is never fully drained gives back its consumed prefix: with
+// at most k entries pending, its buffers stay within a small multiple of k.
+func TestBatchNeverDrainedStaysBounded(t *testing.T) {
+	const k = 100
+	e := NewEngine()
+	var b *Batch
+	b = e.NewBatch("refill", func(now Time, arg int64) {
+		// Each entry schedules its successor after every pending one, so no
+		// sort ever rewrites the buffer: only giving back the prefix can.
+		b.Add(now.Add(k), arg)
+	})
+	for i := int64(0); i < k; i++ {
+		b.Add(Time(i), i)
+	}
+	for i := 0; i < 100_000; i++ {
+		if !e.Step() {
+			t.Fatal("batch drained")
+		}
+	}
+	if e.Pending() != k {
+		t.Fatalf("Pending() = %d, want %d", e.Pending(), k)
+	}
+	if c := cap(b.ents) + cap(b.spare); c > 8*k {
+		t.Errorf("buffers hold %d entries for %d pending", c, k)
+	}
+}
+
+// Adding to and dispatching from a warmed batch allocate nothing.
+func TestBatchStepDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	var sum int64
+	b := e.NewBatch("arrival", func(_ Time, arg int64) { sum += arg })
+	for i := 0; i < 1000; i++ {
+		b.Add(Time(1000-i), 1)
+	}
+	for e.Step() {
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		b.Add(e.Now().Add(Second), 2)
+		b.Add(e.Now().Add(Millisecond), 3)
+		e.Step()
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("Batch Add+Step allocates %.1f objects per run, want 0", allocs)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"repro/internal/cluster"
@@ -162,6 +163,10 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
 				return nil, fmt.Errorf("trace: row %d col %d: %w", i+1, j+1, err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				// ParseFloat accepts "NaN" and "Inf"; RateSchedule would make them NaN rates.
+				return nil, fmt.Errorf("trace: row %d col %d: non-finite value %q", i+1, j+1, f)
 			}
 			row[j] = v
 		}

@@ -103,6 +103,9 @@ func TestReadCSVErrors(t *testing.T) {
 		"time_ms,row/0\n0,1\n60000,zzz\n120000,3\n",
 		"time_ms,row/0\n0,1\n0,2\n0,3\n",          // non-increasing
 		"time_ms,row/0\n0,1\n60000,2\n180000,3\n", // irregular
+		"time_ms,row/0\n0,1\n60000,NaN\n120000,3\n",
+		"time_ms,row/0\n0,1\n60000,2\n120000,Inf\n",
+		"time_ms,row/0\n0,-inf\n60000,2\n120000,3\n",
 	}
 	for i, c := range cases {
 		if _, err := ReadCSV(strings.NewReader(c)); err == nil {

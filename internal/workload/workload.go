@@ -174,11 +174,12 @@ type Generator struct {
 	generated int64
 
 	// pending is the slab of jobs generated for the current minute and not
-	// yet arrived; free stacks its recycled slots. An arrival event carries a
-	// slot, not a closure, so a job costs no allocation between tick and sink.
+	// yet arrived; free stacks its recycled slots. An arrival is an entry of
+	// the arrivals batch carrying a slot, not a closure or a heap event, so a
+	// job costs no allocation between tick and sink.
 	pending  sim.Slab[Job]
 	free     []int32
-	arriveFn sim.ArgEvent // g.arrive, bound once
+	arrivals *sim.Batch
 }
 
 type wobbleState struct {
@@ -196,8 +197,15 @@ func NewGenerator(eng *sim.Engine, seed uint64, products []Product, dd DurationD
 		return nil, fmt.Errorf("workload: no products")
 	}
 	for i, p := range products {
-		if p.BaseJobsPerMinute < 0 {
-			return nil, fmt.Errorf("workload: product %d (%s) has negative rate", i, p.Name)
+		// A non-finite mean makes sim.Poisson convert ±Inf or NaN to int,
+		// which on amd64 comes out as zero jobs, silently.
+		if !(p.BaseJobsPerMinute >= 0) || math.IsInf(p.BaseJobsPerMinute, 1) {
+			return nil, fmt.Errorf("workload: product %d (%s) has rate %v, want a finite non-negative number", i, p.Name, p.BaseJobsPerMinute)
+		}
+		for k, r := range p.Schedule {
+			if math.IsNaN(r) || math.IsInf(r, 0) {
+				return nil, fmt.Errorf("workload: product %d (%s) has non-finite schedule rate %v at minute %d", i, p.Name, r, k)
+			}
 		}
 		if p.NoiseSigma < 0 {
 			return nil, fmt.Errorf("workload: product %d (%s) has negative noise sigma %v", i, p.Name, p.NoiseSigma)
@@ -208,7 +216,7 @@ func NewGenerator(eng *sim.Engine, seed uint64, products []Product, dd DurationD
 		}
 	}
 	g := &Generator{eng: eng, products: products, dd: dd, sink: sink}
-	g.arriveFn = g.arrive
+	g.arrivals = eng.NewBatch("job-arrival", g.arrive)
 	g.rngs = make([]*rand.Rand, len(products))
 	g.wobble = make([]*wobbleState, len(products))
 	for i := range products {
@@ -317,7 +325,7 @@ func (g *Generator) tick(now sim.Time) {
 			g.nextID++
 			g.generated++
 			job.Arrival = now.Add(sim.Duration(r.Int63n(int64(sim.Minute))))
-			g.eng.AtArg(job.Arrival, "job-arrival", g.arriveFn, int64(g.hold(job)))
+			g.arrivals.Add(job.Arrival, int64(g.hold(job)))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -67,6 +68,29 @@ func TestGeneratorValidation(t *testing.T) {
 	bad := DefaultProduct("a", -1)
 	if _, err := NewGenerator(eng, 1, []Product{bad}, DefaultDurations(), func(*Job) {}); err == nil {
 		t.Error("negative rate accepted")
+	}
+}
+
+// A non-finite mean reaches sim.Poisson's int conversion, which on amd64
+// yields zero jobs a minute without a word: a construction error instead.
+func TestNewGeneratorRejectsNonFiniteRates(t *testing.T) {
+	eng := sim.NewEngine()
+	for _, rate := range []float64{math.NaN(), math.Inf(1)} {
+		p := DefaultProduct("base", 10)
+		p.BaseJobsPerMinute = rate
+		if _, err := NewGenerator(eng, 1, []Product{p}, DefaultDurations(), func(*Job) {}); err == nil {
+			t.Errorf("base rate %v accepted", rate)
+		}
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p := DefaultProduct("sched", 10)
+		p.Schedule = []float64{5, rate, 7}
+		_, err := NewGenerator(eng, 1, []Product{DefaultProduct("ok", 1), p}, DefaultDurations(), func(*Job) {})
+		if err == nil {
+			t.Errorf("schedule rate %v accepted", rate)
+		} else if msg := err.Error(); !strings.Contains(msg, "product 1 (sched)") || !strings.Contains(msg, "minute 1") {
+			t.Errorf("error %q names neither the product nor the index", msg)
+		}
 	}
 }
 
