@@ -61,34 +61,27 @@ func why(args []string) error {
 	if err != nil {
 		return err
 	}
-	var fork *obs.Event
+	var fork obs.Event
+	found := false
 	if *event >= 0 {
 		for i := range scout.Events {
 			if scout.Events[i].Seq == uint64(*event) {
-				fork = &scout.Events[i]
+				fork, found = scout.Events[i], true
 				break
 			}
 		}
-		if fork == nil {
+		if !found {
 			return fmt.Errorf("event %d not in the journal (run has %d events, seq 0..%d)",
 				*event, len(scout.Events), len(scout.Events)-1)
 		}
-	} else {
-		for i := range scout.Events {
-			if scout.Events[i].Action == "budget-change" {
-				fork = &scout.Events[i]
-				break
-			}
-		}
-		if fork == nil {
-			return fmt.Errorf("no budget-change event to fork at; pass -event N")
-		}
+	} else if fork, found = whatif.FirstBudgetChange(scout.Events); !found {
+		return fmt.Errorf("no budget-change event to fork at; pass -event N")
 	}
 
 	patchStr := *alt
 	switch patchStr {
 	case "":
-		patchStr = fmt.Sprintf("ramp=%g", cfg.DipDepth/float64(cfg.RampMinutes))
+		patchStr = experiment.RampPatch(cfg)
 	case "self":
 		patchStr = ""
 	}

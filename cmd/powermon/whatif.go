@@ -95,18 +95,11 @@ func (ws *whatifServer) handle(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		fork = evs[0]
+	} else if ev, found := whatif.FirstBudgetChange(ws.journal.Since(0)); found {
+		fork = ev
 	} else {
-		found := false
-		for _, ev := range ws.journal.Since(0) {
-			if ev.Action == "budget-change" {
-				fork, found = ev, true
-				break
-			}
-		}
-		if !found {
-			whatifError(w, http.StatusNotFound, "no budget-change event in the retained journal; pass ?event=N")
-			return
-		}
+		whatifError(w, http.StatusNotFound, "no budget-change event in the retained journal; pass ?event=N")
+		return
 	}
 
 	patch, err := core.ParsePatch(q.Get("alt"))

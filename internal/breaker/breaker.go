@@ -10,30 +10,34 @@ package breaker
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
+// The fixed shape of the trip curve.
+const (
+	// instantFactor is the draw, as a multiple of the budget, that trips
+	// immediately regardless of accumulation (a magnetic trip).
+	instantFactor = 1.5
+	// coolSeconds is how long a breaker at or under budget takes to
+	// dissipate a full trip threshold of heat.
+	coolSeconds = 600
+)
+
 // Config parameterizes the trip curve.
 type Config struct {
 	// BudgetW is the protected limit.
 	BudgetW float64
-	// Interval between draw evaluations (default 1 s).
+	// Interval between draw evaluations; DefaultConfig sets 1 s.
 	Interval sim.Duration
 	// TripOverloadSeconds is the accumulated overload, in
-	// (fractional-overload × seconds), that trips the breaker: with the
-	// default 30, a steady 5 % overload trips after 10 minutes and a 50 %
-	// overload after one minute.
+	// (fractional-overload × seconds), that trips the breaker: with
+	// DefaultConfig's 30, a steady 5 % overload trips after 10 minutes and
+	// a 25 % overload after two.
 	TripOverloadSeconds float64
-	// InstantFactor trips immediately regardless of accumulation (a
-	// magnetic trip); default 1.5.
-	InstantFactor float64
-	// CoolRate is the accumulator decay per second while at or under
-	// budget, as a fraction of the trip threshold (default: full reset
-	// over 10 minutes).
-	CoolRate float64
 }
 
 // DefaultConfig returns the curve described on Config.
@@ -42,7 +46,6 @@ func DefaultConfig(budgetW float64) Config {
 		BudgetW:             budgetW,
 		Interval:            sim.Second,
 		TripOverloadSeconds: 30,
-		InstantFactor:       1.5,
 	}
 }
 
@@ -105,16 +108,10 @@ func New(eng *sim.Engine, cfg Config, servers []*cluster.Server) (*Breaker, erro
 		return nil, fmt.Errorf("breaker: no servers")
 	}
 	if cfg.Interval <= 0 {
-		cfg.Interval = sim.Second
+		return nil, fmt.Errorf("breaker: non-positive interval %v", cfg.Interval)
 	}
-	if cfg.TripOverloadSeconds <= 0 {
-		cfg.TripOverloadSeconds = 30
-	}
-	if cfg.InstantFactor <= 1 {
-		cfg.InstantFactor = 1.5
-	}
-	if cfg.CoolRate <= 0 {
-		cfg.CoolRate = cfg.TripOverloadSeconds / 600 // full reset in 10 min
+	if t := cfg.TripOverloadSeconds; math.IsNaN(t) || math.IsInf(t, 0) || t <= 0 {
+		return nil, fmt.Errorf("breaker: trip threshold %v must be a finite positive number", t)
 	}
 	return &Breaker{eng: eng, cfg: cfg, servers: servers}, nil
 }
@@ -187,7 +184,7 @@ func (b *Breaker) step(now sim.Time) {
 	dt := b.cfg.Interval.Seconds()
 	overload := draw/b.cfg.BudgetW - 1
 	switch {
-	case overload >= b.cfg.InstantFactor-1:
+	case overload >= instantFactor-1:
 		b.trip(now)
 		return
 	case overload > 0:
@@ -196,7 +193,7 @@ func (b *Breaker) step(now sim.Time) {
 			b.trip(now)
 		}
 	default:
-		b.heat -= b.cfg.CoolRate * dt
+		b.heat -= b.cfg.TripOverloadSeconds / coolSeconds * dt
 		if b.heat < 0 {
 			b.heat = 0
 		}

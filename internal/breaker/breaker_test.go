@@ -1,6 +1,7 @@
 package breaker
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -34,6 +35,18 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := New(eng, DefaultConfig(100), nil); err == nil {
 		t.Error("no servers accepted")
+	}
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.Interval = 0 },
+		func(c *Config) { c.Interval = -sim.Second },
+		func(c *Config) { c.TripOverloadSeconds = 0 },
+		func(c *Config) { c.TripOverloadSeconds = math.NaN() },
+	} {
+		cfg := DefaultConfig(100)
+		mutate(&cfg)
+		if _, err := New(eng, cfg, servers); err == nil {
+			t.Errorf("config %+v accepted", cfg)
+		}
 	}
 }
 
@@ -217,7 +230,7 @@ func TestBreakerMatchesReferenceProperty(t *testing.T) {
 			if !refTripped {
 				overload := draw/cfg.BudgetW - 1
 				switch {
-				case overload >= cfg.InstantFactor-1:
+				case overload >= 0.5: // the magnetic trip at 1.5× budget
 					refTripped = true
 				case overload > 0:
 					heat += overload
@@ -225,7 +238,7 @@ func TestBreakerMatchesReferenceProperty(t *testing.T) {
 						refTripped = true
 					}
 				default:
-					heat -= cfg.CoolRate
+					heat -= cfg.TripOverloadSeconds / 600 // a full reset in 10 min
 					if heat < 0 {
 						heat = 0
 					}

@@ -36,7 +36,7 @@ func TestBudgetScheduleValidate(t *testing.T) {
 		}
 	}
 	// New rejects a domain carrying an invalid schedule.
-	d := Domain{Name: "d", Servers: ids(2), BudgetW: 100,
+	d := Domain{Name: "d", Servers: ids(2), BudgetW: 100, Kr: 0.10,
 		Schedule: &BudgetSchedule{RampFrac: 2}}
 	if _, err := New(sim.NewEngine(), uniformReader(2, 10), newFakeAPI(), DefaultConfig(), []Domain{d}); err == nil {
 		t.Error("domain with invalid schedule accepted")

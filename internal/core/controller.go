@@ -61,7 +61,8 @@ type Domain struct {
 	BudgetW float64
 	// Kr is the gradient of the linear control-effect model f(u) = Kr·u,
 	// normalized to the budget, per control interval. Fit it with FitKr
-	// from controlled-experiment data; zero selects Config.DefaultKr.
+	// from controlled-experiment data (stack.DefaultKr is the Fig 5 value).
+	// Required: New rejects a zero, negative or non-finite Kr.
 	Kr float64
 	// Et predicts the next interval's demand increase. Nil selects a fresh
 	// HourlyEt that the controller trains online from its own observations.
@@ -72,11 +73,20 @@ type Domain struct {
 	Schedule *BudgetSchedule
 }
 
-// Config holds controller-wide parameters.
+// interval is the period between control actions: one minute, the
+// monitor's sampling period (§3).
+const interval = sim.Minute
+
+// The online estimators' fixed settings: the Et a domain assumes before its
+// estimator has etMinSamples observations of the hour to go on.
+const (
+	etDefault    = 0.05
+	etMinSamples = 30
+)
+
+// Config holds controller-wide parameters. A field exists only where two
+// callers set different values; every other setting is a constant.
 type Config struct {
-	// Interval between control actions; the paper uses one minute, matching
-	// the monitor frequency.
-	Interval sim.Duration
 	// RStable is the stability ratio (§3.5): a frozen server is only
 	// swapped for another when its power has dropped below RStable times
 	// the power of the coldest top-power server. The paper uses 0.8.
@@ -85,14 +95,9 @@ type Config struct {
 	// once; the paper's deployment limits it to 0.5 for operational
 	// reasons, at the cost of a rare violation under extreme surges.
 	MaxFreezeRatio float64
-	// DefaultKr is used by domains with Kr == 0.
-	DefaultKr float64
-	// EtPercentile and EtDefault configure the online HourlyEt estimators
-	// created for domains with Et == nil.
+	// EtPercentile configures the online HourlyEt estimators created for
+	// domains with Et == nil.
 	EtPercentile float64
-	EtDefault    float64
-	// EtMinSamples gates the hourly estimator onto real data.
-	EtMinSamples int
 	// Horizon is the receding-horizon depth N. The default 1 is the
 	// paper's simplified problem (SPCP, Eq. 13); larger values solve the
 	// general PCP (Eqs. 3–6) over N future intervals using the Et
@@ -106,9 +111,8 @@ type Config struct {
 	// SelectionSeed seeds SelectRandom's deterministic stream.
 	SelectionSeed uint64
 	// Resilience tunes degraded operation under substrate failures (stale
-	// samples, corrupt readings, scheduler API errors). Zero-valued fields
-	// select safe defaults; Resilience.Disabled restores the naive
-	// controller.
+	// samples, corrupt readings, scheduler API errors);
+	// Resilience.Disabled restores the naive controller.
 	Resilience ResilienceConfig
 	// EtWindow bounds each online HourlyEt hour bin to its most recent
 	// EtWindow observations (0 = unbounded, the paper's behavior). A
@@ -168,14 +172,10 @@ func (s SelectionPolicy) String() string {
 // DefaultConfig returns the paper's deployment parameters.
 func DefaultConfig() Config {
 	return Config{
-		Interval:       sim.Minute,
 		RStable:        0.8,
 		MaxFreezeRatio: 0.5,
-		DefaultKr:      0.10,
 		EtPercentile:   99.5,
-		EtDefault:      0.05,
-		EtMinSamples:   30,
-		Resilience:     DefaultResilience(),
+		Resilience:     ResilienceConfig{FailSafeAfter: 5, EtInflation: 2},
 	}
 }
 
@@ -185,14 +185,7 @@ func DefaultConfig() Config {
 // explicitly — a NaN parameter must be rejected here, not silently disable
 // the control law.
 func (c Config) Validate() error {
-	switch {
-	case c.Interval <= 0:
-		return fmt.Errorf("core: non-positive Interval %v", c.Interval)
-	case math.IsNaN(c.DefaultKr) || math.IsInf(c.DefaultKr, 0) || c.DefaultKr <= 0:
-		return fmt.Errorf("core: DefaultKr %v must be a finite positive number", c.DefaultKr)
-	case math.IsNaN(c.EtDefault) || math.IsInf(c.EtDefault, 0) || c.EtDefault < 0:
-		return fmt.Errorf("core: EtDefault %v must be a finite non-negative number", c.EtDefault)
-	case c.EtWindow < 0:
+	if c.EtWindow < 0 {
 		return fmt.Errorf("core: negative EtWindow %d", c.EtWindow)
 	}
 	if err := c.settlePolicy(); err != nil {
@@ -232,7 +225,7 @@ type DomainStats struct {
 	// last-known-good value existed.
 	StaleTicks int64
 	// InvalidSamples counts readings rejected as corrupt (NaN, Inf,
-	// negative, or above MaxPlausibleP × budget).
+	// negative, or above maxPlausibleP × budget).
 	InvalidSamples int64
 	// DegradedTicks counts ticks spent flying on last-known-good data,
 	// including fail-safe ticks.
@@ -392,7 +385,6 @@ type Controller struct {
 	ranged  RangePowerReader
 	api     FreezeAPI
 	cfg     Config
-	res     ResilienceConfig // cfg.Resilience with defaults resolved
 	domains []*domainState
 	handle  sim.Handle
 	selRNG  *rand.Rand // only used by SelectRandom
@@ -436,7 +428,6 @@ func New(eng *sim.Engine, reader PowerReader, api FreezeAPI, cfg Config, domains
 		return nil, fmt.Errorf("core: no domains to control")
 	}
 	ctl := &Controller{eng: eng, reader: reader, api: api, cfg: cfg,
-		res: cfg.Resilience.withDefaults(cfg.Interval),
 		sel: sel, solver: solver, unf: unf}
 	ctl.timed, _ = reader.(TimedPowerReader)
 	ctl.snap, _ = reader.(SnapshotPowerReader)
@@ -452,8 +443,8 @@ func New(eng *sim.Engine, reader PowerReader, api FreezeAPI, cfg Config, domains
 		if math.IsNaN(d.BudgetW) || math.IsInf(d.BudgetW, 0) || d.BudgetW <= 0 {
 			return nil, fmt.Errorf("core: domain %d (%s) has BudgetW %v, need a finite positive wattage", i, d.Name, d.BudgetW)
 		}
-		if math.IsNaN(d.Kr) || math.IsInf(d.Kr, 0) || d.Kr < 0 {
-			return nil, fmt.Errorf("core: domain %d (%s) has Kr %v, need a finite non-negative gradient", i, d.Name, d.Kr)
+		if math.IsNaN(d.Kr) || math.IsInf(d.Kr, 0) || d.Kr <= 0 {
+			return nil, fmt.Errorf("core: domain %d (%s) has Kr %v, need a finite positive gradient", i, d.Name, d.Kr)
 		}
 		if d.Schedule != nil {
 			if err := d.Schedule.Validate(d.BudgetW); err != nil {
@@ -489,9 +480,6 @@ func New(eng *sim.Engine, reader PowerReader, api FreezeAPI, cfg Config, domains
 		}
 		ds.hiID = ds.loID + cluster.ServerID(len(d.Servers)-1)
 		ds.budgetTargetW = ds.budget
-		if ds.kr == 0 {
-			ds.kr = cfg.DefaultKr
-		}
 		if ds.et == nil {
 			tr, err := cfg.newTrainableEt()
 			if err != nil {
@@ -517,7 +505,7 @@ func (c *Controller) Start() {
 	if c.handle != (sim.Handle{}) {
 		return
 	}
-	c.handle = c.eng.Every(c.eng.Now(), c.cfg.Interval, "ampere-controller", c.Step)
+	c.handle = c.eng.Every(c.eng.Now(), interval, "ampere-controller", c.Step)
 }
 
 // Stop halts the loop, leaving the current frozen set in place. Armed
@@ -631,7 +619,8 @@ func (c *Controller) decide(ds *domainState, now sim.Time) (target int, degraded
 	watts, at, have := c.readGroup(ds, now)
 	p := watts / ds.budget
 
-	if c.res.Disabled {
+	res := c.cfg.Resilience
+	if res.Disabled {
 		if !have {
 			ds.stats.SkippedNoData++
 			return 0, false, false
@@ -639,11 +628,11 @@ func (c *Controller) decide(ds *domainState, now sim.Time) (target int, degraded
 		return c.controlLaw(ds, now, p, p, false), false, true
 	}
 
-	valid := have && !math.IsNaN(p) && !math.IsInf(p, 0) && p >= 0 && p <= c.res.MaxPlausibleP
+	valid := have && !math.IsNaN(p) && !math.IsInf(p, 0) && p >= 0 && p <= maxPlausibleP
 	if have && !valid {
 		ds.stats.InvalidSamples++
 	}
-	if valid && now.Sub(at) < c.res.StaleAfter {
+	if valid && now.Sub(at) < staleAfter {
 		// Fresh, credible sample: recover if we were dark, then run the
 		// normal control law.
 		if ds.dark > 0 {
@@ -667,7 +656,7 @@ func (c *Controller) decide(ds *domainState, now sim.Time) (target int, degraded
 	ds.dark++
 	ds.stats.StaleTicks++
 	ds.stats.DegradedTicks++
-	if ds.dark >= c.res.FailSafeAfter {
+	if ds.dark >= res.FailSafeAfter {
 		// Fail-safe: too long without data to trust any forecast. Hold the
 		// frozen set exactly as it is — freezing more would thrash on
 		// fiction, unfreezing would release capacity blindly.
@@ -686,7 +675,7 @@ func (c *Controller) decide(ds *domainState, now sim.Time) (target int, degraded
 	// Degraded: fly on the last-known-good power, advanced by a
 	// conservatively inflated Et per dark interval — demand is assumed to
 	// keep rising at the inflated rate while we cannot see it.
-	pEff := ds.lastGoodP + float64(ds.dark)*c.res.EtInflation*ds.et.Estimate(now)
+	pEff := ds.lastGoodP + float64(ds.dark)*res.EtInflation*ds.et.Estimate(now)
 	return c.controlLaw(ds, now, ds.lastGoodP, pEff, true), true, true
 }
 
@@ -724,7 +713,7 @@ func (c *Controller) controlLaw(ds *domainState, now sim.Time, pStat, pCtl float
 	p := pCtl
 	et := ds.et.Estimate(now)
 	if degraded {
-		et *= c.res.EtInflation
+		et *= c.cfg.Resilience.EtInflation
 	}
 	ds.lastP, ds.lastEt = pStat, et
 	n := len(ds.d.Servers)
@@ -743,7 +732,7 @@ func (c *Controller) controlLaw(ds *domainState, now sim.Time, pStat, pCtl float
 	e := ds.horizonEt[:depth]
 	e[0] = et
 	for k := 1; k < depth; k++ {
-		e[k] = ds.et.Estimate(now.Add(sim.Duration(k) * c.cfg.Interval))
+		e[k] = ds.et.Estimate(now.Add(sim.Duration(k) * interval))
 	}
 	u := c.solver.Solve(p, e, ds.kr, c.cfg.MaxFreezeRatio)
 	if math.IsNaN(u) {

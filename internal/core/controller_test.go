@@ -105,7 +105,7 @@ func TestValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	reader := uniformReader(2, 100)
 	api := newFakeAPI()
-	good := Domain{Name: "d", Servers: ids(2), BudgetW: 100}
+	good := Domain{Name: "d", Servers: ids(2), BudgetW: 100, Kr: 0.10}
 	if _, err := New(eng, nil, api, DefaultConfig(), []Domain{good}); err == nil {
 		t.Error("nil reader accepted")
 	}
@@ -116,9 +116,10 @@ func TestValidation(t *testing.T) {
 		t.Error("no domains accepted")
 	}
 	bads := []Domain{
-		{Name: "d", Servers: nil, BudgetW: 100},
-		{Name: "d", Servers: ids(2), BudgetW: 0},
+		{Name: "d", Servers: nil, BudgetW: 100, Kr: 0.10},
+		{Name: "d", Servers: ids(2), BudgetW: 0, Kr: 0.10},
 		{Name: "d", Servers: ids(2), BudgetW: 100, Kr: -1},
+		{Name: "d", Servers: ids(2), BudgetW: 100, Kr: 0},
 	}
 	for i, d := range bads {
 		if _, err := New(eng, reader, api, DefaultConfig(), []Domain{d}); err == nil {
@@ -126,13 +127,13 @@ func TestValidation(t *testing.T) {
 		}
 	}
 	badCfgs := []func(*Config){
-		func(c *Config) { c.Interval = 0 },
 		func(c *Config) { c.RStable = 0 },
 		func(c *Config) { c.RStable = 1.5 },
 		func(c *Config) { c.MaxFreezeRatio = 0 },
-		func(c *Config) { c.DefaultKr = 0 },
 		func(c *Config) { c.EtPercentile = 0 },
-		func(c *Config) { c.EtDefault = -1 },
+		func(c *Config) { c.Resilience.FailSafeAfter = 0 },
+		func(c *Config) { c.Resilience.EtInflation = 0 },
+		func(c *Config) { c.Resilience.EtInflation = math.Inf(1) },
 	}
 	for i, mutate := range badCfgs {
 		cfg := DefaultConfig()
@@ -342,13 +343,11 @@ func TestResyncAfterRestart(t *testing.T) {
 
 func TestOnlineEtTraining(t *testing.T) {
 	// A domain with Et == nil gets an online HourlyEt trained from observed
-	// deltas.
+	// deltas, and serves them once it holds etMinSamples.
 	reader := uniformReader(10, 80)
 	api := newFakeAPI()
-	cfg := DefaultConfig()
-	cfg.EtMinSamples = 3
 	d := Domain{Name: "g", Servers: ids(10), BudgetW: 1000, Kr: 0.1}
-	ctl, err := New(sim.NewEngine(), reader, api, cfg, []Domain{d})
+	ctl, err := New(sim.NewEngine(), reader, api, DefaultConfig(), []Domain{d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,14 +355,14 @@ func TestOnlineEtTraining(t *testing.T) {
 	if h == nil {
 		t.Fatal("no online estimator created")
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < etMinSamples+2; i++ {
 		ctl.Step(sim.Time(i) * sim.Time(sim.Minute))
 		for id := range reader.servers {
 			reader.servers[id] += 1 // +10 W per minute group-wide = +0.01 normalized
 		}
 	}
-	if got := h.Samples(0); got != 4 {
-		t.Errorf("online estimator has %d samples, want 4", got)
+	if got := h.Samples(0); got != etMinSamples+1 {
+		t.Errorf("online estimator has %d samples, want %d", got, etMinSamples+1)
 	}
 	if est := h.Estimate(0); math.Abs(est-0.01) > 1e-6 {
 		t.Errorf("trained Et %v, want ≈0.01", est)
@@ -462,8 +461,8 @@ func TestOverlappingDomainsRejected(t *testing.T) {
 	reader := uniformReader(10, 90)
 	api := newFakeAPI()
 	ds := []Domain{
-		{Name: "a", Servers: ids(6), BudgetW: 600},
-		{Name: "b", Servers: []cluster.ServerID{5, 6, 7}, BudgetW: 300}, // 5 overlaps
+		{Name: "a", Servers: ids(6), BudgetW: 600, Kr: 0.10},
+		{Name: "b", Servers: []cluster.ServerID{5, 6, 7}, BudgetW: 300, Kr: 0.10}, // 5 overlaps
 	}
 	if _, err := New(sim.NewEngine(), reader, api, DefaultConfig(), ds); err == nil {
 		t.Error("overlapping domains accepted")

@@ -183,7 +183,6 @@ func TestEtModeControllers(t *testing.T) {
 	for _, mode := range []EtMode{EtStatic, EtEWMA, EtSeasonal} {
 		cfg := DefaultConfig()
 		cfg.EtMode = mode
-		cfg.EtMinSamples = 2
 		reader := uniformReader(10, 90)
 		d := Domain{Name: "g", Servers: ids(10), BudgetW: 1000, Kr: 0.10}
 		ctl, err := New(sim.NewEngine(), reader, newFakeAPI(), cfg, []Domain{d})
@@ -194,13 +193,15 @@ func TestEtModeControllers(t *testing.T) {
 		if ds.trainer == nil {
 			t.Fatalf("%v: controller not training", mode)
 		}
-		for i := 0; i < 5; i++ {
+		// Enough ticks for the estimators to leave their default Et.
+		ticks := etMinSamples + 3
+		for i := 0; i < ticks; i++ {
 			ctl.Step(sim.Time(i) * sim.Time(sim.Minute))
 			for id := range reader.servers {
 				reader.servers[id] += 1 // +0.01 normalized per tick
 			}
 		}
-		est := ds.et.Estimate(sim.Time(5 * sim.Minute))
+		est := ds.et.Estimate(sim.Time(ticks) * sim.Time(sim.Minute))
 		if math.IsNaN(est) || est < 0 {
 			t.Errorf("%v: estimate %v", mode, est)
 		}

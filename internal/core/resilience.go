@@ -19,93 +19,54 @@ type TimedPowerReader interface {
 	GroupSampleTime(ids []cluster.ServerID) (sim.Time, bool)
 }
 
+// The resilience layer's fixed thresholds.
+const (
+	// staleAfter is the sample age at which a reading stops counting as
+	// fresh (strictly: fresh means age < staleAfter): two control intervals,
+	// so a single dropped monitor sweep is absorbed silently and two
+	// consecutive drops trigger degraded mode.
+	staleAfter = 2 * interval
+	// maxPlausibleP is the largest credible normalized power reading, three
+	// times the domain budget; anything above it (or negative, NaN, Inf) is
+	// rejected as a corrupt sample.
+	maxPlausibleP = 3
+	// retryAttempts bounds how many times a failed Freeze/Unfreeze call is
+	// retried beyond the initial attempt.
+	retryAttempts = 3
+	// retryBackoff is the delay before the first retry; it doubles on each
+	// subsequent attempt.
+	retryBackoff = 5 * sim.Second
+)
+
 // ResilienceConfig tunes how the controller behaves when its substrate
 // fails: stale or missing monitor samples, implausible readings, and
-// scheduler API errors. The zero value of each field selects a safe default
-// (see withDefaults); set Disabled to recover the naive controller that
-// trusts every reading and never retries, which exists for ablations and
-// the chaos experiment's baseline.
+// scheduler API errors. DefaultConfig holds the deployment values; set
+// Disabled to recover the naive controller that trusts every reading and
+// never retries, which exists for ablations and the chaos experiment's
+// baseline.
 type ResilienceConfig struct {
 	// Disabled turns the whole layer off: every sample is trusted as fresh
 	// and valid, failed freeze/unfreeze calls are not retried, and the
 	// controller never enters degraded or fail-safe mode.
 	Disabled bool
-	// StaleAfter is the sample age at which a reading stops counting as
-	// fresh (strictly: fresh means age < StaleAfter). The default is twice
-	// the control interval, so a single dropped monitor sweep is absorbed
-	// silently and two consecutive drops trigger degraded mode.
-	StaleAfter sim.Duration
 	// FailSafeAfter is the number of consecutive dark intervals (no fresh
 	// valid sample) after which the controller enters fail-safe mode: hold
 	// the current frozen set, freeze nothing new, unfreeze nothing.
-	// Default 5.
+	// DefaultConfig sets 5.
 	FailSafeAfter int
 	// EtInflation multiplies the Et estimate while the controller flies on
 	// last-known-good data, so the degraded forecast stays conservative.
-	// Default 2.
+	// DefaultConfig sets 2.
 	EtInflation float64
-	// MaxPlausibleP is the largest credible normalized power reading;
-	// anything above it (or negative, NaN, Inf) is rejected as a corrupt
-	// sample. Default 3 — three times the domain budget.
-	MaxPlausibleP float64
-	// RetryAttempts bounds how many times a failed Freeze/Unfreeze call is
-	// retried (beyond the initial attempt). Default 3.
-	RetryAttempts int
-	// RetryBackoff is the delay before the first retry; it doubles on each
-	// subsequent attempt. Default 5 s.
-	RetryBackoff sim.Duration
-}
-
-// DefaultResilience returns the default degraded-operation parameters.
-func DefaultResilience() ResilienceConfig {
-	return ResilienceConfig{
-		StaleAfter:    0, // 2× the control interval, resolved in withDefaults
-		FailSafeAfter: 5,
-		EtInflation:   2,
-		MaxPlausibleP: 3,
-		RetryAttempts: 3,
-		RetryBackoff:  5 * sim.Second,
-	}
-}
-
-// withDefaults resolves zero-valued fields against the control interval.
-func (r ResilienceConfig) withDefaults(interval sim.Duration) ResilienceConfig {
-	if r.StaleAfter == 0 {
-		r.StaleAfter = 2 * interval
-	}
-	if r.FailSafeAfter == 0 {
-		r.FailSafeAfter = 5
-	}
-	if r.EtInflation == 0 {
-		r.EtInflation = 2
-	}
-	if r.MaxPlausibleP == 0 {
-		r.MaxPlausibleP = 3
-	}
-	if r.RetryAttempts == 0 {
-		r.RetryAttempts = 3
-	}
-	if r.RetryBackoff == 0 {
-		r.RetryBackoff = 5 * sim.Second
-	}
-	return r
 }
 
 // validate reports resilience configuration errors.
 func (r ResilienceConfig) validate() error {
 	switch {
-	case r.StaleAfter < 0:
-		return fmt.Errorf("core: negative Resilience.StaleAfter %v", r.StaleAfter)
-	case r.FailSafeAfter < 0:
-		return fmt.Errorf("core: negative Resilience.FailSafeAfter %d", r.FailSafeAfter)
-	case r.EtInflation < 0 || math.IsNaN(r.EtInflation) || math.IsInf(r.EtInflation, 0):
-		return fmt.Errorf("core: Resilience.EtInflation %v must be a finite non-negative number", r.EtInflation)
-	case r.MaxPlausibleP < 0 || math.IsNaN(r.MaxPlausibleP):
-		return fmt.Errorf("core: Resilience.MaxPlausibleP %v must be non-negative", r.MaxPlausibleP)
-	case r.RetryAttempts < 0:
-		return fmt.Errorf("core: negative Resilience.RetryAttempts %d", r.RetryAttempts)
-	case r.RetryBackoff < 0:
-		return fmt.Errorf("core: negative Resilience.RetryBackoff %v", r.RetryBackoff)
+	case r.FailSafeAfter < 1:
+		return fmt.Errorf("core: Resilience.FailSafeAfter %d must be at least 1", r.FailSafeAfter)
+	case math.IsNaN(r.EtInflation) || math.IsInf(r.EtInflation, 0) || r.EtInflation <= 0:
+		return fmt.Errorf("core: Resilience.EtInflation %v must be a finite positive number", r.EtInflation)
 	}
 	return nil
 }
@@ -120,14 +81,14 @@ type pendingOp struct {
 }
 
 // scheduleRetry arms a retry of the failed operation with exponential
-// backoff, bounded by RetryAttempts.
+// backoff, bounded by retryAttempts.
 func (c *Controller) scheduleRetry(ds *domainState, id cluster.ServerID, unfreeze bool, attempt int) {
-	if c.res.Disabled || attempt >= c.res.RetryAttempts {
+	if c.cfg.Resilience.Disabled || attempt >= retryAttempts {
 		return
 	}
 	op := &pendingOp{unfreeze: unfreeze, attempt: attempt}
 	ds.pending[id] = op
-	delay := c.res.RetryBackoff << uint(attempt)
+	delay := retryBackoff << uint(attempt)
 	c.eng.After(delay, "ampere-retry", func(now sim.Time) {
 		c.mu.Lock()
 		defer c.mu.Unlock()

@@ -61,6 +61,32 @@ func TestSpecAndPatchLandOnTheSameField(t *testing.T) {
 	}
 }
 
+// configOnlyFields are the Config fields no policy axis binds: settings a
+// scenario or a patch cannot reach, each set differently by two callers.
+var configOnlyFields = map[string]bool{
+	"EtWindow":   true, // 60 in federate and bench, unbounded elsewhere
+	"Resilience": true, // the chaos experiment's drill posture and naive baseline
+}
+
+// TestEveryConfigFieldIsDeclared: each Config field is bound by a policyAxes
+// row or listed in configOnlyFields, so a new setting is declared on purpose
+// rather than added as one more knob.
+func TestEveryConfigFieldIsDeclared(t *testing.T) {
+	def := DefaultConfig()
+	bound := map[string]bool{}
+	for _, a := range policyAxes {
+		bound[axisField(a, &def)] = true
+	}
+	typ := reflect.TypeOf(def)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if bound[name] == configOnlyFields[name] {
+			t.Errorf("Config.%s: bound by a policy axis %v, on the allow-list %v; want exactly one",
+				name, bound[name], configOnlyFields[name])
+		}
+	}
+}
+
 // TestReconfigureRangesUnchanged pins, term by term, what Reconfigure took
 // and refused before the ranges moved into the schema: each interval's ends,
 // NaN and the infinities, and the zeros that select a default.
@@ -114,18 +140,27 @@ func docRow(a PolicyAxis, def *Config) string {
 	if a.Patch {
 		patchKey = strings.TrimPrefix(a.Alias+"|"+a.Key, "|")
 	}
-	if a.SpecKey != "" {
-		// The axis's Config field is the one its SetConfig changes.
-		probe := *def
-		if err := a.SetConfig(&probe, sample(a)); err != nil {
-			panic(err)
-		}
-		was, is := reflect.ValueOf(*def), reflect.ValueOf(probe)
-		for i := 0; i < is.NumField(); i++ {
-			if !is.Field(i).Equal(was.Field(i)) {
-				dflt = fmt.Sprint(was.Field(i))
-			}
-		}
+	if f := axisField(a, def); f != "" {
+		dflt = fmt.Sprint(reflect.ValueOf(*def).FieldByName(f))
 	}
 	return fmt.Sprintf("| %s | %s | %s | %s | %s |", code(patchKey), code(a.SpecKey), code(a.Values), code(dflt), a.Doc)
+}
+
+// axisField names the Config field the axis's SetConfig changes, "" for an
+// axis the controller holds.
+func axisField(a PolicyAxis, def *Config) string {
+	if a.SetConfig == nil {
+		return ""
+	}
+	probe := *def
+	if err := a.SetConfig(&probe, sample(a)); err != nil {
+		panic(err)
+	}
+	was, is := reflect.ValueOf(*def), reflect.ValueOf(probe)
+	for i := 0; i < is.NumField(); i++ {
+		if !is.Field(i).Equal(was.Field(i)) {
+			return is.Type().Field(i).Name
+		}
+	}
+	return ""
 }

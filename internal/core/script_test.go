@@ -242,7 +242,7 @@ func TestZeroServerDomainRejected(t *testing.T) {
 	eng := sim.NewEngine()
 	reader := uniformReader(2, 100)
 	api := newFakeAPI()
-	d := Domain{Name: "empty", Servers: []cluster.ServerID{}, BudgetW: 100}
+	d := Domain{Name: "empty", Servers: []cluster.ServerID{}, BudgetW: 100, Kr: 0.10}
 	if _, err := New(eng, reader, api, DefaultConfig(), []Domain{d}); err == nil {
 		t.Fatal("domain with zero servers accepted")
 	}

@@ -411,11 +411,11 @@ func ParseEtMode(s string) (EtMode, error) {
 func (c Config) newTrainableEt() (TrainableEt, error) {
 	switch c.EtMode {
 	case EtStatic:
-		return NewWindowedHourlyEt(c.EtPercentile, c.EtDefault, c.EtMinSamples, c.EtWindow)
+		return NewWindowedHourlyEt(c.EtPercentile, etDefault, etMinSamples, c.EtWindow)
 	case EtEWMA:
-		return NewEWMAEt(c.EtAlpha, c.EtBand, c.EtDefault, c.EtMinSamples)
+		return NewEWMAEt(c.EtAlpha, c.EtBand, etDefault, etMinSamples)
 	case EtSeasonal:
-		return NewSeasonalNaiveEt(c.EtDefault)
+		return NewSeasonalNaiveEt(etDefault)
 	default:
 		return nil, fmt.Errorf("core: unknown et mode %d", int(c.EtMode))
 	}
@@ -438,9 +438,8 @@ func (c *Config) settlePolicy() (first error) {
 
 // withPolicyDefaults resolves zero-valued policy tunables to the deployment
 // defaults, so hand-built Configs keep working as strategy knobs are added
-// (zero selects the default, like ResilienceConfig's fields; an explicit
-// zero is not distinguishable and also selects the default). The ranges are
-// Validate's to report.
+// (zero selects the default; an explicit zero is not distinguishable and
+// also selects the default). The ranges are Validate's to report.
 func (c Config) withPolicyDefaults() Config {
 	_ = c.settlePolicy()
 	return c

@@ -159,6 +159,7 @@ func runChaosOnce(cfg ChaosConfig, naive bool) (*ChaosOutcome, chaos.Plan, error
 	ctrl, err := NewControlled(ControlledConfig{
 		Seed:             cfg.Seed,
 		RowServers:       cfg.RowServers,
+		RestRows:         2,
 		TargetPowerFrac:  cfg.TargetFrac,
 		RO:               cfg.RO,
 		ScaleCtrlBudget:  true,

@@ -22,7 +22,7 @@ type ControlledConfig struct {
 	Seed uint64
 	// RowServers is the experiment row size (the paper's row has 400+).
 	RowServers int
-	// RestRows is the number of identical rest-of-DC rows (default 2).
+	// RestRows is the number of identical rest-of-DC rows, at least one.
 	RestRows int
 	// TargetPowerFrac steers the uncontrolled (control group) power to this
 	// fraction of rated power: the workload knob ("light" ≈ 0.86, "heavy"
@@ -80,8 +80,8 @@ func NewControlled(cfg ControlledConfig) (*Controlled, error) {
 	if cfg.RO < 0 {
 		return nil, fmt.Errorf("experiment: negative over-provisioning ratio %v", cfg.RO)
 	}
-	if cfg.RestRows == 0 {
-		cfg.RestRows = 2
+	if cfg.RestRows < 1 {
+		return nil, fmt.Errorf("experiment: RestRows %d, need at least one rest-of-DC row", cfg.RestRows)
 	}
 
 	spec := stack.RowSpec(1+cfg.RestRows, cfg.RowServers)

@@ -43,17 +43,6 @@ func WriteSeriesCSV(w io.Writer, headers []string, cols ...[]float64) error {
 	return cw.Error()
 }
 
-// WriteCDFCSV writes an empirical CDF as (value, frac) rows.
-func WriteCDFCSV(w io.Writer, pts []stats.CDFPoint) error {
-	vals := make([]float64, len(pts))
-	fracs := make([]float64, len(pts))
-	for i, p := range pts {
-		vals[i] = p.Value
-		fracs[i] = p.Frac
-	}
-	return WriteSeriesCSV(w, []string{"value", "cdf"}, vals, fracs)
-}
-
 // CSV exports one plot-ready file per figure panel.
 
 // WriteCSV exports Fig 1's three CDFs side by side (value columns per level

@@ -87,12 +87,4 @@ func TestFigureCSVExports(t *testing.T) {
 	if err := f12.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
-
-	sb.Reset()
-	if err := WriteCDFCSV(&sb, []stats.CDFPoint{{Value: 1, Frac: 0.5}, {Value: 2, Frac: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "value,cdf") {
-		t.Errorf("cdf csv:\n%s", sb.String())
-	}
 }

@@ -87,7 +87,7 @@ func RunFig11(cfg Fig11Config) (*Fig11Result, error) {
 		return nil, fmt.Errorf("experiment: %d service servers on a %d-server row",
 			cfg.ServiceServers, cfg.RowServers)
 	}
-	ops := scaledOps()
+	ops := scaledOpsBy(10) // see Fig11Config.RequestsPerSecond
 	regimes := []string{"ampere", "capping"}
 	runs, err := runUnits(regimes, func(i int) (*fig11Scenario, error) {
 		s, err := runFig11Scenario(cfg, ops, i == 0)
@@ -118,17 +118,6 @@ func RunFig11(cfg Fig11Config) (*Fig11Result, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// scaledOps returns the Fig 11 operation set with service times scaled ×10
-// (see Fig11Config.RequestsPerSecond).
-func scaledOps() []service.Op {
-	ops := service.DefaultOps()
-	for i := range ops {
-		ops[i].BaseServiceUS *= 10
-		ops[i].SLOUS *= 10
-	}
-	return ops
 }
 
 func runFig11Scenario(cfg Fig11Config, ops []service.Op, ampere bool) (*fig11Scenario, error) {

@@ -65,11 +65,10 @@ type Fig11ScaleConfig struct {
 	// reservations pinned, draining a deeply over-budget hot row can need
 	// more than half its servers frozen.
 	MaxFreezeRatio float64
-	// CapperInterval is the reaction period of the capping loop (default 5 s
-	// — fast against the 1-minute control tick, affordable at 100k servers).
-	CapperInterval sim.Duration
-	Warmup         sim.Duration
-	Measure        sim.Duration
+	// Warmup precedes the measured window; Measure, which must be
+	// positive, is its length.
+	Warmup  sim.Duration
+	Measure sim.Duration
 	// Parallel is the two regimes' runner.Options.Workers (<= 0 is
 	// GOMAXPROCS); it does not change output (DESIGN.md §7).
 	Parallel int
@@ -164,6 +163,13 @@ func RunFig11Scale(cfg Fig11ScaleConfig) (*Fig11ScaleResult, error) {
 	if cfg.BudgetFrac <= 0 || cfg.BudgetFrac > 1 {
 		return nil, fmt.Errorf("experiment: budget fraction %v outside (0,1]", cfg.BudgetFrac)
 	}
+	if !(cfg.OpScale > 0) {
+		return nil, fmt.Errorf("experiment: operation scale %v must be positive", cfg.OpScale)
+	}
+	if cfg.Warmup < 0 || cfg.Measure <= 0 {
+		return nil, fmt.Errorf("experiment: warm-up %v and measure %v, need a non-negative warm-up and a positive window",
+			cfg.Warmup, cfg.Measure)
+	}
 	scens, err := runner.Run([]runner.Unit[*fig11ScaleScenario]{
 		{Name: "capping", Run: func() (*fig11ScaleScenario, error) { return runFig11ScaleScenario(cfg, false) }},
 		{Name: "ampere", Run: func() (*fig11ScaleScenario, error) { return runFig11ScaleScenario(cfg, true) }},
@@ -217,11 +223,8 @@ func RunFig11Scale(cfg Fig11ScaleConfig) (*Fig11ScaleResult, error) {
 }
 
 // scaledOpsBy returns the Fig 11 operation set with service times and SLOs
-// scaled ×k (0 = ×10, the classic fig11 scale).
+// scaled ×k.
 func scaledOpsBy(k float64) []service.Op {
-	if k <= 0 {
-		k = 10
-	}
 	ops := service.DefaultOps()
 	for i := range ops {
 		ops[i].BaseServiceUS *= k
@@ -232,16 +235,6 @@ func scaledOpsBy(k float64) []service.Op {
 
 func runFig11ScaleScenario(cfg Fig11ScaleConfig, ampere bool) (*fig11ScaleScenario, error) {
 	warmup, measure := cfg.Warmup, cfg.Measure
-	if warmup == 0 {
-		warmup = 40 * sim.Minute
-	}
-	if measure == 0 {
-		measure = 60 * sim.Minute
-	}
-	capInterval := cfg.CapperInterval
-	if capInterval == 0 {
-		capInterval = 5 * sim.Second
-	}
 	// Centre the diurnal peak (batch and service alike) on the measure
 	// window: the comparison is about behaviour while demand presses
 	// hardest against the budget.
@@ -320,7 +313,7 @@ func runFig11ScaleScenario(cfg Fig11ScaleConfig, ampere bool) (*fig11ScaleScenar
 	for r := range capBudgets {
 		capBudgets[r] = rowBudget
 	}
-	capper, err := capping.New(rig.Eng, capping.Config{Interval: capInterval},
+	capper, err := capping.New(rig.Eng, capping.Config{Interval: capperInterval},
 		capping.RowDomains(rig.Cluster, capBudgets))
 	if err != nil {
 		return nil, err

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestFig11ScaleSmoke400 pins the scaled experiment's headline at the quick
@@ -78,6 +80,9 @@ func TestFig11ScaleConfigValidation(t *testing.T) {
 		func(c *Fig11ScaleConfig) { c.RPSPerUser = 0 },
 		func(c *Fig11ScaleConfig) { c.BudgetFrac = 0 },
 		func(c *Fig11ScaleConfig) { c.BudgetFrac = 1.5 },
+		func(c *Fig11ScaleConfig) { c.OpScale = 0 },
+		func(c *Fig11ScaleConfig) { c.Warmup = -sim.Minute },
+		func(c *Fig11ScaleConfig) { c.Measure = 0 },
 	}
 	for i, mut := range cases {
 		cfg := quickConfig[Fig11ScaleConfig]("fig11scale")

@@ -56,6 +56,11 @@ import (
 // breaker limits use the unscaled envelope.
 const gridMargin = 0.985
 
+// capperInterval is the reaction period of the safety-net capping loop that
+// gridstorm and fig11scale ride under Ampere: fast against the one-minute
+// control tick, affordable at 100k servers.
+const capperInterval = 5 * sim.Second
+
 // GridstormConfig shapes the grid-event resilience run.
 type GridstormConfig struct {
 	Seed       uint64
@@ -313,7 +318,7 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 		for r := range capBudgets {
 			capBudgets[r] = rowBudget
 		}
-		st.capper, err = capping.New(rig.Eng, capping.Config{Interval: 5 * sim.Second},
+		st.capper, err = capping.New(rig.Eng, capping.Config{Interval: capperInterval},
 			capping.RowDomains(rig.Cluster, capBudgets))
 		if err != nil {
 			return nil, err

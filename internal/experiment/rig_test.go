@@ -13,11 +13,12 @@ import (
 
 func TestControlledConfigValidation(t *testing.T) {
 	bad := []ControlledConfig{
-		{RowServers: 0, TargetPowerFrac: 0.9},
-		{RowServers: 50, TargetPowerFrac: 0.9}, // not a multiple of 40
-		{RowServers: 80, TargetPowerFrac: 0},   // no target
-		{RowServers: 80, TargetPowerFrac: 1.2}, // above rated
-		{RowServers: 80, TargetPowerFrac: 0.9, RO: -0.1},
+		{RowServers: 0, RestRows: 1, TargetPowerFrac: 0.9},
+		{RowServers: 50, RestRows: 1, TargetPowerFrac: 0.9}, // not a multiple of 40
+		{RowServers: 80, RestRows: 1, TargetPowerFrac: 0},   // no target
+		{RowServers: 80, RestRows: 1, TargetPowerFrac: 1.2}, // above rated
+		{RowServers: 80, RestRows: 1, TargetPowerFrac: 0.9, RO: -0.1},
+		{RowServers: 80, RestRows: 0, TargetPowerFrac: 0.9}, // nowhere to displace
 	}
 	for i, cfg := range bad {
 		cfg.Seed = 1

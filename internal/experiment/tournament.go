@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/whatif"
@@ -50,7 +49,7 @@ func DefaultTournamentPatches(cfg GridstormConfig) []string {
 		"policy=coldest et=ewma",
 		"unfreeze=headroom",
 		"horizon=5",
-		rampPatch(cfg),
+		RampPatch(cfg),
 	}
 }
 
@@ -140,14 +139,8 @@ func RunTournament(cfg TournamentConfig) (*TournamentResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var fork *obs.Event
-	for i := range scout.Events {
-		if scout.Events[i].Action == "budget-change" {
-			fork = &scout.Events[i]
-			break
-		}
-	}
-	if fork == nil {
+	fork, found := whatif.FirstBudgetChange(scout.Events)
+	if !found {
 		return nil, fmt.Errorf("experiment: tournament: no budget-change event in the factual run")
 	}
 

@@ -63,11 +63,11 @@ func GridstormBuilder(cfg GridstormConfig, ramped bool) whatif.Builder {
 // whatifTournament is -exp whatif on a gridstorm grid: the baseline
 // self-replay against the budget ramped over RampMinutes ticks.
 func whatifTournament(grid GridstormConfig) TournamentConfig {
-	return TournamentConfig{Grid: grid, Patches: []string{"", rampPatch(grid)}}
+	return TournamentConfig{Grid: grid, Patches: []string{"", RampPatch(grid)}}
 }
 
-// rampPatch spreads the cliff's dip over RampMinutes ticks.
-func rampPatch(grid GridstormConfig) string {
+// RampPatch is the patch that spreads the cliff's dip over RampMinutes ticks.
+func RampPatch(grid GridstormConfig) string {
 	return fmt.Sprintf("ramp=%g", grid.DipDepth/float64(grid.RampMinutes))
 }
 

@@ -128,7 +128,7 @@ func TestSkippedNoDataOnlyBeforeFirstSweep(t *testing.T) {
 		ccfg := core.DefaultConfig()
 		ccfg.Resilience.Disabled = disabled
 		ctl, err := core.New(eng, m, nopAPI{}, ccfg,
-			[]core.Domain{{Name: "row", Servers: allIDs, BudgetW: 1e6}})
+			[]core.Domain{{Name: "row", Servers: allIDs, BudgetW: 1e6, Kr: 0.10}})
 		if err != nil {
 			t.Fatal(err)
 		}

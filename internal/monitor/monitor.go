@@ -31,11 +31,13 @@ func SeriesRow(r int) string { return fmt.Sprintf("row/%d", r) }
 // SeriesRack returns the TSDB series name for rack k on row r.
 func SeriesRack(r, k int) string { return fmt.Sprintf("rack/%d/%d", r, k) }
 
-// Config controls sampling.
+// interval is the period between sampling sweeps. The paper samples every
+// minute, "a good tradeoff between measurement accuracy and monitoring
+// overhead".
+const interval = sim.Minute
+
+// Config controls failure injection; the zero value is a healthy monitor.
 type Config struct {
-	// Interval between sampling sweeps. The paper samples every minute, "a
-	// good tradeoff between measurement accuracy and monitoring overhead".
-	Interval sim.Duration
 	// SweepDropRate injects monitoring failures: each sweep is skipped
 	// entirely with this probability (an IPMI/collector outage for that
 	// minute). Consumers observe it as a stale snapshot — the controller's
@@ -46,8 +48,8 @@ type Config struct {
 	DropSeed uint64
 }
 
-// DefaultConfig returns the paper's 1-minute sampling.
-func DefaultConfig() Config { return Config{Interval: sim.Minute} }
+// DefaultConfig returns a healthy monitor's configuration.
+func DefaultConfig() Config { return Config{} }
 
 // Store is the monitor's view of the time-series database: an append-only
 // sink for samples. tsdb.DB satisfies it; fault injectors wrap it to make
@@ -158,9 +160,6 @@ func (m *Monitor) Instrument(reg *obs.Registry) {
 // New builds a monitor. db may be nil, in which case only the in-memory
 // snapshot is maintained (used by lightweight tests).
 func New(eng *sim.Engine, c *cluster.Cluster, db *tsdb.DB, cfg Config) (*Monitor, error) {
-	if cfg.Interval <= 0 {
-		return nil, fmt.Errorf("monitor: non-positive interval %v", cfg.Interval)
-	}
 	if cfg.SweepDropRate < 0 || cfg.SweepDropRate >= 1 {
 		return nil, fmt.Errorf("monitor: sweep drop rate %v outside [0, 1)", cfg.SweepDropRate)
 	}
@@ -212,7 +211,7 @@ func (m *Monitor) Start() {
 	if m.handle != (sim.Handle{}) {
 		return
 	}
-	m.handle = m.eng.Every(m.eng.Now(), m.cfg.Interval, "power-monitor", m.Sweep)
+	m.handle = m.eng.Every(m.eng.Now(), interval, "power-monitor", m.Sweep)
 }
 
 // Stop halts sampling.

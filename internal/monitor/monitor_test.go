@@ -27,8 +27,10 @@ func newCluster(t *testing.T, rows, racks, perRack int) *cluster.Cluster {
 func TestConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	c := newCluster(t, 1, 1, 1)
-	if _, err := New(eng, c, nil, Config{Interval: 0}); err == nil {
-		t.Error("zero interval accepted")
+	for _, rate := range []float64{-0.1, 1} {
+		if _, err := New(eng, c, nil, Config{SweepDropRate: rate}); err == nil {
+			t.Errorf("sweep drop rate %v accepted", rate)
+		}
 	}
 }
 

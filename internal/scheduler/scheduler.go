@@ -340,9 +340,6 @@ func (s *Scheduler) StretchQuantile(q float64) float64 {
 	return v
 }
 
-// StretchCount returns the number of recorded slowdown samples.
-func (s *Scheduler) StretchCount() int64 { return s.stretchHist.Count() }
-
 // ResetStretchStats clears the slowdown histogram so a measurement window
 // can exclude warmup completions.
 func (s *Scheduler) ResetStretchStats() { s.stretchHist = s.stretchHist.Fresh() }

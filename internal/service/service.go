@@ -447,13 +447,6 @@ func (s *Service) LatencyQuantileUS(i int, q float64) float64 {
 	return s.mergedLocked(-1, i).Quantile(q)
 }
 
-// MeanLatencyUS returns op i's approximate mean latency in microseconds.
-func (s *Service) MeanLatencyUS(i int) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mergedLocked(-1, i).Mean()
-}
-
 // SLOMissRate returns the fraction of op i's requests that exceeded their
 // latency objective (0 when the op has no SLO or nothing was served).
 func (s *Service) SLOMissRate(i int) float64 {

@@ -68,6 +68,17 @@ type Engine struct {
 	Met   *Metrics
 }
 
+// FirstBudgetChange returns the first "budget-change" event of evs: the
+// onset of a grid event, where a counterfactual forks when no event is named.
+func FirstBudgetChange(evs []obs.Event) (obs.Event, bool) {
+	for i := range evs {
+		if evs[i].Action == "budget-change" {
+			return evs[i], true
+		}
+	}
+	return obs.Event{}, false
+}
+
 // Baseline runs the scenario from genesis to its natural end, capturing the
 // state witness at tick boundary at (0 = genesis: capture before anything
 // runs). The returned Result is the factual side of a diff.

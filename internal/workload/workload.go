@@ -91,6 +91,12 @@ func (d DurationDist) Mean() float64 {
 	return math.Exp(d.Mu + d.Sigma*d.Sigma/2)
 }
 
+// MaxJobsPerMinute is the largest base or schedule rate NewGenerator takes,
+// some 700 times a million-server fleet's load at 90 % power (1.5M jobs a
+// minute). Far above it a minute's Poisson draw leaves int64, where
+// sim.Poisson's conversion is implementation-defined (zero jobs on amd64).
+const MaxJobsPerMinute = 1e9
+
 // Product describes one application's load on the cluster. Distinct rows run
 // distinct product mixes in the paper, producing spatial power imbalance; we
 // reproduce that by giving every product its own diurnal phase and noise
@@ -98,7 +104,8 @@ func (d DurationDist) Mean() float64 {
 // scheduler samples a row proportional to weight × available capacity).
 type Product struct {
 	Name string
-	// BaseJobsPerMinute is the mean arrival rate before modulation.
+	// BaseJobsPerMinute is the mean arrival rate before modulation, at most
+	// MaxJobsPerMinute.
 	BaseJobsPerMinute float64
 	// DiurnalAmplitude is the relative size of the load sinusoid (0 = flat).
 	DiurnalAmplitude float64
@@ -112,7 +119,8 @@ type Product struct {
 	// explicit per-minute rate series (jobs per minute), cycled when the
 	// simulation runs longer than the schedule. Wobble and surges still
 	// modulate on top unless zeroed. Trace replay (internal/trace) builds
-	// these from recorded power traces.
+	// these from recorded power traces. Every entry is finite and at most
+	// MaxJobsPerMinute.
 	Schedule []float64
 	// ScheduleStart anchors Schedule[0] in virtual time; minutes before it
 	// use Schedule[0]. Defaults to time zero.
@@ -197,14 +205,14 @@ func NewGenerator(eng *sim.Engine, seed uint64, products []Product, dd DurationD
 		return nil, fmt.Errorf("workload: no products")
 	}
 	for i, p := range products {
-		// A non-finite mean makes sim.Poisson convert ±Inf or NaN to int,
-		// which on amd64 comes out as zero jobs, silently.
-		if !(p.BaseJobsPerMinute >= 0) || math.IsInf(p.BaseJobsPerMinute, 1) {
-			return nil, fmt.Errorf("workload: product %d (%s) has rate %v, want a finite non-negative number", i, p.Name, p.BaseJobsPerMinute)
+		// A non-finite or huge mean makes sim.Poisson convert a value beyond
+		// int64 to int, which on amd64 comes out as zero jobs, silently.
+		if !(p.BaseJobsPerMinute >= 0 && p.BaseJobsPerMinute <= MaxJobsPerMinute) {
+			return nil, fmt.Errorf("workload: product %d (%s) has rate %v, want a number in [0, %g]", i, p.Name, p.BaseJobsPerMinute, float64(MaxJobsPerMinute))
 		}
 		for k, r := range p.Schedule {
-			if math.IsNaN(r) || math.IsInf(r, 0) {
-				return nil, fmt.Errorf("workload: product %d (%s) has non-finite schedule rate %v at minute %d", i, p.Name, r, k)
+			if math.IsNaN(r) || math.IsInf(r, -1) || r > MaxJobsPerMinute {
+				return nil, fmt.Errorf("workload: product %d (%s) has schedule rate %v at minute %d, want a finite number at most %g", i, p.Name, r, k, float64(MaxJobsPerMinute))
 			}
 		}
 		if p.NoiseSigma < 0 {

@@ -75,14 +75,14 @@ func TestGeneratorValidation(t *testing.T) {
 // yields zero jobs a minute without a word: a construction error instead.
 func TestNewGeneratorRejectsNonFiniteRates(t *testing.T) {
 	eng := sim.NewEngine()
-	for _, rate := range []float64{math.NaN(), math.Inf(1)} {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), 1e300} {
 		p := DefaultProduct("base", 10)
 		p.BaseJobsPerMinute = rate
 		if _, err := NewGenerator(eng, 1, []Product{p}, DefaultDurations(), func(*Job) {}); err == nil {
 			t.Errorf("base rate %v accepted", rate)
 		}
 	}
-	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
 		p := DefaultProduct("sched", 10)
 		p.Schedule = []float64{5, rate, 7}
 		_, err := NewGenerator(eng, 1, []Product{DefaultProduct("ok", 1), p}, DefaultDurations(), func(*Job) {})

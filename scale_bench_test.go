@@ -177,7 +177,7 @@ func benchControllerTick(b *testing.B, rows int) {
 		for _, sv := range c.Row(r) {
 			sv.Allocate(8+int(sv.ID)%8, float64(8+int(sv.ID)%8))
 		}
-		et, err := core.NewWindowedHourlyEt(cfg.EtPercentile, cfg.EtDefault, cfg.EtMinSamples, cfg.EtWindow)
+		et, err := core.NewWindowedHourlyEt(cfg.EtPercentile, 0.05, 30, cfg.EtWindow) // the controller's own Et default and sample gate
 		if err != nil {
 			b.Fatal(err)
 		}
