@@ -48,7 +48,7 @@ fuzz fuzz-smoke:
 	go test ./internal/scenario/ -fuzz FuzzBudgetSchedule -fuzztime $(FUZZTIME)
 	go test ./internal/scenario/ -fuzz FuzzPolicySpec -fuzztime $(FUZZTIME)
 	go test ./internal/tsdb/ -fuzz FuzzQueryAPI -fuzztime $(FUZZTIME)
-	go test ./internal/whatif/ -run '^$$' -fuzz FuzzSnapshotCodec -fuzztime $(FUZZTIME)
+	go test ./internal/whatif/ -run '^$$' -fuzz FuzzForkTick -fuzztime $(FUZZTIME)
 	go test ./internal/sim/ -run '^$$' -fuzz FuzzEngineMatchesReference -fuzztime $(FUZZTIME)
 
 # The grid-event resilience experiment: the same 20% curtailment as a cliff

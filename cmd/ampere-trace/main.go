@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -32,30 +33,23 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	var err error
-	switch os.Args[1] {
-	case "record":
-		err = record(os.Args[2:])
-	case "replay":
-		err = replay(os.Args[2:])
-	case "why":
-		err = why(os.Args[2:])
-	default:
-		usage()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ampere-trace:", err)
-		os.Exit(1)
-	}
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ampere-trace record|replay|why [flags]")
-	os.Exit(2)
+// run is the whole command: it runs the subcommand args name, writes its
+// results to stdout and diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	cmds := map[string]func(args []string, stdout, stderr io.Writer) error{
+		"record": record, "replay": replay, "why": why,
+	}
+	if len(args) == 0 || cmds[args[0]] == nil {
+		fmt.Fprintln(stderr, "usage: ampere-trace record|replay|why [flags]")
+		return 2
+	}
+	if err := cmds[args[0]](args[1:], stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "ampere-trace:", err)
+		return 1
+	}
+	return 0
 }
 
 const (
@@ -63,7 +57,7 @@ const (
 	warmup     = sim.Hour
 )
 
-func record(args []string) error {
+func record(args []string, stdout, _ io.Writer) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	out := fs.String("out", "trace.csv", "output CSV path")
 	hours := fs.Int("hours", 12, "hours to record")
@@ -101,11 +95,11 @@ func record(args []string) error {
 	if err := tr.WriteCSV(f); err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d minutes of %s to %s\n", tr.Len(), monitor.SeriesRow(0), *out)
+	fmt.Fprintf(stdout, "recorded %d minutes of %s to %s\n", tr.Len(), monitor.SeriesRow(0), *out)
 	return nil
 }
 
-func replay(args []string) error {
+func replay(args []string, stdout, _ io.Writer) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("in", "trace.csv", "input CSV path")
 	ampere := fs.Bool("ampere", false, "control the row with Ampere")
@@ -163,13 +157,13 @@ func replay(args []string) error {
 			violations++
 		}
 	}
-	fmt.Printf("replayed %d minutes from %s (budget %.0f W, rO %.2f, ampere=%v)\n",
+	fmt.Fprintf(stdout, "replayed %d minutes from %s (budget %.0f W, rO %.2f, ampere=%v)\n",
 		len(vals), *in, budget, *ro, *ampere)
-	fmt.Printf("  power mean/max of budget: %.3f / %.3f\n", s.Mean(), s.Max())
-	fmt.Printf("  violations: %d of %d minutes\n", violations, len(vals))
+	fmt.Fprintf(stdout, "  power mean/max of budget: %.3f / %.3f\n", s.Mean(), s.Max())
+	fmt.Fprintf(stdout, "  violations: %d of %d minutes\n", violations, len(vals))
 	if controller != nil {
 		st := controller.Stats(0)
-		fmt.Printf("  ampere: u mean/max %.3f/%.3f, %d freeze ops\n", st.UMean(), st.UMax, st.FreezeOps)
+		fmt.Fprintf(stdout, "  ampere: u mean/max %.3f/%.3f, %d freeze ops\n", st.UMean(), st.UMax, st.FreezeOps)
 	}
 	return nil
 }

@@ -1,0 +1,65 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+func runTrace(args ...string) (code int, stdout, stderr string) {
+	var out, errOut bytes.Buffer
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// whySnapshotBytes is the witness size `why` reports for the quick
+// gridstorm cliff forked at the dip onset; it moves only when the state a
+// snapshot captures does.
+const whySnapshotBytes = "snapshot 14697 bytes"
+
+// TestWhyGolden pins `ampere-trace why`'s default report (quick gridstorm
+// cliff, forked at the dip onset, scored against a ramped budget) to
+// testdata/why.golden, and the witness size it prints on stderr.
+func TestWhyGolden(t *testing.T) {
+	code, out, errOut := runTrace("why")
+	if code != 0 {
+		t.Fatalf("why: exit %d, stderr %q", code, errOut)
+	}
+	want, err := os.ReadFile("testdata/why.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("why stdout differs from testdata/why.golden:\n%s", out)
+	}
+	if got := regexp.MustCompile(`snapshot \d+ bytes`).FindString(errOut); got != whySnapshotBytes {
+		t.Errorf("why stderr reports %q, want %q: %s", got, whySnapshotBytes, errOut)
+	}
+}
+
+func TestWhyJSONParses(t *testing.T) {
+	code, out, errOut := runTrace("why", "-json")
+	if code != 0 {
+		t.Fatalf("why -json: exit %d, stderr %q", code, errOut)
+	}
+	var rep map[string]any
+	if err := json.Unmarshal([]byte(out), &rep); err != nil || len(rep) == 0 {
+		t.Fatalf("why -json printed no JSON object (%v):\n%s", err, out)
+	}
+}
+
+func TestExitCodes(t *testing.T) {
+	if code, _, errOut := runTrace("bogus"); code != 2 || !strings.HasPrefix(errOut, "usage:") {
+		t.Errorf("unknown subcommand: exit %d, stderr %q; want 2 and the usage", code, errOut)
+	}
+	if code, _, _ := runTrace(); code != 2 {
+		t.Errorf("no subcommand: exit %d, want 2", code)
+	}
+	code, _, errOut := runTrace("why", "-regime", "bogus")
+	if want := "ampere-trace: unknown regime \"bogus\" (cliff|ramp)\n"; code != 1 || errOut != want {
+		t.Errorf("why -regime bogus: exit %d, stderr %q; want 1 and %q", code, errOut, want)
+	}
+}

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 
 	"repro/internal/core"
@@ -16,7 +16,7 @@ import (
 
 // why implements `ampere-trace why`: fork the gridstorm run at a journal
 // event and score a counterfactual policy against the factual outcome.
-func why(args []string) error {
+func why(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("why", flag.ExitOnError)
 	event := fs.Int64("event", -1,
 		"journal event seq to fork at (-1: the first budget-change, i.e. the dip onset)")
@@ -100,15 +100,15 @@ func why(args []string) error {
 	}
 	rep := whatif.Diff(fact.View(sim.Minute), altRes.View(sim.Minute), fork.SimMS, patch.String())
 
-	fmt.Fprintf(os.Stderr, "why: factual replay %.2fs, counterfactual replay %.2fs, snapshot %d bytes\n",
-		fact.Elapsed.Seconds(), altRes.Elapsed.Seconds(), len(fact.SnapBytes))
+	fmt.Fprintf(stderr, "why: factual replay %.2fs, counterfactual replay %.2fs, snapshot %d bytes\n",
+		fact.Elapsed.Seconds(), altRes.Elapsed.Seconds(), fact.SnapshotBytes)
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}
-	fmt.Printf("gridstorm/%s, fork at event seq=%d (%s, domain %s)\n",
+	fmt.Fprintf(stdout, "gridstorm/%s, fork at event seq=%d (%s, domain %s)\n",
 		*regime, fork.Seq, fork.SimTime, fork.Domain)
-	fmt.Print(rep.Format())
+	fmt.Fprint(stdout, rep.Format())
 	return nil
 }

@@ -116,8 +116,10 @@ func (ws *whatifServer) handle(w http.ResponseWriter, r *http.Request) {
 			whatifError(w, http.StatusBadRequest, "bad horizon %q (want minutes ≥ 1)", s)
 			return
 		}
-		if capped := forkT.Add(sim.Duration(m) * sim.Minute); capped < end {
-			end = capped
+		// Compare before multiplying: a huge m would wrap. A horizon that
+		// reaches past the live time replays to now.
+		if left := end.Sub(forkT); sim.Duration(m) <= left/sim.Minute {
+			end = forkT.Add(sim.Duration(m) * sim.Minute)
 		}
 	}
 	if end <= forkT {
@@ -158,5 +160,5 @@ func (ws *whatifServer) handle(w http.ResponseWriter, r *http.Request) {
 		SnapshotBytes int            `json:"snapshot_bytes"`
 		FactualSecs   float64        `json:"factual_replay_seconds"`
 		AltSecs       float64        `json:"alt_replay_seconds"`
-	}{rep, fork.Seq, int64(end), len(fact.SnapBytes), fact.Elapsed.Seconds(), alt.Elapsed.Seconds()})
+	}{rep, fork.Seq, int64(end), fact.SnapshotBytes, fact.Elapsed.Seconds(), alt.Elapsed.Seconds()})
 }

@@ -90,6 +90,22 @@ func TestWhatifStatusCodes(t *testing.T) {
 	if want := int64(sim.Time(event.SimMS).Add(5 * sim.Minute)); body.EndMS != want {
 		t.Errorf("replay ended at %d ms, want the 5-minute horizon %d", body.EndMS, want)
 	}
+
+	// A horizon past the live time replays to now, however large: minutes
+	// that would wrap when multiplied out are compared, not multiplied.
+	for _, horizon := range []string{"9223372036854775807", "307445734561826"} {
+		rec := getWhatif(ws, fmt.Sprintf("event=%d&horizon=%s", event.Seq, horizon))
+		if rec.Code != http.StatusOK {
+			t.Errorf("horizon %s: status %d, want 200: %s", horizon, rec.Code, rec.Body)
+			continue
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(ws.now()); body.EndMS != want {
+			t.Errorf("horizon %s: replay ended at %d ms, want the live time %d", horizon, body.EndMS, want)
+		}
+	}
 }
 
 // TestWhatifEvictedEventIsGone: with a small journal ring the first events

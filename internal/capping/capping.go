@@ -85,7 +85,6 @@ type Capper struct {
 	domains []Domain
 	stats   []Stats
 	handle  sim.Handle
-	enabled bool
 }
 
 // New validates the domains and builds a capper.
@@ -101,7 +100,7 @@ func New(eng *sim.Engine, cfg Config, domains []Domain) (*Capper, error) {
 			return nil, fmt.Errorf("capping: domain %d (%s) has budget %v", i, d.Name, d.BudgetW)
 		}
 	}
-	return &Capper{eng: eng, cfg: cfg, domains: domains, stats: make([]Stats, len(domains)), enabled: true}, nil
+	return &Capper{eng: eng, cfg: cfg, domains: domains, stats: make([]Stats, len(domains))}, nil
 }
 
 // RowDomains builds one domain per cluster row with the given budgets
@@ -134,11 +133,6 @@ func (cp *Capper) Stop() {
 	cp.eng.Cancel(cp.handle)
 	cp.handle = sim.Handle{}
 }
-
-// SetEnabled toggles enforcement. While disabled the loop still runs but
-// removes all caps — the controlled experiments "turn off the power capping
-// so we can observe the real power demand" (§4.1.2).
-func (cp *Capper) SetEnabled(on bool) { cp.enabled = on }
 
 // Stats returns a copy of domain i's counters.
 func (cp *Capper) Stats(i int) Stats { return cp.stats[i] }
@@ -203,15 +197,6 @@ func (cp *Capper) step(sim.Time) {
 		d := &cp.domains[i]
 		st := &cp.stats[i]
 		st.Intervals++
-
-		if !cp.enabled {
-			for _, sv := range d.Servers {
-				if sv.Capped() {
-					sv.RemoveCap()
-				}
-			}
-			continue
-		}
 
 		if cp.cfg.Mode == PerServerStatic {
 			cp.stepStatic(d, st)

@@ -123,28 +123,6 @@ func TestProportionalFairness(t *testing.T) {
 	}
 }
 
-func TestDisabledRemovesCaps(t *testing.T) {
-	eng := sim.NewEngine()
-	c := newCluster(t, 2)
-	for _, sv := range c.Servers {
-		sv.Allocate(c.Spec.Containers, float64(c.Spec.Containers))
-	}
-	cp, err := New(eng, DefaultConfig(), []Domain{{Name: "row", Servers: c.Row(0), BudgetW: 400}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Start()
-	eng.RunUntil(sim.Time(sim.Second))
-	if !c.Server(0).Capped() {
-		t.Fatal("not capped")
-	}
-	cp.SetEnabled(false)
-	eng.RunUntil(sim.Time(3 * sim.Second))
-	if c.Server(0).Capped() || c.Server(1).Capped() {
-		t.Error("caps not removed when disabled")
-	}
-}
-
 func TestBudgetBelowIdleFloorsFrequency(t *testing.T) {
 	eng := sim.NewEngine()
 	c := newCluster(t, 2)

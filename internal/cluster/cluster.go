@@ -462,17 +462,6 @@ func (c *Cluster) Rows() int { return c.Spec.Rows }
 // Server returns the server with the given ID.
 func (c *Cluster) Server(id ServerID) *Server { return c.Servers[id] }
 
-// MeasuredRowRatedW returns the sum of row r's servers' measured rated
-// powers — what rated-power provisioning actually adds up in a jittered
-// fleet (equals Spec.RowRatedPowerW with zero jitter).
-func (c *Cluster) MeasuredRowRatedW(r int) float64 {
-	var sum float64
-	for _, s := range c.Row(r) {
-		sum += s.ratedW
-	}
-	return sum
-}
-
 // RowDrawW returns the instantaneous true power draw of row r (sum of server
 // draws, before measurement noise). The PDU breaker and the capping safety
 // net act on this quantity.

@@ -145,14 +145,6 @@ func (c *Controller) EffectiveBudget(i int) float64 {
 	return c.domains[i].budget
 }
 
-// TargetBudget returns where domain i's budget is heading: the runtime
-// override if set, else the scheduled PM(now), else the base budget.
-func (c *Controller) TargetBudget(i int) float64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.budgetTarget(c.domains[i], c.eng.Now())
-}
-
 // budgetTarget resolves the domain's budget target at now. Callers hold mu.
 func (c *Controller) budgetTarget(ds *domainState, now sim.Time) float64 {
 	switch {

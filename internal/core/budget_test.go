@@ -131,7 +131,7 @@ func TestBudgetRampLimiting(t *testing.T) {
 			t.Fatalf("tick %d (t=%v): effective budget %v, want %v", i+1, now, got, w)
 		}
 	}
-	if tgt := ctl.TargetBudget(0); tgt != 1000 {
+	if tgt := ctl.budgetTarget(ctl.domains[0], sim.Time(sim.Duration(len(want))*sim.Minute)); tgt != 1000 {
 		t.Fatalf("target budget %v after restore, want 1000", tgt)
 	}
 }

@@ -189,7 +189,7 @@ func RunTournament(cfg TournamentConfig) (*TournamentResult, error) {
 		ForkSeq:           fork.Seq,
 		ForkMS:            fork.SimMS,
 		ForkTime:          sim.Time(fork.SimMS).String(),
-		SnapshotBytes:     len(fact.SnapBytes),
+		SnapshotBytes:     fact.SnapshotBytes,
 		BaselineIdentical: true,
 	}
 	res.Rows = make([]TournamentRow, len(reports))

@@ -257,25 +257,6 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
-func TestLogNormalAndExponentialMeans(t *testing.T) {
-	r := NewRNG(11)
-	n := 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += Exponential(r, 4.0)
-	}
-	if m := sum / float64(n); m < 3.9 || m > 4.1 {
-		t.Errorf("Exponential mean %v, want ≈4", m)
-	}
-	sum = 0
-	for i := 0; i < n; i++ {
-		sum += LogNormal(r, 0, 0.25) // mean = exp(0.03125) ≈ 1.0317
-	}
-	if m := sum / float64(n); m < 1.02 || m > 1.05 {
-		t.Errorf("LogNormal mean %v, want ≈1.032", m)
-	}
-}
-
 // Property: RunUntil never moves the clock backwards and never executes an
 // event beyond the horizon.
 func TestRunUntilMonotonicProperty(t *testing.T) {

@@ -84,17 +84,6 @@ func SubRNG(master uint64, label string) *rand.Rand {
 	return NewRNG(SubSeed(master, label))
 }
 
-// LogNormal draws from a lognormal distribution with the given parameters of
-// the underlying normal (not the mean/stddev of the lognormal itself).
-func LogNormal(r *rand.Rand, mu, sigma float64) float64 {
-	return math.Exp(r.NormFloat64()*sigma + mu)
-}
-
-// Exponential draws from an exponential distribution with the given mean.
-func Exponential(r *rand.Rand, mean float64) float64 {
-	return r.ExpFloat64() * mean
-}
-
 // Poisson draws from a Poisson distribution with the given mean using
 // inversion for small means and a normal approximation for large ones. A
 // mean that is not positive — NaN included, on which the inversion loop

@@ -127,20 +127,6 @@ func CDF(xs []float64, maxPoints int) []CDFPoint {
 	return pts
 }
 
-// CDFAt returns the empirical P(X ≤ v) for the sample xs.
-func CDFAt(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	c := 0
-	for _, x := range xs {
-		if x <= v {
-			c++
-		}
-	}
-	return float64(c) / float64(len(xs))
-}
-
 // Pearson returns the Pearson correlation coefficient of the paired samples.
 // It returns an error when the lengths differ, fewer than two pairs exist, or
 // either series has zero variance.
@@ -172,52 +158,11 @@ func Pearson(xs, ys []float64) (float64, error) {
 	return sxy / math.Sqrt(sxx*syy), nil
 }
 
-// LinearFit holds the result of an ordinary-least-squares line fit.
+// LinearFit holds the result of a least-squares line fit.
 type LinearFit struct {
-	Slope     float64
-	Intercept float64
-	R2        float64
-	N         int
-}
-
-// FitLine fits y = Slope·x + Intercept by OLS.
-func FitLine(xs, ys []float64) (LinearFit, error) {
-	if len(xs) != len(ys) {
-		return LinearFit{}, fmt.Errorf("stats: series lengths differ: %d vs %d", len(xs), len(ys))
-	}
-	n := len(xs)
-	if n < 2 {
-		return LinearFit{}, errors.New("stats: need at least two points to fit a line")
-	}
-	var sx, sy float64
-	for i := 0; i < n; i++ {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/float64(n), sy/float64(n)
-	var sxy, sxx, syy float64
-	for i := 0; i < n; i++ {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{}, errors.New("stats: x has zero variance")
-	}
-	slope := sxy / sxx
-	fit := LinearFit{Slope: slope, Intercept: my - slope*mx, N: n}
-	if syy > 0 {
-		var ssRes float64
-		for i := 0; i < n; i++ {
-			r := ys[i] - (fit.Intercept + slope*xs[i])
-			ssRes += r * r
-		}
-		fit.R2 = 1 - ssRes/syy
-	} else {
-		fit.R2 = 1
-	}
-	return fit, nil
+	Slope float64
+	R2    float64
+	N     int
 }
 
 // FitLineThroughOrigin fits y = Slope·x (no intercept), the form the paper

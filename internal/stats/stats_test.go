@@ -83,9 +83,6 @@ func TestCDF(t *testing.T) {
 	if len(pts) != 2 || pts[1].Frac != 1 || pts[1].Value != 4 {
 		t.Errorf("downsampled CDF = %+v", pts)
 	}
-	if got := CDFAt(xs, 2.5); got != 0.5 {
-		t.Errorf("CDFAt = %v", got)
-	}
 }
 
 func TestPearson(t *testing.T) {
@@ -122,18 +119,6 @@ func TestPearsonIndependentNearZero(t *testing.T) {
 	}
 	if math.Abs(c) > 0.05 {
 		t.Errorf("independent series correlation %v", c)
-	}
-}
-
-func TestFitLine(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 2x + 1
-	fit, err := FitLine(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Slope-2) > 1e-12 || math.Abs(fit.Intercept-1) > 1e-12 || fit.R2 < 0.999999 {
-		t.Errorf("fit = %+v", fit)
 	}
 }
 

@@ -5,452 +5,122 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/sim"
+	"reflect"
 )
 
-// Binary snapshot codec: a versioned, deterministic, CRC-sealed encoding.
+// Canonical snapshot encoding: a reflective walk over the Snapshot's fields
+// in declaration order, sealed in a versioned envelope.
 //
 //	magic "AMPW" | uvarint version | body | crc32-IEEE(magic..body) LE
 //
-// Integers are varint (signed: zigzag) — snapshot sizes stay proportional to
-// live state, not field widths. Floats are fixed 8-byte little-endian IEEE
-// bits, so NaN payloads and signed zeros round-trip exactly (the witness
-// comparison in Verify depends on bit fidelity). Slices are uvarint length
-// followed by elements; strings likewise. The decoder is sticky-error with
-// bounds checks everywhere: truncated or corrupt input yields an error,
-// never a panic or a huge allocation (FuzzSnapshotCodec pins this).
+// Signed integers are zigzag varints and unsigned ones uvarints, so the size
+// tracks live state, not field widths. Floats are 8 little-endian IEEE bytes,
+// so NaN payloads and signed zeros compare by bit (Verify depends on it).
+// Strings and slices are a uvarint length then the contents; fixed arrays
+// are the contents alone; a pointer is a presence byte then the value. Any
+// other kind panics, so a state field of a new kind cannot slip past Verify.
+//
+// There is no decoder: a snapshot is a witness that a rebuilt run is
+// compared with, never a file that is read back (DESIGN.md §9). The envelope
+// stays so that the printed witness sizes stay fixed.
 
 // codecVersion is bumped on any change to the encoded field set or order.
-// Decode rejects other versions — a snapshot is only meaningful against the
-// exact state inventory it was taken with.
 const codecVersion = 1
 
 var codecMagic = [4]byte{'A', 'M', 'P', 'W'}
 
-type encoder struct{ b []byte }
-
-func (e *encoder) u64(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
-func (e *encoder) i64(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *encoder) int(v int)     { e.i64(int64(v)) }
-func (e *encoder) f64(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
-func (e *encoder) bool(v bool) {
-	if v {
-		e.b = append(e.b, 1)
-	} else {
-		e.b = append(e.b, 0)
-	}
-}
-func (e *encoder) str(s string) {
-	e.u64(uint64(len(s)))
-	e.b = append(e.b, s...)
-}
-func (e *encoder) f64s(v []float64) {
-	e.u64(uint64(len(v)))
-	for _, f := range v {
-		e.f64(f)
-	}
-}
-
-type decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("whatif: decode: "+format, args...)
-	}
-}
-
-func (d *decoder) remaining() int { return len(d.b) - d.off }
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad uvarint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) i64() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) int() int { return int(d.i64()) }
-
-func (d *decoder) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.remaining() < 8 {
-		d.fail("truncated float at offset %d", d.off)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v
-}
-
-func (d *decoder) bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.remaining() < 1 {
-		d.fail("truncated bool at offset %d", d.off)
-		return false
-	}
-	c := d.b[d.off]
-	d.off++
-	if c > 1 {
-		d.fail("bad bool byte %d at offset %d", c, d.off-1)
-		return false
-	}
-	return c == 1
-}
-
-func (d *decoder) str() string {
-	n := d.u64()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(d.remaining()) {
-		d.fail("string length %d exceeds remaining %d bytes", n, d.remaining())
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-// sliceLen validates a decoded element count against the bytes actually
-// remaining (elemSize = the minimum encoded size of one element), so corrupt
-// lengths cannot trigger huge allocations.
-func (d *decoder) sliceLen(elemSize int) int {
-	n := d.u64()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(d.remaining()/elemSize) {
-		d.fail("slice length %d exceeds remaining %d bytes", n, d.remaining())
-		return 0
-	}
-	return int(n)
-}
-
-func (d *decoder) f64s() []float64 {
-	n := d.sliceLen(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
-}
-
-// Encode serializes a snapshot. The encoding is a pure function of the
-// snapshot value: equal snapshots encode to equal bytes (the Verify
-// contract), and Decode∘Encode is the identity.
+// Encode returns the snapshot's canonical encoding. It is a pure function of
+// the snapshot value: equal snapshots encode to equal bytes (the Verify
+// contract).
 func Encode(s *Snapshot) []byte {
-	e := &encoder{b: make([]byte, 0, 1024)}
-	e.b = append(e.b, codecMagic[:]...)
-	e.u64(codecVersion)
-
-	e.i64(s.SimMS)
-	e.u64(s.Seed)
-	e.str(s.ConfigTag)
-	e.u64(s.JournalSeq)
-
-	e.u64(uint64(len(s.Domains)))
-	for i := range s.Domains {
-		encodeDomain(e, &s.Domains[i])
-	}
-
-	e.u64(uint64(len(s.Servers)))
-	for i := range s.Servers {
-		sv := &s.Servers[i]
-		e.int(sv.Busy)
-		e.f64(sv.CPULoad)
-		e.bool(sv.Frozen)
-		e.bool(sv.Failed)
-		e.f64(sv.Speed)
-		e.f64(sv.CapLevelW)
-		e.f64(sv.NoiseW)
-	}
-
-	m := &s.Monitor
-	e.f64s(m.LastServer)
-	e.f64s(m.LastRow)
-	e.f64s(m.LastRack)
-	e.i64(m.LastTimeMS)
-	e.bool(m.HaveSample)
-	e.i64(m.Sweeps)
-	e.i64(m.Dropped)
-	e.i64(m.WriteErrors)
-
-	e.u64(uint64(len(s.Breakers)))
-	for i := range s.Breakers {
-		b := &s.Breakers[i]
-		e.str(b.Name)
-		e.f64(b.State.BudgetW)
-		e.f64(b.State.Heat)
-		e.bool(b.State.Tripped)
-		e.i64(b.State.TripAtMS)
-		e.i64(b.State.Evaluated)
-	}
-
-	sum := crc32.ChecksumIEEE(e.b)
-	e.b = binary.LittleEndian.AppendUint32(e.b, sum)
-	return e.b
+	b := append(make([]byte, 0, 1024), codecMagic[:]...)
+	b = binary.AppendUvarint(b, codecVersion)
+	b = appendValue(b, reflect.ValueOf(s).Elem())
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-func encodeDomain(e *encoder, ds *core.DomainSnapshot) {
-	e.str(ds.Name)
-	e.u64(uint64(len(ds.Frozen)))
-	for _, id := range ds.Frozen {
-		e.i64(int64(id))
-	}
-	e.u64(uint64(len(ds.Pending)))
-	for _, op := range ds.Pending {
-		e.i64(int64(op.Server))
-		e.bool(op.Unfreeze)
-		e.int(op.Attempt)
-	}
-	e.f64(ds.BudgetW)
-	e.f64(ds.BudgetPrevW)
-	e.f64(ds.BudgetTargetW)
-	e.f64(ds.OverrideW)
-	e.bool(ds.HaveOverride)
-	e.f64(ds.PrevP)
-	e.i64(ds.PrevTMS)
-	e.bool(ds.HavePrev)
-	e.f64(ds.LastGoodP)
-	e.i64(ds.LastGoodAtMS)
-	e.bool(ds.HaveGood)
-	e.int(ds.Dark)
-	e.i64(ds.DegradedSinceMS)
-	e.bool(ds.FailSafe)
-	e.i64(ds.ConsecAPIErr)
-	e.f64(ds.LastP)
-	e.f64(ds.LastEt)
-	e.int(ds.LastTarget)
-	encodeStats(e, &ds.Stats)
-	if ds.Hourly == nil {
-		e.bool(false)
-	} else {
-		e.bool(true)
-		h := ds.Hourly
-		e.f64(h.Percentile)
-		e.f64(h.Default)
-		e.int(h.MinSamples)
-		e.int(h.Window)
-		for i := range h.Bins {
-			e.f64s(h.Bins[i].Sorted)
-			e.f64s(h.Bins[i].Ring)
-			e.int(h.Bins[i].Head)
+// appendValue appends v's encoding to b.
+func appendValue(b []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return binary.AppendVarint(b, v.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return binary.AppendUvarint(b, v.Uint())
+	case reflect.Float64:
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
+	case reflect.Bool:
+		if v.Bool() {
+			return append(b, 1)
 		}
+		return append(b, 0)
+	case reflect.String:
+		return append(binary.AppendUvarint(b, uint64(v.Len())), v.String()...)
+	case reflect.Slice:
+		b = binary.AppendUvarint(b, uint64(v.Len()))
+		fallthrough
+	case reflect.Array:
+		for i := range v.Len() {
+			b = appendValue(b, v.Index(i))
+		}
+		return b
+	case reflect.Pointer:
+		if v.IsNil() {
+			return append(b, 0)
+		}
+		return appendValue(append(b, 1), v.Elem())
+	case reflect.Struct:
+		for i := range v.NumField() {
+			b = appendValue(b, v.Field(i))
+		}
+		return b
 	}
+	panic(fmt.Sprintf("whatif: cannot encode a %s (%s)", v.Kind(), v.Type()))
 }
 
-func encodeStats(e *encoder, st *core.DomainStats) {
-	e.i64(st.Ticks)
-	e.i64(st.Violations)
-	e.i64(st.ControlledTicks)
-	e.i64(st.FreezeOps)
-	e.i64(st.UnfreezeOps)
-	e.i64(st.APIErrors)
-	e.f64(st.USum)
-	e.f64(st.UMax)
-	e.f64(st.PSum)
-	e.f64(st.PMax)
-	e.i64(st.SkippedNoData)
-	e.i64(st.StaleTicks)
-	e.i64(st.InvalidSamples)
-	e.i64(st.DegradedTicks)
-	e.i64(st.FailSafeTicks)
-	e.i64(st.FailSafeEntries)
-	e.i64(st.Recoveries)
-	e.i64(int64(st.DegradedDwell))
-	e.i64(st.Retries)
-	e.i64(st.RetrySuccesses)
-}
-
-// Decode parses an encoded snapshot, rejecting truncated, corrupt, or
-// version-mismatched input with an error (never a panic).
-func Decode(b []byte) (*Snapshot, error) {
-	if len(b) < len(codecMagic)+1+4 {
-		return nil, fmt.Errorf("whatif: decode: input too short (%d bytes)", len(b))
-	}
-	if string(b[:4]) != string(codecMagic[:]) {
-		return nil, fmt.Errorf("whatif: decode: bad magic %q", b[:4])
-	}
-	body, trailer := b[:len(b)-4], b[len(b)-4:]
-	if got, want := binary.LittleEndian.Uint32(trailer), crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("whatif: decode: checksum mismatch (got %08x, computed %08x)", got, want)
-	}
-	d := &decoder{b: body, off: 4}
-	if v := d.u64(); d.err == nil && v != codecVersion {
-		return nil, fmt.Errorf("whatif: decode: unsupported snapshot version %d (want %d)", v, codecVersion)
-	}
-
-	s := &Snapshot{}
-	s.SimMS = d.i64()
-	s.Seed = d.u64()
-	s.ConfigTag = d.str()
-	s.JournalSeq = d.u64()
-
-	if n := d.sliceLen(1); d.err == nil && n > 0 {
-		s.Domains = make([]core.DomainSnapshot, n)
-		for i := range s.Domains {
-			decodeDomain(d, &s.Domains[i])
-			if d.err != nil {
-				return nil, d.err
+// firstDiff walks a and b (values of one type) as appendValue does and
+// names the first leaf, length or presence whose encoding differs, e.g.
+// "Domains[0].Stats.FreezeOps: 14 vs 15"; "" when they encode alike.
+func firstDiff(path string, a, b reflect.Value) string {
+	switch a.Kind() {
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s: length %d vs %d", path, a.Len(), b.Len())
+		}
+		for i := range a.Len() {
+			if d := firstDiff(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i)); d != "" {
+				return d
 			}
 		}
-	}
-
-	if n := d.sliceLen(1); d.err == nil && n > 0 {
-		s.Servers = make([]cluster.ServerState, n)
-		for i := range s.Servers {
-			sv := &s.Servers[i]
-			sv.Busy = d.int()
-			sv.CPULoad = d.f64()
-			sv.Frozen = d.bool()
-			sv.Failed = d.bool()
-			sv.Speed = d.f64()
-			sv.CapLevelW = d.f64()
-			sv.NoiseW = d.f64()
-			if d.err != nil {
-				return nil, d.err
+		return ""
+	case reflect.Pointer:
+		if a.IsNil() != b.IsNil() {
+			return fmt.Sprintf("%s: %s vs %s", path, presence(a), presence(b))
+		}
+		if a.IsNil() {
+			return ""
+		}
+		return firstDiff(path, a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := range a.NumField() {
+			name := a.Type().Field(i).Name
+			if path != "" {
+				name = path + "." + name
+			}
+			if d := firstDiff(name, a.Field(i), b.Field(i)); d != "" {
+				return d
 			}
 		}
+		return ""
 	}
-
-	m := &s.Monitor
-	m.LastServer = d.f64s()
-	m.LastRow = d.f64s()
-	m.LastRack = d.f64s()
-	m.LastTimeMS = d.i64()
-	m.HaveSample = d.bool()
-	m.Sweeps = d.i64()
-	m.Dropped = d.i64()
-	m.WriteErrors = d.i64()
-
-	if n := d.sliceLen(1); d.err == nil && n > 0 {
-		s.Breakers = make([]BreakerSnapshot, n)
-		for i := range s.Breakers {
-			br := &s.Breakers[i]
-			br.Name = d.str()
-			br.State.BudgetW = d.f64()
-			br.State.Heat = d.f64()
-			br.State.Tripped = d.bool()
-			br.State.TripAtMS = d.i64()
-			br.State.Evaluated = d.i64()
-			if d.err != nil {
-				return nil, d.err
-			}
-		}
+	if string(appendValue(nil, a)) != string(appendValue(nil, b)) {
+		return fmt.Sprintf("%s: %v vs %v", path, a, b)
 	}
-
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("whatif: decode: %d trailing bytes", d.remaining())
-	}
-	return s, nil
+	return ""
 }
 
-func decodeDomain(d *decoder, ds *core.DomainSnapshot) {
-	ds.Name = d.str()
-	if n := d.sliceLen(1); d.err == nil && n > 0 {
-		ds.Frozen = make([]cluster.ServerID, n)
-		for i := range ds.Frozen {
-			ds.Frozen[i] = cluster.ServerID(d.i64())
-		}
+func presence(p reflect.Value) string {
+	if p.IsNil() {
+		return "nil"
 	}
-	if n := d.sliceLen(3); d.err == nil && n > 0 {
-		ds.Pending = make([]core.PendingOpState, n)
-		for i := range ds.Pending {
-			ds.Pending[i].Server = cluster.ServerID(d.i64())
-			ds.Pending[i].Unfreeze = d.bool()
-			ds.Pending[i].Attempt = d.int()
-		}
-	}
-	ds.BudgetW = d.f64()
-	ds.BudgetPrevW = d.f64()
-	ds.BudgetTargetW = d.f64()
-	ds.OverrideW = d.f64()
-	ds.HaveOverride = d.bool()
-	ds.PrevP = d.f64()
-	ds.PrevTMS = d.i64()
-	ds.HavePrev = d.bool()
-	ds.LastGoodP = d.f64()
-	ds.LastGoodAtMS = d.i64()
-	ds.HaveGood = d.bool()
-	ds.Dark = d.int()
-	ds.DegradedSinceMS = d.i64()
-	ds.FailSafe = d.bool()
-	ds.ConsecAPIErr = d.i64()
-	ds.LastP = d.f64()
-	ds.LastEt = d.f64()
-	ds.LastTarget = d.int()
-	decodeStats(d, &ds.Stats)
-	if d.bool() {
-		h := &core.HourlyEtState{}
-		h.Percentile = d.f64()
-		h.Default = d.f64()
-		h.MinSamples = d.int()
-		h.Window = d.int()
-		for i := range h.Bins {
-			h.Bins[i].Sorted = d.f64s()
-			h.Bins[i].Ring = d.f64s()
-			h.Bins[i].Head = d.int()
-		}
-		if d.err == nil {
-			ds.Hourly = h
-		}
-	}
-}
-
-func decodeStats(d *decoder, st *core.DomainStats) {
-	st.Ticks = d.i64()
-	st.Violations = d.i64()
-	st.ControlledTicks = d.i64()
-	st.FreezeOps = d.i64()
-	st.UnfreezeOps = d.i64()
-	st.APIErrors = d.i64()
-	st.USum = d.f64()
-	st.UMax = d.f64()
-	st.PSum = d.f64()
-	st.PMax = d.f64()
-	st.SkippedNoData = d.i64()
-	st.StaleTicks = d.i64()
-	st.InvalidSamples = d.i64()
-	st.DegradedTicks = d.i64()
-	st.FailSafeTicks = d.i64()
-	st.FailSafeEntries = d.i64()
-	st.Recoveries = d.i64()
-	st.DegradedDwell = sim.Duration(d.i64())
-	st.Retries = d.i64()
-	st.RetrySuccesses = d.i64()
+	return "set"
 }

@@ -2,9 +2,11 @@ package whatif
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,7 +18,8 @@ import (
 
 // sampleSnapshot exercises every encoded field: multiple domains (with and
 // without hourly-Et state), pending ops, NaN and signed-zero floats, empty
-// and populated slices.
+// and populated slices. Its encoding is pinned in
+// testdata/sample_snapshot.bin.
 func sampleSnapshot() *Snapshot {
 	hourly := &core.HourlyEtState{Percentile: 95, Default: 0.05, MinSamples: 8, Window: 30}
 	hourly.Bins[0] = core.EtBinState{Sorted: []float64{0.01, 0.02, math.NaN()}, Ring: []float64{0.02, 0.01}, Head: 1}
@@ -64,122 +67,96 @@ func sampleSnapshot() *Snapshot {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	for name, snap := range map[string]*Snapshot{
-		"rich":    sampleSnapshot(),
-		"empty":   {},
-		"genesis": {SimMS: 0, Seed: 1, ConfigTag: "g", JournalSeq: 0},
-	} {
-		b1 := Encode(snap)
-		got, err := Decode(b1)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		b2 := Encode(got)
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("%s: round trip not byte-identical (%d vs %d bytes)", name, len(b1), len(b2))
-		}
-	}
-
-	// Spot-check decoded values, including the NaN bit pattern.
-	snap := sampleSnapshot()
-	got, err := Decode(Encode(snap))
+// TestEncodePinned holds the canonical encoding to the bytes committed in
+// testdata: the printed witness sizes and the envelope stay fixed, and NaN
+// payloads and −0 keep their bits.
+func TestEncodePinned(t *testing.T) {
+	want, err := os.ReadFile("testdata/sample_snapshot.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SimMS != snap.SimMS || got.Seed != snap.Seed || got.ConfigTag != snap.ConfigTag ||
-		got.JournalSeq != snap.JournalSeq {
-		t.Fatalf("header fields did not round-trip: %+v", got)
+	if got := Encode(sampleSnapshot()); !bytes.Equal(got, want) {
+		t.Errorf("sampleSnapshot encodes to %d bytes that differ from the pinned %d:\n%x", len(got), len(want), got)
 	}
-	if len(got.Domains) != 2 || got.Domains[0].Name != "row0" ||
-		len(got.Domains[0].Frozen) != 3 || got.Domains[0].Frozen[2] != 42 {
-		t.Fatalf("domains did not round-trip: %+v", got.Domains)
-	}
-	if got.Domains[0].Hourly == nil || got.Domains[1].Hourly != nil {
-		t.Fatalf("hourly presence did not round-trip")
-	}
-	if !math.IsNaN(got.Domains[0].Hourly.Bins[0].Sorted[2]) {
-		t.Fatalf("NaN did not round-trip: %v", got.Domains[0].Hourly.Bins[0].Sorted)
-	}
-	if !math.IsNaN(got.Servers[1].NoiseW) || !got.Servers[0].Frozen || !got.Servers[1].Failed {
-		t.Fatalf("servers did not round-trip: %+v", got.Servers)
-	}
-	if got.Breakers[1].Name != "row1" || !got.Breakers[1].State.Tripped ||
-		got.Breakers[1].State.TripAtMS != 1_810_000 {
-		t.Fatalf("breakers did not round-trip: %+v", got.Breakers)
-	}
-	if got.Monitor.LastTimeMS != 1_799_000 || len(got.Monitor.LastServer) != 3 {
-		t.Fatalf("monitor did not round-trip: %+v", got.Monitor)
+	const empty = "414d505701000000000000000000000000000000e141aa75"
+	if got := hex.EncodeToString(Encode(&Snapshot{})); got != empty {
+		t.Errorf("empty snapshot encodes to %s, want %s", got, empty)
 	}
 }
 
-func TestCodecRejectsTruncation(t *testing.T) {
-	b := Encode(sampleSnapshot())
-	for n := 0; n < len(b); n++ {
-		if _, err := Decode(b[:n]); err == nil {
-			t.Fatalf("decode accepted %d-byte truncation of a %d-byte snapshot", n, len(b))
+// TestEveryFieldReachesVerify perturbs, one at a time, every leaf of
+// sampleSnapshot, every slice's length and every pointer's presence: each
+// change must change Encode, and Verify must name its path. A state field
+// added later is walked here without editing the test.
+func TestEveryFieldReachesVerify(t *testing.T) {
+	witness, rebuilt := sampleSnapshot(), sampleSnapshot()
+	want := Encode(witness)
+	checked := 0
+	walk("", reflect.ValueOf(rebuilt).Elem(), func(path string, v reflect.Value) {
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		defer v.Set(old)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Float64:
+			v.SetFloat(math.Float64frombits(math.Float64bits(v.Float()) ^ 1))
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Slice:
+			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+		case reflect.Pointer:
+			if v.IsNil() {
+				v.Set(reflect.New(v.Type().Elem()))
+			} else {
+				v.Set(reflect.Zero(v.Type()))
+			}
+		case reflect.Struct, reflect.Array:
+			return
+		default:
+			t.Fatalf("%s: no perturbation for a %s", path, v.Kind())
 		}
-	}
-}
-
-func TestCodecRejectsBitFlips(t *testing.T) {
-	orig := Encode(sampleSnapshot())
-	// Any single-byte corruption breaks the CRC seal (flipping a trailer byte
-	// breaks it from the other side).
-	for i := 0; i < len(orig); i++ {
-		mut := bytes.Clone(orig)
-		mut[i] ^= 0x40
-		if _, err := Decode(mut); err == nil {
-			t.Fatalf("decode accepted corruption at byte %d/%d", i, len(orig))
+		checked++
+		if bytes.Equal(Encode(rebuilt), want) {
+			t.Errorf("%s: perturbed, but Encode is unchanged", path)
 		}
+		err := Verify(witness, rebuilt)
+		if err == nil || !strings.Contains(err.Error(), path+":") && !strings.Contains(err.Error(), path+" mismatch") {
+			t.Errorf("%s: perturbed, but Verify says %v", path, err)
+		}
+	})
+	if !bytes.Equal(Encode(rebuilt), want) {
+		t.Fatal("perturbations were not undone")
+	}
+	if checked < 100 {
+		t.Fatalf("perturbed %d values, want every one of sampleSnapshot's", checked)
 	}
 }
 
-// seal appends the codec's CRC trailer to a hand-built body.
-func seal(body []byte) []byte {
-	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
-}
-
-func TestCodecRejectsVersionMismatch(t *testing.T) {
-	body := append([]byte{}, codecMagic[:]...)
-	body = binary.AppendUvarint(body, codecVersion+1)
-	_, err := Decode(seal(body))
-	if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
-		t.Fatalf("want version error, got %v", err)
-	}
-}
-
-func TestCodecRejectsBadMagic(t *testing.T) {
-	b := Encode(&Snapshot{})
-	b[0] = 'X'
-	if _, err := Decode(b); err == nil || !strings.Contains(err.Error(), "bad magic") {
-		t.Fatalf("want magic error, got %v", err)
-	}
-}
-
-func TestCodecRejectsTrailingBytes(t *testing.T) {
-	body := Encode(&Snapshot{})
-	body = body[:len(body)-4] // strip the seal
-	body = append(body, 0)    // smuggle in an extra byte
-	_, err := Decode(seal(body))
-	if err == nil || !strings.Contains(err.Error(), "trailing") {
-		t.Fatalf("want trailing-bytes error, got %v", err)
-	}
-}
-
-// TestCodecRejectsHugeLengths pins the allocation guard: a sealed body whose
-// slice length claims far more elements than bytes remain must error without
-// attempting the allocation.
-func TestCodecRejectsHugeLengths(t *testing.T) {
-	body := append([]byte{}, codecMagic[:]...)
-	body = binary.AppendUvarint(body, codecVersion)
-	body = binary.AppendVarint(body, 0)      // SimMS
-	body = binary.AppendUvarint(body, 0)     // Seed
-	body = binary.AppendUvarint(body, 0)     // ConfigTag len
-	body = binary.AppendUvarint(body, 0)     // JournalSeq
-	body = binary.AppendUvarint(body, 1<<40) // domain count: absurd
-	_, err := Decode(seal(body))
-	if err == nil || !strings.Contains(err.Error(), "length") {
-		t.Fatalf("want length error, got %v", err)
+// walk calls visit on v, then on every value inside it in encoding order,
+// each with its path as Verify names it.
+func walk(path string, v reflect.Value, visit func(string, reflect.Value)) {
+	visit(path, v)
+	switch v.Kind() {
+	case reflect.Slice, reflect.Array:
+		for i := range v.Len() {
+			walk(fmt.Sprintf("%s[%d]", path, i), v.Index(i), visit)
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			walk(path, v.Elem(), visit)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			name := v.Type().Field(i).Name
+			if path != "" {
+				name = path + "." + name
+			}
+			walk(name, v.Field(i), visit)
+		}
 	}
 }

@@ -44,10 +44,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 
 // Result is one completed run — factual baseline or counterfactual replay.
 type Result struct {
-	// Snap is the state witness captured at the fork instant; SnapBytes is
-	// its canonical encoding (its length is the exported snapshot size).
-	Snap      *Snapshot
-	SnapBytes []byte
+	// Snap is the state witness captured at the fork instant;
+	// SnapshotBytes is the length of its canonical encoding (Encode).
+	Snap          *Snapshot
+	SnapshotBytes int
 	// Events is the journal suffix from Snap.JournalSeq on (the whole
 	// journal for a genesis run); Evicted counts ring overwrites — nonzero
 	// means the suffix is incomplete and the diff untrustworthy.
@@ -104,7 +104,7 @@ func (e *Engine) run(at sim.Time, patch core.PolicyPatch, expect *Snapshot) (*Re
 		} else {
 			e.Met.replays.Inc()
 			e.Met.replayDur.Observe(time.Since(start).Seconds())
-			e.Met.snapBytes.Observe(float64(len(res.SnapBytes)))
+			e.Met.snapBytes.Observe(float64(res.SnapshotBytes))
 		}
 	}
 	if res != nil {
@@ -131,11 +131,13 @@ func (e *Engine) runInner(at sim.Time, patch core.PolicyPatch, expect *Snapshot)
 		}
 	}
 	snap := Capture(inst, at)
+	enc := Encode(snap)
 	if expect != nil {
-		if err := Verify(expect, snap); err != nil {
+		if err := verify(expect, snap, enc); err != nil {
 			return nil, err
 		}
 	}
+	size := len(enc) // only the size outlives the replay; a 100k-server encoding is 4.3 MB
 	if !patch.Empty() {
 		if err := inst.Ctl.Reconfigure(patch); err != nil {
 			return nil, err
@@ -146,10 +148,10 @@ func (e *Engine) runInner(at sim.Time, patch core.PolicyPatch, expect *Snapshot)
 	}
 
 	res := &Result{
-		Snap:      snap,
-		SnapBytes: Encode(snap),
-		Events:    inst.Journal.Since(snap.JournalSeq),
-		Evicted:   inst.Journal.Evicted(),
+		Snap:          snap,
+		SnapshotBytes: size,
+		Events:        inst.Journal.Since(snap.JournalSeq),
+		Evicted:       inst.Journal.Evicted(),
 	}
 	for _, nb := range inst.Breakers {
 		if tripped, _ := nb.B.Tripped(); tripped {

@@ -1,37 +1,59 @@
-package whatif
+package whatif_test
 
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/experiment"
+	"repro/internal/sim"
+	"repro/internal/whatif"
 )
 
-// FuzzSnapshotCodec pins two properties of the snapshot codec against
-// arbitrary input:
-//
-//  1. Decode never panics and never allocates unboundedly — truncated or
-//     corrupt bytes return an error.
-//  2. Anything Decode accepts re-encodes stably: Encode(Decode(b)) decodes
-//     to the same value and encodes to the same bytes a second time around.
-//     (Fuzzed input may use non-minimal varints, so Encode(Decode(b)) == b
-//     does not hold in general; idempotence after one normalization does.)
-func FuzzSnapshotCodec(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("AMPW"))
-	f.Add(Encode(&Snapshot{}))
-	f.Add(Encode(sampleSnapshot()))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Decode(data)
-		if err != nil {
+// FuzzForkTick forks the quick gridstorm cliff run at a fuzzed instant (in
+// simulated milliseconds). A baseline captured there and its self-replay
+// journal the same suffix byte for byte; an instant outside [0, End] is
+// refused by both. The seeds are genesis, the dip onset, an instant in the
+// middle of a minute, End and End+1ms.
+func FuzzForkTick(f *testing.F) {
+	build := experiment.GridstormBuilder(experiment.QuickGridstorm(), false)
+	eng := &whatif.Engine{Build: build}
+	inst, err := build()
+	if err != nil {
+		f.Fatal(err)
+	}
+	end := int64(inst.End)
+	scout, err := eng.Baseline(0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	dip, ok := whatif.FirstBudgetChange(scout.Events)
+	if !ok {
+		f.Fatal("no budget-change event in the baseline run")
+	}
+	for _, at := range []int64{0, dip.SimMS, dip.SimMS + int64(90*sim.Second), end, end + 1} {
+		f.Add(at)
+	}
+	f.Fuzz(func(t *testing.T, at int64) {
+		fact, err := eng.Baseline(sim.Time(at))
+		if at < 0 || at > end {
+			if err == nil {
+				t.Fatalf("Baseline accepted instant %d outside [0, %d]", at, end)
+			}
+			if _, err := eng.Replay(&whatif.Snapshot{SimMS: at}, core.PolicyPatch{}); err == nil {
+				t.Fatalf("Replay accepted instant %d outside [0, %d]", at, end)
+			}
 			return
 		}
-		b1 := Encode(s)
-		s2, err := Decode(b1)
 		if err != nil {
-			t.Fatalf("re-decode of a normalized encoding failed: %v", err)
+			t.Fatalf("baseline at %d: %v", at, err)
 		}
-		b2 := Encode(s2)
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("encoding not stable: %d vs %d bytes", len(b1), len(b2))
+		self, err := eng.Replay(fact.Snap, core.PolicyPatch{})
+		if err != nil {
+			t.Fatalf("self-replay at %d: %v", at, err)
+		}
+		if !bytes.Equal(whatif.CanonicalJSONL(fact.Events), whatif.CanonicalJSONL(self.Events)) {
+			t.Fatalf("self-replay at %d diverged: %d vs %d suffix events", at, len(fact.Events), len(self.Events))
 		}
 	})
 }

@@ -18,6 +18,7 @@ package whatif
 import (
 	"fmt"
 	"maps"
+	"reflect"
 
 	"repro/internal/breaker"
 	"repro/internal/cluster"
@@ -29,8 +30,9 @@ import (
 )
 
 // Snapshot captures the mutable control-plane state at a tick boundary: the
-// state with every event strictly before SimMS applied. It is versioned and
-// round-trip-tested through Encode/Decode (codec.go).
+// state with every event strictly before SimMS applied. Every field takes
+// part in its canonical encoding (Encode, codec.go), which is what Verify
+// compares.
 type Snapshot struct {
 	// SimMS is the capture instant in simulated milliseconds.
 	SimMS int64
@@ -133,56 +135,22 @@ func Capture(inst *Instance, at sim.Time) *Snapshot {
 // rebuild really did land in the same state. Equality is judged on the
 // canonical encoding, which is NaN-safe (bit comparison, not ==).
 func Verify(witness, rebuilt *Snapshot) error {
+	return verify(witness, rebuilt, Encode(rebuilt))
+}
+
+// verify is Verify given rebuilt's encoding rb.
+func verify(witness, rebuilt *Snapshot, rb []byte) error {
 	if witness.ConfigTag != rebuilt.ConfigTag {
-		return fmt.Errorf("whatif: config mismatch: snapshot %q vs builder %q",
+		return fmt.Errorf("whatif: ConfigTag mismatch: snapshot %q vs builder %q",
 			witness.ConfigTag, rebuilt.ConfigTag)
 	}
 	if witness.Seed != rebuilt.Seed {
-		return fmt.Errorf("whatif: seed mismatch: snapshot %d vs builder %d",
+		return fmt.Errorf("whatif: Seed mismatch: snapshot %d vs builder %d",
 			witness.Seed, rebuilt.Seed)
 	}
-	wb, rb := Encode(witness), Encode(rebuilt)
-	if string(wb) != string(rb) {
+	if string(Encode(witness)) != string(rb) {
 		return fmt.Errorf("whatif: reconstructed state diverges from snapshot witness at t=%s: %s",
-			sim.Time(witness.SimMS), describeDiff(witness, rebuilt))
+			sim.Time(witness.SimMS), firstDiff("", reflect.ValueOf(*witness), reflect.ValueOf(*rebuilt)))
 	}
 	return nil
-}
-
-// describeDiff names the first field-level difference between two snapshots,
-// for the Verify error message.
-func describeDiff(a, b *Snapshot) string {
-	switch {
-	case a.SimMS != b.SimMS:
-		return fmt.Sprintf("SimMS %d vs %d", a.SimMS, b.SimMS)
-	case a.JournalSeq != b.JournalSeq:
-		return fmt.Sprintf("JournalSeq %d vs %d", a.JournalSeq, b.JournalSeq)
-	case len(a.Domains) != len(b.Domains):
-		return fmt.Sprintf("domain count %d vs %d", len(a.Domains), len(b.Domains))
-	case len(a.Servers) != len(b.Servers):
-		return fmt.Sprintf("server count %d vs %d", len(a.Servers), len(b.Servers))
-	case len(a.Breakers) != len(b.Breakers):
-		return fmt.Sprintf("breaker count %d vs %d", len(a.Breakers), len(b.Breakers))
-	}
-	for i := range a.Domains {
-		da, db := &a.Domains[i], &b.Domains[i]
-		if string(Encode(&Snapshot{Domains: []core.DomainSnapshot{*da}})) !=
-			string(Encode(&Snapshot{Domains: []core.DomainSnapshot{*db}})) {
-			return fmt.Sprintf("domain %q state differs (frozen %d vs %d, budget %g vs %g, ticks %d vs %d)",
-				da.Name, len(da.Frozen), len(db.Frozen), da.BudgetW, db.BudgetW,
-				da.Stats.Ticks, db.Stats.Ticks)
-		}
-	}
-	for i := range a.Servers {
-		if a.Servers[i] != b.Servers[i] {
-			return fmt.Sprintf("server %d state differs: %+v vs %+v", i, a.Servers[i], b.Servers[i])
-		}
-	}
-	for i := range a.Breakers {
-		if a.Breakers[i] != b.Breakers[i] {
-			return fmt.Sprintf("breaker %q state differs: %+v vs %+v",
-				a.Breakers[i].Name, a.Breakers[i].State, b.Breakers[i].State)
-		}
-	}
-	return "monitor state differs"
 }
