@@ -76,8 +76,8 @@ func BenchmarkSchedulerPlacement(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Submit(&workload.Job{
-			ID: int64(i), Kind: workload.Batch, Product: -1,
-			Work: dd.Sample(r), CPU: 1, Containers: 1,
+			ID: int64(i), Product: -1,
+			Work: dd.Sample(r), CPU: 1,
 		})
 		if i%1024 == 0 {
 			// Drain periodically so capacity never saturates.
@@ -191,7 +191,7 @@ func BenchmarkMetricsScrape(b *testing.B) {
 	journal := obs.NewJournal(0)
 	rig.Mon.Instrument(reg)
 	rig.DB.Instrument(reg)
-	rig.Sched.Instrument(reg, journal)
+	rig.Sched.Instrument(reg)
 	rig.StartBase()
 	budget := spec.RowRatedPowerW() / 1.25
 	domains := make([]core.Domain, spec.Rows)

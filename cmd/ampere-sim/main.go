@@ -18,44 +18,61 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/runner"
 	"repro/internal/scenario"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it runs the scenario args describe, writes the
+// report to stdout and diagnostics to stderr, and returns the exit code (2 for
+// a usage error, 1 for a failed scenario).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ampere-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		config     = flag.String("config", "", "JSON scenario file (overrides the other flags)")
-		rows       = flag.Int("rows", 1, "number of rows")
-		rowServers = flag.Int("row-servers", 400, "servers per row (multiple of 20)")
-		hours      = flag.Int("hours", 24, "simulated hours (after a 2h warmup)")
-		target     = flag.Float64("target", 0.74, "steady row power target as a fraction of rated")
-		ro         = flag.Float64("ro", 0.25, "over-provisioning ratio (row budget = rated/(1+ro))")
-		ampere     = flag.Bool("ampere", false, "enable the Ampere controller")
-		capping    = flag.Bool("capping", false, "enable DVFS power capping")
-		breaker    = flag.Bool("breaker", false, "enable PDU circuit breakers (trips black out the row)")
-		kr         = flag.Float64("kr", 0, "control model gradient (0 = calibrated default)")
-		seed       = flag.Uint64("seed", 1, "simulation seed")
-		policy     = flag.String("policy", "random-fit", "placement policy: random-fit|least-loaded|best-fit|round-robin")
-		chooser    = flag.String("row-chooser", "proportional", "row selection: proportional|balance-rows|concentrate-rows")
-		amplitude  = flag.Float64("amplitude", 0.35, "diurnal amplitude of the workload")
-		replicate  = flag.Int("replicate", 1, "run K replicates with seeds seed..seed+K-1")
+		config     = fs.String("config", "", "JSON scenario file (overrides the other flags)")
+		rows       = fs.Int("rows", 1, "number of rows")
+		rowServers = fs.Int("row-servers", 400, "servers per row (multiple of 20)")
+		hours      = fs.Int("hours", 24, "simulated hours (after a 2h warmup)")
+		target     = fs.Float64("target", 0.74, "steady row power target as a fraction of rated")
+		ro         = fs.Float64("ro", 0.25, "over-provisioning ratio (row budget = rated/(1+ro))")
+		ampere     = fs.Bool("ampere", false, "enable the Ampere controller")
+		capping    = fs.Bool("capping", false, "enable DVFS power capping")
+		breaker    = fs.Bool("breaker", false, "enable PDU circuit breakers (trips black out the row)")
+		kr         = fs.Float64("kr", 0, "control model gradient (0 = calibrated default)")
+		seed       = fs.Uint64("seed", 1, "simulation seed")
+		chooser    = fs.String("row-chooser", "proportional", "row selection: proportional|balance-rows|concentrate-rows")
+		amplitude  = fs.Float64("amplitude", 0.35, "diurnal amplitude of the workload")
+		replicate  = fs.Int("replicate", 1, "run K replicates with seeds seed..seed+K-1")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ampere-sim:", err)
+		return 1
+	}
 
 	var spec *scenario.Spec
 	if *config != "" {
 		f, err := os.Open(*config)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		spec, err = scenario.Load(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else {
 		spec = &scenario.Spec{
@@ -70,8 +87,7 @@ func main() {
 			Capping:    *capping,
 			Breaker:    *breaker,
 			Kr:         *kr,
-			Policy:     *policy,
-			RowChooser: *chooser,
+			RowShaping: *chooser,
 		}
 	}
 
@@ -103,14 +119,10 @@ func main() {
 	}
 	outs, err := runner.Run(units, runner.Options{})
 	for _, b := range outs {
-		os.Stdout.Write(b)
+		stdout.Write(b)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ampere-sim:", err)
-	os.Exit(1)
+	return 0
 }

@@ -176,7 +176,7 @@ func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*simSta
 	if cfg.obs {
 		rig.Mon.Instrument(reg)
 		rig.DB.Instrument(reg)
-		rig.Sched.Instrument(reg, journal)
+		rig.Sched.Instrument(reg)
 	}
 
 	// Optional interactive service: cfg.svcInstances hosts at even stride

@@ -346,7 +346,6 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 	}
 	st.ctl = ctl
 	if journal != nil {
-		rig.Sched.Instrument(nil, journal)
 		ctl.Instrument(nil, journal)
 	}
 	tracker.AddProbe("frozen", func() float64 {

@@ -41,7 +41,7 @@ func newObservedRig(t *testing.T) (*stack.Stack, *obs.Registry, *obs.Journal) {
 	journal := obs.NewJournal(256)
 	rig.Mon.Instrument(reg)
 	rig.DB.Instrument(reg)
-	rig.Sched.Instrument(reg, journal)
+	rig.Sched.Instrument(reg)
 	journal.Instrument(reg)
 
 	// An interactive service on a handful of servers, the way powermon

@@ -83,7 +83,7 @@ func newScrapedRig(t *testing.T, seed uint64) (*stack.Stack, *obs.Registry) {
 	reg := obs.NewRegistry()
 	rig.Mon.Instrument(reg)
 	rig.DB.Instrument(reg)
-	rig.Sched.Instrument(reg, nil)
+	rig.Sched.Instrument(reg)
 	return rig, reg
 }
 

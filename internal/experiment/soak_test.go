@@ -10,7 +10,7 @@ import (
 	"repro/internal/workload"
 )
 
-// A chaos soak: gang jobs, random freezes/unfreezes, server failures and
+// A chaos soak: random freezes/unfreezes, server failures and
 // repairs, and DVFS capping all interleave for simulated hours. The test
 // asserts only global invariants — nothing is lost or double-counted, the
 // availability index stays exact, and utilization bookkeeping balances —
@@ -30,7 +30,6 @@ func runChaosSoak(t *testing.T, seed uint64) {
 	spec.RacksPerRow = 2
 	spec.ServersPerRack = 10 // 40 servers
 	prod := workload.DefaultProduct("chaos", 120)
-	prod.MaxContainers = 4 // exercise gang scheduling
 	rig, err := stack.New(stack.Config{Seed: seed, Cluster: spec, Products: []workload.Product{prod}})
 	if err != nil {
 		t.Fatal(err)

@@ -62,32 +62,24 @@ type SpreadOutcome struct {
 	Throughput int64
 }
 
-// RunSpread runs the comparison for the default proportional chooser, the
-// balancing chooser, and the concentrating chooser.
+// RunSpread runs the comparison for the default proportional shaping, the
+// balancing shaping, and the concentrating shaping.
 func RunSpread(cfg SpreadConfig) ([]SpreadOutcome, error) {
-	choosers := []struct {
-		name string
-		rc   scheduler.RowChooser
-	}{
-		{"proportional", nil},
-		{"balance-rows", scheduler.BalanceRows{}},
-		{"concentrate-rows", scheduler.ConcentrateRows{}},
-	}
-	names := make([]string, len(choosers))
-	for i, ch := range choosers {
-		names[i] = ch.name
+	shapings := []scheduler.RowShaping{scheduler.Proportional, scheduler.BalanceRows, scheduler.ConcentrateRows}
+	names := make([]string, len(shapings))
+	for i, rs := range shapings {
+		names[i] = rs.String()
 	}
 	return runUnits(names, func(i int) (SpreadOutcome, error) {
-		ch := choosers[i]
-		o, err := runSpreadOnce(cfg, ch.name, ch.rc)
+		o, err := runSpreadOnce(cfg, shapings[i])
 		if err != nil {
-			return SpreadOutcome{}, fmt.Errorf("spread %s: %w", ch.name, err)
+			return SpreadOutcome{}, fmt.Errorf("spread %s: %w", names[i], err)
 		}
 		return *o, nil
 	})
 }
 
-func runSpreadOnce(cfg SpreadConfig, name string, rc scheduler.RowChooser) (*SpreadOutcome, error) {
+func runSpreadOnce(cfg SpreadConfig, rs scheduler.RowShaping) (*SpreadOutcome, error) {
 	if cfg.Rows < 2 {
 		return nil, fmt.Errorf("experiment: spreading needs ≥2 rows")
 	}
@@ -98,9 +90,7 @@ func runSpreadOnce(cfg SpreadConfig, name string, rc scheduler.RowChooser) (*Spr
 	if err != nil {
 		return nil, err
 	}
-	if rc != nil {
-		rig.Sched.SetRowChooser(rc)
-	}
+	rig.Sched.SetRowShaping(rs)
 	rig.StartBase()
 	if err := rig.Run(sim.Time(cfg.Warmup + cfg.Measure)); err != nil {
 		return nil, err
@@ -136,7 +126,7 @@ func runSpreadOnce(cfg SpreadConfig, name string, rc scheduler.RowChooser) (*Spr
 		}
 	}
 	return &SpreadOutcome{
-		Policy:       name,
+		Policy:       rs.String(),
 		CrossRowStd:  stdAcc.Mean(),
 		HeadroomFrac: headroomW / (rowRated * float64(cfg.Rows)),
 		IdleRows:     idleRows,

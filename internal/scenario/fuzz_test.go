@@ -12,7 +12,7 @@ import (
 // FuzzLoad feeds arbitrary bytes through the JSON loader and, when a spec
 // parses, through validation and a marshal round-trip. Malformed or hostile
 // configs must come back as errors — never panics — and an accepted spec
-// must survive re-encoding.
+// must survive re-encoding and end its run after a positive warm-up.
 func FuzzLoad(f *testing.F) {
 	f.Add(`{"seed":1,"rows":2,"row_servers":40,"hours":24,"target_frac":0.6,"ro":0.25,"ampere":true}`)
 	f.Add(`{"rows":1,"row_servers":20,"hours":1,"products":[{"name":"web","jobs_per_minute":50}]}`)
@@ -35,6 +35,9 @@ func FuzzLoad(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			return
+		}
+		if warmup, end := s.window(); warmup <= 0 || end <= sim.Time(warmup) {
+			t.Fatalf("accepted spec runs from warm-up %v to %v", warmup, end)
 		}
 		// A spec that parsed and validated must round-trip through JSON to
 		// an equally valid spec.

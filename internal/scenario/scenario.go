@@ -1,7 +1,7 @@
 // Package scenario builds complete simulation deployments from a
 // declarative, JSON-serializable description: topology, workload,
-// protection mechanisms (Ampere / DVFS capping / PDU breakers), placement
-// policy and duration. cmd/ampere-sim is a thin flag/JSON wrapper around it;
+// protection mechanisms (Ampere / DVFS capping / PDU breakers), row shaping
+// and duration. cmd/ampere-sim is a thin flag/JSON wrapper around it;
 // tests and notebooks can construct Specs directly.
 package scenario
 
@@ -41,7 +41,8 @@ type Spec struct {
 	Seed       uint64 `json:"seed"`
 	Rows       int    `json:"rows"`
 	RowServers int    `json:"row_servers"`
-	// WarmupHours precede the measured window (default 2).
+	// WarmupHours precede the measured window (0 means the default 2).
+	// Both spans are at most ten years (maxEventMinutes).
 	WarmupHours int `json:"warmup_hours,omitempty"`
 	Hours       int `json:"hours"`
 
@@ -63,8 +64,7 @@ type Spec struct {
 
 	// ControlPolicy configures the Ampere controller's strategy axes —
 	// selection, Et estimator family, solver horizon, release path (see
-	// policy.go). Requires Ampere. The top-level "policy" key is the
-	// scheduler placement policy; this block is the power-control policy.
+	// policy.go). Requires Ampere.
 	ControlPolicy *PolicySpec `json:"control_policy,omitempty"`
 
 	// Protections.
@@ -73,12 +73,12 @@ type Spec struct {
 	Breaker bool    `json:"breaker"`
 	Kr      float64 `json:"kr,omitempty"`
 	// RepairMinutes is the outage length after a breaker trip before the
-	// row is powered back on (default 30).
+	// row is powered back on (0 means the default 30).
 	RepairMinutes int `json:"repair_minutes,omitempty"`
 
-	// Scheduling.
-	Policy     string `json:"policy,omitempty"`      // random-fit|least-loaded|best-fit|round-robin
-	RowChooser string `json:"row_chooser,omitempty"` // proportional|balance-rows|concentrate-rows
+	// RowShaping names the scheduler's row shaping:
+	// proportional (the default)|balance-rows|concentrate-rows.
+	RowShaping string `json:"row_chooser,omitempty"`
 }
 
 // Load parses a JSON spec, rejecting unknown fields (typos in config files
@@ -107,6 +107,12 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: row_servers %d must be a positive multiple of 20", s.RowServers)
 	case s.Hours <= 0:
 		return fmt.Errorf("scenario: hours %d must be positive", s.Hours)
+	case s.Hours > maxHours:
+		return fmt.Errorf("scenario: hours %d above the %d-hour bound", s.Hours, maxHours)
+	case s.WarmupHours < 0 || s.WarmupHours > maxHours:
+		return fmt.Errorf("scenario: warmup_hours %d outside [0,%d]", s.WarmupHours, maxHours)
+	case s.RepairMinutes < 0:
+		return fmt.Errorf("scenario: negative repair_minutes %d", s.RepairMinutes)
 	case s.RO < 0:
 		return fmt.Errorf("scenario: negative ro %v", s.RO)
 	case len(s.Products) == 0 && (s.TargetFrac <= 0 || s.TargetFrac > 1):
@@ -123,10 +129,7 @@ func (s *Spec) Validate() error {
 				i, p.Name, len(p.RowWeights), s.Rows)
 		}
 	}
-	if _, err := pickPolicy(s.Policy); err != nil {
-		return err
-	}
-	if _, err := pickRowChooser(s.RowChooser); err != nil {
+	if _, err := s.shaping(); err != nil {
 		return err
 	}
 	if s.ControlPolicy != nil {
@@ -144,32 +147,29 @@ func (s *Spec) Validate() error {
 	return s.validateBudget()
 }
 
-func pickPolicy(name string) (scheduler.Policy, error) {
-	switch name {
-	case "", "random-fit":
-		return scheduler.RandomFit{}, nil
-	case "least-loaded":
-		return scheduler.LeastLoaded{}, nil
-	case "best-fit":
-		return scheduler.BestFit{}, nil
-	case "round-robin":
-		return &scheduler.RoundRobin{}, nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown policy %q", name)
+// maxHours bounds hours and warmup_hours to maxEventMinutes, so the run's
+// end time stays far inside sim.Time.
+const maxHours = maxEventMinutes / 60
+
+func (s *Spec) shaping() (scheduler.RowShaping, error) {
+	if s.RowShaping == "" {
+		return scheduler.Proportional, nil
 	}
+	rs, ok := scheduler.ParseRowShaping(s.RowShaping)
+	if !ok {
+		return 0, fmt.Errorf("scenario: unknown row_chooser %q", s.RowShaping)
+	}
+	return rs, nil
 }
 
-func pickRowChooser(name string) (scheduler.RowChooser, error) {
-	switch name {
-	case "", "proportional":
-		return nil, nil
-	case "balance-rows":
-		return scheduler.BalanceRows{}, nil
-	case "concentrate-rows":
-		return scheduler.ConcentrateRows{}, nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown row_chooser %q", name)
+// window returns the warm-up length and the absolute end of the measured
+// hours.
+func (s *Spec) window() (warmup sim.Duration, end sim.Time) {
+	warmup = 2 * sim.Hour
+	if s.WarmupHours > 0 {
+		warmup = sim.Duration(s.WarmupHours) * sim.Hour
 	}
+	return warmup, sim.Time(warmup) + sim.Time(s.Hours)*sim.Time(sim.Hour)
 }
 
 // Built is an assembled, not-yet-run scenario.
@@ -188,6 +188,7 @@ type Built struct {
 	// controller across all rows (schedule steps, ramp ticks, events).
 	BudgetChanges int
 	warmup        sim.Duration
+	end           sim.Time
 }
 
 // Build assembles every component of the spec.
@@ -228,27 +229,20 @@ func (s *Spec) Build() (*Built, error) {
 		weights = append(weights, ps.RowWeights)
 	}
 
-	policy, err := pickPolicy(s.Policy)
-	if err != nil {
-		return nil, err
-	}
 	rig, err := stack.New(stack.Config{
 		Seed:           s.Seed,
 		Cluster:        spec,
 		Products:       products,
 		ProductWeights: weights,
-		Policy:         policy,
 	})
 	if err != nil {
 		return nil, err
 	}
-	chooser, err := pickRowChooser(s.RowChooser)
+	shaping, err := s.shaping()
 	if err != nil {
 		return nil, err
 	}
-	if chooser != nil {
-		rig.Sched.SetRowChooser(chooser)
-	}
+	rig.Sched.SetRowShaping(shaping)
 
 	budget := spec.RowRatedPowerW() / (1 + s.RO)
 	groups := make([]experiment.Group, s.Rows)
@@ -263,10 +257,7 @@ func (s *Spec) Build() (*Built, error) {
 	}
 
 	b := &Built{Spec: s, Rig: rig, Tracker: tracker, BudgetW: budget}
-	b.warmup = 2 * sim.Hour
-	if s.WarmupHours > 0 {
-		b.warmup = sim.Duration(s.WarmupHours) * sim.Hour
-	}
+	b.warmup, b.end = s.window()
 
 	if s.Ampere {
 		kr := s.Kr
@@ -356,8 +347,7 @@ func (b *Built) Run() error {
 	for _, brk := range b.Breakers {
 		brk.Start()
 	}
-	end := sim.Time(b.warmup) + sim.Time(b.Spec.Hours)*sim.Time(sim.Hour)
-	return b.Rig.Run(end)
+	return b.Rig.Run(b.end)
 }
 
 // Report writes the scenario summary.

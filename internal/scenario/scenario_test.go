@@ -17,13 +17,13 @@ func TestLoadJSON(t *testing.T) {
 		"seed": 7, "rows": 2, "row_servers": 40, "hours": 3,
 		"target_frac": 0.72, "ro": 0.25,
 		"ampere": true, "capping": true, "breaker": true,
-		"policy": "least-loaded", "row_chooser": "concentrate-rows"
+		"row_chooser": "concentrate-rows"
 	}`
 	s, err := Load(strings.NewReader(js))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Seed != 7 || !s.Ampere || s.Policy != "least-loaded" {
+	if s.Seed != 7 || !s.Ampere || s.RowShaping != "concentrate-rows" {
 		t.Errorf("parsed spec %+v", s)
 	}
 	if err := s.Validate(); err != nil {
@@ -49,8 +49,11 @@ func TestValidate(t *testing.T) {
 		func(s *Spec) { s.TargetFrac = 0 },
 		func(s *Spec) { s.TargetFrac = 1.5 },
 		func(s *Spec) { s.Kr = -1 },
-		func(s *Spec) { s.Policy = "nope" },
-		func(s *Spec) { s.RowChooser = "nope" },
+		func(s *Spec) { s.RowShaping = "nope" },
+		func(s *Spec) { s.Hours = 3000000000000 },       // end time wrapped negative
+		func(s *Spec) { s.WarmupHours = 3000000000000 }, // warm-up wrapped negative
+		func(s *Spec) { s.WarmupHours = -5 },            // silently ran the default
+		func(s *Spec) { s.RepairMinutes = -3 },          // silently ran the default
 		func(s *Spec) { s.Products = []Product{{Name: "x"}} },
 		func(s *Spec) { s.Products = []Product{{Name: "x", TargetFrac: 0.7, RowWeights: []float64{1}}} },
 	}
@@ -96,8 +99,7 @@ func TestBuildFullStack(t *testing.T) {
 	s.Ampere = true
 	s.Capping = true
 	s.Breaker = true
-	s.RowChooser = "balance-rows"
-	s.Policy = "least-loaded"
+	s.RowShaping = "balance-rows"
 	b, err := s.Build()
 	if err != nil {
 		t.Fatal(err)

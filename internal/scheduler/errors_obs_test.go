@@ -9,34 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Regression: Release used to forward straight to cluster.Server.Release,
-// which panics on over-release. Every exported Scheduler method must return
-// an error for caller bookkeeping bugs instead.
-func TestOverReleaseReturnsError(t *testing.T) {
-	eng := sim.NewEngine()
-	c := newTestCluster(t, 1, 1, 2)
-	s := New(eng, c, 1, nil)
-
-	if err := s.Reserve(0, 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Release(0, 5, 5); err == nil {
-		t.Error("over-release accepted, want error")
-	}
-	if err := s.Release(0, -1, 0); err == nil {
-		t.Error("negative release accepted, want error")
-	}
-	if got := c.Server(0).Busy(); got != 2 {
-		t.Errorf("busy = %d after rejected releases, want 2", got)
-	}
-	if err := s.Release(0, 2, 2); err != nil {
-		t.Errorf("valid release rejected: %v", err)
-	}
-	if got := c.Server(0).Busy(); got != 0 {
-		t.Errorf("busy = %d after release, want 0", got)
-	}
-}
-
 func TestReserveOnFailedServerErrors(t *testing.T) {
 	eng := sim.NewEngine()
 	c := newTestCluster(t, 1, 1, 2)
@@ -69,20 +41,15 @@ func scrape(t *testing.T, reg *obs.Registry) string {
 	return buf.String()
 }
 
-// TestStatsCountersOnScrape pins PR 2's "scrape and JSON API can never
-// disagree" invariant to the three counters that used to be JSON-only:
-// Rejected, Queued, and Overflowed.
+// TestStatsCountersOnScrape pins the "scrape and JSON API can never
+// disagree" invariant to the counters that used to be JSON-only: Queued and
+// Overflowed.
 func TestStatsCountersOnScrape(t *testing.T) {
 	eng := sim.NewEngine()
 	c := newTestCluster(t, 2, 1, 1) // 2 rows × 1 server × 16 containers
 	s := New(eng, c, 1, nil)
 	reg := obs.NewRegistry()
-	s.Instrument(reg, nil)
-
-	// Rejected: more containers than any server has.
-	oversized := batchJob(1, sim.Minute, 1)
-	oversized.Containers = c.Spec.Containers + 1
-	s.Submit(oversized)
+	s.Instrument(reg)
 
 	// Overflowed: product 0 prefers row 0 only; fill row 0, then submit.
 	s.SetProductWeights([][]float64{{1, 0}})
@@ -100,68 +67,16 @@ func TestStatsCountersOnScrape(t *testing.T) {
 	s.Submit(batchJob(3, 30*sim.Minute, 1))
 
 	st := s.Stats()
-	if st.Rejected != 1 || st.Overflowed != 1 || st.Queued != 1 {
-		t.Fatalf("stats = %+v, want Rejected/Overflowed/Queued all 1", st)
+	if st.Rejected != 0 || st.Overflowed != 1 || st.Queued != 1 {
+		t.Fatalf("stats = %+v, want Overflowed/Queued 1 and nothing rejected", st)
 	}
 	text := scrape(t, reg)
 	for _, want := range []string{
-		"scheduler_jobs_rejected_total 1",
 		"scheduler_jobs_overflowed_total 1",
 		"scheduler_jobs_queued_total 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)
 		}
-	}
-}
-
-// TestChooserDegradationObserved covers the previously invisible
-// "RowChooser returned ineligible row, degraded to default" fallback: every
-// occurrence counts on /metrics, and the journal carries one note per
-// chooser installation (not one per pick, so a persistently buggy chooser
-// cannot flood the bounded ring).
-func TestChooserDegradationObserved(t *testing.T) {
-	eng := sim.NewEngine()
-	c := newTestCluster(t, 2, 1, 2)
-	s := New(eng, c, 1, nil)
-	reg := obs.NewRegistry()
-	journal := obs.NewJournal(16)
-	s.Instrument(reg, journal)
-	s.SetRowChooser(buggyChooser{})
-
-	for i := int64(0); i < 3; i++ {
-		s.Submit(batchJob(i, sim.Minute, 1))
-	}
-	if got := s.Stats().Placed; got != 3 {
-		t.Fatalf("placed %d, want 3", got)
-	}
-	if !strings.Contains(scrape(t, reg), "scheduler_rowchooser_degraded_total 3") {
-		t.Errorf("scrape missing scheduler_rowchooser_degraded_total 3:\n%s", scrape(t, reg))
-	}
-
-	notes := 0
-	for _, ev := range journal.Snapshot() {
-		if ev.Action == "chooser-degraded" {
-			notes++
-			if !strings.Contains(ev.Health, "buggy") {
-				t.Errorf("journal note missing chooser name: %+v", ev)
-			}
-		}
-	}
-	if notes != 1 {
-		t.Errorf("journal has %d chooser-degraded notes, want exactly 1", notes)
-	}
-
-	// Reinstalling a chooser re-arms the one-shot note.
-	s.SetRowChooser(buggyChooser{})
-	s.Submit(batchJob(10, sim.Minute, 1))
-	notes = 0
-	for _, ev := range journal.Snapshot() {
-		if ev.Action == "chooser-degraded" {
-			notes++
-		}
-	}
-	if notes != 2 {
-		t.Errorf("journal has %d notes after reinstall, want 2", notes)
 	}
 }

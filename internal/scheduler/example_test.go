@@ -23,13 +23,13 @@ func ExampleScheduler_Freeze() {
 	s := scheduler.New(eng, c, 1, nil)
 
 	// A job lands somewhere; then Ampere freezes server 0.
-	s.Submit(&workload.Job{ID: 1, Work: 5 * sim.Minute, CPU: 1, Containers: 1, Product: -1})
+	s.Submit(&workload.Job{ID: 1, Work: 5 * sim.Minute, CPU: 1, Product: -1})
 	if err := s.Freeze(0); err != nil {
 		panic(err)
 	}
 	// New jobs avoid the frozen server.
 	for i := int64(2); i < 6; i++ {
-		s.Submit(&workload.Job{ID: i, Work: 5 * sim.Minute, CPU: 1, Containers: 1, Product: -1})
+		s.Submit(&workload.Job{ID: i, Work: 5 * sim.Minute, CPU: 1, Product: -1})
 	}
 	fmt.Println("server 1 busy:", c.Server(1).Busy() > 0)
 	fmt.Println("available in row:", s.AvailableInRow(0))

@@ -20,71 +20,3 @@ func (RandomFit) Name() string { return "random-fit" }
 func (RandomFit) Pick(r *rand.Rand, _ *workload.Job, candidates []*cluster.Server) *cluster.Server {
 	return candidates[r.Intn(len(candidates))]
 }
-
-// LeastLoaded places each job on the candidate with the most free
-// containers, spreading load evenly (ties broken by lowest ID for
-// determinism).
-type LeastLoaded struct{}
-
-// Name implements Policy.
-func (LeastLoaded) Name() string { return "least-loaded" }
-
-// Pick implements Policy.
-func (LeastLoaded) Pick(_ *rand.Rand, _ *workload.Job, candidates []*cluster.Server) *cluster.Server {
-	best := candidates[0]
-	for _, sv := range candidates[1:] {
-		if sv.FreeContainers() > best.FreeContainers() ||
-			(sv.FreeContainers() == best.FreeContainers() && sv.ID < best.ID) {
-			best = sv
-		}
-	}
-	return best
-}
-
-// BestFit packs jobs onto the fullest candidate that still fits, minimizing
-// the number of partially used servers (ties broken by lowest ID).
-type BestFit struct{}
-
-// Name implements Policy.
-func (BestFit) Name() string { return "best-fit" }
-
-// Pick implements Policy.
-func (BestFit) Pick(_ *rand.Rand, _ *workload.Job, candidates []*cluster.Server) *cluster.Server {
-	best := candidates[0]
-	for _, sv := range candidates[1:] {
-		if sv.FreeContainers() < best.FreeContainers() ||
-			(sv.FreeContainers() == best.FreeContainers() && sv.ID < best.ID) {
-			best = sv
-		}
-	}
-	return best
-}
-
-// RoundRobin cycles through candidate servers by ID, a simple deterministic
-// spreading policy used in ablations.
-type RoundRobin struct {
-	next cluster.ServerID
-}
-
-// Name implements Policy.
-func (*RoundRobin) Name() string { return "round-robin" }
-
-// Pick implements Policy: the candidate with the smallest ID not below the
-// cursor, wrapping around.
-func (p *RoundRobin) Pick(_ *rand.Rand, _ *workload.Job, candidates []*cluster.Server) *cluster.Server {
-	var atOrAbove, lowest *cluster.Server
-	for _, sv := range candidates {
-		if lowest == nil || sv.ID < lowest.ID {
-			lowest = sv
-		}
-		if sv.ID >= p.next && (atOrAbove == nil || sv.ID < atOrAbove.ID) {
-			atOrAbove = sv
-		}
-	}
-	chosen := atOrAbove
-	if chosen == nil {
-		chosen = lowest
-	}
-	p.next = chosen.ID + 1
-	return chosen
-}

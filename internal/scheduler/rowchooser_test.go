@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
@@ -27,21 +26,16 @@ func TestRowUtilizationTracking(t *testing.T) {
 	if u := s.RowUtilization(1); u != 0 {
 		t.Errorf("row 1 utilization %v", u)
 	}
-	if err := s.Release(0, 8, 8); err != nil {
-		t.Fatal(err)
-	}
-	if u := s.RowUtilization(0); u != 0 {
-		t.Errorf("utilization after release %v", u)
-	}
 	// Job placement and completion also update the counter.
+	before := s.RowUtilization(0) + s.RowUtilization(1)
 	s.Submit(batchJob(1, 5*sim.Minute, 1))
-	if s.RowUtilization(0)+s.RowUtilization(1) == 0 {
+	if s.RowUtilization(0)+s.RowUtilization(1) == before {
 		t.Error("placement did not update utilization")
 	}
 	if err := eng.RunUntil(sim.Time(10 * sim.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	if s.RowUtilization(0)+s.RowUtilization(1) != 0 {
+	if s.RowUtilization(0)+s.RowUtilization(1) != before {
 		t.Error("completion did not update utilization")
 	}
 }
@@ -50,7 +44,7 @@ func TestConcentrateRowsPacks(t *testing.T) {
 	eng := sim.NewEngine()
 	c := newTestCluster(t, 3, 1, 2) // 3 rows × 2 servers, 32 containers/row
 	s := New(eng, c, 1, nil)
-	s.SetRowChooser(ConcentrateRows{})
+	s.SetRowShaping(ConcentrateRows)
 	perRow := map[int]int{}
 	s.OnPlace(func(j *workload.Job, sv *cluster.Server) { perRow[sv.Row]++ })
 	for i := int64(0); i < 32; i++ {
@@ -71,14 +65,17 @@ func TestBalanceRowsSpreads(t *testing.T) {
 	eng := sim.NewEngine()
 	c := newTestCluster(t, 2, 1, 2)
 	s := New(eng, c, 1, nil)
-	s.SetRowChooser(BalanceRows{})
-	perRow := map[int]int{}
-	s.OnPlace(func(j *workload.Job, sv *cluster.Server) { perRow[sv.Row]++ })
+	s.SetRowShaping(BalanceRows)
+	var rows []int
+	s.OnPlace(func(j *workload.Job, sv *cluster.Server) { rows = append(rows, sv.Row) })
 	for i := int64(0); i < 20; i++ {
 		s.Submit(batchJob(i, 30*sim.Minute, 1))
 	}
-	if perRow[0] != 10 || perRow[1] != 10 {
-		t.Errorf("balance did not alternate: %v", perRow)
+	// Ties go to the lowest index, so the rows alternate starting at row 0.
+	for i, r := range rows {
+		if r != i%2 {
+			t.Fatalf("balance placed job %d on row %d: %v", i, r, rows)
+		}
 	}
 }
 
@@ -86,7 +83,7 @@ func TestRowChooserRespectsAffinity(t *testing.T) {
 	eng := sim.NewEngine()
 	c := newTestCluster(t, 3, 1, 2)
 	s := New(eng, c, 1, nil)
-	s.SetRowChooser(ConcentrateRows{})
+	s.SetRowShaping(ConcentrateRows)
 	s.SetProductWeights([][]float64{{0, 1, 1}}) // product 0 excluded from row 0
 	for i := int64(0); i < 10; i++ {
 		j := batchJob(i, 30*sim.Minute, 1)
@@ -100,27 +97,13 @@ func TestRowChooserRespectsAffinity(t *testing.T) {
 	}
 }
 
-// A buggy chooser returning an ineligible row degrades to the default
-// sampling instead of misplacing or dropping the job.
-type buggyChooser struct{}
-
-func (buggyChooser) Name() string { return "buggy" }
-func (buggyChooser) ChooseRow(_ *rand.Rand, _ *workload.Job, _ []int, _ func(int) int, _ func(int) float64) int {
-	return 97
-}
-
-func TestBuggyChooserFallsBack(t *testing.T) {
-	eng := sim.NewEngine()
-	c := newTestCluster(t, 2, 1, 2)
-	s := New(eng, c, 1, nil)
-	s.SetRowChooser(buggyChooser{})
-	s.Submit(batchJob(1, sim.Minute, 1))
-	if s.Stats().Placed != 1 {
-		t.Error("job lost under buggy chooser")
+func TestRowShapingNames(t *testing.T) {
+	for _, rs := range []RowShaping{Proportional, BalanceRows, ConcentrateRows} {
+		if got, ok := ParseRowShaping(rs.String()); !ok || got != rs {
+			t.Errorf("ParseRowShaping(%q) = %v, %v", rs.String(), got, ok)
+		}
 	}
-	s.SetRowChooser(nil) // restore default
-	s.Submit(batchJob(2, sim.Minute, 1))
-	if s.Stats().Placed != 2 {
-		t.Error("default chooser broken after reset")
+	if _, ok := ParseRowShaping("random"); ok {
+		t.Error("unknown shaping accepted")
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // The tree's draw is the scan's draw: on a fleet with rows drained, frozen
 // and failed to every degree, the same generator state yields the same row
-// from pickRowByTree as from the scan over cached fit counts, and leaves the
+// from pickRowByTree as from the weighted scan at unit weights, and leaves the
 // generator where the scan leaves it.
 func TestTreeRowChoiceMatchesScan(t *testing.T) {
 	for _, rows := range []int{1, 4, 7, 33} {
@@ -24,13 +24,7 @@ func TestTreeRowChoiceMatchesScan(t *testing.T) {
 		}
 		s := New(sim.NewEngine(), c, 1, nil)
 		r := rand.New(rand.NewSource(int64(rows)))
-		job := &workload.Job{Containers: 1, CPU: 1}
-		scan := func() int {
-			for row := range s.avail {
-				s.fitScratch[row] = s.fitCount(job, row)
-			}
-			return s.pickWeightedRow(job, rowWeights{})
-		}
+		job := &workload.Job{CPU: 1}
 		for round := 0; round < 400; round++ {
 			// Churn the index: freeze, thaw, fail, repair; some rounds empty
 			// whole rows, the last ones the whole fleet.
@@ -58,7 +52,7 @@ func TestTreeRowChoiceMatchesScan(t *testing.T) {
 			for draw := 0; draw < 20; draw++ {
 				seed := r.Uint64()
 				s.rng = sim.NewRNG(seed)
-				want, wantNext := scan(), s.rng.Uint64()
+				want, wantNext := s.pickWeightedRow(rowWeights{}), s.rng.Uint64()
 				s.rng = sim.NewRNG(seed)
 				got, _ := s.chooseRow(job)
 				if gotNext := s.rng.Uint64(); got != want || gotNext != wantNext {

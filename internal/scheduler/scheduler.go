@@ -2,9 +2,10 @@
 // paper's data center runs (§2.1). The lower level tracks server resources as
 // containers, maintains per-row candidate lists, and exposes exactly the two
 // operations Ampere is allowed to use — Freeze and Unfreeze. The upper level
-// is a pluggable placement policy. Placement probability is proportional to
-// available capacity (weighted by product affinity), which is the statistical
-// property Ampere's indirect control relies on (§3.4).
+// is a pluggable placement policy. Every job is a batch task holding one
+// container. Placement probability is proportional to available servers
+// (weighted by product affinity), which is the statistical property Ampere's
+// indirect control relies on (§3.4).
 package scheduler
 
 import (
@@ -38,20 +39,42 @@ type Policy interface {
 	Pick(r *rand.Rand, job *workload.Job, candidates []*cluster.Server) *cluster.Server
 }
 
-// RowChooser optionally overrides the row-selection step of placement. The
-// default samples rows proportional to affinity-weighted available capacity
-// (the statistical property Ampere relies on); alternative choosers
-// implement the paper's future-work idea of deliberately shaping cross-row
-// power variance. eligible is non-empty and lists the rows the job may go
-// to; fit(r) is the number of schedulable fitting servers on row r and
-// util(r) the row's container utilization in [0, 1]. Return value must be
-// one of eligible. Implementations must not retain the eligible slice, the
-// callbacks or job beyond the call: all are backed by storage reused on the
-// next pick.
-type RowChooser interface {
-	Name() string
-	ChooseRow(r *rand.Rand, job *workload.Job, eligible []int,
-		fit func(row int) int, util func(row int) float64) int
+// RowShaping is the row-selection step of placement. Proportional is the
+// paper's scheduler; the other two are its future-work direction (§6): "we
+// are exploring ways to schedule the jobs to different rows so that there can
+// be a larger variance in power utilization across different rows, leading
+// to more unused power to cultivate". Either way Ampere's freeze/unfreeze
+// interface is unchanged, exactly as the paper notes. A shaping picks among
+// the rows the job may go to (positive affinity weight, a schedulable
+// server), ties going to the lowest index.
+type RowShaping int
+
+const (
+	// Proportional samples a row with probability proportional to its
+	// affinity weight times its schedulable-server count.
+	Proportional RowShaping = iota
+	// BalanceRows picks the least-utilized row, minimizing cross-row
+	// variance: the contrast case of the spreading experiment.
+	BalanceRows
+	// ConcentrateRows packs new jobs onto the most-utilized row with
+	// capacity, keeping other rows cold.
+	ConcentrateRows
+)
+
+var rowShapingNames = [...]string{"proportional", "balance-rows", "concentrate-rows"}
+
+// String returns the shaping's name as configs spell it.
+func (rs RowShaping) String() string { return rowShapingNames[rs] }
+
+// ParseRowShaping returns the shaping whose String is name, and whether
+// there is one.
+func ParseRowShaping(name string) (RowShaping, bool) {
+	for i, n := range rowShapingNames {
+		if n == name {
+			return RowShaping(i), true
+		}
+	}
+	return 0, false
 }
 
 // Stats counts scheduler activity.
@@ -68,8 +91,9 @@ type Stats struct {
 	// are gone, not re-queued: the batch framework above the scheduler owns
 	// retries, which are new submissions.
 	Killed int64
-	// Rejected counts jobs that can never fit (more containers than any
-	// server has). Queueing them would block the FIFO queue forever.
+	// Rejected is always zero: every job fits a server's one container. It
+	// stays so that Submitted = Placed + queued + Rejected reads the same for
+	// callers that check conservation.
 	Rejected int64
 }
 
@@ -103,29 +127,11 @@ type Scheduler struct {
 	// nil entries (or a missing index) mean uniform affinity.
 	productRows [][]float64
 
-	// rowChooser, when non-nil, overrides proportional row selection.
-	rowChooser RowChooser
-	// chooserNoted is set once a journal note about the installed chooser
-	// returning an ineligible row has been written; SetRowChooser resets it
-	// so every chooser installation can be flagged once without flooding the
-	// bounded journal on a persistently buggy chooser.
-	chooserNoted bool
+	shaping RowShaping
 	// busyRow[r] / capRow[r] track per-row container occupancy for
-	// RowChooser utilization queries.
+	// RowUtilization.
 	busyRow []int
 	capRow  []int
-
-	// fitScratch[r] caches the per-row fitting-server count for the placement
-	// currently in flight: chooseRow fills it once, so the two weighted picks
-	// and the RowChooser callback never recompute the (potentially O(row))
-	// count. eligScratch is the reusable eligible-row buffer handed to
-	// RowChoosers, and fitFn/utilFn are the pre-bound callbacks, so a pick
-	// allocates nothing.
-	fitScratch    []int
-	eligScratch   []int
-	fitSrvScratch []*cluster.Server
-	fitFn         func(r int) int
-	utilFn        func(r int) float64
 
 	// run is the slab of running jobs and runFree the head of its free-slot
 	// list (-1 when empty); a slot is what a completion event carries.
@@ -136,9 +142,8 @@ type Scheduler struct {
 	runs       []runPage
 	completeFn sim.ArgEvent
 
-	stats   Stats
-	met     *metrics
-	journal *obs.Journal
+	stats Stats
+	met   *metrics
 
 	onPlace    func(j *workload.Job, s *cluster.Server)
 	onComplete func(j *workload.Job, s *cluster.Server)
@@ -168,7 +173,7 @@ type runningJob struct {
 // runPage holds one row's run lists, allocated on the row's first placement
 // so a fleet that runs no jobs pays nothing per server. Server i of the row
 // (in ID order) owns slots[i*stride : i*stride+n[i]], stride being
-// Spec.Containers: a job holds at least one container. A list is appended to
+// Spec.Containers: a job holds one container. A list is appended to
 // on placement and swap-removed from on completion, and that order is
 // load-bearing: speedChanged reschedules completions in list order, which
 // assigns their engine sequence numbers, which orders completions landing on
@@ -212,10 +217,6 @@ func New(eng *sim.Engine, c *cluster.Cluster, seed uint64, policy Policy) *Sched
 	}
 	s.busyRow = make([]int, c.Rows())
 	s.capRow = make([]int, c.Rows())
-	s.fitScratch = make([]int, c.Rows())
-	s.eligScratch = make([]int, 0, c.Rows())
-	s.fitFn = func(r int) int { return s.fitScratch[r] }
-	s.utilFn = s.RowUtilization
 	for _, sv := range c.Servers {
 		s.addAvail(sv)
 		s.capRow[sv.Row] += c.Spec.Containers
@@ -228,18 +229,16 @@ func New(eng *sim.Engine, c *cluster.Cluster, seed uint64, policy Policy) *Sched
 // atomics updated on the hot path, so concurrent scrapes never race the
 // simulation goroutine.
 type metrics struct {
-	freezeDur       *obs.Histogram
-	unfreezeDur     *obs.Histogram
-	churn           *obs.Counter
-	queueLen        *obs.Gauge
-	submitted       *obs.Counter
-	placed          *obs.Counter
-	completed       *obs.Counter
-	killed          *obs.Counter
-	rejected        *obs.Counter
-	overflowed      *obs.Counter
-	queued          *obs.Counter
-	chooserDegraded *obs.Counter
+	freezeDur   *obs.Histogram
+	unfreezeDur *obs.Histogram
+	churn       *obs.Counter
+	queueLen    *obs.Gauge
+	submitted   *obs.Counter
+	placed      *obs.Counter
+	completed   *obs.Counter
+	killed      *obs.Counter
+	overflowed  *obs.Counter
+	queued      *obs.Counter
 }
 
 // Instrument registers the scheduler's metrics on reg (nil is a no-op):
@@ -251,19 +250,14 @@ type metrics struct {
 //	scheduler_jobs_placed_total                counter
 //	scheduler_jobs_completed_total             counter
 //	scheduler_jobs_killed_total                counter
-//	scheduler_jobs_rejected_total              counter, jobs that can never fit
 //	scheduler_jobs_queued_total                counter, jobs that waited at least once
 //	scheduler_jobs_overflowed_total            counter, placements outside preferred rows
-//	scheduler_rowchooser_degraded_total        counter, ineligible RowChooser picks
 //
-// The last four mirror Stats.{Rejected,Queued,Overflowed} and the chooser
-// fallback, so a scrape and the JSON status API can never disagree. journal
-// (nil is a no-op) receives a one-time note when an installed RowChooser
-// returns an ineligible row and placement degrades to the default sampling.
+// The last two mirror Stats.{Queued,Overflowed}, so a scrape and the JSON
+// status API can never disagree.
 //
 // Call before the simulation starts.
-func (s *Scheduler) Instrument(reg *obs.Registry, journal *obs.Journal) {
-	s.journal = journal
+func (s *Scheduler) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
@@ -281,23 +275,16 @@ func (s *Scheduler) Instrument(reg *obs.Registry, journal *obs.Journal) {
 		completed: reg.Counter("scheduler_jobs_completed_total", "Jobs completed."),
 		killed: reg.Counter("scheduler_jobs_killed_total",
 			"Jobs killed by server failures (breaker trips)."),
-		rejected: reg.Counter("scheduler_jobs_rejected_total",
-			"Jobs rejected because they can never fit on any server."),
 		queued: reg.Counter("scheduler_jobs_queued_total",
 			"Jobs that had to wait in the queue at least once."),
 		overflowed: reg.Counter("scheduler_jobs_overflowed_total",
 			"Placements that landed outside the job's preferred rows."),
-		chooserDegraded: reg.Counter("scheduler_rowchooser_degraded_total",
-			"Picks where the RowChooser returned an ineligible row and placement degraded to default sampling."),
 	}
 }
 
-// SetRowChooser overrides the row-selection step (nil restores the default
-// proportional sampling).
-func (s *Scheduler) SetRowChooser(rc RowChooser) {
-	s.rowChooser = rc
-	s.chooserNoted = false
-}
+// SetRowShaping selects the row-selection step of placement (Proportional
+// until set).
+func (s *Scheduler) SetRowShaping(rs RowShaping) { s.shaping = rs }
 
 // RowUtilization returns row r's container occupancy in [0, 1].
 func (s *Scheduler) RowUtilization(r int) float64 {
@@ -442,22 +429,13 @@ func (s *Scheduler) Unfreeze(id cluster.ServerID) error {
 
 var _ FreezeAPI = (*Scheduler)(nil)
 
-// Submit accepts a job for placement, queueing it when no capacity fits.
-// It is the workload generator's sink. Jobs larger than any server's
-// container capacity are rejected outright: waiting could never help and
-// would block every job behind them in the FIFO queue. The scheduler copies
+// Submit accepts a job for placement, queueing it when no server is
+// schedulable. It is the workload generator's sink. The scheduler copies
 // what it keeps of j, so the caller may reuse it once Submit returns.
 func (s *Scheduler) Submit(j *workload.Job) {
 	s.stats.Submitted++
 	if s.met != nil {
 		s.met.submitted.Inc()
-	}
-	if j.Containers < 1 || j.Containers > s.c.Spec.Containers {
-		s.stats.Rejected++
-		if s.met != nil {
-			s.met.rejected.Inc()
-		}
-		return
 	}
 	if s.queueHead < len(s.queue) {
 		// Preserve FIFO order behind already-waiting jobs.
@@ -511,13 +489,14 @@ func (s *Scheduler) drainQueue() {
 	}
 }
 
-// tryPlace attempts to place j, returning false when nothing fits anywhere.
+// tryPlace attempts to place j, returning false when no server is
+// schedulable anywhere.
 func (s *Scheduler) tryPlace(j *workload.Job) bool {
 	row, overflow := s.chooseRow(j)
 	if row < 0 {
 		return false
 	}
-	sv := s.pickInRow(j, row)
+	sv := s.policy.Pick(s.rng, j, s.avail[row])
 	if sv == nil {
 		return false
 	}
@@ -531,92 +510,81 @@ func (s *Scheduler) tryPlace(j *workload.Job) bool {
 	return true
 }
 
-// chooseRow samples a row with probability proportional to the job's product
-// affinity weight times the row's schedulable-server count — the paper's
-// "jobs scheduled to a row ∝ available servers of the row". The second
-// return value reports that the job's preferred rows were all full and the
-// choice fell back to unweighted rows.
+// chooseRow picks a row by the installed shaping among the rows the job's
+// product affinity allows — by default with probability proportional to
+// weight times schedulable-server count, the paper's "jobs scheduled to a row
+// ∝ available servers of the row". The second return value reports that the
+// job's preferred rows were all full and the choice fell back to unweighted
+// rows.
 func (s *Scheduler) chooseRow(j *workload.Job) (int, bool) {
 	weights := s.productWeights(j)
-	if j.Containers <= 1 && s.rowChooser == nil && weights.w == nil {
-		// The batch workload's case: every schedulable server fits and every
-		// row weighs 1, so the draw is over len(avail[r]), which availTree
-		// already sums. It is the scan of pickWeightedRow, draw for draw.
-		return s.pickRowByTree(), false
+	if weights.w != nil {
+		if row := s.pickRow(weights); row >= 0 {
+			return row, false
+		}
 	}
-	// Fill the per-placement fit cache exactly once. Nothing mutates server
-	// state between here and the pick, so both weighted passes (and the
-	// RowChooser callback) read the cache instead of recomputing the count —
-	// the historical code recomputed fitCount up to three times per row.
-	for r := range s.avail {
-		s.fitScratch[r] = s.fitCount(j, r)
-	}
-	if row := s.pickWeightedRow(j, weights); row >= 0 {
-		return row, false
-	}
-	// Preferred rows are full or weightless: overflow anywhere with space.
-	if row := s.pickWeightedRow(j, rowWeights{}); row >= 0 {
-		return row, true
-	}
-	return -1, false
+	// No affinity, or the preferred rows are full or weightless: any row
+	// with space.
+	row := s.pickRow(rowWeights{})
+	return row, row >= 0 && weights.w != nil
 }
 
-// pickWeightedRow selects a row among those with positive weight and fitting
-// capacity, delegating to the installed RowChooser or falling back to
-// capacity-proportional sampling. Returns −1 when no row is eligible.
-// chooseRow has already filled fitScratch for the job in flight.
-func (s *Scheduler) pickWeightedRow(j *workload.Job, weights rowWeights) int {
-	if s.rowChooser != nil {
-		eligible := s.eligScratch[:0]
+// pickRow selects a row among those with positive weight and a schedulable
+// server, or returns −1 when there is none.
+func (s *Scheduler) pickRow(weights rowWeights) int {
+	switch {
+	case s.shaping != Proportional:
+		best := -1
 		for r := range s.avail {
-			if weights.at(r) > 0 && s.fitScratch[r] > 0 {
-				eligible = append(eligible, r)
+			if weights.at(r) <= 0 || len(s.avail[r]) == 0 {
+				continue
+			}
+			if best < 0 ||
+				(s.shaping == BalanceRows && s.RowUtilization(r) < s.RowUtilization(best)) ||
+				(s.shaping == ConcentrateRows && s.RowUtilization(r) > s.RowUtilization(best)) {
+				best = r
 			}
 		}
-		s.eligScratch = eligible[:0]
-		if len(eligible) == 0 {
-			return -1
-		}
-		row := s.rowChooser.ChooseRow(s.rng, j, eligible, s.fitFn, s.utilFn)
-		for _, r := range eligible {
-			if r == row {
-				return row
-			}
-		}
-		// A chooser returning an ineligible row is a bug in the chooser;
-		// degrade to the default rather than misplace the job.
-		s.chooserDegraded(row)
+		return best
+	case weights.w == nil:
+		return s.pickRowByTree()
 	}
+	return s.pickWeightedRow(weights)
+}
+
+// pickWeightedRow samples a row with probability proportional to its weight
+// times len(avail[r]). Returns −1 when no row is eligible.
+func (s *Scheduler) pickWeightedRow(weights rowWeights) int {
 	total := 0.0
 	for r := range s.avail {
-		total += weights.at(r) * float64(s.fitScratch[r])
+		total += weights.at(r) * float64(len(s.avail[r]))
 	}
 	if total <= 0 {
 		return -1
 	}
 	x := s.rng.Float64() * total
 	for r := range s.avail {
-		x -= weights.at(r) * float64(s.fitScratch[r])
+		x -= weights.at(r) * float64(len(s.avail[r]))
 		if x < 0 {
 			return r
 		}
 	}
 	// Floating-point slack: fall through to the last eligible row.
 	for r := len(s.avail) - 1; r >= 0; r-- {
-		if weights.at(r) > 0 && s.fitScratch[r] > 0 {
+		if weights.at(r) > 0 && len(s.avail[r]) > 0 {
 			return r
 		}
 	}
 	return -1
 }
 
-// pickRowByTree is pickWeightedRow for unit weights and fit counts equal to
-// len(avail[r]): the same single draw x = U·total (none when no server is
-// schedulable), then the first row whose prefix sum of counts exceeds x. The
-// scan finds that row by subtracting counts from x until it goes negative;
-// x is below 2⁵³ and the counts are integers, so every subtraction that
-// stays non-negative is exact and the scan's answer is the exact one — the
-// tree's. When x rounds up to total both take the last row with a server.
+// pickRowByTree is pickWeightedRow for unit weights: the same single draw
+// x = U·total (none when no server is schedulable), then the first row whose
+// prefix sum of counts exceeds x. The scan finds that row by subtracting
+// counts from x until it goes negative; x is below 2⁵³ and the counts are
+// integers, so every subtraction that stays non-negative is exact and the
+// scan's answer is the exact one — the tree's. When x rounds up to total both
+// take the last row with a server.
 func (s *Scheduler) pickRowByTree() int {
 	t := &s.availTree
 	if t.total <= 0 {
@@ -628,43 +596,6 @@ func (s *Scheduler) pickRowByTree() int {
 		}
 	}
 	return row
-}
-
-// chooserDegraded records a RowChooser returning an ineligible row: every
-// occurrence counts on /metrics, and the first occurrence per installed
-// chooser leaves a journal note (once, so a persistently buggy chooser
-// cannot evict the controller's decision history from the bounded ring).
-func (s *Scheduler) chooserDegraded(row int) {
-	if s.met != nil {
-		s.met.chooserDegraded.Inc()
-	}
-	if s.journal != nil && !s.chooserNoted {
-		s.chooserNoted = true
-		now := s.eng.Now()
-		s.journal.Append(obs.Event{
-			SimMS:   int64(now),
-			SimTime: now.String(),
-			Domain:  "scheduler",
-			Action:  "chooser-degraded",
-			Health:  fmt.Sprintf("RowChooser %q returned ineligible row %d; degraded to default sampling", s.rowChooser.Name(), row),
-		})
-	}
-}
-
-// fitCount approximates the number of servers on row r that fit j. For
-// single-container jobs (the batch workload) the availability index is
-// exact; multi-container jobs scan.
-func (s *Scheduler) fitCount(j *workload.Job, r int) int {
-	if j.Containers <= 1 {
-		return len(s.avail[r])
-	}
-	n := 0
-	for _, sv := range s.avail[r] {
-		if sv.FreeContainers() >= j.Containers {
-			n++
-		}
-	}
-	return n
 }
 
 type rowWeights struct {
@@ -695,32 +626,9 @@ func (s *Scheduler) productWeights(j *workload.Job) rowWeights {
 // corresponds to workload Product index p; nil entries mean uniform.
 func (s *Scheduler) SetProductWeights(table [][]float64) { s.productRows = table }
 
-func (s *Scheduler) pickInRow(j *workload.Job, row int) *cluster.Server {
-	cands := s.avail[row]
-	if len(cands) == 0 {
-		return nil
-	}
-	if j.Containers > 1 {
-		// Policies must not retain the candidate slice, so the filter buffer
-		// is per-scheduler scratch rather than a per-pick allocation.
-		fit := s.fitSrvScratch[:0]
-		for _, sv := range cands {
-			if sv.FreeContainers() >= j.Containers {
-				fit = append(fit, sv)
-			}
-		}
-		s.fitSrvScratch = fit[:0]
-		if len(fit) == 0 {
-			return nil
-		}
-		return s.policy.Pick(s.rng, j, fit)
-	}
-	return s.policy.Pick(s.rng, j, cands)
-}
-
 func (s *Scheduler) place(j *workload.Job, sv *cluster.Server) {
-	sv.Allocate(j.Containers, j.CPU)
-	s.busyRow[sv.Row] += j.Containers
+	sv.Allocate(1, j.CPU)
+	s.busyRow[sv.Row]++
 	s.refreshAvail(sv)
 	s.stats.Placed++
 	if s.met != nil {
@@ -806,8 +714,8 @@ func (s *Scheduler) complete(now sim.Time, arg int64) {
 	s.run.At(moved).idx = rj.idx
 	s.runs[sv.Row].n[s.rowIndex(sv)]--
 
-	sv.Release(rj.job.Containers, rj.job.CPU)
-	s.busyRow[sv.Row] -= rj.job.Containers
+	sv.Release(1, rj.job.CPU)
+	s.busyRow[sv.Row]--
 	s.refreshAvail(sv)
 	s.stats.Completed++
 	if s.met != nil {
@@ -893,8 +801,8 @@ func (s *Scheduler) FailServer(id cluster.ServerID) error {
 		for _, slot := range list {
 			rj := s.run.At(slot)
 			s.eng.Cancel(rj.handle)
-			sv.Release(rj.job.Containers, rj.job.CPU)
-			s.busyRow[sv.Row] -= rj.job.Containers
+			sv.Release(1, rj.job.CPU)
+			s.busyRow[sv.Row]--
 			s.stats.Killed++
 			if s.met != nil {
 				s.met.killed.Inc()
@@ -918,29 +826,6 @@ func (s *Scheduler) RepairServer(id cluster.ServerID) error {
 		return fmt.Errorf("scheduler: server %d not failed", id)
 	}
 	sv.SetFailed(false)
-	s.refreshAvail(sv)
-	s.drainQueue()
-	return nil
-}
-
-// Release returns containers previously reserved with Reserve. Releasing
-// more than is busy (or a negative count) is a caller bookkeeping error and
-// is reported like Freeze/Unfreeze errors rather than panicking inside
-// cluster.Server.Release.
-func (s *Scheduler) Release(id cluster.ServerID, containers int, cpu float64) error {
-	if int(id) < 0 || int(id) >= len(s.c.Servers) {
-		return fmt.Errorf("scheduler: release on unknown server %d", id)
-	}
-	if containers < 0 {
-		return fmt.Errorf("scheduler: release of negative container count %d on server %d", containers, id)
-	}
-	sv := s.c.Server(id)
-	if sv.Busy() < containers {
-		return fmt.Errorf("scheduler: release of %d containers on server %d with only %d busy",
-			containers, id, sv.Busy())
-	}
-	sv.Release(containers, cpu)
-	s.busyRow[sv.Row] -= containers
 	s.refreshAvail(sv)
 	s.drainQueue()
 	return nil

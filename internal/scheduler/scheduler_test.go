@@ -25,7 +25,7 @@ func newTestCluster(t *testing.T, rows, racks, perRack int) *cluster.Cluster {
 }
 
 func batchJob(id int64, work sim.Duration, cpu float64) *workload.Job {
-	return &workload.Job{ID: id, Kind: workload.Batch, Work: work, CPU: cpu, Containers: 1, Product: -1}
+	return &workload.Job{ID: id, Work: work, CPU: cpu, Product: -1}
 }
 
 func TestPlaceAndComplete(t *testing.T) {
@@ -127,9 +127,6 @@ func TestUnknownServerErrors(t *testing.T) {
 	}
 	if err := s.Reserve(99, 1, 1); err == nil {
 		t.Error("reserve on unknown id accepted")
-	}
-	if err := s.Release(99, 1, 1); err == nil {
-		t.Error("release on unknown id accepted")
 	}
 }
 
@@ -313,26 +310,35 @@ func TestSpeedRestoreResumesFullRate(t *testing.T) {
 	}
 }
 
+// Reserved containers stay held while jobs around them are placed and
+// released: only a job's own container comes back when it completes.
 func TestReserveAndRelease(t *testing.T) {
 	eng := sim.NewEngine()
-	c := newTestCluster(t, 1, 1, 1)
+	c := newTestCluster(t, 1, 1, 1) // 16 containers
 	s := New(eng, c, 1, nil)
-	if err := s.Reserve(0, 16, 16); err != nil {
+	if err := s.Reserve(0, 15, 15); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Reserve(0, 1, 1); err == nil {
+	if err := s.Reserve(0, 2, 2); err == nil {
 		t.Error("over-reserve accepted")
 	}
-	// Full server is unavailable: submissions queue.
 	s.Submit(batchJob(1, sim.Minute, 1))
-	if s.QueueLen() != 1 {
-		t.Fatalf("queue %d, want 1", s.QueueLen())
+	s.Submit(batchJob(2, sim.Minute, 1))
+	if s.QueueLen() != 1 || c.Server(0).Busy() != 16 {
+		t.Fatalf("queue %d, busy %d; want 1 and 16", s.QueueLen(), c.Server(0).Busy())
 	}
-	if err := s.Release(0, 16, 16); err != nil {
+	// Job 1's completion releases its container to job 2, not the reserve.
+	if err := eng.RunUntil(sim.Time(90 * sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if s.QueueLen() != 0 {
-		t.Error("release did not drain queue")
+	if s.QueueLen() != 0 || c.Server(0).Busy() != 16 {
+		t.Errorf("after one completion: queue %d, busy %d; want 0 and 16", s.QueueLen(), c.Server(0).Busy())
+	}
+	if err := eng.RunUntil(sim.Time(10 * sim.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Server(0).Busy(); got != 15 {
+		t.Errorf("busy %d after both jobs completed, want the 15 reserved", got)
 	}
 }
 
@@ -348,20 +354,6 @@ func TestPolicies(t *testing.T) {
 	cands := []*cluster.Server{a, b, d}
 	j := batchJob(1, sim.Minute, 1)
 
-	if got := (LeastLoaded{}).Pick(rng, j, cands); got != a {
-		t.Errorf("LeastLoaded picked %d", got.ID)
-	}
-	if got := (BestFit{}).Pick(rng, j, cands); got != d {
-		t.Errorf("BestFit picked %d", got.ID)
-	}
-	rr := &RoundRobin{}
-	seen := map[cluster.ServerID]int{}
-	for i := 0; i < 6; i++ {
-		seen[rr.Pick(rng, j, cands).ID]++
-	}
-	if seen[0] != 2 || seen[1] != 2 || seen[2] != 2 {
-		t.Errorf("RoundRobin distribution %v", seen)
-	}
 	counts := map[cluster.ServerID]int{}
 	for i := 0; i < 3000; i++ {
 		counts[(RandomFit{}).Pick(rng, j, cands).ID]++
@@ -371,10 +363,8 @@ func TestPolicies(t *testing.T) {
 			t.Errorf("RandomFit server %d picked %d of 3000", id, n)
 		}
 	}
-	for _, p := range []Policy{RandomFit{}, LeastLoaded{}, BestFit{}, &RoundRobin{}} {
-		if p.Name() == "" {
-			t.Error("empty policy name")
-		}
+	if (RandomFit{}).Name() == "" {
+		t.Error("empty policy name")
 	}
 }
 
@@ -517,32 +507,5 @@ func TestQueueWaitSurvivesCollidingIDs(t *testing.T) {
 	near := func(got, want sim.Duration) bool { return got > want-want/50 && got < want+want/50 }
 	if lo, hi := s.QueueWaitQuantile(0), s.QueueWaitQuantile(1); !near(lo, 20*sim.Minute) || !near(hi, 30*sim.Minute) {
 		t.Errorf("waits %v and %v, want ≈20m and ≈30m", lo, hi)
-	}
-}
-
-func TestOversizedJobRejected(t *testing.T) {
-	eng := sim.NewEngine()
-	c := newTestCluster(t, 1, 1, 2)
-	s := New(eng, c, 1, nil)
-	big := batchJob(1, sim.Minute, 1)
-	big.Containers = c.Spec.Containers + 1
-	s.Submit(big)
-	if got := s.Stats().Rejected; got != 1 {
-		t.Fatalf("rejected %d, want 1", got)
-	}
-	if s.QueueLen() != 0 {
-		t.Fatal("oversized job queued")
-	}
-	// Conservation accounting: rejected jobs count as submitted, never
-	// placed; jobs behind them are unaffected.
-	s.Submit(batchJob(2, sim.Minute, 1))
-	if st := s.Stats(); st.Submitted != 2 || st.Placed != 1 {
-		t.Errorf("stats %+v", st)
-	}
-	zero := batchJob(3, sim.Minute, 1)
-	zero.Containers = 0
-	s.Submit(zero)
-	if got := s.Stats().Rejected; got != 2 {
-		t.Errorf("zero-container job not rejected: %d", got)
 	}
 }

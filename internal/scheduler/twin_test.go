@@ -12,17 +12,17 @@ import (
 	"repro/internal/workload"
 )
 
-// stormTwinSHA is the digest of stormDigest taken on the tree before the
-// event core and the scheduler's job storage were rebuilt (container/heap
-// engine, map-backed run lists, pointer jobs). The rebuilt scheduler is that
-// tree's twin: same completion order, same float rounding.
-const stormTwinSHA = "3703b8d25913022b73f5be332446f471a9452a93533388ddf223c8497fe19bf6"
+// stormTwinSHA is the digest of stormDigest taken on the scheduler that
+// still carried gang jobs and their fit machinery, itself the twin of the
+// tree before the event core and the scheduler's job storage were rebuilt
+// (container/heap engine, map-backed run lists, pointer jobs). The current
+// scheduler is their twin: same completion order, same float rounding.
+const stormTwinSHA = "50aa19d01f029935968b009a4557ed5e70fd22a212232b4ec8b11dbafefabd0d"
 
 // stormDigest runs a DVFS-cap and server-failure storm on one 80-server row
-// under generated load (a third of it gang jobs) and hashes everything the
-// order of the per-server run lists decides: each completion as (time, job,
-// server), then every server's busy count and utilization bits, then the
-// counters and the queue-wait tail.
+// under generated load and hashes everything the order of the per-server run
+// lists decides: each completion as (time, job, server), then every server's
+// busy count and utilization bits, then the counters and the queue-wait tail.
 //
 // Run-list order is load-bearing: speedChanged walks a server's list and
 // reschedules each completion, so list order assigns the engine's seq
@@ -53,10 +53,8 @@ func stormDigest(t *testing.T) string {
 
 	n := float64(len(c.Servers))
 	rate := workload.RateForPowerFraction(0.85, sp.IdlePowerW, sp.RatedPowerW, sp.Containers, 8.13, 1.0)
-	single := workload.DefaultProduct("single", rate*n*2/3)
-	gang := workload.DefaultProduct("gang", rate*n/3)
-	gang.MaxContainers = 3
-	gen, err := workload.NewGenerator(eng, 7, []workload.Product{single, gang}, workload.DefaultDurations(), s.Submit)
+	single := workload.DefaultProduct("single", rate*n)
+	gen, err := workload.NewGenerator(eng, 7, []workload.Product{single}, workload.DefaultDurations(), s.Submit)
 	if err != nil {
 		t.Fatal(err)
 	}

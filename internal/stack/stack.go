@@ -48,7 +48,6 @@ type Config struct {
 	// ProductWeights[p] is the row-affinity vector for product p; nil
 	// entries mean uniform.
 	ProductWeights [][]float64
-	Policy         scheduler.Policy
 	// Retention bounds TSDB series length (0 = unlimited).
 	Retention int
 	// MonitorDropRate injects monitor sweep failures (see monitor.Config).
@@ -65,7 +64,7 @@ func New(cfg Config) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched := scheduler.New(eng, c, cfg.Seed, cfg.Policy)
+	sched := scheduler.New(eng, c, cfg.Seed, nil)
 	if cfg.ProductWeights != nil {
 		sched.SetProductWeights(cfg.ProductWeights)
 	}

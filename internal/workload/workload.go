@@ -14,35 +14,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Kind distinguishes throughput-oriented batch jobs from latency-critical
-// service instances (the Redis-like workload of §4.3).
-type Kind int
-
-const (
-	// Batch jobs (e.g. Map-Reduce tasks) run to completion and are counted
-	// toward throughput.
-	Batch Kind = iota
-	// Service jobs are long-running latency-critical instances; they are
-	// pinned by the service substrate and never produced by the Generator.
-	Service
-)
-
-// String returns the kind name.
-func (k Kind) String() string {
-	switch k {
-	case Batch:
-		return "batch"
-	case Service:
-		return "service"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// Job is one unit of schedulable work.
+// Job is one batch task (a Map-Reduce task in the paper): it runs to
+// completion in exactly one scheduler container.
 type Job struct {
 	ID      int64
-	Kind    Kind
 	Product int // index into the generator's product list
 	Arrival sim.Time
 	// Work is the full-speed execution time. On a DVFS-capped server running
@@ -52,8 +27,6 @@ type Job struct {
 	// CPU is the job's CPU demand in container units; it drives server
 	// utilization and hence power.
 	CPU float64
-	// Containers is the number of scheduler containers the job occupies.
-	Containers int
 }
 
 // DurationDist is the truncated lognormal batch-job duration distribution.
@@ -135,12 +108,6 @@ type Product struct {
 	SurgeProb                        float64
 	SurgeMinMult, SurgeMaxMult       float64
 	SurgeMinMinutes, SurgeMaxMinutes int
-	// MaxContainers > 1 makes a fraction of jobs gang-scheduled: each job
-	// draws its container count uniformly from [1, MaxContainers] and its
-	// CPU demand scales with it. Zero or one keeps the single-container
-	// default. The arrival rate is interpreted in container units, so the
-	// product's aggregate load is independent of this knob.
-	MaxContainers int
 }
 
 // DefaultProduct returns a single product with paper-like variation,
@@ -310,26 +277,13 @@ func (g *Generator) tick(now sim.Time) {
 			}
 		}
 
-		// The rate counts container units; gang jobs consume several at
-		// once, so the emitted job count shrinks accordingly.
-		budgetUnits := sim.Poisson(r, g.RateAt(i, now))
-		for units := 0; units < budgetUnits; {
-			containers := 1
-			if p.MaxContainers > 1 {
-				containers = 1 + r.Intn(p.MaxContainers)
-				if left := budgetUnits - units; containers > left {
-					containers = left
-				}
-			}
+		for n := sim.Poisson(r, g.RateAt(i, now)); n > 0; n-- {
 			job := Job{
-				ID:         g.nextID,
-				Kind:       Batch,
-				Product:    i,
-				Work:       g.dd.Sample(r),
-				CPU:        (0.5 + r.Float64()) * float64(containers), // U(0.5, 1.5) per container
-				Containers: containers,
+				ID:      g.nextID,
+				Product: i,
+				Work:    g.dd.Sample(r),
+				CPU:     0.5 + r.Float64(), // U(0.5, 1.5)
 			}
-			units += containers
 			g.nextID++
 			g.generated++
 			job.Arrival = now.Add(sim.Duration(r.Int63n(int64(sim.Minute))))

@@ -147,9 +147,6 @@ func TestGeneratorMeanRate(t *testing.T) {
 		if j.CPU < 0.5 || j.CPU > 1.5 {
 			t.Fatalf("CPU %v outside U(0.5,1.5)", j.CPU)
 		}
-		if j.Containers != 1 || j.Kind != Batch {
-			t.Fatalf("unexpected job shape: %+v", j)
-		}
 	}
 }
 
@@ -395,50 +392,5 @@ func TestMinuteRateDeltaDistribution(t *testing.T) {
 	}
 	if max < p90*1.5 {
 		t.Errorf("no spike tail: max %.3f vs p90 %.3f", max, p90)
-	}
-}
-
-func TestGangJobs(t *testing.T) {
-	eng := sim.NewEngine()
-	p := DefaultProduct("gang", 200)
-	p.DiurnalAmplitude = 0
-	p.NoiseSigma = 0
-	p.SurgeProb = 0
-	p.MaxContainers = 4
-	var jobs []Job // copies: *Job is the sink's for the call only
-	g, err := NewGenerator(eng, 9, []Product{p}, DefaultDurations(), func(j *Job) { jobs = append(jobs, *j) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start()
-	if err := eng.RunUntil(sim.Time(2 * sim.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) == 0 {
-		t.Fatal("no jobs")
-	}
-	units := 0
-	multi := 0
-	for _, j := range jobs {
-		if j.Containers < 1 || j.Containers > 4 {
-			t.Fatalf("job with %d containers", j.Containers)
-		}
-		if j.Containers > 1 {
-			multi++
-		}
-		// CPU scales with containers: 0.5–1.5 per container.
-		per := j.CPU / float64(j.Containers)
-		if per < 0.5 || per > 1.5 {
-			t.Fatalf("per-container CPU %v", per)
-		}
-		units += j.Containers
-	}
-	if multi == 0 {
-		t.Error("no gang jobs generated with MaxContainers=4")
-	}
-	// The rate is in container units: ≈200/minute regardless of ganging.
-	perMinute := float64(units) / 120
-	if perMinute < 185 || perMinute > 215 {
-		t.Errorf("container units per minute %.1f, want ≈200", perMinute)
 	}
 }

@@ -139,8 +139,8 @@ func BenchmarkScalePlacement(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Submit(&workload.Job{
-					ID: int64(i), Kind: workload.Batch, Product: -1,
-					Work: dd.Sample(r), CPU: 1, Containers: 1,
+					ID: int64(i), Product: -1,
+					Work: dd.Sample(r), CPU: 1,
 				})
 				if i%drainEvery == drainEvery-1 {
 					eng.RunUntil(eng.Now().Add(20 * sim.Minute))
