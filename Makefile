@@ -3,11 +3,11 @@
 # runner suites with shuffled test order (order-dependence is how shared
 # state between parallel run units would first show up).
 .PHONY: tier1 build lint vet test race race-shuffle fuzz fuzz-smoke chaos \
-	bench-runner bench-scale bench-scale-quick bench-check gridstorm \
+	bench-runner gridstorm \
 	whatif whatif-smoke tournament tournament-smoke fig11scale fig11-smoke \
 	fed-smoke golden-quick golden-paper flake bench-pair bench-pair-all lines
 
-tier1: build lint race race-shuffle bench-scale-quick fuzz-smoke whatif-smoke \
+tier1: build lint race race-shuffle fuzz-smoke whatif-smoke \
 	tournament-smoke fig11-smoke fed-smoke golden-quick flake
 
 build:
@@ -125,37 +125,6 @@ chaos:
 fed-smoke:
 	go test ./internal/federate/ -count=1
 	go test ./internal/experiment/ -run TestFedScaleSmoke -count=1
-
-# Weak-scaling baseline: the BenchmarkScale{Sweep,Placement,ControllerTick}
-# family at 400 / 10k / 100k servers, recorded to BENCH_scale.json for
-# regression comparison (see docs/OPERATIONS.md for how to read it). Three
-# repetitions per benchmark; bench_to_json keeps the fastest, so one noisy
-# run on a shared machine doesn't poison the baseline.
-bench-scale:
-	go test -run '^$$' -bench 'BenchmarkScale' -count=3 -benchmem . | tee BENCH_scale.txt
-	awk -f scripts/bench_to_json.awk BENCH_scale.txt > BENCH_scale.json
-	rm -f BENCH_scale.txt
-
-# One-row smoke of the scale family (part of tier1): exercises every scale
-# benchmark once, which includes the zero-allocation sweep contract and the
-# controller tick's steady-state allocation ceiling (benchControllerTick
-# fails the run outright when a tick allocates more than its budget). The
-# sweep also runs once at 100k servers, both stores (~0.5 s): the smallest
-# point whose sample phase spans several goroutines.
-bench-scale-quick:
-	go test -run '^$$' -bench 'BenchmarkScale[A-Za-z]*/servers=400|BenchmarkScaleSweep/servers=100000$$' -benchtime 1x .
-
-# Regression gate: re-runs the scale family (min of three repetitions, same
-# noise discipline as the baseline) and diffs ns/op against the committed
-# BENCH_scale.json, failing on any >25% slowdown. Run after touching a hot
-# path; refresh the baseline with `make bench-scale` when a deliberate
-# change moves the numbers.
-bench-check:
-	go test -run '^$$' -bench 'BenchmarkScale' -count=3 -benchmem . > BENCH_fresh.txt
-	awk -f scripts/bench_to_json.awk BENCH_fresh.txt > BENCH_fresh.json
-	rm -f BENCH_fresh.txt
-	sh scripts/bench_compare BENCH_fresh.json BENCH_scale.json
-	rm -f BENCH_fresh.json
 
 # Records GOMAXPROCS 1 vs CPU-count wall-clock for two fanned-out quick
 # experiments (spread: 3 rigs, table3: 13); on a ≥4-core machine the wider

@@ -19,6 +19,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -95,7 +96,10 @@ func BenchmarkControllerStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := scheduler.New(eng, c, 1, nil)
-	mon := newBenchMonitor(eng, c)
+	mon, err := monitor.New(eng, c, nil, monitor.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
 	ids := make([]cluster.ServerID, len(c.Servers))
 	for i := range ids {
 		ids[i] = cluster.ServerID(i)
@@ -234,32 +238,4 @@ func BenchmarkJournalAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		j.Append(ev)
 	}
-}
-
-// newBenchMonitor builds a monitor without a TSDB for the controller bench.
-func newBenchMonitor(eng *sim.Engine, c *cluster.Cluster) *benchMonitor {
-	return &benchMonitor{c: c, last: make([]float64, len(c.Servers))}
-}
-
-type benchMonitor struct {
-	c    *cluster.Cluster
-	last []float64
-}
-
-func (m *benchMonitor) Sweep(sim.Time) {
-	for i, sv := range m.c.Servers {
-		m.last[i] = sv.SamplePower()
-	}
-}
-
-func (m *benchMonitor) ServerPower(id cluster.ServerID) (float64, bool) {
-	return m.last[id], true
-}
-
-func (m *benchMonitor) GroupPower(ids []cluster.ServerID) (float64, bool) {
-	t := 0.0
-	for _, id := range ids {
-		t += m.last[id]
-	}
-	return t, true
 }

@@ -300,6 +300,9 @@ func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*simSta
 }
 
 func run(cfg runConfig) error {
+	if cfg.tick <= 0 {
+		return fmt.Errorf("tick %v must be positive", cfg.tick)
+	}
 	var (
 		reg     *obs.Registry
 		journal *obs.Journal

@@ -45,7 +45,7 @@ func main() {
 		}
 		st := run.Analyze(fmt.Sprintf("ro=%.2f", ro))
 		rT := run.ThroughputRatio()
-		gtpw := rT*(1+ro) - 1
+		gtpw := core.GTPW(rT, ro)
 		fmt.Printf("%6.2f %8.3f %8.3f %8.3f %7.1f%% %8d\n",
 			ro, st.PMeanCtrl, st.UMean, rT, gtpw*100, st.ViolationsExp)
 		if gtpw > bestGTPW {

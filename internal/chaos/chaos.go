@@ -30,10 +30,11 @@ const (
 	// returns the last pre-blackout value with its original (now stale)
 	// timestamp, exactly what a crashed monitor leaves behind.
 	ReadBlackout Kind = "read-blackout"
-	// ReadNaN replaces each group reading with NaN with probability Rate.
+	// ReadNaN replaces each group reading and each server's sample with NaN
+	// with probability Rate.
 	ReadNaN Kind = "read-nan"
-	// ReadOutlier multiplies each group reading by Factor with probability
-	// Rate — a corrupt IPMI sample.
+	// ReadOutlier multiplies each group reading and each server's sample by
+	// Factor with probability Rate — a corrupt IPMI sample.
 	ReadOutlier Kind = "read-outlier"
 	// ReadLag reports sample timestamps Lag older than they are.
 	ReadLag Kind = "read-lag"

@@ -2,23 +2,45 @@ package chaos
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
-// fakeReader is a timed power source whose value tracks simulated time, so
-// staleness is observable.
+// fakeReader is a timed power source for the servers of group: server id
+// draws value()+id, which tracks simulated time, so staleness is observable.
 type fakeReader struct {
-	eng *sim.Engine
+	eng  *sim.Engine
+	snap []float64
 }
 
 func (f *fakeReader) value() float64 { return 100 + float64(f.eng.Now())/float64(sim.Minute) }
 
-func (f *fakeReader) ServerPower(cluster.ServerID) (float64, bool) { return f.value(), true }
+func (f *fakeReader) PowerSnapshot() ([]float64, bool) {
+	f.snap = f.snap[:0]
+	for _, id := range group {
+		f.snap = append(f.snap, f.value()+float64(id))
+	}
+	return f.snap, true
+}
 
-func (f *fakeReader) GroupPower([]cluster.ServerID) (float64, bool) { return f.value(), true }
+func (f *fakeReader) GroupPower(ids []cluster.ServerID) (float64, bool) {
+	total := 0.0
+	for _, id := range ids {
+		total += f.value() + float64(id)
+	}
+	return total, true
+}
+
+func (f *fakeReader) RangePower(lo, hi cluster.ServerID) (float64, bool) {
+	total := 0.0
+	for id := lo; id <= hi; id++ {
+		total += f.value() + float64(id)
+	}
+	return total, true
+}
 
 func (f *fakeReader) GroupSampleTime([]cluster.ServerID) (sim.Time, bool) { return f.eng.Now(), true }
 
@@ -116,8 +138,130 @@ func TestBlackoutBeforeFirstSampleReturnsNotOK(t *testing.T) {
 	if _, ok := r.GroupPower(group); ok {
 		t.Fatal("blackout with no cached sample must report not-ok")
 	}
-	if _, ok := r.ServerPower(0); ok {
-		t.Fatal("server read during blackout with no cache must report not-ok")
+	// A snapshot that is not ok ranks every server last.
+	if _, ok := r.PowerSnapshot(); ok {
+		t.Fatal("server snapshot during blackout with no cache must report not-ok")
+	}
+}
+
+func TestBlackoutFreezesServerSnapshot(t *testing.T) {
+	eng := sim.NewEngine()
+	in, err := New(eng, Plan{Seed: 7, Faults: []Fault{
+		{Kind: ReadBlackout, From: sim.Time(10 * sim.Minute), To: sim.Time(20 * sim.Minute)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := in.WrapReader(&fakeReader{eng: eng})
+	var before, during, after []float64
+	read := func(dst *[]float64) func(sim.Time) {
+		return func(sim.Time) {
+			vals, ok := r.PowerSnapshot()
+			if !ok {
+				t.Errorf("snapshot not ok at %v", eng.Now())
+			}
+			*dst = append([]float64(nil), vals...)
+		}
+	}
+	eng.At(sim.Time(9*sim.Minute), "t9", read(&before))
+	eng.At(sim.Time(15*sim.Minute), "t15", read(&during))
+	eng.At(sim.Time(25*sim.Minute), "t25", read(&after))
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(before) != len(group) || !slices.Equal(during, before) {
+		t.Fatalf("blackout should serve the pre-blackout snapshot: before %v during %v", before, during)
+	}
+	if slices.Equal(after, before) {
+		t.Fatalf("post-blackout snapshot should be fresh again: %v", after)
+	}
+	if st := in.Stats(); st != (Stats{}) {
+		t.Fatalf("server snapshots counted in stats: %+v", st)
+	}
+}
+
+func TestServerFaultsAtRateOneHitEveryServer(t *testing.T) {
+	window := func(k Kind) Fault {
+		return Fault{Kind: k, From: 0, To: sim.Time(sim.Hour), Rate: 1, Factor: 3}
+	}
+	for _, k := range []Kind{ReadNaN, ReadOutlier} {
+		eng := sim.NewEngine()
+		in, err := New(eng, Plan{Seed: 3, Faults: []Fault{window(k)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := &fakeReader{eng: eng}
+		clean, _ := inner.PowerSnapshot()
+		clean = append([]float64(nil), clean...)
+		vals, ok := in.WrapReader(inner).PowerSnapshot()
+		if !ok || len(vals) != len(clean) {
+			t.Fatalf("%s: snapshot %v ok=%v", k, vals, ok)
+		}
+		for id, v := range vals {
+			if k == ReadNaN && !math.IsNaN(v) || k == ReadOutlier && v != 3*clean[id] {
+				t.Errorf("%s: server %d reads %v, clean %v", k, id, v, clean[id])
+			}
+		}
+		if st := in.Stats(); st != (Stats{}) {
+			t.Errorf("%s: server snapshot counted in stats: %+v", k, st)
+		}
+	}
+}
+
+// TestRangePowerIsGroupPowerOverTheRange: one plan through each read path
+// gives the same readings, timestamps and statistics.
+func TestRangePowerIsGroupPowerOverTheRange(t *testing.T) {
+	plan := Plan{Seed: 13, Faults: []Fault{
+		{Kind: ReadNaN, From: 0, To: sim.Time(sim.Hour), Rate: 0.2},
+		{Kind: ReadOutlier, From: 0, To: sim.Time(sim.Hour), Rate: 0.3, Factor: 2},
+		{Kind: ReadBlackout, From: sim.Time(20 * sim.Minute), To: sim.Time(30 * sim.Minute)},
+		{Kind: ReadLag, From: sim.Time(40 * sim.Minute), To: sim.Time(50 * sim.Minute), Lag: sim.Minute},
+	}}
+	type obs struct {
+		v  float64
+		at sim.Time
+		ok bool
+	}
+	run := func(ranged bool) ([]obs, Stats) {
+		eng := sim.NewEngine()
+		in, err := New(eng, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := in.WrapReader(&fakeReader{eng: eng})
+		var out []obs
+		for i := 0; i < 60; i++ {
+			eng.At(sim.Time(i)*sim.Time(sim.Minute), "probe", func(sim.Time) {
+				var o obs
+				if ranged {
+					o.v, o.ok = r.RangePower(group[0], group[len(group)-1])
+				} else {
+					o.v, o.ok = r.GroupPower(group)
+				}
+				o.at, _ = r.GroupSampleTime(group)
+				out = append(out, o)
+			})
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return out, in.Stats()
+	}
+	grp, grpStats := run(false)
+	rng, rngStats := run(true)
+	for i := range grp {
+		g, r := grp[i], rng[i]
+		same := g.ok == r.ok && g.at == r.at &&
+			(g.v == r.v || math.IsNaN(g.v) && math.IsNaN(r.v))
+		if !same {
+			t.Fatalf("minute %d: GroupPower %+v, RangePower %+v", i, g, r)
+		}
+	}
+	if grpStats != rngStats {
+		t.Fatalf("stats differ: GroupPower %+v, RangePower %+v", grpStats, rngStats)
+	}
+	if grpStats.ReadsNaN == 0 || grpStats.ReadsOutlier == 0 || grpStats.ReadsBlackedOut == 0 || grpStats.ReadsLagged == 0 {
+		t.Fatalf("plan left a fault kind unexercised: %+v", grpStats)
 	}
 }
 

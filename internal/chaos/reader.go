@@ -9,10 +9,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Reader wraps a core.PowerReader with read-path faults. It also implements
-// core.TimedPowerReader, so a resilient controller sees blackout staleness
-// through sample timestamps while a naive one silently consumes the frozen
-// snapshot — the same asymmetry a real monitor outage produces.
+// Reader wraps a core.PowerReader with read-path faults. Its sample
+// timestamps freeze in a blackout, so a resilient controller sees the
+// staleness while a naive one silently consumes the frozen snapshot — the
+// same asymmetry a real monitor outage produces.
 //
 // mu guards the snapshot caches and injector counters, so a Reader is safe
 // to share across goroutines. Fault decisions themselves are pure hashes of
@@ -20,11 +20,14 @@ import (
 type Reader struct {
 	in    *Injector
 	inner core.PowerReader
-	timed core.TimedPowerReader // non-nil when inner carries sample times
 
-	mu      sync.Mutex
-	groups  map[uint64]sample // last healthy reading per group
-	servers map[cluster.ServerID]sample
+	mu     sync.Mutex
+	groups map[uint64]sample  // last healthy reading per group
+	span   []cluster.ServerID // RangePower's group lo..hi, reused
+	// healthy is the last healthy per-server snapshot (nil before the
+	// first), served through a blackout; faulty is the copy that per-server
+	// faults corrupt.
+	healthy, faulty []float64
 }
 
 type sample struct {
@@ -34,14 +37,7 @@ type sample struct {
 
 // WrapReader interposes the injector on a power reader.
 func (in *Injector) WrapReader(r core.PowerReader) *Reader {
-	cr := &Reader{
-		in:      in,
-		inner:   r,
-		groups:  make(map[uint64]sample),
-		servers: make(map[cluster.ServerID]sample),
-	}
-	cr.timed, _ = r.(core.TimedPowerReader)
-	return cr
+	return &Reader{in: in, inner: r, groups: make(map[uint64]sample)}
 }
 
 // groupKey folds a server set into a stable cache key.
@@ -53,21 +49,63 @@ func groupKey(ids []cluster.ServerID) uint64 {
 	return x
 }
 
-// sampleTime reports when inner's current snapshot was taken (now for
-// untimed readers).
+// sampleTime reports when inner's current snapshot was taken (now for a
+// reader that cannot tell).
 func (r *Reader) sampleTime(ids []cluster.ServerID, now sim.Time) sim.Time {
-	if r.timed != nil {
-		if t, ok := r.timed.GroupSampleTime(ids); ok {
-			return t
-		}
+	if t, ok := r.inner.GroupSampleTime(ids); ok {
+		return t
 	}
 	return now
+}
+
+// corruption holds the NaN and outlier faults active at one instant.
+type corruption struct{ nan, outlier []Fault }
+
+func (in *Injector) corruption(now sim.Time) corruption {
+	return corruption{nan: in.faultsOf(ReadNaN, now), outlier: in.faultsOf(ReadOutlier, now)}
+}
+
+// apply corrupts one healthy reading v: the first NaN fault that fires wins,
+// else the first outlier fault. It returns the kind that fired, "" if none.
+func (in *Injector) apply(c corruption, now sim.Time, salt uint64, v float64) (float64, Kind) {
+	for _, f := range c.nan {
+		if in.decide(ReadNaN, now, salt, f.Rate) {
+			return math.NaN(), ReadNaN
+		}
+	}
+	for _, f := range c.outlier {
+		if in.decide(ReadOutlier, now, salt, f.Rate) {
+			return v * f.Factor, ReadOutlier
+		}
+	}
+	return v, ""
 }
 
 // GroupPower implements core.PowerReader with faults applied.
 func (r *Reader) GroupPower(ids []cluster.ServerID) (float64, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	v, ok := r.inner.GroupPower(ids)
+	return r.group(ids, v, ok)
+}
+
+// RangePower implements core.PowerReader: the group lo..hi, with the cache
+// key, blackout snapshot, faults and counters of GroupPower over it.
+func (r *Reader) RangePower(lo, hi cluster.ServerID) (float64, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.span = r.span[:0]
+	for id := lo; id <= hi; id++ {
+		r.span = append(r.span, id)
+	}
+	v, ok := r.inner.RangePower(lo, hi)
+	return r.group(r.span, v, ok)
+}
+
+// group passes inner's reading (v, ok) of the group ids through the active
+// faults. A blackout discards it for the group's last healthy reading.
+// Callers hold mu.
+func (r *Reader) group(ids []cluster.ServerID, v float64, ok bool) (float64, bool) {
 	now := r.in.eng.Now()
 	key := groupKey(ids)
 	if _, on := r.in.anyActive(ReadBlackout, now); on {
@@ -81,64 +119,54 @@ func (r *Reader) GroupPower(ids []cluster.ServerID) (float64, bool) {
 		}
 		return s.v, true
 	}
-	v, ok := r.inner.GroupPower(ids)
 	if !ok {
 		return 0, false
 	}
 	r.groups[key] = sample{v: v, at: r.sampleTime(ids, now)}
-	for _, f := range r.in.faultsOf(ReadNaN, now) {
-		if r.in.decide(ReadNaN, now, key, f.Rate) {
-			r.in.stats.ReadsNaN++
-			if r.in.met != nil {
-				r.in.met.readsNaN.Inc()
-			}
-			return math.NaN(), true
+	v, kind := r.in.apply(r.in.corruption(now), now, key, v)
+	switch kind {
+	case ReadNaN:
+		r.in.stats.ReadsNaN++
+		if r.in.met != nil {
+			r.in.met.readsNaN.Inc()
 		}
-	}
-	for _, f := range r.in.faultsOf(ReadOutlier, now) {
-		if r.in.decide(ReadOutlier, now, key, f.Rate) {
-			r.in.stats.ReadsOutlier++
-			if r.in.met != nil {
-				r.in.met.readsOutlier.Inc()
-			}
-			return v * f.Factor, true
+	case ReadOutlier:
+		r.in.stats.ReadsOutlier++
+		if r.in.met != nil {
+			r.in.met.readsOutlier.Inc()
 		}
 	}
 	return v, true
 }
 
-// ServerPower implements core.PowerReader. Ranking reads see the same
-// blackout and corruption faults as group reads.
-func (r *Reader) ServerPower(id cluster.ServerID) (float64, bool) {
+// PowerSnapshot implements core.PowerReader. Ranking reads see the same
+// blackout and corruption faults as group reads, decided per server with
+// the salt id+1; they count in no statistic.
+func (r *Reader) PowerSnapshot() ([]float64, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.in.eng.Now()
 	if _, on := r.in.anyActive(ReadBlackout, now); on {
-		s, ok := r.servers[id]
-		if !ok {
-			return 0, false
-		}
-		return s.v, true
+		return r.healthy, r.healthy != nil
 	}
-	v, ok := r.inner.ServerPower(id)
+	vals, ok := r.inner.PowerSnapshot()
 	if !ok {
-		return 0, false
+		return nil, false
 	}
-	r.servers[id] = sample{v: v, at: now}
-	for _, f := range r.in.faultsOf(ReadNaN, now) {
-		if r.in.decide(ReadNaN, now, uint64(id)+1, f.Rate) {
-			return math.NaN(), true
-		}
+	r.healthy = append(r.healthy[:0], vals...)
+	c := r.in.corruption(now)
+	if len(c.nan) == 0 && len(c.outlier) == 0 {
+		return r.healthy, true
 	}
-	for _, f := range r.in.faultsOf(ReadOutlier, now) {
-		if r.in.decide(ReadOutlier, now, uint64(id)+1, f.Rate) {
-			return v * f.Factor, true
-		}
+	r.faulty = r.faulty[:0]
+	for id, v := range vals {
+		v, _ = r.in.apply(c, now, uint64(id)+1, v)
+		r.faulty = append(r.faulty, v)
 	}
-	return v, true
+	return r.faulty, true
 }
 
-// GroupSampleTime implements core.TimedPowerReader: during a blackout the
+// GroupSampleTime implements core.PowerReader: during a blackout the
 // reported time is the frozen snapshot's, and lag faults age it further.
 func (r *Reader) GroupSampleTime(ids []cluster.ServerID) (sim.Time, bool) {
 	r.mu.Lock()

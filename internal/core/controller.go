@@ -15,32 +15,27 @@ import (
 // for its domains' servers. The production implementation is
 // monitor.Monitor; the controller itself never touches the cluster or the
 // scheduler state, matching the paper's architecture (Fig 3).
+//
+//   - PowerSnapshot is the latest per-server sample slice, indexed by
+//     ServerID, valid until the next sweep. The caller treats it as
+//     read-only; the reader mutates it only between control ticks (monitor
+//     sweeps and controller steps are serialized on the simulation event
+//     loop). A missing (out of range), NaN or negative sample ranks least
+//     preferred, and a snapshot that is not ok ranks every server so.
+//   - GroupPower is the total power of an arbitrary server set.
+//   - RangePower(lo, hi) must return exactly what GroupPower over the
+//     ascending ID slice [lo..hi] would, bit for bit, letting the reader
+//     serve aligned ranges from maintained aggregates in O(1). Every
+//     production domain is a row, a contiguous ID range.
+//   - GroupSampleTime is when the group's latest sample was taken, so the
+//     controller can tell a fresh sample from a snapshot left stale by a
+//     monitor outage. A reader that cannot tell answers not ok, and its
+//     samples count as fresh.
 type PowerReader interface {
-	ServerPower(id cluster.ServerID) (float64, bool)
-	GroupPower(ids []cluster.ServerID) (float64, bool)
-}
-
-// SnapshotPowerReader is an optional PowerReader fast path: PowerSnapshot
-// exposes the latest per-server sample slice, indexed by ServerID, valid
-// until the next sweep. The controller's ranking refresh reads every domain
-// member per tick; going through the slice instead of one interface call per
-// server is a large share of the tick at 100k+ servers. The returned slice
-// is read-only for the caller and must only be mutated by the reader between
-// control ticks (monitor sweeps and controller steps are serialized on the
-// simulation event loop).
-type SnapshotPowerReader interface {
 	PowerSnapshot() (vals []float64, ok bool)
-}
-
-// RangePowerReader is an optional PowerReader fast path for contiguous
-// server-ID ranges: RangePower(lo, hi) must return exactly what
-// GroupPower over the ascending ID slice [lo..hi] would — bit-identical
-// float summation order — letting the reader serve aligned ranges from
-// maintained aggregates in O(1). Production domains are rows, which are
-// contiguous ID ranges, so the per-tick group read stops re-summing the
-// domain entirely.
-type RangePowerReader interface {
+	GroupPower(ids []cluster.ServerID) (float64, bool)
 	RangePower(lo, hi cluster.ServerID) (float64, bool)
+	GroupSampleTime(ids []cluster.ServerID) (sim.Time, bool)
 }
 
 // FreezeAPI is the controller's entire interface to the job scheduler — the
@@ -309,7 +304,7 @@ type domainState struct {
 
 	// contig marks a domain whose Servers are one ascending contiguous ID
 	// range [loID, hiID] (every production row is); such domains read group
-	// power through the RangePowerReader fast path when available.
+	// power through RangePower.
 	contig     bool
 	loID, hiID cluster.ServerID
 
@@ -375,14 +370,8 @@ func scratch[T any](s []T, n int) []T {
 // FreezeAPI. Everything it needs to run can be rebuilt after a crash (see
 // Resync), matching the paper's stateless-controller claim.
 type Controller struct {
-	eng    *sim.Engine
-	reader PowerReader
-	timed  TimedPowerReader // non-nil when reader carries sample times
-	// snap and ranged are the reader's optional fast paths (resolved once in
-	// New): the per-server snapshot slice behind the ranking refresh and the
-	// O(1) aggregate read for contiguous domains.
-	snap    SnapshotPowerReader
-	ranged  RangePowerReader
+	eng     *sim.Engine
+	reader  PowerReader
 	api     FreezeAPI
 	cfg     Config
 	domains []*domainState
@@ -429,9 +418,6 @@ func New(eng *sim.Engine, reader PowerReader, api FreezeAPI, cfg Config, domains
 	}
 	ctl := &Controller{eng: eng, reader: reader, api: api, cfg: cfg,
 		sel: sel, solver: solver, unf: unf}
-	ctl.timed, _ = reader.(TimedPowerReader)
-	ctl.snap, _ = reader.(SnapshotPowerReader)
-	ctl.ranged, _ = reader.(RangePowerReader)
 	if cfg.Selection == SelectRandom {
 		ctl.selRNG = sim.SubRNG(cfg.SelectionSeed, "controller-random-selection")
 	}
@@ -770,40 +756,24 @@ type serverPower struct {
 // per-server samples, for the Selector strategy (strategy.go) to order.
 func (c *Controller) refreshRank(ds *domainState) {
 	rank := scratch(ds.rank, len(ds.d.Servers))
-	if vals, ok := c.powerSnapshot(); ok {
-		// Snapshot fast path: one slice read per server instead of one
-		// interface call. The validity test is the same — a missing (out of
-		// range), NaN, or negative sample ranks least preferred — written as
-		// a single v >= 0 comparison, which NaN and negatives both fail.
-		for _, id := range ds.d.Servers {
-			p := -1.0
-			if int(id) >= 0 && int(id) < len(vals) {
-				if v := vals[id]; v >= 0 {
-					p = v
-				}
+	vals, ok := c.reader.PowerSnapshot()
+	if !ok {
+		vals = nil // every server ranks last
+	}
+	for _, id := range ds.d.Servers {
+		// A missing (out of range), NaN or negative sample ranks least
+		// preferred, written as a single v >= 0 comparison, which NaN and
+		// negatives both fail. NaN must not reach the comparators: it breaks
+		// ordering transitivity.
+		p := -1.0
+		if int(id) >= 0 && int(id) < len(vals) {
+			if v := vals[id]; v >= 0 {
+				p = v
 			}
-			rank = append(rank, serverPower{id: id, power: p})
 		}
-	} else {
-		for _, id := range ds.d.Servers {
-			p, ok := c.reader.ServerPower(id)
-			if !ok || math.IsNaN(p) || p < 0 {
-				// No sample, or a corrupt one: least preferred. NaN must not
-				// reach the comparators — it breaks ordering transitivity.
-				p = -1
-			}
-			rank = append(rank, serverPower{id: id, power: p})
-		}
+		rank = append(rank, serverPower{id: id, power: p})
 	}
 	ds.rank = rank
-}
-
-// powerSnapshot resolves the reader's snapshot fast path for this tick.
-func (c *Controller) powerSnapshot() ([]float64, bool) {
-	if c.snap == nil {
-		return nil, false
-	}
-	return c.snap.PowerSnapshot()
 }
 
 func (c *Controller) freeze(ds *domainState, id cluster.ServerID) {

@@ -11,18 +11,33 @@ import (
 	"repro/internal/sim"
 )
 
-// fakeReader serves configurable per-server power samples.
+// fakeReader serves configurable per-server power samples. It cannot date
+// them, so every sample counts as fresh.
 type fakeReader struct {
 	servers map[cluster.ServerID]float64
 	down    bool // monitor outage
+	snap    []float64
 }
 
-func (f *fakeReader) ServerPower(id cluster.ServerID) (float64, bool) {
+// PowerSnapshot lays the samples out by ServerID; a server with no sample
+// reads NaN, which ranks last.
+func (f *fakeReader) PowerSnapshot() ([]float64, bool) {
 	if f.down {
-		return 0, false
+		return nil, false
 	}
-	p, ok := f.servers[id]
-	return p, ok
+	n := 0
+	for id := range f.servers {
+		n = max(n, int(id)+1)
+	}
+	f.snap = f.snap[:0]
+	for id := 0; id < n; id++ {
+		p, ok := f.servers[cluster.ServerID(id)]
+		if !ok {
+			p = math.NaN()
+		}
+		f.snap = append(f.snap, p)
+	}
+	return f.snap, true
 }
 
 func (f *fakeReader) GroupPower(ids []cluster.ServerID) (float64, bool) {
@@ -35,6 +50,19 @@ func (f *fakeReader) GroupPower(ids []cluster.ServerID) (float64, bool) {
 	}
 	return total, true
 }
+
+func (f *fakeReader) RangePower(lo, hi cluster.ServerID) (float64, bool) {
+	if f.down {
+		return 0, false
+	}
+	total := 0.0
+	for id := lo; id <= hi; id++ {
+		total += f.servers[id]
+	}
+	return total, true
+}
+
+func (f *fakeReader) GroupSampleTime([]cluster.ServerID) (sim.Time, bool) { return 0, false }
 
 // fakeAPI records freeze/unfreeze calls and can inject failures.
 type fakeAPI struct {

@@ -8,17 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// TimedPowerReader extends PowerReader with the timestamp of the sample
-// backing a group reading. When the controller's reader implements it
-// (monitor.Monitor does), the controller can tell a fresh sample from a
-// stale snapshot left behind by a monitor outage and degrade deliberately
-// instead of flying blind. Readers that only implement PowerReader are
-// treated as always-fresh, preserving the original behavior.
-type TimedPowerReader interface {
-	PowerReader
-	GroupSampleTime(ids []cluster.ServerID) (sim.Time, bool)
-}
-
 // The resilience layer's fixed thresholds.
 const (
 	// staleAfter is the sample age at which a reading stops counting as
@@ -135,25 +124,22 @@ func (ds *domainState) cancelPending(unfreezesOnly bool) {
 }
 
 // readGroup returns the domain's latest group power together with the time
-// the sample was taken. Readers that do not implement TimedPowerReader are
-// assumed fresh. Contiguous domains (rows) go through the RangePowerReader
-// fast path when the reader offers one; its contract (controller.go) makes
-// the value bit-identical to the GroupPower sum.
+// the sample was taken; a reader that cannot date it counts as fresh.
+// Contiguous domains (rows) read through RangePower, whose contract
+// (controller.go) makes the value bit-identical to the GroupPower sum.
 func (c *Controller) readGroup(ds *domainState, now sim.Time) (watts float64, at sim.Time, ok bool) {
 	var w float64
 	var wok bool
-	if c.ranged != nil && ds.contig {
-		w, wok = c.ranged.RangePower(ds.loID, ds.hiID)
+	if ds.contig {
+		w, wok = c.reader.RangePower(ds.loID, ds.hiID)
 	} else {
 		w, wok = c.reader.GroupPower(ds.d.Servers)
 	}
 	if !wok {
 		return 0, 0, false
 	}
-	if c.timed != nil {
-		if t, tok := c.timed.GroupSampleTime(ds.d.Servers); tok {
-			return w, t, true
-		}
+	if t, tok := c.reader.GroupSampleTime(ds.d.Servers); tok {
+		return w, t, true
 	}
 	return w, now, true
 }

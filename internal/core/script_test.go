@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -26,6 +27,8 @@ import (
 // server samples are missing or NaN to exercise the ranking guards.
 type scriptReader struct {
 	tick int
+	snap []float64
+	span []cluster.ServerID
 }
 
 func (r *scriptReader) domainOf(id cluster.ServerID) int { return int(id) / scriptServersPerDomain }
@@ -59,18 +62,28 @@ func serverWatts(tick int, id cluster.ServerID) float64 {
 	return (8 + 6*jitter) * ramp
 }
 
-func (r *scriptReader) ServerPower(id cluster.ServerID) (float64, bool) {
+// PowerSnapshot is every server's sample this tick. A missing sample reads
+// -1 and a corrupt one NaN; both rank last.
+func (r *scriptReader) PowerSnapshot() ([]float64, bool) {
+	r.snap = r.snap[:0]
+	for id := cluster.ServerID(0); id < scriptDomains*scriptServersPerDomain; id++ {
+		r.snap = append(r.snap, r.serverSample(id))
+	}
+	return r.snap, true
+}
+
+func (r *scriptReader) serverSample(id cluster.ServerID) float64 {
 	if r.blackout(r.domainOf(id)) {
-		return 0, false
+		return -1
 	}
 	h := mix(uint64(r.tick)+1e6, uint64(id))
 	switch h % 41 {
 	case 0:
-		return 0, false // missing sample: ranks last
+		return -1 // missing sample
 	case 1:
-		return math.NaN(), true // corrupt sample: ranks last
+		return math.NaN() // corrupt sample
 	}
-	return serverWatts(r.tick, id), true
+	return serverWatts(r.tick, id)
 }
 
 // blackout: domain 3 has no data for the first 5 ticks (skip-no-data before
@@ -99,6 +112,15 @@ func (r *scriptReader) GroupPower(ids []cluster.ServerID) (float64, bool) {
 		total += serverWatts(tick, id)
 	}
 	return total, true
+}
+
+// RangePower is GroupPower over lo..hi.
+func (r *scriptReader) RangePower(lo, hi cluster.ServerID) (float64, bool) {
+	r.span = r.span[:0]
+	for id := lo; id <= hi; id++ {
+		r.span = append(r.span, id)
+	}
+	return r.GroupPower(r.span)
 }
 
 func (r *scriptReader) GroupSampleTime(ids []cluster.ServerID) (sim.Time, bool) {
@@ -325,22 +347,46 @@ func (a *passAPI) endTick() {
 
 // TestStepDoesNotAllocate is the tick's zero-allocation contract: once the
 // per-domain scratch has grown to size, a Step that swaps, releases and
-// freezes allocates nothing, under every selection policy. The API is healthy
-// on purpose — a failing call allocates its error and its retry. The first
-// 120 scripted ticks (one period of the power ramp) are the warm-up,
-// the second 120 are counted.
+// freezes allocates nothing, under every selection policy and with a
+// steady-state windowed hourly Et learning online. The API is healthy on
+// purpose — a failing call allocates its error and its retry. The first 120
+// scripted ticks (one period of the power ramp) are the warm-up, the second
+// 120 are counted.
 func TestStepDoesNotAllocate(t *testing.T) {
-	for _, sel := range []SelectionPolicy{SelectHottest, SelectColdest, SelectRandom} {
-		t.Run(sel.String(), func(t *testing.T) {
+	// An unbounded online estimator's bins grow as it learns.
+	constantEt := func(*testing.T) EtEstimator { return ConstantEt(0.05) }
+	// windowedEt is at steady state: every hour-of-day bin already holds its
+	// 60-sample window, so each tick's Add overwrites instead of growing.
+	windowedEt := func(t *testing.T) EtEstimator {
+		et, err := NewWindowedHourlyEt(99, etDefault, etMinSamples, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := 0; m < 24*60; m++ {
+			et.Add(sim.Time(m)*sim.Time(sim.Minute), 0)
+		}
+		return et
+	}
+	for _, tc := range []struct {
+		name string
+		sel  SelectionPolicy
+		et   func(*testing.T) EtEstimator
+	}{
+		{"hottest", SelectHottest, constantEt},
+		{"coldest", SelectColdest, constantEt},
+		{"random", SelectRandom, constantEt},
+		{"windowed-hourly-et", SelectHottest, windowedEt},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Selection = sel
+			cfg.Selection = tc.sel
 			cfg.SelectionSeed = 11
 			cfg.Resilience.FailSafeAfter = 10
 			reader := &scriptReader{}
 			api := &passAPI{}
 			doms := scriptedDomains()
 			for d := range doms {
-				doms[d].Et = ConstantEt(0.05) // an online estimator's bins grow as it learns
+				doms[d].Et = tc.et(t)
 			}
 			ctl, err := New(sim.NewEngine(), reader, api, cfg, doms)
 			if err != nil {
@@ -356,7 +402,10 @@ func TestStepDoesNotAllocate(t *testing.T) {
 					tick++
 				}
 			}
+			// The count is process-wide, and the process's first collection
+			// allocates the GC's worker goroutines: collect once beforehand.
 			// AllocsPerRun calls period once to warm up, then once counted.
+			runtime.GC()
 			allocs := testing.AllocsPerRun(1, period)
 			if allocs != 0 {
 				t.Errorf("%d steady ticks allocated %v objects, want 0", scriptTicks/2, allocs)

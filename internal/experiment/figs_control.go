@@ -318,7 +318,7 @@ func RunFig12(cfg Fig12Config) (*Fig12Result, error) {
 	if hiC > 0 {
 		res.RTHighLoad = float64(hiE) / float64(hiC)
 	}
-	res.GTPW = res.RTOverall*(1+cfg.RO) - 1
+	res.GTPW = core.GTPW(res.RTOverall, cfg.RO)
 	return res, nil
 }
 
@@ -421,7 +421,7 @@ func RunTable3(cfg Table3Config) (*Table3Result, error) {
 			PMax:       pc.Max(),
 			UMean:      st.UMean,
 			RThru:      rT,
-			GTPW:       rT*(1+sc.RO) - 1,
+			GTPW:       core.GTPW(rT, sc.RO),
 			Violations: st.ViolationsExp,
 		}, nil
 	})

@@ -399,8 +399,7 @@ func (m *Monitor) GroupPower(ids []cluster.ServerID) (float64, bool) {
 }
 
 // PowerSnapshot exposes the latest per-server sample slice, indexed by
-// ServerID — core.SnapshotPowerReader's fast path behind the controller's
-// per-tick ranking refresh. The slice is owned by the monitor and mutated
+// ServerID — what the controller's per-tick ranking refresh reads. The slice is owned by the monitor and mutated
 // only during Sweep; callers must treat it as read-only and not retain it
 // across sweeps.
 func (m *Monitor) PowerSnapshot() ([]float64, bool) {
@@ -408,7 +407,7 @@ func (m *Monitor) PowerSnapshot() ([]float64, bool) {
 }
 
 // RangePower returns the latest total power of the contiguous server-ID
-// range [lo, hi], satisfying core.RangePowerReader: the result is
+// range [lo, hi], as core.PowerReader requires it: the result is
 // bit-identical to GroupPower over the ascending ID slice. Row- and
 // rack-aligned ranges are served O(1) from the aggregates maintained during
 // Sweep, which accumulates them in the same ascending per-server order as a
@@ -439,7 +438,7 @@ func (m *Monitor) LastSampleTime() (sim.Time, bool) { return m.lastTime, m.haveS
 
 // GroupSampleTime returns the time the latest snapshot of the group was
 // taken. Sweeps sample the whole cluster at once, so every group shares the
-// sweep time; it satisfies core.TimedPowerReader so the controller can tell
+// sweep time, so the controller can tell
 // a fresh sample from a snapshot left stale by dropped sweeps.
 func (m *Monitor) GroupSampleTime([]cluster.ServerID) (sim.Time, bool) {
 	return m.lastTime, m.haveSample
