@@ -10,8 +10,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -24,15 +26,17 @@ import (
 
 // rackPacker is an application-specific upper-level policy: it packs each
 // job onto the fullest server of the least-loaded rack, a shape no generic
-// power controller could anticipate.
-type rackPacker struct{}
+// power controller could anticipate. The scheduler hands it server IDs; it
+// reads their racks and free containers from the cluster it holds.
+type rackPacker struct{ c *cluster.Cluster }
 
 func (rackPacker) Name() string { return "rack-packer" }
 
-func (rackPacker) Pick(_ *rand.Rand, _ *workload.Job, candidates []*cluster.Server) *cluster.Server {
+func (p rackPacker) Pick(_ *rand.Rand, _ *workload.Job, candidates []int32) int32 {
 	// Least-loaded rack by total free containers.
 	freeByRack := map[int]int{}
-	for _, sv := range candidates {
+	for _, id := range candidates {
+		sv := p.c.Servers[id]
 		freeByRack[sv.Rack] += sv.FreeContainers()
 	}
 	bestRack, bestFree := -1, -1
@@ -43,7 +47,8 @@ func (rackPacker) Pick(_ *rand.Rand, _ *workload.Job, candidates []*cluster.Serv
 	}
 	// Fullest fitting server within it.
 	var chosen *cluster.Server
-	for _, sv := range candidates {
+	for _, id := range candidates {
+		sv := p.c.Servers[id]
 		if sv.Rack != bestRack {
 			continue
 		}
@@ -52,21 +57,29 @@ func (rackPacker) Pick(_ *rand.Rand, _ *workload.Job, candidates []*cluster.Serv
 			chosen = sv
 		}
 	}
-	return chosen
+	return int32(chosen.ID)
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run simulates eight hours of the row under rackPacker and Ampere and
+// writes the summary to w.
+func run(w io.Writer) error {
 	spec := cluster.DefaultSpec()
 	spec.RacksPerRow = 8
 	c, err := cluster.New(spec, 9)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	eng := sim.NewEngine()
-	sched := scheduler.New(eng, c, 9, rackPacker{})
+	sched := scheduler.New(eng, c, 9, rackPacker{c})
 	mon, err := monitor.New(eng, c, nil, monitor.DefaultConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	perServer := workload.RateForPowerFraction(
 		0.76, spec.IdlePowerW, spec.RatedPowerW, spec.Containers, 8.5, 1.0)
@@ -74,7 +87,7 @@ func main() {
 		[]workload.Product{workload.DefaultProduct("batch", perServer*float64(spec.TotalServers()))},
 		workload.DefaultDurations(), sched.Submit)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	ids := make([]cluster.ServerID, len(c.Servers))
@@ -88,22 +101,23 @@ func main() {
 		Name: "row/0", Servers: ids, BudgetW: budget, Kr: experiment.DefaultKr,
 	}})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	mon.Start()
 	gen.Start()
 	ctl.Start()
 	if err := eng.RunUntil(sim.Time(8 * sim.Hour)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	st := ctl.Stats(0)
-	fmt.Printf("policy %q under Ampere control for 8h:\n", rackPacker{}.Name())
-	fmt.Printf("  power mean/max of budget: %.3f / %.3f\n", st.PMean(), st.PMax)
-	fmt.Printf("  violations: %d of %d minutes\n", st.Violations, st.Ticks)
-	fmt.Printf("  freeze ops: %d, unfreeze ops: %d, mean freeze ratio %.3f\n",
+	fmt.Fprintf(w, "policy %q under Ampere control for 8h:\n", rackPacker{}.Name())
+	fmt.Fprintf(w, "  power mean/max of budget: %.3f / %.3f\n", st.PMean(), st.PMax)
+	fmt.Fprintf(w, "  violations: %d of %d minutes\n", st.Violations, st.Ticks)
+	fmt.Fprintf(w, "  freeze ops: %d, unfreeze ops: %d, mean freeze ratio %.3f\n",
 		st.FreezeOps, st.UnfreezeOps, st.UMean())
-	fmt.Printf("  scheduler placed %d jobs with the custom policy\n", sched.Stats().Placed)
-	fmt.Println("the controller used only Freeze/Unfreeze — no scheduler internals.")
+	fmt.Fprintf(w, "  scheduler placed %d jobs with the custom policy\n", sched.Stats().Placed)
+	fmt.Fprintln(w, "the controller used only Freeze/Unfreeze — no scheduler internals.")
+	return nil
 }

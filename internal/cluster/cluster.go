@@ -376,6 +376,9 @@ type Cluster struct {
 	// and never grown, so a *Server is stable for the cluster's lifetime.
 	// IDs are row-major and rack-contiguous: a row and a rack are subslices.
 	Servers []*Server
+	// slab is the record array Servers points into. Server(id) indexes it,
+	// so a record's address is computed from its ID rather than loaded.
+	slab []Server
 
 	// samples[id] is server id's sample column entry; noiseInnovW is
 	// σ·√(1−φ²), the innovation scale; 0 turns noise off.
@@ -400,6 +403,7 @@ func New(spec Spec, seed uint64) (*Cluster, error) {
 	c := &Cluster{Spec: spec}
 	c.noiseInnovW = spec.NoiseSigmaW * math.Sqrt(1-spec.NoisePhi*spec.NoisePhi)
 	slab := make([]Server, spec.TotalServers())
+	c.slab = slab
 	c.Servers = make([]*Server, len(slab))
 	c.samples = make([]sampleState, len(slab))
 	perRow := spec.ServersPerRow()
@@ -460,7 +464,7 @@ func (c *Cluster) Rack(r, k int) []*Server {
 func (c *Cluster) Rows() int { return c.Spec.Rows }
 
 // Server returns the server with the given ID.
-func (c *Cluster) Server(id ServerID) *Server { return c.Servers[id] }
+func (c *Cluster) Server(id ServerID) *Server { return &c.slab[id] }
 
 // RowDrawW returns the instantaneous true power draw of row r (sum of server
 // draws, before measurement noise). The PDU breaker and the capping safety

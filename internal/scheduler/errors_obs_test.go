@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -28,6 +29,31 @@ func TestReserveOnFailedServerErrors(t *testing.T) {
 	}
 	if err := s.Reserve(0, 1, 1); err != nil {
 		t.Errorf("reserve after repair rejected: %v", err)
+	}
+}
+
+// A reserve's CPU demand enters the server's draw, and so its row's: NaN
+// poisoned both for the rest of the run, and a negative demand hid later
+// load. Above the container count is legal (job CPU runs past 1 a container).
+func TestReserveRejectsBadCPU(t *testing.T) {
+	c := newTestCluster(t, 1, 1, 2)
+	s := New(sim.NewEngine(), c, 1, nil)
+	for _, cpu := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -50, -1e-9} {
+		if err := s.Reserve(0, 1, cpu); err == nil {
+			t.Errorf("Reserve(0, 1, %v) accepted, want an error", cpu)
+		}
+	}
+	if got := c.Server(0).Busy(); got != 0 {
+		t.Errorf("rejected reserves left %d containers busy", got)
+	}
+	if d, r := c.Server(0).DrawW(), c.RowDrawW(0); math.IsNaN(d) || math.IsNaN(r) {
+		t.Errorf("draw %v, row draw %v after rejected reserves", d, r)
+	}
+	if err := s.Reserve(1, 1, 1.5); err != nil {
+		t.Errorf("Reserve(1, 1, 1.5): %v", err)
+	}
+	if err := s.Reserve(1, 0, 0); err != nil {
+		t.Errorf("Reserve(1, 0, 0): %v", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package scheduler
 import (
 	"math/rand"
 
-	"repro/internal/cluster"
 	"repro/internal/workload"
 )
 
@@ -17,6 +16,6 @@ type RandomFit struct{}
 func (RandomFit) Name() string { return "random-fit" }
 
 // Pick implements Policy.
-func (RandomFit) Pick(r *rand.Rand, _ *workload.Job, candidates []*cluster.Server) *cluster.Server {
+func (RandomFit) Pick(r *rand.Rand, _ *workload.Job, candidates []int32) int32 {
 	return candidates[r.Intn(len(candidates))]
 }

@@ -3,9 +3,9 @@ package scheduler
 import "math/bits"
 
 // rowTree is a Fenwick tree over the per-row schedulable-server counts
-// len(avail[r]), kept current by addAvail and removeAvail, so that drawing a
-// row in proportion to its count costs O(log rows) instead of a scan of
-// every row — at 250 rows the scan was a sixth of a placement-bound run.
+// len(avail[r]), kept current by refreshAvail, so that drawing a row in
+// proportion to its count costs O(log rows) instead of a scan of every row —
+// at 250 rows the scan was a sixth of a placement-bound run.
 type rowTree struct {
 	// node[i] (1-based) is the sum of the counts of rows i−lowbit(i) … i−1.
 	node  []int32

@@ -10,6 +10,7 @@ package scheduler
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -31,12 +32,15 @@ type FreezeAPI interface {
 }
 
 // Policy is the upper-level, application-specific placement logic. Pick
-// selects one server from a non-empty candidate slice of schedulable servers
-// that fit the job. Implementations must not retain the slice, and must not
-// retain job past the call: it points into storage the scheduler recycles.
+// selects one server ID from a non-empty candidate slice of the IDs of
+// schedulable servers on one row, or returns a negative ID to place nothing.
+// The slice is the scheduler's own index: implementations must neither modify
+// nor retain it, and must not retain job past the call, which points into
+// storage the scheduler recycles. A policy that weighs server state holds the
+// *cluster.Cluster itself.
 type Policy interface {
 	Name() string
-	Pick(r *rand.Rand, job *workload.Job, candidates []*cluster.Server) *cluster.Server
+	Pick(r *rand.Rand, job *workload.Job, candidates []int32) int32
 }
 
 // RowShaping is the row-selection step of placement. Proportional is the
@@ -104,10 +108,14 @@ type Scheduler struct {
 	rng    *rand.Rand
 	policy Policy
 
-	// avail[r] lists servers on row r that are unfrozen and have at least
-	// one free container; pos maps server ID to its index there.
-	avail [][]*cluster.Server
-	pos   []int // −1 when not in avail
+	// avail[r] lists the IDs of row r's servers that are unfrozen, not
+	// failed and have a free container. srv is the scheduler's column by
+	// server ID: pos is the server's index in avail (−1 when absent), n the
+	// number of jobs running on it. cluster.New numbers servers row by row,
+	// perRow to a row (see rowOf).
+	avail  [][]int32
+	srv    []struct{ pos, n int32 }
+	perRow int32
 	// availTree holds len(avail[r]) per row for chooseRow's O(log rows) draw.
 	availTree rowTree
 
@@ -135,11 +143,18 @@ type Scheduler struct {
 
 	// run is the slab of running jobs and runFree the head of its free-slot
 	// list (-1 when empty); a slot is what a completion event carries.
-	// runs[r] holds row r's per-server run lists (see runPage). completeFn is
-	// s.complete, bound once.
+	// runs[r] holds row r's run lists: server i of the row (in ID order)
+	// owns runs[r][i*Containers : i*Containers+srv[id].n], since a job holds
+	// one container. A row's lists are allocated on its first placement, so a
+	// fleet that runs no jobs pays nothing per server. A list is appended to
+	// on placement and swap-removed from on completion, and that order is
+	// load-bearing: speedChanged reschedules completions in list order, which
+	// assigns their engine sequence numbers, which orders completions landing
+	// on the same millisecond, which orders the float subtractions from the
+	// server's CPU load. completeFn is s.complete, bound once.
 	run        sim.Slab[runningJob]
 	runFree    int32
-	runs       []runPage
+	runs       [][]int32
 	completeFn sim.ArgEvent
 
 	stats Stats
@@ -164,24 +179,9 @@ type runningJob struct {
 	startedAt   sim.Time
 	lastUpdate  sim.Time
 	handle      sim.Handle
-	server      int32 // cluster.ServerID
-	// idx is the job's index in the server's run list; while the slot is
-	// free it links the free list.
-	idx int32
-}
-
-// runPage holds one row's run lists, allocated on the row's first placement
-// so a fleet that runs no jobs pays nothing per server. Server i of the row
-// (in ID order) owns slots[i*stride : i*stride+n[i]], stride being
-// Spec.Containers: a job holds one container. A list is appended to
-// on placement and swap-removed from on completion, and that order is
-// load-bearing: speedChanged reschedules completions in list order, which
-// assigns their engine sequence numbers, which orders completions landing on
-// the same millisecond, which orders the float subtractions from the
-// server's CPU load.
-type runPage struct {
-	n     []int32 // jobs running on each server
-	slots []int32 // their slab slots
+	// server is the cluster.ServerID; while the slot is free it links the
+	// free list.
+	server int32
 }
 
 // New builds a scheduler over c using the given placement policy (RandomFit
@@ -203,22 +203,21 @@ func New(eng *sim.Engine, c *cluster.Cluster, seed uint64, policy Policy) *Sched
 		c:           c,
 		rng:         sim.SubRNG(seed, "scheduler"),
 		policy:      policy,
-		avail:       make([][]*cluster.Server, c.Rows()),
-		pos:         make([]int, len(c.Servers)),
+		avail:       make([][]int32, c.Rows()),
+		srv:         make([]struct{ pos, n int32 }, len(c.Servers)),
+		perRow:      int32(c.Spec.ServersPerRow()),
 		availTree:   newRowTree(c.Rows()),
-		runs:        make([]runPage, c.Rows()),
+		runs:        make([][]int32, c.Rows()),
 		runFree:     -1,
 		waitHist:    waitHist,
 		stretchHist: stretchHist,
 	}
 	s.completeFn = s.complete
-	for i := range s.pos {
-		s.pos[i] = -1
-	}
 	s.busyRow = make([]int, c.Rows())
 	s.capRow = make([]int, c.Rows())
-	for _, sv := range c.Servers {
-		s.addAvail(sv)
+	for i, sv := range c.Servers {
+		s.srv[i].pos = -1
+		s.refreshAvail(int32(i), sv)
 		s.capRow[sv.Row] += c.Spec.Containers
 	}
 	c.OnSpeedChange(s.speedChanged)
@@ -341,46 +340,30 @@ func (s *Scheduler) OnComplete(fn func(j *workload.Job, sv *cluster.Server)) { s
 
 // availability index maintenance
 
-func (s *Scheduler) schedulable(sv *cluster.Server) bool {
-	return !sv.Frozen() && !sv.Failed() && sv.FreeContainers() >= 1
-}
-
-func (s *Scheduler) addAvail(sv *cluster.Server) {
-	if s.pos[sv.ID] != -1 || !s.schedulable(sv) {
+// refreshAvail puts server id (whose record is sv) in its row's candidate
+// list when it is unfrozen, not failed and has a free container, and takes it
+// out otherwise.
+func (s *Scheduler) refreshAvail(id int32, sv *cluster.Server) {
+	in := s.srv[id].pos != -1
+	if in == (!sv.Frozen() && !sv.Failed() && sv.FreeContainers() >= 1) {
 		return
 	}
-	row := s.avail[sv.Row]
-	s.pos[sv.ID] = len(row)
-	s.avail[sv.Row] = append(row, sv)
-	s.availTree.add(sv.Row, 1)
-	if s.met != nil {
-		s.met.churn.Inc()
-	}
-}
-
-func (s *Scheduler) removeAvail(sv *cluster.Server) {
-	i := s.pos[sv.ID]
-	if i == -1 {
-		return
-	}
-	row := s.avail[sv.Row]
-	last := len(row) - 1
-	moved := row[last]
-	row[i] = moved
-	s.pos[moved.ID] = i
-	s.avail[sv.Row] = row[:last]
-	s.pos[sv.ID] = -1
-	s.availTree.add(sv.Row, -1)
-	if s.met != nil {
-		s.met.churn.Inc()
-	}
-}
-
-func (s *Scheduler) refreshAvail(sv *cluster.Server) {
-	if s.schedulable(sv) {
-		s.addAvail(sv)
+	r, _ := s.rowOf(id)
+	list := s.avail[r]
+	if in {
+		i, last := s.srv[id].pos, list[len(list)-1]
+		list[i] = last
+		s.srv[last].pos = i
+		s.avail[r] = list[:len(list)-1]
+		s.srv[id].pos = -1
+		s.availTree.add(r, -1)
 	} else {
-		s.removeAvail(sv)
+		s.srv[id].pos = int32(len(list))
+		s.avail[r] = append(list, id)
+		s.availTree.add(r, 1)
+	}
+	if s.met != nil {
+		s.met.churn.Inc()
 	}
 }
 
@@ -403,7 +386,7 @@ func (s *Scheduler) Freeze(id cluster.ServerID) error {
 		return fmt.Errorf("scheduler: server %d already frozen", id)
 	}
 	sv.SetFrozen(true)
-	s.refreshAvail(sv)
+	s.refreshAvail(int32(id), sv)
 	return nil
 }
 
@@ -422,7 +405,7 @@ func (s *Scheduler) Unfreeze(id cluster.ServerID) error {
 		return fmt.Errorf("scheduler: server %d not frozen", id)
 	}
 	sv.SetFrozen(false)
-	s.refreshAvail(sv)
+	s.refreshAvail(int32(id), sv)
 	s.drainQueue()
 	return nil
 }
@@ -496,8 +479,8 @@ func (s *Scheduler) tryPlace(j *workload.Job) bool {
 	if row < 0 {
 		return false
 	}
-	sv := s.policy.Pick(s.rng, j, s.avail[row])
-	if sv == nil {
+	id := s.policy.Pick(s.rng, j, s.avail[row])
+	if id < 0 {
 		return false
 	}
 	if overflow {
@@ -506,7 +489,7 @@ func (s *Scheduler) tryPlace(j *workload.Job) bool {
 			s.met.overflowed.Inc()
 		}
 	}
-	s.place(j, sv)
+	s.place(j, id)
 	return true
 }
 
@@ -626,10 +609,12 @@ func (s *Scheduler) productWeights(j *workload.Job) rowWeights {
 // corresponds to workload Product index p; nil entries mean uniform.
 func (s *Scheduler) SetProductWeights(table [][]float64) { s.productRows = table }
 
-func (s *Scheduler) place(j *workload.Job, sv *cluster.Server) {
+func (s *Scheduler) place(j *workload.Job, id int32) {
+	sv := s.c.Server(cluster.ServerID(id))
 	sv.Allocate(1, j.CPU)
-	s.busyRow[sv.Row]++
-	s.refreshAvail(sv)
+	r, _ := s.rowOf(id)
+	s.busyRow[r]++
+	s.refreshAvail(id, sv)
 	s.stats.Placed++
 	if s.met != nil {
 		s.met.placed.Inc()
@@ -637,7 +622,7 @@ func (s *Scheduler) place(j *workload.Job, sv *cluster.Server) {
 
 	slot := s.holdRunning(runningJob{
 		job:         *j,
-		server:      int32(sv.ID),
+		server:      id,
 		remainingMS: float64(j.Work),
 		startedAt:   s.eng.Now(),
 		lastUpdate:  s.eng.Now(),
@@ -652,49 +637,43 @@ func (s *Scheduler) place(j *workload.Job, sv *cluster.Server) {
 // holdRunning stores rj in the slab, appends it to its server's run list and
 // returns its slot.
 func (s *Scheduler) holdRunning(rj runningJob) int32 {
-	sv := s.c.Servers[rj.server]
-	stride := s.c.Spec.Containers
-	pg := &s.runs[sv.Row]
-	if pg.n == nil {
-		perRow := s.c.Spec.ServersPerRow()
-		pg.n = make([]int32, perRow)
-		pg.slots = make([]int32, perRow*stride)
+	id, stride := rj.server, s.c.Spec.Containers
+	r, i := s.rowOf(id)
+	page := s.runs[r]
+	if page == nil {
+		page = make([]int32, int(s.perRow)*stride)
+		s.runs[r] = page
 	}
-	i := s.rowIndex(sv)
-	rj.idx = pg.n[i]
-
 	slot := s.runFree
 	if slot >= 0 {
-		s.runFree = s.run.At(slot).idx
+		s.runFree = s.run.At(slot).server
 	} else {
 		slot = s.run.Add()
 	}
 	*s.run.At(slot) = rj
-	pg.slots[i*stride+int(rj.idx)] = slot
-	pg.n[i]++
+	page[i*stride+int(s.srv[id].n)] = slot
+	s.srv[id].n++
 	return slot
 }
 
-// rowIndex returns sv's position on its row: cluster.New numbers servers row
-// by row, so a row is a contiguous ID range.
-func (s *Scheduler) rowIndex(sv *cluster.Server) int {
-	return int(sv.ID) - sv.Row*s.c.Spec.ServersPerRow()
+// runList returns the slab slots of the jobs running on server id, in
+// run-list order.
+func (s *Scheduler) runList(id int32) []int32 {
+	n := s.srv[id].n
+	if n == 0 {
+		return nil // the row's page may not exist yet
+	}
+	r, i := s.rowOf(id)
+	lo := i * s.c.Spec.Containers
+	return s.runs[r][lo : lo+int(n)]
 }
 
-// runList returns the slab slots of the jobs running on sv, in run-list
-// order.
-func (s *Scheduler) runList(sv *cluster.Server) []int32 {
-	pg := &s.runs[sv.Row]
-	if pg.n == nil {
-		return nil
-	}
-	i, stride := s.rowIndex(sv), s.c.Spec.Containers
-	return pg.slots[i*stride : i*stride+int(pg.n[i])]
-}
+// rowOf returns server id's row and its index on the row.
+func (s *Scheduler) rowOf(id int32) (row, i int) { return int(id / s.perRow), int(id % s.perRow) }
 
 func (s *Scheduler) scheduleCompletion(slot int32) {
 	rj := s.run.At(slot)
-	speed := s.c.Servers[rj.server].Speed()
+	speed := s.c.Server(cluster.ServerID(rj.server)).Speed()
 	wall := sim.Duration(rj.remainingMS/speed + 0.5)
 	if wall < 0 {
 		wall = 0
@@ -705,18 +684,23 @@ func (s *Scheduler) scheduleCompletion(slot int32) {
 func (s *Scheduler) complete(now sim.Time, arg int64) {
 	slot := int32(arg)
 	rj := s.run.At(slot)
-	sv := s.c.Servers[rj.server]
-	// Remove from the per-server list (swap-remove, index-tracked).
-	list := s.runList(sv)
-	last := len(list) - 1
-	moved := list[last]
-	list[rj.idx] = moved
-	s.run.At(moved).idx = rj.idx
-	s.runs[sv.Row].n[s.rowIndex(sv)]--
+	id := rj.server
+	sv := s.c.Server(cluster.ServerID(id))
+	// Swap-remove the slot from the server's run list. A scan finds it (at
+	// most Containers entries, one cache line at 16): an index kept in each
+	// slab record would cost a write to the moved job's record.
+	list := s.runList(id)
+	i := 0
+	for list[i] != slot {
+		i++
+	}
+	list[i] = list[len(list)-1]
+	s.srv[id].n--
 
 	sv.Release(1, rj.job.CPU)
-	s.busyRow[sv.Row]--
-	s.refreshAvail(sv)
+	r, _ := s.rowOf(id)
+	s.busyRow[r]--
+	s.refreshAvail(id, sv)
 	s.stats.Completed++
 	if s.met != nil {
 		s.met.completed.Inc()
@@ -735,7 +719,7 @@ func (s *Scheduler) complete(now sim.Time, arg int64) {
 
 // freeRunning returns a slab slot to the free list.
 func (s *Scheduler) freeRunning(slot int32) {
-	s.run.At(slot).idx = s.runFree
+	s.run.At(slot).server = s.runFree
 	s.runFree = slot
 }
 
@@ -744,7 +728,7 @@ func (s *Scheduler) freeRunning(slot int32) {
 // work at the old speed, and the remainder is replayed at the new speed.
 func (s *Scheduler) speedChanged(sv *cluster.Server, oldSpeed float64) {
 	now := s.eng.Now()
-	for _, slot := range s.runList(sv) {
+	for _, slot := range s.runList(int32(sv.ID)) {
 		rj := s.run.At(slot)
 		elapsed := float64(now.Sub(rj.lastUpdate))
 		rj.remainingMS -= elapsed * oldSpeed
@@ -757,8 +741,8 @@ func (s *Scheduler) speedChanged(sv *cluster.Server, oldSpeed float64) {
 	}
 }
 
-// RunningJobs returns the number of jobs currently executing on sv.
-func (s *Scheduler) RunningJobs(id cluster.ServerID) int { return len(s.runList(s.c.Server(id))) }
+// RunningJobs returns the number of jobs currently executing on server id.
+func (s *Scheduler) RunningJobs(id cluster.ServerID) int { return int(s.srv[id].n) }
 
 // Reserve permanently allocates containers on a specific server, bypassing
 // placement. The service substrate uses it to pin long-running
@@ -771,6 +755,9 @@ func (s *Scheduler) Reserve(id cluster.ServerID, containers int, cpu float64) er
 	if containers < 0 {
 		return fmt.Errorf("scheduler: reserve of negative container count %d on server %d", containers, id)
 	}
+	if !(cpu >= 0) || math.IsInf(cpu, 1) {
+		return fmt.Errorf("scheduler: reserve of CPU demand %v on server %d, want a finite value ≥ 0", cpu, id)
+	}
 	sv := s.c.Server(id)
 	if sv.Failed() {
 		return fmt.Errorf("scheduler: reserve on failed server %d", id)
@@ -781,7 +768,7 @@ func (s *Scheduler) Reserve(id cluster.ServerID, containers int, cpu float64) er
 	}
 	sv.Allocate(containers, cpu)
 	s.busyRow[sv.Row] += containers
-	s.refreshAvail(sv)
+	s.refreshAvail(int32(id), sv)
 	return nil
 }
 
@@ -797,22 +784,20 @@ func (s *Scheduler) FailServer(id cluster.ServerID) error {
 	if sv.Failed() {
 		return fmt.Errorf("scheduler: server %d already failed", id)
 	}
-	if list := s.runList(sv); len(list) > 0 {
-		for _, slot := range list {
-			rj := s.run.At(slot)
-			s.eng.Cancel(rj.handle)
-			sv.Release(1, rj.job.CPU)
-			s.busyRow[sv.Row]--
-			s.stats.Killed++
-			if s.met != nil {
-				s.met.killed.Inc()
-			}
-			s.freeRunning(slot)
+	for _, slot := range s.runList(int32(id)) {
+		rj := s.run.At(slot)
+		s.eng.Cancel(rj.handle)
+		sv.Release(1, rj.job.CPU)
+		s.busyRow[sv.Row]--
+		s.stats.Killed++
+		if s.met != nil {
+			s.met.killed.Inc()
 		}
-		s.runs[sv.Row].n[s.rowIndex(sv)] = 0
+		s.freeRunning(slot)
 	}
+	s.srv[id].n = 0
 	sv.SetFailed(true)
-	s.refreshAvail(sv)
+	s.refreshAvail(int32(id), sv)
 	return nil
 }
 
@@ -826,7 +811,7 @@ func (s *Scheduler) RepairServer(id cluster.ServerID) error {
 		return fmt.Errorf("scheduler: server %d not failed", id)
 	}
 	sv.SetFailed(false)
-	s.refreshAvail(sv)
+	s.refreshAvail(int32(id), sv)
 	s.drainQueue()
 	return nil
 }

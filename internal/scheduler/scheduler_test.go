@@ -1,7 +1,9 @@
 package scheduler
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -351,12 +353,12 @@ func TestPolicies(t *testing.T) {
 	a.Allocate(4, 4)
 	b.Allocate(8, 8)
 	d.Allocate(12, 12)
-	cands := []*cluster.Server{a, b, d}
+	cands := []int32{int32(a.ID), int32(b.ID), int32(d.ID)}
 	j := batchJob(1, sim.Minute, 1)
 
-	counts := map[cluster.ServerID]int{}
+	counts := map[int32]int{}
 	for i := 0; i < 3000; i++ {
-		counts[(RandomFit{}).Pick(rng, j, cands).ID]++
+		counts[(RandomFit{}).Pick(rng, j, cands)]++
 	}
 	for id, n := range counts {
 		if n < 800 || n > 1200 {
@@ -400,46 +402,107 @@ func TestSchedulerDeterminism(t *testing.T) {
 	}
 }
 
-// Property: for any freeze/unfreeze sequence, the availability index exactly
-// matches the predicate "unfrozen and has free containers".
+// Property: under any interleaving of engine steps, freezes, unfreezes,
+// submissions, failures, repairs and reserves, the availability index, the
+// run lists and the slab agree with the cluster after every operation.
 func TestAvailabilityIndexProperty(t *testing.T) {
 	sp := cluster.DefaultSpec()
 	sp.Rows, sp.RacksPerRow, sp.ServersPerRack = 2, 1, 5
 	sp.NoiseSigmaW = 0
-	f := func(ops []uint8) bool {
+	f := func(ops []uint16) bool {
 		eng := sim.NewEngine()
 		c, err := cluster.New(sp, 1)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
 		s := New(eng, c, 1, nil)
-		for _, op := range ops {
-			id := cluster.ServerID(int(op) % len(c.Servers))
-			switch {
-			case op%3 == 0:
-				_ = s.Freeze(id) // may fail if already frozen; fine
-			case op%3 == 1:
+		reserved := make([]int, len(c.Servers))
+		for k, op := range ops {
+			id := cluster.ServerID(int(op>>3) % len(c.Servers))
+			arg := int(op >> 6)
+			switch op % 8 {
+			case 0:
+				_ = s.Freeze(id) // errors on a frozen server; fine
+			case 1:
 				_ = s.Unfreeze(id)
+			case 2, 3:
+				for i := 0; i < arg%40; i++ {
+					s.Submit(batchJob(int64(k), sim.Duration(1+(arg+i)%20)*sim.Minute, 1))
+				}
+			case 4:
+				_ = s.FailServer(id)
+			case 5:
+				_ = s.RepairServer(id)
+			case 6:
+				if n := arg % 4; s.Reserve(id, n, 0.5*float64(n)) == nil {
+					reserved[id] += n
+				}
 			default:
-				s.Submit(batchJob(int64(op), sim.Minute, 1))
-			}
-		}
-		for r := 0; r < c.Rows(); r++ {
-			want := 0
-			for _, sv := range c.Row(r) {
-				if !sv.Frozen() && sv.FreeContainers() >= 1 {
-					want++
+				if err := eng.RunUntil(eng.Now().Add(sim.Duration(arg%10) * sim.Minute)); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if s.AvailableInRow(r) != want {
+			if err := checkIndex(s, c, reserved); err != nil {
+				t.Logf("after op %d (%d): %v", k, op, err)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// checkIndex compares the scheduler's bookkeeping with the cluster: reserved
+// counts the containers each server holds by Reserve.
+func checkIndex(s *Scheduler, c *cluster.Cluster, reserved []int) error {
+	running, listed := 0, map[int32]bool{}
+	busyRow := make([]int, c.Rows())
+	for _, sv := range c.Servers {
+		id := int32(sv.ID)
+		want := !sv.Frozen() && !sv.Failed() && sv.FreeContainers() >= 1
+		pos := s.srv[id].pos
+		if in := pos != -1; in != want {
+			return fmt.Errorf("server %d: listed %v, schedulable %v", id, in, want)
+		}
+		if pos != -1 && (int(pos) >= len(s.avail[sv.Row]) || s.avail[sv.Row][pos] != id) {
+			return fmt.Errorf("server %d: pos %d does not hold it in row %d's list %v", id, pos, sv.Row, s.avail[sv.Row])
+		}
+		list := s.runList(id)
+		if n := s.RunningJobs(sv.ID); n != len(list) || sv.Busy() != n+reserved[id] {
+			return fmt.Errorf("server %d: %d running, %d listed, %d reserved, %d busy", id, n, len(list), reserved[id], sv.Busy())
+		}
+		for _, slot := range list {
+			if got := s.run.At(slot).server; got != id || listed[slot] {
+				return fmt.Errorf("server %d: slot %d names server %d or is listed twice", id, slot, got)
+			}
+			listed[slot] = true
+		}
+		running += len(list)
+		busyRow[sv.Row] += sv.Busy()
+	}
+	total := 0
+	for r, list := range s.avail {
+		total += len(list)
+		if busyRow[r] != s.busyRow[r] {
+			return fmt.Errorf("row %d: %d busy containers, scheduler counts %d", r, busyRow[r], s.busyRow[r])
+		}
+	}
+	if s.availTree.total != total {
+		return fmt.Errorf("row tree total %d, lists hold %d", s.availTree.total, total)
+	}
+	free := 0
+	for slot := s.runFree; slot >= 0; slot = s.run.At(slot).server {
+		free++
+	}
+	if running+free != s.run.Len() {
+		return fmt.Errorf("%d running and %d free slots, slab holds %d", running, free, s.run.Len())
+	}
+	if st := s.Stats(); st.Placed != st.Completed+int64(running)+st.Killed {
+		return fmt.Errorf("placed %d ≠ completed %d + running %d + killed %d", st.Placed, st.Completed, running, st.Killed)
+	}
+	return nil
 }
 
 func TestQueueWaitAccounting(t *testing.T) {
@@ -507,5 +570,45 @@ func TestQueueWaitSurvivesCollidingIDs(t *testing.T) {
 	near := func(got, want sim.Duration) bool { return got > want-want/50 && got < want+want/50 }
 	if lo, hi := s.QueueWaitQuantile(0), s.QueueWaitQuantile(1); !near(lo, 20*sim.Minute) || !near(hi, 30*sim.Minute) {
 		t.Errorf("waits %v and %v, want ≈20m and ≈30m", lo, hi)
+	}
+}
+
+// The job path allocates nothing at steady state: placement writes into the
+// recycled slab and the row's run lists, completion swap-removes in place,
+// and the candidate lists shrink and regrow within their arrays.
+func TestSubmitAndCompleteDoNotAllocate(t *testing.T) {
+	eng := sim.NewEngine()
+	c := newTestCluster(t, 2, 1, 4)
+	s := New(eng, c, 1, nil)
+	// One free container a server, so each placement takes its server out
+	// of the candidate list and each completion puts it back.
+	for _, sv := range c.Servers {
+		if err := s.Reserve(sv.ID, c.Spec.Containers-1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job := batchJob(1, sim.Minute, 1)
+	cycle := func() {
+		s.Submit(job)
+		if err := eng.RunUntil(eng.Now().Add(sim.Minute + sim.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm the slab, both rows' run lists and the engine's heap.
+	for range c.Servers {
+		s.Submit(job)
+	}
+	if err := eng.RunUntil(eng.Now().Add(sim.Minute + sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	// The count is process-wide, and the process's first collection
+	// allocates the GC's worker goroutines: collect once beforehand.
+	runtime.GC()
+	before := s.Stats().Completed
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a submit and its completion allocated %v objects, want 0", allocs)
+	}
+	if got := s.Stats().Completed - before; got != 101 {
+		t.Errorf("%d jobs completed in the counted cycles, want 101", got)
 	}
 }
