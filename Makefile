@@ -5,10 +5,11 @@
 .PHONY: tier1 build lint vet test race race-shuffle fuzz fuzz-smoke chaos \
 	bench-runner gridstorm \
 	whatif whatif-smoke tournament tournament-smoke fig11scale fig11-smoke \
-	fed-smoke golden-quick golden-paper flake bench-pair bench-pair-all lines
+	fed-smoke golden-quick golden-paper flake bench-pair bench-pair-all lines \
+	mains-pinned
 
 tier1: build lint race race-shuffle fuzz-smoke whatif-smoke \
-	tournament-smoke fig11-smoke fed-smoke golden-quick flake
+	tournament-smoke fig11-smoke fed-smoke golden-quick flake mains-pinned
 
 build:
 	go build ./...
@@ -37,6 +38,12 @@ race:
 # fails here before it can corrupt merged experiment output.
 race-shuffle:
 	go test -race -shuffle=on ./internal/experiment/... ./internal/runner/...
+
+# Every program under cmd/ and examples/ has a test of what it prints: this
+# fails, naming them, when a main package has no test file.
+mains-pinned:
+	@untested=$$(go list -f '{{if and (eq .Name "main") (not .TestGoFiles) (not .XTestGoFiles)}}{{.ImportPath}}{{end}}' ./...); \
+	if [ -n "$$untested" ]; then echo "main packages with no test:"; echo "$$untested"; exit 1; fi
 
 # Live-fuzz pass over every fuzz target (the committed seed corpus already
 # replays in `make test`): 30 s each for `fuzz`, 5 s each for tier-1's

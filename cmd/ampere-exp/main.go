@@ -26,8 +26,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -35,40 +37,53 @@ import (
 	"repro/internal/runner"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it runs the experiments args select, writes their
+// reports to stdout and progress and diagnostics to stderr, and returns the
+// exit code (2 for a usage error, 1 for a failed experiment).
+func run(args []string, stdout, stderr io.Writer) int {
 	var ids []string
 	for _, e := range experiment.Catalog() {
 		ids = append(ids, e.ID)
 	}
 	expIDs := strings.Join(ids, ", ") + ", all"
-	exp := flag.String("exp", "all", "experiment id ("+expIDs+")")
-	quick := flag.Bool("quick", false, "shrunken fast configuration")
-	seed := flag.Uint64("seed", 0, "override the experiment seed (0 = per-experiment default)")
-	out := flag.String("out", "", "directory to also write plot-ready CSV series into")
-	flag.Parse()
+	fs := flag.NewFlagSet("ampere-exp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment id ("+expIDs+")")
+	quick := fs.Bool("quick", false, "shrunken fast configuration")
+	seed := fs.Uint64("seed", 0, "override the experiment seed (0 = per-experiment default)")
+	out := fs.String("out", "", "directory to also write plot-ready CSV series into")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	exps := experiment.Catalog()
 	if *exp != "all" {
 		e, ok := experiment.Lookup(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (want one of %s)\n", *exp, expIDs)
-			flag.Usage()
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown experiment %q (want one of %s)\n", *exp, expIDs)
+			fs.Usage()
+			return 2
 		}
 		exps = []experiment.Experiment{e}
 	}
-	report, err := render(exps, *quick, *seed, *out)
-	os.Stdout.Write(report)
+	report, err := render(exps, *quick, *seed, *out, stderr)
+	stdout.Write(report)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
+	return 0
 }
 
 // render runs the experiments and returns their reports in order, each
 // non-empty one followed by a blank line; on failure, the finished reports
-// and the lowest-indexed error.
-func render(exps []experiment.Experiment, quick bool, seed uint64, outDir string) ([]byte, error) {
+// and the lowest-indexed error. A line per finished run goes to progress.
+func render(exps []experiment.Experiment, quick bool, seed uint64, outDir string, progress io.Writer) ([]byte, error) {
 	units := make([]runner.Unit[[]byte], len(exps))
 	for i, e := range exps {
 		units[i] = runner.Unit[[]byte]{Name: e.ID, Run: func() ([]byte, error) {
@@ -83,11 +98,11 @@ func render(exps []experiment.Experiment, quick bool, seed uint64, outDir string
 		OnDone: func(r runner.Report) {
 			switch {
 			case r.Skipped:
-				fmt.Fprintf(os.Stderr, "  [%s skipped]\n", r.Name)
+				fmt.Fprintf(progress, "  [%s skipped]\n", r.Name)
 			case r.Err != nil:
-				fmt.Fprintf(os.Stderr, "  [%s failed after %.1fs: %v]\n", r.Name, r.Elapsed.Seconds(), r.Err)
+				fmt.Fprintf(progress, "  [%s failed after %.1fs: %v]\n", r.Name, r.Elapsed.Seconds(), r.Err)
 			default:
-				fmt.Fprintf(os.Stderr, "  [%s completed in %.1fs]\n", r.Name, r.Elapsed.Seconds())
+				fmt.Fprintf(progress, "  [%s completed in %.1fs]\n", r.Name, r.Elapsed.Seconds())
 			}
 		},
 	})

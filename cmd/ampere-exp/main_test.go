@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"runtime"
 	"slices"
@@ -35,7 +36,7 @@ func TestQuickAllGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	got, err := render(experiment.Catalog(), true, 0, dir)
+	got, err := render(experiment.Catalog(), true, 0, dir, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestQuickAllGolden(t *testing.T) {
 func TestSeedOverride(t *testing.T) {
 	fig7, _ := experiment.Lookup("fig7")
 	run := func(seed uint64) []byte {
-		out, err := render([]experiment.Experiment{fig7}, true, seed, "")
+		out, err := render([]experiment.Experiment{fig7}, true, seed, "", io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,5 +88,35 @@ func TestSeedOverride(t *testing.T) {
 	}
 	if bytes.Equal(run(3), def) {
 		t.Error("-seed 3 reproduces fig7's default run")
+	}
+}
+
+func TestExitCodes(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-exp", "bogus"}, &out, &errOut); code != 2 ||
+		!strings.HasPrefix(errOut.String(), `unknown experiment "bogus" (want one of fig1, fig2, `) ||
+		!strings.Contains(errOut.String(), ", tournament, all)\nUsage of ampere-exp:\n") {
+		t.Errorf("-exp bogus: exit %d, stderr %q; want 2, the valid ids and the usage", code, errOut.String())
+	}
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"-bogus"}, &out, &errOut); code != 2 ||
+		!strings.HasPrefix(errOut.String(), "flag provided but not defined: -bogus\nUsage of ampere-exp:") {
+		t.Errorf("-bogus: exit %d, stderr %q; want 2 and the usage", code, errOut.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("usage errors wrote to stdout: %q", out.String())
+	}
+
+	// A run's report goes to stdout, its progress line to stderr.
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"-quick", "-exp", "fig7"}, &out, &errOut); code != 0 ||
+		!strings.HasPrefix(errOut.String(), "  [fig7 completed in ") {
+		t.Errorf("-quick -exp fig7: exit %d, stderr %q; want 0 and fig7's progress line", code, errOut.String())
+	}
+	fig7, _ := experiment.Lookup("fig7")
+	if want, _ := render([]experiment.Experiment{fig7}, true, 0, "", io.Discard); !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("-quick -exp fig7 stdout differs from render's report:\n%s", out.String())
 	}
 }

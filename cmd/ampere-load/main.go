@@ -14,8 +14,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -39,23 +41,35 @@ var endpoints = map[string]string{
 	"latest":  "/latest?name=dc",
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it drives the load args describe, writes the
+// report to stdout and diagnostics to stderr, and returns the exit code (2 for
+// a usage error, 1 when any request errored).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ampere-load", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		base     = flag.String("base", "http://localhost:9090", "powermon base URL")
-		rps      = flag.Float64("rps", 100, "aggregate open-loop arrival rate (req/s)")
-		duration = flag.Duration("duration", 10*time.Second, "length of the arrival schedule")
-		timeout  = flag.Duration("timeout", 5*time.Second, "per-request timeout")
-		inflight = flag.Int("inflight", 512, "max concurrent requests (excess arrivals drop)")
-		seed     = flag.Uint64("seed", 1, "arrival-schedule seed")
-		mix      = flag.String("mix", "metrics=3,query=3,healthz=2,status=1,latest=1",
+		base     = fs.String("base", "http://localhost:9090", "powermon base URL")
+		rps      = fs.Float64("rps", 100, "aggregate open-loop arrival rate (req/s)")
+		duration = fs.Duration("duration", 10*time.Second, "length of the arrival schedule")
+		timeout  = fs.Duration("timeout", 5*time.Second, "per-request timeout")
+		inflight = fs.Int("inflight", 512, "max concurrent requests (excess arrivals drop)")
+		seed     = fs.Uint64("seed", 1, "arrival-schedule seed")
+		mix      = fs.String("mix", "metrics=3,query=3,healthz=2,status=1,latest=1",
 			"endpoint=weight list; endpoints: "+strings.Join(endpointNames(), ","))
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	targets, err := parseMix(*base, *mix)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ampere-load:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ampere-load:", err)
+		return 2
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -68,15 +82,16 @@ func main() {
 		Seed:        *seed,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ampere-load:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ampere-load:", err)
+		return 2
 	}
-	fmt.Print(res.Format())
+	fmt.Fprint(stdout, res.Format())
 	for _, tr := range res.Targets {
 		if tr.Errors > 0 {
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 func endpointNames() []string {

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,11 +46,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: ampere-trace record|replay|why [flags]")
 		return 2
 	}
-	if err := cmds[args[0]](args[1:], stdout, stderr); err != nil {
+	switch err := cmds[args[0]](args[1:], stdout, stderr); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
+	default:
 		fmt.Fprintln(stderr, "ampere-trace:", err)
 		return 1
 	}
-	return 0
+}
+
+// errUsage is a subcommand's flag-parse failure; the flag set has already
+// printed the problem and its usage to stderr.
+var errUsage = errors.New("usage")
+
+// parse parses a subcommand's args, printing any problem and the usage to
+// stderr: -h yields flag.ErrHelp, any other failure errUsage.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errUsage
+	}
+	return err
 }
 
 const (
@@ -57,14 +77,14 @@ const (
 	warmup     = sim.Hour
 )
 
-func record(args []string, stdout, _ io.Writer) error {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
+func record(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("record", flag.ContinueOnError)
 	out := fs.String("out", "trace.csv", "output CSV path")
 	hours := fs.Int("hours", 12, "hours to record")
 	target := fs.Float64("target", 0.78, "mean power target (fraction of rated)")
 	amplitude := fs.Float64("amplitude", 0.35, "diurnal amplitude")
 	seed := fs.Uint64("seed", 1, "simulation seed")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 
@@ -99,14 +119,14 @@ func record(args []string, stdout, _ io.Writer) error {
 	return nil
 }
 
-func replay(args []string, stdout, _ io.Writer) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+func replay(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	in := fs.String("in", "trace.csv", "input CSV path")
 	ampere := fs.Bool("ampere", false, "control the row with Ampere")
 	ro := fs.Float64("ro", 0.25, "over-provisioning ratio for the budget")
 	kr := fs.Float64("kr", stack.DefaultKr, "control model gradient")
 	seed := fs.Uint64("seed", 2, "simulation seed")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 

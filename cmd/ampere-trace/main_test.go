@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -40,6 +41,31 @@ func TestWhyGolden(t *testing.T) {
 	}
 }
 
+// TestRecordReplayGolden pins README's trace round trip: record four hours
+// of one row, then replay the trace under Ampere at rO 0.35. The trace's
+// path is written as $TRACE in testdata/record_replay.golden.
+func TestRecordReplayGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "row.csv")
+	var got strings.Builder
+	for _, args := range [][]string{
+		{"record", "-out", path, "-hours", "4"},
+		{"replay", "-in", path, "-ampere", "-ro", "0.35"},
+	} {
+		code, out, errOut := runTrace(args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", args, code, errOut)
+		}
+		got.WriteString(strings.ReplaceAll(out, path, "$TRACE"))
+	}
+	want, err := os.ReadFile("testdata/record_replay.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("record + replay stdout differs from testdata/record_replay.golden:\n%s", got.String())
+	}
+}
+
 func TestWhyJSONParses(t *testing.T) {
 	code, out, errOut := runTrace("why", "-json")
 	if code != 0 {
@@ -57,6 +83,17 @@ func TestExitCodes(t *testing.T) {
 	}
 	if code, _, _ := runTrace(); code != 2 {
 		t.Errorf("no subcommand: exit %d, want 2", code)
+	}
+	// A bad flag prints the subcommand's usage and exits 2 through run; -h
+	// prints it and exits 0.
+	for _, sub := range []string{"record", "replay", "why"} {
+		code, out, errOut := runTrace(sub, "-bogus")
+		if code != 2 || out != "" || !strings.Contains(errOut, "flag provided but not defined: -bogus\nUsage of "+sub+":") {
+			t.Errorf("%s -bogus: exit %d, stdout %q, stderr %q; want 2 and the usage on stderr", sub, code, out, errOut)
+		}
+		if code, _, errOut := runTrace(sub, "-h"); code != 0 || !strings.HasPrefix(errOut, "Usage of "+sub+":") {
+			t.Errorf("%s -h: exit %d, stderr %q; want 0 and the usage", sub, code, errOut)
+		}
 	}
 	code, _, errOut := runTrace("why", "-regime", "bogus")
 	if want := "ampere-trace: unknown regime \"bogus\" (cliff|ramp)\n"; code != 1 || errOut != want {

@@ -17,7 +17,7 @@ import (
 // why implements `ampere-trace why`: fork the gridstorm run at a journal
 // event and score a counterfactual policy against the factual outcome.
 func why(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("why", flag.ExitOnError)
+	fs := flag.NewFlagSet("why", flag.ContinueOnError)
 	event := fs.Int64("event", -1,
 		"journal event seq to fork at (-1: the first budget-change, i.e. the dip onset)")
 	var keys []string
@@ -33,7 +33,7 @@ func why(args []string, stdout, stderr io.Writer) error {
 	full := fs.Bool("full", false, "paper-scale gridstorm (100k servers); default is the quick 320-server configuration")
 	seed := fs.Uint64("seed", 0, "override the scenario seed (0 = scenario default)")
 	jsonOut := fs.Bool("json", false, "emit the diff report as JSON instead of text")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 

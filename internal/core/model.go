@@ -53,6 +53,11 @@ func FitKr(samples []ControlSample) (stats.LinearFit, error) {
 	return fit, nil
 }
 
+// GTPW returns the gain in throughput-per-provisioned-watt for a measured
+// throughput ratio under an over-provisioning ratio (Eq. 18):
+// GTPW = rT·(1+rO) − 1.
+func GTPW(rT, rO float64) float64 { return rT*(1+rO) - 1 }
+
 // EtEstimator predicts the normalized power-demand increase over the next
 // control interval; 1 − Et defines the controller's safety threshold.
 type EtEstimator interface {

@@ -25,6 +25,19 @@ func TestFitKr(t *testing.T) {
 	}
 }
 
+func TestGTPW(t *testing.T) {
+	// The paper's worked examples (§4.4).
+	if got := GTPW(0.9, 0.25); math.Abs(got-0.125) > 1e-12 {
+		t.Errorf("GTPW(0.9, 0.25) = %v, want 0.125", got)
+	}
+	if got := GTPW(1.0, 0.17); math.Abs(got-0.17) > 1e-12 {
+		t.Errorf("GTPW(1, 0.17) = %v, want 0.17", got)
+	}
+	if got := GTPW(0.8, 0.25); math.Abs(got-0.0) > 1e-12 {
+		t.Errorf("GTPW(0.8, 0.25) = %v, want 0", got)
+	}
+}
+
 func TestFitKrErrors(t *testing.T) {
 	if _, err := FitKr(nil); err == nil {
 		t.Error("empty samples accepted")

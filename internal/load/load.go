@@ -32,8 +32,9 @@ import (
 type Target struct {
 	Name string
 	URL  string
-	// Weight is the target's share of the arrival stream (relative to the
-	// other targets' weights; ≤ 0 is rejected).
+	// Weight is the target's share of the arrival stream, relative to the
+	// other targets' weights. 0 counts as 1; a negative, NaN or infinite
+	// weight is rejected.
 	Weight float64
 }
 
@@ -113,9 +114,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		total += w
 		cum[i] = total
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("load: all target weights zero")
 	}
 	for i := range cum {
 		cum[i] /= total
