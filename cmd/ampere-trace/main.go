@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/core"
@@ -128,6 +129,9 @@ func replay(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 2, "simulation seed")
 	if err := parse(fs, args, stderr); err != nil {
 		return err
+	}
+	if !(*ro >= 0) || math.IsInf(*ro, 1) {
+		return fmt.Errorf("ro %v must be a finite number ≥ 0", *ro)
 	}
 
 	f, err := os.Open(*in)

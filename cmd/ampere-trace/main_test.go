@@ -99,4 +99,12 @@ func TestExitCodes(t *testing.T) {
 	if want := "ampere-trace: unknown regime \"bogus\" (cliff|ramp)\n"; code != 1 || errOut != want {
 		t.Errorf("why -regime bogus: exit %d, stderr %q; want 1 and %q", code, errOut, want)
 	}
+	// A budget of rated/(1+ro) must be finite and positive: ro is finite
+	// and ≥ 0, checked before the trace is read.
+	for _, ro := range []string{"-1", "-2", "-0.5", "NaN", "+Inf"} {
+		code, out, errOut := runTrace("replay", "-in", "no-such-file.csv", "-ro", ro)
+		if code != 1 || out != "" || !strings.Contains(errOut, "ro ") {
+			t.Errorf("replay -ro %s: exit %d, stdout %q, stderr %q; want 1 and an ro error", ro, code, out, errOut)
+		}
+	}
 }

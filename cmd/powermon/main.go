@@ -27,6 +27,9 @@
 // minutes every row budget dips by -dr-depth for -dr-dwell minutes, applied
 // -dr-ramp per tick (0 = cliff). Breakers follow the effective budget, so
 // /metrics shows the heat consequences of the chosen ramp rate live.
+//
+// powermon prints nothing on stdout; its log goes to stderr. It exits 2 on a
+// bad flag and 1 when the configuration is refused or serving fails.
 package main
 
 import (
@@ -35,7 +38,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -56,43 +61,46 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		tick       = flag.Duration("tick", 200*time.Millisecond, "real time per simulated minute")
-		rowServers = flag.Int("row-servers", 200, "servers per row (a multiple of the 20-server rack)")
-		rows       = flag.Int("rows", 2, "rows")
-		target     = flag.Float64("target", 0.75, "power target as fraction of rated")
-		ro         = flag.Float64("ro", 0.25, "over-provisioning ratio")
-		ampere     = flag.Bool("ampere", true, "run the Ampere controller")
-		seed       = flag.Uint64("seed", 1, "simulation seed")
-		obsOn      = flag.Bool("obs", true, "serve /metrics and /events")
-		pprofOn    = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-		journalCap = flag.Int("journal-cap", obs.DefaultJournalCap, "control-decision journal capacity (events)")
-		journalOut = flag.String("journal-out", "", "flush the journal to this JSONL file on shutdown")
-		drAt       = flag.Float64("dr-at", 0, "demand-response event start, simulated minutes (0 = none)")
-		drDepth    = flag.Float64("dr-depth", 0.2, "demand-response curtailment depth, fraction of budget")
-		drDwell    = flag.Float64("dr-dwell", 60, "demand-response dwell, simulated minutes")
-		drRamp     = flag.Float64("dr-ramp", 0.02, "budget ramp limit per tick as fraction of base (0 = cliff)")
-		svcUsers   = flag.Int("service-users", 0,
-			"simulated users of a pinned interactive service (0 = none); adds service_* metric families")
-		svcRPS       = flag.Float64("service-rps-per-user", 0.05, "per-user request rate (req/s)")
-		svcInstances = flag.Int("service-instances", 4, "service instances pinned across the fleet")
-		svcCtrs      = flag.Int("service-containers", 8, "containers reserved per service instance")
-	)
-	flag.Parse()
-	cfg := runConfig{
-		addr: *addr, tick: *tick, rows: *rows, rowServers: *rowServers,
-		target: *target, ro: *ro, ampere: *ampere, seed: *seed,
-		obs: *obsOn, pprof: *pprofOn, journalCap: *journalCap, journalOut: *journalOut,
-		drAt: *drAt, drDepth: *drDepth, drDwell: *drDwell, drRamp: *drRamp,
-		svcUsers: *svcUsers, svcRPSPerUser: *svcRPS,
-		svcInstances: *svcInstances, svcContainers: *svcCtrs,
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, serves until SIGINT or SIGTERM
+// with its log on stderr, and returns the exit code. stdout stays unwritten.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("powermon", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cfg runConfig
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	fs.DurationVar(&cfg.tick, "tick", 200*time.Millisecond, "real time per simulated minute")
+	fs.IntVar(&cfg.rowServers, "row-servers", 200, "servers per row (a multiple of the 20-server rack)")
+	fs.IntVar(&cfg.rows, "rows", 2, "rows")
+	fs.Float64Var(&cfg.target, "target", 0.75, "power target as fraction of rated, in (0,1]")
+	fs.Float64Var(&cfg.ro, "ro", 0.25, "over-provisioning ratio, finite and ≥ 0")
+	fs.BoolVar(&cfg.ampere, "ampere", true, "run the Ampere controller")
+	fs.Uint64Var(&cfg.seed, "seed", 1, "simulation seed")
+	fs.BoolVar(&cfg.obs, "obs", true, "serve /metrics and /events")
+	fs.BoolVar(&cfg.pprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
+	fs.IntVar(&cfg.journalCap, "journal-cap", obs.DefaultJournalCap, "control-decision journal capacity (events)")
+	fs.StringVar(&cfg.journalOut, "journal-out", "", "flush the journal to this JSONL file on shutdown")
+	fs.Float64Var(&cfg.drAt, "dr-at", 0, "demand-response event start, simulated minutes (0 = none)")
+	fs.Float64Var(&cfg.drDepth, "dr-depth", 0.2, "demand-response curtailment depth, fraction of budget")
+	fs.Float64Var(&cfg.drDwell, "dr-dwell", 60, "demand-response dwell, simulated minutes")
+	fs.Float64Var(&cfg.drRamp, "dr-ramp", 0.02, "budget ramp limit per tick as fraction of base (0 = cliff)")
+	fs.IntVar(&cfg.svcUsers, "service-users", 0,
+		"simulated users of a pinned interactive service (0 = none); adds service_* metric families")
+	fs.Float64Var(&cfg.svcRPSPerUser, "service-rps-per-user", 0.05, "per-user request rate (req/s)")
+	fs.IntVar(&cfg.svcInstances, "service-instances", 4, "service instances pinned across the fleet")
+	fs.IntVar(&cfg.svcContainers, "service-containers", 8, "containers reserved per service instance")
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
 	}
-	if err := run(cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "powermon:", err)
-		os.Exit(1)
+	if err := serve(cfg, log.New(stderr, "", log.LstdFlags)); err != nil {
+		fmt.Fprintln(stderr, "powermon:", err)
+		return 1
 	}
+	return 0
 }
 
 type runConfig struct {
@@ -153,8 +161,14 @@ type simStack struct {
 func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*simStack, error) {
 	// Rows are whole racks: RowSpec would floor a partial one away while the
 	// log line and the /whatif ConfigTag report the requested size.
-	if cfg.rowServers <= 0 || cfg.rowServers%20 != 0 {
+	switch {
+	case cfg.rowServers <= 0 || cfg.rowServers%20 != 0:
 		return nil, fmt.Errorf("row-servers %d must be a positive multiple of 20", cfg.rowServers)
+	case !(cfg.target > 0 && cfg.target <= 1):
+		return nil, fmt.Errorf("target %v outside (0,1]", cfg.target)
+	case !(cfg.ro >= 0) || math.IsInf(cfg.ro, 1):
+		// The row budget is rated/(1+ro): finite and positive only here.
+		return nil, fmt.Errorf("ro %v must be a finite number ≥ 0", cfg.ro)
 	}
 	spec := stack.RowSpec(cfg.rows, cfg.rowServers)
 
@@ -299,7 +313,10 @@ func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*simSta
 	return &simStack{rig: rig, ctl: controller, breakers: breakers, budget: budget, svc: svc}, nil
 }
 
-func run(cfg runConfig) error {
+// serve runs the simulation and its HTTP API until SIGINT or SIGTERM, then
+// drains and flushes the journal. Everything it refuses, it refuses before
+// it listens.
+func serve(cfg runConfig, logger *log.Logger) error {
 	if cfg.tick <= 0 {
 		return fmt.Errorf("tick %v must be positive", cfg.tick)
 	}
@@ -339,7 +356,7 @@ func run(cfg runConfig) error {
 			}
 			next := rig.Eng.Now().Add(sim.Minute)
 			if err := rig.Run(next); err != nil {
-				log.Printf("simulation error: %v", err)
+				logger.Printf("simulation error: %v", err)
 				return
 			}
 			st.mu.Lock()
@@ -416,7 +433,7 @@ func run(cfg runConfig) error {
 	srv := &http.Server{Addr: cfg.addr, Handler: mux}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("powermon: serving %d×%d servers on %s (budget %.0f W/row, ampere=%v, obs=%v)",
+	logger.Printf("powermon: serving %d×%d servers on %s (budget %.0f W/row, ampere=%v, obs=%v)",
 		cfg.rows, cfg.rowServers, cfg.addr, budget, cfg.ampere, cfg.obs)
 
 	select {
@@ -428,17 +445,17 @@ func run(cfg runConfig) error {
 	case <-ctx.Done():
 	}
 
-	log.Printf("powermon: shutting down")
+	logger.Printf("powermon: shutting down")
 	<-simDone
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
-		log.Printf("powermon: shutdown: %v", err)
+		logger.Printf("powermon: shutdown: %v", err)
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	return flushJournal(journal, cfg.journalOut)
+	return flushJournal(journal, cfg.journalOut, logger)
 }
 
 // minutesToTime converts a (possibly fractional) simulated-minute offset to
@@ -447,7 +464,7 @@ func minutesToTime(m float64) sim.Time { return sim.Time(m * float64(sim.Minute)
 
 // flushJournal writes the journal to path as JSONL. A nil journal or empty
 // path is a no-op, so plain Ctrl-C exits stay silent.
-func flushJournal(journal *obs.Journal, path string) error {
+func flushJournal(journal *obs.Journal, path string, logger *log.Logger) error {
 	if journal == nil || path == "" {
 		return nil
 	}
@@ -463,6 +480,6 @@ func flushJournal(journal *obs.Journal, path string) error {
 	if cerr != nil {
 		return cerr
 	}
-	log.Printf("powermon: journal flushed to %s (%d events)", path, journal.Len())
+	logger.Printf("powermon: journal flushed to %s (%d events)", path, journal.Len())
 	return nil
 }

@@ -1,10 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
-	"time"
 )
+
+// runPowermon runs the command on args. The listen address is a port no
+// listener accepts, so a run that got past validation would fail at once
+// instead of binding and serving.
+func runPowermon(args ...string) (code int, stdout, stderr string) {
+	var out, errOut bytes.Buffer
+	code = run(append([]string{"-addr", ":-1"}, args...), &out, &errOut)
+	return code, out.String(), errOut.String()
+}
 
 // TestBuildStackRejectsPartialRacks: a row is whole 20-server racks, so a
 // row size that is not a positive multiple of 20 is refused instead of
@@ -22,12 +31,47 @@ func TestBuildStackRejectsPartialRacks(t *testing.T) {
 // real time, and a ticker cannot run at a zero or negative interval, so run
 // refuses such a tick before it builds anything.
 func TestRunRejectsNonPositiveTick(t *testing.T) {
-	for _, tick := range []time.Duration{0, -time.Second} {
-		cfg := runConfig{addr: "127.0.0.1:0", tick: tick, rows: 1, rowServers: 40,
-			target: 0.75, ro: 0.25, ampere: true, seed: 1}
-		err := run(cfg)
-		if err == nil || !strings.Contains(err.Error(), "tick") {
-			t.Errorf("tick %v: run returned %v, want a tick error", tick, err)
+	for _, tick := range []string{"0", "-1s"} {
+		code, _, errOut := runPowermon("-tick", tick, "-rows", "1", "-row-servers", "40")
+		if code != 1 || !strings.HasPrefix(errOut, "powermon: tick ") {
+			t.Errorf("-tick %s: exit %d, stderr %q; want 1 and a tick error", tick, code, errOut)
+		}
+	}
+}
+
+// TestExitCodes pins powermon's exits without serving: 2 for a flag the
+// command does not define, 1 for a configuration it refuses. The row budget
+// is rated/(1+ro), so ro must be finite and ≥ 0, and the target a fraction
+// of rated in (0,1]; the -ampere=false cases reach no controller or breaker
+// that would refuse the budget on their own.
+func TestExitCodes(t *testing.T) {
+	code, out, errOut := runPowermon("-bogus")
+	if code != 2 || out != "" || !strings.Contains(errOut, "flag provided but not defined: -bogus\nUsage of powermon:") {
+		t.Errorf("-bogus: exit %d, stdout %q, stderr %q; want 2 and the usage", code, out, errOut)
+	}
+	if code, _, errOut := runPowermon("-h"); code != 0 || !strings.HasPrefix(errOut, "Usage of powermon:") {
+		t.Errorf("-h: exit %d, stderr %q; want 0 and the usage", code, errOut)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-tick", "0"}, "powermon: tick "},
+		{[]string{"-row-servers", "30"}, "powermon: row-servers 30 "},
+		{[]string{"-ro", "-1"}, "powermon: ro -1 "},
+		{[]string{"-ro", "-1", "-ampere=false"}, "powermon: ro -1 "},
+		{[]string{"-ro", "-1", "-ampere=false", "-obs=false"}, "powermon: ro -1 "},
+		{[]string{"-ro", "-2"}, "powermon: ro -2 "},
+		{[]string{"-ro", "NaN"}, "powermon: ro NaN "},
+		{[]string{"-ro", "+Inf"}, "powermon: ro +Inf "},
+		{[]string{"-target", "-1"}, "powermon: target -1 "},
+		{[]string{"-target", "0"}, "powermon: target 0 "},
+		{[]string{"-target", "1.5"}, "powermon: target 1.5 "},
+		{[]string{"-target", "NaN"}, "powermon: target NaN "},
+	} {
+		code, out, errOut := runPowermon(tc.args...)
+		if code != 1 || out != "" || !strings.HasPrefix(errOut, tc.want) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 1 and %q", tc.args, code, out, errOut, tc.want)
 		}
 	}
 }

@@ -101,8 +101,8 @@ func (b *Breaker) Instrument(reg *obs.Registry, domain string) {
 
 // New validates the config and builds a breaker over the servers.
 func New(eng *sim.Engine, cfg Config, servers []*cluster.Server) (*Breaker, error) {
-	if cfg.BudgetW <= 0 {
-		return nil, fmt.Errorf("breaker: budget %v must be positive", cfg.BudgetW)
+	if err := checkBudget(cfg.BudgetW); err != nil {
+		return nil, err
 	}
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("breaker: no servers")
@@ -144,10 +144,19 @@ func (b *Breaker) Tripped() (bool, sim.Time) { return b.tripped, b.tripTime }
 // carries over: heat built against the old limit does not reset merely
 // because the limit moved.
 func (b *Breaker) SetBudget(w float64) error {
-	if !(w > 0) { // rejects NaN too
-		return fmt.Errorf("breaker: budget %v must be positive", w)
+	if err := checkBudget(w); err != nil {
+		return err
 	}
 	b.cfg.BudgetW = w
+	return nil
+}
+
+// checkBudget rejects a limit the draw can never exceed (NaN, +Inf) or
+// always exceeds (zero, negative).
+func checkBudget(w float64) error {
+	if !(w > 0) || math.IsInf(w, 1) {
+		return fmt.Errorf("breaker: budget %v must be a finite positive number", w)
+	}
 	return nil
 }
 

@@ -30,8 +30,20 @@ func loadAll(servers []*cluster.Server, containers int) {
 func TestValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	servers := newServers(t, 2)
-	if _, err := New(eng, DefaultConfig(0), servers); err == nil {
-		t.Error("zero budget accepted")
+	b, err := New(eng, DefaultConfig(100), servers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []float64{0, -100, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(eng, DefaultConfig(w), servers); err == nil {
+			t.Errorf("budget %v accepted by New", w)
+		}
+		if err := b.SetBudget(w); err == nil {
+			t.Errorf("budget %v accepted by SetBudget", w)
+		}
+	}
+	if b.Budget() != 100 {
+		t.Errorf("rejected budgets moved the limit to %v", b.Budget())
 	}
 	if _, err := New(eng, DefaultConfig(100), nil); err == nil {
 		t.Error("no servers accepted")

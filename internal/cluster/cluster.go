@@ -325,36 +325,14 @@ func (s *Server) RemoveCap() {
 // OnSpeedChange registers a listener notified whenever this server's DVFS
 // frequency factor changes; the interactive-service substrate uses it to
 // stretch request service times on the servers it occupies. Listeners run
-// after the fleet-wide ones (Cluster.OnSpeedChange), in registration order.
-// The returned detach func removes the listener (idempotent); a discarded
-// subscriber must call it, or the server keeps invoking the stale callback
-// forever. Detaching from within a speed notification is not supported.
-func (s *Server) OnSpeedChange(fn func(s *Server, oldSpeed float64)) (detach func()) {
-	c, l := s.c, &speedListener{fn: fn}
+// after the fleet-wide ones (Cluster.OnSpeedChange), in registration order,
+// and stay for the cluster's lifetime.
+func (s *Server) OnSpeedChange(fn func(s *Server, oldSpeed float64)) {
+	c := s.c
 	if c.serverListeners == nil {
-		c.serverListeners = make(map[ServerID][]*speedListener)
+		c.serverListeners = make(map[ServerID][]func(s *Server, oldSpeed float64))
 	}
-	c.serverListeners[s.ID] = append(c.serverListeners[s.ID], l)
-	return func() {
-		ls := c.serverListeners[s.ID]
-		for i, x := range ls {
-			if x != l {
-				continue
-			}
-			if len(ls) == 1 {
-				delete(c.serverListeners, s.ID)
-			} else {
-				c.serverListeners[s.ID] = append(ls[:i], ls[i+1:]...)
-			}
-			return
-		}
-	}
-}
-
-// speedListener wraps a per-server callback so detaching can find its own
-// registration by identity (func values are not comparable).
-type speedListener struct {
-	fn func(s *Server, oldSpeed float64)
+	c.serverListeners[s.ID] = append(c.serverListeners[s.ID], fn)
 }
 
 func (s *Server) notifySpeed(old float64) {
@@ -364,8 +342,8 @@ func (s *Server) notifySpeed(old float64) {
 	for _, fn := range s.c.fleetListeners {
 		fn(s, old)
 	}
-	for _, l := range s.c.serverListeners[s.ID] {
-		l.fn(s, old)
+	for _, fn := range s.c.serverListeners[s.ID] {
+		fn(s, old)
 	}
 }
 
@@ -389,7 +367,7 @@ type Cluster struct {
 	// only server id's, and has entries only for servers someone subscribed
 	// to (the few a service instance sits on), so the fleet pays nothing.
 	fleetListeners  []func(s *Server, oldSpeed float64)
-	serverListeners map[ServerID][]*speedListener
+	serverListeners map[ServerID][]func(s *Server, oldSpeed float64)
 }
 
 // New builds a cluster from spec, seeding each server's measurement-noise

@@ -150,10 +150,13 @@ func runFig11Scenario(cfg Fig11Config, ops []service.Op, ampere bool) (*fig11Sce
 		}
 		hosts = append(hosts, sv)
 	}
+	// One steady class offering RequestsPerSecond to each instance; its name
+	// keys the class's RNG stream.
 	svcCfg := service.Config{
-		RequestsPerSecond: cfg.RequestsPerSecond,
-		Ops:               ops,
-		Window:            10 * sim.Second,
+		Classes: []service.Class{{Name: "default", Kind: service.Steady,
+			Users: len(hosts), RPSPerUser: cfg.RequestsPerSecond}},
+		Ops:    ops,
+		Window: 10 * sim.Second,
 	}
 	svc, err := service.New(rig.Eng, cfg.Seed, svcCfg, hosts)
 	if err != nil {

@@ -40,12 +40,11 @@ func (k ArrivalKind) String() string {
 	}
 }
 
-// Class is one population of simulated clients sharing an arrival process, a
-// request mix and a latency objective. Only the aggregate arrival rate is
-// simulated — Users × RPSPerUser requests/s spread across the service's
-// instances — never per-user state, which is what lets a few classes model
-// millions of users over a 100k-server fleet at a cost independent of the
-// population size.
+// Class is one population of simulated clients sharing an arrival process.
+// Only the aggregate arrival rate is simulated — Users × RPSPerUser
+// requests/s spread across the service's instances — never per-user state,
+// which is what lets a few classes model millions of users over a
+// 100k-server fleet at a cost independent of the population size.
 type Class struct {
 	Name string
 	Kind ArrivalKind
@@ -64,21 +63,13 @@ type Class struct {
 	BurstMult      float64
 	BurstStartProb float64
 	BurstStopProb  float64
-	// OpMix weights the service's operation table for this class (uniform
-	// when nil); premium classes can skew toward cheap point reads while
-	// batchy ones favour heavy scans.
-	OpMix []float64
-	// SLOScale scales every operation's latency objective for this class
-	// (≤ 0 means 1): a premium class holds a tighter SLO over the same ops.
-	SLOScale float64
 }
 
 // BaseRPS returns the class's aggregate base arrival rate in requests/s.
 func (c Class) BaseRPS() float64 { return float64(c.Users) * c.RPSPerUser }
 
-// validate rejects unusable class parameters. nops is the service's
-// operation count (for the OpMix length check).
-func (c Class) validate(nops int) error {
+// validate rejects unusable class parameters.
+func (c Class) validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("class has no name")
 	}
@@ -105,9 +96,6 @@ func (c Class) validate(nops int) error {
 	default:
 		return fmt.Errorf("class %s has unknown arrival kind %d", c.Name, int(c.Kind))
 	}
-	if c.OpMix != nil && len(c.OpMix) != nops {
-		return fmt.Errorf("class %s OpMix has %d weights for %d ops", c.Name, len(c.OpMix), nops)
-	}
 	return nil
 }
 
@@ -128,16 +116,14 @@ func DefaultClasses(users int, rpsPerUser float64) []Class {
 	}
 }
 
-// classState is one class's runtime: its static config, cumulative op mix,
-// per-op SLOs, MMPP phase and the rate in force for the window being closed.
+// classState is one class's runtime: its static config, MMPP phase and the
+// rate in force for the window being closed.
 type classState struct {
 	cfg   Class
 	rng   *rand.Rand // MMPP phase transitions only
-	cum   []float64  // cumulative op-mix weights, normalized
-	sloUS []float64  // per-op latency objective, SLOScale applied
 	burst bool       // Flash kind: currently in a flash crowd
 	// rateRPS is the aggregate arrival rate used for the most recently
-	// closed window (exported to /metrics and recorded into traces).
+	// closed window (exported to /metrics).
 	rateRPS float64
 }
 

@@ -1,11 +1,18 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/sim"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden trace files")
 
 func TestClassValidation(t *testing.T) {
 	eng := sim.NewEngine()
@@ -28,32 +35,18 @@ func TestClassValidation(t *testing.T) {
 		{Name: "c", Kind: Flash, Users: 10, RPSPerUser: 1, BurstMult: math.NaN()},             // NaN mult
 		{Name: "c", Kind: Flash, Users: 10, RPSPerUser: 1, BurstMult: 2, BurstStartProb: 1.5}, // prob > 1
 		{Name: "c", Kind: ArrivalKind(99), Users: 10, RPSPerUser: 1},                          // unknown kind
-		{Name: "c", Kind: Steady, Users: 10, RPSPerUser: 1, OpMix: []float64{1, 1}},           // mix length
 	}
 	for i, c := range bad {
 		if try(c) == nil {
 			t.Errorf("bad class %d accepted: %+v", i, c)
 		}
 	}
-	// Duplicate class names and class/legacy conflicts.
 	cfg := Config{Classes: []Class{
 		{Name: "c", Kind: Steady, Users: 10, RPSPerUser: 1},
 		{Name: "c", Kind: Steady, Users: 10, RPSPerUser: 1},
 	}, Ops: ops, Window: 10 * sim.Second}
 	if _, err := New(eng, 1, cfg, servers); err == nil {
 		t.Error("duplicate class names accepted")
-	}
-	cfg = Config{RequestsPerSecond: 100,
-		Classes: []Class{{Name: "c", Kind: Steady, Users: 10, RPSPerUser: 1}},
-		Ops:     ops, Window: 10 * sim.Second}
-	if _, err := New(eng, 1, cfg, servers); err == nil {
-		t.Error("Classes together with RequestsPerSecond accepted")
-	}
-	cfg = Config{OpMix: []float64{1},
-		Classes: []Class{{Name: "c", Kind: Steady, Users: 10, RPSPerUser: 1}},
-		Ops:     ops, Window: 10 * sim.Second}
-	if _, err := New(eng, 1, cfg, servers); err == nil {
-		t.Error("top-level OpMix together with Classes accepted")
 	}
 }
 
@@ -65,7 +58,7 @@ func TestDefaultClassesShape(t *testing.T) {
 	users := 0
 	var total float64
 	for _, c := range cs {
-		if err := c.validate(1); err != nil {
+		if err := c.validate(); err != nil {
 			t.Errorf("default class %s invalid: %v", c.Name, err)
 		}
 		users += c.Users
@@ -197,36 +190,68 @@ func TestMultiClassDeterminism(t *testing.T) {
 	}
 }
 
-func TestClassSLOScaleTightensObjective(t *testing.T) {
-	// Two identical steady classes; the premium one holds a 0.5× (tighter)
-	// SLO barely below the achievable latency, so it misses while the
-	// relaxed class does not.
-	eng := sim.NewEngine()
-	servers := newServers(t, 1)
+// rateTrace is the golden file's layout: each closed window's aggregate
+// arrival rate per class, in requests/s.
+type rateTrace struct {
+	WindowMS int64       `json:"window_ms"`
+	Classes  []string    `json:"classes"`
+	Rates    [][]float64 `json:"rates"`
+}
+
+// The committed golden trace pins the class-rate streams — the diurnal curve
+// and the MMPP phases under a fixed seed — of a bursty three-class mix over
+// two servers, its BurstStartProb high enough that flash crowds ignite within
+// the 12 windows. The rates are read after each window closes. Regenerate
+// with `go test ./internal/service/ -run TestGoldenTrace -update`.
+func TestGoldenTrace(t *testing.T) {
 	cfg := Config{
 		Classes: []Class{
-			{Name: "relaxed", Kind: Steady, Users: 100, RPSPerUser: 0.5},
-			{Name: "premium", Kind: Steady, Users: 100, RPSPerUser: 0.5, SLOScale: 0.5},
+			{Name: "steady", Kind: Steady, Users: 3000, RPSPerUser: 0.5},
+			{Name: "diurnal", Kind: Diurnal, Users: 1500, RPSPerUser: 0.5,
+				PeakHour: 14, Amplitude: 0.4},
+			{Name: "flash", Kind: Flash, Users: 800, RPSPerUser: 0.5,
+				BurstMult: 4, BurstStartProb: 0.3, BurstStopProb: 0.3},
 		},
-		Ops:    []Op{{Name: "GET", BaseServiceUS: 100, SLOUS: 150}},
+		Ops:    []Op{{Name: "GET", BaseServiceUS: 50, SLOUS: 1000}, {Name: "SET", BaseServiceUS: 60, SLOUS: 1200}},
 		Window: 10 * sim.Second,
 	}
-	s, err := New(eng, 11, cfg, servers)
+	eng := sim.NewEngine()
+	s, err := New(eng, 77, cfg, newServers(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Start()
-	if err := eng.RunUntil(sim.Time(2 * sim.Minute)); err != nil {
+	tr := rateTrace{WindowMS: int64(cfg.Window / sim.Millisecond)}
+	for _, c := range cfg.Classes {
+		tr.Classes = append(tr.Classes, c.Name)
+	}
+	for w := 1; w <= 12; w++ {
+		if err := eng.RunUntil(sim.Time(w) * sim.Time(cfg.Window)); err != nil {
+			t.Fatal(err)
+		}
+		row := make([]float64, 0, len(s.classes))
+		for _, cs := range s.classes {
+			row = append(row, cs.rateRPS)
+		}
+		tr.Rates = append(tr.Rates, row)
+	}
+	got, err := json.MarshalIndent(tr, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	// premium SLO = 75 µs < 100 µs base service time: every request misses.
-	if miss := s.ClassSLOMissRate(1); miss < 0.99 {
-		t.Errorf("premium class miss rate %.3f, want ≈1", miss)
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "golden_trace.json")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if miss := s.ClassSLOMissRate(0); miss > 0.05 {
-		t.Errorf("relaxed class miss rate %.3f, want ≈0", miss)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-	if s.TotalSLOMissRate() <= 0 {
-		t.Error("total miss rate should reflect the premium misses")
+	if !bytes.Equal(got, want) {
+		t.Errorf("class rates diverged from golden file %s:\n got: %s\nwant: %s\n(run with -update to regenerate)",
+			path, bytes.TrimSpace(got), bytes.TrimSpace(want))
 	}
 }

@@ -16,9 +16,8 @@ import (
 // wideRig is a service above the fan-out threshold: 100 loaded hosts under
 // the three default classes at rps requests/s an instance, 1 s windows.
 // Every third host is capped to half speed and released again every 300 ms,
-// so windows hold several frequency segments. cfg, when not nil, edits the
-// configuration before New.
-func wideRig(t testing.TB, rps int, cfg func(*Config)) (*Service, *sim.Engine) {
+// so windows hold several frequency segments.
+func wideRig(t testing.TB, rps int) (*Service, *sim.Engine) {
 	t.Helper()
 	sp := cluster.DefaultSpec()
 	sp.Rows, sp.RacksPerRow, sp.ServersPerRack = 1, 5, 20
@@ -31,9 +30,6 @@ func wideRig(t testing.TB, rps int, cfg func(*Config)) (*Service, *sim.Engine) {
 		sv.Allocate(8, 8)
 	}
 	config := Config{Classes: DefaultClasses(len(c.Servers)*rps, 1), Window: sim.Second}
-	if cfg != nil {
-		cfg(&config)
-	}
 	eng := sim.NewEngine()
 	s, err := New(eng, 29, config, c.Servers)
 	if err != nil {
@@ -94,7 +90,7 @@ func TestReplayIdenticalAtAnyGOMAXPROCS(t *testing.T) {
 	const windows = 4
 	run := func(procs int) *Service {
 		runtime.GOMAXPROCS(procs)
-		s, eng := wideRig(t, 1500, nil)
+		s, eng := wideRig(t, 1500)
 		if err := eng.RunUntil(sim.Time(windows * sim.Second)); err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +145,7 @@ func TestReplayInlineUnderTwoShares(t *testing.T) {
 	if w := quick.replayWidth(); w != 1 {
 		t.Errorf("a 4,650-arrival window replays on %d goroutines, want 1", w)
 	}
-	wide, eng := wideRig(t, 1500, nil)
+	wide, eng := wideRig(t, 1500)
 	if err := eng.RunUntil(sim.Time(sim.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +178,7 @@ func windowMallocs(runs int, f func()) uint64 {
 // between windows.
 func TestParallelReplayAllocatesAndParksNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	s, eng := wideRig(t, 1000, nil)
+	s, eng := wideRig(t, 1000)
 	now := sim.Time(0)
 	window := func() {
 		now = now.Add(sim.Second)
@@ -212,20 +208,20 @@ func TestParallelReplayAllocatesAndParksNothing(t *testing.T) {
 
 // A service dropped after parallel windows is garbage: no parked helper
 // holds it (a stack per /whatif query would otherwise never be freed). The
-// finalizer sits on the recorded trace, which only the service reaches and
+// finalizer sits on the operation table, which only the service reaches and
 // which is in no cycle, so its finalizer can run.
 func TestParallelReplayPinsNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	collected := make(chan struct{}, 1)
 	func() {
-		s, eng := wideRig(t, 1000, func(c *Config) { c.Record = true })
+		s, eng := wideRig(t, 1000)
 		if err := eng.RunUntil(sim.Time(3 * sim.Second)); err != nil {
 			t.Fatal(err)
 		}
 		if w := s.replayWidth(); w < 2 {
 			t.Fatalf("the rig replays on %d goroutine; the guard needs helpers", w)
 		}
-		runtime.SetFinalizer(s.Recorded(), func(*Trace) { collected <- struct{}{} })
+		runtime.SetFinalizer(&s.Ops()[0], func(*Op) { collected <- struct{}{} })
 	}()
 	for i := 0; ; i++ {
 		runtime.GC()

@@ -8,13 +8,12 @@
 // freeze/unfreeze never touches running instances.
 //
 // Traffic comes from client classes (see Class): each class owns an arrival
-// process — steady Poisson, diurnal, or bursty MMPP flash crowd — a request
-// mix and a latency SLO. Per window the classes' aggregate rates compose
-// into one per-instance arrival stream (exponential inter-arrival gaps, each
-// arrival assigned to a class proportionally to its rate share), so the cost
-// of a window scales with the number of requests, not the number of
-// simulated users. Window rates can be recorded to and replayed from a
-// Trace.
+// process — steady Poisson, diurnal, or bursty MMPP flash crowd — over the
+// service's one operation table. Per window the classes' aggregate rates
+// compose into one per-instance arrival stream (exponential inter-arrival
+// gaps, each arrival assigned to a class proportionally to its rate share,
+// then to an operation uniformly), so the cost of a window scales with the
+// number of requests, not the number of simulated users.
 package service
 
 import (
@@ -62,37 +61,16 @@ func DefaultOps() []Op {
 
 // Config parameterizes the client load.
 type Config struct {
-	// RequestsPerSecond is the legacy single-class configuration: a steady
-	// open-loop request rate per instance, split across Ops by OpMix. It
-	// maps onto one Steady class and must be zero when Classes is set.
-	RequestsPerSecond float64
 	// Classes are the client populations driving the service; their
 	// aggregate arrival rate is spread evenly across the instances.
 	Classes []Class
-	// Ops lists the operation types (DefaultOps when nil).
+	// Ops lists the operation types (DefaultOps when nil); every request
+	// draws one uniformly.
 	Ops []Op
-	// OpMix weights the operations for the legacy single-class path
-	// (uniform when nil). Per-class mixes live on Class.OpMix.
-	OpMix []float64
 	// Window is the batch-processing granularity; requests within a window
 	// are generated and replayed against the recorded frequency history at
-	// the window's end. Must be positive (default 10 s).
+	// the window's end. Zero means 10 s; negative is an error.
 	Window sim.Duration
-	// Replay, when set, drives every window's class rates from the trace
-	// (cycling past its horizon) instead of the classes' arrival processes.
-	// The trace's classes must match Classes by name and order, and its
-	// window must equal Window.
-	Replay *Trace
-	// Record captures each window's class rates; Recorded returns the
-	// accumulated trace.
-	Record bool
-}
-
-// DefaultConfig returns a moderate per-instance load (ρ ≈ 0.2 at full speed
-// with the default mix) that leaves clear headroom at full frequency and
-// visible queueing when capped to half.
-func DefaultConfig() Config {
-	return Config{RequestsPerSecond: 1200, Window: 10 * sim.Second}
 }
 
 type speedSeg struct {
@@ -107,11 +85,10 @@ type instance struct {
 	// single thread frees up.
 	busyUntilMS float64
 	// segs is the frequency history within the current window, starting
-	// with the speed at the window's start. While the service is stopped
-	// the listener keeps it collapsed to the single current-speed segment,
-	// so an idle Service stays O(1) under 1 s capping churn.
-	segs   []speedSeg
-	detach func()
+	// with the speed at the window's start. Until the service starts the
+	// listener keeps it collapsed to the single current-speed segment, so
+	// an unstarted Service stays O(1) under 1 s capping churn.
+	segs []speedSeg
 	// out is the instance's replay of the window being closed, in arrival
 	// order: the sample phase writes it, the publish phase reads it.
 	out []arrival
@@ -150,22 +127,20 @@ const (
 // goroutines while the simulation thread closes windows.
 type Service struct {
 	eng       *sim.Engine
-	cfg       Config
+	window    sim.Duration
 	ops       []Op
+	opCum     []float64 // cumulative uniform op weights, for pickCum
 	classes   []*classState
 	instances []*instance
-	handle    sim.Handle
 	running   bool
-	closed    bool
 	winStart  sim.Time
-	windowIdx int64 // windows closed since New (the trace cursor)
+	windowIdx int64 // windows closed since New
 
 	mu        sync.Mutex
 	served    [][]int64               // [class][op]
 	sloMisses [][]int64               // [class][op]
 	hist      [][]*stats.LogHistogram // [class][op], latency in µs
-	recorded  *Trace
-	cumShare  []float64 // scratch: cumulative class rate shares this window
+	cumShare  []float64               // scratch: cumulative class rate shares this window
 
 	// The sample phase of a window: every goroutine claims blocks of
 	// instances from nextInst and replays them against win — the caller
@@ -185,12 +160,19 @@ type Service struct {
 // New pins one service instance on each given server and prepares the client
 // load. The caller is responsible for reserving scheduler containers for the
 // instances (scheduler.Reserve) so placement and power see their footprint.
-// A Service holds speed-change subscriptions on its servers until Close.
+// A Service subscribes to its servers' speed changes for the cluster's
+// lifetime.
 func New(eng *sim.Engine, seed uint64, cfg Config, servers []*cluster.Server) (*Service, error) {
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("service: no servers")
 	}
-	if cfg.Window <= 0 {
+	if len(cfg.Classes) == 0 {
+		return nil, fmt.Errorf("service: no client classes")
+	}
+	switch {
+	case cfg.Window < 0:
+		return nil, fmt.Errorf("service: negative window %v", cfg.Window)
+	case cfg.Window == 0:
 		cfg.Window = 10 * sim.Second
 	}
 	ops := cfg.Ops
@@ -203,81 +185,20 @@ func New(eng *sim.Engine, seed uint64, cfg Config, servers []*cluster.Server) (*
 		}
 	}
 
-	classes := cfg.Classes
-	if len(classes) == 0 {
-		// Legacy single-class path: one steady population whose aggregate
-		// rate is RequestsPerSecond per instance.
-		if !(cfg.RequestsPerSecond > 0) || math.IsInf(cfg.RequestsPerSecond, 0) {
-			return nil, fmt.Errorf("service: non-positive request rate %v", cfg.RequestsPerSecond)
-		}
-		classes = []Class{{
-			Name: "default", Kind: Steady,
-			Users: len(servers), RPSPerUser: cfg.RequestsPerSecond,
-			OpMix: cfg.OpMix,
-		}}
-	} else {
-		if cfg.RequestsPerSecond != 0 {
-			return nil, fmt.Errorf("service: both Classes and RequestsPerSecond set")
-		}
-		if cfg.OpMix != nil {
-			return nil, fmt.Errorf("service: top-level OpMix with Classes (set Class.OpMix instead)")
-		}
+	s := &Service{eng: eng, window: cfg.Window, ops: ops, opCum: make([]float64, len(ops))}
+	for i := range s.opCum {
+		s.opCum[i] = float64(i+1) / float64(len(ops))
 	}
-
-	s := &Service{eng: eng, cfg: cfg, ops: ops}
-	names := make(map[string]bool, len(classes))
-	for ci, c := range classes {
-		if err := c.validate(len(ops)); err != nil {
+	names := make(map[string]bool, len(cfg.Classes))
+	for ci, c := range cfg.Classes {
+		if err := c.validate(); err != nil {
 			return nil, fmt.Errorf("service: class %d: %w", ci, err)
 		}
 		if names[c.Name] {
 			return nil, fmt.Errorf("service: class %q duplicated", c.Name)
 		}
 		names[c.Name] = true
-		cum, err := cumulativeMix(c.OpMix, len(ops))
-		if err != nil {
-			return nil, fmt.Errorf("service: class %s: %w", c.Name, err)
-		}
-		scale := c.SLOScale
-		if scale <= 0 {
-			scale = 1
-		}
-		slo := make([]float64, len(ops))
-		for oi, op := range ops {
-			slo[oi] = op.SLOUS * scale
-		}
-		s.classes = append(s.classes, &classState{
-			cfg:   c,
-			rng:   sim.SubRNG(seed, "service-class-"+c.Name),
-			cum:   cum,
-			sloUS: slo,
-		})
-	}
-
-	if tr := cfg.Replay; tr != nil {
-		if err := tr.Validate(); err != nil {
-			return nil, err
-		}
-		if tr.WindowMS != int64(cfg.Window/sim.Millisecond) {
-			return nil, fmt.Errorf("service: trace window %d ms does not match configured window %v",
-				tr.WindowMS, cfg.Window)
-		}
-		if len(tr.Classes) != len(s.classes) {
-			return nil, fmt.Errorf("service: trace has %d classes, service has %d",
-				len(tr.Classes), len(s.classes))
-		}
-		for i, name := range tr.Classes {
-			if name != s.classes[i].cfg.Name {
-				return nil, fmt.Errorf("service: trace class %d is %q, service has %q",
-					i, name, s.classes[i].cfg.Name)
-			}
-		}
-	}
-	if cfg.Record {
-		s.recorded = &Trace{WindowMS: int64(cfg.Window / sim.Millisecond)}
-		for _, cs := range s.classes {
-			s.recorded.Classes = append(s.recorded.Classes, cs.cfg.Name)
-		}
+		s.classes = append(s.classes, &classState{cfg: c, rng: sim.SubRNG(seed, "service-class-"+c.Name)})
 	}
 
 	s.served = make([][]int64, len(s.classes))
@@ -308,7 +229,7 @@ func New(eng *sim.Engine, seed uint64, cfg Config, servers []*cluster.Server) (*
 			rng:    sim.SubRNG(seed, fmt.Sprintf("service-instance-%d", i)),
 		}
 		inst.segs = []speedSeg{{at: eng.Now(), speed: sv.Speed()}}
-		inst.detach = sv.OnSpeedChange(func(srv *cluster.Server, old float64) {
+		sv.OnSpeedChange(func(srv *cluster.Server, old float64) {
 			if s.running {
 				inst.segs = append(inst.segs, speedSeg{at: s.eng.Now(), speed: srv.Speed()})
 				return
@@ -323,88 +244,26 @@ func New(eng *sim.Engine, seed uint64, cfg Config, servers []*cluster.Server) (*
 	return s, nil
 }
 
-// cumulativeMix normalizes op-mix weights (uniform when nil) into cumulative
-// form for sampling.
-func cumulativeMix(mix []float64, nops int) ([]float64, error) {
-	if mix == nil {
-		mix = make([]float64, nops)
-		for i := range mix {
-			mix[i] = 1
-		}
-	}
-	if len(mix) != nops {
-		return nil, fmt.Errorf("OpMix has %d weights for %d ops", len(mix), nops)
-	}
-	cum := make([]float64, len(mix))
-	total := 0.0
-	for i, w := range mix {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("invalid op weight %v", w)
-		}
-		total += w
-		cum[i] = total
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("all op weights zero")
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	return cum, nil
-}
-
 // Start begins request processing; the first window closes one Window from
-// now. Starting resets the window state — each instance's frequency history
-// re-baselines at the server's current speed and the queue horizon clamps to
-// now — so a Stop/Start cycle behaves like a fresh start (cumulative
-// counters and the trace cursor carry over).
+// now, and each instance's frequency history starts at the server's current
+// speed. A second Start does nothing.
 func (s *Service) Start() {
-	if s.closed {
-		panic("service: Start after Close")
-	}
-	if s.handle != (sim.Handle{}) {
+	if s.running {
 		return
 	}
 	now := s.eng.Now()
 	s.winStart = now
 	for _, inst := range s.instances {
-		inst.segs = inst.segs[:1]
 		inst.segs[0] = speedSeg{at: now, speed: inst.server.Speed()}
-		if inst.busyUntilMS < float64(now) {
-			inst.busyUntilMS = float64(now)
-		}
 	}
 	s.running = true
-	s.handle = s.eng.Every(now.Add(s.cfg.Window), s.cfg.Window, "service-window", s.closeWindow)
-}
-
-// Stop halts request generation. Arrivals in the partially elapsed window
-// are discarded; a later Start resets the window state coherently.
-func (s *Service) Stop() {
-	s.eng.Cancel(s.handle)
-	s.handle = sim.Handle{}
-	s.running = false
-}
-
-// Close stops the service and detaches its speed-change subscriptions from
-// every server — a discarded Service must be closed, or the servers keep
-// notifying it forever. Accessors stay valid; Start after Close panics.
-func (s *Service) Close() {
-	s.Stop()
-	s.closed = true
-	for _, inst := range s.instances {
-		if inst.detach != nil {
-			inst.detach()
-			inst.detach = nil
-		}
-	}
+	s.eng.Every(now.Add(s.window), s.window, "service-window", s.closeWindow)
 }
 
 // Ops returns the operation table.
 func (s *Service) Ops() []Op { return s.ops }
 
-// Classes returns the client-class table (the synthesized "default" class on
-// the legacy single-rate path).
+// Classes returns the client-class table.
 func (s *Service) Classes() []Class {
 	out := make([]Class, len(s.classes))
 	for i, cs := range s.classes {
@@ -523,14 +382,6 @@ func (s *Service) TotalSLOMissRate() float64 {
 	return float64(missed) / float64(served)
 }
 
-// Recorded returns the trace accumulated so far (nil unless Config.Record).
-// The caller must not mutate it while the service is running.
-func (s *Service) Recorded() *Trace {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recorded
-}
-
 // mergedLocked returns the latency population for (class c, op i), merging
 // across classes when c < 0 and across ops when i < 0. When the selection is
 // a single histogram it is returned directly; merges allocate, which is fine
@@ -576,22 +427,9 @@ func (s *Service) closeWindow(now sim.Time) {
 	s.mu.Lock()
 	total := 0.0
 	for ci, cs := range s.classes {
-		var r float64
-		if s.cfg.Replay != nil {
-			r = s.cfg.Replay.window(s.windowIdx)[ci]
-		} else {
-			r = cs.windowRate(start)
-		}
-		cs.rateRPS = r
-		total += r
+		cs.rateRPS = cs.windowRate(start)
+		total += cs.rateRPS
 		s.cumShare[ci] = total
-	}
-	if s.recorded != nil {
-		row := make([]float64, len(s.classes))
-		for ci, cs := range s.classes {
-			row[ci] = cs.rateRPS
-		}
-		s.recorded.Rates = append(s.recorded.Rates, row)
 	}
 	s.windowIdx++
 	if total > 0 {
@@ -604,10 +442,8 @@ func (s *Service) closeWindow(now sim.Time) {
 	}
 	s.mu.Unlock()
 
-	if s.cfg.Replay == nil {
-		for _, cs := range s.classes {
-			cs.advancePhase()
-		}
+	for _, cs := range s.classes {
+		cs.advancePhase()
 	}
 	for _, inst := range s.instances {
 		// Compress history: keep only the current speed for the next window.
@@ -690,7 +526,7 @@ func (s *Service) publish() {
 		for _, a := range inst.out {
 			s.hist[a.class][a.op].Add(a.latencyUS)
 			s.served[a.class][a.op]++
-			if slo := s.classes[a.class].sloUS[a.op]; slo > 0 && a.latencyUS > slo {
+			if slo := s.ops[a.op].SLOUS; slo > 0 && a.latencyUS > slo {
 				s.sloMisses[a.class][a.op]++
 			}
 		}
@@ -701,8 +537,8 @@ func (s *Service) publish() {
 // inter-arrival gaps at the composed rate, no per-request allocation — and
 // pushes them through the instance's single-threaded FCFS queue, writing each
 // one's latency, class and operation to inst.out. Each arrival picks its
-// class proportionally to the classes' rate shares, then an operation from
-// the class's mix. Within the window the frequency is piecewise constant per
+// class proportionally to the classes' rate shares, then an operation
+// uniformly. Within the window the frequency is piecewise constant per
 // the recorded segments; work started near the window edge is finished at
 // the final segment's speed (exact unless the frequency changes again
 // immediately, a negligible horizon at 10 s windows vs 1 s capping).
@@ -720,7 +556,7 @@ func (s *Service) replay(inst *instance) {
 		if !single {
 			ci = pickCum(r, s.cumShare)
 		}
-		opIdx := pickCum(r, s.classes[ci].cum)
+		opIdx := pickCum(r, s.opCum)
 		startSvc := at
 		if inst.busyUntilMS > startSvc {
 			startSvc = inst.busyUntilMS

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -20,47 +19,43 @@ func newServers(t *testing.T, n int) []*cluster.Server {
 	return c.Servers
 }
 
+// steadyConfig is fig11's shape: one steady class offering rps requests/s to
+// each of n instances over ops (DefaultOps when none), in 10 s windows.
+func steadyConfig(n int, rps float64, ops ...Op) Config {
+	return Config{
+		Classes: []Class{{Name: "default", Kind: Steady, Users: n, RPSPerUser: rps}},
+		Ops:     ops,
+		Window:  10 * sim.Second,
+	}
+}
+
 func TestValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	servers := newServers(t, 1)
-	if _, err := New(eng, 1, DefaultConfig(), nil); err == nil {
+	if _, err := New(eng, 1, steadyConfig(1, 1200), nil); err == nil {
 		t.Error("no servers accepted")
 	}
-	cfg := DefaultConfig()
-	cfg.RequestsPerSecond = 0
-	if _, err := New(eng, 1, cfg, servers); err == nil {
+	if _, err := New(eng, 1, Config{}, servers); err == nil {
+		t.Error("no classes accepted")
+	}
+	if _, err := New(eng, 1, steadyConfig(1, 0), servers); err == nil {
 		t.Error("zero rate accepted")
 	}
-	cfg = DefaultConfig()
-	cfg.Ops = []Op{{Name: "BAD", BaseServiceUS: 0}}
-	if _, err := New(eng, 1, cfg, servers); err == nil {
+	if _, err := New(eng, 1, steadyConfig(1, 1200, Op{Name: "BAD", BaseServiceUS: 0}), servers); err == nil {
 		t.Error("zero service time accepted")
 	}
-	cfg = DefaultConfig()
-	cfg.OpMix = []float64{1}
+	cfg := steadyConfig(1, 1200)
+	cfg.Window = -sim.Second
 	if _, err := New(eng, 1, cfg, servers); err == nil {
-		t.Error("mismatched mix accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.Ops = []Op{{Name: "A", BaseServiceUS: 50}}
-	cfg.OpMix = []float64{-1}
-	if _, err := New(eng, 1, cfg, servers); err == nil {
-		t.Error("negative weight accepted")
-	}
-	cfg.OpMix = []float64{0}
-	if _, err := New(eng, 1, cfg, servers); err == nil {
-		t.Error("all-zero weights accepted")
+		t.Error("negative window accepted")
 	}
 }
 
 func TestFullSpeedLatencyNearServiceTime(t *testing.T) {
 	eng := sim.NewEngine()
 	servers := newServers(t, 2)
-	cfg := Config{
-		RequestsPerSecond: 400, // ρ = 400·50µs = 0.02: almost no queueing
-		Ops:               []Op{{Name: "GET", BaseServiceUS: 50}},
-		Window:            10 * sim.Second,
-	}
+	// ρ = 400·50µs = 0.02: almost no queueing.
+	cfg := steadyConfig(len(servers), 400, Op{Name: "GET", BaseServiceUS: 50})
 	s, err := New(eng, 7, cfg, servers)
 	if err != nil {
 		t.Fatal(err)
@@ -96,11 +91,8 @@ func TestCappingInflatesTailLatency(t *testing.T) {
 				sv.ApplyCap(level)
 			}
 		}
-		cfg := Config{
-			RequestsPerSecond: 4000, // ρ = 0.2 at full speed
-			Ops:               []Op{{Name: "GET", BaseServiceUS: 50}},
-			Window:            10 * sim.Second,
-		}
+		// ρ = 0.2 at full speed.
+		cfg := steadyConfig(len(servers), 4000, Op{Name: "GET", BaseServiceUS: 50})
 		s, err := New(eng, 7, cfg, servers)
 		if err != nil {
 			t.Fatal(err)
@@ -126,11 +118,8 @@ func TestMidWindowSpeedChange(t *testing.T) {
 	servers := newServers(t, 1)
 	sv := servers[0]
 	sv.Allocate(8, 8)
-	cfg := Config{
-		RequestsPerSecond: 100,
-		Ops:               []Op{{Name: "GET", BaseServiceUS: 100}},
-		Window:            sim.Minute,
-	}
+	cfg := steadyConfig(1, 100, Op{Name: "GET", BaseServiceUS: 100})
+	cfg.Window = sim.Minute
 	s, err := New(eng, 3, cfg, servers)
 	if err != nil {
 		t.Fatal(err)
@@ -157,29 +146,6 @@ func TestMidWindowSpeedChange(t *testing.T) {
 	}
 }
 
-func TestOpMixWeights(t *testing.T) {
-	eng := sim.NewEngine()
-	servers := newServers(t, 1)
-	cfg := Config{
-		RequestsPerSecond: 1000,
-		Ops:               []Op{{Name: "A", BaseServiceUS: 10}, {Name: "B", BaseServiceUS: 10}},
-		OpMix:             []float64{3, 1},
-		Window:            10 * sim.Second,
-	}
-	s, err := New(eng, 5, cfg, servers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	if err := eng.RunUntil(sim.Time(sim.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	a, b := float64(s.Served(0)), float64(s.Served(1))
-	if ratio := a / (a + b); math.Abs(ratio-0.75) > 0.03 {
-		t.Errorf("op A fraction %.3f, want 0.75", ratio)
-	}
-}
-
 func TestDefaultOpsShape(t *testing.T) {
 	ops := DefaultOps()
 	if len(ops) != 6 {
@@ -199,37 +165,27 @@ func TestDefaultOpsShape(t *testing.T) {
 	}
 }
 
+// A second Start neither adds a window stream nor moves the first one.
 func TestStartStopIdempotent(t *testing.T) {
 	eng := sim.NewEngine()
 	servers := newServers(t, 1)
-	cfg := DefaultConfig()
-	s, err := New(eng, 1, cfg, servers)
+	s, err := New(eng, 1, steadyConfig(1, 1200), servers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Start()
+	if err := eng.RunUntil(sim.Time(5 * sim.Second)); err != nil {
+		t.Fatal(err)
+	}
 	s.Start()
 	if err := eng.RunUntil(sim.Time(30 * sim.Second)); err != nil {
 		t.Fatal(err)
 	}
-	var total int64
-	for i := range s.Ops() {
-		total += s.Served(i)
+	if s.windowIdx != 3 {
+		t.Errorf("%d windows closed in 30 s of 10 s windows, want 3", s.windowIdx)
 	}
-	s.Stop()
-	s.Stop()
-	if err := eng.RunUntil(sim.Time(2 * sim.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	var after int64
-	for i := range s.Ops() {
-		after += s.Served(i)
-	}
-	if after != total {
-		t.Errorf("service kept serving after Stop: %d -> %d", total, after)
-	}
-	if total == 0 {
-		t.Error("nothing served before Stop")
+	if s.TotalServed() == 0 {
+		t.Error("nothing served")
 	}
 }
 
@@ -237,9 +193,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() (int64, float64) {
 		eng := sim.NewEngine()
 		servers := newServers(t, 2)
-		cfg := DefaultConfig()
-		cfg.RequestsPerSecond = 500
-		s, err := New(eng, 42, cfg, servers)
+		s, err := New(eng, 42, steadyConfig(len(servers), 500), servers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,11 +219,7 @@ func TestSLOMissTracking(t *testing.T) {
 	servers := newServers(t, 1)
 	// SLO just above the service time: at trivial load nearly nothing
 	// misses; with the host capped to half speed everything does.
-	cfg := Config{
-		RequestsPerSecond: 50,
-		Ops:               []Op{{Name: "GET", BaseServiceUS: 100, SLOUS: 150}},
-		Window:            10 * sim.Second,
-	}
+	cfg := steadyConfig(1, 50, Op{Name: "GET", BaseServiceUS: 100, SLOUS: 150})
 	s, err := New(eng, 5, cfg, servers)
 	if err != nil {
 		t.Fatal(err)
