@@ -113,11 +113,16 @@ golden-quick:
 golden-paper:
 	sh scripts/golden_paper
 
-# The parallel-sweep and parallel-replay guards count process-wide mallocs,
+# The parallel-sweep and parallel-replay guards, and those of the Loop pool
+# they share with the federation, count process-wide mallocs,
 # goroutines and finalizer runs, which one pass on a quiet machine says
 # little about: thirty in a row is what shows a guard that fails one run in
-# ten. The frame's reader/writer test is a race, so it runs under -race.
+# ten. The pool is state shared across packages, whose faults show as rare
+# hangs or pins. The frame's reader/writer test is a race, so it runs under
+# -race.
 flake:
+	go test ./internal/runner -run TestLoop -count=30
+	go test ./internal/federate -run PinsNothing -count=10
 	go test ./internal/monitor -run TestParallelSweep -count=30
 	go test -race ./internal/monitor -run TestFrameReadersSeeWholeSweeps -count=10
 	go test ./internal/service -run TestParallelReplay -count=30

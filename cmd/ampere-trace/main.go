@@ -88,6 +88,13 @@ func record(args []string, stdout, stderr io.Writer) error {
 	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
+	switch {
+	case !(*target > 0 && *target <= 1):
+		return fmt.Errorf("target %v outside (0,1]", *target)
+	case !(*amplitude >= 0) || math.IsInf(*amplitude, 1):
+		// A NaN amplitude makes every arrival rate NaN: no job ever arrives.
+		return fmt.Errorf("amplitude %v must be a finite number ≥ 0", *amplitude)
+	}
 
 	spec := stack.RowSpec(1, rowServers)
 	prod := workload.DefaultProduct("recorded", stack.JobsPerMinute(spec, *target, spec.TotalServers()))

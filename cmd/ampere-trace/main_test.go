@@ -99,6 +99,17 @@ func TestExitCodes(t *testing.T) {
 	if want := "ampere-trace: unknown regime \"bogus\" (cliff|ramp)\n"; code != 1 || errOut != want {
 		t.Errorf("why -regime bogus: exit %d, stderr %q; want 1 and %q", code, errOut, want)
 	}
+	// record refuses a target outside powermon's (0,1] and an amplitude that
+	// is not a finite number ≥ 0, before it simulates anything.
+	for _, tc := range []struct{ flag, value string }{
+		{"-target", "NaN"}, {"-target", "-1"}, {"-target", "0"}, {"-target", "1.5"},
+		{"-amplitude", "NaN"}, {"-amplitude", "-0.1"}, {"-amplitude", "+Inf"},
+	} {
+		code, out, errOut := runTrace("record", "-hours", "1", "-out", filepath.Join(t.TempDir(), "t.csv"), tc.flag, tc.value)
+		if want := "ampere-trace: " + tc.flag[1:] + " " + tc.value + " "; code != 1 || out != "" || !strings.HasPrefix(errOut, want) {
+			t.Errorf("record %s %s: exit %d, stdout %q, stderr %q; want 1 and %q", tc.flag, tc.value, code, out, errOut, want)
+		}
+	}
 	// A budget of rated/(1+ro) must be finite and positive: ro is finite
 	// and ≥ 0, checked before the trace is read.
 	for _, ro := range []string{"-1", "-2", "-0.5", "NaN", "+Inf"} {

@@ -317,8 +317,12 @@ func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*simSta
 // drains and flushes the journal. Everything it refuses, it refuses before
 // it listens.
 func serve(cfg runConfig, logger *log.Logger) error {
-	if cfg.tick <= 0 {
+	switch {
+	case cfg.tick <= 0:
 		return fmt.Errorf("tick %v must be positive", cfg.tick)
+	case cfg.journalCap <= 0:
+		// obs.NewJournal would take it for the default capacity.
+		return fmt.Errorf("journal-cap %d must be positive", cfg.journalCap)
 	}
 	var (
 		reg     *obs.Registry

@@ -57,6 +57,8 @@ func TestExitCodes(t *testing.T) {
 		want string
 	}{
 		{[]string{"-tick", "0"}, "powermon: tick "},
+		{[]string{"-journal-cap", "-5"}, "powermon: journal-cap -5 "},
+		{[]string{"-journal-cap", "0"}, "powermon: journal-cap 0 "},
 		{[]string{"-row-servers", "30"}, "powermon: row-servers 30 "},
 		{[]string{"-ro", "-1"}, "powermon: ro -1 "},
 		{[]string{"-ro", "-1", "-ampere=false"}, "powermon: ro -1 "},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/stack"
@@ -282,6 +283,50 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted", i)
+		}
+	}
+}
+
+// A federation dropped after parallel epochs is garbage: no parked shard
+// worker holds it (a federation per experiment run would otherwise never be
+// freed). The finalizer sits on a sentinel that only a DC monitor's callback
+// list reaches, because the federation's structures are cyclic and a
+// finalizer on an object of a cycle never runs. A sentinel is 32 bytes
+// because a pointer-free object under 16 shares a block of the tiny
+// allocator with whatever else is live, and then its finalizer may never run.
+func TestFederationPinsNothing(t *testing.T) {
+	type sentinel struct {
+		calls int
+		_     [3]int
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	collected := make(chan struct{}, 1)
+	func() {
+		cfg := testConfig(0)
+		cfg.DCs = cfg.DCs[:3]
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := new(sentinel)
+		runtime.SetFinalizer(s, func(*sentinel) { collected <- struct{}{} })
+		f.DCs[0].Mon.OnSample(func(sim.Time) { s.calls++ })
+		if _, err := f.Advance(3); err != nil {
+			t.Fatal(err)
+		}
+		if s.calls == 0 {
+			t.Fatal("DC 0's monitor never swept")
+		}
+	}()
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(100 * time.Millisecond):
+			if i == 20 {
+				t.Fatal("the federation was not collected after repeated GCs")
+			}
 		}
 	}
 }

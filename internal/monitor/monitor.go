@@ -10,12 +10,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/tsdb"
 )
@@ -62,11 +61,11 @@ const (
 	// shareServers is the fleet one sampling goroutine is worth: the sample
 	// phase uses min(GOMAXPROCS, servers/shareServers) of them. 32,768
 	// servers are ≥ 0.7 ms of sampling against the ~1 µs a helper costs to
-	// start, and every fleet under two shares sweeps inline.
+	// wake, and every fleet under two shares sweeps inline.
 	shareServers = 32768
-	// blockRows is how many rows one claim of the row cursor takes: few
-	// enough claims that the cursor is never contended, blocks small enough
-	// that the last one out keeps the others waiting for microseconds.
+	// blockRows is how many rows one index of the sample loop covers: few
+	// enough claims that the loop's cursor is never contended, blocks small
+	// enough that the last one out keeps the others waiting for microseconds.
 	blockRows = 16
 )
 
@@ -109,14 +108,8 @@ type Monitor struct {
 	rackNames []string
 	rowNames  []string
 
-	// The sample phase of a sweep: the calling goroutine and up to helpers
-	// more claim blocks of rows from nextRow. helper is their body, bound
-	// once, so that starting one allocates nothing; sampling waits for the
-	// helpers of the sweep in flight, and none outlives it.
-	helpers  int
-	helper   func()
-	nextRow  atomic.Int64
-	sampling sync.WaitGroup
+	// sample is the sweep's sample phase, one index a block of blockRows rows.
+	sample *runner.Loop
 
 	handle   sim.Handle
 	onSample []func(now sim.Time)
@@ -181,11 +174,7 @@ func New(eng *sim.Engine, c *cluster.Cluster, db *tsdb.DB, cfg Config) (*Monitor
 		}
 	}
 	m.names[racks+rows] = SeriesDC
-	m.helpers = max(len(c.Servers)/shareServers-1, 0)
-	m.helper = func() {
-		defer m.sampling.Done()
-		m.sampleRows()
-	}
+	m.sample = runner.NewLoop(m.sampleBlock)
 	if db != nil {
 		m.SetStore(db)
 	}
@@ -246,16 +235,7 @@ func (m *Monitor) Sweep(now sim.Time) {
 		start = time.Now()
 	}
 
-	m.nextRow.Store(0)
-	if m.helpers > 0 {
-		n := min(runtime.GOMAXPROCS(0)-1, m.helpers)
-		m.sampling.Add(n)
-		for range n {
-			go m.helper()
-		}
-	}
-	m.sampleRows()
-	m.sampling.Wait()
+	m.sample.Run(m.sweepWidth(), (m.c.Rows()+blockRows-1)/blockRows)
 
 	dcTotal := 0.0
 	for _, rowTotal := range m.lastRow {
@@ -276,35 +256,35 @@ func (m *Monitor) Sweep(now sim.Time) {
 	}
 }
 
-// sampleRows is the sample phase: it claims blocks of rows until none are
-// left and fills lastServer, lastRack and lastRow for them. Each row is
-// sampled into lastServer with one cluster.SamplePowers call, which reads the
-// cluster's sample column and never a Server record, then summed rack by
-// rack, every total in server-ID order from zero. Rows, and so servers, are
-// disjoint between goroutines.
-func (m *Monitor) sampleRows() {
+// sweepWidth is the sample phase's goroutine count:
+// min(GOMAXPROCS, servers/shareServers), and one — the caller, inline —
+// below two shares.
+func (m *Monitor) sweepWidth() int {
+	return min(runtime.GOMAXPROCS(0), max(len(m.c.Servers)/shareServers, 1))
+}
+
+// sampleBlock is the sample phase's body: it fills lastServer, lastRack and
+// lastRow for block b of rows. Each row is sampled into lastServer with one
+// cluster.SamplePowers call, which reads the cluster's sample column and
+// never a Server record, then summed rack by rack, every total in server-ID
+// order from zero. Blocks, and so servers, are disjoint between goroutines.
+func (m *Monitor) sampleBlock(b int) {
 	rows, racks := m.c.Rows(), m.c.Spec.RacksPerRow
 	perRow, perRack := m.c.Spec.ServersPerRow(), m.c.Spec.ServersPerRack
-	for {
-		lo := int(m.nextRow.Add(blockRows)) - blockRows
-		if lo >= rows {
-			return
-		}
-		for r := lo; r < min(lo+blockRows, rows); r++ {
-			row := m.lastServer[r*perRow : (r+1)*perRow]
-			m.c.SamplePowers(cluster.ServerID(r*perRow), row)
-			rowTotal := 0.0
-			rackTotals := m.lastRack[r*racks : (r+1)*racks]
-			for k := range rackTotals {
-				rackTotal := 0.0
-				for _, p := range row[k*perRack : (k+1)*perRack] {
-					rowTotal += p
-					rackTotal += p
-				}
-				rackTotals[k] = rackTotal
+	for r := b * blockRows; r < min((b+1)*blockRows, rows); r++ {
+		row := m.lastServer[r*perRow : (r+1)*perRow]
+		m.c.SamplePowers(cluster.ServerID(r*perRow), row)
+		rowTotal := 0.0
+		rackTotals := m.lastRack[r*racks : (r+1)*racks]
+		for k := range rackTotals {
+			rackTotal := 0.0
+			for _, p := range row[k*perRack : (k+1)*perRack] {
+				rowTotal += p
+				rackTotal += p
 			}
-			m.lastRow[r] = rowTotal
+			rackTotals[k] = rackTotal
 		}
+		m.lastRow[r] = rowTotal
 	}
 }
 

@@ -56,8 +56,8 @@ func TestSweepIdenticalAtAnyGOMAXPROCS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := m.helpers; got != 2 {
-				t.Fatalf("%d servers sweep with up to %d helper goroutines, want 2", len(c.Servers), got)
+			if got := m.sweepWidth(); got != min(procs, 3) {
+				t.Fatalf("%d servers sweep on %d goroutines at GOMAXPROCS %d", len(c.Servers), got, procs)
 			}
 			var rec *byNameStore
 			if byName {
@@ -104,11 +104,9 @@ func TestSweepIdenticalAtAnyGOMAXPROCS(t *testing.T) {
 // sweepMallocs is testing.AllocsPerRun without its GOMAXPROCS(1), under which
 // a sweep would take the inline path: after one warm-up call, the fewest heap
 // objects allocated during any one of runs calls. The count is process-wide
-// and the runtime allocates now and then — GC workers starting on the Ps
-// GOMAXPROCS just added, a goroutine record when `go helper()` finds its P's
-// free list empty because the last helpers exited on other Ps (a streak that
-// ends once those spill to the shared list) — so runs is large; what the sweep
-// itself allocates shows every time.
+// and the runtime allocates now and then (GC workers starting on the Ps
+// GOMAXPROCS just added), so runs is large; what the sweep itself allocates
+// shows every time.
 func sweepMallocs(runs int, f func()) uint64 {
 	f()
 	fewest := ^uint64(0)
@@ -123,8 +121,9 @@ func sweepMallocs(runs int, f func()) uint64 {
 }
 
 // The parallel sample phase keeps the sweep's contracts: no allocation in
-// steady state (the helpers are func values bound at construction), and no
-// goroutine left behind between sweeps.
+// steady state (the loop body is a method value bound at construction), and
+// no goroutine started by a warm sweep — the helpers are the pool's, parked
+// between sweeps.
 func TestParallelSweepAllocatesAndParksNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const retention = 64
@@ -142,20 +141,15 @@ func TestParallelSweepAllocatesAndParksNothing(t *testing.T) {
 			now = now.Add(sim.Minute)
 			m.Sweep(now)
 		}
-		goroutines := runtime.NumGoroutine()
 		for i := 0; i < 2*retention+2; i++ { // the TSDB's ring has wrapped: appends reuse its slots
 			sweep()
 		}
+		goroutines := runtime.NumGoroutine()
 		if allocs := sweepMallocs(100, sweep); allocs != 0 {
 			t.Errorf("tsdb %v: a three-goroutine sweep allocates %d objects, want 0", withDB, allocs)
 		}
-		// A helper is done (Sweep returned) a few instructions before it is gone.
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() != goroutines && time.Now().Before(deadline) {
-			runtime.Gosched()
-		}
 		if got := runtime.NumGoroutine(); got != goroutines {
-			t.Errorf("tsdb %v: %d goroutines after the sweeps, %d before", withDB, got, goroutines)
+			t.Errorf("tsdb %v: %d goroutines after the warm sweeps, %d before", withDB, got, goroutines)
 		}
 	}
 }
@@ -203,11 +197,12 @@ func TestParallelSweepPinsNothing(t *testing.T) {
 	}
 }
 
-// Under two shares (65,536 servers) there is no helper to start: the sweep
+// Under two shares (65,536 servers) there is no helper to wake: the sweep
 // of every test rig, every federation shard and the paper's rows is the
 // sample function called inline.
 func TestSweepInlineUnderTwoShares(t *testing.T) {
-	for rows, helpers := range map[int]int{1: 0, 163: 0, 164: 1, 250: 2} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for rows, width := range map[int]int{1: 1, 163: 1, 164: 2, 250: 3} {
 		sp := cluster.DefaultSpec()
 		sp.Rows = rows
 		c, err := cluster.New(sp, 1)
@@ -218,8 +213,8 @@ func TestSweepInlineUnderTwoShares(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.helpers; got != helpers {
-			t.Errorf("%d servers: %d helper goroutines available, want %d", len(c.Servers), got, helpers)
+		if got := m.sweepWidth(); got != width {
+			t.Errorf("%d servers sweep on %d goroutines, want %d", len(c.Servers), got, width)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TestFrameReadersSeeWholeSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.helpers == 0 {
+	if m.sweepWidth() < 2 {
 		t.Fatal("the fleet sweeps inline")
 	}
 	srv := httptest.NewServer(db.Handler())

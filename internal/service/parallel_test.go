@@ -157,8 +157,8 @@ func TestReplayInlineUnderTwoShares(t *testing.T) {
 // windowMallocs is testing.AllocsPerRun without its GOMAXPROCS(1), under
 // which a window would replay inline: after one warm-up call, the fewest heap
 // objects allocated during any one of runs calls. The count is process-wide
-// and the runtime allocates now and then (a goroutine record, GC workers on
-// new Ps), so what the window itself allocates shows as the minimum.
+// and the runtime allocates now and then (GC workers on new Ps), so what the
+// window itself allocates shows as the minimum.
 func windowMallocs(runs int, f func()) uint64 {
 	f()
 	fewest := ^uint64(0)
@@ -173,9 +173,9 @@ func windowMallocs(runs int, f func()) uint64 {
 }
 
 // The parallel sample phase keeps the replay's contracts: no allocation in
-// steady state — a helper is a func value bound in New, and every buffer is
-// sized on the caller before the fan-out — and no goroutine left behind
-// between windows.
+// steady state — the loop body is a method value bound in New, and every
+// buffer is sized on the caller before the fan-out — and no goroutine started
+// by a warm window: the helpers are the pool's, parked between windows.
 func TestParallelReplayAllocatesAndParksNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	s, eng := wideRig(t, 1000)
@@ -186,23 +186,18 @@ func TestParallelReplayAllocatesAndParksNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	goroutines := runtime.NumGoroutine()
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 10; i++ { // past the flash burst, the rig's widest windows (7 to 9)
 		window()
 	}
+	goroutines := runtime.NumGoroutine()
 	if w := s.replayWidth(); w < 2 {
 		t.Fatalf("the rig replays on %d goroutine; the guard needs helpers", w)
 	}
 	if allocs := windowMallocs(30, window); allocs != 0 {
 		t.Errorf("a %d-goroutine window allocates %d objects, want 0", s.replayWidth(), allocs)
 	}
-	// A helper is done (closeWindow returned) a few instructions before it is gone.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() != goroutines && time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
 	if got := runtime.NumGoroutine(); got != goroutines {
-		t.Errorf("%d goroutines after the windows, %d before", got, goroutines)
+		t.Errorf("%d goroutines after the warm windows, %d before", got, goroutines)
 	}
 }
 

@@ -22,9 +22,9 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cluster"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -110,13 +110,14 @@ const (
 	// shareArrivals is the window one replay goroutine is worth: the sample
 	// phase uses min(GOMAXPROCS, expected arrivals/shareArrivals) of them.
 	// 32,768 arrivals are about a millisecond of replay against the ~1 µs a
-	// helper costs to start, and a window under two shares replays inline:
+	// helper costs to wake, and a window under two shares replays inline:
 	// the quick rigs', the paper-scale fig11's and those of every test rig
 	// but the fan-out tests.
 	shareArrivals = 32768
-	// blockInstances is how many instances one claim of the cursor takes:
-	// few enough claims that the cursor is never contended, blocks small
-	// enough that the last one out keeps the others waiting for microseconds.
+	// blockInstances is how many instances one index of the replay loop
+	// covers: few enough claims that the loop's cursor is never contended,
+	// blocks small enough that the last one out keeps the others waiting for
+	// microseconds.
 	blockInstances = 8
 )
 
@@ -142,19 +143,10 @@ type Service struct {
 	hist      [][]*stats.LogHistogram // [class][op], latency in µs
 	cumShare  []float64               // scratch: cumulative class rate shares this window
 
-	// The sample phase of a window: every goroutine claims blocks of
-	// instances from nextInst and replays them against win — the caller
-	// directly, each helper through helper, a goroutine body bound once so
-	// that starting one allocates nothing. unstarted counts the helpers of
-	// the window not yet started; replaying is held while the caller
-	// replays. closeWindow waits for the helpers of the window in flight;
-	// none outlives it.
-	win       window
-	helper    func()
-	nextInst  atomic.Int64
-	unstarted atomic.Int32
-	replaying sync.WaitGroup
-	sampling  sync.WaitGroup
+	// The sample phase of a window: win is what every replay reads, and
+	// replays fans the replay out over blocks of blockInstances instances.
+	win     window
+	replays *runner.Loop
 }
 
 // New pins one service instance on each given server and prepares the client
@@ -216,12 +208,7 @@ func New(eng *sim.Engine, seed uint64, cfg Config, servers []*cluster.Server) (*
 		}
 	}
 	s.cumShare = make([]float64, len(s.classes))
-	s.helper = func() {
-		defer s.sampling.Done()
-		s.startHelper()
-		s.replayInstances()
-		s.replaying.Wait()
-	}
+	s.replays = runner.NewLoop(s.replayBlock)
 
 	for i, sv := range servers {
 		inst := &instance{
@@ -454,9 +441,8 @@ func (s *Service) closeWindow(now sim.Time) {
 
 // sample is the window's sample phase. An instance's replay touches only the
 // instance — its RNG, queue horizon, frequency history and arrival buffer —
-// and reads the window's rates, so replayWidth goroutines claim blocks of
-// instances from nextInst: the caller and replayWidth−1 helpers, which exit
-// with the window.
+// and reads the window's rates, so replayWidth goroutines replay blocks of
+// instances.
 func (s *Service) sample() {
 	// Sized here, a buffer never grows on a helper: a Poisson count stays
 	// within eight standard deviations of its mean. A quarter's headroom
@@ -468,33 +454,7 @@ func (s *Service) sample() {
 			inst.out = make([]arrival, 0, need+need/4)
 		}
 	}
-	s.nextInst.Store(0)
-	width := s.replayWidth()
-	s.sampling.Add(width - 1)
-	s.unstarted.Store(int32(width - 1))
-	s.replaying.Add(1)
-	s.startHelper()
-	s.replayInstances()
-	s.replaying.Done()
-	s.sampling.Wait()
-}
-
-// startHelper starts the window's next helper, if one is left to start.
-//
-// Where a helper's goroutine record goes matters: it returns to the free
-// list of the P the goroutine exits on, a go statement takes one from the
-// list of the P it runs on, and a record the runtime allocates because that
-// list was empty is never freed. So a helper that runs out of instances
-// waits for the caller to run out too, and the caller waits for the last
-// helper's Done, which wakes it on that helper's P: the record is back where
-// the next window's go statement looks. Each helper starts the next from its
-// own P for the same reason. Started from the caller's P and left to exit
-// wherever they ran, helpers retained about 20 KB at svc_slo's scale, a
-// fifth of its live heap.
-func (s *Service) startHelper() {
-	if s.unstarted.Add(-1) >= 0 {
-		go s.helper()
-	}
+	s.replays.Run(s.replayWidth(), (len(s.instances)+blockInstances-1)/blockInstances)
 }
 
 // replayWidth is the sample phase's goroutine count for the window in win:
@@ -505,17 +465,10 @@ func (s *Service) replayWidth() int {
 	return max(1, int(min(float64(runtime.GOMAXPROCS(0)), expected/shareArrivals)))
 }
 
-// replayInstances claims blocks of instances until none are left and
-// replays each into its own buffer.
-func (s *Service) replayInstances() {
-	for {
-		lo := int(s.nextInst.Add(blockInstances)) - blockInstances
-		if lo >= len(s.instances) {
-			return
-		}
-		for _, inst := range s.instances[lo:min(lo+blockInstances, len(s.instances))] {
-			s.replay(inst)
-		}
+// replayBlock replays block b of instances, each into its own buffer.
+func (s *Service) replayBlock(b int) {
+	for _, inst := range s.instances[b*blockInstances : min((b+1)*blockInstances, len(s.instances))] {
+		s.replay(inst)
 	}
 }
 
