@@ -91,9 +91,10 @@ func record(args []string, stdout, stderr io.Writer) error {
 	switch {
 	case !(*target > 0 && *target <= 1):
 		return fmt.Errorf("target %v outside (0,1]", *target)
-	case !(*amplitude >= 0) || math.IsInf(*amplitude, 1):
-		// A NaN amplitude makes every arrival rate NaN: no job ever arrives.
-		return fmt.Errorf("amplitude %v must be a finite number ≥ 0", *amplitude)
+	case !(*amplitude >= 0 && *amplitude <= 1):
+		// Above 1 the trough's rate clamps to 0 and the mean load exceeds
+		// the target; a NaN amplitude makes every arrival rate NaN.
+		return fmt.Errorf("amplitude %v outside [0,1]", *amplitude)
 	}
 
 	spec := stack.RowSpec(1, rowServers)

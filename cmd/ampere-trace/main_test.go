@@ -99,11 +99,12 @@ func TestExitCodes(t *testing.T) {
 	if want := "ampere-trace: unknown regime \"bogus\" (cliff|ramp)\n"; code != 1 || errOut != want {
 		t.Errorf("why -regime bogus: exit %d, stderr %q; want 1 and %q", code, errOut, want)
 	}
-	// record refuses a target outside powermon's (0,1] and an amplitude that
-	// is not a finite number ≥ 0, before it simulates anything.
+	// record refuses a target outside powermon's (0,1] and an amplitude
+	// outside the generator's [0,1], before it simulates anything.
 	for _, tc := range []struct{ flag, value string }{
 		{"-target", "NaN"}, {"-target", "-1"}, {"-target", "0"}, {"-target", "1.5"},
 		{"-amplitude", "NaN"}, {"-amplitude", "-0.1"}, {"-amplitude", "+Inf"},
+		{"-amplitude", "5"},
 	} {
 		code, out, errOut := runTrace("record", "-hours", "1", "-out", filepath.Join(t.TempDir(), "t.csv"), tc.flag, tc.value)
 		if want := "ampere-trace: " + tc.flag[1:] + " " + tc.value + " "; code != 1 || out != "" || !strings.HasPrefix(errOut, want) {

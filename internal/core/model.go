@@ -145,6 +145,13 @@ func (h *HourlyEt) Add(t sim.Time, delta float64) {
 	h.mu.Lock()
 	b := &h.bins[hr]
 	if h.window > 0 {
+		if b.ring == nil {
+			// A windowed bin never holds more than window observations:
+			// size it once, so no Add in a run's first pass through the
+			// day allocates.
+			b.ring = make([]float64, 0, h.window)
+			b.sorted = make([]float64, 0, h.window)
+		}
 		if len(b.ring) == h.window {
 			// Full: evict the oldest observation in arrival order.
 			old := b.ring[b.head]

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // squareUnits builds n units whose results encode their index, with an
@@ -88,36 +89,62 @@ func TestPanicCaptureWithAttribution(t *testing.T) {
 	}
 }
 
+// Run's contract: a unit not yet started when a failure is recorded is
+// reported Skipped and never runs. Every unit after the first blocks until
+// the run reports its first skip, so a unit can only have run if it was in
+// flight when unit 0's failure was recorded: at most one per other worker.
+// Nothing here waits on unit 0's return, so the count does not depend on how
+// the workers are scheduled. Without cancellation no skip ever comes; the
+// gate's timeout then lets every unit run, and the count fails.
 func TestFirstErrorCancelsRemainingUnits(t *testing.T) {
 	const n = 64
 	const workers = 2
-	var ran atomic.Int64
-	// Units after the first block until unit 0 has failed, so the only units
-	// that may run are unit 0 plus the ones already in flight on the other
-	// workers — cancellation must skip the entire remaining tail.
-	failedGate := make(chan struct{})
+	var ran [n]atomic.Bool
+	gate := make(chan struct{})
+	var closeGate sync.Once
+	release := func() { closeGate.Do(func() { close(gate) }) }
+	timeout := time.AfterFunc(time.Second, release)
+	defer timeout.Stop()
 	units := make([]Unit[int], n)
 	for i := 0; i < n; i++ {
 		i := i
 		units[i] = Unit[int]{Name: fmt.Sprintf("u%d", i), Run: func() (int, error) {
+			ran[i].Store(true)
 			if i == 0 {
-				ran.Add(1)
-				close(failedGate)
 				return 0, errors.New("unit zero failed")
 			}
-			<-failedGate
-			ran.Add(1)
+			<-gate
 			return i, nil
 		}}
 	}
-	_, err := Run(units, Options{Workers: workers})
+	reports := make([]int, n)
+	skipped := make([]bool, n)
+	_, err := Run(units, Options{Workers: workers, OnDone: func(r Report) {
+		reports[r.Index]++
+		if r.Skipped {
+			skipped[r.Index] = true
+			release()
+		}
+	}})
 	if err == nil || !strings.Contains(err.Error(), "unit 0 (u0)") {
 		t.Fatalf("error %v, want attributed unit-zero failure", err)
 	}
-	// Cancellation is cooperative: only in-flight units finish after the
-	// failure, so at most `workers` units ever run.
-	if got := ran.Load(); got > workers {
-		t.Errorf("%d units ran despite early failure, want ≤ %d", got, workers)
+	ranAfter := 0
+	for i := 0; i < n; i++ {
+		switch {
+		case reports[i] != 1:
+			t.Errorf("unit %d reported %d times, want once", i, reports[i])
+		case ran[i].Load() == skipped[i]:
+			t.Errorf("unit %d: ran %v, reported skipped %v; want exactly one", i, ran[i].Load(), skipped[i])
+		case i > 0 && ran[i].Load():
+			ranAfter++
+		}
+	}
+	if !ran[0].Load() {
+		t.Error("unit 0 never ran")
+	}
+	if ranAfter > workers-1 {
+		t.Errorf("%d units besides unit 0 ran, want ≤ %d: units not yet started when it failed were not skipped", ranAfter, workers-1)
 	}
 }
 

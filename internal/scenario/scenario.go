@@ -119,10 +119,17 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: need products or target_frac in (0,1], got %v", s.TargetFrac)
 	case s.Kr < 0:
 		return fmt.Errorf("scenario: negative kr %v", s.Kr)
+	case !(s.Amplitude <= 1):
+		// Above 1 the trough's arrival rate clamps to 0 and the mean load
+		// exceeds target_frac; the generator refuses it.
+		return fmt.Errorf("scenario: amplitude %v above 1", s.Amplitude)
 	}
 	for i, p := range s.Products {
 		if p.JobsPerMinute <= 0 && (p.TargetFrac <= 0 || p.TargetFrac > 1) {
 			return fmt.Errorf("scenario: product %d (%s) needs jobs_per_minute or target_frac", i, p.Name)
+		}
+		if !(p.Amplitude <= 1) {
+			return fmt.Errorf("scenario: product %d (%s) has amplitude %v above 1", i, p.Name, p.Amplitude)
 		}
 		if p.RowWeights != nil && len(p.RowWeights) != s.Rows {
 			return fmt.Errorf("scenario: product %d (%s) has %d row weights for %d rows",

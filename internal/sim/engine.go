@@ -61,17 +61,25 @@ func (ev *event) period() Duration {
 // deterministic. Engine is not safe for concurrent use; all simulated
 // components run inside event callbacks on one goroutine.
 //
-// The queue is an implicit 4-ary min-heap of entries ordered by (at, seq);
-// seq is unique, so dispatch order does not depend on the heap's shape. The
-// callbacks live apart, in a slab whose slots are recycled through a free
-// list: in steady state scheduling and dispatching allocate nothing.
-// Cancellation is lazy — it marks the slab record and the entry is dropped
-// when it surfaces — because removing from the middle would need every sift
-// to write each moved entry's position back into the slab.
+// Every pending event is an entry ordered by (at, seq); seq is unique, so
+// dispatch order does not depend on where an entry waits. The callbacks live
+// apart, in a slab whose slots are recycled through a free list: in steady
+// state scheduling and dispatching allocate nothing. Cancellation is lazy —
+// it marks the slab record and the entry is dropped when it surfaces as the
+// earliest of all — because removing from the middle would need every move
+// of an entry written back into the slab.
 //
-// Bulk one-shots that share a callback and are never cancelled skip the heap:
-// they go in a Batch, and dispatch takes whichever of the heap top and the
-// batch heads is first in (at, seq) order.
+// Entries wait in one of three places, and dispatch takes whichever head is
+// first in (at, seq) order:
+//   - the completion calendar: an event due in one of the calMinutes−1
+//     minutes after the open minute is appended to that minute's bucket, a
+//     list of chunks. When the engine reaches a bucket's minute it sorts the
+//     bucket by millisecond into the open run, from which events dispatch
+//     by an index bump;
+//   - an implicit 4-ary min-heap, for the rest: events in the open minute
+//     itself and events calMinutes or more minutes out;
+//   - batches: bulk one-shots that share a callback and are never cancelled
+//     (see Batch).
 type Engine struct {
 	now     Time
 	queue   []entry
@@ -82,11 +90,55 @@ type Engine struct {
 	stopped bool
 	stepLim uint64 // safety valve against runaway event loops; 0 = unlimited
 	steps   uint64
+
+	// The calendar. open is the open minute and openAt its first
+	// millisecond; run[runHead:] are its pending calendar entries in (at,
+	// seq) order, and runSpare is the sort's other buffer. Bucket
+	// m % calMinutes holds minute m's entries for open < m < open+calMinutes;
+	// calLen entries wait in buckets, the earliest in minute calMin.
+	open      int64
+	openAt    Time
+	run       []calEntry
+	runHead   int
+	runSpare  []calEntry
+	buckets   [calMinutes]bucket
+	calLen    int
+	calMin    int64
+	chunks    []*calChunk
+	chunkNext []int32 // a chunk's successor in its bucket or in the free list
+	freeChunk int32   // head of the free-chunk list, -1 when empty
+}
+
+// calMinutes is the calendar's reach in minutes. DefaultDurations caps a job
+// at 100 minutes, so every full-speed completion is filed in the calendar;
+// a job slowed by DVFS may outrun it and wait in the heap.
+const calMinutes = 128
+
+// calEntry is a calendar entry; its minute is its bucket's, so it keeps
+// only its offset into that minute (below 60,000 < 2¹⁶). 16 bytes.
+type calEntry struct {
+	seq  uint64
+	slot int32
+	off  uint16
+}
+
+// calChunk is one link of a bucket's list. A bucket grows by chunks taken
+// from one shared free list, so the calendar holds what is pending, not
+// every bucket's busiest minute.
+type calChunk [chunkLen]calEntry
+
+const chunkLen = 64
+
+// bucket is one minute's entries in scheduling (seq) order: n of them in
+// chunks head → … → tail, only the tail partly filled.
+type bucket struct {
+	head, tail int32
+	n          int32
 }
 
 // NewEngine returns an engine with the clock at time zero.
 func NewEngine() *Engine {
-	return &Engine{free: -1}
+	return &Engine{free: -1, freeChunk: -1}
 }
 
 // Now returns the current virtual time.
@@ -119,7 +171,7 @@ func (e *Engine) schedule(t Time, name string, ev event) Handle {
 		ev.gen = 1
 	}
 	*rec = ev
-	e.push(entry{at: t, seq: e.seq, slot: slot})
+	e.enqueue(entry{at: t, seq: e.seq, slot: slot})
 	e.seq++
 	return Handle{slot: slot, gen: ev.gen}
 }
@@ -179,6 +231,110 @@ func (e *Engine) Cancel(h Handle) {
 	}
 }
 
+// enqueue files x: in its minute's bucket when that minute is one of the
+// calMinutes−1 after the open one, in the heap otherwise.
+func (e *Engine) enqueue(x entry) {
+	m := int64(x.at) / int64(Minute)
+	d := m - e.open
+	if d >= calMinutes {
+		// Once the clock has left the open minute, whose run is then
+		// drained, the ring can reach from now's minute instead, kept below
+		// every filed one. After an idle span this is what refills it.
+		o := e.now.Minute()
+		if e.calLen > 0 {
+			o = min(o, e.calMin-1)
+		}
+		if o > e.open {
+			e.open, e.openAt = o, Time(o*int64(Minute))
+			d = m - o
+		}
+	}
+	if d <= 0 || d >= calMinutes {
+		e.push(x)
+		return
+	}
+	bk := &e.buckets[m%calMinutes]
+	i := bk.n % chunkLen
+	if i == 0 {
+		c := e.newChunk()
+		if bk.n == 0 {
+			bk.head = c
+		} else {
+			e.chunkNext[bk.tail] = c
+		}
+		bk.tail = c
+	}
+	e.chunks[bk.tail][i] = calEntry{seq: x.seq, slot: x.slot, off: uint16(x.at.Sub(Time(m * int64(Minute))))}
+	bk.n++
+	if e.calLen == 0 || m < e.calMin {
+		e.calMin = m
+	}
+	e.calLen++
+}
+
+// newChunk takes a chunk from the free list, or makes one.
+func (e *Engine) newChunk() int32 {
+	if c := e.freeChunk; c >= 0 {
+		e.freeChunk = e.chunkNext[c]
+		return c
+	}
+	e.chunks = append(e.chunks, new(calChunk))
+	e.chunkNext = append(e.chunkNext, -1)
+	return int32(len(e.chunks) - 1)
+}
+
+// openMinute opens minute calMin, whose bucket is the earliest filed: two
+// stable 8-bit LSD passes on the offset sort the bucket into run, in (at,
+// seq) order since it was filed in seq order, and its chunks go back to the
+// free list. The open run must be drained.
+func (e *Engine) openMinute() {
+	m := e.calMin
+	bk := &e.buckets[m%calMinutes]
+	n := int(bk.n)
+	if cap(e.run) < n {
+		e.run = make([]calEntry, n+n/8)
+		e.runSpare = make([]calEntry, n+n/8)
+	}
+	var lo, hi [256]int32
+	for c, left := bk.head, n; left > 0; c = e.chunkNext[c] {
+		ch := e.chunks[c][:min(left, chunkLen)]
+		for _, x := range ch {
+			lo[byte(x.off)]++
+			hi[x.off>>8]++
+		}
+		left -= len(ch)
+	}
+	sumLo, sumHi := int32(0), int32(0)
+	for d := range lo {
+		lo[d], sumLo = sumLo, sumLo+lo[d]
+		hi[d], sumHi = sumHi, sumHi+hi[d]
+	}
+	spare, run := e.runSpare[:n], e.run[:n]
+	for c, left := bk.head, n; left > 0; c = e.chunkNext[c] {
+		ch := e.chunks[c][:min(left, chunkLen)]
+		for _, x := range ch {
+			spare[lo[byte(x.off)]] = x
+			lo[byte(x.off)]++
+		}
+		left -= len(ch)
+	}
+	for _, x := range spare {
+		run[hi[x.off>>8]] = x
+		hi[x.off>>8]++
+	}
+	e.chunkNext[bk.tail], e.freeChunk = e.freeChunk, bk.head
+	*bk = bucket{}
+	e.open, e.openAt = m, Time(m*int64(Minute))
+	e.run, e.runHead = run, 0
+	if e.calLen -= n; e.calLen > 0 {
+		// Every filed minute lies in (m, m+calMinutes): the scan stops
+		// within the ring.
+		for m++; e.buckets[m%calMinutes].n == 0; m++ {
+		}
+		e.calMin = m
+	}
+}
+
 // push adds x to the heap.
 func (e *Engine) push(x entry) {
 	q := append(e.queue, x)
@@ -228,11 +384,23 @@ func (e *Engine) pop() entry {
 	return top
 }
 
-// next returns the earliest pending event in (at, seq) order: the heap top
-// (b == nil) or the head of batch b. ok is false when nothing is pending.
-// Cancelled heap entries that surface ahead of every batch head are dropped
-// on the way, as a single queue holding both would drop them.
-func (e *Engine) next() (top entry, b *Batch, ok bool) {
+// Where next found the earliest pending event.
+const (
+	fromNone  = iota // nothing is pending
+	fromBatch        // the head of a batch
+	fromHeap         // the heap top
+	fromRun          // the head of the open run
+)
+
+// next returns the earliest pending event in (at, seq) order and where it
+// waits, with the batch when that is where. The next filed minute opens once
+// the open run is drained and no other head is earlier than that minute's
+// start. A cancelled entry is dropped only when it is the earliest of all
+// heads, as a single queue holding everything would drop it: Pending counts
+// it until then.
+func (e *Engine) next() (top entry, b *Batch, from int) {
+	var bTop entry
+	bFrom := fromNone
 	for _, x := range e.batches {
 		if x.head == len(x.ents) {
 			continue
@@ -241,37 +409,57 @@ func (e *Engine) next() (top entry, b *Batch, ok bool) {
 			x.sort()
 		}
 		h := entry{at: x.ents[x.head].at, seq: x.ents[x.head].seq}
-		if b == nil || h.before(top) {
-			top, b = h, x
+		if b == nil || h.before(bTop) {
+			bTop, b, bFrom = h, x, fromBatch
 		}
 	}
-	for len(e.queue) > 0 {
-		q := e.queue[0]
-		if b != nil && top.before(q) {
-			break
+	for {
+		if e.runHead == len(e.run) && e.calLen > 0 {
+			start := Time(e.calMin * int64(Minute))
+			if (b == nil || bTop.at >= start) && (len(e.queue) == 0 || e.queue[0].at >= start) {
+				e.openMinute()
+			}
 		}
-		if !e.events.At(q.slot).cancelled {
-			return q, nil, true
+		top, from = bTop, bFrom
+		if e.runHead < len(e.run) {
+			r := e.run[e.runHead]
+			x := entry{at: e.openAt + Time(r.off), seq: r.seq, slot: r.slot}
+			if from == fromNone || x.before(top) {
+				top, from = x, fromRun
+			}
 		}
-		e.pop()
-		e.release(q.slot)
+		if len(e.queue) > 0 && (from == fromNone || e.queue[0].before(top)) {
+			top, from = e.queue[0], fromHeap
+		}
+		if from == fromNone || from == fromBatch || !e.events.At(top.slot).cancelled {
+			return top, b, from
+		}
+		if from == fromHeap {
+			e.pop()
+		} else {
+			e.runHead++
+		}
+		e.release(top.slot)
 	}
-	return top, b, b != nil
 }
 
-// dispatch runs top, which next has just returned with b.
-func (e *Engine) dispatch(top entry, b *Batch) {
+// dispatch runs top, which next has just returned with b and from.
+func (e *Engine) dispatch(top entry, b *Batch, from int) {
 	e.now = top.at
 	e.steps++
-	if b != nil {
+	if from == fromBatch {
 		b.fn(e.now, b.take())
 		return
 	}
-	e.pop()
+	if from == fromHeap {
+		e.pop()
+	} else {
+		e.runHead++
+	}
 	ev := *e.events.At(top.slot)
 	if period := ev.period(); period > 0 {
 		// Re-arm before running so the callback can cancel via its handle.
-		e.push(entry{at: top.at.Add(period), seq: e.seq, slot: top.slot})
+		e.enqueue(entry{at: top.at.Add(period), seq: e.seq, slot: top.slot})
 		e.seq++
 	} else {
 		// Release before running so the callback's own scheduling reuses
@@ -292,11 +480,11 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	top, b, ok := e.next()
-	if ok {
-		e.dispatch(top, b)
+	top, b, from := e.next()
+	if from != fromNone {
+		e.dispatch(top, b, from)
 	}
-	return ok
+	return from != fromNone
 }
 
 // Run executes events until the queue is empty, Stop is called, or the step
@@ -314,11 +502,11 @@ func (e *Engine) Run() error {
 // Events scheduled after end remain queued, so the simulation can be resumed.
 func (e *Engine) RunUntil(end Time) error {
 	for !e.stopped {
-		top, b, ok := e.next()
-		if !ok || top.at > end {
+		top, b, from := e.next()
+		if from == fromNone || top.at > end {
 			break
 		}
-		e.dispatch(top, b)
+		e.dispatch(top, b, from)
 		if e.stepLim > 0 && e.steps > e.stepLim {
 			return fmt.Errorf("%w after %d events at %v", ErrStepLimit, e.steps, e.now)
 		}
@@ -336,9 +524,9 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Stopped() bool { return e.stopped }
 
 // Pending returns the number of queued (possibly cancelled) events, batch
-// entries included; intended for tests and diagnostics.
+// and calendar entries included; intended for tests and diagnostics.
 func (e *Engine) Pending() int {
-	n := len(e.queue)
+	n := len(e.queue) + e.calLen + len(e.run) - e.runHead
 	for _, b := range e.batches {
 		n += len(b.ents) - b.head
 	}

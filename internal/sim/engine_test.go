@@ -463,11 +463,19 @@ type checkpoint struct {
 }
 
 // batchMix is how much of a script goes through batches: batches of them
-// (0, 1 or 2), and share/256 of its spawned one-shots.
+// (0, 1 or 2), and share/256 of its spawned one-shots; and the script's time
+// unit, which scales its delays, periods and RunUntil steps (0 means 1 ms).
 type batchMix struct {
 	batches int
 	share   int
+	unit    Duration
 }
+
+// scriptUnits are the time units a script runs at: at 1 ms its clock never
+// leaves minute 0; at a tenth of a minute and at whole minutes it fills the
+// calendar, its ties falling on minute boundaries; at 13 minutes its longer
+// delays and periods overflow the calendar's ring.
+var scriptUnits = []Duration{Millisecond, Minute / 10, Minute, 13 * Minute}
 
 // runScript drives e with a seeded random script and returns every dispatch
 // as (time, id) and a checkpoint per RunUntil. Each callback draws from the
@@ -476,12 +484,14 @@ type batchMix struct {
 // and closure-free; schedule-at-now from inside a callback; periodics that
 // cancel themselves from inside their own callback; cancels of live, fired
 // and already-cancelled events, long after the slot has a new tenant; and
-// bursts of thousands of events on one timestamp. With batches it also adds
-// batch entries from inside callbacks, between runs and in bursts, and a
-// bulk each round spread over a span from 1 ms to, late on, 2^40 ms, so the
-// radix sort runs from one pass to several.
+// bursts of thousands of events on one timestamp. About one spawn in 16 is
+// 0–300 whole minutes out, beyond the calendar's ring. With batches it also
+// adds batch entries from inside callbacks, between runs and in bursts, and a
+// bulk each round spread over a span from 1 to 2^11 units or, late on, up to
+// 2^40 ms, so the radix sort runs from one pass to several.
 func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkpoint) {
 	r := rand.New(rand.NewSource(seed))
+	unit := max(mix.unit, Millisecond)
 	var trace []dispatch
 	var marks []checkpoint
 	var cancels []func() // every handle ever issued, never pruned
@@ -508,7 +518,15 @@ func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkp
 		id := nextID
 		nextID++
 		// Coarse delays, zero included: ties and schedule-at-now are common.
-		delay := Duration(r.Intn(12))
+		delay := Duration(r.Intn(12)) * unit
+		if unit > Millisecond {
+			// Up to 2 ms past a unit: one minute's calendar entries are
+			// filed out of time order in the low byte of their offset.
+			delay += Duration(r.Intn(3))
+		}
+		if r.Intn(16) == 0 {
+			delay = Duration(r.Intn(301)) * Minute
+		}
 		if len(batches) > 0 && r.Intn(256) < mix.share {
 			batches[r.Intn(len(batches))](e.now().Add(delay), id<<2|int64(depth))
 			return
@@ -523,7 +541,7 @@ func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkp
 		case 8:
 			left := 1 + r.Intn(6)
 			var cancel func()
-			cancel = e.every(e.now().Add(delay), Duration(1+r.Intn(9)), func(now Time) {
+			cancel = e.every(e.now().Add(delay), Duration(1+r.Intn(9))*unit, func(now Time) {
 				record(now, id, depth)
 				if left--; left == 0 {
 					cancel()
@@ -544,7 +562,7 @@ func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkp
 		}
 		if round%20 == 7 {
 			// Thousands of equal timestamps, a third of them cancelled.
-			at := e.now().Add(Duration(r.Intn(5)))
+			at := e.now().Add(Duration(r.Intn(5)) * unit)
 			for k := 0; k < 3000; k++ {
 				id := nextID
 				nextID++
@@ -567,7 +585,7 @@ func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkp
 		if len(batches) > 0 {
 			// Wide spans come late: their entries outlive the script, and
 			// until then the batches drain and rewind.
-			span := int64(1) << r.Intn(12)
+			span := int64(1) << r.Intn(12) * int64(unit)
 			if round >= 50 {
 				span = int64(1) << r.Intn(41)
 			}
@@ -579,7 +597,7 @@ func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkp
 			}
 		}
 		// Some horizons fall short of the next event, some leave work queued.
-		end = end.Add(Duration(r.Intn(25)))
+		end = end.Add(Duration(r.Intn(25)) * unit)
 		if err := e.runUntil(end); err != nil {
 			panic(err)
 		}
@@ -620,14 +638,28 @@ func TestEngineMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: script dispatched only %d events", seed, n)
 		}
 	}
+	// The calendar: ring overflow, cancelled entries and same-millisecond
+	// ties across the heap, the calendar and the batches at minute starts.
+	for _, unit := range scriptUnits[1:] {
+		for seed := int64(1); seed <= 40; seed++ {
+			mix := batchMix{batches: int(seed % 3), share: 32 * int(seed%4), unit: unit}
+			n, err := matchReference(seed, mix)
+			if err != nil {
+				t.Fatalf("seed %d, %+v: %v", seed, mix, err)
+			}
+			if n < 5000 {
+				t.Fatalf("seed %d, unit %v: script dispatched only %d events", seed, unit, n)
+			}
+		}
+	}
 }
 
-// The script seed and the batch mix are the input; the batch engine must
-// dispatch exactly as refEngine does with the same entries as one-shots.
+// The script seed, the batch mix and the time unit are the input; the engine
+// must dispatch exactly as refEngine does with the same entries as one-shots.
 // The seed corpus is in testdata/fuzz.
 func FuzzEngineMatchesReference(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed int64, batches, share uint8) {
-		mix := batchMix{batches: int(batches % 3), share: int(share)}
+	f.Fuzz(func(t *testing.T, seed int64, batches, share, unit uint8) {
+		mix := batchMix{batches: int(batches % 3), share: int(share), unit: scriptUnits[int(unit)%len(scriptUnits)]}
 		if _, err := matchReference(seed, mix); err != nil {
 			t.Fatalf("seed %d, %+v: %v", seed, mix, err)
 		}
@@ -675,6 +707,32 @@ func TestAtArgStepDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("AtArg+Step allocates %.1f objects per run, want 0", allocs)
+	}
+
+	// Minute-scale events go through the calendar: each run files a dozen
+	// up to 150 minutes out, past the ring, and runs the engine three minutes
+	// on, which opens three. Once the ring has turned several times over,
+	// its chunks and run buffers are warm.
+	e = NewEngine()
+	k := 0
+	minutes := func() {
+		for i := 0; i < 12; i++ {
+			k++
+			e.AfterArg(Duration(k%150)*Minute+Duration(k%60)*Second, "far", fn, 2)
+		}
+		e.AfterArg(Duration(k%7)*Second, "near", fn, 3)
+		if err := e.RunUntil(e.Now().Add(3 * Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for e.Now() < Time(5*calMinutes*Minute) {
+		minutes()
+	}
+	if allocs := testing.AllocsPerRun(1000, minutes); allocs != 0 {
+		t.Errorf("AtArg+Step through the calendar allocates %.1f objects per run, want 0", allocs)
+	}
+	if e.calLen == 0 {
+		t.Errorf("nothing in the calendar of %d pending: the test no longer tests it", e.Pending())
 	}
 }
 

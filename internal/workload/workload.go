@@ -80,7 +80,9 @@ type Product struct {
 	// BaseJobsPerMinute is the mean arrival rate before modulation, at most
 	// MaxJobsPerMinute.
 	BaseJobsPerMinute float64
-	// DiurnalAmplitude is the relative size of the load sinusoid (0 = flat).
+	// DiurnalAmplitude is the relative size of the load sinusoid, in [0, 1]
+	// (0 = flat). Above 1 the trough's rate would be negative and clamp to
+	// 0, raising the mean above BaseJobsPerMinute.
 	DiurnalAmplitude float64
 	// PeakHour is the hour of day at which the sinusoid peaks.
 	PeakHour float64
@@ -181,6 +183,9 @@ func NewGenerator(eng *sim.Engine, seed uint64, products []Product, dd DurationD
 			if math.IsNaN(r) || math.IsInf(r, -1) || r > MaxJobsPerMinute {
 				return nil, fmt.Errorf("workload: product %d (%s) has schedule rate %v at minute %d, want a finite number at most %g", i, p.Name, r, k, float64(MaxJobsPerMinute))
 			}
+		}
+		if !(p.DiurnalAmplitude >= 0 && p.DiurnalAmplitude <= 1) {
+			return nil, fmt.Errorf("workload: product %d (%s) has diurnal amplitude %v outside [0, 1]", i, p.Name, p.DiurnalAmplitude)
 		}
 		if p.NoiseSigma < 0 {
 			return nil, fmt.Errorf("workload: product %d (%s) has negative noise sigma %v", i, p.Name, p.NoiseSigma)

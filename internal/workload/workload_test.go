@@ -113,6 +113,27 @@ func TestNewGeneratorRejectsBadNoise(t *testing.T) {
 	}
 }
 
+// Above 1 the diurnal trough's rate is negative and clamps to 0, so the mean
+// rate exceeds BaseJobsPerMinute: a construction error, as is a negative or
+// NaN amplitude.
+func TestNewGeneratorRejectsAmplitudeOutsideUnit(t *testing.T) {
+	eng := sim.NewEngine()
+	for _, amp := range []float64{-0.1, 1.01, 5, math.NaN(), math.Inf(1)} {
+		p := DefaultProduct("a", 10)
+		p.DiurnalAmplitude = amp
+		if _, err := NewGenerator(eng, 1, []Product{p}, DefaultDurations(), func(*Job) {}); err == nil {
+			t.Errorf("diurnal amplitude %v accepted", amp)
+		}
+	}
+	for _, amp := range []float64{0, 0.65, 1} {
+		p := DefaultProduct("a", 10)
+		p.DiurnalAmplitude = amp
+		if _, err := NewGenerator(eng, 1, []Product{p}, DefaultDurations(), func(*Job) {}); err != nil {
+			t.Errorf("diurnal amplitude %v refused: %v", amp, err)
+		}
+	}
+}
+
 func TestGeneratorMeanRate(t *testing.T) {
 	eng := sim.NewEngine()
 	p := DefaultProduct("steady", 120)
