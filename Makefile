@@ -4,12 +4,12 @@
 # state between parallel run units would first show up).
 .PHONY: tier1 build lint vet test race race-shuffle fuzz fuzz-smoke chaos \
 	bench-runner gridstorm \
-	whatif whatif-smoke tournament tournament-smoke fig11scale fig11-smoke \
+	whatif-smoke tournament tournament-smoke fig11scale \
 	fed-smoke golden-quick golden-paper flake bench-pair bench-pair-all lines \
 	mains-pinned
 
 tier1: build lint race race-shuffle fuzz-smoke whatif-smoke \
-	tournament-smoke fig11-smoke fed-smoke golden-quick flake mains-pinned
+	tournament-smoke fed-smoke golden-quick flake mains-pinned
 
 build:
 	go build ./...
@@ -64,13 +64,6 @@ fuzz fuzz-smoke:
 gridstorm:
 	go run ./cmd/ampere-exp -exp gridstorm -quick
 
-# Counterfactual demo: snapshot the gridstorm cliff at dip onset, verify the
-# self-replay is byte-identical, then score a ramped-budget alternative
-# ("would have avoided every trip"). Same engine as `ampere-trace why` and
-# powermon's /whatif endpoint.
-whatif:
-	go run ./cmd/ampere-exp -exp whatif -quick
-
 # Tier-1's snapshot/replay smoke: snapshot a 400-server gridstorm run
 # mid-storm, self-replay, and require an empty diff.
 whatif-smoke:
@@ -95,21 +88,20 @@ tournament-smoke:
 fig11scale:
 	go run ./cmd/ampere-exp -exp fig11scale -quick
 
-# Tier-1's fig11scale smoke: the 240-server quick fleet, asserting the
-# capping-vs-freezing tail gap and live SLO-miss accounting.
-fig11-smoke:
-	go test ./internal/experiment/ -run TestFig11ScaleSmoke400 -count=1
-
 # Tier-1's behaviour pin: stdout of `ampere-exp -quick -exp all`, every table
 # of every experiment, diffed against results/exp_quick_output.txt at
-# GOMAXPROCS 1 (every run inline, in order) and 4 (fanned out).
+# GOMAXPROCS 1 (every run inline, in order) and 4 (fanned out), and every
+# quick claim of every experiment checked on those runs. An id that checks no
+# claim at -quick fails it.
 golden-quick:
 	go test -cpu 1,4 ./cmd/ampere-exp -run TestQuickAllGolden -count=1
 
 # The paper-scale pin of the seven controlled-day experiments (table2 fig11
-# fig12 table3 outage chaos ablations; ≈ 35 s on 2 vCPUs, not in tier1): each
-# one's stdout against its section of results/exp_full_output.txt, timing
-# lines aside. `sh scripts/golden_paper ID ...` checks a subset.
+# fig12 table3 outage chaos ablations) and of the ids with paper-scale-only
+# claims (fig5 fig9 gridstorm; ≈ 1 min on 2 vCPUs, not in tier1): each one's
+# stdout against its section of results/exp_full_output.txt, timing lines
+# aside, and each one's claims. `sh scripts/golden_paper ID ...` checks a
+# subset.
 golden-paper:
 	sh scripts/golden_paper
 
@@ -132,11 +124,11 @@ chaos:
 	go run ./cmd/ampere-exp -exp chaos -quick
 
 # Tier-1's federation smoke: byte-identity of the federated tick across
-# shard worker counts (4 small DCs with a mid-run headroom shift), plus the
-# 4-DC × 400-server quick federated scale run end to end.
+# shard worker counts (4 small DCs with a mid-run headroom shift). The 4-DC ×
+# 400-server quick federated scale run is -exp scale's, whose claims
+# golden-quick checks.
 fed-smoke:
 	go test ./internal/federate/ -count=1
-	go test ./internal/experiment/ -run TestFedScaleSmoke -count=1
 
 # Records GOMAXPROCS 1 vs CPU-count wall-clock for two fanned-out quick
 # experiments (spread: 3 rigs, table3: 13); on a ≥4-core machine the wider

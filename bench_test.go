@@ -34,7 +34,7 @@ func BenchmarkQuick(b *testing.B) {
 	for _, e := range experiment.Catalog() {
 		b.Run(e.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := e.Run(io.Discard, true, 0, ""); err != nil {
+				if _, err := e.Run(io.Discard, true, 0, ""); err != nil {
 					b.Fatal(err)
 				}
 			}

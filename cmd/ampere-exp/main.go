@@ -8,7 +8,7 @@
 // The ids, in -exp all order, are the entries of the experiment catalogue
 // (internal/experiment/catalog.go): fig1 fig2 fig4 fig5 fig7 fig8 fig9
 // table2 (alias fig10) fig11 fig11scale fig12 table3 spread outage chaos
-// ablations scale gridstorm whatif tournament.
+// ablations scale gridstorm tournament.
 //
 // -quick shrinks cluster sizes and time spans for a fast pass (the same
 // configurations the test suite and benchmarks use); the default sizes
@@ -22,6 +22,13 @@
 // builds an isolated rig from its own seed and its report is printed in
 // catalogue order, so stdout is byte-identical at any GOMAXPROCS;
 // per-experiment timing goes to stderr as runs complete.
+//
+// Every experiment checks its claims (internal/experiment/claims.go) on the
+// result it reports: the paper's shapes, such as Ampere's violations at least
+// ten times below the uncontrolled group's. Claims that only the paper's
+// sizes can show are skipped under -quick. When a claim fails, every report
+// is still printed; each failed claim is then named on stderr with its
+// source, measured value and bound, and the exit code is 1.
 package main
 
 import (
@@ -41,7 +48,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: it runs the experiments args select, writes their
 // reports to stdout and progress and diagnostics to stderr, and returns the
-// exit code (2 for a usage error, 1 for a failed experiment).
+// exit code (2 for a usage error, 1 for a failed experiment or claim).
 func run(args []string, stdout, stderr io.Writer) int {
 	var ids []string
 	for _, e := range experiment.Catalog() {
@@ -71,30 +78,52 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		exps = []experiment.Experiment{e}
 	}
-	report, err := render(exps, *quick, *seed, *out, stderr)
+	return execute(exps, *quick, *seed, *out, stdout, stderr)
+}
+
+// execute renders the experiments, writes their reports to stdout and then
+// each failed claim to stderr, and returns the exit code: 1 if an experiment
+// failed or a claim did not hold, else 0.
+func execute(exps []experiment.Experiment, quick bool, seed uint64, outDir string, stdout, stderr io.Writer) int {
+	report, claims, err := render(exps, quick, seed, outDir, stderr)
 	stdout.Write(report)
+	code := 0
 	if err != nil {
 		fmt.Fprintln(stderr, err)
-		return 1
+		code = 1
 	}
-	return 0
+	for i, cs := range claims {
+		for _, c := range cs {
+			if !c.Held {
+				fmt.Fprintf(stderr, "%s: claim failed: %s\n", exps[i].ID, c)
+				code = 1
+			}
+		}
+	}
+	return code
 }
 
 // render runs the experiments and returns their reports in order, each
-// non-empty one followed by a blank line; on failure, the finished reports
-// and the lowest-indexed error. A line per finished run goes to progress.
-func render(exps []experiment.Experiment, quick bool, seed uint64, outDir string, progress io.Writer) ([]byte, error) {
-	units := make([]runner.Unit[[]byte], len(exps))
+// non-empty one followed by a blank line, and the claims each checked; on
+// failure, the finished reports and claims and the lowest-indexed error. A
+// line per finished run goes to progress.
+func render(exps []experiment.Experiment, quick bool, seed uint64, outDir string, progress io.Writer) ([]byte, [][]experiment.Claim, error) {
+	type rendered struct {
+		report []byte
+		claims []experiment.Claim
+	}
+	units := make([]runner.Unit[rendered], len(exps))
 	for i, e := range exps {
-		units[i] = runner.Unit[[]byte]{Name: e.ID, Run: func() ([]byte, error) {
+		units[i] = runner.Unit[rendered]{Name: e.ID, Run: func() (rendered, error) {
 			var buf bytes.Buffer
-			if err := e.Run(&buf, quick, seed, outDir); err != nil {
-				return nil, err
+			claims, err := e.Run(&buf, quick, seed, outDir)
+			if err != nil {
+				return rendered{}, err
 			}
-			return buf.Bytes(), nil
+			return rendered{buf.Bytes(), claims}, nil
 		}}
 	}
-	bufs, err := runner.Run(units, runner.Options{
+	results, err := runner.Run(units, runner.Options{
 		OnDone: func(r runner.Report) {
 			switch {
 			case r.Skipped:
@@ -107,11 +136,13 @@ func render(exps []experiment.Experiment, quick bool, seed uint64, outDir string
 		},
 	})
 	var out bytes.Buffer
-	for _, b := range bufs {
-		if len(b) > 0 {
-			out.Write(b)
+	claims := make([][]experiment.Claim, len(results))
+	for i, r := range results {
+		if len(r.report) > 0 {
+			out.Write(r.report)
 			out.WriteByte('\n')
 		}
+		claims[i] = r.claims
 	}
-	return out.Bytes(), err
+	return out.Bytes(), claims, err
 }

@@ -20,10 +20,11 @@ import (
 //	go run ./cmd/ampere-exp -quick -exp all > results/exp_quick_output.txt
 //
 // It drives main's own fan-out (render), so `go test -cpu 1,4` pins the
-// bytes at the serial and at a fanned width, and the same run checks the
-// names of the plot-ready files -out writes. The bytes are floating-point
-// sums, and off amd64 the compiler may fuse multiply-adds, so the
-// comparison only runs there.
+// bytes at the serial and at a fanned width, and the same run checks every
+// quick claim of every experiment and the names of the plot-ready files -out
+// writes. An id that checks no claim at -quick fails here. The bytes are
+// floating-point sums, and off amd64 the compiler may fuse multiply-adds, so
+// the comparison only runs there.
 func TestQuickAllGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every quick experiment (~16 s)")
@@ -36,9 +37,20 @@ func TestQuickAllGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	got, err := render(experiment.Catalog(), true, 0, dir, io.Discard)
+	exps := experiment.Catalog()
+	got, claims, err := render(exps, true, 0, dir, io.Discard)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, cs := range claims {
+		if len(cs) == 0 {
+			t.Errorf("%s checks no claim at -quick", exps[i].ID)
+		}
+		for _, c := range cs {
+			if !c.Held {
+				t.Errorf("%s: claim failed: %s", exps[i].ID, c)
+			}
+		}
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -76,7 +88,7 @@ func TestQuickAllGolden(t *testing.T) {
 func TestSeedOverride(t *testing.T) {
 	fig7, _ := experiment.Lookup("fig7")
 	run := func(seed uint64) []byte {
-		out, err := render([]experiment.Experiment{fig7}, true, seed, "", io.Discard)
+		out, _, err := render([]experiment.Experiment{fig7}, true, seed, "", io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +128,34 @@ func TestExitCodes(t *testing.T) {
 		t.Errorf("-quick -exp fig7: exit %d, stderr %q; want 0 and fig7's progress line", code, errOut.String())
 	}
 	fig7, _ := experiment.Lookup("fig7")
-	if want, _ := render([]experiment.Experiment{fig7}, true, 0, "", io.Discard); !bytes.Equal(out.Bytes(), want) {
+	if want, _, _ := render([]experiment.Experiment{fig7}, true, 0, "", io.Discard); !bytes.Equal(out.Bytes(), want) {
 		t.Errorf("-quick -exp fig7 stdout differs from render's report:\n%s", out.String())
+	}
+}
+
+// TestFailedClaimExitsOne pins the failure contract: a claim that does not
+// hold is no run error, so every report still reaches stdout; the failed
+// claim is named on stderr with its id, source, value and bound, and the
+// exit code is 1.
+func TestFailedClaimExitsOne(t *testing.T) {
+	fake := func(id string, held bool) experiment.Experiment {
+		return experiment.Experiment{ID: id, Run: func(w io.Writer, _ bool, _ uint64, _ string) ([]experiment.Claim, error) {
+			io.WriteString(w, id+" report\n")
+			return []experiment.Claim{{Name: id + " shape", Source: "Fig 0", Value: "3", Bound: "≥ 10", Held: held}}, nil
+		}}
+	}
+	var out, errOut bytes.Buffer
+	code := execute([]experiment.Experiment{fake("broken", false), fake("sound", true)}, true, 0, "", &out, &errOut)
+	if code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	if want := "broken report\n\nsound report\n\n"; out.String() != want {
+		t.Errorf("stdout %q, want both reports %q", out.String(), want)
+	}
+	if want := "broken: claim failed: broken shape: measured 3, bound ≥ 10 (Fig 0)\n"; !strings.HasSuffix(errOut.String(), want) {
+		t.Errorf("stderr %q, want it to end with %q", errOut.String(), want)
+	}
+	if strings.Contains(errOut.String(), "sound shape") {
+		t.Errorf("stderr names the claim that held: %q", errOut.String())
 	}
 }

@@ -58,6 +58,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	k := *replicate
+	if k < 1 {
+		fmt.Fprintf(stderr, "ampere-sim: -replicate %d must be at least 1\n", k)
+		fs.Usage()
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "ampere-sim:", err)
 		return 1
@@ -91,9 +97,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	k := *replicate
-	if k < 1 {
-		k = 1
+	if err := spec.Validate(); err != nil {
+		return fail(err)
 	}
 	units := make([]runner.Unit[[]byte], k)
 	for i := 0; i < k; i++ {

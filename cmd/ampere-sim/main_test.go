@@ -45,4 +45,16 @@ func TestExitCodes(t *testing.T) {
 			t.Errorf("-hours %s: exit %d, stdout %q, stderr %q; want 1 and %q", c.hours, code, out, errOut, c.want)
 		}
 	}
+	// A bad spec is refused once, before any replicate runs: the error is the
+	// scenario's own, with no run unit named.
+	if code, out, errOut := runSim("-rows", "0", "-hours", "1", "-replicate", "3"); code != 1 || out != "" ||
+		errOut != "ampere-sim: scenario: rows 0 must be positive\n" {
+		t.Errorf("-rows 0: exit %d, stdout %q, stderr %q; want 1 and the bare scenario error", code, out, errOut)
+	}
+	for _, k := range []string{"0", "-3"} {
+		if code, out, errOut := runSim("-replicate", k, "-hours", "1"); code != 2 || out != "" ||
+			!strings.HasPrefix(errOut, "ampere-sim: -replicate "+k+" must be at least 1\nUsage of ampere-sim:") {
+			t.Errorf("-replicate %s: exit %d, stdout %q, stderr %q; want 2 and the usage", k, code, out, errOut)
+		}
+	}
 }

@@ -5,22 +5,26 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/sim"
 )
 
 // This file is the experiment catalogue: every -exp id of cmd/ampere-exp,
 // declared once with its paper configuration, its -quick override, where
-// -seed lands, its run, its report and the plot-ready files -out writes.
-// The CLI, its golden test and BenchmarkQuick are loops over it.
+// -seed lands, its run, its report, its checked claims (claims.go) and the
+// plot-ready files -out writes. The CLI, its golden test and BenchmarkQuick
+// are loops over it.
 
 // Experiment is one catalogue entry.
 type Experiment struct {
 	ID string
 	// Run runs the experiment at paper scale, or at its -quick sizes, with
 	// its own seed replaced by seed unless that is 0. It writes the report to
-	// w and, when outDir is set, its plot-ready files into outDir.
-	Run func(w io.Writer, quick bool, seed uint64, outDir string) error
+	// w and, when outDir is set, its plot-ready files into outDir, and
+	// returns the claims it checked on the reported result (at -quick, those
+	// not marked PaperScale). A claim that does not hold is not an error.
+	Run func(w io.Writer, quick bool, seed uint64, outDir string) ([]Claim, error)
 	// config is the configuration Run runs.
 	config func(quick bool, seed uint64) any
 }
@@ -38,6 +42,7 @@ type entry[C, R any] struct {
 	seed   func(*C, uint64)
 	run    func(C) (R, error)
 	report func(io.Writer, C, R)
+	claims func(C, R) []Claim
 	files  func(R) []File // nil: -out writes nothing
 }
 
@@ -54,17 +59,21 @@ func (e entry[C, R]) as(id string) Experiment {
 	}
 	return Experiment{
 		ID: id,
-		Run: func(w io.Writer, quick bool, seed uint64, outDir string) error {
+		Run: func(w io.Writer, quick bool, seed uint64, outDir string) ([]Claim, error) {
 			c := config(quick, seed)
 			res, err := e.run(c)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			e.report(w, c, res)
-			if outDir == "" || e.files == nil {
-				return nil
+			claims := e.claims(c, res)
+			if quick {
+				claims = slices.DeleteFunc(claims, func(cl Claim) bool { return cl.PaperScale })
 			}
-			return writeFiles(outDir, e.files(res))
+			if outDir != "" && e.files != nil {
+				err = writeFiles(outDir, e.files(res))
+			}
+			return claims, err
 		},
 		config: func(quick bool, seed uint64) any { return config(quick, seed) },
 	}
@@ -179,6 +188,7 @@ func Catalog() []Experiment {
 			seed:   func(c *Fig1Config, s uint64) { c.Seed = s },
 			run:    RunFig1,
 			report: plain[Fig1Config](FormatFig1),
+			claims: fig1Claims,
 			files:  func(r *Fig1Result) []File { return []File{{"fig1.csv", r.WriteCSV}} },
 		}.as("fig1"),
 		entry[Fig2Config, *Fig2Result]{
@@ -187,6 +197,7 @@ func Catalog() []Experiment {
 			seed:   func(c *Fig2Config, s uint64) { c.Seed = s },
 			run:    RunFig2,
 			report: plain[Fig2Config](FormatFig2),
+			claims: fig2Claims,
 		}.as("fig2"),
 		entry[Fig4Config, *Fig4Result]{
 			paper:  DefaultFig4,
@@ -194,6 +205,7 @@ func Catalog() []Experiment {
 			seed:   func(c *Fig4Config, s uint64) { c.Seed = s },
 			run:    RunFig4,
 			report: plain[Fig4Config](FormatFig4),
+			claims: fig4Claims,
 			files:  func(r *Fig4Result) []File { return []File{{"fig4.csv", r.WriteCSV}} },
 		}.as("fig4"),
 		entry[Fig5Config, *Fig5Result]{
@@ -205,6 +217,7 @@ func Catalog() []Experiment {
 			seed:   func(c *Fig5Config, s uint64) { c.Seed = s },
 			run:    RunFig5,
 			report: plain[Fig5Config](FormatFig5),
+			claims: fig5Claims,
 			files:  func(r *Fig5Result) []File { return []File{{"fig5.csv", r.WriteCSV}} },
 		}.as("fig5"),
 		entry[fig7Config, *Fig7Result]{
@@ -213,6 +226,7 @@ func Catalog() []Experiment {
 			seed:   func(c *fig7Config, s uint64) { c.seed = s },
 			run:    func(c fig7Config) (*Fig7Result, error) { return RunFig7(c.seed, c.samples), nil },
 			report: plain[fig7Config](FormatFig7),
+			claims: fig7Claims,
 		}.as("fig7"),
 		entry[Fig8Config, *Fig8Result]{
 			paper:  DefaultFig8,
@@ -220,6 +234,7 @@ func Catalog() []Experiment {
 			seed:   func(c *Fig8Config, s uint64) { c.Seed = s },
 			run:    RunFig8,
 			report: plain[Fig8Config](FormatFig8),
+			claims: fig8Claims,
 			files:  func(r *Fig8Result) []File { return []File{{"fig8.csv", r.WriteCSV}} },
 		}.as("fig8"),
 		entry[Fig9Config, *Fig9Result]{
@@ -228,6 +243,7 @@ func Catalog() []Experiment {
 			seed:   func(c *Fig9Config, s uint64) { c.Seed = s },
 			run:    RunFig9,
 			report: plain[Fig9Config](FormatFig9),
+			claims: fig9Claims,
 		}.as("fig9"),
 		entry[Table2Config, *Table2Result]{
 			paper: DefaultTable2,
@@ -239,6 +255,7 @@ func Catalog() []Experiment {
 				fmt.Fprintln(w)
 				FormatFig10(w, r)
 			},
+			claims: table2Claims,
 			files: func(r *Table2Result) []File {
 				return []File{{"fig10_light.csv", r.LightSer.WriteCSV}, {"fig10_heavy.csv", r.HeavySer.WriteCSV}}
 			},
@@ -252,6 +269,7 @@ func Catalog() []Experiment {
 			seed:   func(c *Fig11Config, s uint64) { c.Seed = s },
 			run:    RunFig11,
 			report: plain[Fig11Config](FormatFig11),
+			claims: fig11Claims,
 		}.as("fig11"),
 		// Fig 11 at the paper's deployment size: a 100k-server fleet whose hot
 		// rows host a 3-million-user service, row capping vs Ampere.
@@ -267,6 +285,7 @@ func Catalog() []Experiment {
 			seed:   func(c *Fig11ScaleConfig, s uint64) { c.Seed = s },
 			run:    RunFig11Scale,
 			report: FormatFig11Scale,
+			claims: fig11ScaleClaims,
 			files:  func(r *Fig11ScaleResult) []File { return []File{{"fig11scale.csv", r.WriteCSV}} },
 		}.as("fig11scale"),
 		entry[Fig12Config, *Fig12Result]{
@@ -275,6 +294,7 @@ func Catalog() []Experiment {
 			seed:   func(c *Fig12Config, s uint64) { c.Seed = s },
 			run:    RunFig12,
 			report: plain[Fig12Config](FormatFig12),
+			claims: fig12Claims,
 			files:  func(r *Fig12Result) []File { return []File{{"fig12.csv", r.WriteCSV}} },
 		}.as("fig12"),
 		entry[Table3Config, *Table3Result]{
@@ -286,6 +306,7 @@ func Catalog() []Experiment {
 			seed:   func(c *Table3Config, s uint64) { c.Seed = s },
 			run:    RunTable3,
 			report: plain[Table3Config](FormatTable3),
+			claims: table3Claims,
 		}.as("table3"),
 		entry[SpreadConfig, []SpreadOutcome]{
 			paper:  DefaultSpread,
@@ -293,6 +314,7 @@ func Catalog() []Experiment {
 			seed:   func(c *SpreadConfig, s uint64) { c.Seed = s },
 			run:    RunSpread,
 			report: plain[SpreadConfig](FormatSpread),
+			claims: spreadClaims,
 		}.as("spread"),
 		entry[OutageConfig, []OutageOutcome]{
 			paper:  DefaultOutage,
@@ -300,6 +322,7 @@ func Catalog() []Experiment {
 			seed:   func(c *OutageConfig, s uint64) { c.Seed = s },
 			run:    RunOutage,
 			report: plain[OutageConfig](FormatOutage),
+			claims: outageClaims,
 		}.as("outage"),
 		entry[ChaosConfig, *ChaosResult]{
 			paper:  DefaultChaos,
@@ -307,6 +330,7 @@ func Catalog() []Experiment {
 			seed:   func(c *ChaosConfig, s uint64) { c.Seed = s },
 			run:    RunChaos,
 			report: plain[ChaosConfig](FormatChaos),
+			claims: chaosClaims,
 		}.as("chaos"),
 		entry[AmpereRunConfig, ablationsResult]{
 			paper: DefaultAblation,
@@ -322,6 +346,7 @@ func Catalog() []Experiment {
 				}
 				FormatCappingAblation(w, r.capping)
 			},
+			claims: ablationsClaims,
 		}.as("ablations"),
 		// The single-DC sizes run serially (each size's wall-clock measurement
 		// needs the machine to itself); both halves' timings go to stderr.
@@ -346,6 +371,7 @@ func Catalog() []Experiment {
 				FormatFedScale(w, r.fed)
 				FormatFedScaleTiming(os.Stderr, r.fed)
 			},
+			claims: scaleClaims,
 		}.as("scale"),
 		// The same 20 % grid curtailment as a cliff and as a ramp-limited
 		// schedule over a 100k-server fleet (quick: 320 servers).
@@ -355,16 +381,8 @@ func Catalog() []Experiment {
 			seed:   func(c *GridstormConfig, s uint64) { c.Seed = s },
 			run:    RunGridstorm,
 			report: FormatGridstorm,
+			claims: gridstormClaims,
 		}.as("gridstorm"),
-		// The counterfactual engine on the gridstorm cliff: a two-contender
-		// tournament, the baseline self-replay and the ramped budget.
-		entry[TournamentConfig, *TournamentResult]{
-			paper:  func() TournamentConfig { return whatifTournament(DefaultGridstorm()) },
-			quick:  func(c *TournamentConfig) { *c = whatifTournament(QuickGridstorm()) },
-			seed:   func(c *TournamentConfig, s uint64) { c.Grid.Seed = s },
-			run:    RunTournament,
-			report: plain[TournamentConfig](FormatWhatif),
-		}.as("whatif"),
 		entry[TournamentConfig, *TournamentResult]{
 			paper: DefaultTournament,
 			// The quick grid, with the full tournament's per-instance service
@@ -378,6 +396,7 @@ func Catalog() []Experiment {
 			seed:   func(c *TournamentConfig, s uint64) { c.Grid.Seed = s },
 			run:    RunTournament,
 			report: plain[TournamentConfig](FormatTournament),
+			claims: tournamentClaims,
 			files:  func(r *TournamentResult) []File { return []File{{"tournament.json", r.WriteJSON}} },
 		}.as("tournament"),
 	}

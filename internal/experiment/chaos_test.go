@@ -15,63 +15,6 @@ func quickChaos() ChaosConfig {
 	return cfg
 }
 
-func TestChaosStormRegimes(t *testing.T) {
-	res, err := RunChaos(quickChaos())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, r := res.Naive, res.Resilient
-
-	// The acceptance bar: the resilient controller rides the identical
-	// storm with at most one over-budget minute, the naive one accrues at
-	// least fifty.
-	if r.Violations > 1 {
-		t.Errorf("resilient violations = %d, want <= 1", r.Violations)
-	}
-	if n.Violations < 50 {
-		t.Errorf("naive violations = %d, want >= 50", n.Violations)
-	}
-	if n.BreakerTripped || r.BreakerTripped {
-		t.Errorf("breaker tripped (naive %v, resilient %v); the budget margin below rated power must hold",
-			n.BreakerTripped, r.BreakerTripped)
-	}
-
-	// Degraded-operation accounting: the resilient run must show it was
-	// actually dark, recovered, and retried; the naive run must show the
-	// layer stayed off.
-	if r.Stats.DegradedTicks == 0 || r.Stats.FailSafeTicks == 0 {
-		t.Errorf("resilient degraded/failsafe ticks = %d/%d, want both > 0",
-			r.Stats.DegradedTicks, r.Stats.FailSafeTicks)
-	}
-	if r.Stats.Recoveries == 0 || r.Stats.MTTR() == 0 {
-		t.Errorf("resilient recoveries = %d, MTTR = %v, want both > 0",
-			r.Stats.Recoveries, r.Stats.MTTR())
-	}
-	if r.Stats.InvalidSamples == 0 {
-		t.Error("resilient saw no invalid samples despite NaN/outlier faults")
-	}
-	if r.Stats.Retries == 0 || r.Stats.RetrySuccesses == 0 {
-		t.Errorf("resilient retries = %d, successes = %d, want both > 0",
-			r.Stats.Retries, r.Stats.RetrySuccesses)
-	}
-	if n.Stats.DegradedTicks != 0 || n.Stats.FailSafeTicks != 0 || n.Stats.Retries != 0 {
-		t.Errorf("naive run has resilience activity: %+v", n.Stats)
-	}
-
-	// Both runs executed the crash/restart cycle.
-	if n.Restarts != 1 || r.Restarts != 1 {
-		t.Errorf("restarts naive %d resilient %d, want 1 each", n.Restarts, r.Restarts)
-	}
-
-	// The injector hit both runs with the same schedule of read faults
-	// (blackout reads are one per controller tick, so equal counts mean the
-	// same windows).
-	if n.Chaos.ReadsBlackedOut != r.Chaos.ReadsBlackedOut {
-		t.Errorf("blackout reads differ: naive %d resilient %d",
-			n.Chaos.ReadsBlackedOut, r.Chaos.ReadsBlackedOut)
-	}
-}
-
 // TestChaosCrashRecoversSteadyState is the statelessness property: a
 // controller crash plus cold restart mid-storm must leave the day's outcome
 // where the uninterrupted run leaves it — everything the controller needs

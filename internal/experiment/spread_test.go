@@ -1,60 +1,11 @@
 package experiment
 
-import (
-	"strings"
-	"testing"
-
-	"repro/internal/sim"
-)
+import "testing"
 
 func TestSpreadValidation(t *testing.T) {
 	cfg := DefaultSpread()
 	cfg.Rows = 1
 	if _, err := RunSpread(cfg); err == nil {
 		t.Error("single-row spreading accepted")
-	}
-}
-
-func TestSpreadIncreasesVarianceAndHeadroom(t *testing.T) {
-	cfg := SpreadConfig{Seed: 77, Rows: 4, RowServers: 80, TargetFrac: 0.70,
-		Warmup: sim.Hour, Measure: 8 * sim.Hour}
-	rows, err := RunSpread(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	FormatSpread(&sb, rows)
-	t.Log("\n" + sb.String())
-	byName := map[string]SpreadOutcome{}
-	for _, r := range rows {
-		byName[r.Policy] = r
-	}
-	prop := byName["proportional"]
-	conc := byName["concentrate-rows"]
-	bal := byName["balance-rows"]
-
-	// The future-work claim: concentrating placement increases cross-row
-	// variance and leaves more reliably unused power than both uniform and
-	// balanced placement.
-	if conc.CrossRowStd <= prop.CrossRowStd {
-		t.Errorf("concentration did not raise variance: %.4f vs %.4f",
-			conc.CrossRowStd, prop.CrossRowStd)
-	}
-	if bal.CrossRowStd > prop.CrossRowStd+1e-6 {
-		t.Errorf("balancing raised variance: %.4f vs %.4f", bal.CrossRowStd, prop.CrossRowStd)
-	}
-	// Total headroom is conserved (power conservation) …
-	if d := conc.HeadroomFrac - prop.HeadroomFrac; d > 0.05 || d < -0.05 {
-		t.Errorf("total headroom should be ≈conserved: %.4f vs %.4f",
-			conc.HeadroomFrac, prop.HeadroomFrac)
-	}
-	// … but concentration localizes it into whole reliably-idle rows.
-	if conc.IdleRows <= prop.IdleRows {
-		t.Errorf("concentration produced %d idle rows vs %d — no localization",
-			conc.IdleRows, prop.IdleRows)
-	}
-	// Shaping must not cost throughput (same demand, ample capacity).
-	if float64(conc.Throughput) < float64(prop.Throughput)*0.98 {
-		t.Errorf("concentration cost throughput: %d vs %d", conc.Throughput, prop.Throughput)
 	}
 }

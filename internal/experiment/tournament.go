@@ -36,8 +36,8 @@ type TournamentConfig struct {
 
 // DefaultTournamentPatches is the standard contender grid: every selection
 // policy, every Et estimator family, a combined entry, the spare-headroom
-// release path, the horizon-5 solver, and the ramped-budget patch the
-// whatif demo scores — plus the baseline self-replay.
+// release path, the horizon-5 solver, and the ramped-budget patch — plus the
+// baseline self-replay.
 func DefaultTournamentPatches(cfg GridstormConfig) []string {
 	return []string{
 		"", // baseline: the factual policy, replayed

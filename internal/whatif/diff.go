@@ -255,7 +255,7 @@ func outcome(v RunView) Outcome {
 }
 
 // Format renders the report as the deterministic operator-facing text block
-// `ampere-trace why` and `-exp whatif` print.
+// `ampere-trace why` prints.
 func (r *Report) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "fork      %s (sim_ms=%d)\n", r.ForkTime, r.ForkMS)
