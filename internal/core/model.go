@@ -28,8 +28,8 @@ type ControlSample struct {
 // FitKr estimates the gradient kr of the linear control-effect model
 // f(u) = kr·u from controlled-experiment samples, by least squares through
 // the origin (f(0) = 0 by construction). It returns an error when the
-// samples cannot identify a positive slope — a kr ≤ 0 would mean freezing
-// servers does not reduce power, so the model is unusable.
+// samples cannot identify a positive slope: ErrKrNotPositive, with the fit
+// itself, when the slope is ≤ 0, and a plain error when there is no fit.
 func FitKr(samples []ControlSample) (stats.LinearFit, error) {
 	if len(samples) < 2 {
 		return stats.LinearFit{}, errors.New("core: need at least two control samples to fit kr")
@@ -48,10 +48,15 @@ func FitKr(samples []ControlSample) (stats.LinearFit, error) {
 		return stats.LinearFit{}, err
 	}
 	if fit.Slope <= 0 {
-		return fit, fmt.Errorf("core: fitted kr %v is not positive; freezing shows no power effect", fit.Slope)
+		return fit, fmt.Errorf("%w (kr %v)", ErrKrNotPositive, fit.Slope)
 	}
 	return fit, nil
 }
+
+// ErrKrNotPositive is FitKr's error for a fitted kr ≤ 0: freezing servers
+// does not reduce power, so the model is unusable as a controller gain, but
+// the fit is still a measurement.
+var ErrKrNotPositive = errors.New("core: fitted kr is not positive; freezing shows no power effect")
 
 // GTPW returns the gain in throughput-per-provisioned-watt for a measured
 // throughput ratio under an over-provisioning ratio (Eq. 18):

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -49,9 +50,13 @@ func TestFitKrErrors(t *testing.T) {
 		t.Error("out-of-range u accepted")
 	}
 	// Freezing that increases power must be rejected (negative slope).
+	// The fit comes back with the error: it is still what was measured.
 	neg := []ControlSample{{U: 0.1, FU: -0.05}, {U: 0.5, FU: -0.2}, {U: 0.3, FU: -0.1}}
-	if _, err := FitKr(neg); err == nil {
-		t.Error("negative kr accepted")
+	if fit, err := FitKr(neg); !errors.Is(err, ErrKrNotPositive) || !(fit.Slope < 0) {
+		t.Errorf("negative kr: fit %+v, error %v; want the fit and ErrKrNotPositive", fit, err)
+	}
+	if _, err := FitKr(nil); errors.Is(err, ErrKrNotPositive) {
+		t.Error("no fit at all reported as a non-positive kr")
 	}
 }
 

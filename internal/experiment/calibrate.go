@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -162,13 +163,22 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 			N:   len(fs),
 		})
 	}
-	fit, err := core.FitKr(res.Samples)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: fig5 fit failed: %w", err)
+	if err := res.fit(); err != nil {
+		return nil, err
 	}
-	res.Kr = fit.Slope
-	res.R2 = fit.R2
 	return res, nil
+}
+
+// fit sets Kr and R2 from the samples. A kr ≤ 0 is a result, not an error:
+// fig5's "fitted kr positive" claim reports it, and the experiments after
+// fig5 still run.
+func (r *Fig5Result) fit() error {
+	fit, err := core.FitKr(r.Samples)
+	if err != nil && !errors.Is(err, core.ErrKrNotPositive) {
+		return fmt.Errorf("experiment: fig5 fit failed: %w", err)
+	}
+	r.Kr, r.R2 = fit.Slope, fit.R2
+	return nil
 }
 
 // TrainEtFromSeries builds an HourlyEt estimator from a normalized power

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // quickRuns holds one -quick run per catalogue id, shared by the tests below:
@@ -70,3 +72,29 @@ func TestOutageScenario(t *testing.T)                     { requireClaims(t, "ou
 func TestChaosStormRegimes(t *testing.T)                  { requireClaims(t, "chaos", "") }
 func TestSpreadIncreasesVarianceAndHeadroom(t *testing.T) { requireClaims(t, "spread", "") }
 func TestFedScaleSmoke(t *testing.T)                      { requireClaims(t, "scale", "") }
+
+// A fit whose kr is not positive is fig5's result, not its error: the fit is
+// kept and the "fitted kr positive" claim fails, so ampere-exp still runs and
+// reports every id after fig5.
+func TestFig5NonPositiveKrFailsItsClaim(t *testing.T) {
+	r := &Fig5Result{
+		Samples: []core.ControlSample{{U: 0.1, FU: -0.01}, {U: 0.3, FU: -0.02}, {U: 0.5, FU: -0.04}},
+		Bands:   []Fig5Band{{U: 0.1, P50: -0.01, N: 1}, {U: 0.3, P50: -0.02, N: 1}, {U: 0.5, P50: -0.04, N: 1}},
+	}
+	if err := r.fit(); err != nil {
+		t.Fatalf("fit of a negative slope: %v, want a result", err)
+	}
+	if !(r.Kr < 0) {
+		t.Fatalf("Kr = %v, want the negative fitted slope", r.Kr)
+	}
+	failed := map[string]bool{}
+	for _, c := range fig5Claims(DefaultFig5(), r) {
+		failed[c.Name] = !c.Held
+	}
+	if !failed["fitted kr positive"] {
+		t.Errorf("claims %v: \"fitted kr positive\" held on kr %v", failed, r.Kr)
+	}
+	if err := (&Fig5Result{}).fit(); err == nil {
+		t.Error("a fit of no samples succeeded")
+	}
+}

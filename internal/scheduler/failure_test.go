@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 func TestFailServerKillsJobs(t *testing.T) {
@@ -13,7 +12,7 @@ func TestFailServerKillsJobs(t *testing.T) {
 	c := newTestCluster(t, 1, 1, 2)
 	s := New(eng, c, 1, nil)
 	completed := 0
-	s.OnComplete(func(_ *workload.Job, _ *cluster.Server) { completed++ })
+	s.OnComplete(func(int64, *cluster.Server) { completed++ })
 
 	// Pin four jobs to server 0 by freezing server 1 first.
 	if err := s.Freeze(1); err != nil {

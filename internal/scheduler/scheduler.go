@@ -142,7 +142,7 @@ type Scheduler struct {
 	capRow  []int
 
 	// run is the slab of running jobs and runFree the head of its free-slot
-	// list (-1 when empty); a slot is what a completion event carries.
+	// list (-1 when empty); a slot is what a completion entry on done carries.
 	// runs[r] holds row r's run lists: server i of the row (in ID order)
 	// owns runs[r][i*Containers : i*Containers+srv[id].n], since a job holds
 	// one container. A row's lists are allocated on its first placement, so a
@@ -151,17 +151,18 @@ type Scheduler struct {
 	// load-bearing: speedChanged reschedules completions in list order, which
 	// assigns their engine sequence numbers, which orders completions landing
 	// on the same millisecond, which orders the float subtractions from the
-	// server's CPU load. completeFn is s.complete, bound once.
-	run        sim.Slab[runningJob]
-	runFree    int32
-	runs       [][]int32
-	completeFn sim.ArgEvent
+	// server's CPU load. done is the engine lane of completions: s.complete,
+	// live while the slot's record holds the entry's seq.
+	run     sim.Slab[runningJob]
+	runFree int32
+	runs    [][]int32
+	done    *sim.Lane
 
 	stats Stats
 	met   *metrics
 
 	onPlace    func(j *workload.Job, s *cluster.Server)
-	onComplete func(j *workload.Job, s *cluster.Server)
+	onComplete func(id int64, s *cluster.Server)
 }
 
 // queuedJob is one FIFO entry.
@@ -170,19 +171,27 @@ type queuedJob struct {
 	at  sim.Time // when it was enqueued
 }
 
-// runningJob is one slab record. It holds no pointer (the server by ID, the
-// completion by value handle), so the collector never scans the slab.
+// runningJob is one slab record: what complete, speedChanged and FailServer
+// read of a running job, 64 bytes, one cache line. It holds no pointer (the
+// server by ID), so the collector never scans the slab.
 type runningJob struct {
-	job workload.Job
+	jobID int64 // the submitter's
+	work  sim.Duration
+	cpu   float64
 	// remainingMS is full-speed work left, in (fractional) milliseconds.
 	remainingMS float64
 	startedAt   sim.Time
 	lastUpdate  sim.Time
-	handle      sim.Handle
+	// seq is the seq of the job's live completion entry on done; noSeq
+	// while the slot is free.
+	seq uint64
 	// server is the cluster.ServerID; while the slot is free it links the
 	// free list.
 	server int32
 }
+
+// noSeq is the seq of no lane entry: the engine's counter never reaches it.
+const noSeq = math.MaxUint64
 
 // New builds a scheduler over c using the given placement policy (RandomFit
 // when nil, matching the paper's statistically uniform placement).
@@ -212,7 +221,7 @@ func New(eng *sim.Engine, c *cluster.Cluster, seed uint64, policy Policy) *Sched
 		waitHist:    waitHist,
 		stretchHist: stretchHist,
 	}
-	s.completeFn = s.complete
+	s.done = eng.NewLane(s.complete, s.live)
 	s.busyRow = make([]int, c.Rows())
 	s.capRow = make([]int, c.Rows())
 	for i, sv := range c.Servers {
@@ -334,9 +343,9 @@ func (s *Scheduler) ResetStretchStats() { s.stretchHist = s.stretchHist.Fresh() 
 // valid for the call only; do not retain *Job past the call.
 func (s *Scheduler) OnPlace(fn func(j *workload.Job, sv *cluster.Server)) { s.onPlace = fn }
 
-// OnComplete registers a callback invoked after each job completion. j is
-// valid for the call only; do not retain *Job past the call.
-func (s *Scheduler) OnComplete(fn func(j *workload.Job, sv *cluster.Server)) { s.onComplete = fn }
+// OnComplete registers a callback invoked after each job completion with the
+// job's ID and the server it ran on.
+func (s *Scheduler) OnComplete(fn func(id int64, sv *cluster.Server)) { s.onComplete = fn }
 
 // availability index maintenance
 
@@ -621,7 +630,9 @@ func (s *Scheduler) place(j *workload.Job, id int32) {
 	}
 
 	slot := s.holdRunning(runningJob{
-		job:         *j,
+		jobID:       j.ID,
+		work:        j.Work,
+		cpu:         j.CPU,
 		server:      id,
 		remainingMS: float64(j.Work),
 		startedAt:   s.eng.Now(),
@@ -678,11 +689,15 @@ func (s *Scheduler) scheduleCompletion(slot int32) {
 	if wall < 0 {
 		wall = 0
 	}
-	rj.handle = s.eng.AfterArg(wall, "job-complete", s.completeFn, int64(slot))
+	rj.seq = s.done.At(s.eng.Now().Add(wall), slot)
 }
 
-func (s *Scheduler) complete(now sim.Time, arg int64) {
-	slot := int32(arg)
+// live says whether the completion entry (slot, seq) is still due: the slot
+// is running the job that entry was scheduled for, and no later
+// rescheduling replaced it.
+func (s *Scheduler) live(slot int32, seq uint64) bool { return s.run.At(slot).seq == seq }
+
+func (s *Scheduler) complete(now sim.Time, slot int32) {
 	rj := s.run.At(slot)
 	id := rj.server
 	sv := s.c.Server(cluster.ServerID(id))
@@ -697,7 +712,7 @@ func (s *Scheduler) complete(now sim.Time, arg int64) {
 	list[i] = list[len(list)-1]
 	s.srv[id].n--
 
-	sv.Release(1, rj.job.CPU)
+	sv.Release(1, rj.cpu)
 	r, _ := s.rowOf(id)
 	s.busyRow[r]--
 	s.refreshAvail(id, sv)
@@ -705,27 +720,31 @@ func (s *Scheduler) complete(now sim.Time, arg int64) {
 	if s.met != nil {
 		s.met.completed.Inc()
 	}
-	if rj.job.Work > 0 {
-		s.stretchHist.Add(float64(now.Sub(rj.startedAt)) / float64(rj.job.Work))
+	if rj.work > 0 {
+		s.stretchHist.Add(float64(now.Sub(rj.startedAt)) / float64(rj.work))
 	}
 	if s.onComplete != nil {
-		s.onComplete(&rj.job, sv)
+		s.onComplete(rj.jobID, sv)
 	}
-	// Recycle only now: the callback read the job in place, and the drain
-	// below may take the slot for the next placement.
+	// Recycle only now: the drain below may take the slot for the next
+	// placement.
 	s.freeRunning(slot)
 	s.drainQueue()
 }
 
-// freeRunning returns a slab slot to the free list.
+// freeRunning returns a slab slot to the free list. Its completion entry,
+// if still pending, is dead from here on: no seq matches noSeq.
 func (s *Scheduler) freeRunning(slot int32) {
-	s.run.At(slot).server = s.runFree
+	rj := s.run.At(slot)
+	rj.seq, rj.server = noSeq, s.runFree
 	s.runFree = slot
 }
 
 // speedChanged reschedules the completions of every job running on sv after
 // a DVFS frequency change: elapsed wall-clock time is converted to consumed
-// work at the old speed, and the remainder is replayed at the new speed.
+// work at the old speed, and the remainder is replayed at the new speed. The
+// new entry's seq replaces the old one's in the record, which is what
+// cancels the old entry.
 func (s *Scheduler) speedChanged(sv *cluster.Server, oldSpeed float64) {
 	now := s.eng.Now()
 	for _, slot := range s.runList(int32(sv.ID)) {
@@ -736,7 +755,6 @@ func (s *Scheduler) speedChanged(sv *cluster.Server, oldSpeed float64) {
 			rj.remainingMS = 0
 		}
 		rj.lastUpdate = now
-		s.eng.Cancel(rj.handle)
 		s.scheduleCompletion(slot)
 	}
 }
@@ -785,9 +803,7 @@ func (s *Scheduler) FailServer(id cluster.ServerID) error {
 		return fmt.Errorf("scheduler: server %d already failed", id)
 	}
 	for _, slot := range s.runList(int32(id)) {
-		rj := s.run.At(slot)
-		s.eng.Cancel(rj.handle)
-		sv.Release(1, rj.job.CPU)
+		sv.Release(1, s.run.At(slot).cpu)
 		s.busyRow[sv.Row]--
 		s.stats.Killed++
 		if s.met != nil {

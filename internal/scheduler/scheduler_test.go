@@ -37,7 +37,7 @@ func TestPlaceAndComplete(t *testing.T) {
 
 	var placedOn, completedOn cluster.ServerID
 	s.OnPlace(func(j *workload.Job, sv *cluster.Server) { placedOn = sv.ID })
-	s.OnComplete(func(j *workload.Job, sv *cluster.Server) { completedOn = sv.ID })
+	s.OnComplete(func(_ int64, sv *cluster.Server) { completedOn = sv.ID })
 
 	s.Submit(batchJob(1, 5*sim.Minute, 1))
 	if got := s.Stats().Placed; got != 1 {
@@ -268,7 +268,7 @@ func TestSpeedChangeStretchesJobs(t *testing.T) {
 	c := newTestCluster(t, 1, 1, 1)
 	s := New(eng, c, 1, nil)
 	var doneAt sim.Time
-	s.OnComplete(func(j *workload.Job, sv *cluster.Server) { doneAt = eng.Now() })
+	s.OnComplete(func(int64, *cluster.Server) { doneAt = eng.Now() })
 	s.Submit(batchJob(1, 10*sim.Minute, 1))
 
 	// After 5 minutes, cap the server to half speed.
@@ -294,7 +294,7 @@ func TestSpeedRestoreResumesFullRate(t *testing.T) {
 	c := newTestCluster(t, 1, 1, 1)
 	s := New(eng, c, 1, nil)
 	var doneAt sim.Time
-	s.OnComplete(func(j *workload.Job, sv *cluster.Server) { doneAt = eng.Now() })
+	s.OnComplete(func(int64, *cluster.Server) { doneAt = eng.Now() })
 	s.Submit(batchJob(1, 10*sim.Minute, 1))
 	sv := c.Server(0)
 	sp := sv.Spec()

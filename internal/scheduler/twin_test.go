@@ -47,8 +47,8 @@ func stormDigest(t *testing.T) string {
 		binary.LittleEndian.PutUint64(buf[16:], c)
 		h.Write(buf[:])
 	}
-	s.OnComplete(func(j *workload.Job, sv *cluster.Server) {
-		put(uint64(eng.Now()), uint64(j.ID), uint64(sv.ID))
+	s.OnComplete(func(id int64, sv *cluster.Server) {
+		put(uint64(eng.Now()), uint64(id), uint64(sv.ID))
 	})
 
 	n := float64(len(c.Servers))

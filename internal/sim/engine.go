@@ -9,10 +9,9 @@ import (
 // Event is a callback executed at its scheduled virtual time.
 type Event func(now Time)
 
-// ArgEvent is the closure-free form of Event: the callback is a function or
-// a method value bound once, and what would have been captured travels as
-// arg (typically a slot in the caller's own slab). Scheduling one allocates
-// nothing.
+// ArgEvent is the closure-free form of Event a Batch runs: the callback is a
+// function or a method value bound once, and what would have been captured
+// travels as arg. Adding an entry allocates nothing.
 type ArgEvent func(now Time, arg int64)
 
 // Handle identifies a scheduled event so Engine.Cancel can cancel it. It is a
@@ -29,7 +28,8 @@ type Handle struct {
 type entry struct {
 	at   Time
 	seq  uint64 // tiebreaker: FIFO among events at the same time
-	slot int32  // index into Engine.events
+	slot int32  // index into Engine.events; a lane entry's arg
+	lane uint8  // 0 for a slab event, else the Lane's index in lanes + 1
 }
 
 func (a entry) before(b entry) bool {
@@ -37,23 +37,14 @@ func (a entry) before(b entry) bool {
 }
 
 // event is one slab record: what to run when the entry naming it is popped.
-// It is 32 bytes, two to a cache line, which is why arg does triple duty.
+// It is 24 bytes, which is why period does double duty.
 type event struct {
-	fn    Event
-	argFn ArgEvent // set instead of fn by AtArg/AfterArg
-	// arg is argFn's argument. An fn event has none and keeps its period
-	// here (0 for a one-shot); a free slot keeps the free-list link.
-	arg       int64
+	fn Event
+	// period is the re-arm interval of a periodic event, 0 for a one-shot;
+	// a free slot keeps the free-list link here.
+	period    int64
 	gen       uint32 // bumped on release, so stale handles match nothing
 	cancelled bool
-}
-
-// period returns the re-arm interval of a periodic event, 0 for a one-shot.
-func (ev *event) period() Duration {
-	if ev.argFn != nil {
-		return 0
-	}
-	return Duration(ev.arg)
 }
 
 // Engine is a single-threaded discrete-event simulator. Events scheduled for
@@ -62,12 +53,14 @@ func (ev *event) period() Duration {
 // components run inside event callbacks on one goroutine.
 //
 // Every pending event is an entry ordered by (at, seq); seq is unique, so
-// dispatch order does not depend on where an entry waits. The callbacks live
-// apart, in a slab whose slots are recycled through a free list: in steady
-// state scheduling and dispatching allocate nothing. Cancellation is lazy —
-// it marks the slab record and the entry is dropped when it surfaces as the
-// earliest of all — because removing from the middle would need every move
-// of an entry written back into the slab.
+// dispatch order does not depend on where an entry waits. The callbacks of
+// At and Every events live apart, in a slab whose slots are recycled through
+// a free list: in steady state scheduling and dispatching allocate nothing.
+// A Lane entry has no slab record: it carries its owner's arg, and the
+// owner's record says whether it is still due. Cancellation is lazy either
+// way — Cancel marks the slab record, a lane's owner stops answering live —
+// and the entry is dropped when it surfaces as the earliest of all, because
+// removing from the middle would need every move of an entry written back.
 //
 // Entries wait in one of three places, and dispatch takes whichever head is
 // first in (at, seq) order:
@@ -84,6 +77,7 @@ type Engine struct {
 	now     Time
 	queue   []entry
 	events  Slab[event]
+	lanes   []*Lane
 	batches []*Batch
 	free    int32 // head of the free-slot list, -1 when empty
 	seq     uint64
@@ -120,6 +114,7 @@ type calEntry struct {
 	seq  uint64
 	slot int32
 	off  uint16
+	lane uint8
 }
 
 // calChunk is one link of a bucket's list. A bucket grows by chunks taken
@@ -163,7 +158,7 @@ func (e *Engine) schedule(t Time, name string, ev event) Handle {
 	var rec *event
 	if slot >= 0 {
 		rec = e.events.At(slot)
-		e.free = int32(rec.arg)
+		e.free = int32(rec.period)
 		ev.gen = rec.gen
 	} else {
 		slot = e.events.Add()
@@ -184,7 +179,7 @@ func (e *Engine) release(slot int32) {
 	if gen == 0 {
 		gen = 1 // the zero Handle must stay invalid
 	}
-	*ev = event{gen: gen, arg: int64(e.free)}
+	*ev = event{gen: gen, period: int64(e.free)}
 	e.free = slot
 }
 
@@ -199,17 +194,6 @@ func (e *Engine) After(d Duration, name string, fn Event) Handle {
 	return e.At(e.now.Add(d), name, fn)
 }
 
-// AtArg schedules fn(t, arg) at virtual time t without allocating: bind fn
-// once (a method value stored in a field) and pass per-event state as arg.
-func (e *Engine) AtArg(t Time, name string, fn ArgEvent, arg int64) Handle {
-	return e.schedule(t, name, event{argFn: fn, arg: arg})
-}
-
-// AfterArg is AtArg at d after the current time. Negative d panics.
-func (e *Engine) AfterArg(d Duration, name string, fn ArgEvent, arg int64) Handle {
-	return e.AtArg(e.now.Add(d), name, fn, arg)
-}
-
 // Every schedules fn to run first at time start and then every interval
 // thereafter, until the returned handle is cancelled. interval must be
 // positive.
@@ -217,7 +201,7 @@ func (e *Engine) Every(start Time, interval Duration, name string, fn Event) Han
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: non-positive interval %v for periodic event %q", interval, name))
 	}
-	return e.schedule(start, name, event{fn: fn, arg: int64(interval)})
+	return e.schedule(start, name, event{fn: fn, period: int64(interval)})
 }
 
 // Cancel stops h's event from firing; for a periodic event it stops all
@@ -264,7 +248,7 @@ func (e *Engine) enqueue(x entry) {
 		}
 		bk.tail = c
 	}
-	e.chunks[bk.tail][i] = calEntry{seq: x.seq, slot: x.slot, off: uint16(x.at.Sub(Time(m * int64(Minute))))}
+	e.chunks[bk.tail][i] = calEntry{seq: x.seq, slot: x.slot, off: uint16(x.at.Sub(Time(m * int64(Minute)))), lane: x.lane}
 	bk.n++
 	if e.calLen == 0 || m < e.calMin {
 		e.calMin = m
@@ -395,9 +379,10 @@ const (
 // next returns the earliest pending event in (at, seq) order and where it
 // waits, with the batch when that is where. The next filed minute opens once
 // the open run is drained and no other head is earlier than that minute's
-// start. A cancelled entry is dropped only when it is the earliest of all
-// heads, as a single queue holding everything would drop it: Pending counts
-// it until then.
+// start. A cancelled slab event, or a lane entry its owner no longer calls
+// live, is dropped only when it is the earliest of all heads, as a single
+// queue holding everything would drop it: Pending counts it until then, and
+// it is no step.
 func (e *Engine) next() (top entry, b *Batch, from int) {
 	var bTop entry
 	bFrom := fromNone
@@ -423,7 +408,7 @@ func (e *Engine) next() (top entry, b *Batch, from int) {
 		top, from = bTop, bFrom
 		if e.runHead < len(e.run) {
 			r := e.run[e.runHead]
-			x := entry{at: e.openAt + Time(r.off), seq: r.seq, slot: r.slot}
+			x := entry{at: e.openAt + Time(r.off), seq: r.seq, slot: r.slot, lane: r.lane}
 			if from == fromNone || x.before(top) {
 				top, from = x, fromRun
 			}
@@ -431,7 +416,14 @@ func (e *Engine) next() (top entry, b *Batch, from int) {
 		if len(e.queue) > 0 && (from == fromNone || e.queue[0].before(top)) {
 			top, from = e.queue[0], fromHeap
 		}
-		if from == fromNone || from == fromBatch || !e.events.At(top.slot).cancelled {
+		if from == fromNone || from == fromBatch {
+			return top, b, from
+		}
+		if top.lane != 0 {
+			if e.lanes[top.lane-1].live(top.slot, top.seq) {
+				return top, b, from
+			}
+		} else if !e.events.At(top.slot).cancelled {
 			return top, b, from
 		}
 		if from == fromHeap {
@@ -439,7 +431,9 @@ func (e *Engine) next() (top entry, b *Batch, from int) {
 		} else {
 			e.runHead++
 		}
-		e.release(top.slot)
+		if top.lane == 0 {
+			e.release(top.slot)
+		}
 	}
 }
 
@@ -456,21 +450,21 @@ func (e *Engine) dispatch(top entry, b *Batch, from int) {
 	} else {
 		e.runHead++
 	}
+	if top.lane != 0 {
+		e.lanes[top.lane-1].fn(e.now, top.slot)
+		return
+	}
 	ev := *e.events.At(top.slot)
-	if period := ev.period(); period > 0 {
+	if ev.period > 0 {
 		// Re-arm before running so the callback can cancel via its handle.
-		e.enqueue(entry{at: top.at.Add(period), seq: e.seq, slot: top.slot})
+		e.enqueue(entry{at: top.at.Add(Duration(ev.period)), seq: e.seq, slot: top.slot})
 		e.seq++
 	} else {
 		// Release before running so the callback's own scheduling reuses
 		// the slot while it is still in cache.
 		e.release(top.slot)
 	}
-	if ev.argFn != nil {
-		ev.argFn(e.now, ev.arg)
-	} else {
-		ev.fn(e.now)
-	}
+	ev.fn(e.now)
 }
 
 // Step executes the next pending event, advancing the clock to its timestamp.
@@ -536,12 +530,59 @@ func (e *Engine) Pending() int {
 // Steps returns the number of events executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
 
+// Lane holds one-shot events that share a callback and whose owner, not the
+// engine, decides whether each is still due: a scheduler's job completions.
+// An entry carries its arg (a slot in the owner's own slab) in the queue
+// entry itself and owns no slab record, so scheduling one writes nothing but
+// the queue, and dispatching one touches no engine record before the
+// owner's. At returns the entry's seq; the owner keeps it beside the arg and
+// answers live(arg, seq) for it. "Cancelling" is the owner forgetting seq —
+// freeing the arg, or scheduling the arg again, which gives a new seq — and
+// the dead entry is dropped without a step when it surfaces, exactly as a
+// cancelled slab event is, so Pending, Steps and the (at, seq) order are
+// those of At with Cancel.
+//
+// The contract: once live returns false for an (arg, seq) pair it returns
+// false for that pair ever after. seq is unique, so an owner that compares
+// the seq it holds for arg with the one asked about meets it.
+type Lane struct {
+	eng  *Engine
+	fn   func(now Time, arg int32)
+	live func(arg int32, seq uint64) bool
+	id   uint8 // the entries' lane byte
+}
+
+// NewLane returns an empty lane whose live entries run fn(at, arg); live
+// says whether the entry (arg, seq) is still due when it surfaces. An engine
+// holds at most 255 lanes.
+func (e *Engine) NewLane(fn func(now Time, arg int32), live func(arg int32, seq uint64) bool) *Lane {
+	if len(e.lanes) == 255 {
+		panic("sim: more than 255 lanes")
+	}
+	l := &Lane{eng: e, fn: fn, live: live, id: uint8(len(e.lanes) + 1)}
+	e.lanes = append(e.lanes, l)
+	return l
+}
+
+// At schedules fn(t, arg) at virtual time t and returns the entry's seq.
+// Scheduling in the past (before Now) panics.
+func (l *Lane) At(t Time, arg int32) uint64 {
+	e := l.eng
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling lane entry %d at %v, before now %v", arg, t, e.now))
+	}
+	seq := e.seq
+	e.enqueue(entry{at: t, seq: seq, slot: arg, lane: l.id})
+	e.seq++
+	return seq
+}
+
 // Batch holds one-shot events that share a callback and are never cancelled,
 // outside the heap: a workload's arrivals, added a minute at a time. Add is
 // an append; the engine sorts the batch the first time it looks at it after
 // an Add, and dispatching an entry is an index bump. Entries take their seq
-// from the engine's counter at Add, exactly as AtArg does, so a batch entry
-// and a heap entry at the same time fire in the order they were scheduled.
+// from the engine's counter at Add, exactly as At does, so a batch entry and
+// a heap entry at the same time fire in the order they were scheduled.
 type Batch struct {
 	eng  *Engine
 	name string

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
@@ -304,8 +305,14 @@ type refItem struct {
 	fn        Event
 	interval  Duration
 	cancelled bool
-	index     int
+	// live, when set, is asked when the item surfaces: a lane entry whose
+	// owner has forgotten it is as good as cancelled.
+	live  func() bool
+	index int
 }
+
+// dead reports whether it is to be dropped rather than run.
+func (it *refItem) dead() bool { return it.cancelled || it.live != nil && !it.live() }
 
 type refHandle struct{ item *refItem }
 
@@ -353,7 +360,7 @@ func (e *refEngine) schedule(t Time, interval Duration, fn Event) *refHandle {
 func (e *refEngine) Step() bool {
 	for len(e.queue) > 0 && !e.stopped {
 		it := heap.Pop(&e.queue).(*refItem)
-		if it.cancelled {
+		if it.dead() {
 			continue
 		}
 		e.now = it.at
@@ -389,7 +396,7 @@ func (e *refEngine) RunUntil(end Time) error {
 
 func (e *refEngine) peek() *refItem {
 	for len(e.queue) > 0 {
-		if e.queue[0].cancelled {
+		if e.queue[0].dead() {
 			heap.Pop(&e.queue)
 			continue
 		}
@@ -405,7 +412,7 @@ type scriptedEngine struct {
 	at       func(t Time, fn Event) (cancel func())
 	after    func(d Duration, fn Event) (cancel func())
 	every    func(start Time, interval Duration, fn Event) (cancel func())
-	atArg    func(t Time, fn ArgEvent, arg int64) (cancel func())
+	newLane  func(fn func(Time, int32), live func(int32, uint64) bool) (at func(t Time, arg int32) uint64)
 	newBatch func(fn ArgEvent) (add func(t Time, arg int64))
 	runUntil func(end Time) error
 	steps    func() uint64
@@ -420,8 +427,8 @@ func scriptNew() scriptedEngine {
 		at:    func(t Time, fn Event) func() { return canceller(e.At(t, "at", fn)) },
 		after: func(d Duration, fn Event) func() { return canceller(e.After(d, "after", fn)) },
 		every: func(start Time, iv Duration, fn Event) func() { return canceller(e.Every(start, iv, "every", fn)) },
-		atArg: func(t Time, fn ArgEvent, arg int64) func() {
-			return canceller(e.AtArg(t, "at-arg", fn, arg))
+		newLane: func(fn func(Time, int32), live func(int32, uint64) bool) func(Time, int32) uint64 {
+			return e.NewLane(fn, live).At
 		},
 		newBatch: func(fn ArgEvent) func(Time, int64) { return e.NewBatch("batch", fn).Add },
 		runUntil: e.RunUntil, steps: e.Steps, pending: e.Pending,
@@ -435,9 +442,15 @@ func scriptRef() scriptedEngine {
 		at:    func(t Time, fn Event) func() { return e.schedule(t, 0, fn).Cancel },
 		after: func(d Duration, fn Event) func() { return e.schedule(e.now.Add(d), 0, fn).Cancel },
 		every: func(start Time, iv Duration, fn Event) func() { return e.schedule(start, iv, fn).Cancel },
-		// The old engine had no closure-free form; a closure is its meaning.
-		atArg: func(t Time, fn ArgEvent, arg int64) func() {
-			return e.schedule(t, 0, func(now Time) { fn(now, arg) }).Cancel
+		// The old engine had no lanes: a lane entry is a one-shot closure
+		// that its owner's live cancels when it surfaces.
+		newLane: func(fn func(Time, int32), live func(int32, uint64) bool) func(Time, int32) uint64 {
+			return func(t Time, arg int32) uint64 {
+				seq := e.seq
+				it := e.schedule(t, 0, func(now Time) { fn(now, arg) }).item
+				it.live = func() bool { return live(arg, seq) }
+				return seq
+			}
 		},
 		// A batch entry is a one-shot nobody cancels.
 		newBatch: func(fn ArgEvent) func(Time, int64) {
@@ -452,6 +465,22 @@ func scriptRef() scriptedEngine {
 type dispatch struct {
 	at Time
 	id int64
+}
+
+// laneCover counts what a script did on its lane that the reference must
+// see the same way: kills of an entry before it surfaced, reschedules to the
+// millisecond the entry was already due at, args reused after a kill under a
+// new seq, and whether its first entry took the engine's first seq.
+type laneCover struct {
+	kills, sameMs, reused int
+	firstSeq              bool
+}
+
+func (c *laneCover) add(o laneCover) {
+	c.kills += o.kills
+	c.sameMs += o.sameMs
+	c.reused += o.reused
+	c.firstSeq = c.firstSeq || o.firstSeq
 }
 
 // checkpoint is what the engines must agree on after every RunUntil.
@@ -478,18 +507,23 @@ type batchMix struct {
 var scriptUnits = []Duration{Millisecond, Minute / 10, Minute, 13 * Minute}
 
 // runScript drives e with a seeded random script and returns every dispatch
-// as (time, id) and a checkpoint per RunUntil. Each callback draws from the
-// script's one random stream, so two engines stay in step only for as long
-// as they dispatch in the same order. The script covers one-shots at, after
-// and closure-free; schedule-at-now from inside a callback; periodics that
-// cancel themselves from inside their own callback; cancels of live, fired
-// and already-cancelled events, long after the slot has a new tenant; and
-// bursts of thousands of events on one timestamp. About one spawn in 16 is
-// 0–300 whole minutes out, beyond the calendar's ring. With batches it also
-// adds batch entries from inside callbacks, between runs and in bursts, and a
-// bulk each round spread over a span from 1 to 2^11 units or, late on, up to
-// 2^40 ms, so the radix sort runs from one pass to several.
-func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkpoint) {
+// as (time, id), a checkpoint per RunUntil and what it did on its lane. Each
+// callback draws from the script's one random stream, so two engines stay in
+// step only for as long as they dispatch in the same order. The script
+// covers one-shots at, after and on a lane; schedule-at-now from inside a
+// callback; periodics that cancel themselves from inside their own callback;
+// cancels of live, fired and already-cancelled events, long after the slot
+// has a new tenant; and bursts of thousands of events on one timestamp. Its
+// lane entries are owned as a scheduler owns completions: an arg is a slot
+// that holds one job and the seq of its live entry, and a cancel is a kill
+// that frees the slot for reuse under a new seq; callbacks also reschedule
+// held slots, a third of the time to the millisecond already due, and the
+// script's first event is a lane entry. About one spawn in 16 is 0–300 whole
+// minutes out, beyond the calendar's ring. With batches it also adds batch
+// entries from inside callbacks, between runs and in bursts, and a bulk each
+// round spread over a span from 1 to 2^11 units or, late on, up to 2^40 ms,
+// so the radix sort runs from one pass to several.
+func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkpoint, laneCover) {
 	r := rand.New(rand.NewSource(seed))
 	unit := max(mix.unit, Millisecond)
 	var trace []dispatch
@@ -497,8 +531,28 @@ func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkp
 	var cancels []func() // every handle ever issued, never pruned
 	nextID := int64(0)
 	var batches []func(t Time, arg int64)
+	var cover laneCover
+
+	// The lane's owner: slot a holds job id[a] (spawned at depth[a]) while
+	// seq[a] is the seq of its live entry, due at at[a]; a free slot holds
+	// noSeq and waits in free. killed[a] says the slot was last freed by a
+	// kill rather than by its entry running.
+	const noSeq = ^uint64(0)
+	var own struct {
+		seq    []uint64
+		id     []int64
+		depth  []int
+		at     []Time
+		killed []bool
+		free   []int32
+	}
+	release := func(a int32, kill bool) {
+		own.seq[a], own.killed[a] = noSeq, kill
+		own.free = append(own.free, a)
+	}
 
 	var spawn func(depth int)
+	var laneAt func(t Time, arg int32) uint64
 	record := func(now Time, id int64, depth int) {
 		trace = append(trace, dispatch{now, id})
 		if depth < 3 && r.Intn(3) == 0 {
@@ -509,10 +563,57 @@ func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkp
 		if len(cancels) > 0 && r.Intn(4) == 0 {
 			cancels[r.Intn(len(cancels))]()
 		}
+		for k := r.Intn(3); k > 0 && len(own.seq) > 0; k-- {
+			// Reschedule a held slot, as a speed change does: the new seq
+			// replaces the old, which is then dead.
+			a := int32(r.Intn(len(own.seq)))
+			if own.seq[a] == noSeq {
+				continue
+			}
+			at := own.at[a]
+			if r.Intn(3) != 0 {
+				at = now.Add(Duration(r.Intn(12)) * unit)
+			} else {
+				cover.sameMs++
+			}
+			own.seq[a], own.at[a] = laneAt(at, a), at
+		}
 	}
 	argFn := func(now Time, arg int64) { record(now, arg>>2, int(arg&3)) }
 	for k := 0; k < mix.batches; k++ {
 		batches = append(batches, e.newBatch(argFn))
+	}
+	laneAt = e.newLane(func(now Time, a int32) {
+		if own.seq[a] == noSeq {
+			panic(fmt.Sprintf("lane ran free slot %d", a))
+		}
+		id, depth := own.id[a], own.depth[a]
+		release(a, false)
+		record(now, id, depth)
+	}, func(a int32, seq uint64) bool { return own.seq[a] == seq })
+	// onLane holds job id in a free slot (reusing the last freed first) with
+	// an entry at t, and returns the job's kill.
+	onLane := func(t Time, id int64, depth int) (kill func()) {
+		var a int32
+		if n := len(own.free); n > 0 {
+			a, own.free = own.free[n-1], own.free[:n-1]
+			if own.killed[a] {
+				cover.reused++
+			}
+		} else {
+			a = int32(len(own.seq))
+			own.seq, own.id, own.depth = append(own.seq, 0), append(own.id, 0), append(own.depth, 0)
+			own.at, own.killed = append(own.at, 0), append(own.killed, false)
+		}
+		seq := laneAt(t, a)
+		cover.firstSeq = cover.firstSeq || seq == 0
+		own.seq[a], own.id[a], own.depth[a], own.at[a] = seq, id, depth, t
+		return func() {
+			if own.seq[a] != noSeq && own.id[a] == id {
+				cover.kills++
+				release(a, true)
+			}
+		}
 	}
 	spawn = func(depth int) {
 		id := nextID
@@ -537,7 +638,7 @@ func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkp
 		case 3, 4:
 			cancels = append(cancels, e.after(delay, func(now Time) { record(now, id, depth) }))
 		case 5, 6, 7:
-			cancels = append(cancels, e.atArg(e.now().Add(delay), argFn, id<<2|int64(depth)))
+			cancels = append(cancels, onLane(e.now().Add(delay), id, depth))
 		case 8:
 			left := 1 + r.Intn(6)
 			var cancel func()
@@ -554,6 +655,10 @@ func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkp
 			}
 		}
 	}
+
+	// The first event is on the lane, so an owner holds seq 0.
+	cancels = append(cancels, onLane(Time(r.Intn(12))*Time(unit), nextID, 0))
+	nextID++
 
 	end := Time(0)
 	for round := 0; round < 60; round++ {
@@ -574,7 +679,7 @@ func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkp
 				case k%2 == 0:
 					cancel = e.at(at, func(now Time) { record(now, id, 3) })
 				default:
-					cancel = e.atArg(at, argFn, id<<2|3)
+					cancel = onLane(at, id, 3)
 				}
 				cancels = append(cancels, cancel)
 				if k%3 == 0 {
@@ -603,54 +708,61 @@ func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkp
 		}
 		marks = append(marks, checkpoint{e.now(), e.steps(), e.pending(), len(trace)})
 	}
-	return trace, marks
+	return trace, marks, cover
 }
 
 // matchReference runs one script on the engine and on refEngine and reports
-// the first difference, or the number of dispatches when there is none.
-func matchReference(seed int64, mix batchMix) (int, error) {
-	got, gotMarks := runScript(scriptNew(), seed, mix)
-	want, wantMarks := runScript(scriptRef(), seed, mix)
+// the first difference, or the number of dispatches and the lane's cover when
+// there is none.
+func matchReference(seed int64, mix batchMix) (int, laneCover, error) {
+	got, gotMarks, cover := runScript(scriptNew(), seed, mix)
+	want, wantMarks, _ := runScript(scriptRef(), seed, mix)
 	for i := range wantMarks {
 		if gotMarks[i] != wantMarks[i] {
-			return 0, fmt.Errorf("after RunUntil #%d engine at %+v, reference at %+v", i, gotMarks[i], wantMarks[i])
+			return 0, cover, fmt.Errorf("after RunUntil #%d engine at %+v, reference at %+v", i, gotMarks[i], wantMarks[i])
 		}
 	}
 	if len(got) != len(want) {
-		return 0, fmt.Errorf("%d dispatches, reference %d", len(got), len(want))
+		return 0, cover, fmt.Errorf("%d dispatches, reference %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			return 0, fmt.Errorf("dispatch %d is %+v, reference %+v", i, got[i], want[i])
+			return 0, cover, fmt.Errorf("dispatch %d is %+v, reference %+v", i, got[i], want[i])
 		}
 	}
-	return len(want), nil
+	return len(want), cover, nil
 }
 
 func TestEngineMatchesReference(t *testing.T) {
+	var cover laneCover
 	for seed := int64(1); seed <= 8; seed++ {
 		mix := batchMix{batches: int(seed % 3), share: 32 * int(seed%4)}
-		n, err := matchReference(seed, mix)
+		n, c, err := matchReference(seed, mix)
 		if err != nil {
 			t.Fatalf("seed %d, %+v: %v", seed, mix, err)
 		}
 		if n < 5000 {
 			t.Fatalf("seed %d: script dispatched only %d events", seed, n)
 		}
+		cover.add(c)
 	}
 	// The calendar: ring overflow, cancelled entries and same-millisecond
 	// ties across the heap, the calendar and the batches at minute starts.
 	for _, unit := range scriptUnits[1:] {
 		for seed := int64(1); seed <= 40; seed++ {
 			mix := batchMix{batches: int(seed % 3), share: 32 * int(seed%4), unit: unit}
-			n, err := matchReference(seed, mix)
+			n, c, err := matchReference(seed, mix)
 			if err != nil {
 				t.Fatalf("seed %d, %+v: %v", seed, mix, err)
 			}
 			if n < 5000 {
 				t.Fatalf("seed %d, unit %v: script dispatched only %d events", seed, unit, n)
 			}
+			cover.add(c)
 		}
+	}
+	if cover.kills == 0 || cover.sameMs == 0 || cover.reused == 0 || !cover.firstSeq {
+		t.Errorf("lane cover %+v: a case the scripts should reach went untested", cover)
 	}
 }
 
@@ -660,7 +772,7 @@ func TestEngineMatchesReference(t *testing.T) {
 func FuzzEngineMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, batches, share, unit uint8) {
 		mix := batchMix{batches: int(batches % 3), share: int(share), unit: scriptUnits[int(unit)%len(scriptUnits)]}
-		if _, err := matchReference(seed, mix); err != nil {
+		if _, _, err := matchReference(seed, mix); err != nil {
 			t.Fatalf("seed %d, %+v: %v", seed, mix, err)
 		}
 	})
@@ -689,24 +801,30 @@ func TestStaleHandleSparesNewTenant(t *testing.T) {
 	}
 }
 
-// Scheduling and dispatching on a warmed engine allocate nothing.
-func TestAtArgStepDoesNotAllocate(t *testing.T) {
-	e := NewEngine()
+// Scheduling lane entries and dispatching or dropping them on a warmed
+// engine allocate nothing, through the heap and through the calendar. Arg 3
+// is never live, so every run also drops a dead entry.
+func TestLaneStepDoesNotAllocate(t *testing.T) {
 	var sum int64
-	fn := ArgEvent(func(_ Time, arg int64) { sum += arg })
+	fn := func(_ Time, arg int32) { sum += int64(arg) }
+	live := func(arg int32, _ uint64) bool { return arg != 3 }
+	e := NewEngine()
+	lane := e.NewLane(fn, live)
 	for i := 0; i < 1000; i++ {
-		e.AtArg(Time(i%7), "warm", fn, 1)
+		lane.At(Time(i%7), 1)
 	}
 	for e.Step() {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		e.AfterArg(Second, "arg", fn, 2)
-		e.AfterArg(Millisecond, "arg", fn, 3)
-		e.Step()
+		lane.At(e.Now().Add(Second), 2)
+		lane.At(e.Now().Add(Millisecond), 3)
 		e.Step()
 	})
 	if allocs != 0 {
-		t.Errorf("AtArg+Step allocates %.1f objects per run, want 0", allocs)
+		t.Errorf("Lane.At+Step allocates %.1f objects per run, want 0", allocs)
+	}
+	if e.Steps() != 1000+1001 || e.Pending() != 0 {
+		t.Errorf("%d steps, %d pending; want 2001 and 0: a dead entry ran or a live one was dropped", e.Steps(), e.Pending())
 	}
 
 	// Minute-scale events go through the calendar: each run files a dozen
@@ -714,13 +832,14 @@ func TestAtArgStepDoesNotAllocate(t *testing.T) {
 	// on, which opens three. Once the ring has turned several times over,
 	// its chunks and run buffers are warm.
 	e = NewEngine()
+	lane = e.NewLane(fn, live)
 	k := 0
 	minutes := func() {
 		for i := 0; i < 12; i++ {
 			k++
-			e.AfterArg(Duration(k%150)*Minute+Duration(k%60)*Second, "far", fn, 2)
+			lane.At(e.Now().Add(Duration(k%150)*Minute+Duration(k%60)*Second), int32(k%4))
 		}
-		e.AfterArg(Duration(k%7)*Second, "near", fn, 3)
+		lane.At(e.Now().Add(Duration(k%7)*Second), 1)
 		if err := e.RunUntil(e.Now().Add(3 * Minute)); err != nil {
 			t.Fatal(err)
 		}
@@ -729,7 +848,7 @@ func TestAtArgStepDoesNotAllocate(t *testing.T) {
 		minutes()
 	}
 	if allocs := testing.AllocsPerRun(1000, minutes); allocs != 0 {
-		t.Errorf("AtArg+Step through the calendar allocates %.1f objects per run, want 0", allocs)
+		t.Errorf("Lane.At+Step through the calendar allocates %.1f objects per run, want 0", allocs)
 	}
 	if e.calLen == 0 {
 		t.Errorf("nothing in the calendar of %d pending: the test no longer tests it", e.Pending())
@@ -743,12 +862,13 @@ func TestBatchKeepsFIFOWithHeap(t *testing.T) {
 	var order []int64
 	record := func(_ Time, arg int64) { order = append(order, arg) }
 	a, b := e.NewBatch("a", record), e.NewBatch("b", record)
+	lane := e.NewLane(func(now Time, arg int32) { record(now, int64(arg)) }, func(int32, uint64) bool { return true })
 	for i := int64(0); i < 12; i++ {
 		switch i % 3 {
 		case 0:
 			a.Add(Time(Second), i)
 		case 1:
-			e.AtArg(Time(Second), "heap", record, i)
+			lane.At(Time(Second), int32(i))
 		case 2:
 			b.Add(Time(Second), i)
 		}
@@ -859,6 +979,20 @@ func TestBatchAddInPastPanics(t *testing.T) {
 	b.Add(Time(Minute)-1, 0)
 }
 
+func TestLaneAtInPastPanics(t *testing.T) {
+	e := NewEngine()
+	lane := e.NewLane(func(Time, int32) {}, func(int32, uint64) bool { return true })
+	if err := e.RunUntil(Time(Minute)); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("lane entry before Now did not panic")
+		}
+	}()
+	lane.At(Time(Minute)-1, 7)
+}
+
 // A batch that is never fully drained gives back its consumed prefix: with
 // at most k entries pending, its buffers stay within a small multiple of k.
 func TestBatchNeverDrainedStaysBounded(t *testing.T) {
@@ -904,5 +1038,22 @@ func TestBatchStepDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Batch Add+Step allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// The lane byte sits in padding, so a queue entry costs what it did before
+// lanes, and the slab record holds what an At or Every event needs alone.
+func TestRecordSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"entry", unsafe.Sizeof(entry{}), 24},
+		{"calEntry", unsafe.Sizeof(calEntry{}), 16},
+		{"event", unsafe.Sizeof(event{}), 24},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
 	}
 }
