@@ -77,7 +77,8 @@ func (h *Histogram) Count() int64 {
 	return h.h.Count()
 }
 
-// Quantile returns the q-th quantile estimate (NaN before any observation).
+// Quantile returns the q-th quantile estimate (NaN before any observation,
+// and for a NaN q).
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()

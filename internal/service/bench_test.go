@@ -16,6 +16,10 @@ import (
 // 234k requests a window, so its sample phase runs on GOMAXPROCS goroutines.
 // The cost must scale with the request count, never the user count — a
 // regression here makes fig11scale's 100k-server runs unaffordable.
+//
+// phase=window times whole windows; phase=publish times the publish phase
+// alone, over the buffers one window's sample phase filled: the serial part
+// of the window's figure, which no number of cores shortens.
 func BenchmarkServiceReplay(b *testing.B) {
 	for _, bc := range []struct {
 		instances, users int
@@ -25,7 +29,7 @@ func BenchmarkServiceReplay(b *testing.B) {
 		{20, 1_000_000, 0.06, sim.Second},
 		{400, 600_000, 0.039, 10 * sim.Second},
 	} {
-		b.Run(fmt.Sprintf("instances=%d", bc.instances), func(b *testing.B) {
+		setup := func(b *testing.B) (*Service, *sim.Engine) {
 			sp := cluster.DefaultSpec()
 			sp.Rows, sp.RacksPerRow, sp.ServersPerRack = 1, bc.instances/20, 20
 			sp.NoiseSigmaW = 0
@@ -40,6 +44,10 @@ func BenchmarkServiceReplay(b *testing.B) {
 				b.Fatal(err)
 			}
 			s.Start()
+			return s, eng
+		}
+		b.Run(fmt.Sprintf("instances=%d/phase=window", bc.instances), func(b *testing.B) {
+			s, eng := setup(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := eng.RunUntil(sim.Time(int64(i+1) * int64(bc.window))); err != nil {
@@ -53,6 +61,26 @@ func BenchmarkServiceReplay(b *testing.B) {
 			}
 			b.ReportMetric(float64(served)/float64(b.N), "requests/window")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(served), "ns/request")
+		})
+		b.Run(fmt.Sprintf("instances=%d/phase=publish", bc.instances), func(b *testing.B) {
+			s, eng := setup(b)
+			if err := eng.RunUntil(sim.Time(bc.window)); err != nil {
+				b.Fatal(err)
+			}
+			var requests int
+			for _, inst := range s.instances {
+				requests += len(inst.out)
+			}
+			if requests == 0 {
+				b.Fatal("nothing replayed")
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.publish()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(requests), "requests/window")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*requests), "ns/request")
 		})
 	}
 }

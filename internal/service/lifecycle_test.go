@@ -2,6 +2,7 @@ package service
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -146,5 +147,31 @@ func TestZeroSpeedWindowStaysFinite(t *testing.T) {
 	}
 	if bu := s.instances[0].busyUntilMS; math.IsNaN(bu) || math.IsInf(bu, 0) {
 		t.Errorf("busyUntilMS poisoned: %v", bu)
+	}
+}
+
+// replay's one-segment path is finish's first iteration: a window replayed
+// over one segment, and again over the same segment followed by one that
+// starts long after the window — so every request takes finish's walk —
+// writes the same arrivals, bit for bit, at normal and degenerate speeds.
+// The segment starts after the window does, so early requests wait for it.
+func TestSingleSegmentReplayMatchesFinish(t *testing.T) {
+	for _, speed := range []float64{1, 0.5, 0.1, 1e-9, 0, -1, math.NaN()} {
+		s, err := New(sim.NewEngine(), 8, steadyConfig(1, 2000), newServers(t, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.win = window{start: 1000, ms: 1000, perInstPerMS: 2}
+		inst := s.instances[0]
+		run := func(segs []speedSeg) []arrival {
+			inst.rng, inst.busyUntilMS, inst.segs, inst.out = sim.RNGState(5), 0, segs, nil
+			s.replay(inst)
+			return inst.out
+		}
+		one := run([]speedSeg{{at: 1200, speed: speed}})
+		two := run([]speedSeg{{at: 1200, speed: speed}, {at: math.MaxInt64, speed: 1}})
+		if len(one) < 1000 || !reflect.DeepEqual(one, two) {
+			t.Errorf("speed %v: %d arrivals over one segment, %d over two, or they differ", speed, len(one), len(two))
+		}
 	}
 }

@@ -19,7 +19,6 @@ package service
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 
@@ -80,7 +79,10 @@ type speedSeg struct {
 
 type instance struct {
 	server *cluster.Server
-	rng    *rand.Rand
+	// rng is the state word of the instance's request stream, the one
+	// sim.SubRNG(seed, "service-instance-<i>") draws, drawn here with
+	// sim.ExpFloat64 and sim.Float64.
+	rng uint64
 	// busyUntilMS is the virtual time (fractional ms) when the instance's
 	// single thread frees up.
 	busyUntilMS float64
@@ -94,11 +96,23 @@ type instance struct {
 	out []arrival
 }
 
-// arrival is one replayed request as the sample phase hands it to publish.
+// arrival is one replayed request as the sample phase hands it to publish:
+// its latency with the latency's histogram bucket and SLO verdict, which the
+// sample phase computes, so publish does no per-request work but the
+// counting. 16 bytes, four to a cache line.
 type arrival struct {
 	latencyUS float64
-	class, op int32
+	bucket    int32 // stats.LogHistogram.Bucket(latencyUS) of the latency layout
+	class     uint16
+	op        uint8
+	miss      bool // latencyUS over the op's SLO
 }
+
+// The most classes and ops an arrival's fields hold.
+const (
+	maxClasses = math.MaxUint16 + 1
+	maxOps     = math.MaxUint8 + 1
+)
 
 // window is what every instance's replay reads of the window being closed:
 // its start and length and each instance's arrival rate, in milliseconds.
@@ -130,7 +144,6 @@ type Service struct {
 	eng       *sim.Engine
 	window    sim.Duration
 	ops       []Op
-	opCum     []float64 // cumulative uniform op weights, for pickCum
 	classes   []*classState
 	instances []*instance
 	running   bool
@@ -161,6 +174,9 @@ func New(eng *sim.Engine, seed uint64, cfg Config, servers []*cluster.Server) (*
 	if len(cfg.Classes) == 0 {
 		return nil, fmt.Errorf("service: no client classes")
 	}
+	if len(cfg.Classes) > maxClasses {
+		return nil, fmt.Errorf("service: %d client classes, at most %d", len(cfg.Classes), maxClasses)
+	}
 	switch {
 	case cfg.Window < 0:
 		return nil, fmt.Errorf("service: negative window %v", cfg.Window)
@@ -171,16 +187,16 @@ func New(eng *sim.Engine, seed uint64, cfg Config, servers []*cluster.Server) (*
 	if ops == nil {
 		ops = DefaultOps()
 	}
+	if len(ops) == 0 || len(ops) > maxOps {
+		return nil, fmt.Errorf("service: %d ops, want 1 to %d", len(ops), maxOps)
+	}
 	for i, op := range ops {
 		if !(op.BaseServiceUS > 0) || math.IsInf(op.BaseServiceUS, 0) {
 			return nil, fmt.Errorf("service: op %d (%s) has service time %v", i, op.Name, op.BaseServiceUS)
 		}
 	}
 
-	s := &Service{eng: eng, window: cfg.Window, ops: ops, opCum: make([]float64, len(ops))}
-	for i := range s.opCum {
-		s.opCum[i] = float64(i+1) / float64(len(ops))
-	}
+	s := &Service{eng: eng, window: cfg.Window, ops: ops}
 	names := make(map[string]bool, len(cfg.Classes))
 	for ci, c := range cfg.Classes {
 		if err := c.validate(); err != nil {
@@ -213,7 +229,7 @@ func New(eng *sim.Engine, seed uint64, cfg Config, servers []*cluster.Server) (*
 	for i, sv := range servers {
 		inst := &instance{
 			server: sv,
-			rng:    sim.SubRNG(seed, fmt.Sprintf("service-instance-%d", i)),
+			rng:    sim.RNGState(sim.SubSeedN(seed, "service-instance-", i)),
 		}
 		inst.segs = []speedSeg{{at: eng.Now(), speed: sv.Speed()}}
 		sv.OnSpeedChange(func(srv *cluster.Server, old float64) {
@@ -441,7 +457,8 @@ func (s *Service) closeWindow(now sim.Time) {
 
 // sample is the window's sample phase. An instance's replay touches only the
 // instance — its RNG, queue horizon, frequency history and arrival buffer —
-// and reads the window's rates, so replayWidth goroutines replay blocks of
+// and reads the window's rates, the op table and the latency layout, none of
+// which changes during the phase, so replayWidth goroutines replay blocks of
 // instances.
 func (s *Service) sample() {
 	// Sized here, a buffer never grows on a helper: a Poisson count stays
@@ -473,13 +490,15 @@ func (s *Service) replayBlock(b int) {
 }
 
 // publish is the window's publish phase: every replayed arrival, in instance
-// order and then arrival order, into its histogram and counters.
+// order and then arrival order, into its histogram and counters. The bucket
+// and the SLO verdict come computed; what stays serial is the counting and
+// each histogram's float sum, whose value depends on the order of its terms.
 func (s *Service) publish() {
 	for _, inst := range s.instances {
 		for _, a := range inst.out {
-			s.hist[a.class][a.op].Add(a.latencyUS)
+			s.hist[a.class][a.op].AddBucket(a.latencyUS, int(a.bucket))
 			s.served[a.class][a.op]++
-			if slo := s.ops[a.op].SLOUS; slo > 0 && a.latencyUS > slo {
+			if a.miss {
 				s.sloMisses[a.class][a.op]++
 			}
 		}
@@ -489,48 +508,106 @@ func (s *Service) publish() {
 // replay streams the window's arrivals in time order — exponential
 // inter-arrival gaps at the composed rate, no per-request allocation — and
 // pushes them through the instance's single-threaded FCFS queue, writing each
-// one's latency, class and operation to inst.out. Each arrival picks its
-// class proportionally to the classes' rate shares, then an operation
-// uniformly. Within the window the frequency is piecewise constant per
-// the recorded segments; work started near the window edge is finished at
-// the final segment's speed (exact unless the frequency changes again
-// immediately, a negligible horizon at 10 s windows vs 1 s capping).
+// one's latency, its bucket and SLO verdict, class and operation to
+// inst.out. Each arrival picks its class proportionally to the classes' rate
+// shares, then an operation uniformly. Within the window the frequency is
+// piecewise constant per the recorded segments; work started near the window
+// edge is finished at the final segment's speed (exact unless the frequency
+// changes again immediately, a negligible horizon at 10 s windows vs 1 s
+// capping).
 func (s *Service) replay(inst *instance) {
 	w := &s.win
-	if inst.busyUntilMS < w.start {
-		inst.busyUntilMS = w.start
+	busy := inst.busyUntilMS
+	if busy < w.start {
+		busy = w.start
 	}
-	r := inst.rng
+	state := inst.rng
 	single := len(s.classes) == 1
+	layout := s.hist[0][0] // every hist shares its bucket layout
+	segs := inst.segs
+	// With one segment, finish reduces to its first iteration: the start
+	// held at the segment's, plus the op's work divided by the segment's
+	// speed. That quotient is the same for every request of an op, so it is
+	// taken once per op, with the same two divisions finish's caller and
+	// finish make.
+	seg0At := float64(segs[0].at)
+	var seg0MS [maxOps]float64
+	if len(segs) == 1 {
+		speed := segs[0].speed
+		if !(speed > minSegSpeed) { // also catches NaN
+			speed = minSegSpeed
+		}
+		for k := range s.ops {
+			seg0MS[k] = s.ops[k].BaseServiceUS / 1000 / speed
+		}
+	}
 	out := inst.out[:0]
-	for t := r.ExpFloat64() / w.perInstPerMS; t < w.ms; t += r.ExpFloat64() / w.perInstPerMS {
+	for t := 0.0; ; {
+		gap, ok := sim.ExpFast(&state)
+		if !ok {
+			gap = sim.ExpTail(&state)
+		}
+		if t += gap / w.perInstPerMS; !(t < w.ms) {
+			break
+		}
 		at := w.start + t
 		ci := 0
 		if !single {
-			ci = pickCum(r, s.cumShare)
+			ci = pickCum(sim.Float64(&state), s.cumShare)
 		}
-		opIdx := pickCum(r, s.opCum)
+		opIdx := pickUniform(sim.Float64(&state), len(s.ops))
+		op := &s.ops[opIdx]
 		startSvc := at
-		if inst.busyUntilMS > startSvc {
-			startSvc = inst.busyUntilMS
+		if busy > startSvc {
+			startSvc = busy
 		}
-		workMS := s.ops[opIdx].BaseServiceUS / 1000
-		done := finish(inst.segs, startSvc, workMS)
-		inst.busyUntilMS = done
-		out = append(out, arrival{latencyUS: (done - at) * 1000, class: int32(ci), op: int32(opIdx)})
+		if len(segs) == 1 {
+			if startSvc < seg0At {
+				startSvc = seg0At
+			}
+			busy = startSvc + seg0MS[opIdx]
+		} else {
+			busy = finish(segs, startSvc, op.BaseServiceUS/1000)
+		}
+		lat := (busy - at) * 1000
+		out = append(out, arrival{
+			latencyUS: lat,
+			bucket:    int32(layout.Bucket(lat)),
+			class:     uint16(ci),
+			op:        uint8(opIdx),
+			miss:      op.SLOUS > 0 && lat > op.SLOUS,
+		})
 	}
+	inst.rng = state
+	inst.busyUntilMS = busy
 	inst.out = out
 }
 
-// pickCum samples an index from cumulative weights.
-func pickCum(r *rand.Rand, cum []float64) int {
-	x := r.Float64()
+// pickCum returns the first index whose cumulative weight exceeds x, a draw
+// in [0, 1), or the last index when none does.
+func pickCum(x float64, cum []float64) int {
 	for i, c := range cum {
 		if x < c {
 			return i
 		}
 	}
 	return len(cum) - 1
+}
+
+// pickUniform is pickCum over the n equal weights' cumulative table, whose
+// entry k−1 is float64(k)/float64(n), without the table or the walk: x·n
+// lands within one step of the answer, and the two entries around its
+// integer part settle it.
+func pickUniform(x float64, n int) int {
+	fn := float64(n)
+	k := int(x * fn)
+	switch {
+	case x < float64(k)/fn:
+		return k - 1
+	case x >= float64(k+1)/fn:
+		return k + 1
+	}
+	return k
 }
 
 // minSegSpeed floors the frequency factor used in latency accounting.

@@ -1,7 +1,10 @@
 package service
 
 import (
+	"fmt"
+	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -48,6 +51,71 @@ func TestValidation(t *testing.T) {
 	cfg.Window = -sim.Second
 	if _, err := New(eng, 1, cfg, servers); err == nil {
 		t.Error("negative window accepted")
+	}
+	// An arrival holds the class in 16 bits and the op in 8.
+	cfg = steadyConfig(1, 1200, make([]Op, maxOps+1)...)
+	for i := range cfg.Ops {
+		cfg.Ops[i] = Op{Name: fmt.Sprint("OP", i), BaseServiceUS: 50}
+	}
+	if _, err := New(eng, 1, cfg, servers); err == nil {
+		t.Errorf("%d ops accepted", len(cfg.Ops))
+	}
+	if _, err := New(eng, 1, steadyConfig(1, 1200, cfg.Ops[:maxOps]...), servers); err != nil {
+		t.Errorf("%d ops refused: %v", maxOps, err)
+	}
+	cfg = Config{Ops: []Op{}, Classes: steadyConfig(1, 1200).Classes}
+	if _, err := New(eng, 1, cfg, servers); err == nil {
+		t.Error("an empty op table accepted")
+	}
+	cfg = steadyConfig(1, 1200)
+	for len(cfg.Classes) <= maxClasses {
+		cfg.Classes = append(cfg.Classes, Class{Name: fmt.Sprint("c", len(cfg.Classes)), Kind: Steady, Users: 1, RPSPerUser: 1})
+	}
+	if _, err := New(eng, 1, cfg, servers); err == nil {
+		t.Errorf("%d classes accepted", len(cfg.Classes))
+	}
+}
+
+// The sample phase's record stays four to a cache line.
+func TestArrivalIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(arrival{}); n != 16 {
+		t.Errorf("arrival is %d bytes, want 16", n)
+	}
+}
+
+// pickUniform is pickCum over the cumulative table (i+1)/n it replaced, for
+// every op count New accepts, 1 to maxOps: at each entry and both of its
+// float neighbours, at 0 and at the largest draw below 1, and at a million
+// random draws shared among the op counts.
+func TestPickUniformMatchesPickCum(t *testing.T) {
+	r := sim.NewRNG(11)
+	draws := make([]float64, 1_000_000)
+	for i := range draws {
+		draws[i] = r.Float64()
+	}
+	for n := 1; n <= maxOps; n++ {
+		cum := make([]float64, n)
+		for i := range cum {
+			cum[i] = float64(i+1) / float64(n)
+		}
+		check := func(x float64) {
+			if !(x >= 0 && x < 1) {
+				return
+			}
+			if got, want := pickUniform(x, n), pickCum(x, cum); got != want {
+				t.Fatalf("n %d: x %v (bits %#x) picks %d, pickCum %d", n, x, math.Float64bits(x), got, want)
+			}
+		}
+		for _, c := range cum {
+			check(c)
+			check(math.Nextafter(c, 0))
+			check(math.Nextafter(c, 1))
+		}
+		check(0)
+		check(math.Nextafter(1, 0))
+		for _, x := range draws[(n-1)*len(draws)/maxOps : n*len(draws)/maxOps] {
+			check(x)
+		}
 	}
 }
 

@@ -42,7 +42,8 @@ func NewRNG(seed uint64) *rand.Rand {
 
 // RNGState returns the 8 bytes of generator state NewRNG(seed) starts from.
 // A holder of a million streams keeps this word per stream instead of a
-// *rand.Rand each, and draws from it with NormFloat64 and Float64.
+// *rand.Rand each, and draws from it with NormFloat64, ExpFloat64 and
+// Float64.
 func RNGState(seed uint64) uint64 { return splitmix64(seed) }
 
 // SubSeed derives an independent stream seed from a master seed and a label.

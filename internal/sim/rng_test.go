@@ -36,7 +36,8 @@ func TestSubSeedMatchesHashFNV(t *testing.T) {
 // over the cursor draws exactly what NewRNG(seed) would, advancing that word.
 // rand.Rand buffers nothing between draws (only Read does, which nothing
 // here calls), so one Rand can serve any number of streams in any
-// interleaving. It is the oracle NormFloat64 and Float64 are held to.
+// interleaving. It is the oracle NormFloat64, ExpFloat64 and Float64 are
+// held to.
 type CursorSource struct{ At *uint64 }
 
 func (c *CursorSource) Seed(seed int64) { *c.At = uint64(seed) }

@@ -146,20 +146,47 @@ func (x *logIndex) index(v float64) int {
 
 // Add records one value. Non-positive and non-finite values are ignored;
 // values outside the range clamp to the edge buckets.
-func (h *LogHistogram) Add(v float64) {
-	if !(v > 0 && v <= math.MaxFloat64) {
+func (h *LogHistogram) Add(v float64) { h.AddBucket(v, h.Bucket(v)) }
+
+// The markers Bucket returns for a value no bucket holds.
+const (
+	bucketNone  = -1 // not recorded: non-positive or non-finite
+	bucketUnder = -2 // below min, counted at min
+	bucketOver  = -3 // at or above max, counted at max
+)
+
+// Bucket returns where Add counts v: a bucket index, or a negative marker
+// for a value below the range, above it, or not recorded at all. It reads
+// only the layout, which is immutable and shared by every Fresh copy, so a
+// caller may compute buckets on any goroutine and record them later with
+// AddBucket into any histogram of the same layout.
+func (x *logIndex) Bucket(v float64) int {
+	switch {
+	case !(v > 0 && v <= math.MaxFloat64):
+		return bucketNone
+	case v < x.min:
+		return bucketUnder
+	case v >= x.max:
+		return bucketOver
+	}
+	return x.index(v)
+}
+
+// AddBucket records v in bucket k, which must be what Bucket(v) returns for
+// h's layout: Add without the bucket lookup.
+func (h *LogHistogram) AddBucket(v float64, k int) {
+	switch {
+	case k >= 0:
+		h.counts[k]++
+	case k == bucketUnder:
+		h.under++
+	case k == bucketOver:
+		h.over++
+	default:
 		return
 	}
 	h.n++
 	h.sum += v
-	switch {
-	case v < h.min:
-		h.under++
-	case v >= h.max:
-		h.over++
-	default:
-		h.counts[h.index(v)]++
-	}
 }
 
 // Merge adds o's recorded population into h. Both histograms must share the
@@ -192,9 +219,10 @@ func (h *LogHistogram) Count() int64 { return h.n }
 func (h *LogHistogram) Sum() float64 { return h.sum }
 
 // Quantile returns an estimate of the q-th quantile (q in [0, 1]): the
-// geometric midpoint of the bucket containing the target rank.
+// geometric midpoint of the bucket containing the target rank. A q outside
+// [0, 1] clamps to it; a NaN q, like an empty histogram, answers NaN.
 func (h *LogHistogram) Quantile(q float64) float64 {
-	if h.n == 0 {
+	if h.n == 0 || math.IsNaN(q) {
 		return math.NaN()
 	}
 	if q < 0 {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -149,5 +150,75 @@ func TestLogHistogramDropsNonFiniteValues(t *testing.T) {
 	}
 	if got := h.Quantile(1); got != 100 {
 		t.Errorf("q1 = %v, want the clamp to max", got)
+	}
+}
+
+// refAdd is Add as it was before Bucket and AddBucket split it: the oracle
+// both recording paths are held to.
+func refAdd(h *LogHistogram, v float64) {
+	if !(v > 0 && v <= math.MaxFloat64) {
+		return
+	}
+	h.n++
+	h.sum += v
+	switch {
+	case v < h.min:
+		h.under++
+	case v >= h.max:
+		h.over++
+	default:
+		h.counts[refBucket(h, v)]++
+	}
+}
+
+// Add and AddBucket with a bucket another Fresh copy of the layout computed
+// record every value alike, and as the formula did: the values no bucket
+// holds, both ends of the range and every edge.
+func TestAddBucketMatchesAdd(t *testing.T) {
+	for _, l := range layouts {
+		layout, err := NewLogHistogram(l.min, l.max, l.buckets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := []float64{0, math.Copysign(0, -1), -1, -l.min, math.NaN(), math.Inf(1), math.Inf(-1),
+			l.min / 2, l.min, l.max, math.Nextafter(l.max, 0), 2 * l.max, math.MaxFloat64}
+		vals = append(vals, layout.edges...)
+		add, byBucket, ref := layout.Fresh(), layout.Fresh(), layout.Fresh()
+		for _, v := range vals {
+			add.Add(v)
+			byBucket.AddBucket(v, layout.Bucket(v))
+			refAdd(ref, v)
+			if !reflect.DeepEqual(add, ref) || !reflect.DeepEqual(byBucket, ref) {
+				t.Fatalf("[%v, %v]×%d: after %v, Add and AddBucket leave %d and %d values summing to %v and %v, the formula %d to %v",
+					l.min, l.max, l.buckets, v, add.Count(), byBucket.Count(), add.Sum(), byBucket.Sum(), ref.Count(), ref.Sum())
+			}
+		}
+	}
+}
+
+// Quantile clamps q to [0, 1] and answers NaN for a NaN q. A NaN q once fell
+// through the clamps to int64(NaN·n), which is MinInt64 on amd64, and
+// answered min.
+func TestQuantileOutOfRange(t *testing.T) {
+	h, err := NewLogHistogram(1, 100, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{2, 5, 20, 50} {
+		h.Add(v)
+	}
+	q0, q1 := h.Quantile(0), h.Quantile(1)
+	for _, c := range []struct {
+		q, want float64
+	}{
+		{math.NaN(), math.NaN()},
+		{-0.5, q0},
+		{math.Inf(-1), q0},
+		{1.5, q1},
+		{math.Inf(1), q1},
+	} {
+		if got := h.Quantile(c.q); math.Float64bits(got) != math.Float64bits(c.want) && !(math.IsNaN(got) && math.IsNaN(c.want)) {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
 	}
 }
