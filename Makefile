@@ -57,6 +57,7 @@ fuzz fuzz-smoke:
 	go test ./internal/tsdb/ -fuzz FuzzQueryAPI -fuzztime $(FUZZTIME)
 	go test ./internal/whatif/ -run '^$$' -fuzz FuzzForkTick -fuzztime $(FUZZTIME)
 	go test ./internal/sim/ -run '^$$' -fuzz FuzzEngineMatchesReference -fuzztime $(FUZZTIME)
+	go test ./internal/core/ -run '^$$' -fuzz FuzzBoundaryMatchesSelect -fuzztime $(FUZZTIME)
 
 # The grid-event resilience experiment: the same 20% curtailment as a cliff
 # and ramp-limited, quick scale (full 100k: `go run ./cmd/ampere-exp -exp

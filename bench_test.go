@@ -19,7 +19,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -87,35 +86,95 @@ func BenchmarkSchedulerPlacement(b *testing.B) {
 	}
 }
 
+// driftReader serves one domain whose samples drift every tick, as the
+// monitor's sampled column does on a static fleet: each server draws its own
+// base power plus AR(1) noise. The ticks are drawn up front, so a benchmark
+// times the controller, not the draws; the last tick wraps to the first, a
+// jump once per cycle.
+type driftReader struct {
+	ticks [][]float64 // per tick, indexed by ServerID
+	tick  int
+}
+
+func newDriftReader(servers, ticks int) *driftReader {
+	const phi, sigma = 0.9, 3.0 // AR(1) coefficient and innovation, W
+	rng := sim.NewRNG(7)
+	base := make([]float64, servers)
+	noise := make([]float64, servers)
+	for i := range base {
+		base[i] = 150 + 100*rng.Float64()
+	}
+	r := &driftReader{ticks: make([][]float64, ticks)}
+	for t := range r.ticks {
+		vals := make([]float64, servers)
+		for i := range vals {
+			noise[i] = phi*noise[i] + sigma*rng.NormFloat64()
+			vals[i] = base[i] + noise[i]
+		}
+		r.ticks[t] = vals
+	}
+	return r
+}
+
+func (r *driftReader) advance() { r.tick = (r.tick + 1) % len(r.ticks) }
+
+func (r *driftReader) PowerSnapshot() ([]float64, bool) { return r.ticks[r.tick], true }
+
+func (r *driftReader) GroupPower(ids []cluster.ServerID) (float64, bool) {
+	total, vals := 0.0, r.ticks[r.tick]
+	for _, id := range ids {
+		total += vals[id]
+	}
+	return total, true
+}
+
+func (r *driftReader) RangePower(lo, hi cluster.ServerID) (float64, bool) {
+	total := 0.0
+	for _, v := range r.ticks[r.tick][lo : hi+1] {
+		total += v
+	}
+	return total, true
+}
+
+func (r *driftReader) GroupSampleTime([]cluster.ServerID) (sim.Time, bool) { return 0, false }
+
+// BenchmarkControllerStep times one controlled tick of one saturated
+// 400-server row (the paper's row size) whose sampled powers drift every
+// tick: the freeze target stays at MaxFreezeRatio·n while the boundary
+// server moves, as on a cut row of the ctl1m_loop workload. One op is one
+// domain-tick; ns/server divides it by the row's servers.
 func BenchmarkControllerStep(b *testing.B) {
+	const servers = 400
 	eng := sim.NewEngine()
 	sp := cluster.DefaultSpec()
-	sp.RacksPerRow = 20 // 400 servers, the paper's row size
+	sp.RacksPerRow = servers / sp.ServersPerRack
 	c, err := cluster.New(sp, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	s := scheduler.New(eng, c, 1, nil)
-	mon, err := monitor.New(eng, c, nil, monitor.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := make([]cluster.ServerID, len(c.Servers))
+	reader := newDriftReader(servers, 256)
+	ids := make([]cluster.ServerID, servers)
+	total := 0.0
 	for i := range ids {
 		ids[i] = cluster.ServerID(i)
-		c.Servers[i].Allocate(8+i%8, float64(8+i%8))
+		total += reader.ticks[0][i]
 	}
-	ctl, err := core.New(eng, mon, s, core.DefaultConfig(), []core.Domain{{
-		Name: "row", Servers: ids, BudgetW: sp.RowRatedPowerW() / 1.25, Kr: 0.012,
+	cfg := core.DefaultConfig()
+	cfg.EtWindow = 60 // as the benchmark workloads run it: bounded Et bins
+	ctl, err := core.New(eng, reader, s, cfg, []core.Domain{{
+		// A budget 10 % under the row's draw keeps the row saturated.
+		Name: "row", Servers: ids, BudgetW: total / 1.1, Kr: stack.DefaultKr,
 	}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	mon.Sweep(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		reader.advance()
 		ctl.Step(sim.Time(i) * sim.Time(sim.Minute))
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/servers, "ns/server")
 }
 
 func BenchmarkSolveSPCP(b *testing.B) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -131,4 +132,112 @@ func BenchmarkSelectTopKAdversarial(b *testing.B) {
 			}
 		})
 	}
+}
+
+// FuzzBoundaryMatchesSelect runs one domain's carried boundary through a
+// sequence of ticks and holds every tick to two things: the boundary is the
+// element selectTopKPref returns on a copy of the same ranking, and the tick
+// was served from the band exactly when that element lies inside it — the
+// band being the model's, carried by the stated width rule. Between ticks the
+// powers drift by AR(1) noise and now and then jump (a budget cut scales
+// every server, a restore scales it back), and k walks or jumps. shape picks
+// the powers: bits 0–1 continuous, whole watts, all equal or a few coarse
+// levels; bit 2 sprinkles the −1 missing-sample sentinel, bit 3 +Inf
+// readings, and bit 4 plants servers exactly on both edges of the band.
+func FuzzBoundaryMatchesSelect(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, servers uint16, ticks, shape uint8, hot bool) {
+		n := 1 + int(servers)%512
+		rng := rand.New(rand.NewSource(seed))
+		ids := rng.Perm(n)
+		base, noise := make([]float64, n), make([]float64, n)
+		for i := range base {
+			base[i] = 100 + 200*rng.Float64()
+		}
+		rank := make([]serverPower, n)
+		ref := make([]serverPower, n)
+		band := make([]serverPower, n)
+		var cb carriedBoundary
+		b, w := 0.0, 0.0 // the band cb should carry
+		k := 1 + rng.Intn(n)
+		for tick := 0; tick < 1+int(ticks)%64; tick++ {
+			switch r := rng.Intn(16); {
+			case r == 0, r == 1:
+				scale := 0.8
+				if r == 1 {
+					scale = 1.25
+				}
+				for i := range base {
+					base[i] *= scale
+				}
+			case r == 2:
+				k = 1 + rng.Intn(n)
+			case r < 6:
+				k = min(max(k+rng.Intn(7)-3, 1), n)
+			}
+			for i := range rank {
+				noise[i] = 0.9*noise[i] + 3*rng.NormFloat64()
+				p := base[i] + noise[i]
+				switch shape & 3 {
+				case 1:
+					p = math.Round(p)
+				case 2:
+					p = base[0] + noise[0]
+				case 3:
+					p = 50 * math.Round(p/50)
+				}
+				if shape&4 != 0 && rng.Intn(8) == 0 {
+					p = -1
+				}
+				if shape&8 != 0 && rng.Intn(16) == 0 {
+					p = math.Inf(1)
+				}
+				rank[i] = serverPower{id: cluster.ServerID(ids[i]), power: p}
+			}
+			if shape&16 != 0 && w <= math.MaxFloat64 {
+				for _, sign := range []float64{1, -1} {
+					p := bandEdge(b, sign*w)
+					for j := 0; j < 3; j++ {
+						rank[rng.Intn(n)].power = p
+					}
+				}
+			}
+
+			copy(ref, rank)
+			want := selectTopKPref(ref, k, hot)
+			wantHit := w <= math.MaxFloat64 && math.Abs(want.power-b) <= w
+			copy(ref, rank)
+			hits := cb.hits
+			got := cb.topK(rank, band, k, hot)
+			if got != want {
+				t.Fatalf("tick %d, k=%d of %d, hot=%v, band %v±%v: boundary %+v, select says %+v",
+					tick, k, n, hot, b, w, got, want)
+			}
+			if hit := cb.hits > hits; hit != wantHit {
+				t.Fatalf("tick %d, k=%d of %d, hot=%v: boundary %v, band %v±%v, band hit %v, want %v",
+					tick, k, n, hot, want.power, b, w, hit, wantHit)
+			}
+			if wantHit && !slices.Equal(rank, ref) {
+				t.Fatalf("tick %d: a band hit reordered the ranking", tick)
+			}
+			nw := 1e-3 * math.Abs(want.power)
+			if w <= math.MaxFloat64 {
+				nw += max(2*math.Abs(want.power-b), w/2)
+			}
+			b, w = want.power, nw
+		}
+	})
+}
+
+// bandEdge returns a power p whose distance p − b rounds to exactly d, when
+// one lies within a few ulps of b + d: a server on the band's edge.
+func bandEdge(b, d float64) float64 {
+	p := b + d
+	for i := 0; i < 4 && p-b != d; i++ {
+		if p-b < d {
+			p = math.Nextafter(p, math.Inf(1))
+		} else {
+			p = math.Nextafter(p, math.Inf(-1))
+		}
+	}
+	return p
 }
