@@ -111,13 +111,14 @@ golden-paper:
 # goroutines and finalizer runs, which one pass on a quiet machine says
 # little about: thirty in a row is what shows a guard that fails one run in
 # ten. The pool is state shared across packages, whose faults show as rare
-# hangs or pins. The frame's reader/writer test is a race, so it runs under
-# -race.
+# hangs or pins. The frame's reader/writer test and the service's readers
+# against a window in flight are races, so they run under -race.
 flake:
 	go test ./internal/runner -run TestLoop -count=30
 	go test ./internal/federate -run PinsNothing -count=10
 	go test ./internal/monitor -run TestParallelSweep -count=30
 	go test -race ./internal/monitor -run TestFrameReadersSeeWholeSweeps -count=10
+	go test -race ./internal/service -run TestReadersSeeEveryClosedWindow -count=10
 	go test ./internal/service -run TestParallelReplay -count=30
 
 # Fault-injection drill: naive vs resilient controller under the same storm.

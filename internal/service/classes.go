@@ -82,21 +82,41 @@ func (c Class) validate() error {
 	switch c.Kind {
 	case Steady:
 	case Diurnal:
-		if c.Amplitude < 0 || c.Amplitude >= 1 {
+		if !(c.Amplitude >= 0 && c.Amplitude < 1) { // also catches NaN
 			return fmt.Errorf("class %s diurnal amplitude %v outside [0,1)", c.Name, c.Amplitude)
+		}
+		if math.IsNaN(c.PeakHour) || math.IsInf(c.PeakHour, 0) {
+			return fmt.Errorf("class %s diurnal peak hour %v is not finite", c.Name, c.PeakHour)
 		}
 	case Flash:
 		if c.BurstMult < 1 || math.IsInf(c.BurstMult, 0) || math.IsNaN(c.BurstMult) {
 			return fmt.Errorf("class %s burst multiplier %v must be ≥ 1 and finite", c.Name, c.BurstMult)
 		}
-		if c.BurstStartProb < 0 || c.BurstStartProb > 1 || c.BurstStopProb < 0 || c.BurstStopProb > 1 {
+		if !(c.BurstStartProb >= 0 && c.BurstStartProb <= 1 && c.BurstStopProb >= 0 && c.BurstStopProb <= 1) {
 			return fmt.Errorf("class %s burst probabilities (%v, %v) outside [0,1]",
 				c.Name, c.BurstStartProb, c.BurstStopProb)
 		}
 	default:
 		return fmt.Errorf("class %s has unknown arrival kind %d", c.Name, int(c.Kind))
 	}
+	// An infinite rate makes every gap between arrivals zero: a window would
+	// never finish replaying.
+	if math.IsInf(c.peakRPS(), 0) {
+		return fmt.Errorf("class %s peak rate overflows (%d users at %v requests/s)", c.Name, c.Users, c.RPSPerUser)
+	}
 	return nil
+}
+
+// peakRPS is the highest aggregate arrival rate the class's process reaches:
+// the diurnal crest, or the flash crowd.
+func (c Class) peakRPS() float64 {
+	switch c.Kind {
+	case Diurnal:
+		return c.BaseRPS() * (1 + c.Amplitude)
+	case Flash:
+		return c.BaseRPS() * c.BurstMult
+	}
+	return c.BaseRPS()
 }
 
 // DefaultClasses splits a user population into the standard three-class mix:

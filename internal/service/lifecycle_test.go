@@ -164,7 +164,7 @@ func TestSingleSegmentReplayMatchesFinish(t *testing.T) {
 		s.win = window{start: 1000, ms: 1000, perInstPerMS: 2}
 		inst := s.instances[0]
 		run := func(segs []speedSeg) []arrival {
-			inst.rng, inst.busyUntilMS, inst.segs, inst.out = sim.RNGState(5), 0, segs, nil
+			inst.rng, inst.busyUntilMS, inst.closed, inst.out = sim.RNGState(5), 0, segs, nil
 			s.replay(inst)
 			return inst.out
 		}

@@ -12,7 +12,8 @@ import "repro/internal/obs"
 //	service_windows_total              closed accounting windows
 //
 // All families are scrape-time collectors over the mutex-guarded accounting
-// state, so a live /metrics scrape never races the simulation thread.
+// state, so a live /metrics scrape never races the simulation thread, and
+// each sees every closed window (see lock).
 func (s *Service) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -20,7 +21,7 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	reg.RegisterCollector("service_requests_total",
 		"Completed interactive requests by client class and operation.",
 		obs.TypeCounter, []string{"class", "op"}, func(emit obs.Emit) {
-			s.mu.Lock()
+			s.lock()
 			defer s.mu.Unlock()
 			for ci, cs := range s.classes {
 				for oi, op := range s.ops {
@@ -31,7 +32,7 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	reg.RegisterCollector("service_slo_miss_total",
 		"Requests that exceeded their latency SLO, by client class and operation.",
 		obs.TypeCounter, []string{"class", "op"}, func(emit obs.Emit) {
-			s.mu.Lock()
+			s.lock()
 			defer s.mu.Unlock()
 			for ci, cs := range s.classes {
 				for oi, op := range s.ops {
@@ -42,7 +43,7 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	reg.RegisterCollector("service_latency_us",
 		"Request latency quantiles in microseconds, by client class and operation.",
 		obs.TypeGauge, []string{"class", "op", "q"}, func(emit obs.Emit) {
-			s.mu.Lock()
+			s.lock()
 			defer s.mu.Unlock()
 			for ci, cs := range s.classes {
 				for oi, op := range s.ops {
@@ -59,7 +60,7 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	reg.RegisterCollector("service_class_rate_rps",
 		"Aggregate arrival rate (requests/s) each client class carried in the last closed window.",
 		obs.TypeGauge, []string{"class"}, func(emit obs.Emit) {
-			s.mu.Lock()
+			s.lock()
 			defer s.mu.Unlock()
 			for _, cs := range s.classes {
 				emit([]string{cs.cfg.Name}, cs.rateRPS)
@@ -68,7 +69,7 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	reg.RegisterCollector("service_windows_total",
 		"Closed request-accounting windows.",
 		obs.TypeCounter, nil, func(emit obs.Emit) {
-			s.mu.Lock()
+			s.lock()
 			defer s.mu.Unlock()
 			emit(nil, float64(s.windowIdx))
 		})

@@ -2,14 +2,17 @@ package service
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -94,6 +97,7 @@ func TestReplayIdenticalAtAnyGOMAXPROCS(t *testing.T) {
 		if err := eng.RunUntil(sim.Time(windows * sim.Second)); err != nil {
 			t.Fatal(err)
 		}
+		settle(s) // the fourth window is in flight
 		if w := s.replayWidth(); w > procs || w < min(procs, 4) {
 			t.Fatalf("GOMAXPROCS %d: the last window replayed on %d goroutines", procs, w)
 		}
@@ -174,8 +178,9 @@ func windowMallocs(runs int, f func()) uint64 {
 
 // The parallel sample phase keeps the replay's contracts: no allocation in
 // steady state — the loop body is a method value bound in New, and every
-// buffer is sized on the caller before the fan-out — and no goroutine started
-// by a warm window: the helpers are the pool's, parked between windows.
+// buffer is sized on the window goroutine before the fan-out — and no
+// goroutine started by a warm window: the window goroutine and the helpers
+// are parked between windows. Each count is taken with no window in flight.
 func TestParallelReplayAllocatesAndParksNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	s, eng := wideRig(t, 1000)
@@ -189,6 +194,7 @@ func TestParallelReplayAllocatesAndParksNothing(t *testing.T) {
 	for i := 0; i < 10; i++ { // past the flash burst, the rig's widest windows (7 to 9)
 		window()
 	}
+	settle(s)
 	goroutines := runtime.NumGoroutine()
 	if w := s.replayWidth(); w < 2 {
 		t.Fatalf("the rig replays on %d goroutine; the guard needs helpers", w)
@@ -196,15 +202,16 @@ func TestParallelReplayAllocatesAndParksNothing(t *testing.T) {
 	if allocs := windowMallocs(30, window); allocs != 0 {
 		t.Errorf("a %d-goroutine window allocates %d objects, want 0", s.replayWidth(), allocs)
 	}
+	settle(s)
 	if got := runtime.NumGoroutine(); got != goroutines {
 		t.Errorf("%d goroutines after the warm windows, %d before", got, goroutines)
 	}
 }
 
-// A service dropped after parallel windows is garbage: no parked helper
-// holds it (a stack per /whatif query would otherwise never be freed). The
-// finalizer sits on the operation table, which only the service reaches and
-// which is in no cycle, so its finalizer can run.
+// A service dropped after parallel windows is garbage: no parked helper or
+// window goroutine holds it (a stack per /whatif query would otherwise never
+// be freed). The finalizer sits on the operation table, which only the
+// service reaches and which is in no cycle, so its finalizer can run.
 func TestParallelReplayPinsNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	collected := make(chan struct{}, 1)
@@ -226,6 +233,141 @@ func TestParallelReplayPinsNothing(t *testing.T) {
 		case <-time.After(100 * time.Millisecond):
 			if i == 20 {
 				t.Fatal("the service was not collected after repeated GCs")
+			}
+		}
+	}
+}
+
+// settle waits for the window in flight and publishes it, as every reader
+// does; after it the test may read the accounting and the instances
+// directly.
+func settle(s *Service) {
+	s.lock()
+	s.mu.Unlock()
+}
+
+// readout is what the locked accessors show of the accounting.
+type readout struct {
+	total  int64
+	served []int64
+}
+
+func readServed(s *Service) readout {
+	r := readout{total: s.TotalServed()}
+	for i := range s.Ops() {
+		r.served = append(r.served, s.Served(i))
+	}
+	return r
+}
+
+// scrape renders reg and returns the text with the service_windows_total it
+// reports, the last family rendered.
+func scrape(reg *obs.Registry) (string, int) {
+	var buf strings.Builder
+	reg.WritePrometheus(&buf) // a strings.Builder write cannot fail
+	text := buf.String()
+	const family = "\nservice_windows_total "
+	windows := -1
+	if i := strings.LastIndex(text, family); i >= 0 {
+		fmt.Sscan(text[i+len(family):], &windows)
+	}
+	return text, windows
+}
+
+// Every reader sees every closed window whole, though the window replays
+// while the engine runs on. The reference steps the engine to each boundary
+// at GOMAXPROCS 1 and reads the accessors and a scrape there, and every
+// window must add to its totals. Then, at GOMAXPROCS 1 and 4, an engine event
+// 1 ms after each boundary, with that window still replaying, sets a
+// goroutine scraping the collectors and reads the accessors itself; both
+// must read what the reference read at that boundary, the scrape byte for
+// byte.
+func TestReadersSeeEveryClosedWindow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const windows = 5
+	wantRead := make([]readout, windows+1)
+	wantScrape := make([]string, windows+1)
+	s, eng := wideRig(t, 1000)
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	for k := 0; k <= windows; k++ {
+		if err := eng.RunUntil(sim.Time(int64(k) * int64(sim.Second))); err != nil {
+			t.Fatal(err)
+		}
+		wantRead[k] = readServed(s)
+		text, w := scrape(reg)
+		if w != k {
+			t.Fatalf("reference: the scrape at %d s reports %d windows", k, w)
+		}
+		wantScrape[k] = text
+		if k > 0 && wantRead[k].total <= wantRead[k-1].total {
+			t.Fatalf("reference: %d requests after window %d, %d before it", wantRead[k].total, k, wantRead[k-1].total)
+		}
+	}
+
+	type scraped struct {
+		text    string
+		windows int
+	}
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		s, eng := wideRig(t, 1000)
+		reg := obs.NewRegistry()
+		s.Instrument(reg)
+		kick, result := make(chan struct{}), make(chan scraped)
+		go func() {
+			for range kick {
+				text, w := scrape(reg)
+				result <- scraped{text, w}
+			}
+		}()
+		var reads []readout
+		var scrapes []scraped
+		eng.Every(sim.Time(sim.Second+sim.Millisecond), sim.Second, "reader", func(sim.Time) {
+			kick <- struct{}{}
+			reads = append(reads, readServed(s))
+			scrapes = append(scrapes, <-result)
+		})
+		err := eng.RunUntil(sim.Time(windows*sim.Second + sim.Millisecond))
+		close(kick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reads) != windows {
+			t.Fatalf("GOMAXPROCS %d: the reader ran %d times in %d windows", procs, len(reads), windows)
+		}
+		for k := 1; k <= windows; k++ {
+			if !reflect.DeepEqual(reads[k-1], wantRead[k]) {
+				t.Errorf("GOMAXPROCS %d: 1 ms after window %d the accessors read %+v, the reference %+v",
+					procs, k, reads[k-1], wantRead[k])
+			}
+			if sc := scrapes[k-1]; sc.windows != k || sc.text != wantScrape[k] {
+				t.Errorf("GOMAXPROCS %d: 1 ms after window %d a scrape reports %d windows, or differs from the reference's",
+					procs, k, sc.windows)
+			}
+		}
+	}
+
+	// Dropped right after a window closed, before any reader waited for it,
+	// the service is garbage once its window goroutine is done with it. At
+	// GOMAXPROCS 1 the window has not begun when the service is dropped.
+	runtime.GOMAXPROCS(1)
+	collected := make(chan struct{}, 1)
+	func() {
+		s, eng := wideRig(t, 1000)
+		if err := eng.RunUntil(sim.Time(2 * sim.Second)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(&s.Ops()[0], func(*Op) { collected <- struct{}{} })
+	}()
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(100 * time.Millisecond):
+			if i == 20 {
+				t.Fatal("the service dropped with a window in flight was not collected after repeated GCs")
 			}
 		}
 	}

@@ -91,9 +91,15 @@ type instance struct {
 	// listener keeps it collapsed to the single current-speed segment, so
 	// an unstarted Service stays O(1) under 1 s capping churn.
 	segs []speedSeg
-	// out is the instance's replay of the window being closed, in arrival
-	// order: the sample phase writes it, the publish phase reads it.
-	out []arrival
+	// closed is the history of the window being replayed. closeWindow swaps
+	// it with segs, so the listener appends the next window's history to one
+	// buffer while the replay reads the other, and both are reused.
+	closed []speedSeg
+	// out is the instance's replay of the window being sampled, in arrival
+	// order. After the sample phase it is swapped with pending, which the
+	// publish phase reads: the next window's sample phase publishes it
+	// alongside its replays, or a reader does first.
+	out, pending []arrival
 }
 
 // arrival is one replayed request as the sample phase hands it to publish:
@@ -139,7 +145,10 @@ const (
 //
 // The mutex guards the accounting state (counters, histograms, per-class
 // rates) against scrape-time readers: Instrument's collectors run on HTTP
-// goroutines while the simulation thread closes windows.
+// goroutines while the simulation thread closes windows. It is also the
+// window in flight's: closeWindow locks it and the window goroutine unlocks
+// it once the window is replayed, so the next close waits for every closed
+// window's replay, and a reader (see lock) for its replay and publish.
 type Service struct {
 	eng       *sim.Engine
 	window    sim.Duration
@@ -160,6 +169,20 @@ type Service struct {
 	// replays fans the replay out over blocks of blockInstances instances.
 	win     window
 	replays *runner.Loop
+	// unpublished says the instances' pending buffers hold a replayed window
+	// that no publish phase has counted yet.
+	unpublished bool
+}
+
+// windowers is the process's window goroutines, which every Service shares:
+// closeWindow hands a closed window to one, which replays it while the
+// engine simulates the next window. A window goroutine parks on its own wake
+// channel, which is in idle while it holds no Service, so a dropped Service
+// is garbage; the goroutines never exit, and there are as many as the most
+// windows ever in flight at once.
+var windowers struct {
+	sync.Mutex
+	idle []chan *Service
 }
 
 // New pins one service instance on each given server and prepares the client
@@ -198,6 +221,7 @@ func New(eng *sim.Engine, seed uint64, cfg Config, servers []*cluster.Server) (*
 
 	s := &Service{eng: eng, window: cfg.Window, ops: ops}
 	names := make(map[string]bool, len(cfg.Classes))
+	peak := 0.0
 	for ci, c := range cfg.Classes {
 		if err := c.validate(); err != nil {
 			return nil, fmt.Errorf("service: class %d: %w", ci, err)
@@ -206,7 +230,11 @@ func New(eng *sim.Engine, seed uint64, cfg Config, servers []*cluster.Server) (*
 			return nil, fmt.Errorf("service: class %q duplicated", c.Name)
 		}
 		names[c.Name] = true
+		peak += c.peakRPS()
 		s.classes = append(s.classes, &classState{cfg: c, rng: sim.SubRNG(seed, "service-class-"+c.Name)})
+	}
+	if math.IsInf(peak, 0) {
+		return nil, fmt.Errorf("service: the classes' peak rates sum to %v requests/s", peak)
 	}
 
 	s.served = make([][]int64, len(s.classes))
@@ -263,6 +291,54 @@ func (s *Service) Start() {
 	s.eng.Every(now.Add(s.window), s.window, "service-window", s.closeWindow)
 }
 
+// handOff gives the window in win to a parked window goroutine, or to a new
+// one when none is parked. It never blocks: a wake channel holds one
+// Service, and only a parked goroutine's is in idle.
+func (s *Service) handOff() {
+	windowers.Lock()
+	var wake chan *Service
+	if k := len(windowers.idle); k > 0 {
+		wake, windowers.idle = windowers.idle[k-1], windowers.idle[:k-1]
+	}
+	windowers.Unlock()
+	if wake == nil {
+		wake = make(chan *Service, 1)
+		go finishWindows(wake)
+	}
+	wake <- s
+}
+
+// finishWindows is a window goroutine: it replays each window it is handed,
+// publishing the window before alongside, sets the replay aside to publish,
+// and parks again — back in idle before it unlocks the mutex closeWindow
+// locked, so that the next close finds it parked and a steady state of
+// windows starts no goroutine. As the caller of the sample phase's Loop it
+// is that Loop's worker 0. The unlock is its last touch of the Service.
+func finishWindows(wake chan *Service) {
+	for s := range wake {
+		s.sample()
+		for _, inst := range s.instances {
+			inst.out, inst.pending = inst.pending, inst.out
+		}
+		s.unpublished = true
+		windowers.Lock()
+		windowers.idle = append(windowers.idle, wake)
+		windowers.Unlock()
+		s.mu.Unlock()
+	}
+}
+
+// lock takes the mutex for a reader: it waits for the window in flight, then
+// publishes the last window replayed if no sample phase has yet, so the
+// reader sees every closed window.
+func (s *Service) lock() {
+	s.mu.Lock()
+	if s.unpublished {
+		s.publish()
+		s.unpublished = false
+	}
+}
+
 // Ops returns the operation table.
 func (s *Service) Ops() []Op { return s.ops }
 
@@ -278,7 +354,7 @@ func (s *Service) Classes() []Class {
 // Served returns the number of completed requests for op index i, summed
 // over classes.
 func (s *Service) Served(i int) int64 {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	var n int64
 	for ci := range s.classes {
@@ -290,7 +366,7 @@ func (s *Service) Served(i int) int64 {
 // TotalServed returns the number of completed requests across all classes
 // and operations.
 func (s *Service) TotalServed() int64 {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	var n int64
 	for ci := range s.classes {
@@ -304,7 +380,7 @@ func (s *Service) TotalServed() int64 {
 // LatencyQuantileUS returns the q-th latency quantile (q in [0,1]) of op
 // index i, in microseconds, over all classes.
 func (s *Service) LatencyQuantileUS(i int, q float64) float64 {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	return s.mergedLocked(-1, i).Quantile(q)
 }
@@ -312,7 +388,7 @@ func (s *Service) LatencyQuantileUS(i int, q float64) float64 {
 // SLOMissRate returns the fraction of op i's requests that exceeded their
 // latency objective (0 when the op has no SLO or nothing was served).
 func (s *Service) SLOMissRate(i int) float64 {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	var served, missed int64
 	for ci := range s.classes {
@@ -327,7 +403,7 @@ func (s *Service) SLOMissRate(i int) float64 {
 
 // ClassServed returns class c's completed requests across all operations.
 func (s *Service) ClassServed(c int) int64 {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	var n int64
 	for oi := range s.ops {
@@ -339,7 +415,7 @@ func (s *Service) ClassServed(c int) int64 {
 // ClassSLOMissRate returns the fraction of class c's requests that missed
 // their objective.
 func (s *Service) ClassSLOMissRate(c int) float64 {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	var served, missed int64
 	for oi := range s.ops {
@@ -355,7 +431,7 @@ func (s *Service) ClassSLOMissRate(c int) float64 {
 // ClassLatencyQuantileUS returns class c's q-th latency quantile across all
 // operations, in microseconds.
 func (s *Service) ClassLatencyQuantileUS(c int, q float64) float64 {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	return s.mergedLocked(c, -1).Quantile(q)
 }
@@ -363,14 +439,14 @@ func (s *Service) ClassLatencyQuantileUS(c int, q float64) float64 {
 // AggregateLatencyQuantileUS returns the q-th latency quantile over every
 // class and operation, in microseconds.
 func (s *Service) AggregateLatencyQuantileUS(q float64) float64 {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	return s.mergedLocked(-1, -1).Quantile(q)
 }
 
 // TotalSLOMissRate returns the miss fraction over every class and operation.
 func (s *Service) TotalSLOMissRate() float64 {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	var served, missed int64
 	for ci := range s.classes {
@@ -413,21 +489,29 @@ func (s *Service) mergedLocked(c, i int) *stats.LogHistogram {
 	return out
 }
 
-// closeWindow composes the window's class rates, replays the arrivals for
-// every instance against the frequency history recorded during the window,
-// then advances the MMPP phases and compresses the histories.
+// closeWindow composes the window's class rates, sets the window's
+// frequency histories aside for its replay and starts each instance's next
+// history at the current speed, hands the window to the window goroutine,
+// and advances the MMPP phases.
 //
 // The replay is a sample phase, which may run on several goroutines and
-// touches only the instances, then a publish phase on the calling goroutine
-// that records every arrival in instance order and then arrival order: each
-// histogram, its float sum included, and each counter sees the sequence a
-// serial replay gives it, so the accounting is the same at any GOMAXPROCS.
+// touches only the instances, then a publish phase that records every
+// arrival in instance order and then arrival order: each histogram, its
+// float sum included, and each counter sees the sequence a serial replay
+// gives it, so the accounting is the same at any GOMAXPROCS. The sample
+// phase runs on the window goroutine while the engine simulates the next
+// window: a replay reads only its instance's stream, queue horizon, buffer
+// and closed history, and the window's rates, which only the next close
+// writes, after it has waited for this window's replay. The service is
+// open-loop, so nothing the engine does depends on a replay's result. The
+// publish phase runs within the next window's sample phase, or in the first
+// reader to come before it.
 func (s *Service) closeWindow(now sim.Time) {
 	start := s.winStart
 	s.winStart = now
 	windowMS := float64(now.Sub(start))
 
-	s.mu.Lock()
+	s.mu.Lock() // waits for the replay in flight
 	total := 0.0
 	for ci, cs := range s.classes {
 		cs.rateRPS = cs.windowRate(start)
@@ -435,31 +519,31 @@ func (s *Service) closeWindow(now sim.Time) {
 		s.cumShare[ci] = total
 	}
 	s.windowIdx++
-	if total > 0 {
-		for ci := range s.cumShare {
-			s.cumShare[ci] /= total
-		}
-		s.win = window{start: float64(start), ms: windowMS, perInstPerMS: total / 1000 / float64(len(s.instances))}
-		s.sample()
-		s.publish()
+	for _, inst := range s.instances {
+		inst.closed, inst.segs = inst.segs, inst.closed[:0]
+		inst.segs = append(inst.segs, speedSeg{at: now, speed: inst.server.Speed()})
 	}
-	s.mu.Unlock()
-
 	for _, cs := range s.classes {
 		cs.advancePhase()
 	}
-	for _, inst := range s.instances {
-		// Compress history: keep only the current speed for the next window.
-		inst.segs = inst.segs[:1]
-		inst.segs[0] = speedSeg{at: now, speed: inst.server.Speed()}
+	if !(total > 0) {
+		s.mu.Unlock()
+		return
 	}
+	for ci := range s.cumShare {
+		s.cumShare[ci] /= total
+	}
+	s.win = window{start: float64(start), ms: windowMS, perInstPerMS: total / 1000 / float64(len(s.instances))}
+	s.handOff() // the window goroutine unlocks s.mu
 }
 
 // sample is the window's sample phase. An instance's replay touches only the
-// instance — its RNG, queue horizon, frequency history and arrival buffer —
-// and reads the window's rates, the op table and the latency layout, none of
-// which changes during the phase, so replayWidth goroutines replay blocks of
-// instances.
+// instance — its RNG, queue horizon, closed frequency history and arrival
+// buffer — and reads the window's rates, the op table and the latency
+// layout, none of which changes during the phase, so replayWidth goroutines
+// replay blocks of instances. The loop's index 0 is the publish phase of the
+// window before, which reads only the pending buffers and writes only the
+// accounting, so it runs beside the replays.
 func (s *Service) sample() {
 	// Sized here, a buffer never grows on a helper: a Poisson count stays
 	// within eight standard deviations of its mean. A quarter's headroom
@@ -471,7 +555,7 @@ func (s *Service) sample() {
 			inst.out = make([]arrival, 0, need+need/4)
 		}
 	}
-	s.replays.Run(s.replayWidth(), (len(s.instances)+blockInstances-1)/blockInstances)
+	s.replays.Run(s.replayWidth(), 1+(len(s.instances)+blockInstances-1)/blockInstances)
 }
 
 // replayWidth is the sample phase's goroutine count for the window in win:
@@ -482,20 +566,29 @@ func (s *Service) replayWidth() int {
 	return max(1, int(min(float64(runtime.GOMAXPROCS(0)), expected/shareArrivals)))
 }
 
-// replayBlock replays block b of instances, each into its own buffer.
+// replayBlock is index b of the sample phase's loop: index 0 publishes the
+// window before when no reader has, and index b > 0 replays block b−1 of
+// instances, each into its own buffer.
 func (s *Service) replayBlock(b int) {
+	if b == 0 {
+		if s.unpublished {
+			s.publish()
+		}
+		return
+	}
+	b--
 	for _, inst := range s.instances[b*blockInstances : min((b+1)*blockInstances, len(s.instances))] {
 		s.replay(inst)
 	}
 }
 
-// publish is the window's publish phase: every replayed arrival, in instance
+// publish is the window's publish phase: every pending arrival, in instance
 // order and then arrival order, into its histogram and counters. The bucket
 // and the SLO verdict come computed; what stays serial is the counting and
 // each histogram's float sum, whose value depends on the order of its terms.
 func (s *Service) publish() {
 	for _, inst := range s.instances {
-		for _, a := range inst.out {
+		for _, a := range inst.pending {
 			s.hist[a.class][a.op].AddBucket(a.latencyUS, int(a.bucket))
 			s.served[a.class][a.op]++
 			if a.miss {
@@ -524,7 +617,7 @@ func (s *Service) replay(inst *instance) {
 	state := inst.rng
 	single := len(s.classes) == 1
 	layout := s.hist[0][0] // every hist shares its bucket layout
-	segs := inst.segs
+	segs := inst.closed
 	// With one segment, finish reduces to its first iteration: the start
 	// held at the segment's, plus the op's work divided by the segment's
 	// speed. That quotient is the same for every request of an op, so it is

@@ -52,6 +52,24 @@ func TestValidation(t *testing.T) {
 	if _, err := New(eng, 1, cfg, servers); err == nil {
 		t.Error("negative window accepted")
 	}
+	// An infinite rate would make every gap between arrivals 0, and the window
+	// close would append arrivals until memory ran out; a NaN diurnal rate
+	// would silently serve nothing. New refuses both: nothing here runs.
+	for _, classes := range [][]Class{
+		{{Name: "c", Kind: Steady, Users: 10, RPSPerUser: 1e308}},
+		{{Name: "c", Kind: Diurnal, Users: 10, RPSPerUser: 1.5e307, Amplitude: 0.5}}, // the crest overflows
+		{{Name: "c", Kind: Flash, Users: 1, RPSPerUser: 1e308, BurstMult: 4}},        // the flash crowd overflows
+		{{Name: "a", Kind: Steady, Users: 1, RPSPerUser: 1e308}, {Name: "b", Kind: Steady, Users: 1, RPSPerUser: 1e308}},
+		{{Name: "c", Kind: Diurnal, Users: 10, RPSPerUser: 1, PeakHour: math.NaN()}},
+		{{Name: "c", Kind: Diurnal, Users: 10, RPSPerUser: 1, PeakHour: math.Inf(1)}},
+		{{Name: "c", Kind: Diurnal, Users: 10, RPSPerUser: 1, PeakHour: math.Inf(-1)}},
+		{{Name: "c", Kind: Diurnal, Users: 10, RPSPerUser: 1, Amplitude: math.NaN()}},
+		{{Name: "c", Kind: Flash, Users: 10, RPSPerUser: 1, BurstMult: 2, BurstStopProb: math.NaN()}},
+	} {
+		if _, err := New(eng, 1, Config{Classes: classes}, servers); err == nil {
+			t.Errorf("classes %+v accepted", classes)
+		}
+	}
 	// An arrival holds the class in 16 bits and the op in 8.
 	cfg = steadyConfig(1, 1200, make([]Op, maxOps+1)...)
 	for i := range cfg.Ops {
