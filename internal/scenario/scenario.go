@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/breaker"
 	"repro/internal/capping"
@@ -134,6 +135,11 @@ func (s *Spec) Validate() error {
 		if p.RowWeights != nil && len(p.RowWeights) != s.Rows {
 			return fmt.Errorf("scenario: product %d (%s) has %d row weights for %d rows",
 				i, p.Name, len(p.RowWeights), s.Rows)
+		}
+		for r, w := range p.RowWeights {
+			if !(w >= 0) || math.IsInf(w, 1) {
+				return fmt.Errorf("scenario: product %d (%s) has row weight %v for row %d, want a finite number ≥ 0", i, p.Name, w, r)
+			}
 		}
 	}
 	if _, err := s.shaping(); err != nil {

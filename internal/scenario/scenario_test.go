@@ -57,6 +57,7 @@ func TestValidate(t *testing.T) {
 		func(s *Spec) { s.RepairMinutes = -3 },          // silently ran the default
 		func(s *Spec) { s.Products = []Product{{Name: "x"}} },
 		func(s *Spec) { s.Products = []Product{{Name: "x", TargetFrac: 0.7, RowWeights: []float64{1}}} },
+		func(s *Spec) { s.Products = []Product{{Name: "x", TargetFrac: 0.7, RowWeights: []float64{-1, 1}}} },
 		func(s *Spec) { s.Amplitude = 5 }, // raised the mean load above target_frac
 		func(s *Spec) { s.Amplitude = math.NaN() },
 		func(s *Spec) { s.Products = []Product{{Name: "x", TargetFrac: 0.7, Amplitude: 1.5}} },

@@ -152,11 +152,13 @@ type Scheduler struct {
 	// assigns their engine sequence numbers, which orders completions landing
 	// on the same millisecond, which orders the float subtractions from the
 	// server's CPU load. done is the engine lane of completions: s.complete,
-	// live while the slot's record holds the entry's seq.
+	// live while the slot's record holds the entry's seq, touched by s.touch;
+	// touched is the touch's sink.
 	run     sim.Slab[runningJob]
 	runFree int32
 	runs    [][]int32
 	done    *sim.Lane
+	touched uint64
 
 	stats Stats
 	met   *metrics
@@ -221,7 +223,7 @@ func New(eng *sim.Engine, c *cluster.Cluster, seed uint64, policy Policy) *Sched
 		waitHist:    waitHist,
 		stretchHist: stretchHist,
 	}
-	s.done = eng.NewLane(s.complete, s.live)
+	s.done = eng.NewLane(s.complete, s.live, s.touch)
 	s.busyRow = make([]int, c.Rows())
 	s.capRow = make([]int, c.Rows())
 	for i, sv := range c.Servers {
@@ -615,8 +617,22 @@ func (s *Scheduler) productWeights(j *workload.Job) rowWeights {
 }
 
 // SetProductWeights installs the per-product row-affinity table. Index p
-// corresponds to workload Product index p; nil entries mean uniform.
-func (s *Scheduler) SetProductWeights(table [][]float64) { s.productRows = table }
+// corresponds to workload Product index p; nil entries mean uniform. A
+// weight must be finite and not negative (0 keeps the product off the row):
+// a NaN or infinite one would turn the row draw's total into NaN or +Inf,
+// and a negative one would cancel other rows' weight. An invalid table is
+// refused and the installed one kept.
+func (s *Scheduler) SetProductWeights(table [][]float64) error {
+	for p, w := range table {
+		for r, x := range w {
+			if !(x >= 0) || math.IsInf(x, 1) {
+				return fmt.Errorf("scheduler: product %d has row weight %v for row %d, want a finite number ≥ 0", p, x, r)
+			}
+		}
+	}
+	s.productRows = table
+	return nil
+}
 
 func (s *Scheduler) place(j *workload.Job, id int32) {
 	sv := s.c.Server(cluster.ServerID(id))
@@ -696,6 +712,33 @@ func (s *Scheduler) scheduleCompletion(slot int32) {
 // is running the job that entry was scheduled for, and no later
 // rescheduling replaced it.
 func (s *Scheduler) live(slot int32, seq uint64) bool { return s.run.At(slot).seq == seq }
+
+// touch is the completion lane's touch hook (see sim.Lane): it loads the
+// running-job record that live reads for each completion in ahead and, for
+// each in near, whose record an earlier touch loaded, the lines complete
+// reads: the server's record and sample column entry, its srv entry and its
+// run list. The loads of a block do not depend on each other, so their cache
+// misses overlap. A dead entry's slot may be free, its server a free-list
+// link, −1 or past the fleet, so the server ID is checked before use.
+func (s *Scheduler) touch(ahead, near []int32) {
+	sink := s.touched
+	for _, slot := range ahead {
+		sink += s.run.At(slot).seq
+	}
+	stride := s.c.Spec.Containers
+	for _, slot := range near {
+		id := s.run.At(slot).server
+		if uint(id) >= uint(len(s.srv)) {
+			continue
+		}
+		sv := s.c.Server(cluster.ServerID(id))
+		sink += uint64(sv.Busy()) + math.Float64bits(sv.DrawW()) + uint64(s.srv[id].n)
+		if r, i := s.rowOf(id); s.runs[r] != nil {
+			sink += uint64(s.runs[r][i*stride])
+		}
+	}
+	s.touched = sink
+}
 
 func (s *Scheduler) complete(now sim.Time, slot int32) {
 	rj := s.run.At(slot)

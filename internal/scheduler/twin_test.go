@@ -28,7 +28,10 @@ const stormTwinSHA = "50aa19d01f029935968b009a4557ed5e70fd22a212232b4ec8b11dbafe
 // reschedules each completion, so list order assigns the engine's seq
 // numbers, which order completions that land on the same millisecond, which
 // order the float subtractions from the server's CPU load.
-func stormDigest(t *testing.T) string {
+//
+// probe, when not nil, is called with the scheduler at every storm tick,
+// before the tick's own work.
+func stormDigest(t *testing.T, probe func(s *Scheduler)) string {
 	t.Helper()
 	eng := sim.NewEngine()
 	sp := cluster.DefaultSpec()
@@ -63,6 +66,9 @@ func stormDigest(t *testing.T) string {
 	r := sim.SubRNG(7, "storm")
 	pick := func() *cluster.Server { return c.Servers[r.Intn(len(c.Servers))] }
 	eng.Every(sim.Time(5*sim.Minute), 7*sim.Second, "storm", func(sim.Time) {
+		if probe != nil {
+			probe(s)
+		}
 		sv := pick()
 		switch x := r.Float64(); {
 		case x < 0.45:
@@ -121,7 +127,44 @@ func stormDigest(t *testing.T) string {
 }
 
 func TestStormTwinPinned(t *testing.T) {
-	if got := stormDigest(t); got != stormTwinSHA {
+	if got := stormDigest(t, nil); got != stormTwinSHA {
 		t.Errorf("storm digest %s, pinned %s: completion order or CPU-load rounding moved", got, stormTwinSHA)
+	}
+}
+
+// The completion lane's touch hook only loads, whatever slot it is handed.
+// At every tick of the storm (failure kills, DVFS reschedules, more running
+// jobs than servers) it is called on every slot of the slab, as ahead and as
+// near: live slots, slots reused since their entry was scheduled, and free
+// ones whose server field is a free-list link past the fleet or −1. It must
+// not panic, and the storm's digest must stay pinned.
+func TestTouchOnDeadEntriesWritesNothing(t *testing.T) {
+	var live, past, end, laneTouched int
+	last := uint64(0)
+	got := stormDigest(t, func(s *Scheduler) {
+		if s.touched != last {
+			laneTouched++ // the lane's own touch ran since the last tick
+		}
+		all := make([]int32, s.run.Len())
+		for i := range all {
+			all[i] = int32(i)
+			switch rj := s.run.At(int32(i)); {
+			case rj.seq != noSeq:
+				live++
+			case rj.server < 0:
+				end++
+			case int(rj.server) >= len(s.srv):
+				past++
+			}
+		}
+		s.touch(all, all)
+		last = s.touched
+	})
+	if got != stormTwinSHA {
+		t.Errorf("storm digest %s with every slot touched, pinned %s: a touch wrote to the scheduler", got, stormTwinSHA)
+	}
+	if live == 0 || past == 0 || end == 0 || laneTouched == 0 {
+		t.Errorf("touched %d live slots, %d free ones linking past the fleet, %d ending the free list; the lane touched on %d ticks: a case went untested",
+			live, past, end, laneTouched)
 	}
 }

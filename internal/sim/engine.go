@@ -101,12 +101,32 @@ type Engine struct {
 	chunks    []*calChunk
 	chunkNext []int32 // a chunk's successor in its bucket or in the free list
 	freeChunk int32   // head of the free-chunk list, -1 when empty
+
+	// touching are the lanes' touch hooks. touchBuf backs the lists a call
+	// hands a lane's hook, touchArgs the list a call hands a batch's. With
+	// them an Engine is 1,984 bytes, which with the allocator's 8-byte
+	// header still fits the 2,048-byte size class.
+	touching  []laneTouch
+	touchBuf  [2 * touchBlock]int32
+	touchArgs [touchBlock]int64
+}
+
+// laneTouch is a lane's touch hook and the lane byte of its entries.
+type laneTouch struct {
+	id    uint8
+	touch func(ahead, near []int32)
 }
 
 // calMinutes is the calendar's reach in minutes. DefaultDurations caps a job
 // at 100 minutes, so every full-speed completion is filed in the calendar;
 // a job slowed by DVFS may outrun it and wait in the heap.
 const calMinutes = 128
+
+// touchBlock is the length of the blocks in which the engine hands a lane's
+// or a batch's touch hook the args coming next (see Lane): once per block, so
+// the owner's loads of a block's records are independent of each other and
+// their cache misses are in flight at the same time.
+const touchBlock = 8
 
 // calEntry is a calendar entry; its minute is its bucket's, so it keeps
 // only its offset into that minute (below 60,000 < 2¹⁶). 16 bytes.
@@ -310,12 +330,48 @@ func (e *Engine) openMinute() {
 	*bk = bucket{}
 	e.open, e.openAt = m, Time(m*int64(Minute))
 	e.run, e.runHead = run, 0
+	if len(e.touching) > 0 {
+		e.touchRun()
+	}
 	if e.calLen -= n; e.calLen > 0 {
 		// Every filed minute lies in (m, m+calMinutes): the scan stops
 		// within the ring.
 		for m++; e.buckets[m%calMinutes].n == 0; m++ {
 		}
 		e.calMin = m
+	}
+}
+
+// advanceRun moves the open run's head past its entry, dispatched or
+// dropped. When the head enters a block, the touching lanes get its args.
+func (e *Engine) advanceRun() {
+	e.runHead++
+	if e.runHead%touchBlock == 0 && e.runHead < len(e.run) && len(e.touching) > 0 {
+		e.touchRun()
+	}
+}
+
+// touchRun calls each touching lane's hook once with its args in the block of
+// the open run that starts at runHead (near) and in the block after it
+// (ahead).
+func (e *Engine) touchRun() {
+	h := e.runHead
+	near := e.run[h:min(h+touchBlock, len(e.run))]
+	ahead := e.run[h+len(near) : min(h+2*touchBlock, len(e.run))]
+	for _, t := range e.touching {
+		buf := e.touchBuf[:0]
+		for _, x := range near {
+			if x.lane == t.id {
+				buf = append(buf, x.slot)
+			}
+		}
+		n := len(buf)
+		for _, x := range ahead {
+			if x.lane == t.id {
+				buf = append(buf, x.slot)
+			}
+		}
+		t.touch(buf[n:], buf[:n])
 	}
 }
 
@@ -392,6 +448,9 @@ func (e *Engine) next() (top entry, b *Batch, from int) {
 		}
 		if !x.sorted {
 			x.sort()
+			if x.touch != nil {
+				x.touchAhead(x.head)
+			}
 		}
 		h := entry{at: x.ents[x.head].at, seq: x.ents[x.head].seq}
 		if b == nil || h.before(bTop) {
@@ -429,7 +488,7 @@ func (e *Engine) next() (top entry, b *Batch, from int) {
 		if from == fromHeap {
 			e.pop()
 		} else {
-			e.runHead++
+			e.advanceRun()
 		}
 		if top.lane == 0 {
 			e.release(top.slot)
@@ -448,7 +507,7 @@ func (e *Engine) dispatch(top entry, b *Batch, from int) {
 	if from == fromHeap {
 		e.pop()
 	} else {
-		e.runHead++
+		e.advanceRun()
 	}
 	if top.lane != 0 {
 		e.lanes[top.lane-1].fn(e.now, top.slot)
@@ -545,6 +604,26 @@ func (e *Engine) Steps() uint64 { return e.steps }
 // The contract: once live returns false for an (arg, seq) pair it returns
 // false for that pair ever after. seq is unique, so an owner that compares
 // the seq it holds for arg with the one asked about meets it.
+//
+// A lane may have a touch hook, which lets the owner load the records of the
+// completions coming next before they are needed. The entries of the open
+// minute's calendar run are dispatched in order from one sorted array; each
+// time its head enters a block of touchBlock entries (the run's first block
+// included), the engine calls touch(ahead, near) once: near holds the lane's
+// args in that block, ahead those in the block after it. An arg in near was
+// in ahead one block earlier, so the owner can load its first record for
+// ahead and what that record points at for near. Entries waiting in the heap
+// (the open minute's stragglers, and events 128 or more minutes out) are not
+// touched. A touch hook:
+//   - only loads: it writes nothing but a sink of its own that keeps the
+//     loads from being compiled away, and it does not allocate or schedule;
+//   - must tolerate dead entries: the arg's slot may be free, or reused by a
+//     later entry, so whatever the record holds (a free-list link, −1, an
+//     index past the owner's tables) must be bounds-checked before it is
+//     followed;
+//   - must not keep the lists, which the engine reuses.
+//
+// Touching changes no order, draw or output.
 type Lane struct {
 	eng  *Engine
 	fn   func(now Time, arg int32)
@@ -553,14 +632,18 @@ type Lane struct {
 }
 
 // NewLane returns an empty lane whose live entries run fn(at, arg); live
-// says whether the entry (arg, seq) is still due when it surfaces. An engine
-// holds at most 255 lanes.
-func (e *Engine) NewLane(fn func(now Time, arg int32), live func(arg int32, seq uint64) bool) *Lane {
+// says whether the entry (arg, seq) is still due when it surfaces, and touch,
+// when not nil, is the lane's touch hook (see Lane). An engine holds at most
+// 255 lanes.
+func (e *Engine) NewLane(fn func(now Time, arg int32), live func(arg int32, seq uint64) bool, touch func(ahead, near []int32)) *Lane {
 	if len(e.lanes) == 255 {
 		panic("sim: more than 255 lanes")
 	}
 	l := &Lane{eng: e, fn: fn, live: live, id: uint8(len(e.lanes) + 1)}
 	e.lanes = append(e.lanes, l)
+	if touch != nil {
+		e.touching = append(e.touching, laneTouch{l.id, touch})
+	}
 	return l
 }
 
@@ -583,10 +666,21 @@ func (l *Lane) At(t Time, arg int32) uint64 {
 // an Add, and dispatching an entry is an index bump. Entries take their seq
 // from the engine's counter at Add, exactly as At does, so a batch entry and
 // a heap entry at the same time fire in the order they were scheduled.
+//
+// A batch may have a touch hook, which lets the owner load the records of
+// the entries coming next before they are needed: whenever the head enters a
+// block of touchBlock entries (an index into ents that is a multiple of it),
+// the engine calls touch once with the args of the block after the head's;
+// when it sorts the batch, it calls touch with the args from the head to the
+// end of the head's block, then with those of the next block. Every entry is
+// so handed over before it is dispatched. The hook
+// obeys Lane's touch contract: it only loads, does not allocate or schedule,
+// and keeps no list.
 type Batch struct {
-	eng  *Engine
-	name string
-	fn   ArgEvent
+	eng   *Engine
+	name  string
+	fn    ArgEvent
+	touch func(args []int64)
 	// ents[head:] are pending; ents[:head] were dispatched. Among pending
 	// entries at one time seq always ascends: an Add appends a larger seq
 	// than any pending one, and sorting and giving back the dispatched
@@ -605,9 +699,10 @@ type batchEntry struct {
 }
 
 // NewBatch returns an empty batch whose entries run fn(at, arg); name is for
-// panic messages.
-func (e *Engine) NewBatch(name string, fn ArgEvent) *Batch {
-	b := &Batch{eng: e, name: name, fn: fn}
+// panic messages, and touch, when not nil, is the batch's touch hook (see
+// Batch).
+func (e *Engine) NewBatch(name string, fn ArgEvent, touch func(args []int64)) *Batch {
+	b := &Batch{eng: e, name: name, fn: fn, touch: touch}
 	e.batches = append(e.batches, b)
 	return b
 }
@@ -637,7 +732,26 @@ func (b *Batch) take() int64 {
 		b.ents = b.ents[:copy(b.ents, b.ents[b.head:])]
 		b.head = 0
 	}
+	if b.touch != nil && b.head%touchBlock == 0 && b.head+touchBlock < len(b.ents) {
+		b.touchAhead(b.head + touchBlock)
+	}
 	return arg
+}
+
+// touchAhead calls the touch hook with the args of ents[lo:] up to the end
+// of the block after the head's, lo being at most that: one call per block
+// it reaches into.
+func (b *Batch) touchAhead(lo int) {
+	hi := min(b.head-b.head%touchBlock+2*touchBlock, len(b.ents))
+	for lo < hi {
+		end := min(lo-lo%touchBlock+touchBlock, hi)
+		buf := b.eng.touchArgs[:0]
+		for _, x := range b.ents[lo:end] {
+			buf = append(buf, x.arg)
+		}
+		b.touch(buf)
+		lo = end
+	}
 }
 
 // sort puts the pending entries in (at, seq) order. They are in seq order

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -417,10 +418,14 @@ type scriptedEngine struct {
 	runUntil func(end Time) error
 	steps    func() uint64
 	pending  func() int
+	touch    *touchCheck // the engine's touch calls; nil for the reference
 }
 
+// scriptNew is the engine under test, its lane and batches given touch
+// hooks that hold every call to the touch contract.
 func scriptNew() scriptedEngine {
 	e := NewEngine()
+	c := &touchCheck{e: e, touched: map[int64]bool{}}
 	canceller := func(h Handle) func() { return func() { e.Cancel(h) } }
 	return scriptedEngine{
 		now:   e.Now,
@@ -428,11 +433,130 @@ func scriptNew() scriptedEngine {
 		after: func(d Duration, fn Event) func() { return canceller(e.After(d, "after", fn)) },
 		every: func(start Time, iv Duration, fn Event) func() { return canceller(e.Every(start, iv, "every", fn)) },
 		newLane: func(fn func(Time, int32), live func(int32, uint64) bool) func(Time, int32) uint64 {
-			return e.NewLane(fn, live).At
+			t := &laneTouches{}
+			c.lanes = append(c.lanes, t)
+			t.l = e.NewLane(fn, live, func(ahead, near []int32) { c.lane(t, ahead, near) })
+			return t.l.At
 		},
-		newBatch: func(fn ArgEvent) func(Time, int64) { return e.NewBatch("batch", fn).Add },
-		runUntil: e.RunUntil, steps: e.Steps, pending: e.Pending,
+		newBatch: func(fn ArgEvent) func(Time, int64) {
+			var b *Batch
+			b = e.NewBatch("batch", func(now Time, arg int64) {
+				c.dispatched(arg)
+				fn(now, arg)
+			}, func(args []int64) { c.batch(b, args) })
+			return b.Add
+		},
+		runUntil: func(end Time) error {
+			err := e.RunUntil(end)
+			c.settled()
+			return err
+		},
+		steps: e.Steps, pending: e.Pending, touch: c,
 	}
+}
+
+// touchCheck records the touch calls of an engine's lanes and batches and
+// holds them to the contract of Lane and Batch: a lane is touched exactly at
+// each block start of each run, its first block included and no block
+// skipped (dead-entry drops included), with its own args of that block and
+// the next; a batch is handed only args of its head's block and the next,
+// and every entry it dispatches was handed over while pending.
+type touchCheck struct {
+	e          *Engine
+	lanes      []*laneTouches
+	batchCalls int
+	touched    map[int64]bool // batch args handed over and not yet dispatched
+	err        error          // the first breach
+}
+
+// laneTouches is one lane's record: its calls, those whose block the head
+// entered by dropping a dead entry of the lane, and the last call's open
+// minute, head and run length.
+type laneTouches struct {
+	l            *Lane
+	calls, drops int
+	open         int64
+	head, n      int
+}
+
+func (c *touchCheck) fail(format string, a ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, a...)
+	}
+}
+
+// laneArgs returns the args of the entries of ents on lane id, in order.
+func laneArgs(ents []calEntry, id uint8) []int32 {
+	var args []int32
+	for _, x := range ents {
+		if x.lane == id {
+			args = append(args, x.slot)
+		}
+	}
+	return args
+}
+
+func (c *touchCheck) lane(t *laneTouches, ahead, near []int32) {
+	e, id := c.e, t.l.id
+	h, n := e.runHead, len(e.run)
+	newRun := t.calls == 0 || e.open != t.open
+	switch {
+	case h%touchBlock != 0 || h >= n:
+		c.fail("lane %d touched at run head %d of %d, not at a block's start", id, h, n)
+	case !newRun && h != t.head+touchBlock:
+		c.fail("minute %d: lane %d touched at head %d after %d: a block was skipped", e.open, id, h, t.head)
+	case newRun && h != 0:
+		c.fail("minute %d: lane %d's first touch of the run is at head %d", e.open, id, h)
+	case newRun && t.calls > 0 && t.head+touchBlock < t.n:
+		c.fail("minute %d's run of %d was last touched on lane %d at head %d", t.open, t.n, id, t.head)
+	case !slices.Equal(near, laneArgs(e.run[h:min(h+touchBlock, n)], id)):
+		c.fail("minute %d head %d: lane %d near %v, the block's lane args %v", e.open, h, id, near, laneArgs(e.run[h:min(h+touchBlock, n)], id))
+	case !slices.Equal(ahead, laneArgs(e.run[min(h+touchBlock, n):min(h+2*touchBlock, n)], id)):
+		c.fail("minute %d head %d: lane %d ahead %v, the next block's lane args %v", e.open, h, id, ahead, laneArgs(e.run[min(h+touchBlock, n):min(h+2*touchBlock, n)], id))
+	}
+	if h > 0 && h <= n {
+		if x := e.run[h-1]; x.lane == id && !t.l.live(x.slot, x.seq) {
+			t.drops++
+		}
+	}
+	t.open, t.head, t.n = e.open, h, n
+	t.calls++
+}
+
+// settled checks, between runs, that each lane's last call was at the block
+// of the open run's head, or at the run's last block once it is drained.
+func (c *touchCheck) settled() {
+	e := c.e
+	if len(e.run) == 0 {
+		return // no minute has opened
+	}
+	last := min(e.runHead, len(e.run)-1)
+	for _, t := range c.lanes {
+		if t.calls == 0 || t.n != len(e.run) || t.head != last-last%touchBlock ||
+			e.runHead < len(e.run) && t.open != e.open {
+			c.fail("run of %d at head %d in minute %d, last touch of lane %d at head %d of %d in minute %d (%d calls)",
+				len(e.run), e.runHead, e.open, t.l.id, t.head, t.n, t.open, t.calls)
+		}
+	}
+}
+
+func (c *touchCheck) batch(b *Batch, args []int64) {
+	c.batchCalls++
+	h := b.head
+	next := b.ents[h:min(h-h%touchBlock+2*touchBlock, len(b.ents))]
+	for _, a := range args {
+		if !slices.ContainsFunc(next, func(x batchEntry) bool { return x.arg == a }) {
+			c.fail("batch touched arg %d outside its head's block and the next", a)
+		}
+		c.touched[a] = true
+	}
+}
+
+func (c *touchCheck) dispatched(arg int64) {
+	if !c.touched[arg] {
+		c.fail("batch dispatched arg %d, never touched", arg)
+	}
+	delete(c.touched, arg)
 }
 
 func scriptRef() scriptedEngine {
@@ -470,10 +594,13 @@ type dispatch struct {
 // laneCover counts what a script did on its lane that the reference must
 // see the same way: kills of an entry before it surfaced, reschedules to the
 // millisecond the entry was already due at, args reused after a kill under a
-// new seq, and whether its first entry took the engine's first seq.
+// new seq, and whether its first entry took the engine's first seq. The
+// engine's touch calls are counted too: the lanes', those on a block entered
+// by a dead-entry drop, and the batches'.
 type laneCover struct {
-	kills, sameMs, reused int
-	firstSeq              bool
+	kills, sameMs, reused            int
+	firstSeq                         bool
+	touches, dropTouches, batchTouch int
 }
 
 func (c *laneCover) add(o laneCover) {
@@ -481,6 +608,9 @@ func (c *laneCover) add(o laneCover) {
 	c.sameMs += o.sameMs
 	c.reused += o.reused
 	c.firstSeq = c.firstSeq || o.firstSeq
+	c.touches += o.touches
+	c.dropTouches += o.dropTouches
+	c.batchTouch += o.batchTouch
 }
 
 // checkpoint is what the engines must agree on after every RunUntil.
@@ -518,7 +648,8 @@ var scriptUnits = []Duration{Millisecond, Minute / 10, Minute, 13 * Minute}
 // that holds one job and the seq of its live entry, and a cancel is a kill
 // that frees the slot for reuse under a new seq; callbacks also reschedule
 // held slots, a third of the time to the millisecond already due, and the
-// script's first event is a lane entry. About one spawn in 16 is 0–300 whole
+// script's first event is a lane entry. Even slots go on one lane and odd
+// ones on another, which share the owner. About one spawn in 16 is 0–300 whole
 // minutes out, beyond the calendar's ring. With batches it also adds batch
 // entries from inside callbacks, between runs and in bursts, and a bulk each
 // round spread over a span from 1 to 2^11 units or, late on, up to 2^40 ms,
@@ -583,14 +714,17 @@ func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkp
 	for k := 0; k < mix.batches; k++ {
 		batches = append(batches, e.newBatch(argFn))
 	}
-	laneAt = e.newLane(func(now Time, a int32) {
+	complete := func(now Time, a int32) {
 		if own.seq[a] == noSeq {
 			panic(fmt.Sprintf("lane ran free slot %d", a))
 		}
 		id, depth := own.id[a], own.depth[a]
 		release(a, false)
 		record(now, id, depth)
-	}, func(a int32, seq uint64) bool { return own.seq[a] == seq })
+	}
+	live := func(a int32, seq uint64) bool { return own.seq[a] == seq }
+	lanes := [2]func(t Time, arg int32) uint64{e.newLane(complete, live), e.newLane(complete, live)}
+	laneAt = func(t Time, a int32) uint64 { return lanes[a%2](t, a) }
 	// onLane holds job id in a free slot (reusing the last freed first) with
 	// an entry at t, and returns the job's kill.
 	onLane := func(t Time, id int64, depth int) (kill func()) {
@@ -712,11 +846,21 @@ func runScript(e scriptedEngine, seed int64, mix batchMix) ([]dispatch, []checkp
 }
 
 // matchReference runs one script on the engine and on refEngine and reports
-// the first difference, or the number of dispatches and the lane's cover when
-// there is none.
+// a breach of the touch contract or the first difference, or the number of
+// dispatches and the lane's cover when there is none.
 func matchReference(seed int64, mix batchMix) (int, laneCover, error) {
-	got, gotMarks, cover := runScript(scriptNew(), seed, mix)
+	eng := scriptNew()
+	got, gotMarks, cover := runScript(eng, seed, mix)
 	want, wantMarks, _ := runScript(scriptRef(), seed, mix)
+	tc := eng.touch
+	for _, t := range tc.lanes {
+		cover.touches += t.calls
+		cover.dropTouches += t.drops
+	}
+	cover.batchTouch = tc.batchCalls
+	if tc.err != nil {
+		return 0, cover, fmt.Errorf("touch: %w", tc.err)
+	}
 	for i := range wantMarks {
 		if gotMarks[i] != wantMarks[i] {
 			return 0, cover, fmt.Errorf("after RunUntil #%d engine at %+v, reference at %+v", i, gotMarks[i], wantMarks[i])
@@ -761,7 +905,8 @@ func TestEngineMatchesReference(t *testing.T) {
 			cover.add(c)
 		}
 	}
-	if cover.kills == 0 || cover.sameMs == 0 || cover.reused == 0 || !cover.firstSeq {
+	if cover.kills == 0 || cover.sameMs == 0 || cover.reused == 0 || !cover.firstSeq ||
+		cover.touches == 0 || cover.dropTouches == 0 || cover.batchTouch == 0 {
 		t.Errorf("lane cover %+v: a case the scripts should reach went untested", cover)
 	}
 }
@@ -802,14 +947,25 @@ func TestStaleHandleSparesNewTenant(t *testing.T) {
 }
 
 // Scheduling lane entries and dispatching or dropping them on a warmed
-// engine allocate nothing, through the heap and through the calendar. Arg 3
-// is never live, so every run also drops a dead entry.
+// engine allocate nothing, through the heap and through the calendar, with a
+// touch hook installed. Arg 3 is never live, so every run also drops a dead
+// entry.
 func TestLaneStepDoesNotAllocate(t *testing.T) {
 	var sum int64
 	fn := func(_ Time, arg int32) { sum += int64(arg) }
 	live := func(arg int32, _ uint64) bool { return arg != 3 }
+	touches := 0
+	touch := func(ahead, near []int32) {
+		touches++
+		for _, a := range ahead {
+			sum += int64(a)
+		}
+		for _, a := range near {
+			sum -= int64(a)
+		}
+	}
 	e := NewEngine()
-	lane := e.NewLane(fn, live)
+	lane := e.NewLane(fn, live, touch)
 	for i := 0; i < 1000; i++ {
 		lane.At(Time(i%7), 1)
 	}
@@ -832,7 +988,7 @@ func TestLaneStepDoesNotAllocate(t *testing.T) {
 	// on, which opens three. Once the ring has turned several times over,
 	// its chunks and run buffers are warm.
 	e = NewEngine()
-	lane = e.NewLane(fn, live)
+	lane = e.NewLane(fn, live, touch)
 	k := 0
 	minutes := func() {
 		for i := 0; i < 12; i++ {
@@ -850,8 +1006,8 @@ func TestLaneStepDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, minutes); allocs != 0 {
 		t.Errorf("Lane.At+Step through the calendar allocates %.1f objects per run, want 0", allocs)
 	}
-	if e.calLen == 0 {
-		t.Errorf("nothing in the calendar of %d pending: the test no longer tests it", e.Pending())
+	if e.calLen == 0 || touches == 0 {
+		t.Errorf("%d in the calendar of %d pending, %d touches: the test no longer tests it", e.calLen, e.Pending(), touches)
 	}
 }
 
@@ -861,8 +1017,8 @@ func TestBatchKeepsFIFOWithHeap(t *testing.T) {
 	e := NewEngine()
 	var order []int64
 	record := func(_ Time, arg int64) { order = append(order, arg) }
-	a, b := e.NewBatch("a", record), e.NewBatch("b", record)
-	lane := e.NewLane(func(now Time, arg int32) { record(now, int64(arg)) }, func(int32, uint64) bool { return true })
+	a, b := e.NewBatch("a", record, nil), e.NewBatch("b", record, nil)
+	lane := e.NewLane(func(now Time, arg int32) { record(now, int64(arg)) }, func(int32, uint64) bool { return true }, nil)
 	for i := int64(0); i < 12; i++ {
 		switch i % 3 {
 		case 0:
@@ -888,7 +1044,7 @@ func TestBatchKeepsFIFOWithHeap(t *testing.T) {
 func TestBatchRunUntilHorizon(t *testing.T) {
 	e := NewEngine()
 	var got []Time
-	b := e.NewBatch("arrival", func(now Time, _ int64) { got = append(got, now) })
+	b := e.NewBatch("arrival", func(now Time, _ int64) { got = append(got, now) }, nil)
 	end := Time(Minute)
 	b.Add(end+1, 0)
 	b.Add(end, 0)
@@ -916,7 +1072,7 @@ func TestBatchStopFromCallback(t *testing.T) {
 		if n++; n == 3 {
 			e.Stop()
 		}
-	})
+	}, nil)
 	for i := 0; i < 10; i++ {
 		b.Add(Time(i), 0)
 	}
@@ -935,7 +1091,7 @@ func TestBatchStopFromCallback(t *testing.T) {
 func TestBatchStepLimit(t *testing.T) {
 	e := NewEngine()
 	e.SetStepLimit(5)
-	b := e.NewBatch("arrival", func(Time, int64) {})
+	b := e.NewBatch("arrival", func(Time, int64) {}, nil)
 	for i := 0; i < 10; i++ {
 		b.Add(Time(i), 0)
 	}
@@ -949,7 +1105,7 @@ func TestBatchStepLimit(t *testing.T) {
 
 func TestBatchPending(t *testing.T) {
 	e := NewEngine()
-	b := e.NewBatch("arrival", func(Time, int64) {})
+	b := e.NewBatch("arrival", func(Time, int64) {}, nil)
 	e.At(Time(Second), "heap", func(Time) {})
 	for i := 5; i > 0; i-- {
 		b.Add(Time(i), 0)
@@ -966,7 +1122,7 @@ func TestBatchPending(t *testing.T) {
 
 func TestBatchAddInPastPanics(t *testing.T) {
 	e := NewEngine()
-	b := e.NewBatch("job-arrival", func(Time, int64) {})
+	b := e.NewBatch("job-arrival", func(Time, int64) {}, nil)
 	if err := e.RunUntil(Time(Minute)); err != nil {
 		t.Fatal(err)
 	}
@@ -981,7 +1137,7 @@ func TestBatchAddInPastPanics(t *testing.T) {
 
 func TestLaneAtInPastPanics(t *testing.T) {
 	e := NewEngine()
-	lane := e.NewLane(func(Time, int32) {}, func(int32, uint64) bool { return true })
+	lane := e.NewLane(func(Time, int32) {}, func(int32, uint64) bool { return true }, nil)
 	if err := e.RunUntil(Time(Minute)); err != nil {
 		t.Fatal(err)
 	}
@@ -1003,7 +1159,7 @@ func TestBatchNeverDrainedStaysBounded(t *testing.T) {
 		// Each entry schedules its successor after every pending one, so no
 		// sort ever rewrites the buffer: only giving back the prefix can.
 		b.Add(now.Add(k), arg)
-	})
+	}, nil)
 	for i := int64(0); i < k; i++ {
 		b.Add(Time(i), i)
 	}
@@ -1020,11 +1176,18 @@ func TestBatchNeverDrainedStaysBounded(t *testing.T) {
 	}
 }
 
-// Adding to and dispatching from a warmed batch allocate nothing.
+// Adding to and dispatching from a warmed batch allocate nothing, with a
+// touch hook installed.
 func TestBatchStepDoesNotAllocate(t *testing.T) {
 	e := NewEngine()
 	var sum int64
-	b := e.NewBatch("arrival", func(_ Time, arg int64) { sum += arg })
+	touches := 0
+	b := e.NewBatch("arrival", func(_ Time, arg int64) { sum += arg }, func(args []int64) {
+		touches++
+		for _, a := range args {
+			sum -= a
+		}
+	})
 	for i := 0; i < 1000; i++ {
 		b.Add(Time(1000-i), 1)
 	}
@@ -1039,10 +1202,17 @@ func TestBatchStepDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Batch Add+Step allocates %.1f objects per run, want 0", allocs)
 	}
+	if touches == 0 {
+		t.Error("the touch hook never ran: the test no longer tests it")
+	}
 }
 
 // The lane byte sits in padding, so a queue entry costs what it did before
 // lanes, and the slab record holds what an At or Every event needs alone.
+// The touch hooks' buffers live in the Engine, which keeps it in its
+// 2,048-byte size class (with the allocator's 8-byte header) and a Lane and
+// a Batch in theirs (32 and 128 bytes): a federation's shards pay no memory
+// for them.
 func TestRecordSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -1051,6 +1221,9 @@ func TestRecordSizes(t *testing.T) {
 		{"entry", unsafe.Sizeof(entry{}), 24},
 		{"calEntry", unsafe.Sizeof(calEntry{}), 16},
 		{"event", unsafe.Sizeof(event{}), 24},
+		{"Engine", unsafe.Sizeof(Engine{}), 1984},
+		{"Lane", unsafe.Sizeof(Lane{}), 32},
+		{"Batch", unsafe.Sizeof(Batch{}), 128},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)

@@ -46,7 +46,7 @@ type Config struct {
 	Cluster  cluster.Spec
 	Products []workload.Product
 	// ProductWeights[p] is the row-affinity vector for product p; nil
-	// entries mean uniform.
+	// entries mean uniform. Every weight is finite and at least 0.
 	ProductWeights [][]float64
 	// Retention bounds TSDB series length (0 = unlimited).
 	Retention int
@@ -65,8 +65,8 @@ func New(cfg Config) (*Stack, error) {
 		return nil, err
 	}
 	sched := scheduler.New(eng, c, cfg.Seed, nil)
-	if cfg.ProductWeights != nil {
-		sched.SetProductWeights(cfg.ProductWeights)
+	if err := sched.SetProductWeights(cfg.ProductWeights); err != nil {
+		return nil, err
 	}
 	db := tsdb.New(cfg.Retention)
 	mcfg := monitor.DefaultConfig()

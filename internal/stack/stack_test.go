@@ -2,6 +2,7 @@ package stack
 
 import (
 	"go/build"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -81,17 +82,33 @@ func TestNewWiresThePipeline(t *testing.T) {
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
-	bad := cluster.DefaultSpec()
-	bad.Rows = 0
-	if _, err := New(Config{Cluster: bad, Products: []workload.Product{workload.DefaultProduct("a", 1)}}); err == nil {
-		t.Error("zero-row cluster accepted")
+	noRows := cluster.DefaultSpec()
+	noRows.Rows = 0
+	prods := []workload.Product{workload.DefaultProduct("a", 1)}
+	// weights is a config of four rows whose one product has the given row
+	// weights. Before the weights were checked, NaN and +Inf in row 0 sent
+	// every job to row 3, and −1 starved row 1.
+	weights := func(w ...float64) Config {
+		return Config{Cluster: RowSpec(4, 40), Products: prods, ProductWeights: [][]float64{nil, w}}
 	}
-	if _, err := New(Config{Cluster: RowSpec(1, 20)}); err == nil {
-		t.Error("stack without products accepted")
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero-row cluster", Config{Cluster: noRows, Products: prods}},
+		{"no products", Config{Cluster: RowSpec(1, 20)}},
+		{"drop rate 2", Config{Cluster: RowSpec(1, 20), MonitorDropRate: 2, Products: prods}},
+		{"NaN row weight", weights(math.NaN(), 1, 1, 1)},
+		{"+Inf row weight", weights(math.Inf(1), 1, 1, 1)},
+		{"-Inf row weight", weights(1, 1, math.Inf(-1), 1)},
+		{"negative row weight", weights(-1, 1, 1, 1)},
+	} {
+		if _, err := New(c.cfg); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if _, err := New(Config{Cluster: RowSpec(1, 20), MonitorDropRate: 2,
-		Products: []workload.Product{workload.DefaultProduct("a", 1)}}); err == nil {
-		t.Error("drop rate 2 accepted")
+	if _, err := New(weights(0, 1, 0.5, 2)); err != nil {
+		t.Errorf("finite non-negative row weights refused: %v", err)
 	}
 }
 

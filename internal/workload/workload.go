@@ -144,19 +144,20 @@ type Generator struct {
 	dd       DurationDist
 	sink     Sink
 
-	rngs      []*rand.Rand // one per product
-	wobble    []*wobbleState
-	nextID    int64
-	handle    sim.Handle
-	generated int64
+	rngs   []*rand.Rand // one per product
+	wobble []*wobbleState
+	nextID int64 // also the number of jobs emitted so far
+	handle sim.Handle
 
 	// pending is the slab of jobs generated for the current minute and not
 	// yet arrived; free stacks its recycled slots. An arrival is an entry of
 	// the arrivals batch carrying a slot, not a closure or a heap event, so a
-	// job costs no allocation between tick and sink.
+	// job costs no allocation between tick and sink. touched is the sink of
+	// the arrivals' touch hook.
 	pending  sim.Slab[Job]
 	free     []int32
 	arrivals *sim.Batch
+	touched  int64
 }
 
 type wobbleState struct {
@@ -196,7 +197,7 @@ func NewGenerator(eng *sim.Engine, seed uint64, products []Product, dd DurationD
 		}
 	}
 	g := &Generator{eng: eng, products: products, dd: dd, sink: sink}
-	g.arrivals = eng.NewBatch("job-arrival", g.arrive)
+	g.arrivals = eng.NewBatch("job-arrival", g.arrive, g.touch)
 	g.rngs = make([]*rand.Rand, len(products))
 	g.wobble = make([]*wobbleState, len(products))
 	for i := range products {
@@ -222,7 +223,7 @@ func (g *Generator) Stop() {
 }
 
 // Generated returns the number of jobs emitted so far.
-func (g *Generator) Generated() int64 { return g.generated }
+func (g *Generator) Generated() int64 { return g.nextID }
 
 // RateAt returns product i's modulated mean rate for the minute at t,
 // excluding Poisson sampling noise. Exposed for tests and calibration.
@@ -290,7 +291,6 @@ func (g *Generator) tick(now sim.Time) {
 				CPU:     0.5 + r.Float64(), // U(0.5, 1.5)
 			}
 			g.nextID++
-			g.generated++
 			job.Arrival = now.Add(sim.Duration(r.Int63n(int64(sim.Minute))))
 			g.arrivals.Add(job.Arrival, int64(g.hold(job)))
 		}
@@ -308,6 +308,19 @@ func (g *Generator) hold(job Job) int32 {
 	}
 	*g.pending.At(slot) = job
 	return slot
+}
+
+// touch is the arrivals' touch hook (see sim.Batch): it loads the pending
+// jobs of the next arrivals, which are read in random slot order, before
+// the sink reads them. A Job may straddle two cache lines, so both its
+// first and its last word are loaded.
+func (g *Generator) touch(slots []int64) {
+	sink := g.touched
+	for _, slot := range slots {
+		j := g.pending.At(int32(slot))
+		sink += j.ID + int64(math.Float64bits(j.CPU))
+	}
+	g.touched = sink
 }
 
 // arrive hands a pending job to the sink and recycles its slot.
