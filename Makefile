@@ -143,7 +143,8 @@ bench-runner:
 # PARENT's committed files and from the working tree, WORKLOAD run on both
 # PAIRS times with the first mover alternating, then per end-to-end metric
 # each side's median and quartiles, the pairs won, and the verdict by the
-# nine-in-ten and beyond-the-parent's-quartiles rule.
+# nine-in-ten and beyond-the-parent's-quartiles rule (scripts/bench_verdict;
+# a loss reads WORSE only past the metric's bound in BENCHMARK.json).
 #   make bench-pair PARENT=HEAD~1 WORKLOAD=rows4_week PAIRS=10
 # A claim must also hold on a seed not used while the change was written:
 # repeat with SEED=2.

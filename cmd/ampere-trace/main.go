@@ -27,6 +27,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/stack"
@@ -156,25 +157,21 @@ func replay(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	prod := workload.Product{Name: "replay", Schedule: sched, ScheduleStart: sim.Time(warmup)}
-	rig, err := stack.New(stack.Config{
-		Seed: *seed, Cluster: spec, Products: []workload.Product{prod},
-	})
-	if err != nil {
+	fl := &experiment.Fleet{
+		Stack: stack.Config{Seed: *seed, Cluster: spec, Products: []workload.Product{
+			{Name: "replay", Schedule: sched, ScheduleStart: sim.Time(warmup)}}},
+		RowBudgetW: spec.RowRatedPowerW() / (1 + *ro),
+		RowName:    "row/%d",
+	}
+	if *ampere {
+		fl.Control = &experiment.FleetControl{Rows: 1, Margin: 1, Kr: *kr, Config: core.DefaultConfig()}
+	}
+	if err := fl.Build(); err != nil {
 		return err
 	}
+	rig, controller, budget := fl.Rig, fl.Controller, fl.RowBudgetW
 	rig.StartBase()
-
-	budget := spec.RowRatedPowerW() / (1 + *ro)
-	var controller *core.Controller
-	if *ampere {
-		controller, err = core.New(rig.Eng, rig.Mon, rig.Sched, core.DefaultConfig(),
-			[]core.Domain{{Name: "row/0", Servers: rig.Cluster.RowIDs(0), BudgetW: budget, Kr: *kr}})
-		if err != nil {
-			return err
-		}
-		controller.Start()
-	}
+	fl.Start()
 	end := sim.Time(warmup) + sim.Time(tr.Len())*sim.Time(sim.Minute)
 	if err := rig.Run(end); err != nil {
 		return err

@@ -51,9 +51,10 @@ import (
 
 	"repro/internal/breaker"
 	"repro/internal/chaos"
-	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/stack"
@@ -142,175 +143,96 @@ type status struct {
 	Violations []int64   `json:"violations_per_row"`
 }
 
-// simStack is one fully wired powermon simulation: stack, optional controller,
-// observational breakers. buildStack produces it for both the live server and
-// the /whatif offline replays — identical construction and start order is
-// what makes an offline rebuild reproduce the live journal byte-for-byte
-// (the whatif witness-verification contract).
-type simStack struct {
-	rig      *stack.Stack
-	ctl      *core.Controller
-	breakers []*breaker.Breaker
-	budget   float64
-	svc      *service.Service // nil unless -service-users > 0
-}
-
-// buildStack wires the whole simulation up to (and including) controller
-// start. reg may be nil (the offline-replay case: metrics unregistered but
-// journal still fed); journal may be nil only when cfg.obs is false.
-func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*simStack, error) {
+// check refuses a configuration before anything is built, naming the flag
+// at fault.
+func (cfg runConfig) check() error {
+	const maxMinutes = scenario.MaxEventMinutes // so minutesToTime cannot overflow
+	switch {
 	// Rows are whole racks: RowSpec would floor a partial one away while the
 	// log line and the /whatif ConfigTag report the requested size.
-	switch {
 	case cfg.rowServers <= 0 || cfg.rowServers%20 != 0:
-		return nil, fmt.Errorf("row-servers %d must be a positive multiple of 20", cfg.rowServers)
+		return fmt.Errorf("row-servers %d must be a positive multiple of 20", cfg.rowServers)
 	case !(cfg.target > 0 && cfg.target <= 1):
-		return nil, fmt.Errorf("target %v outside (0,1]", cfg.target)
+		return fmt.Errorf("target %v outside (0,1]", cfg.target)
 	case !(cfg.ro >= 0) || math.IsInf(cfg.ro, 1):
 		// The row budget is rated/(1+ro): finite and positive only here.
-		return nil, fmt.Errorf("ro %v must be a finite number ≥ 0", cfg.ro)
+		return fmt.Errorf("ro %v must be a finite number ≥ 0", cfg.ro)
+	case cfg.svcUsers > 0 && (cfg.svcInstances < 1 || cfg.svcInstances > cfg.rows*cfg.rowServers):
+		return fmt.Errorf("service-instances %d outside [1,%d]", cfg.svcInstances, cfg.rows*cfg.rowServers)
+	case !(cfg.drAt >= 0 && cfg.drAt <= maxMinutes):
+		return fmt.Errorf("dr-at %v outside [0,%d] minutes", cfg.drAt, maxMinutes)
+	case cfg.drAt == 0: // no demand-response event
+	case !(cfg.drDepth > 0 && cfg.drDepth < 1):
+		return fmt.Errorf("dr-depth %v outside (0,1)", cfg.drDepth)
+	case !(cfg.drDwell > 0 && cfg.drDwell <= maxMinutes):
+		return fmt.Errorf("dr-dwell %v outside (0,%d] minutes", cfg.drDwell, maxMinutes)
+	case !(cfg.drRamp >= 0 && cfg.drRamp <= 1):
+		return fmt.Errorf("dr-ramp %v outside [0,1]", cfg.drRamp)
+	case !cfg.ampere:
+		return fmt.Errorf("dr-at needs -ampere: the schedule is enforced by the controller")
 	}
-	spec := stack.RowSpec(cfg.rows, cfg.rowServers)
+	return nil
+}
 
-	product := workload.DefaultProduct("mixed", stack.JobsPerMinute(spec, cfg.target, spec.TotalServers()))
-
-	rig, err := stack.New(stack.Config{
-		Seed:      cfg.seed,
-		Cluster:   spec,
-		Products:  []workload.Product{product},
-		Retention: 7 * 24 * 60, // one week of minutes per series
-	})
-	if err != nil {
+// buildStack builds the powermon fleet and starts it. The live server and
+// the /whatif offline replays both build through it: identical construction
+// and start order is what makes an offline rebuild reproduce the live
+// journal byte-for-byte (the whatif witness-verification contract). reg may
+// be nil (the offline replay: metrics unregistered but journal still fed);
+// journal may be nil only when cfg.obs is false.
+func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*experiment.Fleet, error) {
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-
-	// Observability wiring: one registry for every subsystem, one journal
-	// for control decisions. With -obs=false both stay nil and every
-	// Instrument call below is a no-op.
-	if cfg.obs {
-		rig.Mon.Instrument(reg)
-		rig.DB.Instrument(reg)
-		rig.Sched.Instrument(reg)
-	}
-
-	// Optional interactive service: cfg.svcInstances hosts at even stride
-	// across the fleet, each with reserved containers, serving cfg.svcUsers
-	// users as steady/diurnal/flash client classes. Reservations land before
-	// StartBase so placement stays deterministic, which keeps the /whatif
-	// offline rebuild byte-identical to the live run.
-	var svc *service.Service
-	if cfg.svcUsers > 0 {
-		total := spec.TotalServers()
-		if cfg.svcInstances < 1 || cfg.svcInstances > total {
-			return nil, fmt.Errorf("service-instances %d outside [1,%d]", cfg.svcInstances, total)
-		}
-		stride := total / cfg.svcInstances
-		hosts := make([]*cluster.Server, 0, cfg.svcInstances)
-		for i := 0; i < cfg.svcInstances; i++ {
-			sv := rig.Cluster.Servers[i*stride]
-			if err := rig.Sched.Reserve(sv.ID, cfg.svcContainers, float64(cfg.svcContainers)); err != nil {
-				return nil, err
-			}
-			hosts = append(hosts, sv)
-		}
-		svc, err = service.New(rig.Eng, cfg.seed, service.Config{
-			Classes: service.DefaultClasses(cfg.svcUsers, cfg.svcRPSPerUser),
-		}, hosts)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.obs {
-			svc.Instrument(reg)
-		}
-		svc.Start()
-	}
-	rig.StartBase()
-
+	spec := stack.RowSpec(cfg.rows, cfg.rowServers)
 	budget := spec.RowRatedPowerW() / (1 + cfg.ro)
-
-	// The controller's dependencies go through an empty-plan chaos injector:
-	// with no faults it is a deterministic pass-through, but its counters
-	// register on the scrape so operators watch the same metric families in
-	// drills and in production. Real fault plans are injected by the chaos
-	// harness (internal/chaos, cmd/drill).
-	reader := core.PowerReader(rig.Mon)
-	api := core.FreezeAPI(rig.Sched)
-	if cfg.obs {
-		inj, err := chaos.New(rig.Eng, chaos.Plan{Seed: cfg.seed})
-		if err != nil {
-			return nil, err
-		}
-		inj.Instrument(reg)
-		reader = inj.WrapReader(rig.Mon)
-		api = inj.WrapAPI(rig.Sched)
+	product := workload.DefaultProduct("mixed", stack.JobsPerMinute(spec, cfg.target, spec.TotalServers()))
+	f := &experiment.Fleet{
+		Stack: stack.Config{Seed: cfg.seed, Cluster: spec, Products: []workload.Product{product},
+			Retention: 7 * 24 * 60}, // one week of minutes per series
+		RowBudgetW: budget,
+		RowName:    "row/%d",
+		Registry:   reg,
+		Journal:    journal,
 	}
-
-	// An optional demand-response event, identical for every row: dip at
-	// dr-at for dr-dwell minutes, ramp-limited by dr-ramp.
-	var sched *core.BudgetSchedule
-	if cfg.drAt > 0 {
-		if cfg.drDepth <= 0 || cfg.drDepth >= 1 {
-			return nil, fmt.Errorf("dr-depth %v outside (0,1)", cfg.drDepth)
-		}
-		if cfg.drDwell <= 0 {
-			return nil, fmt.Errorf("dr-dwell %v must be positive", cfg.drDwell)
-		}
-		sched = &core.BudgetSchedule{
-			RampFrac: cfg.drRamp,
-			Steps: []core.BudgetStep{
-				{At: minutesToTime(cfg.drAt), BudgetW: budget * (1 - cfg.drDepth)},
-				{At: minutesToTime(cfg.drAt + cfg.drDwell), BudgetW: budget},
-			},
-		}
-		if err := sched.Validate(budget); err != nil {
-			return nil, err
-		}
-	}
-
-	var controller *core.Controller
 	if cfg.ampere {
-		domains := make([]core.Domain, cfg.rows)
-		for r := 0; r < cfg.rows; r++ {
-			domains[r] = core.Domain{
-				Name: fmt.Sprintf("row/%d", r), Servers: rig.Cluster.RowIDs(r), BudgetW: budget,
-				Kr: stack.DefaultKr, Schedule: sched,
+		f.Control = &experiment.FleetControl{Rows: cfg.rows, Margin: 1, Kr: stack.DefaultKr,
+			Config: core.DefaultConfig()}
+		if cfg.drAt > 0 {
+			// One demand-response event, identical for every row: dip at
+			// dr-at for dr-dwell minutes, ramp-limited by dr-ramp.
+			sched := &core.BudgetSchedule{
+				RampFrac: cfg.drRamp,
+				Steps: []core.BudgetStep{
+					{At: minutesToTime(cfg.drAt), BudgetW: budget * (1 - cfg.drDepth)},
+					{At: minutesToTime(cfg.drAt + cfg.drDwell), BudgetW: budget},
+				},
 			}
+			f.Control.Schedule = func(int) *core.BudgetSchedule { return sched }
 		}
-		controller, err = core.New(rig.Eng, reader, api, core.DefaultConfig(), domains)
-		if err != nil {
-			return nil, err
-		}
-		controller.Instrument(reg, journal)
-	} else if sched != nil {
-		return nil, fmt.Errorf("dr-at needs -ampere: the schedule is enforced by the controller")
 	}
-
-	// Observational per-row breakers: they evaluate the real trip curve and
-	// export heat/trip metrics, but carry no OnTrip callback, so an overload
-	// is visible on /metrics without blast-radius consequences in the sim.
-	var breakers []*breaker.Breaker
 	if cfg.obs {
-		for r := 0; r < cfg.rows; r++ {
-			b, err := breaker.New(rig.Eng, breaker.DefaultConfig(budget), rig.Cluster.Row(r))
-			if err != nil {
-				return nil, err
-			}
-			b.Instrument(reg, fmt.Sprintf("row/%d", r))
-			b.Start()
-			breakers = append(breakers, b)
-		}
+		// Observational breakers: an overload shows on /metrics (heat, trips)
+		// without blast-radius consequences in the sim.
+		bcfg := breaker.DefaultConfig(budget)
+		f.Breaker = &bcfg
 	}
-	if controller != nil {
-		// The relay on a curtailed feed protects the reduced limit, not the
-		// nameplate one, so breakers follow every effective-budget movement.
-		controller.OnBudgetChange(func(bc core.BudgetChange) {
-			if bc.Domain < len(breakers) {
-				_ = breakers[bc.Domain].SetBudget(bc.NewW)
-			}
-		})
-		controller.Start()
+	if cfg.svcUsers > 0 {
+		// An interactive service across the fleet, serving cfg.svcUsers users
+		// as steady/diurnal/flash client classes.
+		f.Service = &experiment.FleetService{Rows: cfg.rows, Instances: cfg.svcInstances,
+			Containers: cfg.svcContainers,
+			Config:     service.Config{Classes: service.DefaultClasses(cfg.svcUsers, cfg.svcRPSPerUser)}}
 	}
-	return &simStack{rig: rig, ctl: controller, breakers: breakers, budget: budget, svc: svc}, nil
+	if err := f.Build(); err != nil {
+		return nil, err
+	}
+	f.Rig.StartBase()
+	if f.Svc != nil {
+		f.Svc.Start()
+	}
+	f.Start()
+	return f, nil
 }
 
 // serve runs the simulation and its HTTP API until SIGINT or SIGTERM, then
@@ -337,7 +259,17 @@ func serve(cfg runConfig, logger *log.Logger) error {
 	if err != nil {
 		return err
 	}
-	rig, controller, budget := sk.rig, sk.ctl, sk.budget
+	rig, controller, budget := sk.Rig, sk.Controller, sk.RowBudgetW
+	if cfg.obs {
+		// An empty-plan chaos injector injects nothing, but its counters
+		// register on the scrape, so operators watch the same chaos_*
+		// families in drills and in production.
+		inj, err := chaos.New(rig.Eng, chaos.Plan{Seed: cfg.seed})
+		if err != nil {
+			return err
+		}
+		inj.Instrument(reg)
+	}
 
 	st := &status{BudgetW: budget}
 

@@ -43,7 +43,10 @@ func TestRunRejectsNonPositiveTick(t *testing.T) {
 // command does not define, 1 for a configuration it refuses. The row budget
 // is rated/(1+ro), so ro must be finite and ≥ 0, and the target a fraction
 // of rated in (0,1]; the -ampere=false cases reach no controller or breaker
-// that would refuse the budget on their own.
+// that would refuse the budget on their own. A demand-response event starts
+// and dwells within scenario.MaxEventMinutes (finite, so minutesToTime
+// cannot overflow), at a depth in (0,1) and a ramp in [0,1]; -dr-at 0 means
+// no event.
 func TestExitCodes(t *testing.T) {
 	code, out, errOut := runPowermon("-bogus")
 	if code != 2 || out != "" || !strings.Contains(errOut, "flag provided but not defined: -bogus\nUsage of powermon:") {
@@ -70,6 +73,14 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-target", "0"}, "powermon: target 0 "},
 		{[]string{"-target", "1.5"}, "powermon: target 1.5 "},
 		{[]string{"-target", "NaN"}, "powermon: target NaN "},
+		{[]string{"-dr-at", "NaN"}, "powermon: dr-at NaN "},
+		{[]string{"-dr-at", "-5"}, "powermon: dr-at -5 "},
+		{[]string{"-dr-at", "+Inf"}, "powermon: dr-at +Inf "},
+		{[]string{"-dr-at", "1e300"}, "powermon: dr-at 1e+300 "},
+		{[]string{"-dr-at", "10", "-dr-dwell", "NaN"}, "powermon: dr-dwell NaN "},
+		{[]string{"-dr-at", "10", "-dr-dwell", "1e300"}, "powermon: dr-dwell 1e+300 "},
+		{[]string{"-dr-at", "10", "-dr-depth", "NaN"}, "powermon: dr-depth NaN "},
+		{[]string{"-dr-at", "10", "-dr-ramp", "NaN"}, "powermon: dr-ramp NaN "},
 	} {
 		code, out, errOut := runPowermon(tc.args...)
 		if code != 1 || out != "" || !strings.HasPrefix(errOut, tc.want) {

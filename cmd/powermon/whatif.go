@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/whatif"
@@ -37,31 +38,18 @@ type whatifServer struct {
 }
 
 // builder returns a whatif.Builder that reconstructs the live stack offline,
-// running to end. The offline journal is sized to retain every event, so
-// seqs line up with the live journal even after the live ring has evicted.
+// running to end. The offline journal retains every event, so seqs line up
+// with the live journal even after the live ring has evicted.
 func (ws *whatifServer) builder(end sim.Time) whatif.Builder {
 	cfg := ws.cfg
 	return func() (*whatif.Instance, error) {
-		minutes := int(end / sim.Time(sim.Minute))
-		journal := obs.NewJournal((cfg.rows + 2) * (minutes + 4) * 2)
-		sk, err := buildStack(cfg, nil, journal)
+		f, err := buildStack(cfg, nil, experiment.RunJournal(cfg.rows, end))
 		if err != nil {
 			return nil, err
 		}
-		breakers := make([]whatif.NamedBreaker, len(sk.breakers))
-		for r := range sk.breakers {
-			breakers[r] = whatif.NamedBreaker{Name: fmt.Sprintf("row/%d", r), B: sk.breakers[r]}
-		}
-		return &whatif.Instance{
-			Stack:    sk.rig,
-			Journal:  journal,
-			Ctl:      sk.ctl,
-			Breakers: breakers,
-			End:      end,
-			ConfigTag: fmt.Sprintf("powermon seed=%d rows=%dx%d target=%g ro=%g dr=%g/%g/%g/%g",
-				cfg.seed, cfg.rows, cfg.rowServers, cfg.target, cfg.ro,
-				cfg.drAt, cfg.drDepth, cfg.drDwell, cfg.drRamp),
-		}, nil
+		return f.Instance(end, fmt.Sprintf("powermon seed=%d rows=%dx%d target=%g ro=%g dr=%g/%g/%g/%g",
+			cfg.seed, cfg.rows, cfg.rowServers, cfg.target, cfg.ro,
+			cfg.drAt, cfg.drDepth, cfg.drDwell, cfg.drRamp)), nil
 	}
 }
 

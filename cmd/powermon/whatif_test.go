@@ -25,11 +25,11 @@ func newWhatifServer(t *testing.T, journalCap int, minutes int64) *whatifServer 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sk.rig.Run(sim.Time(minutes) * sim.Time(sim.Minute)); err != nil {
+	if err := sk.Rig.Run(sim.Time(minutes) * sim.Time(sim.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	return &whatifServer{cfg: cfg, journal: journal, met: whatif.NewMetrics(reg),
-		now: sk.rig.Eng.Now}
+		now: sk.Rig.Eng.Now}
 }
 
 func getWhatif(ws *whatifServer, query string) *httptest.ResponseRecorder {

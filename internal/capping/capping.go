@@ -137,6 +137,9 @@ func (cp *Capper) Stop() {
 // Stats returns a copy of domain i's counters.
 func (cp *Capper) Stats(i int) Stats { return cp.stats[i] }
 
+// Budget returns domain i's enforced budget in watts.
+func (cp *Capper) Budget(i int) float64 { return cp.domains[i].BudgetW }
+
 // SetBudget retargets domain i's enforced budget at runtime. A capper
 // deployed as Ampere's safety net follows the controller's effective budget
 // (core.Controller.OnBudgetChange), so a demand-response curtailment tightens

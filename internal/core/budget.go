@@ -91,12 +91,12 @@ type BudgetChange struct {
 // OnBudgetChange registers fn to be called on every effective-budget
 // movement, from the tick that applied it, before that tick's first scheduler
 // call. Use it to keep co-located protection (breakers) and measurement
-// (trackers) in agreement with the enforced budget. Call before Start; only
-// one callback is supported.
+// (trackers) in agreement with the enforced budget. Call before Start; every
+// registered callback runs, in registration order.
 func (c *Controller) OnBudgetChange(fn func(BudgetChange)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.onBudget = fn
+	c.onBudget = append(c.onBudget, fn)
 }
 
 // SetBudget retargets domain i's budget at runtime — the validated path a
@@ -196,15 +196,15 @@ func (c *Controller) moveBudget(ds *domainState, now sim.Time) {
 	}
 }
 
-// announceBudget tells the callback and the journal that this tick moved the
+// announceBudget tells the callbacks and the journal that this tick moved the
 // effective budget. It runs once the tick has classified its reading and
 // before it acts (see tick).
 func (c *Controller) announceBudget(ds *domainState, now sim.Time) {
 	if ds.budget == ds.budgetPrev {
 		return
 	}
-	if c.onBudget != nil {
-		c.onBudget(BudgetChange{
+	for _, fn := range c.onBudget {
+		fn(BudgetChange{
 			Domain: ds.index, Name: ds.d.Name,
 			OldW: ds.budgetPrev, NewW: ds.budget, TargetW: ds.budgetTargetW,
 			Time: now,

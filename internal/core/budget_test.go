@@ -2,12 +2,15 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -222,6 +225,44 @@ func TestOnBudgetChangeAndJournal(t *testing.T) {
 	}
 	if evs[1].BudgetW != 950 {
 		t.Fatalf("decision event carries budget %v, want 950", evs[1].BudgetW)
+	}
+}
+
+// TestEveryBudgetCallbackRunsInOrder: each callback registered with
+// OnBudgetChange sees every movement, and within a movement they run in
+// registration order.
+func TestEveryBudgetCallbackRunsInOrder(t *testing.T) {
+	domain := func(name string, servers []cluster.ServerID, budgetW, stepW float64) Domain {
+		return Domain{
+			Name: name, Servers: servers, BudgetW: budgetW, Kr: 0.10, Et: ConstantEt(0.05),
+			Schedule: &BudgetSchedule{
+				Steps:    []BudgetStep{{At: sim.Time(sim.Minute), BudgetW: stepW}},
+				RampFrac: 0.05,
+			},
+		}
+	}
+	d0, d1 := domain("grp", ids(20)[:10], 1000, 900), domain("grp1", ids(20)[10:], 2000, 1800)
+	ctl, err := New(sim.NewEngine(), uniformReader(20, 50), newFakeAPI(), DefaultConfig(), []Domain{d0, d1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls []string
+	for _, who := range []string{"first", "second", "third"} {
+		ctl.OnBudgetChange(func(bc BudgetChange) {
+			calls = append(calls, fmt.Sprintf("%s %s %v→%v", who, bc.Name, bc.OldW, bc.NewW))
+		})
+	}
+	for m := 1; m <= 3; m++ {
+		ctl.Step(sim.Time(m) * sim.Time(sim.Minute))
+	}
+	want := []string{
+		"first grp 1000→950", "second grp 1000→950", "third grp 1000→950",
+		"first grp1 2000→1900", "second grp1 2000→1900", "third grp1 2000→1900",
+		"first grp 950→900", "second grp 950→900", "third grp 950→900",
+		"first grp1 1900→1800", "second grp1 1900→1800", "third grp1 1900→1800",
+	}
+	if !slices.Equal(calls, want) {
+		t.Errorf("callbacks ran\n%q\nwant\n%q", calls, want)
 	}
 }
 

@@ -389,9 +389,9 @@ type Controller struct {
 	sel    Selector
 	solver Solver
 	unf    UnfreezePolicy
-	// onBudget, when set, is called on every effective-budget movement (see
+	// onBudget is called, in order, on every effective-budget movement (see
 	// OnBudgetChange in budget.go).
-	onBudget func(BudgetChange)
+	onBudget []func(BudgetChange)
 	// rampOverride, when haveRampOverride, bounds per-tick effective-budget
 	// movement as a fraction of each domain's base budget, taking precedence
 	// over any schedule's RampFrac. Set through Reconfigure (patch.go) — the

@@ -105,17 +105,10 @@ func RunFig11(cfg Fig11Config) (*Fig11Result, error) {
 		CappedServerFracAmpere:  withAmpere.capped,
 	}
 	for i, op := range ops {
-		row := Fig11Row{
-			Op:             op.Name,
-			P999CappingUS:  withCapping.p999[i],
-			P999AmpereUS:   withAmpere.p999[i],
-			SLOMissCapping: withCapping.sloMiss[i],
-			SLOMissAmpere:  withAmpere.sloMiss[i],
-		}
-		if row.P999AmpereUS > 0 {
-			row.Inflation = row.P999CappingUS / row.P999AmpereUS
-		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, Fig11Row{Op: op.Name,
+			P999CappingUS: withCapping.p999[i], P999AmpereUS: withAmpere.p999[i],
+			Inflation:      inflation(withCapping.p999[i], withAmpere.p999[i]),
+			SLOMissCapping: withCapping.sloMiss[i], SLOMissAmpere: withAmpere.sloMiss[i]})
 	}
 	return res, nil
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"repro/internal/capping"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/service"
@@ -152,14 +151,6 @@ func RunFig11Scale(cfg Fig11ScaleConfig) (*Fig11ScaleResult, error) {
 		return nil, fmt.Errorf("experiment: %d service rows of %d total (absorber rows required)",
 			cfg.ServiceRows, cfg.Rows)
 	}
-	if cfg.ServicePerRow < 1 || cfg.ServicePerRow > cfg.RowServers {
-		return nil, fmt.Errorf("experiment: %d service instances on a %d-server row",
-			cfg.ServicePerRow, cfg.RowServers)
-	}
-	if cfg.ServiceUsers <= 0 || !(cfg.RPSPerUser > 0) {
-		return nil, fmt.Errorf("experiment: service population %d users × %v rps invalid",
-			cfg.ServiceUsers, cfg.RPSPerUser)
-	}
 	if cfg.BudgetFrac <= 0 || cfg.BudgetFrac > 1 {
 		return nil, fmt.Errorf("experiment: budget fraction %v outside (0,1]", cfg.BudgetFrac)
 	}
@@ -189,37 +180,29 @@ func RunFig11Scale(cfg Fig11ScaleConfig) (*Fig11ScaleResult, error) {
 		ServedCapping:           capOnly.served,
 		ServedAmpere:            amp.served,
 	}
-	if res.AggP999AmpereUS > 0 {
-		res.AggInflation = res.AggP999CappingUS / res.AggP999AmpereUS
-	}
-	ops := scaledOpsBy(cfg.OpScale)
-	for i, op := range ops {
-		row := Fig11Row{
-			Op:             op.Name,
-			P999CappingUS:  capOnly.opP999[i],
-			P999AmpereUS:   amp.opP999[i],
-			SLOMissCapping: capOnly.opMiss[i],
-			SLOMissAmpere:  amp.opMiss[i],
-		}
-		if row.P999AmpereUS > 0 {
-			row.Inflation = row.P999CappingUS / row.P999AmpereUS
-		}
-		res.Ops = append(res.Ops, row)
+	res.AggInflation = inflation(res.AggP999CappingUS, res.AggP999AmpereUS)
+	for i, op := range scaledOpsBy(cfg.OpScale) {
+		res.Ops = append(res.Ops, Fig11Row{Op: op.Name,
+			P999CappingUS: capOnly.opP999[i], P999AmpereUS: amp.opP999[i],
+			Inflation:      inflation(capOnly.opP999[i], amp.opP999[i]),
+			SLOMissCapping: capOnly.opMiss[i], SLOMissAmpere: amp.opMiss[i]})
 	}
 	for c, name := range capOnly.classes {
-		row := Fig11ScaleClassRow{
-			Class:          name,
-			P999CappingUS:  capOnly.classP999[c],
-			P999AmpereUS:   amp.classP999[c],
-			SLOMissCapping: capOnly.classMiss[c],
-			SLOMissAmpere:  amp.classMiss[c],
-		}
-		if row.P999AmpereUS > 0 {
-			row.Inflation = row.P999CappingUS / row.P999AmpereUS
-		}
-		res.Classes = append(res.Classes, row)
+		res.Classes = append(res.Classes, Fig11ScaleClassRow{Class: name,
+			P999CappingUS: capOnly.classP999[c], P999AmpereUS: amp.classP999[c],
+			Inflation:      inflation(capOnly.classP999[c], amp.classP999[c]),
+			SLOMissCapping: capOnly.classMiss[c], SLOMissAmpere: amp.classMiss[c]})
 	}
 	return res, nil
+}
+
+// inflation is the capping tail over the Ampere one, 0 without an Ampere
+// tail.
+func inflation(capping, ampere float64) float64 {
+	if ampere > 0 {
+		return capping / ampere
+	}
+	return 0
 }
 
 // scaledOpsBy returns the Fig 11 operation set with service times and SLOs
@@ -268,90 +251,43 @@ func runFig11ScaleScenario(cfg Fig11ScaleConfig, ampere bool) (*fig11ScaleScenar
 		}
 	}
 
-	rig, err := stack.New(stack.Config{
-		Seed:           cfg.Seed,
-		Cluster:        spec,
-		Products:       []workload.Product{hot, base},
-		ProductWeights: [][]float64{hotW, baseW},
-	})
-	if err != nil {
-		return nil, err
-	}
-	rowBudget := spec.RowRatedPowerW() * cfg.BudgetFrac
-
-	// Pin the service instances across the hot rows at even stride.
-	stride := cfg.RowServers / cfg.ServicePerRow
-	var hosts []*cluster.Server
-	for r := 0; r < cfg.ServiceRows; r++ {
-		row := rig.Cluster.Row(r)
-		for i := 0; i < cfg.ServicePerRow; i++ {
-			sv := row[i*stride]
-			if err := rig.Sched.Reserve(sv.ID, cfg.ServiceContainers, float64(cfg.ServiceContainers)); err != nil {
-				return nil, err
-			}
-			hosts = append(hosts, sv)
-		}
-	}
 	classes := service.DefaultClasses(cfg.ServiceUsers, cfg.RPSPerUser)
 	for i := range classes {
 		if classes[i].Kind == service.Diurnal {
 			classes[i].PeakHour = peak
 		}
 	}
-	svc, err := service.New(rig.Eng, cfg.Seed, service.Config{
-		Classes: classes,
-		Ops:     scaledOpsBy(cfg.OpScale),
-		Window:  10 * sim.Second,
-	}, hosts)
-	if err != nil {
-		return nil, err
-	}
-
+	// The service instances are pinned across the hot rows at even stride.
 	// The capper guards every hot row in both regimes: the baseline in the
-	// capping regime, the safety net in the Ampere one.
-	capBudgets := make([]float64, cfg.ServiceRows)
-	for r := range capBudgets {
-		capBudgets[r] = rowBudget
+	// capping regime, the safety net in the Ampere one, where it follows
+	// the budget the controller enforces.
+	f := &Fleet{
+		Stack: stack.Config{Seed: cfg.Seed, Cluster: spec,
+			Products: []workload.Product{hot, base}, ProductWeights: [][]float64{hotW, baseW}},
+		RowBudgetW: spec.RowRatedPowerW() * cfg.BudgetFrac,
+		RowName:    "row%d",
+		Capping:    &FleetCapping{Rows: cfg.ServiceRows, Config: capping.Config{Interval: capperInterval}},
+		Service: &FleetService{Rows: cfg.ServiceRows, Instances: cfg.ServiceRows * cfg.ServicePerRow,
+			Containers: cfg.ServiceContainers, Config: service.Config{
+				Classes: classes,
+				Ops:     scaledOpsBy(cfg.OpScale),
+				Window:  10 * sim.Second,
+			}},
 	}
-	capper, err := capping.New(rig.Eng, capping.Config{Interval: capperInterval},
-		capping.RowDomains(rig.Cluster, capBudgets))
-	if err != nil {
-		return nil, err
-	}
-
-	var ctl *core.Controller
 	if ampere {
-		cdom := make([]core.Domain, cfg.ServiceRows)
-		for r := 0; r < cfg.ServiceRows; r++ {
-			cdom[r] = core.Domain{
-				Name: fmt.Sprintf("row%d", r), Servers: rig.Cluster.RowIDs(r),
-				BudgetW: rowBudget * gridMargin, Kr: DefaultKr,
-				Et: core.ConstantEt(0.03),
-			}
-		}
 		ccfg := core.DefaultConfig()
 		if cfg.MaxFreezeRatio > 0 {
 			ccfg.MaxFreezeRatio = cfg.MaxFreezeRatio
 		}
-		ctl, err = core.New(rig.Eng, rig.Mon, rig.Sched, ccfg, cdom)
-		if err != nil {
-			return nil, err
-		}
-		// The safety net protects what the controller enforces: if an
-		// operator (or a grid event) moves a domain budget, the last-resort
-		// cap follows.
-		ctl.OnBudgetChange(func(bc core.BudgetChange) {
-			if err := capper.SetBudget(bc.Domain, bc.NewW/gridMargin); err != nil {
-				panic(err) // NewW is controller-validated; this cannot fail
-			}
-		})
+		f.Control = &FleetControl{Rows: cfg.ServiceRows, Margin: gridMargin, Kr: DefaultKr,
+			Et: core.ConstantEt(0.03), Config: ccfg}
 	}
-
+	if err := f.Build(); err != nil {
+		return nil, err
+	}
+	rig, ctl, capper, svc := f.Rig, f.Controller, f.Capper, f.Svc
 	rig.StartBase()
-	if ctl != nil {
-		ctl.Start()
-	}
-	capper.Start()
+	f.Start()
 	if err := rig.Run(sim.Time(warmup)); err != nil {
 		return nil, err
 	}

@@ -7,12 +7,11 @@ import (
 	"repro/internal/breaker"
 	"repro/internal/capping"
 	"repro/internal/chaos"
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/stack"
+	"repro/internal/whatif"
 	"repro/internal/workload"
 )
 
@@ -206,55 +205,42 @@ func RunGridstorm(cfg GridstormConfig) ([]GridstormRun, error) {
 	if cfg.RampMinutes < 1 {
 		return nil, fmt.Errorf("experiment: gridstorm ramp minutes %d must be ≥1", cfg.RampMinutes)
 	}
-	runs, err := runUnits([]string{"cliff", "ramp"}, func(i int) (GridstormRun, error) {
+	return runUnits([]string{"cliff", "ramp"}, func(i int) (GridstormRun, error) {
 		return runGridstormOnce(cfg, i == 1)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return runs, nil
 }
 
 // gridstormStack is one regime's fully constructed and started simulation:
 // setupGridstorm builds it, runGridstormOnce drives it to the end and scores
-// it, and GridstormBuilder (whatif.go) wraps it as a whatif.Instance.
+// it, and GridstormBuilder takes its fleet's what-if instance.
 type gridstormStack struct {
 	cfg       GridstormConfig
 	regime    string
 	curtailed int
-	rowBudget float64
 
-	rig      *stack.Stack
-	tracker  *Tracker
-	ctl      *core.Controller
-	breakers []*breaker.Breaker
-	inj      *chaos.Injector
-	svc      *service.Service // nil unless cfg.ServiceUsers > 0
-	capper   *capping.Capper  // safety net on the curtailed rows, ditto
+	fleet   *Fleet
+	tracker *Tracker
+	inj     *chaos.Injector
 
 	dipT, restoreT, endT sim.Time
 
-	trippedRows   []int // rows whose breaker opened, in trip order
-	budgetChanges int   // effective-budget movements across all domains
+	trippedRows []int // rows whose breaker opened, in trip order
 }
 
 // setupGridstorm constructs and starts one regime's stack against the
-// deterministic storm. When journal is non-nil the controller and scheduler
-// are journal-instrumented (decision events per domain per tick) — the
-// what-if path; instrumentation never changes decisions.
-func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gridstormStack, error) {
+// deterministic storm. With retain set the controller feeds a journal that
+// keeps the whole run (decision events per domain per tick) — the what-if
+// path; instrumentation never changes decisions.
+func setupGridstorm(cfg GridstormConfig, ramped, retain bool) (*gridstormStack, error) {
 	st := &gridstormStack{cfg: cfg, regime: "cliff"}
 	if ramped {
 		st.regime = "ramp"
 	}
-	st.curtailed = int(float64(cfg.Rows)*cfg.CurtailedFrac + 0.5)
-	if st.curtailed < 1 {
-		st.curtailed = 1
-	}
-	if st.curtailed >= cfg.Rows {
-		st.curtailed = cfg.Rows - 1
-	}
+	st.curtailed = min(max(int(float64(cfg.Rows)*cfg.CurtailedFrac+0.5), 1), cfg.Rows-1)
 	curtailed := st.curtailed
+	st.dipT = sim.Time(cfg.Warmup + cfg.DipAfter)
+	st.restoreT = st.dipT.Add(cfg.DipLen)
+	st.endT = st.restoreT.Add(cfg.Tail)
 
 	spec := stack.RowSpec(cfg.Rows, cfg.RowServers)
 	prod := workload.DefaultProduct("grid", stack.JobsPerMinute(spec, cfg.TargetFrac, spec.TotalServers()))
@@ -262,19 +248,45 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 	prod.DiurnalAmplitude = 0
 	prod.SurgeProb = 0
 
-	rig, err := stack.New(stack.Config{Seed: cfg.Seed, Cluster: spec, Products: []workload.Product{prod}})
-	if err != nil {
-		return nil, err
-	}
-	st.rig = rig
 	// The row budget sits BudgetFrac below the feed's rating (see the
 	// package comment on why a curtailment experiment cannot also
-	// oversubscribe the budget).
-	rowBudget := spec.RowRatedPowerW() * cfg.BudgetFrac
-	st.rowBudget = rowBudget
+	// oversubscribe it). The ramp regime's schedule has no steps: it is the
+	// per-tick ramp limit on the storm driver's SetBudget overrides. The
+	// breakers only record a trip, so both regimes stay comparable after one.
+	control := &FleetControl{Rows: cfg.Rows, Margin: gridMargin, Kr: DefaultKr,
+		Et: core.ConstantEt(0.03), Config: core.DefaultConfig()}
+	if ramped {
+		sched := &core.BudgetSchedule{RampFrac: cfg.DipDepth / float64(cfg.RampMinutes)}
+		control.Schedule = func(int) *core.BudgetSchedule { return sched }
+	}
+	f := &Fleet{
+		Stack:      stack.Config{Seed: cfg.Seed, Cluster: spec, Products: []workload.Product{prod}},
+		RowBudgetW: spec.RowRatedPowerW() * cfg.BudgetFrac,
+		RowName:    "row%d",
+		Control:    control,
+		Breaker: &breaker.Config{Interval: 5 * sim.Second,
+			TripOverloadSeconds: cfg.TripOverloadSeconds},
+	}
+	if cfg.ServiceUsers > 0 {
+		f.Capping = &FleetCapping{Rows: curtailed, Config: capping.Config{Interval: capperInterval}}
+		f.Service = &FleetService{Rows: curtailed, Instances: curtailed * cfg.ServicePerRow,
+			Containers: cfg.ServiceContainers, Config: service.Config{
+				Classes: service.DefaultClasses(cfg.ServiceUsers, cfg.ServiceRPSPerUser),
+				Ops:     scaledOpsBy(40),
+				Window:  10 * sim.Second,
+			}}
+	}
+	if retain {
+		f.Journal = RunJournal(cfg.Rows, st.endT)
+	}
+	if err := f.Build(); err != nil {
+		return nil, err
+	}
+	st.fleet = f
+	rig, ctl, rowBudget := f.Rig, f.Controller, f.RowBudgetW
 
 	groups := make([]Group, cfg.Rows)
-	for r := 0; r < cfg.Rows; r++ {
+	for r := range groups {
 		groups[r] = Group{Name: fmt.Sprintf("row%d", r), IDs: rig.Cluster.RowIDs(r), BudgetW: rowBudget}
 	}
 	tracker, err := NewTracker(rig, groups)
@@ -282,72 +294,6 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 		return nil, err
 	}
 	st.tracker = tracker
-
-	if cfg.ServiceUsers > 0 {
-		if cfg.ServicePerRow < 1 || cfg.ServicePerRow > cfg.RowServers {
-			return nil, fmt.Errorf("experiment: gridstorm %d service instances on a %d-server row",
-				cfg.ServicePerRow, cfg.RowServers)
-		}
-		if !(cfg.ServiceRPSPerUser > 0) {
-			return nil, fmt.Errorf("experiment: gridstorm service rate %v per user invalid", cfg.ServiceRPSPerUser)
-		}
-		stride := cfg.RowServers / cfg.ServicePerRow
-		var hosts []*cluster.Server
-		for r := 0; r < curtailed; r++ {
-			row := rig.Cluster.Row(r)
-			for i := 0; i < cfg.ServicePerRow; i++ {
-				sv := row[i*stride]
-				if err := rig.Sched.Reserve(sv.ID, cfg.ServiceContainers, float64(cfg.ServiceContainers)); err != nil {
-					return nil, err
-				}
-				hosts = append(hosts, sv)
-			}
-		}
-		svc, err := service.New(rig.Eng, cfg.Seed, service.Config{
-			Classes: service.DefaultClasses(cfg.ServiceUsers, cfg.ServiceRPSPerUser),
-			Ops:     scaledOpsBy(40),
-			Window:  10 * sim.Second,
-		}, hosts)
-		if err != nil {
-			return nil, err
-		}
-		st.svc = svc
-		// Traffic starts once the fleet is warm, so KPIs cover the storm.
-		rig.Eng.At(sim.Time(cfg.Warmup), "gridstorm-svc-start", func(sim.Time) { svc.Start() })
-		capBudgets := make([]float64, curtailed)
-		for r := range capBudgets {
-			capBudgets[r] = rowBudget
-		}
-		st.capper, err = capping.New(rig.Eng, capping.Config{Interval: capperInterval},
-			capping.RowDomains(rig.Cluster, capBudgets))
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// One controller, one domain per row, enforcing the margined envelope.
-	// The ramp regime's schedule has no steps: it is purely the per-tick
-	// ramp limit applied to the SetBudget overrides the storm driver issues.
-	var sched *core.BudgetSchedule
-	if ramped {
-		sched = &core.BudgetSchedule{RampFrac: cfg.DipDepth / float64(cfg.RampMinutes)}
-	}
-	domains := make([]core.Domain, cfg.Rows)
-	for r := 0; r < cfg.Rows; r++ {
-		domains[r] = core.Domain{
-			Name: groups[r].Name, Servers: groups[r].IDs,
-			BudgetW: rowBudget * gridMargin, Kr: DefaultKr,
-			Et: core.ConstantEt(0.03), Schedule: sched,
-		}
-	}
-	ctl, err := core.New(rig.Eng, rig.Mon, rig.Sched, core.DefaultConfig(), domains)
-	if err != nil {
-		return nil, err
-	}
-	st.ctl = ctl
-	if journal != nil {
-		ctl.Instrument(nil, journal)
-	}
 	tracker.AddProbe("frozen", func() float64 {
 		total := 0
 		for r := 0; r < cfg.Rows; r++ {
@@ -355,53 +301,21 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 		}
 		return float64(total)
 	})
-
-	// Observational breakers on the raw row feeds: a trip is recorded, not
-	// acted on, so both regimes keep running and stay comparable after one.
-	bcfg := breaker.Config{
-		BudgetW:             rowBudget,
-		Interval:            5 * sim.Second,
-		TripOverloadSeconds: cfg.TripOverloadSeconds,
-	}
-	breakers := make([]*breaker.Breaker, cfg.Rows)
-	for r := 0; r < cfg.Rows; r++ {
-		b, err := breaker.New(rig.Eng, bcfg, rig.Cluster.Row(r))
-		if err != nil {
-			return nil, err
-		}
-		r := r
+	for r, b := range f.Breakers {
 		b.OnTrip(func(sim.Time) { st.trippedRows = append(st.trippedRows, r) })
-		breakers[r] = b
 	}
-	st.breakers = breakers
-	// The relay protects what the feed actually enforces: during a ramped
-	// ride-through the UPS bridges the envelope gap, so the protected limit
-	// follows the controller's effective budget (unscaled by the margin).
-	ctl.OnBudgetChange(func(bc core.BudgetChange) {
-		st.budgetChanges++
-		if err := breakers[bc.Domain].SetBudget(bc.NewW / gridMargin); err != nil {
-			panic(err) // NewW is controller-validated; this cannot fail
-		}
-		// The safety-net capper (when the service rides along) protects the
-		// same moving envelope the relay does.
-		if st.capper != nil && bc.Domain < st.curtailed {
-			if err := st.capper.SetBudget(bc.Domain, bc.NewW/gridMargin); err != nil {
-				panic(err)
-			}
-		}
-	})
+	if f.Svc != nil {
+		// Traffic starts once the fleet is warm, so KPIs cover the storm.
+		rig.Eng.At(sim.Time(cfg.Warmup), "gridstorm-svc-start", func(sim.Time) { f.Svc.Start() })
+	}
 
 	// The storm: one unannounced dip of DipDepth landing DipAfter past
 	// warmup, held for DipLen, on the feeder carrying the first curtailed
 	// rows. Rate 1 over a one-minute window makes the onset deterministic
 	// while still flowing through the splitmix64 decision path shared with
 	// every other chaos fault.
-	dipT := sim.Time(cfg.Warmup + cfg.DipAfter)
-	st.dipT = dipT
-	st.restoreT = dipT.Add(cfg.DipLen)
-	st.endT = st.restoreT.Add(cfg.Tail)
 	plan := chaos.Plan{Seed: cfg.Seed + 17, Faults: []chaos.Fault{{
-		Kind: chaos.BudgetDip, From: dipT, To: dipT.Add(sim.Minute),
+		Kind: chaos.BudgetDip, From: st.dipT, To: st.dipT.Add(sim.Minute),
 		Rate: 1, Depth: cfg.DipDepth, Dwell: cfg.DipLen,
 	}}}
 	inj, err := chaos.New(rig.Eng, plan)
@@ -423,28 +337,57 @@ func setupGridstorm(cfg GridstormConfig, ramped bool, journal *obs.Journal) (*gr
 			}
 		}
 	})
-	for _, b := range breakers {
-		b.Start()
-	}
-	if st.capper != nil {
-		st.capper.Start()
-	}
-	ctl.Start()
+	f.Start()
 	return st, nil
 }
 
 func runGridstormOnce(cfg GridstormConfig, ramped bool) (GridstormRun, error) {
-	st, err := setupGridstorm(cfg, ramped, nil)
+	st, err := setupGridstorm(cfg, ramped, false)
 	if err != nil {
 		return GridstormRun{}, err
 	}
 	out := GridstormRun{Regime: st.regime, Rows: cfg.Rows, CurtailedRows: st.curtailed,
 		Servers: cfg.Rows * cfg.RowServers}
-	if err := st.rig.Run(st.endT); err != nil {
+	if err := st.fleet.Rig.Run(st.endT); err != nil {
 		return out, err
 	}
 	st.analyze(&out)
 	return out, nil
+}
+
+// GridstormBuilder adapts one gridstorm regime to the what-if engine. Every
+// call rebuilds the identical deterministic run from genesis (the Builder
+// contract), with a journal that retains the whole run. The tournament,
+// `ampere-trace why` and internal/whatif's tests fork the cliff regime at
+// the dip-onset journal event and ask "what if the budget had been
+// ramped?" with RampPatch.
+func GridstormBuilder(cfg GridstormConfig, ramped bool) whatif.Builder {
+	return func() (*whatif.Instance, error) {
+		st, err := setupGridstorm(cfg, ramped, true)
+		if err != nil {
+			return nil, err
+		}
+		inst := st.fleet.Instance(st.endT, fmt.Sprintf(
+			"gridstorm/%s seed=%d rows=%dx%d target=%g budget=%g curt=%g dip=%g len=%d ramp=%d trip=%g",
+			st.regime, cfg.Seed, cfg.Rows, cfg.RowServers, cfg.TargetFrac, cfg.BudgetFrac,
+			cfg.CurtailedFrac, cfg.DipDepth, int64(cfg.DipLen/sim.Minute), cfg.RampMinutes,
+			cfg.TripOverloadSeconds))
+		if svc := st.fleet.Svc; svc != nil {
+			inst.KPIs = func() map[string]float64 {
+				return map[string]float64{
+					"service_requests":     float64(svc.TotalServed()),
+					"service_p999_us":      svc.AggregateLatencyQuantileUS(0.999),
+					"service_slo_miss_pct": svc.TotalSLOMissRate() * 100,
+				}
+			}
+		}
+		return inst, nil
+	}
+}
+
+// RampPatch is the patch that spreads the cliff's dip over RampMinutes ticks.
+func RampPatch(grid GridstormConfig) string {
+	return fmt.Sprintf("ramp=%g", grid.DipDepth/float64(grid.RampMinutes))
 }
 
 // analyze scores a completed run into out.
@@ -452,7 +395,7 @@ func (st *gridstormStack) analyze(out *GridstormRun) {
 	cfg, tracker := st.cfg, st.tracker
 	dipT, restoreT := st.dipT, st.restoreT
 	out.TrippedRows = st.trippedRows
-	out.BudgetChanges = st.budgetChanges
+	out.BudgetChanges = st.fleet.BudgetChanges
 
 	// Windows, in sample indices. The envelope the tracker judged against
 	// moved with the storm, so violations here are against the curtailed

@@ -57,8 +57,8 @@ func (s *Spec) validateBudget() error {
 			return fmt.Errorf("scenario: budget_schedule ramp_frac %v outside [0,1]", sched.RampFrac)
 		}
 		for i, st := range sched.Steps {
-			if bad(st.AtMinutes) || st.AtMinutes < 0 || st.AtMinutes > maxEventMinutes {
-				return fmt.Errorf("scenario: budget step %d at_minutes %v outside [0,%v]", i, st.AtMinutes, float64(maxEventMinutes))
+			if bad(st.AtMinutes) || st.AtMinutes < 0 || st.AtMinutes > MaxEventMinutes {
+				return fmt.Errorf("scenario: budget step %d at_minutes %v outside [0,%v]", i, st.AtMinutes, float64(MaxEventMinutes))
 			}
 			if bad(st.Frac) || st.Frac <= 0 || st.Frac > 2 {
 				return fmt.Errorf("scenario: budget step %d frac %v outside (0,2]", i, st.Frac)
@@ -69,14 +69,14 @@ func (s *Spec) validateBudget() error {
 		}
 	}
 	for i, dr := range drs {
-		if bad(dr.AtMinutes) || dr.AtMinutes < 0 || dr.AtMinutes > maxEventMinutes {
-			return fmt.Errorf("scenario: demand_response %d at_minutes %v outside [0,%v]", i, dr.AtMinutes, float64(maxEventMinutes))
+		if bad(dr.AtMinutes) || dr.AtMinutes < 0 || dr.AtMinutes > MaxEventMinutes {
+			return fmt.Errorf("scenario: demand_response %d at_minutes %v outside [0,%v]", i, dr.AtMinutes, float64(MaxEventMinutes))
 		}
 		if bad(dr.Depth) || dr.Depth <= 0 || dr.Depth >= 1 {
 			return fmt.Errorf("scenario: demand_response %d depth %v outside (0,1)", i, dr.Depth)
 		}
-		if bad(dr.DwellMinutes) || dr.DwellMinutes <= 0 || dr.DwellMinutes > maxEventMinutes {
-			return fmt.Errorf("scenario: demand_response %d dwell_minutes %v outside (0,%v]", i, dr.DwellMinutes, float64(maxEventMinutes))
+		if bad(dr.DwellMinutes) || dr.DwellMinutes <= 0 || dr.DwellMinutes > MaxEventMinutes {
+			return fmt.Errorf("scenario: demand_response %d dwell_minutes %v outside (0,%v]", i, dr.DwellMinutes, float64(MaxEventMinutes))
 		}
 		for _, r := range dr.Rows {
 			if r < 0 || r >= s.Rows {
@@ -89,9 +89,9 @@ func (s *Spec) validateBudget() error {
 
 func bad(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 
-// maxEventMinutes bounds schedule and event times so minute→tick conversion
+// MaxEventMinutes bounds schedule and event times so minute→tick conversion
 // can never overflow sim.Time (10 years of minutes, far past any run).
-const maxEventMinutes = 10 * 365 * 24 * 60
+const MaxEventMinutes = 10 * 365 * 24 * 60
 
 // compileBudgetSchedule flattens the spec schedule and the demand-response
 // events covering row into one core.BudgetSchedule over the row budget.

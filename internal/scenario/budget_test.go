@@ -165,13 +165,49 @@ func TestScenarioDemandResponseRun(t *testing.T) {
 	// end.
 	mid := b.Tracker.IndexAt(sim.Time(sim.Hour) + sim.Time(40*sim.Minute))
 	bs := b.Tracker.BudgetSeries(0, mid)
-	if len(bs) == 0 || bs[0] >= b.BudgetW {
-		t.Errorf("mid-dwell tracked budget %v, want under base %v", bs[0], b.BudgetW)
+	if len(bs) == 0 || bs[0] >= b.RowBudgetW {
+		t.Errorf("mid-dwell tracked budget %v, want under base %v", bs[0], b.RowBudgetW)
 	}
-	if got := b.Breakers[0].Budget(); got != b.BudgetW {
-		t.Errorf("final breaker budget %v, want restored base %v", got, b.BudgetW)
+	if got := b.Breakers[0].Budget(); got != b.RowBudgetW {
+		t.Errorf("final breaker budget %v, want restored base %v", got, b.RowBudgetW)
 	}
-	if got := b.Breakers[1].Budget(); got != b.BudgetW {
-		t.Errorf("row 1 breaker budget %v, want untouched base %v", got, b.BudgetW)
+	if got := b.Breakers[1].Budget(); got != b.RowBudgetW {
+		t.Errorf("row 1 breaker budget %v, want untouched base %v", got, b.RowBudgetW)
 	}
+}
+
+// TestCapperProtectsTheBudgetInForce: with ampere and capping, a
+// demand_response event moves the capper on each covered row to the
+// curtailed budget for the event and back after it, and leaves the other
+// rows' capping at the row budget.
+func TestCapperProtectsTheBudgetInForce(t *testing.T) {
+	s := &Spec{
+		Seed: 9, Rows: 3, RowServers: 40, WarmupHours: 1, Hours: 2,
+		TargetFrac: 0.6, RO: 0.25, Ampere: true, Capping: true,
+		DemandResponse: []DemandResponse{{AtMinutes: 20, Depth: 0.2, DwellMinutes: 40, Rows: []int{0, 2}}},
+	}
+	b, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Rig.StartBase()
+	b.Fleet.Start()
+	check := func(at sim.Time, dipped bool) {
+		t.Helper()
+		if err := b.Rig.Run(at); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < s.Rows; r++ {
+			want := b.RowBudgetW
+			if dipped && r != 1 {
+				want = b.RowBudgetW * (1 - 0.2)
+			}
+			if got := b.Capper.Budget(r); math.Abs(got-want) > 1e-9*want {
+				t.Errorf("at %v: row %d capped at %v W, want %v", at, r, got, want)
+			}
+		}
+	}
+	warmup := sim.Time(sim.Hour)
+	check(warmup+sim.Time(30*sim.Minute), true)  // mid-event
+	check(warmup+sim.Time(90*sim.Minute), false) // restored
 }

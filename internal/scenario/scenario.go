@@ -6,6 +6,7 @@
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,7 +14,6 @@ import (
 
 	"repro/internal/breaker"
 	"repro/internal/capping"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/scheduler"
@@ -43,7 +43,7 @@ type Spec struct {
 	Rows       int    `json:"rows"`
 	RowServers int    `json:"row_servers"`
 	// WarmupHours precede the measured window (0 means the default 2).
-	// Both spans are at most ten years (maxEventMinutes).
+	// Both spans are at most ten years (MaxEventMinutes).
 	WarmupHours int `json:"warmup_hours,omitempty"`
 	Hours       int `json:"hours"`
 
@@ -160,9 +160,9 @@ func (s *Spec) Validate() error {
 	return s.validateBudget()
 }
 
-// maxHours bounds hours and warmup_hours to maxEventMinutes, so the run's
+// maxHours bounds hours and warmup_hours to MaxEventMinutes, so the run's
 // end time stays far inside sim.Time.
-const maxHours = maxEventMinutes / 60
+const maxHours = MaxEventMinutes / 60
 
 func (s *Spec) shaping() (scheduler.RowShaping, error) {
 	if s.RowShaping == "" {
@@ -185,23 +185,17 @@ func (s *Spec) window() (warmup sim.Duration, end sim.Time) {
 	return warmup, sim.Time(warmup) + sim.Time(s.Hours)*sim.Time(sim.Hour)
 }
 
-// Built is an assembled, not-yet-run scenario.
+// Built is an assembled, not-yet-run scenario: its row fleet, and the
+// tracker that judges each row against the budget in force.
 type Built struct {
-	Spec       *Spec
-	Rig        *stack.Stack
-	Tracker    *experiment.Tracker
-	Controller *core.Controller
-	Capper     *capping.Capper
-	Breakers   []*breaker.Breaker
-	BudgetW    float64 // per row
+	Spec *Spec
+	*experiment.Fleet
+	Tracker *experiment.Tracker
 	// Trips counts breaker trips across the run (rows repair and can trip
 	// again).
-	Trips int
-	// BudgetChanges counts effective-budget movements applied by the
-	// controller across all rows (schedule steps, ramp ticks, events).
-	BudgetChanges int
-	warmup        sim.Duration
-	end           sim.Time
+	Trips  int
+	warmup sim.Duration
+	end    sim.Time
 }
 
 // Build assembles every component of the spec.
@@ -242,106 +236,67 @@ func (s *Spec) Build() (*Built, error) {
 		weights = append(weights, ps.RowWeights)
 	}
 
-	rig, err := stack.New(stack.Config{
-		Seed:           s.Seed,
-		Cluster:        spec,
-		Products:       products,
-		ProductWeights: weights,
-	})
-	if err != nil {
-		return nil, err
-	}
-	shaping, err := s.shaping()
-	if err != nil {
-		return nil, err
-	}
-	rig.Sched.SetRowShaping(shaping)
-
-	budget := spec.RowRatedPowerW() / (1 + s.RO)
-	groups := make([]experiment.Group, s.Rows)
-	rowIDs := make([][]cluster.ServerID, s.Rows)
-	for r := 0; r < s.Rows; r++ {
-		rowIDs[r] = rig.Cluster.RowIDs(r)
-		groups[r] = experiment.Group{Name: fmt.Sprintf("row/%d", r), IDs: rowIDs[r], BudgetW: budget}
-	}
-	tracker, err := experiment.NewTracker(rig, groups)
-	if err != nil {
-		return nil, err
-	}
-
-	b := &Built{Spec: s, Rig: rig, Tracker: tracker, BudgetW: budget}
+	b := &Built{Spec: s}
 	b.warmup, b.end = s.window()
-
+	budget := spec.RowRatedPowerW() / (1 + s.RO)
+	f := &experiment.Fleet{
+		Stack:      stack.Config{Seed: s.Seed, Cluster: spec, Products: products, ProductWeights: weights},
+		RowBudgetW: budget,
+		RowName:    "row/%d",
+	}
 	if s.Ampere {
-		kr := s.Kr
-		if kr == 0 {
-			kr = stack.DefaultKr
-		}
-		domains := make([]core.Domain, s.Rows)
-		for r := 0; r < s.Rows; r++ {
-			domains[r] = core.Domain{
-				Name: fmt.Sprintf("row/%d", r), Servers: rowIDs[r], BudgetW: budget, Kr: kr,
-				Schedule: s.compileBudgetSchedule(r, budget, b.warmup),
-			}
-		}
 		ccfg, err := s.ControlPolicy.config()
 		if err != nil {
 			return nil, err
 		}
-		b.Controller, err = core.New(rig.Eng, rig.Mon, rig.Sched, ccfg, domains)
-		if err != nil {
-			return nil, err
-		}
+		f.Control = &experiment.FleetControl{Rows: s.Rows, Margin: 1, Kr: cmp.Or(s.Kr, stack.DefaultKr), Config: ccfg,
+			Schedule: func(r int) *core.BudgetSchedule { return s.compileBudgetSchedule(r, budget, b.warmup) }}
 	}
 	if s.Capping {
-		budgets := make([]float64, s.Rows)
-		for r := range budgets {
-			budgets[r] = budget
-		}
-		b.Capper, err = capping.New(rig.Eng, capping.DefaultConfig(),
-			capping.RowDomains(rig.Cluster, budgets))
-		if err != nil {
-			return nil, err
-		}
+		f.Capping = &experiment.FleetCapping{Rows: s.Rows, Config: capping.DefaultConfig()}
 	}
 	if s.Breaker {
-		repair := 30 * sim.Minute
-		if s.RepairMinutes > 0 {
-			repair = sim.Duration(s.RepairMinutes) * sim.Minute
-		}
-		for r := 0; r < s.Rows; r++ {
-			row := rig.Cluster.Row(r)
-			brk, err := breaker.New(rig.Eng, breaker.DefaultConfig(budget), row)
-			if err != nil {
-				return nil, err
-			}
-			ids := rowIDs[r]
-			theBrk := brk
-			brk.OnTrip(func(sim.Time) {
-				b.Trips++
-				for _, id := range ids {
-					_ = rig.Sched.FailServer(id)
-				}
-				rig.Eng.After(repair, "row-repair", func(sim.Time) {
-					for _, id := range ids {
-						_ = rig.Sched.RepairServer(id)
-					}
-					theBrk.Reset()
-				})
-			})
-			b.Breakers = append(b.Breakers, brk)
-		}
+		bcfg := breaker.DefaultConfig(budget)
+		f.Breaker = &bcfg
 	}
-	if b.Controller != nil {
-		// A moving budget must move the whole protection/measurement stack
-		// with it: the tracker judges violations against the budget in force,
-		// and the relay on a curtailed feed trips against the reduced limit.
-		b.Controller.OnBudgetChange(func(bc core.BudgetChange) {
-			b.BudgetChanges++
-			tracker.SetGroupBudget(bc.Domain, bc.NewW)
-			if bc.Domain < len(b.Breakers) {
-				_ = b.Breakers[bc.Domain].SetBudget(bc.NewW)
+	if err := f.Build(); err != nil {
+		return nil, err
+	}
+	b.Fleet = f
+	shaping, err := s.shaping()
+	if err != nil {
+		return nil, err
+	}
+	f.Rig.Sched.SetRowShaping(shaping)
+
+	groups := make([]experiment.Group, s.Rows)
+	for r := range groups {
+		groups[r] = experiment.Group{Name: fmt.Sprintf("row/%d", r), IDs: f.Rig.Cluster.RowIDs(r), BudgetW: budget}
+	}
+	if b.Tracker, err = experiment.NewTracker(f.Rig, groups); err != nil {
+		return nil, err
+	}
+	if f.Controller != nil {
+		// The tracker judges violations against the budget in force (the
+		// fleet moves the breakers and the capper with it).
+		f.Controller.OnBudgetChange(func(bc core.BudgetChange) {
+			b.Tracker.SetGroupBudget(bc.Domain, bc.NewW)
+		})
+	}
+	repair := sim.Duration(cmp.Or(s.RepairMinutes, 30)) * sim.Minute
+	for r, brk := range f.Breakers {
+		ids := groups[r].IDs
+		brk.OnTrip(func(sim.Time) {
+			b.Trips++
+			for _, id := range ids {
+				_ = f.Rig.Sched.FailServer(id)
 			}
+			f.Rig.Eng.After(repair, "row-repair", func(sim.Time) {
+				for _, id := range ids {
+					_ = f.Rig.Sched.RepairServer(id)
+				}
+				brk.Reset()
+			})
 		})
 	}
 	return b, nil
@@ -351,15 +306,7 @@ func (s *Spec) Build() (*Built, error) {
 // plus the measured hours.
 func (b *Built) Run() error {
 	b.Rig.StartBase()
-	if b.Controller != nil {
-		b.Controller.Start()
-	}
-	if b.Capper != nil {
-		b.Capper.Start()
-	}
-	for _, brk := range b.Breakers {
-		brk.Start()
-	}
+	b.Fleet.Start()
 	return b.Rig.Run(b.end)
 }
 
@@ -368,7 +315,7 @@ func (b *Built) Report(w io.Writer) {
 	s := b.Spec
 	fmt.Fprintf(w, "scenario: %d×%d servers, %dh, rO %.2f, ampere=%v capping=%v breaker=%v\n",
 		s.Rows, s.RowServers, s.Hours, s.RO, s.Ampere, s.Capping, s.Breaker)
-	fmt.Fprintf(w, "row budget: %.0f W (rated %.0f W)\n\n", b.BudgetW, b.Rig.Cluster.Spec.RowRatedPowerW())
+	fmt.Fprintf(w, "row budget: %.0f W (rated %.0f W)\n\n", b.RowBudgetW, b.Rig.Cluster.Spec.RowRatedPowerW())
 	from := b.Tracker.IndexAt(sim.Time(b.warmup))
 	for r := 0; r < s.Rows; r++ {
 		var sum stats.Summary
