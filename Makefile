@@ -58,6 +58,7 @@ fuzz fuzz-smoke:
 	go test ./internal/whatif/ -run '^$$' -fuzz FuzzForkTick -fuzztime $(FUZZTIME)
 	go test ./internal/sim/ -run '^$$' -fuzz FuzzEngineMatchesReference -fuzztime $(FUZZTIME)
 	go test ./internal/core/ -run '^$$' -fuzz FuzzBoundaryMatchesSelect -fuzztime $(FUZZTIME)
+	go test ./internal/stats/ -run '^$$' -fuzz FuzzLogIndexMatchesFormula -fuzztime $(FUZZTIME)
 
 # The grid-event resilience experiment: the same 20% curtailment as a cliff
 # and ramp-limited, quick scale (full 100k: `go run ./cmd/ampere-exp -exp

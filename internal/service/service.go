@@ -35,8 +35,9 @@ type Op struct {
 	Name          string
 	BaseServiceUS float64
 	// SLOUS is the latency objective; requests completing later count as
-	// SLO misses. Zero disables tracking for the op. DefaultOps sets it to
-	// 20× the service time, a typical interactive tail budget.
+	// SLO misses. Zero disables tracking for the op; New refuses a negative
+	// or NaN objective. DefaultOps sets it to 20× the service time, a typical
+	// interactive tail budget.
 	SLOUS float64
 }
 
@@ -111,7 +112,7 @@ type arrival struct {
 	bucket    int32 // stats.LogHistogram.Bucket(latencyUS) of the latency layout
 	class     uint16
 	op        uint8
-	miss      bool // latencyUS over the op's SLO
+	miss      uint8 // 1 when latencyUS is over the op's SLO, else 0
 }
 
 // The most classes and ops an arrival's fields hold.
@@ -159,11 +160,18 @@ type Service struct {
 	winStart  sim.Time
 	windowIdx int64 // windows closed since New
 
-	mu        sync.Mutex
-	served    [][]int64               // [class][op]
-	sloMisses [][]int64               // [class][op]
-	hist      [][]*stats.LogHistogram // [class][op], latency in µs
-	cumShare  []float64               // scratch: cumulative class rate shares this window
+	// The accounting: flat arrays indexed class·len(ops)+op, which publish
+	// counts into, and their [class][op] views, which the readers take.
+	mu                     sync.Mutex
+	flatServed, flatMisses []int64
+	flatHist               []*stats.LogHistogram // latency in µs
+	served, sloMisses      [][]int64
+	hist                   [][]*stats.LogHistogram
+	cumShare               []float64 // scratch: cumulative class rate shares this window
+
+	// The replay's per-op tables: the op pick's bounds (opBounds) and each
+	// op's objective, +Inf for none.
+	opBound, sloUS []float64
 
 	// The sample phase of a window: win is what every replay reads, and
 	// replays fans the replay out over blocks of blockInstances instances.
@@ -213,10 +221,19 @@ func New(eng *sim.Engine, seed uint64, cfg Config, servers []*cluster.Server) (*
 	if len(ops) == 0 || len(ops) > maxOps {
 		return nil, fmt.Errorf("service: %d ops, want 1 to %d", len(ops), maxOps)
 	}
+	opNames := make(map[string]bool, len(ops))
 	for i, op := range ops {
-		if !(op.BaseServiceUS > 0) || math.IsInf(op.BaseServiceUS, 0) {
+		switch {
+		case op.Name == "":
+			return nil, fmt.Errorf("service: op %d has no name", i)
+		case opNames[op.Name]:
+			return nil, fmt.Errorf("service: op %q duplicated", op.Name)
+		case !(op.BaseServiceUS > 0) || math.IsInf(op.BaseServiceUS, 0):
 			return nil, fmt.Errorf("service: op %d (%s) has service time %v", i, op.Name, op.BaseServiceUS)
+		case !(op.SLOUS >= 0): // also catches NaN
+			return nil, fmt.Errorf("service: op %d (%s) has SLO %v µs", i, op.Name, op.SLOUS)
 		}
+		opNames[op.Name] = true
 	}
 
 	s := &Service{eng: eng, window: cfg.Window, ops: ops}
@@ -237,21 +254,32 @@ func New(eng *sim.Engine, seed uint64, cfg Config, servers []*cluster.Server) (*
 		return nil, fmt.Errorf("service: the classes' peak rates sum to %v requests/s", peak)
 	}
 
-	s.served = make([][]int64, len(s.classes))
-	s.sloMisses = make([][]int64, len(s.classes))
-	s.hist = make([][]*stats.LogHistogram, len(s.classes))
 	latency, err := stats.NewLogHistogram(1, 60e6, 2400) // 1 µs … 60 s
 	if err != nil {
 		return nil, err
 	}
-	for ci := range s.classes {
-		s.served[ci] = make([]int64, len(ops))
-		s.sloMisses[ci] = make([]int64, len(ops))
-		for range ops {
-			s.hist[ci] = append(s.hist[ci], latency.Fresh())
+	nc, no := len(s.classes), len(ops)
+	s.flatServed = make([]int64, nc*no)
+	s.flatMisses = make([]int64, nc*no)
+	s.flatHist = make([]*stats.LogHistogram, nc*no)
+	for i := range s.flatHist {
+		s.flatHist[i] = latency.Fresh()
+	}
+	for ci := range nc {
+		lo, hi := ci*no, (ci+1)*no
+		s.served = append(s.served, s.flatServed[lo:hi:hi])
+		s.sloMisses = append(s.sloMisses, s.flatMisses[lo:hi:hi])
+		s.hist = append(s.hist, s.flatHist[lo:hi:hi])
+	}
+	s.cumShare = make([]float64, nc)
+	s.opBound = opBounds(no)
+	s.sloUS = make([]float64, no)
+	for k, op := range ops {
+		s.sloUS[k] = op.SLOUS
+		if op.SLOUS == 0 {
+			s.sloUS[k] = math.Inf(1)
 		}
 	}
-	s.cumShare = make([]float64, len(s.classes))
 	s.replays = runner.NewLoop(s.replayBlock)
 
 	for i, sv := range servers {
@@ -583,17 +611,19 @@ func (s *Service) replayBlock(b int) {
 }
 
 // publish is the window's publish phase: every pending arrival, in instance
-// order and then arrival order, into its histogram and counters. The bucket
-// and the SLO verdict come computed; what stays serial is the counting and
-// each histogram's float sum, whose value depends on the order of its terms.
+// order and then arrival order, into its histogram and counters, all three
+// at the arrival's flat index. The bucket and the SLO verdict come computed;
+// what stays serial is the counting and each histogram's float sum, whose
+// value depends on the order of its terms.
 func (s *Service) publish() {
+	n := len(s.ops)
+	hist, served, misses := s.flatHist, s.flatServed, s.flatMisses
 	for _, inst := range s.instances {
 		for _, a := range inst.pending {
-			s.hist[a.class][a.op].AddBucket(a.latencyUS, int(a.bucket))
-			s.served[a.class][a.op]++
-			if a.miss {
-				s.sloMisses[a.class][a.op]++
-			}
+			j := int(a.class)*n + int(a.op)
+			hist[j].AddBucket(a.latencyUS, int(a.bucket))
+			served[j]++
+			misses[j] += int64(a.miss)
 		}
 	}
 }
@@ -608,6 +638,12 @@ func (s *Service) publish() {
 // edge is finished at the final segment's speed (exact unless the frequency
 // changes again immediately, a negligible horizon at 10 s windows vs 1 s
 // capping).
+//
+// A request's class pick, queue start (the builtin max, exact because
+// neither operand is NaN) and SLO verdict (a compare with the op's
+// objective, +Inf for none) compile to conditional moves, not branches, and
+// the op pick's bound checks fail but for an x·n that rounds across an
+// integer.
 func (s *Service) replay(inst *instance) {
 	w := &s.win
 	busy := inst.busyUntilMS
@@ -616,7 +652,10 @@ func (s *Service) replay(inst *instance) {
 	}
 	state := inst.rng
 	single := len(s.classes) == 1
-	layout := s.hist[0][0] // every hist shares its bucket layout
+	classCum := s.cumShare[:len(s.cumShare)-1]
+	fn := float64(len(s.ops))
+	bound, slo := s.opBound, s.sloUS
+	layout := s.flatHist[0] // every hist shares its bucket layout
 	segs := inst.closed
 	// With one segment, finish reduces to its first iteration: the start
 	// held at the segment's, plus the op's work divided by the segment's
@@ -646,29 +685,26 @@ func (s *Service) replay(inst *instance) {
 		at := w.start + t
 		ci := 0
 		if !single {
-			ci = pickCum(sim.Float64(&state), s.cumShare)
+			ci = pickClass(sim.Float64(&state), classCum)
 		}
-		opIdx := pickUniform(sim.Float64(&state), len(s.ops))
-		op := &s.ops[opIdx]
-		startSvc := at
-		if busy > startSvc {
-			startSvc = busy
-		}
+		op := pickOp(sim.Float64(&state), fn, bound)
+		startSvc := max(at, busy)
 		if len(segs) == 1 {
-			if startSvc < seg0At {
-				startSvc = seg0At
-			}
-			busy = startSvc + seg0MS[opIdx]
+			busy = max(startSvc, seg0At) + seg0MS[uint8(op)]
 		} else {
-			busy = finish(segs, startSvc, op.BaseServiceUS/1000)
+			busy = finish(segs, startSvc, s.ops[op].BaseServiceUS/1000)
 		}
 		lat := (busy - at) * 1000
+		var miss uint8
+		if lat > slo[op] {
+			miss = 1
+		}
 		out = append(out, arrival{
 			latencyUS: lat,
 			bucket:    int32(layout.Bucket(lat)),
 			class:     uint16(ci),
-			op:        uint8(opIdx),
-			miss:      op.SLOUS > 0 && lat > op.SLOUS,
+			op:        uint8(op),
+			miss:      miss,
 		})
 	}
 	inst.rng = state
@@ -676,31 +712,45 @@ func (s *Service) replay(inst *instance) {
 	inst.out = out
 }
 
-// pickCum returns the first index whose cumulative weight exceeds x, a draw
-// in [0, 1), or the last index when none does.
-func pickCum(x float64, cum []float64) int {
-	for i, c := range cum {
-		if x < c {
-			return i
+// pickClass returns the class of a draw x in [0, 1) from the first n−1
+// cumulative rate shares: the count of them at or below x. The shares never
+// decrease, so that is the first class whose share exceeds x, or the last
+// class when none does.
+func pickClass(x float64, cum []float64) int {
+	ci := 0
+	for _, c := range cum {
+		if x >= c {
+			ci++
 		}
 	}
-	return len(cum) - 1
+	return ci
 }
 
-// pickUniform is pickCum over the n equal weights' cumulative table, whose
-// entry k−1 is float64(k)/float64(n), without the table or the walk: x·n
-// lands within one step of the answer, and the two entries around its
-// integer part settle it.
-func pickUniform(x float64, n int) int {
-	fn := float64(n)
-	k := int(x * fn)
-	switch {
-	case x < float64(k)/fn:
-		return k - 1
-	case x >= float64(k+1)/fn:
-		return k + 1
+// opBounds is the op pick's table for n ops: float64(k)/float64(n) for k
+// from 0 to n. A draw x is at most 1−2^−53, so x·n ≤ n − n·2^−53, which
+// rounds below n: int(x·n)+1 never passes the last entry.
+func opBounds(n int) []float64 {
+	bound := make([]float64, n+1)
+	for k := range bound {
+		bound[k] = float64(k) / float64(n)
 	}
-	return k
+	return bound
+}
+
+// pickOp returns the op of a draw x in [0, 1), picked uniformly from n ops,
+// given fn = float64(n) and bound = opBounds(n): the first op k whose
+// cumulative weight (k+1)/n exceeds x. x·n lands within one step of it, and the bounds on either side
+// of x·n's integer part settle which.
+func pickOp(x, fn float64, bound []float64) int {
+	k := int(x * fn)
+	op := k
+	if x < bound[k] {
+		op--
+	}
+	if x >= bound[k+1] {
+		op++
+	}
+	return op
 }
 
 // minSegSpeed floors the frequency factor used in latency accounting.

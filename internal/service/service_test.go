@@ -85,6 +85,20 @@ func TestValidation(t *testing.T) {
 	if _, err := New(eng, 1, cfg, servers); err == nil {
 		t.Error("an empty op table accepted")
 	}
+	// Two ops of one name would put two series with the same labels on
+	// /metrics, and a NaN or negative objective would silently track nothing:
+	// only zero disables tracking.
+	for _, ops := range [][]Op{
+		{{Name: "GET", BaseServiceUS: 50}, {Name: "GET", BaseServiceUS: 60}},
+		{{Name: "", BaseServiceUS: 50}},
+		{{Name: "GET", BaseServiceUS: 50, SLOUS: math.NaN()}},
+		{{Name: "GET", BaseServiceUS: 50, SLOUS: -1}},
+		{{Name: "GET", BaseServiceUS: 50, SLOUS: math.Inf(-1)}},
+	} {
+		if _, err := New(eng, 1, steadyConfig(1, 1200, ops...), servers); err == nil {
+			t.Errorf("ops %+v accepted", ops)
+		}
+	}
 	cfg = steadyConfig(1, 1200)
 	for len(cfg.Classes) <= maxClasses {
 		cfg.Classes = append(cfg.Classes, Class{Name: fmt.Sprint("c", len(cfg.Classes)), Kind: Steady, Users: 1, RPSPerUser: 1})
@@ -101,27 +115,115 @@ func TestArrivalIs16Bytes(t *testing.T) {
 	}
 }
 
-// pickUniform is pickCum over the cumulative table (i+1)/n it replaced, for
+// pickCum is the pick both of replay's picks replaced: the first index
+// whose cumulative weight exceeds x, a draw in [0, 1), or the last index
+// when none does.
+func pickCum(x float64, cum []float64) int {
+	for i, c := range cum {
+		if x < c {
+			return i
+		}
+	}
+	return len(cum) - 1
+}
+
+// pickOp over opBounds(n) is pickCum over the cumulative table (i+1)/n, for
 // every op count New accepts, 1 to maxOps: at each entry and both of its
 // float neighbours, at 0 and at the largest draw below 1, and at a million
-// random draws shared among the op counts.
-func TestPickUniformMatchesPickCum(t *testing.T) {
+// random draws shared among the op counts, and at the 64 largest draws,
+// whose x·n must stay below n. Both of the pick's corrections must be
+// taken: x·n rounding up to the next integer, and down below it.
+func TestPickOpMatchesPickCum(t *testing.T) {
 	r := sim.NewRNG(11)
 	draws := make([]float64, 1_000_000)
 	for i := range draws {
 		draws[i] = r.Float64()
 	}
+	var roundsUp, roundsDown int
 	for n := 1; n <= maxOps; n++ {
 		cum := make([]float64, n)
 		for i := range cum {
 			cum[i] = float64(i+1) / float64(n)
 		}
+		bound, fn := opBounds(n), float64(n)
 		check := func(x float64) {
 			if !(x >= 0 && x < 1) {
 				return
 			}
-			if got, want := pickUniform(x, n), pickCum(x, cum); got != want {
+			got, want := pickOp(x, fn, bound), pickCum(x, cum)
+			if got != want {
 				t.Fatalf("n %d: x %v (bits %#x) picks %d, pickCum %d", n, x, math.Float64bits(x), got, want)
+			}
+			switch k := int(x * fn); {
+			case k > want:
+				roundsUp++
+			case k < want:
+				roundsDown++
+			}
+		}
+		for _, c := range cum {
+			check(c)
+			check(math.Nextafter(c, 0))
+			check(math.Nextafter(c, 1))
+		}
+		check(0)
+		for m := 1; m <= 64; m++ {
+			check(1 - float64(m)*0x1p-53)
+		}
+		for _, x := range draws[(n-1)*len(draws)/maxOps : n*len(draws)/maxOps] {
+			check(x)
+		}
+	}
+	if roundsUp == 0 || roundsDown == 0 {
+		t.Errorf("x·n rounded up to the next op %d times and down below it %d times; want both", roundsUp, roundsDown)
+	}
+}
+
+// pickClass over all but the last share is pickCum over them all, on the
+// share tables closeWindow can build: zero-rate classes, whose cumulative
+// share repeats the one before (first, inside and last), a last share that
+// rounds below 1, and random rate mixes normalized as closeWindow does. Each
+// is checked at every share and its float neighbours, at 0, at the largest
+// draw below 1, and at random draws.
+func TestPickClassMatchesPickCum(t *testing.T) {
+	tables := [][]float64{
+		{1},
+		{0.5, 1},
+		{0, 0, 1},
+		{0.2, 0.2, 0.5, 1},
+		{0.3, 0.6, 1, 1},
+		{0.3, 0.6, 0.6, math.Nextafter(1, 0)},
+		{0.25, 0.5, 0.75, 0.9999999},
+	}
+	r := sim.NewRNG(12)
+	for len(tables) < 200 {
+		rates := make([]float64, 1+r.Intn(12))
+		for i := range rates {
+			if r.Intn(3) > 0 {
+				rates[i] = r.ExpFloat64() * math.Pow(10, float64(r.Intn(7)-3))
+			}
+		}
+		total := 0.0
+		cum := make([]float64, len(rates))
+		for i, v := range rates {
+			total += v
+			cum[i] = total
+		}
+		if !(total > 0) {
+			continue
+		}
+		for i := range cum {
+			cum[i] /= total
+		}
+		tables = append(tables, cum)
+	}
+	for _, cum := range tables {
+		check := func(x float64) {
+			if !(x >= 0 && x < 1) {
+				return
+			}
+			if got, want := pickClass(x, cum[:len(cum)-1]), pickCum(x, cum); got != want {
+				t.Fatalf("shares %v: x %v (bits %#x) picks %d, pickCum %d", cum, x, math.Float64bits(x), got, want)
 			}
 		}
 		for _, c := range cum {
@@ -131,8 +233,8 @@ func TestPickUniformMatchesPickCum(t *testing.T) {
 		}
 		check(0)
 		check(math.Nextafter(1, 0))
-		for _, x := range draws[(n-1)*len(draws)/maxOps : n*len(draws)/maxOps] {
-			check(x)
+		for range 1000 {
+			check(r.Float64())
 		}
 	}
 }

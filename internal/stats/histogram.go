@@ -23,11 +23,12 @@ type LogHistogram struct {
 // index that answers it exactly without a logarithm.
 //
 // edges[k] is the smallest float64 in [min, max) the formula puts in bucket
-// k or above (max when there is none, so edges[buckets] stops every walk).
+// k or above (max when there is none, so no step passes edges[buckets]).
 // cells maps a value's IEEE bit pattern, shifted right by shift and offset by
 // base, to the bucket of the smallest value in its cell. A cell is no wider
-// than the narrowest bucket it meets, so it holds at most one edge and index
-// walks at most a step past the table's answer. Positive floats order as
+// than the narrowest bucket it meets, so it holds at most one edge above its
+// first value, and index takes at most one step past the table's answer;
+// newLogIndex halves the cells until that holds. Positive floats order as
 // their bit patterns, which is what makes both tables exact.
 type logIndex struct {
 	min, max float64
@@ -40,9 +41,11 @@ type logIndex struct {
 }
 
 // NewLogHistogram covers [min, max] with the given number of buckets; min
-// and max must be finite, min positive and less than max.
+// and max must be finite, min a normal float (at least 2^−1022) and less
+// than max. Subnormal floats are evenly spaced, not logarithmically, so no
+// cell width serves them.
 func NewLogHistogram(min, max float64, buckets int) (*LogHistogram, error) {
-	if !(min > 0 && max > min && max <= math.MaxFloat64) {
+	if !(min >= minNormal && max > min && max <= math.MaxFloat64) {
 		return nil, fmt.Errorf("stats: log histogram range [%v, %v] invalid", min, max)
 	}
 	if buckets < 1 {
@@ -71,21 +74,50 @@ func newLogIndex(min, max float64, buckets int) *logIndex {
 		x.edges[k] = math.Max(x.edge(k), x.edges[k-1])
 	}
 
-	// 2^c cells per binade, c = ⌈log2 1/(g−1)⌉ for the bucket ratio g, make a
-	// cell no wider than any bucket that starts in its binade.
-	c := math.Ceil(-math.Log2(math.Expm1(1 / x.scale)))
-	x.shift = 52 - uint(math.Min(math.Max(c, 0), 52))
-	x.base = math.Float64bits(min) >> x.shift
-	x.cells = make([]int32, math.Float64bits(max)>>x.shift-x.base+1)
+	x.shift = cellShift(x.scale)
+	for !x.fillCells() {
+		x.shift-- // a cell of one float holds no edge above its first value
+	}
+	return x
+}
+
+// minNormal is the smallest normal float64, 2^−1022.
+const minNormal = 0x1p-1022
+
+// cellShift is the shift of 2^c cells per binade, c = ⌈log2 1/(g−1)⌉ for the
+// bucket ratio g = e^(1/scale): a cell no wider than any bucket that starts
+// in its binade.
+func cellShift(scale float64) uint {
+	c := math.Ceil(-math.Log2(math.Expm1(1 / scale)))
+	return 52 - uint(math.Min(math.Max(c, 0), 52))
+}
+
+// fillCells builds the cell table at x.shift and reports whether every cell
+// holds at most one edge above its first value. The rounding of the edges
+// can make a bucket a few ulps narrower than the cell width cellShift
+// derives from the exact bucket ratio; a false return asks for finer cells.
+func (x *logIndex) fillCells() bool {
+	buckets := len(x.edges) - 1
+	x.base = math.Float64bits(x.min) >> x.shift
+	x.cells = make([]int32, math.Float64bits(x.max)>>x.shift-x.base+1)
 	i := 0
 	for j := range x.cells {
-		lo := math.Max(math.Float64frombits((x.base+uint64(j))<<x.shift), min)
+		lo := math.Max(x.cellStart(j), x.min)
 		for i < buckets-1 && lo >= x.edges[i+1] {
 			i++
 		}
 		x.cells[j] = int32(i)
+		if i+2 <= buckets && x.edges[i+2] < math.Min(x.cellStart(j+1), x.max) {
+			return false
+		}
 	}
-	return x
+	return true
+}
+
+// cellStart is the first float of cell j: the smallest value whose bit
+// pattern it takes.
+func (x *logIndex) cellStart(j int) float64 {
+	return math.Float64frombits((x.base + uint64(j)) << x.shift)
 }
 
 // bucket is the formula the index reproduces, for v in [min, max).
@@ -135,10 +167,11 @@ func (x *logIndex) edge(k int) float64 {
 }
 
 // index returns v's bucket, for v in [min, max): the table's answer for v's
-// cell, walked past the edge the cell may hold below v.
+// cell, stepped past the one edge the cell may hold below v. The step is a
+// conditional move, not a branch.
 func (x *logIndex) index(v float64) int {
 	i := int(x.cells[math.Float64bits(v)>>x.shift-x.base])
-	for v >= x.edges[i+1] {
+	if v >= x.edges[i+1] {
 		i++
 	}
 	return i

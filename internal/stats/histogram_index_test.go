@@ -222,3 +222,61 @@ func TestQuantileOutOfRange(t *testing.T) {
 		}
 	}
 }
+
+// FuzzLogIndexMatchesFormula builds random layouts and holds each to the
+// index's two claims: no cell holds two edges above its first value, so one
+// step past the cell table's answer is enough, and that one step puts every
+// value where the formula does, checked ±4 ulps around every edge and at
+// both ends of the range. min and max are raw floats: a layout outside
+// NewLogHistogram's domain is skipped, and so is one of more than 10^5
+// buckets or whose cell table before any halving would pass 2^20 entries
+// (4 MB), so no input makes a large allocation.
+func FuzzLogIndexMatchesFormula(f *testing.F) {
+	for _, l := range layouts {
+		f.Add(l.min, l.max, uint32(l.buckets))
+	}
+	f.Add(0x1p-1022, math.MaxFloat64, uint32(100_000))
+	f.Add(1.0, 1+1e-15, uint32(100_000)) // buckets narrower than an ulp
+	f.Add(1.0, 2.0, uint32(128))
+	f.Fuzz(func(t *testing.T, lo, hi float64, buckets uint32) {
+		if buckets == 0 || buckets > 100_000 || !(lo >= minNormal && hi > lo && hi <= math.MaxFloat64) {
+			return
+		}
+		scale := float64(buckets) / (math.Log(hi) - math.Log(lo))
+		shift := cellShift(scale)
+		if math.Float64bits(hi)>>shift-math.Float64bits(lo)>>shift >= 1<<20 {
+			return
+		}
+		h, err := NewLogHistogram(lo, hi, int(buckets))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The edges are sorted, so a cell holds two edges above its first
+		// value exactly when a neighbouring pair shares it with the lower
+		// one above that value.
+		cell := func(v float64) uint64 { return math.Float64bits(v) >> h.shift }
+		for k := 2; k < int(buckets); k++ {
+			if a, b := h.edges[k-1], h.edges[k]; b < hi && cell(a) == cell(b) && a > max(h.cellStart(int(cell(a)-h.base)), lo) {
+				t.Fatalf("[%v, %v]×%d: edges %d and %d (%v, %v) share cell %d", lo, hi, buckets, k-1, k, a, b, cell(a)-h.base)
+			}
+		}
+		check := func(v float64) {
+			if !(v >= lo && v < hi) {
+				return
+			}
+			if got, want := h.index(v), refBucket(h, v); got != want {
+				t.Fatalf("[%v, %v]×%d: %v (bits %#x) indexed to bucket %d, the formula says %d",
+					lo, hi, buckets, v, math.Float64bits(v), got, want)
+			}
+		}
+		for _, e := range h.edges {
+			u := math.Float64bits(e)
+			for d := uint64(0); d <= 4; d++ {
+				check(math.Float64frombits(u + d))
+				check(math.Float64frombits(u - d))
+			}
+		}
+		check(lo)
+		check(math.Nextafter(hi, 0))
+	})
+}

@@ -18,6 +18,13 @@ func TestLogHistogramValidation(t *testing.T) {
 	if _, err := NewLogHistogram(1, 10, 0); err == nil {
 		t.Error("zero buckets accepted")
 	}
+	// Subnormal floats are evenly spaced, so no cell width serves them.
+	if _, err := NewLogHistogram(math.Nextafter(minNormal, 0), 1, 10); err == nil {
+		t.Error("a subnormal min accepted")
+	}
+	if _, err := NewLogHistogram(minNormal, 1, 10); err != nil {
+		t.Errorf("the smallest normal min refused: %v", err)
+	}
 }
 
 func TestLogHistogramQuantileAccuracy(t *testing.T) {
