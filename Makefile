@@ -1,5 +1,5 @@
 # Tier-1 is the merge gate: everything must build, lint clean (gofmt + vet),
-# pass the full suite under the race detector, and pass the experiment +
+# pass the full suite under the race detector, and pass the experiment, fleet +
 # runner suites with shuffled test order (order-dependence is how shared
 # state between parallel run units would first show up).
 .PHONY: tier1 build lint vet test race race-shuffle fuzz fuzz-smoke chaos \
@@ -37,7 +37,7 @@ race:
 # The parallel fan-out suites, shuffled: any cross-unit state dependence
 # fails here before it can corrupt merged experiment output.
 race-shuffle:
-	go test -race -shuffle=on ./internal/experiment/... ./internal/runner/...
+	go test -race -shuffle=on ./internal/experiment/... ./internal/fleet/... ./internal/runner/...
 
 # Every program under cmd/ and examples/ has a test of what it prints: this
 # fails, naming them, when a main package has no test file.

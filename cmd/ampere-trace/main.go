@@ -27,7 +27,7 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/experiment"
+	"repro/internal/fleet"
 	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/stack"
@@ -157,14 +157,14 @@ func replay(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fl := &experiment.Fleet{
+	fl := &fleet.Fleet{
 		Stack: stack.Config{Seed: *seed, Cluster: spec, Products: []workload.Product{
 			{Name: "replay", Schedule: sched, ScheduleStart: sim.Time(warmup)}}},
 		RowBudgetW: spec.RowRatedPowerW() / (1 + *ro),
 		RowName:    "row/%d",
 	}
 	if *ampere {
-		fl.Control = &experiment.FleetControl{Rows: 1, Margin: 1, Kr: *kr, Config: core.DefaultConfig()}
+		fl.Control = &fleet.Control{Rows: 1, Margin: 1, Kr: *kr, Config: core.DefaultConfig()}
 	}
 	if err := fl.Build(); err != nil {
 		return err

@@ -52,9 +52,8 @@ import (
 	"repro/internal/breaker"
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/experiment"
+	"repro/internal/fleet"
 	"repro/internal/obs"
-	"repro/internal/scenario"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/stack"
@@ -143,10 +142,14 @@ type status struct {
 	Violations []int64   `json:"violations_per_row"`
 }
 
+// maxMinutes bounds a demand-response event's start and dwell, so
+// minutesToTime cannot overflow: ten years, scenario.MaxEventMinutes (a test
+// holds them equal; powermon does not link the scenario loader).
+const maxMinutes = 10 * 365 * 24 * 60
+
 // check refuses a configuration before anything is built, naming the flag
 // at fault.
 func (cfg runConfig) check() error {
-	const maxMinutes = scenario.MaxEventMinutes // so minutesToTime cannot overflow
 	switch {
 	// Rows are whole racks: RowSpec would floor a partial one away while the
 	// log line and the /whatif ConfigTag report the requested size.
@@ -180,14 +183,14 @@ func (cfg runConfig) check() error {
 // journal byte-for-byte (the whatif witness-verification contract). reg may
 // be nil (the offline replay: metrics unregistered but journal still fed);
 // journal may be nil only when cfg.obs is false.
-func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*experiment.Fleet, error) {
+func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*fleet.Fleet, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
 	spec := stack.RowSpec(cfg.rows, cfg.rowServers)
 	budget := spec.RowRatedPowerW() / (1 + cfg.ro)
 	product := workload.DefaultProduct("mixed", stack.JobsPerMinute(spec, cfg.target, spec.TotalServers()))
-	f := &experiment.Fleet{
+	f := &fleet.Fleet{
 		Stack: stack.Config{Seed: cfg.seed, Cluster: spec, Products: []workload.Product{product},
 			Retention: 7 * 24 * 60}, // one week of minutes per series
 		RowBudgetW: budget,
@@ -196,7 +199,7 @@ func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*experi
 		Journal:    journal,
 	}
 	if cfg.ampere {
-		f.Control = &experiment.FleetControl{Rows: cfg.rows, Margin: 1, Kr: stack.DefaultKr,
+		f.Control = &fleet.Control{Rows: cfg.rows, Margin: 1, Kr: stack.DefaultKr,
 			Config: core.DefaultConfig()}
 		if cfg.drAt > 0 {
 			// One demand-response event, identical for every row: dip at
@@ -220,7 +223,7 @@ func buildStack(cfg runConfig, reg *obs.Registry, journal *obs.Journal) (*experi
 	if cfg.svcUsers > 0 {
 		// An interactive service across the fleet, serving cfg.svcUsers users
 		// as steady/diurnal/flash client classes.
-		f.Service = &experiment.FleetService{Rows: cfg.rows, Instances: cfg.svcInstances,
+		f.Service = &fleet.Service{Rows: cfg.rows, Instances: cfg.svcInstances,
 			Containers: cfg.svcContainers,
 			Config:     service.Config{Classes: service.DefaultClasses(cfg.svcUsers, cfg.svcRPSPerUser)}}
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // runPowermon runs the command on args. The listen address is a port no
@@ -36,6 +38,14 @@ func TestRunRejectsNonPositiveTick(t *testing.T) {
 		if code != 1 || !strings.HasPrefix(errOut, "powermon: tick ") {
 			t.Errorf("-tick %s: exit %d, stderr %q; want 1 and a tick error", tick, code, errOut)
 		}
+	}
+}
+
+// A demand-response event has the bounds of a scenario's: the constant is
+// copied so the command does not link the scenario loader.
+func TestEventBoundIsTheScenarios(t *testing.T) {
+	if maxMinutes != scenario.MaxEventMinutes {
+		t.Errorf("powermon bounds events at %d minutes, scenarios at %d", maxMinutes, scenario.MaxEventMinutes)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/experiment"
+	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/whatif"
@@ -43,7 +43,7 @@ type whatifServer struct {
 func (ws *whatifServer) builder(end sim.Time) whatif.Builder {
 	cfg := ws.cfg
 	return func() (*whatif.Instance, error) {
-		f, err := buildStack(cfg, nil, experiment.RunJournal(cfg.rows, end))
+		f, err := buildStack(cfg, nil, fleet.RunJournal(cfg.rows, end))
 		if err != nil {
 			return nil, err
 		}

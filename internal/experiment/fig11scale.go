@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/capping"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/runner"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -261,13 +262,13 @@ func runFig11ScaleScenario(cfg Fig11ScaleConfig, ampere bool) (*fig11ScaleScenar
 	// The capper guards every hot row in both regimes: the baseline in the
 	// capping regime, the safety net in the Ampere one, where it follows
 	// the budget the controller enforces.
-	f := &Fleet{
+	f := &fleet.Fleet{
 		Stack: stack.Config{Seed: cfg.Seed, Cluster: spec,
 			Products: []workload.Product{hot, base}, ProductWeights: [][]float64{hotW, baseW}},
 		RowBudgetW: spec.RowRatedPowerW() * cfg.BudgetFrac,
 		RowName:    "row%d",
-		Capping:    &FleetCapping{Rows: cfg.ServiceRows, Config: capping.Config{Interval: capperInterval}},
-		Service: &FleetService{Rows: cfg.ServiceRows, Instances: cfg.ServiceRows * cfg.ServicePerRow,
+		Capping:    &fleet.Capping{Rows: cfg.ServiceRows, Config: capping.Config{Interval: capperInterval}},
+		Service: &fleet.Service{Rows: cfg.ServiceRows, Instances: cfg.ServiceRows * cfg.ServicePerRow,
 			Containers: cfg.ServiceContainers, Config: service.Config{
 				Classes: classes,
 				Ops:     scaledOpsBy(cfg.OpScale),
@@ -279,7 +280,7 @@ func runFig11ScaleScenario(cfg Fig11ScaleConfig, ampere bool) (*fig11ScaleScenar
 		if cfg.MaxFreezeRatio > 0 {
 			ccfg.MaxFreezeRatio = cfg.MaxFreezeRatio
 		}
-		f.Control = &FleetControl{Rows: cfg.ServiceRows, Margin: gridMargin, Kr: DefaultKr,
+		f.Control = &fleet.Control{Rows: cfg.ServiceRows, Margin: gridMargin, Kr: DefaultKr,
 			Et: core.ConstantEt(0.03), Config: ccfg}
 	}
 	if err := f.Build(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/capping"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/stack"
@@ -218,7 +219,7 @@ type gridstormStack struct {
 	regime    string
 	curtailed int
 
-	fleet   *Fleet
+	fleet   *fleet.Fleet
 	tracker *Tracker
 	inj     *chaos.Injector
 
@@ -253,13 +254,13 @@ func setupGridstorm(cfg GridstormConfig, ramped, retain bool) (*gridstormStack, 
 	// oversubscribe it). The ramp regime's schedule has no steps: it is the
 	// per-tick ramp limit on the storm driver's SetBudget overrides. The
 	// breakers only record a trip, so both regimes stay comparable after one.
-	control := &FleetControl{Rows: cfg.Rows, Margin: gridMargin, Kr: DefaultKr,
+	control := &fleet.Control{Rows: cfg.Rows, Margin: gridMargin, Kr: DefaultKr,
 		Et: core.ConstantEt(0.03), Config: core.DefaultConfig()}
 	if ramped {
 		sched := &core.BudgetSchedule{RampFrac: cfg.DipDepth / float64(cfg.RampMinutes)}
 		control.Schedule = func(int) *core.BudgetSchedule { return sched }
 	}
-	f := &Fleet{
+	f := &fleet.Fleet{
 		Stack:      stack.Config{Seed: cfg.Seed, Cluster: spec, Products: []workload.Product{prod}},
 		RowBudgetW: spec.RowRatedPowerW() * cfg.BudgetFrac,
 		RowName:    "row%d",
@@ -268,8 +269,8 @@ func setupGridstorm(cfg GridstormConfig, ramped, retain bool) (*gridstormStack, 
 			TripOverloadSeconds: cfg.TripOverloadSeconds},
 	}
 	if cfg.ServiceUsers > 0 {
-		f.Capping = &FleetCapping{Rows: curtailed, Config: capping.Config{Interval: capperInterval}}
-		f.Service = &FleetService{Rows: curtailed, Instances: curtailed * cfg.ServicePerRow,
+		f.Capping = &fleet.Capping{Rows: curtailed, Config: capping.Config{Interval: capperInterval}}
+		f.Service = &fleet.Service{Rows: curtailed, Instances: curtailed * cfg.ServicePerRow,
 			Containers: cfg.ServiceContainers, Config: service.Config{
 				Classes: service.DefaultClasses(cfg.ServiceUsers, cfg.ServiceRPSPerUser),
 				Ops:     scaledOpsBy(40),
@@ -277,7 +278,7 @@ func setupGridstorm(cfg GridstormConfig, ramped, retain bool) (*gridstormStack, 
 			}}
 	}
 	if retain {
-		f.Journal = RunJournal(cfg.Rows, st.endT)
+		f.Journal = fleet.RunJournal(cfg.Rows, st.endT)
 	}
 	if err := f.Build(); err != nil {
 		return nil, err

@@ -1,5 +1,5 @@
 // Package federate scales the substrate past one data center: N fully
-// isolated DCs — each a stack.Stack plus an unmodified core.Controller —
+// isolated DCs — each a fleet.Fleet with a controller over every row —
 // advance in lockstep epochs under a global coordinator that reallocates
 // budget headroom between DCs through the controllers' validated SetBudget
 // path.
@@ -23,12 +23,13 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/monitor"
+	"repro/internal/fleet"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stack"
@@ -52,9 +53,6 @@ type DCSpec struct {
 	// DiurnalAmplitude overrides the workload's daily swing (0 keeps the
 	// generator default).
 	DiurnalAmplitude float64
-	// BudgetFrac sets the DC's base budget as a fraction of its rated power
-	// (default 0.8, the experiments' 1/1.25 over-provisioning).
-	BudgetFrac float64
 	// ReservePerServer pins that many containers per server at build time:
 	// long-running service load, reserved on the DC's scheduler.
 	ReservePerServer int
@@ -72,10 +70,6 @@ type Config struct {
 	// Workers caps the parallel phases' shard workers (<= 0 is GOMAXPROCS,
 	// 1 is serial). Output is identical at any value.
 	Workers int
-	// FloorFrac / CapFrac bound a DC's allocation to [FloorFrac,
-	// CapFrac]×base. CapFrac must stay below the SetBudget validation
-	// ceiling (2.0×base); default 0.6 / 1.5.
-	FloorFrac, CapFrac float64
 	// Retention bounds each DC's TSDB series length (0 = unlimited).
 	Retention int
 }
@@ -91,6 +85,13 @@ const (
 	// base budget — the coordinator is a slow outer loop, not a second fast
 	// controller.
 	maxShiftFrac float64 = 0.10
+	// budgetFrac is a DC's base budget as a fraction of its rated power, the
+	// experiments' 1/1.25 over-provisioning.
+	budgetFrac float64 = 0.8
+	// floorFrac and capFrac bound a DC's allocation to [floorFrac,
+	// capFrac]×base; capFrac stays below the SetBudget ceiling of 2×base.
+	floorFrac float64 = 0.6
+	capFrac   float64 = 1.5
 )
 
 func (cfg Config) withDefaults() Config {
@@ -100,12 +101,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.DelayEpochs == 0 {
 		cfg.DelayEpochs = 2
 	}
-	if cfg.FloorFrac == 0 {
-		cfg.FloorFrac = 0.6
-	}
-	if cfg.CapFrac == 0 {
-		cfg.CapFrac = 1.5
-	}
+	// The specs are the caller's: fill a copy.
+	cfg.DCs = slices.Clone(cfg.DCs)
 	for i := range cfg.DCs {
 		d := &cfg.DCs[i]
 		if d.RowServers == 0 {
@@ -113,9 +110,6 @@ func (cfg Config) withDefaults() Config {
 		}
 		if d.TargetFrac == 0 {
 			d.TargetFrac = 0.70
-		}
-		if d.BudgetFrac == 0 {
-			d.BudgetFrac = 0.8
 		}
 	}
 	return cfg
@@ -130,10 +124,6 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("federate: CadenceEpochs %d must be ≥1", cfg.CadenceEpochs)
 	case cfg.DelayEpochs < 0:
 		return fmt.Errorf("federate: negative DelayEpochs %d", cfg.DelayEpochs)
-	case math.IsNaN(cfg.FloorFrac) || cfg.FloorFrac <= 0 || cfg.FloorFrac > 1:
-		return fmt.Errorf("federate: FloorFrac %v outside (0,1]", cfg.FloorFrac)
-	case math.IsNaN(cfg.CapFrac) || cfg.CapFrac < cfg.FloorFrac || cfg.CapFrac >= 2:
-		return fmt.Errorf("federate: CapFrac %v outside [FloorFrac,2) — 2×base is the SetBudget ceiling", cfg.CapFrac)
 	}
 	seen := make(map[string]bool, len(cfg.DCs))
 	for i, d := range cfg.DCs {
@@ -148,8 +138,10 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("federate: DC %q row servers %d must be a positive multiple of 20", d.Name, d.RowServers)
 		case math.IsNaN(d.TargetFrac) || d.TargetFrac <= 0 || d.TargetFrac > 1:
 			return fmt.Errorf("federate: DC %q target frac %v outside (0,1]", d.Name, d.TargetFrac)
-		case math.IsNaN(d.BudgetFrac) || d.BudgetFrac <= 0 || d.BudgetFrac > 1:
-			return fmt.Errorf("federate: DC %q budget frac %v outside (0,1]", d.Name, d.BudgetFrac)
+		case !(d.PeakHour >= 0 && d.PeakHour <= 24):
+			return fmt.Errorf("federate: DC %q peak hour %v outside [0,24]", d.Name, d.PeakHour)
+		case !(d.DiurnalAmplitude >= 0 && d.DiurnalAmplitude <= 1):
+			return fmt.Errorf("federate: DC %q diurnal amplitude %v outside [0,1]", d.Name, d.DiurnalAmplitude)
 		case d.ReservePerServer < 0:
 			return fmt.Errorf("federate: DC %q negative ReservePerServer %d", d.Name, d.ReservePerServer)
 		}
@@ -172,7 +164,6 @@ type DC struct {
 	Ctl  *core.Controller
 
 	runErr error
-	rows   int
 }
 
 // Telemetry is one DC's state at an epoch boundary, as sampled by the
@@ -257,30 +248,24 @@ func New(cfg Config) (*Federation, error) {
 		if d.DiurnalAmplitude > 0 {
 			product.DiurnalAmplitude = d.DiurnalAmplitude
 		}
-		st, err := stack.New(stack.Config{Seed: dcSeed, Cluster: spec,
-			Products: []workload.Product{product}, Retention: cfg.Retention})
-		if err != nil {
-			return nil, fmt.Errorf("federate: DC %q: %w", d.Name, err)
-		}
-
-		baseDC := d.BudgetFrac * spec.RowRatedPowerW() * float64(d.Rows)
+		baseDC := budgetFrac * spec.RowRatedPowerW() * float64(d.Rows)
 		ccfg := core.DefaultConfig()
 		ccfg.EtWindow = 60
-		domains := make([]core.Domain, d.Rows)
-		for r := 0; r < d.Rows; r++ {
-			domains[r] = core.Domain{
-				Name: monitor.SeriesRow(r), Servers: st.Cluster.RowIDs(r),
-				BudgetW: baseDC / float64(d.Rows), Kr: stack.DefaultKr,
-			}
+		fl := &fleet.Fleet{
+			Stack: stack.Config{Seed: dcSeed, Cluster: spec,
+				Products: []workload.Product{product}, Retention: cfg.Retention},
+			RowBudgetW: baseDC / float64(d.Rows),
+			RowName:    "row/%d", // monitor.SeriesRow
+			Control:    &fleet.Control{Rows: d.Rows, Margin: 1, Kr: stack.DefaultKr, Config: ccfg},
 		}
-		ctl, err := core.New(st.Eng, st.Mon, st.Sched, ccfg, domains)
-		if err != nil {
+		if err := fl.Build(); err != nil {
 			return nil, fmt.Errorf("federate: DC %q: %w", d.Name, err)
 		}
+		st := fl.Rig
 		// The monitor and generator live on the DC's engine; the controller
-		// is stepped by the coordinator at each epoch barrier (the federated
-		// tick), which reproduces the monitor-before-controller ordering a
-		// same-engine Start() would give.
+		// is never started but stepped by the coordinator at each epoch
+		// barrier (the federated tick), which reproduces the
+		// monitor-before-controller ordering a same-engine Start would give.
 		st.StartBase()
 
 		if d.ReservePerServer > 0 {
@@ -291,7 +276,7 @@ func New(cfg Config) (*Federation, error) {
 			}
 		}
 
-		f.DCs = append(f.DCs, &DC{Stack: st, Name: d.Name, Spec: spec, Ctl: ctl, rows: d.Rows})
+		f.DCs = append(f.DCs, &DC{Stack: st, Name: d.Name, Spec: spec, Ctl: fl.Controller})
 		f.base[i], f.alloc[i], f.target[i] = baseDC, baseDC, baseDC
 	}
 	f.loop = runner.NewLoop(f.runDC)
@@ -362,13 +347,13 @@ func (f *Federation) Advance(epochs int) ([]ShardError, error) {
 
 func (f *Federation) observe(i int, dc *DC) Telemetry {
 	power := 0.0
-	for r := 0; r < dc.rows; r++ {
+	for r := 0; r < dc.Spec.Rows; r++ {
 		if p, ok := dc.Mon.RowPower(r); ok {
 			power += p
 		}
 	}
 	frozen := 0
-	for r := 0; r < dc.rows; r++ {
+	for r := 0; r < dc.Spec.Rows; r++ {
 		frozen += dc.Ctl.FrozenCount(r)
 	}
 	st := dc.Sched.Stats()
@@ -389,8 +374,8 @@ func (f *Federation) applyDueCommands() error {
 			continue
 		}
 		dc := f.DCs[cmd.dc]
-		perRow := cmd.budgetW / float64(dc.rows)
-		for r := 0; r < dc.rows; r++ {
+		perRow := cmd.budgetW / float64(dc.Spec.Rows)
+		for r := 0; r < dc.Spec.Rows; r++ {
 			if err := dc.Ctl.SetBudget(r, perRow); err != nil {
 				return fmt.Errorf("federate: DC %q row %d: %w", dc.Name, r, err)
 			}
@@ -403,7 +388,7 @@ func (f *Federation) applyDueCommands() error {
 
 // reallocate is the coordinator's water-fill over the shared budget pool
 // (Σ base). Each DC wants its WAN-delayed observed power plus margin,
-// clamped to [FloorFrac, CapFrac]×base; leftovers are returned pro rata to
+// clamped to [floorFrac, capFrac]×base; leftovers are returned pro rata to
 // base, deficits scale every DC's above-floor ask by a common ratio. The
 // per-cadence move is clamped to maxShiftFrac×base and the result never
 // exceeds the pool, so the coordinator conserves total provisioned power
@@ -417,7 +402,7 @@ func (f *Federation) reallocate() {
 	pool, sumFloor, sumWant := 0.0, 0.0, 0.0
 	want := make([]float64, n)
 	for d := 0; d < n; d++ {
-		floor, cap := f.cfg.FloorFrac*f.base[d], f.cfg.CapFrac*f.base[d]
+		floor, cap := floorFrac*f.base[d], capFrac*f.base[d]
 		w := f.telem[d][src].PowerW * (1 + margin)
 		w = math.Min(math.Max(w, floor), cap)
 		want[d] = w
@@ -430,7 +415,7 @@ func (f *Federation) reallocate() {
 		left := pool - sumWant
 		for d := 0; d < n; d++ {
 			add := left * f.base[d] / pool
-			if max := f.cfg.CapFrac*f.base[d] - want[d]; add > max {
+			if max := capFrac*f.base[d] - want[d]; add > max {
 				add = max
 			}
 			alloc[d] = want[d] + add
@@ -438,7 +423,7 @@ func (f *Federation) reallocate() {
 	} else {
 		ratio := (pool - sumFloor) / (sumWant - sumFloor)
 		for d := 0; d < n; d++ {
-			floor := f.cfg.FloorFrac * f.base[d]
+			floor := floorFrac * f.base[d]
 			alloc[d] = floor + ratio*(want[d]-floor)
 		}
 	}
@@ -479,8 +464,8 @@ func (f *Federation) ShiftBudget(from, to int, watts float64) (float64, error) {
 	if math.IsNaN(watts) || watts <= 0 {
 		return 0, fmt.Errorf("federate: ShiftBudget of %v watts", watts)
 	}
-	give := math.Min(watts, f.target[from]-f.cfg.FloorFrac*f.base[from])
-	take := math.Min(give, f.cfg.CapFrac*f.base[to]-f.target[to])
+	give := math.Min(watts, f.target[from]-floorFrac*f.base[from])
+	take := math.Min(give, capFrac*f.base[to]-f.target[to])
 	if take <= 0 {
 		return 0, nil
 	}

@@ -3,7 +3,9 @@ package federate
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -101,12 +103,11 @@ func TestFingerprintPinned(t *testing.T) {
 // TestShardIsAStack checks that a DC adds nothing to its stack but the
 // controller: a bare stack.New from the DC's sub-seed, layout and product,
 // advanced minute by minute, reports exactly the scheduler counters and row
-// power of a one-DC federation whose budget (rated power) never forces a
-// freeze.
+// power of a one-DC federation whose base budget never forces a freeze.
 func TestShardIsAStack(t *testing.T) {
 	const seed, name, rowServers, target = 11, "solo", 80, 0.75
 	f, err := New(Config{Seed: seed, DCs: []DCSpec{
-		{Name: name, Rows: 1, RowServers: rowServers, TargetFrac: target, BudgetFrac: 1},
+		{Name: name, Rows: 1, RowServers: rowServers, TargetFrac: target},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -277,13 +278,31 @@ func TestConfigValidation(t *testing.T) {
 		{DCs: []DCSpec{{Name: "a", Rows: 1, TargetFrac: 1.5}}},
 		{DCs: []DCSpec{{Name: "a", Rows: 1, ReservePerServer: -1}}},
 		{DCs: []DCSpec{{Name: "a", Rows: 1, ReservePerServer: 1 << 20}}},
-		{DCs: []DCSpec{{Name: "a", Rows: 1}}, CapFrac: 2.5},
-		{DCs: []DCSpec{{Name: "a", Rows: 1}}, FloorFrac: 1.2},
+		{DCs: []DCSpec{{Name: "a", Rows: 1, PeakHour: math.NaN()}}},
+		{DCs: []DCSpec{{Name: "a", Rows: 1, PeakHour: -5}}},
+		{DCs: []DCSpec{{Name: "a", Rows: 1, PeakHour: 24.5}}},
+		{DCs: []DCSpec{{Name: "a", Rows: 1, PeakHour: math.Inf(1)}}},
+		{DCs: []DCSpec{{Name: "a", Rows: 1, DiurnalAmplitude: math.NaN()}}},
+		{DCs: []DCSpec{{Name: "a", Rows: 1, DiurnalAmplitude: -0.1}}},
+		{DCs: []DCSpec{{Name: "a", Rows: 1, DiurnalAmplitude: 1.5}}},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
+	}
+}
+
+// TestNewLeavesTheCallersSpecs: New fills its defaults into a copy, so the
+// caller's DCs read as they were written.
+func TestNewLeavesTheCallersSpecs(t *testing.T) {
+	dcs := []DCSpec{{Name: "a", Rows: 1, RowServers: 40}, {Name: "b", Rows: 1, RowServers: 40, PeakHour: 24}}
+	want := slices.Clone(dcs)
+	if _, err := New(Config{Seed: 1, DCs: dcs}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dcs, want) {
+		t.Errorf("New rewrote the caller's specs:\n got %+v\nwant %+v", dcs, want)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/capping"
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/fleet"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/stack"
@@ -189,7 +190,7 @@ func (s *Spec) window() (warmup sim.Duration, end sim.Time) {
 // tracker that judges each row against the budget in force.
 type Built struct {
 	Spec *Spec
-	*experiment.Fleet
+	*fleet.Fleet
 	Tracker *experiment.Tracker
 	// Trips counts breaker trips across the run (rows repair and can trip
 	// again).
@@ -239,7 +240,7 @@ func (s *Spec) Build() (*Built, error) {
 	b := &Built{Spec: s}
 	b.warmup, b.end = s.window()
 	budget := spec.RowRatedPowerW() / (1 + s.RO)
-	f := &experiment.Fleet{
+	f := &fleet.Fleet{
 		Stack:      stack.Config{Seed: s.Seed, Cluster: spec, Products: products, ProductWeights: weights},
 		RowBudgetW: budget,
 		RowName:    "row/%d",
@@ -249,11 +250,11 @@ func (s *Spec) Build() (*Built, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.Control = &experiment.FleetControl{Rows: s.Rows, Margin: 1, Kr: cmp.Or(s.Kr, stack.DefaultKr), Config: ccfg,
+		f.Control = &fleet.Control{Rows: s.Rows, Margin: 1, Kr: cmp.Or(s.Kr, stack.DefaultKr), Config: ccfg,
 			Schedule: func(r int) *core.BudgetSchedule { return s.compileBudgetSchedule(r, budget, b.warmup) }}
 	}
 	if s.Capping {
-		f.Capping = &experiment.FleetCapping{Rows: s.Rows, Config: capping.DefaultConfig()}
+		f.Capping = &fleet.Capping{Rows: s.Rows, Config: capping.DefaultConfig()}
 	}
 	if s.Breaker {
 		bcfg := breaker.DefaultConfig(budget)

@@ -84,9 +84,10 @@ type Product struct {
 	// (0 = flat). Above 1 the trough's rate would be negative and clamp to
 	// 0, raising the mean above BaseJobsPerMinute.
 	DiurnalAmplitude float64
-	// PeakHour is the hour of day at which the sinusoid peaks.
+	// PeakHour is the hour of day at which the sinusoid peaks (finite).
 	PeakHour float64
-	// PeriodHours is the sinusoid period; 0 means the usual 24 h day.
+	// PeriodHours is the sinusoid period, finite and ≥ 0; 0 means the usual
+	// 24 h day.
 	// Shorter periods model workloads that ramp up and down within hours
 	// (the §4.4 four-hour window).
 	PeriodHours float64
@@ -187,6 +188,15 @@ func NewGenerator(eng *sim.Engine, seed uint64, products []Product, dd DurationD
 		}
 		if !(p.DiurnalAmplitude >= 0 && p.DiurnalAmplitude <= 1) {
 			return nil, fmt.Errorf("workload: product %d (%s) has diurnal amplitude %v outside [0, 1]", i, p.Name, p.DiurnalAmplitude)
+		}
+		// A non-finite peak or a NaN period makes the sinusoid NaN (no jobs),
+		// an infinite period makes it flat, and diurnal would read a negative
+		// period as the 24 h default.
+		if math.IsNaN(p.PeakHour) || math.IsInf(p.PeakHour, 0) {
+			return nil, fmt.Errorf("workload: product %d (%s) has peak hour %v, want a finite number", i, p.Name, p.PeakHour)
+		}
+		if !(p.PeriodHours >= 0) || math.IsInf(p.PeriodHours, 1) {
+			return nil, fmt.Errorf("workload: product %d (%s) has period %v hours, want a finite number ≥ 0", i, p.Name, p.PeriodHours)
 		}
 		if p.NoiseSigma < 0 {
 			return nil, fmt.Errorf("workload: product %d (%s) has negative noise sigma %v", i, p.Name, p.NoiseSigma)

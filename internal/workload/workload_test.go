@@ -69,6 +69,23 @@ func TestGeneratorValidation(t *testing.T) {
 	if _, err := NewGenerator(eng, 1, []Product{bad}, DefaultDurations(), func(*Job) {}); err == nil {
 		t.Error("negative rate accepted")
 	}
+	// A non-finite peak hour or a NaN period made every minute's rate NaN
+	// and the generator emitted nothing; an infinite period gave a flat load
+	// and a negative one ran as the 24 h day. A period of 0 is that day.
+	for _, tc := range []struct {
+		peak, period float64
+		ok           bool
+	}{
+		{math.NaN(), 0, false}, {math.Inf(1), 0, false}, {math.Inf(-1), 0, false},
+		{14, math.NaN(), false}, {14, math.Inf(1), false}, {14, -3, false},
+		{14, 0, true}, {-2, 4, true}, {30, 24, true},
+	} {
+		p := DefaultProduct("a", 10)
+		p.PeakHour, p.PeriodHours = tc.peak, tc.period
+		if _, err := NewGenerator(eng, 1, []Product{p}, DefaultDurations(), func(*Job) {}); (err == nil) != tc.ok {
+			t.Errorf("peak %v period %v: error %v, want accepted %v", tc.peak, tc.period, err, tc.ok)
+		}
+	}
 }
 
 // A non-finite mean reaches sim.Poisson's int conversion, which on amd64
